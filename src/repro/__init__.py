@@ -34,23 +34,23 @@ Subpackages
   Table 1, plus ablations.
 - :mod:`repro.obs` — cross-backend telemetry: phase/level/compute/wait
   spans, the unified metrics registry, Chrome-trace / JSONL / ASCII-Gantt
-  exporters, and the ``observe=True`` instrumentation hook.
+  exporters, and the ``PlanSpec(observe=True)`` instrumentation hook.
 - :mod:`repro.passes` — the schedule-pass framework: Figure-3
   preprocessing stages as contract-checked composable passes producing
   one :class:`Plan` for every backend, the consolidated
   :class:`PlanSpec` run configuration, and the telemetry-driven
-  auto-tuner behind ``parallelize(backend="auto")``.
+  auto-tuner behind ``PlanSpec(backend="auto")``.
 """
 
 from repro._version import __version__
 from repro.backends import (
     BACKENDS,
+    HookedRunner,
     InspectorCache,
     MultiprocRunner,
     Runner,
     SimulatedRunner,
     ThreadedRunner,
-    ValidatingRunner,
     VectorizedRunner,
     WaitLadder,
     make_runner,
@@ -92,7 +92,6 @@ from repro.lint import (
 from repro.machine.costs import CostModel, WorkProfile
 from repro.machine.engine import Machine
 from repro.obs import (
-    InstrumentedRunner,
     MetricsRegistry,
     Telemetry,
     chrome_trace,
@@ -131,7 +130,7 @@ __all__ = [
     "MultiprocRunner",
     "WaitLadder",
     "InspectorCache",
-    "ValidatingRunner",
+    "HookedRunner",
     "make_runner",
     "BACKENDS",
     "run_reference",
@@ -172,7 +171,6 @@ __all__ = [
     "plan_loop",
     "execute_plan",
     # Observability
-    "InstrumentedRunner",
     "Telemetry",
     "MetricsRegistry",
     "validate_telemetry",

@@ -3,7 +3,7 @@
 All backends implement the :class:`repro.backends.base.Runner` protocol —
 ``run(loop, *, order=None, schedule=None, chunk=None, trace=False)``
 returning a :class:`~repro.core.results.RunResult` — so strategy code and
-benchmarks select them interchangeably (``parallelize(..., backend=...)``).
+benchmarks select them interchangeably (``PlanSpec(backend=...)``).
 
 - :mod:`repro.backends.simulated` — the paper-experiment backend: runs the
   inspector/executor/postprocessor phases on the discrete-event machine
@@ -29,19 +29,29 @@ benchmarks select them interchangeably (``parallelize(..., backend=...)``).
   sequential fallback).
 - :mod:`repro.backends.cache` — the inspector cache (Figure-3 amortization
   with hit/miss counters).
+- :mod:`repro.backends.hooks` — the optional steps around a run
+  (static validation, sanitizing, telemetry) as one ordered hook list
+  behind a single :class:`HookedRunner` wrapper.
 - :mod:`repro.backends.base` — the :class:`Runner` protocol and shared
   helpers (order validation).
 """
 
 from repro.backends.base import Runner, validate_execution_order
 from repro.backends.cache import InspectorCache, InspectorRecord, loop_fingerprint
+from repro.backends.hooks import HookedRunner, hooks_for
 from repro.backends.multiproc import MultiprocRunner
 from repro.backends.simulated import SimulatedRunner
 from repro.backends.speculative import SpeculativeRunner
 from repro.backends.threaded import ThreadedRunner
-from repro.backends.validating import ValidatingRunner
 from repro.backends.vectorized import VectorizedRunner
 from repro.backends.waitladder import WaitLadder
+from repro.passes.spec import (
+    AUTO_BACKEND,
+    BACKENDS,
+    PlanSpec,
+    check_options,
+    resolve_shorthand,
+)
 
 __all__ = [
     "Runner",
@@ -50,7 +60,7 @@ __all__ = [
     "VectorizedRunner",
     "MultiprocRunner",
     "SpeculativeRunner",
-    "ValidatingRunner",
+    "HookedRunner",
     "InspectorCache",
     "InspectorRecord",
     "WaitLadder",
@@ -60,210 +70,87 @@ __all__ = [
     "validate_execution_order",
 ]
 
-#: Names accepted by ``make_runner`` / ``parallelize(backend=...)``.
-BACKENDS = ("simulated", "threaded", "vectorized", "multiproc", "speculative")
-
-
-_UNSET = object()
-
 
 def make_runner(
-    backend: str = "simulated",
+    backend: str | None = None,
     *,
-    spec=None,
-    processors: int = 16,
+    spec: PlanSpec | None = None,
+    processors: int | None = None,
     cost_model=None,
     cache: InspectorCache | None = None,
     bus: bool = False,
     coherence: bool = False,
-    validate: str | None = _UNSET,
-    observe: bool = _UNSET,
-    analyze: str | None = _UNSET,
 ) -> Runner:
-    """Build a :class:`Runner` by name — or from a
-    :class:`~repro.passes.spec.PlanSpec` via ``spec=``.
+    """Build the :class:`Runner` a :class:`~repro.passes.spec.PlanSpec`
+    describes.
 
-    ``spec`` is the consolidated form: one frozen value object carrying
-    backend/processors/analyze/validate/observe/wait_timeout, checked
-    against the backend option-support matrix before anything is built.
-    The individual ``validate``/``observe``/``analyze`` keywords still
-    work but emit a :class:`DeprecationWarning` pointing at ``spec=``
-    (``processors``/``cost_model``/``cache``/``bus``/``coherence`` are
-    resources and machine configuration, not plan options, and stay
-    plain keywords).
+    ``spec`` carries backend/processors/analyze/validate/observe/
+    wait_timeout and is checked against the backend option-support matrix
+    before anything is built.  ``backend`` and ``processors`` are
+    shorthand for ``spec=PlanSpec(backend, processors)`` and cannot be
+    combined with ``spec``; ``cost_model``/``cache``/``bus``/``coherence``
+    are resources and machine configuration, not plan options.
 
     ``processors`` means simulated processors for the simulated backend,
     thread count for the threaded backend, and worker-process count for
-    the multiproc backend; the vectorized backend has no processor knob
-    (its parallelism is the wavefront width).  ``cache`` serves the
-    vectorized backend's inspector records and, on the multiproc backend,
-    prefills the shared ``iter`` array so workers skip their inspector
-    phase.
+    the multiproc and speculative backends; the vectorized backend has no
+    processor knob (its parallelism is the wavefront width).  ``cache``
+    serves the vectorized backend's inspector records and, on the
+    multiproc backend, prefills the shared ``iter`` array so workers skip
+    their inspector phase.
 
     ``analyze="symbolic"`` enables the symbolic dependence engine on the
-    threaded, vectorized, and multiproc backends: when a loop's verdict is
-    proven, the
-    runtime inspector is elided (closed-form ``iter`` array / inspector
-    record; see :mod:`repro.analysis`).  ``analyze="symbolic+check"`` is
-    the debug mode that additionally cross-checks every proof against the
-    real inspector output.  The simulated backend models the inspector as
-    a costed phase, so ``analyze`` is rejected here — use
-    :func:`repro.core.doacross.parallelize` with ``analyze=`` for
-    verdict-driven strategy dispatch on the simulator.
+    wall-clock backends: when a loop's verdict is proven, the runtime
+    inspector is elided (closed-form ``iter`` array / inspector record;
+    see :mod:`repro.analysis`).  ``analyze="symbolic+check"`` additionally
+    cross-checks every proof against the real inspector output.  The
+    simulated backend models the inspector as a costed phase, so
+    ``analyze`` is rejected here — :func:`~repro.core.doacross.parallelize`
+    does verdict-driven strategy dispatch on the simulator.
 
-    ``validate="static"`` wraps the runner in a
-    :class:`~repro.backends.validating.ValidatingRunner`: every ``run``
-    first lint-checks the loop and race-checks the backend's schedule,
-    raising :class:`~repro.errors.RaceConditionError` before execution if
-    a true dependence is unordered.  ``validate="sanitize"`` wraps it in
-    a :class:`~repro.sanitize.runner.SanitizingRunner` instead: the
-    backend shadow-logs its actual reads, writes, posts, and waits, and
-    after the run a vector-clock replay checks every true dependence for
-    a *witnessed* happens-before edge, raising
-    :class:`~repro.errors.SanitizerError` on any uncovered pair.
-
-    ``observe=True`` wraps the (possibly validating) runner in an
-    :class:`~repro.obs.instrument.InstrumentedRunner`: every ``run``
-    attaches a :class:`~repro.obs.telemetry.Telemetry` blob — phase spans
-    plus the unified metrics registry, same schema on every backend — to
-    ``result.telemetry``.
+    ``validate`` and ``observe`` put run hooks around the backend
+    (:mod:`repro.backends.hooks`, in the fixed order static-validate →
+    sanitize → observe): the result is then one
+    :class:`~repro.backends.hooks.HookedRunner` whose ``.inner`` is the
+    backend itself; with neither set it is the bare backend.
     """
-    if spec is not None:
-        if (
-            validate is not _UNSET
-            or observe is not _UNSET
-            or analyze is not _UNSET
-        ):
-            raise TypeError(
-                "make_runner(spec=...) cannot be combined with the legacy "
-                "validate/observe/analyze keywords; set them on the PlanSpec"
-            )
-        from repro.passes.spec import AUTO_BACKEND, check_options
-
-        if spec.backend == AUTO_BACKEND:
-            raise ValueError(
-                "backend='auto' is a per-loop decision, not a runner: use "
-                "parallelize(loop, spec=...) or repro.passes.plan_loop so "
-                "the tuner can see the loop's structure"
-            )
-        check_options(spec)
-        return _build_runner(
-            spec.backend,
-            processors=spec.processors,
-            cost_model=cost_model,
-            cache=cache,
-            bus=bus,
-            coherence=coherence,
-            validate=spec.validate,
-            observe=spec.observe,
-            analyze=spec.analyze,
-            wait_timeout=spec.wait_timeout,
+    spec = resolve_shorthand("make_runner", spec, backend, processors)
+    if spec.backend == AUTO_BACKEND:
+        raise ValueError(
+            "backend='auto' is a per-loop decision, not a runner: use "
+            "parallelize(loop, spec=...) or repro.passes.plan_loop so "
+            "the tuner can see the loop's structure"
         )
-
-    shimmed = [
-        name
-        for name, value in (
-            ("validate", validate),
-            ("observe", observe),
-            ("analyze", analyze),
-        )
-        if value is not _UNSET
-    ]
-    if shimmed:
-        import warnings
-
-        warnings.warn(
-            f"the {', '.join(shimmed)} keyword option(s) on make_runner are "
-            "deprecated; pass a consolidated PlanSpec via "
-            "make_runner(spec=PlanSpec(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return _build_runner(
-        backend,
-        processors=processors,
-        cost_model=cost_model,
-        cache=cache,
-        bus=bus,
-        coherence=coherence,
-        validate=None if validate is _UNSET else validate,
-        observe=False if observe is _UNSET else observe,
-        analyze=None if analyze is _UNSET else analyze,
-    )
-
-
-def _build_runner(
-    backend: str = "simulated",
-    *,
-    processors: int = 16,
-    cost_model=None,
-    cache: InspectorCache | None = None,
-    bus: bool = False,
-    coherence: bool = False,
-    validate: str | None = None,
-    observe: bool = False,
-    analyze: str | None = None,
-    wait_timeout: float | None = None,
-) -> Runner:
-    """The warning-free constructor behind :func:`make_runner`.
-
-    Internal callers (the legacy ``parallelize`` path, plan execution,
-    the CLI, benches) use this directly so one user-facing call never
-    produces more than one :class:`DeprecationWarning`.  ``wait_timeout``
-    bounds each blocking busy-wait where the backend has one (threaded
-    events; the multiproc :class:`WaitLadder`).
-    """
-    if backend == "simulated":
+    check_options(spec)
+    workers, analyze, timeout = spec.processors, spec.analyze, spec.wait_timeout
+    if spec.backend == "simulated":
         from repro.machine.engine import Machine
 
         if analyze is not None:
             raise ValueError(
-                "analyze is not supported on the simulated backend (its "
+                "analyze is not supported on a simulated runner (its "
                 "inspector is a costed phase, not elidable work); use "
-                "parallelize(..., analyze=...) for verdict-driven strategy "
+                "parallelize(loop, spec=...) for verdict-driven strategy "
                 "dispatch"
             )
         runner: Runner = SimulatedRunner(
-            Machine(
-                processors, cost_model=cost_model, bus=bus, coherence=coherence
-            )
+            Machine(workers, cost_model=cost_model, bus=bus, coherence=coherence)
         )
-    elif backend == "threaded":
-        kwargs = {} if wait_timeout is None else {"wait_timeout": wait_timeout}
-        runner = ThreadedRunner(threads=processors, analyze=analyze, **kwargs)
-    elif backend == "vectorized":
+    elif spec.backend == "threaded":
+        kwargs = {} if timeout is None else {"wait_timeout": timeout}
+        runner = ThreadedRunner(threads=workers, analyze=analyze, **kwargs)
+    elif spec.backend == "vectorized":
         runner = VectorizedRunner(
             cache=cache, cost_model=cost_model, analyze=analyze
         )
-    elif backend == "multiproc":
-        ladder = None if wait_timeout is None else WaitLadder(timeout=wait_timeout)
+    elif spec.backend == "multiproc":
+        ladder = None if timeout is None else WaitLadder(timeout=timeout)
         runner = MultiprocRunner(
-            workers=processors, cache=cache, analyze=analyze, ladder=ladder
+            workers=workers, cache=cache, analyze=analyze, ladder=ladder
         )
-    elif backend == "speculative":
-        # Speculation never busy-waits, so wait_timeout has nothing to
-        # bound (same silent no-op as on the vectorized backend); the
-        # liveness bound is the retry budget instead.
-        runner = SpeculativeRunner(workers=processors, analyze=analyze)
     else:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    if validate is not None:
-        if validate == "static":
-            runner = ValidatingRunner(runner)
-        elif validate == "sanitize":
-            from repro.sanitize.runner import SanitizingRunner
-
-            runner = SanitizingRunner(runner)
-        else:
-            raise ValueError(
-                f"unknown validate mode {validate!r}; expected 'static', "
-                "'sanitize', or None"
-            )
-    if observe:
-        from repro.obs.instrument import InstrumentedRunner
-
-        runner = InstrumentedRunner(runner)
-    return runner
+        # Speculation never busy-waits (the plan-time check rejects
+        # wait_timeout); its liveness bound is the retry budget.
+        runner = SpeculativeRunner(workers=workers, analyze=analyze)
+    hooks = hooks_for(spec)
+    return HookedRunner(runner, hooks) if hooks else runner

@@ -7,13 +7,14 @@ same small surface::
     runner.run(loop, *, order=None, schedule=None, chunk=None, trace=False)
         -> RunResult
 
-so strategy-level code (:class:`~repro.core.doacross.PreprocessedDoacross`,
-:func:`~repro.core.doacross.parallelize`, the benchmarks) can swap backends
-without caring whether time is simulated cycles or measured wall clock.
-Options a backend cannot honor (e.g. ``schedule`` on the vectorized
-backend, which has no per-processor schedules) are documented as ignored by
-that backend rather than rejected, so callers can sweep backends with one
-option set.
+so strategy-level code (:func:`~repro.passes.execute.execute_plan`, the
+benchmarks) can swap backends without caring whether time is simulated
+cycles or measured wall clock.  Planned runs never hand a backend an option
+it cannot honor (:data:`~repro.passes.spec.OPTION_SUPPORT` rejects it at
+plan time); handed one directly (e.g. ``schedule`` on the vectorized
+backend, which has no per-processor schedules), a backend notes it as
+ignored rather than rejecting it, so callers can sweep hand-built runners
+with one option set.
 """
 
 from __future__ import annotations
@@ -54,34 +55,30 @@ class Runner(abc.ABC):
     - ``schedule`` / ``chunk`` — executor iteration schedule, where the
       backend has one (``None`` means the backend default).
     - ``trace`` — request an execution timeline where supported.
+
+    Two backend-specific options carry plan decisions from
+    :func:`~repro.passes.execute.execute_plan`: the simulated backend
+    takes ``transform`` (the :class:`~repro.ir.transform.TransformPlan`
+    whose strategy it dispatches on), and the threaded, multiproc and
+    vectorized backends take ``group_sync`` (the synchronization group
+    size the :class:`~repro.passes.distance.DistancePass` proved sound).
     """
 
     #: Short identifier used by the ``backend=`` selector and in reports.
     name: str = "runner"
 
-    #: Telemetry hooks: an :class:`~repro.obs.instrument.InstrumentedRunner`
-    #: attaches a span recorder and a metrics registry here for the
-    #: duration of one ``run``; backends emit phase/level/wait spans and
-    #: unified metrics when (and only when) these are set.  ``None`` means
-    #: unobserved — the hot paths stay hook-free.
+    #: Hook slots.  A :class:`~repro.backends.hooks.HookedRunner` fills
+    #: them for the duration of one ``run`` and clears them afterwards;
+    #: ``None`` means unobserved / unsanitized, and the hot paths stay
+    #: hook-free.  With a span recorder and a metrics registry attached
+    #: (:class:`~repro.backends.hooks.Observe`) a backend emits
+    #: phase/level/wait spans and unified metrics; with a
+    #: :class:`~repro.sanitize.shadow.ShadowCapture` attached
+    #: (:class:`~repro.backends.hooks.Sanitize`) it appends shadow-access
+    #: and synchronization events to per-lane logs.
     _obs_recorder: "SpanRecorder | None" = None
     _obs_metrics: "MetricsRegistry | None" = None
-
-    #: Sanitizer hook: a :class:`~repro.sanitize.runner.SanitizingRunner`
-    #: attaches a :class:`~repro.sanitize.shadow.ShadowCapture` here for
-    #: the duration of one ``run``; backends append shadow-access and
-    #: synchronization events to per-lane logs when (and only when) this
-    #: is set.  ``None`` means unsanitized — again, hook-free hot paths.
     _san_capture: "ShadowCapture | None" = None
-
-    #: Distance-elision hook: :func:`~repro.passes.execute.execute_plan`
-    #: attaches the proven synchronization group size here when the
-    #: :class:`~repro.passes.distance.DistancePass` certified that every
-    #: cross-iteration true dependence reaches back at least this many
-    #: iterations.  Backends that understand it run group-synchronously
-    #: (one barrier per group instead of per-element post/wait flags);
-    #: ``None`` means the standard protocol.
-    _group_sync: "int | None" = None
 
     @abc.abstractmethod
     def run(

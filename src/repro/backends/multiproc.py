@@ -792,6 +792,7 @@ class MultiprocRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        group_sync: int | None = None,
     ) -> RunResult:
         """Execute ``loop`` on the process pool; see the module docstring.
 
@@ -884,7 +885,7 @@ class MultiprocRunner(Runner):
         # Group-synchronous elision (DistancePass): natural order only,
         # and the group must be a chunk-aligned multiple so the global
         # chunk -> worker deal restricts cleanly to each group window.
-        group = self._group_sync if order is None else None
+        group = group_sync if order is None else None
         if group is not None and (group < c_size or group % c_size):
             group = None
 

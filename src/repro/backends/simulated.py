@@ -34,6 +34,12 @@ from repro.ir.analysis import (
 )
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 from repro.ir.subscript import AffineSubscript
+from repro.ir.transform import (
+    STRATEGY_CLASSIC_DOACROSS,
+    STRATEGY_DOALL,
+    STRATEGY_LINEAR,
+    TransformPlan,
+)
 from repro.machine.engine import RES_BUS, RES_DISPATCH, Machine
 from repro.machine.flags import FlagStore
 from repro.machine.ops import Compute, SetFlag, UseResource, WaitFlag
@@ -81,15 +87,37 @@ class SimulatedRunner(Runner):
         trace: bool = False,
         linear: bool = False,
         order_label: str = "natural",
+        transform: TransformPlan | None = None,
     ) -> RunResult:
         """The :class:`~repro.backends.base.Runner` interface: the full
         preprocessed pipeline (or the §2.3 ``linear`` variant) on the
-        simulated machine.  Equivalent to :meth:`run_preprocessed` with
-        backend-default schedule/chunk where ``None``."""
+        simulated machine, with backend-default schedule/chunk where
+        ``None``.
+
+        With a ``transform`` plan (:func:`~repro.ir.transform.plan_transform`)
+        the run is the strategy the plan names — doall, classic doacross,
+        linear or preprocessed — so ``result.strategy`` is always the
+        plan's.  Doall and classic synchronise on iteration numbers known
+        a priori, which only hold in natural order, and have no executor
+        timeline: ``order`` (a single wavefront for a real doall anyway)
+        and ``trace`` do not apply to them.
+        """
+        chunk = 1 if chunk is None else chunk
+        if transform is not None:
+            if transform.strategy == STRATEGY_DOALL:
+                return self.run_doall(loop, schedule=schedule, chunk=chunk)
+            if transform.strategy == STRATEGY_CLASSIC_DOACROSS:
+                return self.run_classic(
+                    loop,
+                    transform.uniform_distance,
+                    schedule=schedule,
+                    chunk=chunk,
+                )
+            linear = transform.strategy == STRATEGY_LINEAR
         return self.run_preprocessed(
             loop,
             schedule=schedule,
-            chunk=1 if chunk is None else chunk,
+            chunk=chunk,
             order=order,
             linear=linear,
             order_label=order_label,

@@ -13,7 +13,7 @@ No timing is reported: under CPython's GIL these threads interleave rather
 than run in parallel, which is exactly why the *performance* experiments use
 the simulated backend instead (DESIGN.md §3).
 
-Observability: when an :class:`~repro.obs.instrument.InstrumentedRunner`
+Observability: when the :class:`~repro.backends.hooks.Observe` hook
 attaches a span recorder, each worker emits wall-clock spans for its
 inspector/executor/postprocessor slices, and the executor additionally
 splits into alternating ``compute``/``wait`` spans at every *blocking*
@@ -98,6 +98,7 @@ class ThreadedRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        group_sync: int | None = None,
     ) -> RunResult:
         """Execute ``loop`` on real threads and return a
         :class:`RunResult` (measured wall clock; no cycle model — the GIL
@@ -123,7 +124,7 @@ class ThreadedRunner(Runner):
                 cross_check(loop, verdict, strict=True)
         # Group-synchronous elision (DistancePass): only sound in natural
         # order — the distance bound is on iteration numbers.
-        group = self._group_sync if order is None else None
+        group = group_sync if order is None else None
         t0 = time.perf_counter()
         y = self._execute(loop, order=order, prefill_iter=elide, group=group)
         wall = time.perf_counter() - t0

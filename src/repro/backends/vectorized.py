@@ -106,7 +106,7 @@ class VectorizedRunner(Runner):
         self.analyze = analyze
 
     # ------------------------------------------------------------------
-    def _preprocess(self, loop: IrregularLoop):
+    def _preprocess(self, loop: IrregularLoop, group: int | None = None):
         """Serve the inspector record for ``loop``.
 
         Returns ``(record, hit, elided, verdict)``.  With ``analyze`` set
@@ -115,14 +115,13 @@ class VectorizedRunner(Runner):
         structure-only fingerprint; otherwise the runtime inspector path
         of :class:`InspectorCache` is used unchanged.
 
-        When the DistancePass attached a group size (``_group_sync``),
-        the record's wavefronts are the distance groups ``i // group``
-        instead of the exact DAG levels — usually far fewer, far wider
+        With a ``group`` size (``run(group_sync=...)``, planned by the
+        DistancePass), the record's wavefronts are the distance groups
+        ``i // group`` instead of the exact DAG levels — usually far fewer, far wider
         levels (:func:`repro.analysis.build_distance_record`).  This
         works even for verdicts that are *not* fully classified: a
         ``min-distance-k`` bound is enough.
         """
-        group = self._group_sync
         if group is not None and group >= 2:
             from repro.analysis import (
                 analyze_loop,
@@ -188,6 +187,7 @@ class VectorizedRunner(Runner):
         schedule=None,
         chunk: int | None = None,
         trace: bool = False,
+        group_sync: int | None = None,
     ) -> RunResult:
         """Execute ``loop`` as batched wavefronts; see the module doc.
 
@@ -203,7 +203,7 @@ class VectorizedRunner(Runner):
         rec = self._obs_recorder
 
         t0 = time.perf_counter()
-        record, hit, elided, verdict = self._preprocess(loop)
+        record, hit, elided, verdict = self._preprocess(loop, group_sync)
         t1 = time.perf_counter()
         if rec is not None:
             # The cache lookup/build window IS this backend's inspector
@@ -226,6 +226,8 @@ class VectorizedRunner(Runner):
             elided=elided,
             verdict=verdict,
         )
+        if group_sync is not None:
+            result.extras["distance_group"] = int(group_sync)
         wavefront_reason = (
             "the vectorized backend has no per-processor schedules; its "
             "execution order is the wavefront decomposition itself"
@@ -466,8 +468,6 @@ class VectorizedRunner(Runner):
                 "plan": record.plan.describe(),
             }
         )
-        if self._group_sync is not None:
-            result.extras["distance_group"] = int(self._group_sync)
         if self.analyze is not None:
             result.extras["analyze"] = self.analyze
             result.extras["inspector_elided"] = elided

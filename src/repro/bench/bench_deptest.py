@@ -12,7 +12,7 @@ genuinely larger than 1:
 - **synchronization volume** — the baseline protocol's ``flag_sets`` +
   ``flag_checks`` (every post and every wait-side flag inspection) vs.
   the grouped run's (always zero) and its ``sync_elisions`` accounting;
-- **wall clock** — end-to-end ``run_with_spec`` with and without
+- **wall clock** — end-to-end ``parallelize`` with and without
   ``analyze="symbolic"`` on the threaded and multiproc backends;
 - **correctness** — every grouped output is bitwise-equal to the
   sequential oracle's.
@@ -40,9 +40,9 @@ import numpy as np
 
 from repro.backends.cache import InspectorCache
 from repro.bench.reporting import format_table
+from repro.core.doacross import parallelize
 from repro.core.sequential import run_reference
 from repro.ir.loop import IrregularLoop
-from repro.passes.execute import run_with_spec
 from repro.passes.spec import PlanSpec
 from repro.workloads.synthetic import affine_loop, chain_loop
 
@@ -188,7 +188,7 @@ def _counters(result) -> dict:
 
 def _run(loop: IrregularLoop, spec: PlanSpec):
     t0 = time.perf_counter()
-    result, _plan = run_with_spec(loop, spec, cache=InspectorCache())
+    result, _plan = parallelize(loop, spec=spec, cache=InspectorCache())
     return result, time.perf_counter() - t0
 
 

@@ -6,7 +6,7 @@ required true-dependence pairs after the run.  That is only usable as a
 routine validation mode if the tax stays bounded, so this benchmark
 times the same ≥50k-iteration sparse triangular solve (the Table-1
 substrate, shared with ``bench-multiproc``) through the threaded and
-vectorized backends bare and wrapped in :class:`SanitizingRunner`, and
+vectorized backends bare and under the :class:`Sanitize` run hook, and
 asserts the sanitized wall clock stays within ``MAX_OVERHEAD`` (5x) of
 the bare one at full problem size.
 
@@ -34,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.backends import ThreadedRunner, VectorizedRunner
+from repro.backends.hooks import HookedRunner, Sanitize
 from repro.bench.bench_multiproc import _build_loop
 from repro.bench.reporting import format_table
-from repro.sanitize import SanitizingRunner
 
 __all__ = [
     "MAX_OVERHEAD",
@@ -222,8 +222,8 @@ def run_bench_sanitize(
             }
         )
 
-        cold, out = timed(SanitizingRunner(build(backend)))
-        warm, out2 = timed(SanitizingRunner(build(backend)))
+        cold, out = timed(HookedRunner(build(backend), [Sanitize]))
+        warm, out2 = timed(HookedRunner(build(backend), [Sanitize]))
         report = out.extras["sanitize"]
         result.rows.append(
             {

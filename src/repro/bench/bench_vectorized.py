@@ -272,9 +272,9 @@ def run_bench_vectorized(
     # Observed warm runs: the artifact carries the unified telemetry blob
     # (level spans + cache metrics) and the observed-vs-bare column the
     # span-overhead budget test pins.
-    from repro.obs.instrument import InstrumentedRunner
+    from repro.backends.hooks import HookedRunner, Observe
 
-    instrumented = InstrumentedRunner(runner)
+    instrumented = HookedRunner(runner, [Observe])
     # Compare run wall times (result.wall_seconds), not end-to-end call
     # times: telemetry assembly happens after the run's clock stops and
     # is not part of the observation overhead the budget bounds.

@@ -11,36 +11,30 @@ benchmarks use::
 
 :func:`parallelize` is the fully automatic entry point: it asks the
 "compiler" (:func:`repro.ir.transform.plan_transform`) which strategy is
-sound for the loop's static structure and dispatches accordingly — onto
-any execution backend (``backend="simulated"|"threaded"|"vectorized"|
-"multiproc"``, or a :class:`~repro.backends.base.Runner` instance).
+sound for the loop's static structure, plans the run for the
+:class:`~repro.passes.spec.PlanSpec`'s backend and executes it.
 
-Both entry points take their options keyword-only; the old positional
-forms still work behind a :class:`DeprecationWarning` shim.
+Both entry points take their options keyword-only.
 """
 
 from __future__ import annotations
 
-import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backends.base import Runner
 from repro.backends.simulated import SimulatedRunner
 from repro.core.results import RunResult
 from repro.core.workspace import DoacrossWorkspace
 from repro.errors import ScheduleError
 from repro.ir.loop import IrregularLoop
-from repro.ir.transform import (
-    STRATEGY_CLASSIC_DOACROSS,
-    STRATEGY_DOALL,
-    STRATEGY_LINEAR,
-    TransformPlan,
-    plan_transform,
-)
+from repro.ir.transform import TransformPlan, plan_transform
 from repro.machine.costs import CostModel
 from repro.machine.engine import Machine
 from repro.machine.scheduler import SCHEDULE_KINDS, IterationSchedule
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.passes.spec import PlanSpec
 
 __all__ = ["PreprocessedDoacross", "parallelize"]
 
@@ -60,43 +54,6 @@ def _validate_schedule_options(schedule, chunk) -> None:
             f"unknown schedule kind {schedule!r}; expected one of "
             f"{'/'.join(SCHEDULE_KINDS)} or an IterationSchedule"
         )
-
-
-def _shim_positional(
-    args: tuple,
-    names: tuple,
-    given: dict,
-    what: str,
-    stacklevel: int = 3,
-) -> dict:
-    """Map legacy positional options onto keyword names, warning once.
-
-    ``stacklevel`` counts from :func:`warnings.warn`: one frame for this
-    helper, one for the deprecated public entry point, so the default of 3
-    attributes the warning to *its caller's* source line — the line that
-    actually needs editing.  Entry points that add intermediate frames
-    must pass a correspondingly larger value (asserted by the
-    ``pytest.warns`` source-location tests).
-    """
-    if len(args) > len(names):
-        raise TypeError(
-            f"{what} takes at most {len(names)} positional options "
-            f"({', '.join(names)}); got {len(args)}"
-        )
-    warnings.warn(
-        f"positional options to {what} are deprecated; "
-        f"pass {', '.join(names[: len(args)])} as keyword arguments",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    for name, value in zip(names, args):
-        if given.get(name) is not _UNSET:
-            raise TypeError(f"{what} got multiple values for {name!r}")
-        given[name] = value
-    return given
-
-
-_UNSET = object()
 
 
 class PreprocessedDoacross:
@@ -153,59 +110,30 @@ class PreprocessedDoacross:
     def run(
         self,
         loop: IrregularLoop,
-        *args,
-        order: np.ndarray | None = _UNSET,
-        order_label: str = _UNSET,
-        linear: bool = _UNSET,
-        schedule=_UNSET,
-        chunk: int | None = _UNSET,
-        trace: bool = _UNSET,
+        *,
+        order: np.ndarray | None = None,
+        order_label: str = "natural",
+        linear: bool = False,
+        schedule=None,
+        chunk: int | None = None,
+        trace: bool = False,
     ) -> RunResult:
         """Run the full preprocessed doacross (or the §2.3 linear variant
         with ``linear=True``); optionally in a caller-supplied execution
         ``order`` (see :class:`~repro.core.doconsider.Doconsider`).  With
         ``trace=True`` the executor-phase timeline lands in
-        ``result.extras["trace"]``.
-
-        Options are keyword-only; the pre-Runner positional form
-        ``run(loop, order, order_label, linear, schedule, chunk, trace)``
-        still works but emits a :class:`DeprecationWarning`.
+        ``result.extras["trace"]``.  ``schedule``/``chunk`` default to the
+        ones given at construction.
         """
-        given = {
-            "order": order,
-            "order_label": order_label,
-            "linear": linear,
-            "schedule": schedule,
-            "chunk": chunk,
-            "trace": trace,
-        }
-        if args:
-            given = _shim_positional(
-                args,
-                ("order", "order_label", "linear", "schedule", "chunk", "trace"),
-                given,
-                "PreprocessedDoacross.run",
-            )
-        defaults = {
-            "order": None,
-            "order_label": "natural",
-            "linear": False,
-            "schedule": None,
-            "chunk": None,
-            "trace": False,
-        }
-        opt = {
-            k: (defaults[k] if v is _UNSET else v) for k, v in given.items()
-        }
-        _validate_schedule_options(opt["schedule"], opt["chunk"])
+        _validate_schedule_options(schedule, chunk)
         return self._runner.run(
             loop,
-            schedule=self.schedule if opt["schedule"] is None else opt["schedule"],
-            chunk=self.chunk if opt["chunk"] is None else opt["chunk"],
-            order=opt["order"],
-            order_label=opt["order_label"],
-            linear=opt["linear"],
-            trace=opt["trace"],
+            schedule=self.schedule if schedule is None else schedule,
+            chunk=self.chunk if chunk is None else chunk,
+            order=order,
+            order_label=order_label,
+            linear=linear,
+            trace=trace,
         )
 
     def run_stripmined(
@@ -228,338 +156,83 @@ class PreprocessedDoacross:
 
 def parallelize(
     loop: IrregularLoop,
-    *args,
-    spec=None,
-    processors: int = _UNSET,
-    cost_model: CostModel | None = _UNSET,
-    assert_independent: bool = _UNSET,
-    known_distance: int | None = _UNSET,
-    schedule=_UNSET,
-    chunk: int = _UNSET,
-    backend: str | Runner = "simulated",
+    *,
+    spec: PlanSpec | None = None,
+    backend: str | None = None,
+    processors: int | None = None,
+    cost_model: CostModel | None = None,
     cache=None,
-    validate: str | None = _UNSET,
-    observe: bool = _UNSET,
-    analyze: str | None = _UNSET,
+    assert_independent: bool = False,
+    known_distance: int | None = None,
 ) -> tuple[RunResult, TransformPlan]:
     """Automatically select and run the cheapest sound strategy.
 
     Mirrors the paper's compiler flow: the *static* structure of the loop
     (plus optional user assertions) picks among doall, classic doacross,
-    linear-subscript doacross, and the full preprocessed doacross.  Returns
-    the run result together with the plan that justified it.
+    linear-subscript doacross, and the full preprocessed doacross
+    (:func:`~repro.ir.transform.plan_transform`); the schedule-pass
+    pipeline plans the run (:func:`~repro.passes.execute.plan_loop`) and
+    :func:`~repro.passes.execute.execute_plan` runs it.  Returns the run
+    result together with the transform plan that justified it; the
+    schedule plan is attached as ``result.extras["schedule_plan"]``.
 
     Parameters
     ----------
     spec:
-        A :class:`~repro.passes.spec.PlanSpec` — the consolidated form of
-        the per-run options below.  When given, planning and execution go
-        through the schedule-pass pipeline (:mod:`repro.passes`):
-        unsupported options raise a structured
-        :class:`~repro.passes.spec.UnsupportedPlanOption` at plan time,
-        and the resulting plan is attached as
-        ``result.extras["schedule_plan"]``.  Cannot be combined with the
-        legacy option keywords (``cache`` is a resource and composes
-        fine).  The scattered ``schedule``/``chunk``/``validate``/
-        ``observe``/``analyze`` keywords still work but emit a
-        :class:`DeprecationWarning` pointing here.
-    backend:
-        Where to execute: ``"simulated"`` (default — simulated cycles, all
-        strategy specializations), ``"threaded"`` (real threads,
-        ``processors`` becomes the thread count), ``"vectorized"`` (batched
-        wavefronts, measured wall clock, inspector-cache amortization),
-        ``"multiproc"`` (real OS processes over shared memory,
-        ``processors`` becomes the worker count, ``chunk`` sizes the §2.3
-        strips), ``"auto"`` (the telemetry-driven tuner picks a measured
-        backend per dependence structure; see
-        :mod:`repro.passes.autotune`), or any
-        :class:`~repro.backends.base.Runner` instance.
-        Non-simulated backends execute every strategy through the same
-        generalized protocol; the plan still records what a specializing
-        compiler would have done.
+        A :class:`~repro.passes.spec.PlanSpec` — every per-run option
+        (backend, processors, schedule, chunk, reorder, analyze, validate,
+        observe, diagnose, wait_timeout).  An option the backend cannot
+        honor raises a structured
+        :class:`~repro.passes.spec.UnsupportedPlanOption` at plan time.
+    backend, processors:
+        Shorthand for ``spec=PlanSpec(backend, processors)``; cannot be
+        combined with ``spec``.  The simulated backend (default) runs the
+        selected strategy in simulated cycles; the wall-clock backends
+        execute every strategy through the same generalized protocol (the
+        plan still records what a specializing compiler would have done);
+        ``"auto"`` lets the telemetry-driven tuner pick a measured backend
+        per dependence structure (:mod:`repro.passes.autotune`).
+    cost_model:
+        Cycle costs for the simulated machine (and the vectorized
+        backend's sequential-cycle estimate).
     cache:
         Optional :class:`~repro.backends.cache.InspectorCache` shared
-        across calls (vectorized and multiproc backends).
-    validate:
-        ``"static"`` runs the lint rules and the happens-before race
-        checker (:mod:`repro.lint`) against the chosen backend's schedule
-        *before* executing; an uncovered true dependence raises
-        :class:`~repro.errors.RaceConditionError`, and the findings are
-        attached as ``result.extras["lint"]`` /
-        ``result.extras["race_check"]``.  ``"sanitize"`` checks the run
-        *dynamically* instead: the backend shadow-logs its actual reads,
-        writes, posts, and waits, and a vector-clock replay
-        (:mod:`repro.sanitize`) verifies every true dependence against a
-        witnessed happens-before edge, raising
-        :class:`~repro.errors.SanitizerError` on any uncovered pair and
-        attaching the clean report as ``result.extras["sanitize"]``.
-        ``None`` (default) skips validation.
-    observe:
-        ``True`` attaches a :class:`~repro.obs.telemetry.Telemetry` blob
-        (phase spans + unified metrics, one schema on every backend) to
-        ``result.telemetry`` — wall-clock spans on the threaded and
-        vectorized backends, cycle-clock spans synthesized from the
-        simulator's own accounting on the simulated backend.
-    analyze:
-        ``"symbolic"`` runs the symbolic dependence engine
-        (:func:`repro.analysis.analyze_loop`) and feeds the proven verdict
-        into strategy selection: a DOALL-proven loop dispatches to the
-        doall specialization and a constant-distance one to the classic
-        doacross *without any caller assertion*, and on the threaded /
-        vectorized / multiproc backends an elidable verdict skips the
-        runtime inspector entirely.  ``"symbolic+check"`` additionally
-        cross-checks the verdict against the runtime inspector
-        (:func:`repro.analysis.cross_check`), raising
-        :class:`~repro.errors.ProofError` on divergence.  Not accepted
-        together with a pre-built :class:`Runner` instance — configure
-        ``analyze`` on the runner itself in that case.
+        across calls (inspector records, tuner decisions).
+    assert_independent, known_distance:
+        Caller assertions for strategy selection — a doall directive, or
+        the a-priori uniform distance of a classic doacross.
 
-    Options are keyword-only; the pre-Runner positional form
-    ``parallelize(loop, processors, cost_model, assert_independent,
-    known_distance, schedule, chunk)`` still works but emits a
-    :class:`DeprecationWarning`.
+    With ``spec.analyze`` set, the symbolic dependence engine
+    (:func:`repro.analysis.analyze_loop`) feeds its proven verdict into
+    strategy selection — a DOALL-proven loop dispatches to the doall
+    specialization and a constant-distance one to the classic doacross
+    *without any caller assertion* — and on the wall-clock backends an
+    elidable verdict skips the runtime inspector entirely.
     """
-    if spec is not None:
-        legacy = {
-            "processors": processors,
-            "cost_model": cost_model,
-            "assert_independent": assert_independent,
-            "known_distance": known_distance,
-            "schedule": schedule,
-            "chunk": chunk,
-            "validate": validate,
-            "observe": observe,
-            "analyze": analyze,
-        }
-        passed = [k for k, v in legacy.items() if v is not _UNSET]
-        if args or passed or backend != "simulated":
-            raise TypeError(
-                "parallelize(spec=...) cannot be combined with the legacy "
-                f"option keywords (got {passed or [repr(backend)]}); fold "
-                "them into the PlanSpec"
-            )
-        from repro.passes.execute import run_with_spec
+    # Imported here: repro.passes builds on repro.core.
+    from repro.passes.execute import execute_plan, plan_loop
+    from repro.passes.spec import resolve_shorthand
 
-        return run_with_spec(loop, spec, cache=cache)
-
-    shimmed = [
-        name
-        for name, value in (
-            ("schedule", schedule),
-            ("chunk", chunk),
-            ("validate", validate),
-            ("observe", observe),
-            ("analyze", analyze),
-        )
-        if value is not _UNSET
-    ]
-    if shimmed and not args:
-        warnings.warn(
-            f"the {', '.join(shimmed)} keyword option(s) on parallelize are "
-            "deprecated; pass a consolidated PlanSpec via "
-            "parallelize(loop, spec=PlanSpec(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    validate = None if validate is _UNSET else validate
-    observe = False if observe is _UNSET else observe
-    analyze = None if analyze is _UNSET else analyze
-
-    if not isinstance(backend, Runner) and backend == "auto":
-        from repro.passes.execute import run_with_spec
-        from repro.passes.spec import PlanSpec
-
-        auto_spec = PlanSpec(
-            backend="auto",
-            processors=16 if processors is _UNSET else processors,
-            schedule=None if schedule is _UNSET else schedule,
-            chunk=None if chunk is _UNSET else chunk,
-            analyze=analyze,
-            validate=validate,
-            observe=observe,
-        )
-        return run_with_spec(
-            loop,
-            auto_spec,
-            cache=cache,
-            assert_independent=(
-                False if assert_independent is _UNSET else assert_independent
-            ),
-            known_distance=(
-                None if known_distance is _UNSET else known_distance
-            ),
-        )
-
-    given = {
-        "processors": processors,
-        "cost_model": cost_model,
-        "assert_independent": assert_independent,
-        "known_distance": known_distance,
-        "schedule": schedule,
-        "chunk": chunk,
-    }
-    if args:
-        given = _shim_positional(
-            args,
-            (
-                "processors",
-                "cost_model",
-                "assert_independent",
-                "known_distance",
-                "schedule",
-                "chunk",
-            ),
-            given,
-            "parallelize",
-        )
-    defaults = {
-        "processors": 16,
-        "cost_model": None,
-        "assert_independent": False,
-        "known_distance": None,
-        "schedule": "cyclic",
-        "chunk": 1,
-    }
-    opt = {k: (defaults[k] if v is _UNSET else v) for k, v in given.items()}
-
-    if analyze not in (None, "symbolic", "symbolic+check"):
-        raise ValueError(
-            f"unknown analyze mode {analyze!r}; expected 'symbolic', "
-            "'symbolic+check' or None"
-        )
+    spec = resolve_shorthand("parallelize", spec, backend, processors)
     verdict = None
-    if analyze is not None:
-        if isinstance(backend, Runner):
-            raise ValueError(
-                "analyze cannot be combined with a pre-built Runner "
-                "instance; configure analyze on the runner itself"
-            )
+    if spec.analyze is not None:
         from repro.analysis import analyze_loop
 
         verdict = analyze_loop(loop)
-
-    plan = plan_transform(
+    transform = plan_transform(
         loop,
-        assert_independent=opt["assert_independent"],
-        known_distance=opt["known_distance"],
+        assert_independent=assert_independent,
+        known_distance=known_distance,
         verdict=verdict,
     )
-
-    if validate not in (None, "static", "sanitize"):
-        raise ValueError(
-            f"unknown validate mode {validate!r}; expected 'static', "
-            "'sanitize', or None"
-        )
-
-    if isinstance(backend, Runner) or backend != "simulated":
-        if isinstance(backend, Runner):
-            runner = backend
-            if validate == "static":
-                from repro.backends.validating import ValidatingRunner
-
-                runner = ValidatingRunner(runner)
-            elif validate == "sanitize":
-                from repro.sanitize.runner import SanitizingRunner
-
-                runner = SanitizingRunner(runner)
-            if observe:
-                from repro.obs.instrument import InstrumentedRunner
-
-                runner = InstrumentedRunner(runner)
-        else:
-            from repro.backends import _build_runner
-
-            runner = _build_runner(
-                backend,
-                processors=opt["processors"],
-                cost_model=opt["cost_model"],
-                cache=cache,
-                validate=validate,
-                observe=observe,
-                analyze=analyze,
-            )
-        # The "cyclic"/chunk-1 defaults describe the *simulated* machine's
-        # schedule; forwarding them here would spuriously note schedule as
-        # ignored on every run and force multiproc (which honors chunk)
-        # into 1-iteration strips.  Real backends get only what the caller
-        # actually asked for and pick their own defaults otherwise.
-        result = runner.run(
-            loop,
-            schedule=None if given["schedule"] is _UNSET else opt["schedule"],
-            chunk=None if given["chunk"] is _UNSET else opt["chunk"],
-        )
-        result.extras.setdefault("plan", plan.describe())
-        return result, plan
-
-    if validate == "static":
-        from repro.errors import RaceConditionError
-        from repro.lint.driver import run_lints
-        from repro.lint.hb import check_backend_schedule
-
-        kind = opt["schedule"] if isinstance(opt["schedule"], str) else None
-        lint_findings = run_lints(
-            loop,
-            plan=plan,
-            schedule=kind,
-            chunk=opt["chunk"],
-            processors=opt["processors"],
-        )
-        race_report = check_backend_schedule(
-            loop,
-            "simulated",
-            processors=opt["processors"],
-            schedule=opt["schedule"],
-            chunk=opt["chunk"],
-        )
-        if not race_report.passed:
-            raise RaceConditionError(race_report)
-
-    if analyze == "symbolic+check" and verdict is not None:
-        from repro.analysis import cross_check
-
-        cross_check(loop, verdict, strict=True)
-
-    pd = PreprocessedDoacross(
-        processors=opt["processors"],
-        cost_model=opt["cost_model"],
-        schedule=opt["schedule"],
-        chunk=opt["chunk"],
+    plan = plan_loop(loop, spec, cache=cache)
+    result = execute_plan(
+        loop,
+        plan,
+        cache=cache,
+        verdict=verdict,
+        transform=transform,
+        cost_model=cost_model,
     )
-    runner = pd.runner()
-
-    def _dispatch() -> RunResult:
-        if plan.strategy == STRATEGY_DOALL:
-            return runner.run_doall(
-                loop, schedule=opt["schedule"], chunk=opt["chunk"]
-            )
-        if plan.strategy == STRATEGY_CLASSIC_DOACROSS:
-            return runner.run_classic(
-                loop,
-                plan.uniform_distance,
-                schedule=opt["schedule"],
-                chunk=opt["chunk"],
-            )
-        if plan.strategy == STRATEGY_LINEAR:
-            return pd.run(loop, linear=True)
-        return pd.run(loop)
-
-    if validate == "sanitize":
-        from repro.sanitize.runner import sanitize_simulated_run
-
-        result = sanitize_simulated_run(runner, loop, _dispatch)
-    else:
-        result = _dispatch()
-    if validate == "static":
-        result.extras["lint"] = [d.as_dict() for d in lint_findings]
-        result.extras["race_check"] = race_report.as_dict()
-    if verdict is not None:
-        result.extras["analyze"] = analyze
-        result.extras["verdict"] = verdict.kind
-        if verdict.distance is not None:
-            result.extras["verdict_distance"] = int(verdict.distance)
-    result.extras.setdefault("plan", plan.describe())
-    if observe:
-        from repro.obs.instrument import attach_simulated_telemetry
-
-        attach_simulated_telemetry(result)
-    return result, plan
+    result.extras.setdefault("plan", transform.describe())
+    return result, transform

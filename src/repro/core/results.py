@@ -78,8 +78,7 @@ class RunResult:
     telemetry:
         The run's :class:`~repro.obs.telemetry.Telemetry` blob (phase
         spans + unified metrics, same schema on every backend) when the
-        run was observed (``observe=True`` /
-        :class:`~repro.obs.instrument.InstrumentedRunner`); ``None``
+        run was observed (``PlanSpec(observe=True)``); ``None``
         otherwise.
     extras:
         Free-form strategy-specific details (block size, level count, ...).

@@ -35,9 +35,9 @@ def _json_safe(value):
     or :data:`_DROP` when it has no such form (e.g. a tracer object).
 
     Containers are preserved — structured extras such as the lint
-    findings and race-check reports attached by
-    :class:`~repro.backends.validating.ValidatingRunner` must survive
-    ``--json`` regardless of how deeply the wrappers nested them.
+    findings and race-check reports attached by the
+    :class:`~repro.backends.hooks.StaticValidate` hook must survive
+    ``--json`` however deeply they nest.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value

@@ -34,11 +34,6 @@ Options
                          produces, dropping stale entries (fixed findings
                          whose baseline keys would otherwise shadow any
                          future regression), and exit 0
-``--fix``                apply mechanical fix-its (LEGACY-KWARGS: fold
-                         deprecated keywords into ``spec=PlanSpec(...)``)
-                         — dry run by default, printing a unified diff of
-                         what *would* change
-``--write``              with ``--fix``: write the fixed sources in place
 
 A baseline file is JSON — ``{"version": 1, "findings": [key, ...]}``
 with one ``rule|loop|location`` key per accepted finding.  Suppressed
@@ -66,12 +61,11 @@ from repro.lint.diagnostics import (
     format_diagnostics,
 )
 from repro.lint.driver import run_lints
-from repro.lint.rules import LegacyKwargsRule, rule_ids
+from repro.lint.rules import rule_ids
 
 __all__ = [
     "main",
     "collect_loops",
-    "collect_sources",
     "loops_from_file",
     "builtin_loops",
     "baseline_key",
@@ -173,26 +167,6 @@ def _file_has_hook(path: Path) -> bool:
     return any(hook in text for hook in _HOOKS)
 
 
-def collect_sources(targets: list[str]) -> list[Path]:
-    """Resolve targets to the ``.py`` files they name, for the
-    source-level rules (``LEGACY-KWARGS``).  Builtin specs contribute no
-    sources; directories contribute every ``*.py`` under them — *all* of
-    them, not just loop-hook files, since a deprecated call site is a
-    finding wherever it lives."""
-    sources: list[Path] = []
-    for target in targets:
-        path = Path(target)
-        if path.is_dir():
-            sources.extend(
-                file
-                for file in sorted(path.rglob("*.py"))
-                if "__pycache__" not in file.parts
-            )
-        elif path.is_file() and path.suffix == ".py":
-            sources.append(path)
-    return sources
-
-
 def collect_loops(
     targets: list[str],
 ) -> list[tuple[str, str, IrregularLoop]]:
@@ -240,8 +214,6 @@ def main(argv: list[str]) -> int:
     baseline_path: Path | None = None
     write_baseline: Path | None = None
     prune_baseline = False
-    fix = False
-    write = False
     targets: list[str] = []
     try:
         for arg in argv:
@@ -249,10 +221,6 @@ def main(argv: list[str]) -> int:
                 as_json = True
             elif arg == "--strict":
                 strict = True
-            elif arg == "--fix":
-                fix = True
-            elif arg == "--write":
-                write = True
             elif arg == "--prune-baseline":
                 prune_baseline = True
             elif arg.startswith("--baseline="):
@@ -291,15 +259,11 @@ def main(argv: list[str]) -> int:
                 "--prune-baseline needs --baseline=FILE to know which "
                 "file to rewrite"
             )
-        if write and not fix:
-            raise ValueError("--write only makes sense with --fix")
         if not targets:
             raise ValueError(
                 "no targets; give a .py file, a directory, or a builtin "
                 "spec (figure4/chain/random)"
             )
-        if fix:
-            return _run_fixes(targets, write)
         loops = collect_loops(targets)
     except ValueError as exc:
         print(f"lint: {exc}", file=sys.stderr)
@@ -310,13 +274,16 @@ def main(argv: list[str]) -> int:
     total_suppressed = 0
     worst = ""
 
-    def ingest(
-        source: str,
-        name: str,
-        diagnostics: list[Diagnostic],
-        quiet_when_clean: bool = False,
-    ) -> None:
-        nonlocal total_suppressed, worst
+    for source, name, loop in loops:
+        diagnostics = run_lints(
+            loop,
+            schedule=schedule,
+            chunk=chunk,
+            processors=processors,
+            strip_block=strip_block,
+            only=only,
+            backend=backend,
+        )
         all_keys.update(baseline_key(d) for d in diagnostics)
         suppressed: list[Diagnostic] = []
         if baseline is not None:
@@ -327,8 +294,6 @@ def main(argv: list[str]) -> int:
                 d for d in diagnostics if baseline_key(d) not in baseline
             ]
             total_suppressed += len(suppressed)
-        if quiet_when_clean and not diagnostics and not suppressed:
-            return
         records.append(
             {
                 "source": source,
@@ -344,38 +309,6 @@ def main(argv: list[str]) -> int:
             if suppressed:
                 print(f"({len(suppressed)} baselined finding(s) suppressed)")
             print()
-
-    for source, name, loop in loops:
-        ingest(
-            source,
-            name,
-            run_lints(
-                loop,
-                schedule=schedule,
-                chunk=chunk,
-                processors=processors,
-                strip_block=strip_block,
-                only=only,
-                backend=backend,
-            ),
-        )
-
-    # Source-level rules run per target file, not per harvested loop:
-    # a deprecated call site is a finding whether or not the file also
-    # defines a loop hook.
-    if only is None or LegacyKwargsRule.rule_id in only:
-        scanner = LegacyKwargsRule()
-        for file in collect_sources(targets):
-            try:
-                text = file.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            ingest(
-                str(file),
-                file.name,
-                list(scanner.scan(str(file), text)),
-                quiet_when_clean=True,
-            )
 
     if prune_baseline:
         assert baseline is not None and baseline_path is not None
@@ -433,50 +366,6 @@ def main(argv: list[str]) -> int:
         return 1
     if strict and worst == SEVERITY_WARNING:
         return 1
-    return 0
-
-
-def _run_fixes(targets: list[str], write: bool) -> int:
-    """``--fix`` mode: rewrite LEGACY-KWARGS call sites in the target
-    sources — a unified-diff dry run unless ``write`` is set."""
-    import difflib
-
-    from repro.lint.fixes import fix_legacy_kwargs
-
-    sources = collect_sources(targets)
-    if not sources:
-        print("lint: --fix found no .py sources in the targets", file=sys.stderr)
-        return 2
-    changed = 0
-    skipped: list[str] = []
-    for file in sources:
-        try:
-            text = file.read_text(encoding="utf-8")
-        except OSError:
-            continue
-        result = fix_legacy_kwargs(str(file), text)
-        skipped.extend(result.skipped)
-        if not result.changed:
-            continue
-        changed += 1
-        if write:
-            file.write_text(result.fixed_source, encoding="utf-8")
-            print(f"fixed {result.fixed_calls} call(s) in {file}")
-        else:
-            diff = difflib.unified_diff(
-                text.splitlines(keepends=True),
-                result.fixed_source.splitlines(keepends=True),
-                fromfile=str(file),
-                tofile=f"{file} (fixed)",
-            )
-            sys.stdout.writelines(diff)
-    for note in skipped:
-        print(f"skipped: {note}")
-    verb = "fixed" if write else "would fix"
-    print(
-        f"{verb} {changed} file(s) of {len(sources)} scanned"
-        + ("" if write else " (dry run; pass --write to apply)")
-    )
     return 0
 
 

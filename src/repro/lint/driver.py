@@ -1,8 +1,9 @@
 """The lint driver: run every registered rule (and, optionally, the
 happens-before race checker) over one loop and collect diagnostics.
 
-:func:`run_lints` is the single entry point used by the CLI, by
-``parallelize(..., validate="static")``, and by the ``ValidatingRunner``.
+:func:`run_lints` is the single entry point used by the CLI and by the
+``validate="static"`` run hook
+(:class:`~repro.backends.hooks.StaticValidate`).
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ class GroupHappensBefore:
 def group_happens_before(
     group: int, backend: str = "threaded"
 ) -> GroupHappensBefore:
-    """The order a distance-elided (``_group_sync``) run induces."""
+    """The order a distance-elided (``group_sync``) run induces."""
     return GroupHappensBefore(group, label=f"{backend}/group({group})")
 
 

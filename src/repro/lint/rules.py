@@ -30,11 +30,6 @@ Every built-in rule is grounded in the paper:
 ``SYMBOLIC-MISMATCH`` a declared closed-form subscript disagrees with
                    the materialized read table — every symbolic verdict
                    for the loop would be unsound (error).
-``LEGACY-KWARGS``  a call site passes the deprecated per-option keywords
-                   (``schedule=``/``chunk=``/``validate=``/``observe=``/
-                   ``analyze=``) to ``parallelize``/``make_runner``
-                   instead of a consolidated ``PlanSpec`` — source-level
-                   (AST) rule, driven per file by the lint CLI.
 ``SYNC-ELIDABLE``  the dependence-test battery proves every true
                    dependence has distance >= the synchronization
                    granularity: the per-element post/wait protocol can be
@@ -56,7 +51,6 @@ that instead.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -85,7 +79,6 @@ __all__ = [
     "ChunkCycleRule",
     "UnreachedElementRule",
     "SymbolicMismatchRule",
-    "LegacyKwargsRule",
     "SyncElidableRule",
     "CoupledSubscriptRule",
     "DistanceMismatchRule",
@@ -429,77 +422,6 @@ class UnreachedElementRule(LintRule):
             ),
             location=f"elements {listed}",
         )
-
-
-@register
-class LegacyKwargsRule(LintRule):
-    rule_id = "LEGACY-KWARGS"
-    default_severity = SEVERITY_WARNING
-    paper_ref = "PlanSpec consolidation (repro.passes.spec)"
-    description = (
-        "a call site passes deprecated per-option keywords to "
-        "parallelize/make_runner instead of a consolidated PlanSpec"
-    )
-
-    #: Keywords that moved onto :class:`~repro.passes.spec.PlanSpec`,
-    #: per entry point (``make_runner`` never took schedule/chunk).
-    DEPRECATED = {
-        "parallelize": ("schedule", "chunk", "validate", "observe", "analyze"),
-        "make_runner": ("validate", "observe", "analyze"),
-    }
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        # This rule inspects *source files*, not loop values; the driver
-        # has nothing for it to do.  The lint CLI calls :meth:`scan` on
-        # each target file instead.
-        return iter(())
-
-    def scan(self, path: str, source: str) -> Iterator[Diagnostic]:
-        """Yield one finding per call that passes a deprecated keyword.
-
-        ``path`` is used for the finding's loop/location fields; a file
-        that fails to parse is skipped silently (it is not this rule's
-        job to report syntax errors).
-        """
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError:
-            return
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name not in self.DEPRECATED:
-                continue
-            hit = [
-                kw.arg
-                for kw in node.keywords
-                if kw.arg in self.DEPRECATED[name]
-            ]
-            if not hit:
-                continue
-            folded = ", ".join(f"{k}=..." for k in hit)
-            yield Diagnostic(
-                rule=self.rule_id,
-                severity=self.default_severity,
-                loop=path,
-                message=(
-                    f"{name}() is passed the deprecated keyword option(s) "
-                    f"{', '.join(hit)}; each call emits a "
-                    f"DeprecationWarning and the keywords will be removed"
-                ),
-                suggestion=(
-                    f"fold them into the consolidated spec: "
-                    f"{name}(..., spec=PlanSpec({folded}))"
-                ),
-                location=f"{path}:{node.lineno}",
-                paper_ref=self.paper_ref,
-            )
 
 
 @register

@@ -20,9 +20,10 @@ backends that run on real hardware, under one schema:
 - :mod:`repro.obs.export` — Chrome trace-event JSON
   (``chrome://tracing``-loadable), JSONL span sink, and the ASCII
   :func:`~repro.obs.export.gantt` mirroring the simulated Gantt chart.
-- :mod:`repro.obs.instrument` — the :class:`InstrumentedRunner` wrapper,
-  selectable as ``make_runner(..., observe=True)`` /
-  ``parallelize(..., observe=True)``.
+- :mod:`repro.obs.instrument` — :func:`telemetry_from_result`, the
+  cycle-clock telemetry of a simulated run.  Observation is selected
+  with ``PlanSpec(observe=True)`` (the
+  :class:`~repro.backends.hooks.Observe` run hook).
 - :mod:`repro.obs.cli` — ``python -m repro profile``: run any builtin
   workload on any backend and print/export its phase breakdown.
 """
@@ -35,11 +36,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_spans_jsonl,
 )
-from repro.obs.instrument import (
-    InstrumentedRunner,
-    attach_simulated_telemetry,
-    telemetry_from_result,
-)
+from repro.obs.instrument import telemetry_from_result
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     CAT_BARRIER,
@@ -88,9 +85,7 @@ __all__ = [
     "CLOCK_CYCLES",
     "PHASE_NAMES",
     # instrumentation
-    "InstrumentedRunner",
     "telemetry_from_result",
-    "attach_simulated_telemetry",
     # exporters
     "chrome_trace",
     "write_chrome_trace",

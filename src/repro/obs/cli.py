@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
 
     import json as json_module
 
-    from repro.backends import BACKENDS, _build_runner
+    from repro.backends import BACKENDS, make_runner
     from repro.core.serialize import result_to_dict
     from repro.errors import ScheduleError
     from repro.lint.cli import builtin_loops
@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     # Preferred path: plan through the schedule-pass pipeline, so the
     # printed/exported result carries the auditable plan (pass list +
     # tuner decision).  Option combinations the pipeline rejects fall
-    # back to the legacy runner path, which documents what it ignores.
+    # back to a hand-driven runner, which documents what it ignores.
     plan_audit = None
     try:
         spec = PlanSpec(
@@ -145,8 +145,12 @@ def main(argv: list[str] | None = None) -> int:
         if opts["backend"] == AUTO_BACKEND:
             print(f"cannot plan: {exc}")
             return 2
-        runner = _build_runner(
-            opts["backend"], processors=opts["processors"], observe=True
+        runner = make_runner(
+            spec=PlanSpec(
+                backend=opts["backend"],
+                processors=opts["processors"],
+                observe=True,
+            )
         )
         run_kwargs = {}
         if opts["schedule"] is not None:

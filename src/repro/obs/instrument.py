@@ -1,33 +1,19 @@
-"""The :class:`InstrumentedRunner` wrapper: telemetry for any backend.
+"""Cycle-clock telemetry for the simulated backend.
 
-Wrap any :class:`~repro.backends.base.Runner` and every ``run`` comes back
-with ``result.telemetry`` — a :class:`~repro.obs.telemetry.Telemetry` blob
-of phase spans, per-lane activity spans, and unified metrics:
-
-- **threaded / vectorized** (wall clock): the wrapper attaches a
-  :class:`~repro.obs.spans.SpanRecorder` and a
-  :class:`~repro.obs.metrics.MetricsRegistry` to the innermost backend
-  before running; the backends emit spans at their phase/level boundaries
-  (the hooks live in ``backends/threaded.py`` / ``backends/vectorized.py``).
-- **simulated** (cycle clock): the machine already accounts every cycle in
-  :class:`~repro.machine.stats.PhaseStats` and (with ``trace``) the
-  :class:`~repro.machine.trace.Tracer`; :func:`telemetry_from_result`
-  re-expresses that accounting as the same span/metric schema, so the two
-  time axes can be read side by side.
-
-Selection: ``make_runner(..., observe=True)`` or
-``parallelize(..., observe=True)`` — or wrap a runner directly.
+An observed run (``PlanSpec(observe=True)``, the
+:class:`~repro.backends.hooks.Observe` hook) comes back with
+``result.telemetry`` — a :class:`~repro.obs.telemetry.Telemetry` blob of
+phase spans, per-lane activity spans, and unified metrics.  The
+wall-clock backends emit their spans themselves; the simulated machine
+already accounts every cycle in :class:`~repro.machine.stats.PhaseStats`
+and (with ``trace``) the :class:`~repro.machine.trace.Tracer`, and
+:func:`telemetry_from_result` re-expresses that accounting as the same
+span/metric schema, so the two time axes can be read side by side.
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from repro.backends.base import Runner
 from repro.core.results import RunResult
-from repro.ir.loop import IrregularLoop
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
     CAT_BARRIER,
@@ -35,28 +21,12 @@ from repro.obs.spans import (
     CAT_RUN,
     WHOLE_RUN_LANE,
     Span,
-    SpanRecorder,
 )
-from repro.obs.telemetry import CLOCK_CYCLES, CLOCK_WALL, PHASE_NAMES, Telemetry
+from repro.obs.telemetry import CLOCK_CYCLES, PHASE_NAMES, Telemetry
 
-__all__ = [
-    "InstrumentedRunner",
-    "telemetry_from_result",
-    "attach_simulated_telemetry",
-]
+__all__ = ["telemetry_from_result"]
 
 
-def _innermost(runner: Runner) -> Runner:
-    """Unwrap decorator runners (validating, instrumented) to the backend
-    that actually executes — the one the span hooks live on."""
-    seen = set()
-    while hasattr(runner, "inner") and id(runner) not in seen:
-        seen.add(id(runner))
-        runner = runner.inner  # type: ignore[attr-defined]
-    return runner
-
-
-# ----------------------------------------------------------------------
 def telemetry_from_result(
     result: RunResult, metrics: MetricsRegistry | None = None
 ) -> Telemetry:
@@ -130,91 +100,3 @@ def telemetry_from_result(
     return Telemetry(
         backend="simulated", clock=CLOCK_CYCLES, spans=spans, metrics=metrics
     )
-
-
-def attach_simulated_telemetry(result: RunResult) -> RunResult:
-    """Set ``result.telemetry`` from the simulated run's own accounting
-    (used by ``parallelize(..., observe=True)`` on the strategy-dispatch
-    path, where no wrapper runner is in the loop)."""
-    result.telemetry = telemetry_from_result(result)
-    return result
-
-
-# ----------------------------------------------------------------------
-class InstrumentedRunner(Runner):
-    """Decorator runner producing ``result.telemetry`` on every run.
-
-    Composes with :class:`~repro.backends.validating.ValidatingRunner`
-    (wrap the validator; the recorder is attached to the innermost
-    backend either way).  For the simulated backend, an executor trace is
-    always collected — observation *is* the request for a timeline — but
-    ``extras["trace"]`` is only left behind when the caller asked for
-    ``trace=True`` themselves.
-    """
-
-    def __init__(self, inner: Runner):
-        self.inner = inner
-        self.name = f"instrumented({inner.name})"
-
-    def run(
-        self,
-        loop: IrregularLoop,
-        *,
-        order: np.ndarray | None = None,
-        schedule=None,
-        chunk: int | None = None,
-        trace: bool = False,
-    ) -> RunResult:
-        target = _innermost(self.inner)
-        if target.name == "simulated":
-            return self._run_simulated(
-                loop, order=order, schedule=schedule, chunk=chunk, trace=trace
-            )
-
-        recorder = SpanRecorder()
-        metrics = MetricsRegistry()
-        target._obs_recorder = recorder
-        target._obs_metrics = metrics
-        t0 = time.perf_counter()
-        try:
-            result = self.inner.run(
-                loop, order=order, schedule=schedule, chunk=chunk, trace=trace
-            )
-        finally:
-            target._obs_recorder = None
-            target._obs_metrics = None
-        wall = time.perf_counter() - t0
-        recorder.record(
-            "run",
-            CAT_RUN,
-            t0,
-            t0 + wall,
-            lane=WHOLE_RUN_LANE,
-            backend=target.name,
-        )
-        metrics.gauge("processors", result.processors)
-        metrics.count("runs", 1)
-        result.telemetry = Telemetry(
-            backend=target.name,
-            clock=CLOCK_WALL,
-            spans=recorder.normalized(),
-            metrics=metrics,
-        )
-        return result
-
-    def _run_simulated(
-        self,
-        loop: IrregularLoop,
-        *,
-        order,
-        schedule,
-        chunk,
-        trace: bool,
-    ) -> RunResult:
-        result = self.inner.run(
-            loop, order=order, schedule=schedule, chunk=chunk, trace=True
-        )
-        result.telemetry = telemetry_from_result(result)
-        if not trace:
-            result.extras.pop("trace", None)
-        return result

@@ -7,7 +7,7 @@ requires/provides contracts, composed by a contract-validating
 :class:`PassPipeline` into one :class:`Plan` that every backend
 consumes.  :class:`PlanSpec` is the frozen value object describing a
 run's configuration, and :class:`AutoTunePass` closes the loop from the
-telemetry layer back into planning (``parallelize(backend="auto")``).
+telemetry layer back into planning (``PlanSpec(backend="auto")``).
 
 Quick tour::
 
@@ -45,7 +45,7 @@ from repro.passes.builtin import (
     default_passes,
     default_pipeline,
 )
-from repro.passes.execute import execute_plan, plan_loop, run_with_spec
+from repro.passes.execute import execute_plan, plan_loop
 from repro.passes.plan import Plan
 from repro.passes.spec import (
     AUTO_BACKEND,
@@ -86,5 +86,4 @@ __all__ = [
     "features_from_telemetry",
     "plan_loop",
     "record_run_outcome",
-    "run_with_spec",
 ]

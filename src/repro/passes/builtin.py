@@ -1,8 +1,8 @@
-"""The built-in schedule passes: today's scattered preprocessing, as passes.
+"""The built-in schedule passes: the preprocessing stages, as passes.
 
-Each pass wraps one piece of scheduling logic that previously lived
-inside a backend or a wrapper class, exposing it under the
-requires/provides contract of :class:`~repro.passes.base.SchedulePass`:
+Each pass is one piece of scheduling logic under the requires/provides
+contract of :class:`~repro.passes.base.SchedulePass` (``subsumes`` names
+the backend-private code it stands in for):
 
 ===================  ==========================  =======================
 pass                 subsumes                    provides
@@ -62,10 +62,10 @@ __all__ = [
 class ValidateOptionsPass(SchedulePass):
     """Reject spec options the requested backend cannot honor.
 
-    This is the plan-time replacement for the legacy
-    ``extras["ignored_options"]`` notes: an unsupported option raises a
-    structured :class:`~repro.passes.spec.UnsupportedPlanOption` here,
-    before any scheduling work happens.
+    An unsupported option raises a structured
+    :class:`~repro.passes.spec.UnsupportedPlanOption` here, before any
+    scheduling work happens — a planned run never reaches a backend's
+    ``extras["ignored_options"]`` note.
     """
 
     name = "validate-options"

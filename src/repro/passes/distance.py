@@ -21,7 +21,7 @@ with the battery's machine-checkable certificate — in the plan:
   min_distance``.
 
 :func:`~repro.passes.execute.execute_plan` hands the group size to the
-backend via the ``_group_sync`` hook; the elision only applies in
+backend as its ``group_sync`` run option; the elision only applies in
 natural order (the bound is on iteration numbers) and when the write is
 proven injective (concurrent renamed writes to one element would race).
 """
@@ -32,7 +32,7 @@ from repro.passes.base import PassContext, SchedulePass
 
 __all__ = ["DistancePass", "plan_distance_elision"]
 
-#: Backends that understand the ``_group_sync`` hook.
+#: Backends whose ``run`` takes ``group_sync``.
 _GROUP_BACKENDS = ("threaded", "multiproc", "vectorized")
 
 

@@ -5,17 +5,15 @@ This module is the bridge between the pass pipeline and the backends:
 :func:`execute_plan` hands the resulting plan to the resolved backend —
 forwarding exactly the options that backend honors (the plan was
 validated against the support matrix, so nothing is ever silently
-dropped: spec-path results carry no ``ignored_options`` notes).
-
-:func:`run_with_spec` is the full spec-based entry point behind
-``parallelize(spec=...)`` and ``parallelize(backend="auto")``: plan,
-execute, close the tuner's feedback loop, and return the familiar
-``(result, transform_plan)`` pair.
+dropped: planned results carry no ``ignored_options`` notes).
+:func:`repro.core.doacross.parallelize` is ``plan_transform`` →
+:func:`plan_loop` → :func:`execute_plan`.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.backends.cache import InspectorCache
 from repro.core.results import RunResult
@@ -26,7 +24,7 @@ from repro.passes.builtin import default_pipeline
 from repro.passes.plan import Plan
 from repro.passes.spec import AUTO_BACKEND, OPTION_SUPPORT, PlanSpec
 
-__all__ = ["plan_loop", "execute_plan", "run_with_spec"]
+__all__ = ["plan_loop", "execute_plan"]
 
 
 def plan_loop(
@@ -38,17 +36,13 @@ def plan_loop(
     return default_pipeline(spec).plan(loop, spec, cache=cache)
 
 
-def _innermost(runner):
-    while hasattr(runner, "inner"):
-        runner = runner.inner
-    return runner
-
-
 def execute_plan(
     loop: IrregularLoop,
     plan: Plan,
     cache: InspectorCache | None = None,
     verdict=None,
+    transform: TransformPlan | None = None,
+    cost_model=None,
 ) -> RunResult:
     """Execute ``loop`` as ``plan`` prescribes on the resolved backend.
 
@@ -58,34 +52,46 @@ def execute_plan(
     adaptation recorded in the plan, not an ignored option.  Auto-planned
     runs are always observed, and their wall time + telemetry are fed
     back into the tuner store afterwards.
+
+    The simulated backend runs the strategy ``transform`` names (default:
+    what :func:`~repro.ir.transform.plan_transform` selects from the
+    loop's structure and ``verdict``); the wall-clock backends execute
+    every strategy through the same generalized protocol.
     """
-    from repro.backends import _build_runner
+    from repro.backends import make_runner
 
     spec = plan.spec
     backend = plan.backend
     auto = spec.backend == AUTO_BACKEND
-    runner = _build_runner(
-        backend,
-        processors=spec.processors,
-        cache=cache,
-        validate=spec.validate,
-        # Telemetry is the tuner's training data: auto runs always
-        # observe; diagnosis reads telemetry, so diagnose implies observe.
-        observe=spec.observe or auto or spec.diagnose,
-        # The simulated backend models the inspector as a costed phase;
-        # its analyze handling is planning-level (verdict below).
-        analyze=spec.analyze if backend != "simulated" else None,
-        wait_timeout=spec.wait_timeout,
+    supported = OPTION_SUPPORT[backend]
+    runner_cache = cache
+    record = plan.artifacts.get("record")
+    if cache is None and record is not None:
+        # No shared cache: give the vectorized runner a private one seeded
+        # with the plan-time inspector record, so planning work is not
+        # redone.
+        runner_cache = InspectorCache()
+        runner_cache.seed(record)
+    runner = make_runner(
+        spec=replace(
+            spec,
+            backend=backend,
+            # Telemetry is the tuner's training data: auto runs always
+            # observe; diagnosis reads telemetry, so diagnose implies observe.
+            observe=spec.observe or auto or spec.diagnose,
+            # The simulated backend models the inspector as a costed phase;
+            # its analyze handling is planning-level (verdict below).
+            analyze=spec.analyze if backend != "simulated" else None,
+            **{
+                option: None
+                for option in ("schedule", "chunk", "wait_timeout")
+                if option not in supported
+            },
+        ),
+        cost_model=cost_model,
+        cache=runner_cache,
     )
 
-    if backend == "vectorized" and cache is None:
-        # No shared cache: the runner made a private one.  Seed it with
-        # the plan-time inspector record so planning work is not redone.
-        record = plan.artifacts.get("record")
-        if record is not None:
-            _innermost(runner).cache.seed(record)
-
-    supported = OPTION_SUPPORT[backend]
     run_kwargs: dict = {}
     if plan.order is not None:
         run_kwargs["order"] = plan.order
@@ -94,25 +100,22 @@ def execute_plan(
     if plan.chunk is not None and "chunk" in supported:
         run_kwargs["chunk"] = plan.chunk
 
-    if backend == "simulated" and spec.analyze == "symbolic+check":
-        from repro.analysis import cross_check
+    if backend == "simulated":
+        if spec.analyze == "symbolic+check" and verdict is not None:
+            from repro.analysis import cross_check
 
-        if verdict is not None:
             cross_check(loop, verdict, strict=True)
+        if transform is None:
+            transform = plan_transform(loop, verdict=verdict)
+        run_kwargs["transform"] = transform
 
     elision = plan.artifacts.get("distance_elision")
-    target = _innermost(runner) if elision is not None else None
+    if elision is not None:
+        # The DistancePass certified group-synchronous execution.
+        run_kwargs["group_sync"] = elision["group"]
 
     started = time.perf_counter()
-    if target is not None:
-        # The DistancePass certified group-synchronous execution: hand
-        # the proven group size to the backend for this run only.
-        target._group_sync = elision["group"]
-    try:
-        result = runner.run(loop, **run_kwargs)
-    finally:
-        if target is not None:
-            target._group_sync = None
+    result = runner.run(loop, **run_kwargs)
     elapsed = time.perf_counter() - started
 
     result.extras["schedule_plan"] = plan.describe()
@@ -146,29 +149,3 @@ def execute_plan(
             # structure (a private store would discard it immediately).
             record_doctor_hints(cache, plan.fingerprint, findings)
     return result
-
-
-def run_with_spec(
-    loop: IrregularLoop,
-    spec: PlanSpec,
-    cache: InspectorCache | None = None,
-    assert_independent: bool = False,
-    known_distance: int | None = None,
-) -> tuple[RunResult, TransformPlan]:
-    """Plan and execute ``loop`` under ``spec``; the spec-path equivalent
-    of :func:`repro.core.doacross.parallelize`'s legacy body."""
-    verdict = None
-    if spec.analyze is not None:
-        from repro.analysis import analyze_loop
-
-        verdict = analyze_loop(loop)
-    transform_plan = plan_transform(
-        loop,
-        assert_independent=assert_independent,
-        known_distance=known_distance,
-        verdict=verdict,
-    )
-    plan = plan_loop(loop, spec, cache=cache)
-    result = execute_plan(loop, plan, cache=cache, verdict=verdict)
-    result.extras.setdefault("plan", transform_plan.describe())
-    return result, transform_plan

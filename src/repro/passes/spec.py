@@ -1,23 +1,20 @@
 """The unified :class:`PlanSpec`: one frozen value object for every
 execution option.
 
-Before this module, the execution configuration of a run was a kwargs
-sprawl spread over :func:`repro.core.doacross.parallelize` and
-:func:`repro.backends.make_runner` — ``backend``, ``analyze``,
-``validate``, ``observe``, ``schedule``, ``chunk``, and (on the threaded
-backend only) ``wait_timeout`` — with each backend privately deciding
-which of those it honors and silently noting the rest in
-``extras["ignored_options"]``.  :class:`PlanSpec` consolidates them into
-one immutable, hashable dataclass that the pass pipeline
-(:mod:`repro.passes.base`) plans against.
+The execution configuration of a run — ``backend``, ``processors``,
+``analyze``, ``validate``, ``observe``, ``schedule``, ``chunk``,
+``wait_timeout`` — is one immutable, hashable dataclass that
+:func:`repro.core.doacross.parallelize`,
+:func:`repro.backends.make_runner` and the pass pipeline
+(:mod:`repro.passes.base`) all plan against.
 
-The crucial semantic change: under a :class:`PlanSpec`, an option a
-backend cannot honor is **rejected at plan time** with a structured
-:class:`UnsupportedPlanOption` (a :class:`~repro.errors.ScheduleError`)
-instead of being silently recorded mid-run.  The support matrix lives
-here (:data:`OPTION_SUPPORT`) so "which backend honors what" is one
-table, not five code paths; the legacy keyword path keeps the old
-note-and-continue behavior for compatibility.
+An option a backend cannot honor is **rejected at plan time** with a
+structured :class:`UnsupportedPlanOption` (a
+:class:`~repro.errors.ScheduleError`).  The support matrix lives here
+(:data:`OPTION_SUPPORT`) so "which backend honors what" is one table,
+not five code paths.  (Options handed straight to ``Runner.run`` on a
+hand-built runner bypass planning; there a backend notes what it
+ignores in ``extras["ignored_options"]``.)
 """
 
 from __future__ import annotations
@@ -30,23 +27,25 @@ __all__ = [
     "PlanSpec",
     "UnsupportedPlanOption",
     "OPTION_SUPPORT",
+    "BACKENDS",
     "SPEC_BACKENDS",
     "AUTO_BACKEND",
     "REORDER_KINDS",
     "check_options",
+    "resolve_shorthand",
 ]
+
+#: The concrete executors — the one list of backend names
+#: (:data:`repro.backends.BACKENDS` re-exports it).
+BACKENDS = ("simulated", "threaded", "vectorized", "multiproc", "speculative")
 
 #: The tuner pseudo-backend: the pass pipeline resolves it to a concrete
 #: backend (:mod:`repro.passes.autotune`) before execution.
 AUTO_BACKEND = "auto"
 
 #: Backend names a :class:`PlanSpec` accepts (the concrete executors plus
-#: the auto-tuned selector).  Kept in sync with
-#: :data:`repro.backends.BACKENDS` by a test rather than an import, so
-#: this module stays import-light.
-SPEC_BACKENDS = (
-    "simulated", "threaded", "vectorized", "multiproc", "speculative", "auto",
-)
+#: the auto-tuned selector).
+SPEC_BACKENDS = BACKENDS + (AUTO_BACKEND,)
 
 #: Iteration-order choices for the doconsider pass.
 REORDER_KINDS = ("natural", "doconsider")
@@ -123,9 +122,8 @@ _VALIDATE_MODES = (None, "static", "sanitize")
 class UnsupportedPlanOption(ScheduleError):
     """A :class:`PlanSpec` option its backend cannot honor.
 
-    Raised at plan time — before any execution — replacing the legacy
-    path's silent ``extras["ignored_options"]`` note.  Structured so
-    tooling can react without parsing the message.
+    Raised at plan time — before any execution.  Structured so tooling
+    can react without parsing the message.
 
     Attributes
     ----------
@@ -146,12 +144,12 @@ class UnsupportedPlanOption(ScheduleError):
         self.reason = reason
         super().__init__(
             f"backend {backend!r} does not support {option}={value!r}: "
-            f"{reason} (reject at plan time; the legacy keyword path notes "
-            f"ignored options instead)"
+            f"{reason}"
         )
 
     def as_dict(self) -> dict:
-        """JSON-safe structured form (mirrors the legacy note layout)."""
+        """JSON-safe structured form (same layout as an
+        ``extras["ignored_options"]`` note)."""
         value = self.value
         if not isinstance(value, (bool, int, float, str, type(None))):
             value = repr(value)
@@ -167,7 +165,7 @@ class UnsupportedPlanOption(ScheduleError):
 class PlanSpec:
     """Immutable description of *how* a loop should be executed.
 
-    One object replaces the kwargs sprawl on ``parallelize()`` /
+    The one carrier of run options for ``parallelize()`` /
     ``make_runner()``; being frozen and hashable it can key caches and be
     attached to results verbatim.
 
@@ -301,13 +299,36 @@ class PlanSpec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def resolve_shorthand(
+    what: str,
+    spec: PlanSpec | None,
+    backend: str | None,
+    processors: int | None,
+) -> PlanSpec:
+    """The spec an entry point (``what``) runs under: ``spec`` itself, or
+    ``PlanSpec(backend, processors)`` spelled with the two shorthand
+    keywords — never a mix of both."""
+    if spec is None:
+        return PlanSpec(
+            backend="simulated" if backend is None else backend,
+            processors=16 if processors is None else processors,
+        )
+    if backend is not None or processors is not None:
+        raise TypeError(
+            f"{what}(spec=...) cannot be combined with the backend/"
+            f"processors shorthand; set them on the PlanSpec"
+        )
+    return spec
+
+
 def check_options(spec: PlanSpec, backend: str | None = None) -> None:
     """Raise :class:`UnsupportedPlanOption` for the first option ``spec``
     sets that ``backend`` (default: ``spec.backend``) cannot honor.
 
-    This is the plan-time replacement for
-    :func:`repro.backends.base.note_ignored_options`: same support
-    knowledge, opposite failure mode — loud and early instead of silent
+    The plan-time counterpart of
+    :func:`repro.backends.base.note_ignored_options` (what a hand-built
+    runner does with an option handed straight to ``run``): same support
+    knowledge, opposite failure mode — loud and early instead of noted
     and late.
     """
     target = spec.backend if backend is None else backend

@@ -15,20 +15,17 @@ dual of the happens-before race checker:
   a clock, and checks every true-dependence read-after-write pair
   against the happens-before relation the run *witnessed*; violations
   surface as a structured :class:`~repro.errors.SanitizerError`.
-- :mod:`repro.sanitize.runner` — the ``validate="sanitize"`` decorator
-  runner (:class:`SanitizingRunner`).
 - :mod:`repro.sanitize.mutate` — the schedule-mutation harness proving
   detector power: corrupted schedules, dropped waits/posts, reversed
   chunk round-robin, skipped scrubs; the kill rate is a CI gate.
 
-Select it with ``PlanSpec(validate="sanitize")`` (or the deprecated
-``validate="sanitize"`` keyword), or from the CLI:
+Select it with ``PlanSpec(validate="sanitize")`` (the
+:class:`~repro.backends.hooks.Sanitize` run hook), or from the CLI:
 ``python -m repro sanitize``.
 """
 
 from repro.sanitize.detector import SanitizeReport, Violation, detect
 from repro.sanitize.mutate import MUTANTS, MutationReport, run_mutation_suite
-from repro.sanitize.runner import SanitizingRunner
 from repro.sanitize.shadow import ShadowCapture
 
 __all__ = [
@@ -36,7 +33,6 @@ __all__ = [
     "SanitizeReport",
     "Violation",
     "detect",
-    "SanitizingRunner",
     "MUTANTS",
     "MutationReport",
     "run_mutation_suite",

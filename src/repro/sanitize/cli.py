@@ -33,12 +33,9 @@ import json
 import sys
 
 from repro.errors import SanitizerError
+from repro.passes.spec import BACKENDS, PlanSpec
 
 __all__ = ["main"]
-
-_BACKENDS = (
-    "simulated", "threaded", "vectorized", "multiproc", "speculative",
-)
 
 
 def _run_targets(
@@ -48,7 +45,7 @@ def _run_targets(
     as_json: bool,
     strict: bool,
 ) -> int:
-    from repro.backends import _build_runner
+    from repro.backends import make_runner
     from repro.lint.cli import collect_loops
 
     loops = collect_loops(targets)
@@ -56,8 +53,10 @@ def _run_targets(
     total_violations = 0
     total_notes = 0
     for source, name, loop in loops:
-        runner = _build_runner(
-            backend, processors=processors, validate="sanitize"
+        runner = make_runner(
+            spec=PlanSpec(
+                backend=backend, processors=processors, validate="sanitize"
+            )
         )
         try:
             result = runner.run(loop)
@@ -130,10 +129,10 @@ def main(argv: list[str]) -> int:
                 mutants = True
             elif arg.startswith("--backend="):
                 backend = arg.split("=", 1)[1]
-                if backend not in _BACKENDS:
+                if backend not in BACKENDS:
                     raise ValueError(
                         f"unknown backend {backend!r}; expected one of "
-                        f"{', '.join(_BACKENDS)}"
+                        f"{', '.join(BACKENDS)}"
                     )
             elif arg.startswith("--processors="):
                 processors = int(arg.split("=", 1)[1])

@@ -765,8 +765,8 @@ def detect(
     )
     if not has_access_events and not partial:
         # A run with synchronization events but no accesses means the
-        # execution strategy is uninstrumented (legacy simulated doall /
-        # classic paths).  Under partial=True the same shape means the
+        # execution strategy is uninstrumented (the simulated doall /
+        # classic strategies).  Under partial=True the same shape means the
         # run stalled before its first access — replay what *was*
         # logged, so blocked acquires still get named.
         report.pairs_checked = 0

@@ -1,8 +1,8 @@
 """Shadow-access capture: the per-run container backends log into.
 
-A :class:`ShadowCapture` is attached to the innermost backend runner
-(``runner._san_capture``) by :class:`~repro.sanitize.runner.
-SanitizingRunner` for the duration of one ``run()`` call.  Each executing
+A :class:`ShadowCapture` is attached to the backend
+(``runner._san_capture``) by the :class:`~repro.backends.hooks.Sanitize`
+run hook for the duration of one ``run()`` call.  Each executing
 lane (thread, worker process, simulated processor, wavefront level)
 obtains its own append-only event list via :meth:`lane` and appends
 tuples from the :mod:`~repro.sanitize.events` vocabulary; nothing is

@@ -14,7 +14,8 @@ import pytest
 from repro.backends.cache import InspectorCache
 from repro.core.sequential import run_reference
 from repro.passes.distance import plan_distance_elision
-from repro.passes.execute import plan_loop, run_with_spec
+from repro.core.doacross import parallelize
+from repro.passes.execute import plan_loop
 from repro.passes.spec import PlanSpec
 from repro.workloads.synthetic import (
     affine_loop,
@@ -149,7 +150,7 @@ def test_elided_schedule_is_sanitize_clean_and_oracle_identical(
         observe=True,
         **kwargs,
     )
-    result, _plan = run_with_spec(loop, spec, cache=InspectorCache())
+    result, _plan = parallelize(loop, spec=spec, cache=InspectorCache())
 
     oracle = run_reference(loop).y
     np.testing.assert_array_equal(result.y, oracle)
@@ -183,7 +184,7 @@ def test_elided_schedule_is_sanitize_clean_and_oracle_identical(
 def test_baseline_protocol_still_runs_without_analyze(backend, kwargs):
     chain = chain_loop(400, 8)
     spec = PlanSpec(backend=backend, observe=True, **kwargs)
-    result, _plan = run_with_spec(chain, spec, cache=InspectorCache())
+    result, _plan = parallelize(chain, spec=spec, cache=InspectorCache())
     np.testing.assert_array_equal(result.y, run_reference(chain).y)
     assert "distance_elision" not in result.extras
     counters = _counters(result)
@@ -202,6 +203,6 @@ def test_undersized_bound_keeps_the_flags_on_multiproc():
         validate="sanitize",
         observe=True,
     )
-    result, _plan = run_with_spec(chain, spec, cache=InspectorCache())
+    result, _plan = parallelize(chain, spec=spec, cache=InspectorCache())
     assert "distance_elision" not in result.extras
     np.testing.assert_array_equal(result.y, run_reference(chain).y)

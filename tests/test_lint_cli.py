@@ -8,7 +8,10 @@ import pytest
 
 import repro
 from repro.__main__ import main as repro_main
-from repro.backends import ValidatingRunner, make_runner
+from repro import PlanSpec
+from repro.backends import HookedRunner, ThreadedRunner, make_runner
+from repro.backends.hooks import StaticValidate
+from repro.errors import ScheduleError
 from repro.lint.cli import builtin_loops, collect_loops
 
 
@@ -155,7 +158,7 @@ def test_cli_backend_race_check_is_clean(capsys):
 def test_parallelize_validate_static(backend):
     loop = repro.random_irregular_loop(120, seed=4)
     result, plan = repro.parallelize(
-        loop, backend=backend, processors=4, validate="static"
+        loop, spec=PlanSpec(backend=backend, processors=4, validate="static")
     )
     assert np.array_equal(result.y, loop.run_sequential())
     assert result.extras["race_check"]["passed"] is True
@@ -163,29 +166,27 @@ def test_parallelize_validate_static(backend):
 
 
 def test_parallelize_rejects_unknown_validate_mode():
-    loop = repro.make_test_loop(16, 2, 8)
-    with pytest.raises(ValueError, match="unknown validate mode"):
-        repro.parallelize(loop, validate="dynamic")
+    with pytest.raises(ScheduleError, match="unknown validate mode"):
+        PlanSpec(validate="dynamic")
 
 
 def test_make_runner_validate_wraps_runner():
-    runner = make_runner("threaded", processors=4, validate="static")
-    assert isinstance(runner, ValidatingRunner)
-    assert runner.name == "validating(threaded)"
+    runner = make_runner(
+        spec=PlanSpec(backend="threaded", processors=4, validate="static")
+    )
+    assert isinstance(runner, HookedRunner)
+    assert runner.hooks == (StaticValidate,)
+    assert isinstance(runner.inner, ThreadedRunner)
     loop = repro.make_test_loop(80, 2, 8)
     result = runner.run(loop)
     assert np.array_equal(result.y, loop.run_sequential())
     assert result.extras["race_check"]["checked_edges"] > 0
-    with pytest.raises(ValueError, match="unknown validate mode"):
-        make_runner("threaded", validate="always")
 
 
 def test_validating_runner_wraps_arbitrary_runner_instance():
     loop = repro.random_irregular_loop(90, seed=6)
     inner = make_runner("simulated", processors=4)
-    result, _plan = repro.parallelize(
-        loop, backend=inner, validate="static", processors=4
-    )
+    result = HookedRunner(inner, [StaticValidate]).run(loop)
     assert np.array_equal(result.y, loop.run_sequential())
     assert result.extras["race_check"]["passed"] is True
 
@@ -270,3 +271,49 @@ def test_repo_baseline_keeps_ci_gate_green(capsys):
         "--baseline=lint_baseline.json",
     )
     assert code == 0
+
+
+class TestPruneBaseline:
+    def test_prunes_stale_entries_keeps_live_ones(self, tmp_path, capsys):
+        baseline = tmp_path / "base.json"
+        code, _ = run_cli(
+            capsys, "figure4:n=60,m=2,l=7", f"--write-baseline={baseline}"
+        )
+        assert code == 0
+        payload = json.loads(baseline.read_text())
+        live = set(payload["findings"])
+        assert live
+        payload["findings"].append("DEAD-WAIT|gone-loop|term slot(s) 9")
+        baseline.write_text(json.dumps(payload))
+
+        code, out = run_cli(
+            capsys,
+            "figure4:n=60,m=2,l=7",
+            f"--baseline={baseline}",
+            "--prune-baseline",
+        )
+        assert code == 0
+        assert "pruned 1 stale finding key(s)" in out
+        assert "DEAD-WAIT|gone-loop|term slot(s) 9" in out
+        after = json.loads(baseline.read_text())
+        assert set(after["findings"]) == live
+        assert after["version"] == 1
+
+    def test_noop_prune_rewrites_identical_set(self, tmp_path, capsys):
+        baseline = tmp_path / "base.json"
+        run_cli(capsys, "chain:n=40,d=1", f"--write-baseline={baseline}")
+        before = set(json.loads(baseline.read_text())["findings"])
+        code, out = run_cli(
+            capsys,
+            "chain:n=40,d=1",
+            f"--baseline={baseline}",
+            "--prune-baseline",
+        )
+        assert code == 0
+        assert "pruned 0 stale finding key(s)" in out
+        assert set(json.loads(baseline.read_text())["findings"]) == before
+
+    def test_prune_requires_baseline(self, capsys):
+        code = repro_main(["lint", "chain:n=40,d=1", "--prune-baseline"])
+        capsys.readouterr()
+        assert code == 2

@@ -86,7 +86,6 @@ def test_registry_knows_the_built_in_rules():
         "CHUNK-CYCLE",
         "UNREACHED-ELEMENT",
         "SYMBOLIC-MISMATCH",
-        "LEGACY-KWARGS",
         "SYNC-ELIDABLE",
         "COUPLED-SUBSCRIPT",
         "DISTANCE-MISMATCH",

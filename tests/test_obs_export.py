@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import PlanSpec
 from repro.backends import make_runner
 from repro.obs import (
     CLOCK_CYCLES,
@@ -23,7 +24,7 @@ from repro.workloads.testloop import make_test_loop
 @pytest.fixture(scope="module")
 def threaded_telemetry():
     loop = make_test_loop(n=300, m=2, l=8)
-    runner = make_runner("threaded", processors=4, observe=True)
+    runner = make_runner(spec=PlanSpec(backend="threaded", processors=4, observe=True))
     return runner.run(loop).telemetry
 
 

@@ -12,8 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from repro import parallelize
-from repro.backends import InspectorCache, make_runner
+from repro import PlanSpec, parallelize
+from repro.backends import HookedRunner, InspectorCache, ThreadedRunner, make_runner
 from repro.core.serialize import result_to_dict
 from repro.errors import TelemetryError
 from repro.obs import (
@@ -24,7 +24,6 @@ from repro.obs import (
     CLOCK_CYCLES,
     CLOCK_WALL,
     PHASE_NAMES,
-    InstrumentedRunner,
     validate_telemetry,
 )
 from repro.workloads.testloop import make_test_loop
@@ -43,7 +42,9 @@ def loop():
 def observed(loop):
     """One observed run per backend (module-scoped: runs are not free)."""
     return {
-        backend: make_runner(backend, processors=4, observe=True).run(loop)
+        backend: make_runner(
+            spec=PlanSpec(backend=backend, processors=4, observe=True),
+        ).run(loop)
         for backend in BACKENDS
     }
 
@@ -99,7 +100,8 @@ class TestSharedSchema:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_parallelize_observe(self, loop, backend):
         result, _ = parallelize(
-            loop, processors=4, backend=backend, observe=True
+            loop,
+            spec=PlanSpec(processors=4, backend=backend, observe=True),
         )
         assert result.telemetry is not None
         validate_telemetry(result.telemetry.as_dict())
@@ -172,7 +174,9 @@ class TestSimulatedTelemetry:
         )
 
     def test_trace_not_left_behind_unless_requested(self, loop):
-        runner = make_runner("simulated", processors=4, observe=True)
+        runner = make_runner(
+            spec=PlanSpec(backend="simulated", processors=4, observe=True),
+        )
         result = runner.run(loop)
         assert "trace" not in result.extras
         assert any(s.cat == CAT_COMPUTE for s in result.telemetry.spans)
@@ -186,7 +190,10 @@ class TestInspectorCacheMetrics:
 
     def test_cache_stats_survive_serialization(self, loop):
         cache = InspectorCache()
-        runner = make_runner("vectorized", cache=cache, observe=True)
+        runner = make_runner(
+            spec=PlanSpec(backend="vectorized", observe=True),
+            cache=cache,
+        )
         cold = runner.run(loop)
         warm = runner.run(loop)
 
@@ -314,9 +321,15 @@ class TestValidatorRejects:
 class TestComposition:
     def test_instrumented_over_validating(self, loop):
         runner = make_runner(
-            "threaded", processors=2, validate="static", observe=True
+            spec=PlanSpec(
+                backend="threaded",
+                processors=2,
+                validate="static",
+                observe=True,
+            ),
         )
-        assert isinstance(runner, InstrumentedRunner)
+        assert isinstance(runner, HookedRunner)
+        assert isinstance(runner.inner, ThreadedRunner)
         result = runner.run(loop)
         assert result.telemetry is not None
         assert result.telemetry.backend == "threaded"
@@ -324,7 +337,9 @@ class TestComposition:
         validate_telemetry(result.telemetry.as_dict())
 
     def test_hooks_detached_after_run(self, loop):
-        runner = make_runner("threaded", processors=2, observe=True)
+        runner = make_runner(
+            spec=PlanSpec(backend="threaded", processors=2, observe=True),
+        )
         inner = runner.inner
         runner.run(loop)
         assert inner._obs_recorder is None

@@ -1,21 +1,15 @@
 """Tests for :class:`repro.passes.PlanSpec` — the consolidated run
-configuration (ISSUE 6 satellite 1) — and the plan-time option support
-matrix that makes ``extras["ignored_options"]`` obsolete (satellite 2).
-
-Includes the regression suite for the old call sites: every pre-PlanSpec
-keyword form still runs correctly, warns toward the consolidated API,
-and produces the same values as the spec path.
+configuration — and the plan-time option support matrix that keeps
+planned runs free of ``extras["ignored_options"]`` notes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
-import numpy as np
 import pytest
 
-from repro.backends import BACKENDS, make_runner
+from repro.backends import make_runner
 from repro.core.doacross import parallelize
 from repro.errors import ScheduleError
 from repro.passes import (
@@ -82,9 +76,6 @@ class TestValueObject:
     def test_tunable_options_lists_only_set_knobs(self):
         spec = PlanSpec(schedule="cyclic", chunk=3)
         assert spec.tunable_options() == {"schedule": "cyclic", "chunk": 3}
-
-    def test_spec_backends_track_backend_registry(self):
-        assert SPEC_BACKENDS == BACKENDS + ("auto",)
 
 
 class TestConstructionValidation:
@@ -160,58 +151,16 @@ class TestOptionSupportMatrix:
         check_options(PlanSpec(backend=backend, **kwargs))
 
 
-class TestOldCallSitesRegression:
-    """Pre-PlanSpec keyword forms: still correct, now warning."""
-
-    def test_parallelize_schedule_chunk_still_works(self, loop):
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            result, plan = parallelize(
-                loop, processors=4, schedule="cyclic", chunk=2
-            )
-        assert np.array_equal(result.y, loop.run_sequential())
-        assert plan.describe()
-
-    def test_parallelize_observe_still_works(self, loop):
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            result, _ = parallelize(loop, processors=4, observe=True)
-        assert result.telemetry is not None
-        assert np.array_equal(result.y, loop.run_sequential())
-
-    def test_parallelize_validate_still_works(self, loop):
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            result, _ = parallelize(loop, processors=4, validate="static")
-        assert "lint" in result.extras
-        assert np.array_equal(result.y, loop.run_sequential())
-
-    def test_make_runner_legacy_kwargs_still_work(self, loop):
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            runner = make_runner("threaded", processors=2, observe=True)
-        result = runner.run(loop)
-        assert result.telemetry is not None
-        assert np.array_equal(result.y, loop.run_sequential())
-
-    def test_legacy_path_still_notes_ignored_options(self, loop):
-        # The old path keeps its note-and-continue contract; only the
-        # spec path upgrades to plan-time rejection.
+class TestPlannedVersusDirectRuns:
+    def test_direct_run_options_are_noted_not_rejected(self, loop):
+        # Options handed straight to Runner.run bypass planning: the
+        # backend notes what it ignores.  Only planning rejects.
         runner = make_runner("threaded", processors=2)
         result = runner.run(loop, schedule="block")
         notes = result.extras["ignored_options"]
         assert notes and notes[0]["option"] == "schedule"
 
-    def test_spec_and_legacy_paths_agree_on_values(self, loop):
-        reference = loop.run_sequential()
-        spec_result, _ = parallelize(
-            loop,
-            spec=PlanSpec(backend="simulated", processors=4, schedule="cyclic"),
-        )
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            legacy_result, _ = parallelize(
-                loop, processors=4, schedule="cyclic"
-            )
-        assert np.array_equal(spec_result.y, reference)
-        assert np.array_equal(legacy_result.y, reference)
-
-    def test_spec_path_attaches_schedule_plan(self, loop):
+    def test_planned_run_attaches_schedule_plan(self, loop):
         result, _ = parallelize(
             loop, spec=PlanSpec(backend="threaded", processors=2)
         )
@@ -219,12 +168,3 @@ class TestOldCallSitesRegression:
         assert audit["backend"] == "threaded"
         assert audit["passes"][0] == "validate-options"
         assert "ignored_options" not in result.extras
-
-    def test_warning_names_each_shimmed_keyword(self, loop):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            parallelize(loop, processors=4, schedule="cyclic", observe=True)
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1
-        assert "schedule" in messages[0] and "observe" in messages[0]

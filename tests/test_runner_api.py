@@ -1,6 +1,9 @@
 """Tests for the unified Runner API: protocol conformance, the backend
-selector, option validation, and the deprecation shims for the old
-positional signatures."""
+selector, option validation, and the one ``parallelize`` body behind
+both of its spellings."""
+
+import inspect
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from repro.core.doacross import PreprocessedDoacross, parallelize
 from repro.core.results import RunResult
 from repro.errors import ScheduleError
 from repro.machine.engine import Machine
+from repro.passes import PlanSpec
+from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
 
 
@@ -46,7 +51,7 @@ class TestProtocolConformance:
         assert VectorizedRunner().name == "vectorized"
 
     def test_make_runner_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(ScheduleError, match="unknown backend"):
             make_runner("cuda")
 
     def test_exported_from_package_root(self):
@@ -104,71 +109,89 @@ class TestOptionValidation:
         np.testing.assert_allclose(result.y, loop.run_sequential())
 
 
-class TestDeprecationShims:
-    def test_run_positional_warns_and_matches(self, loop):
-        pd = PreprocessedDoacross(processors=4)
-        keyword = pd.run(loop, order=None, order_label="natural")
-        with pytest.warns(DeprecationWarning, match="positional options"):
-            positional = pd.run(loop, None, "natural")
-        assert np.array_equal(positional.y, keyword.y)
-        assert positional.total_cycles == keyword.total_cycles
+class TestOneSpelling:
+    REMOVED = {"schedule", "chunk", "validate", "observe", "analyze"}
 
-    def test_parallelize_positional_warns_and_matches(self, loop):
-        keyword, _ = parallelize(loop, processors=8)
-        with pytest.warns(DeprecationWarning, match="positional options"):
-            positional, _ = parallelize(loop, 8)
-        assert np.array_equal(positional.y, keyword.y)
-        assert positional.processors == 8
+    def test_entry_point_signatures(self):
+        for fn, skip in ((parallelize, 1), (make_runner, 0)):
+            params = list(inspect.signature(fn).parameters)[skip:]
+            assert len(params) <= 7
+            assert not self.REMOVED & set(params)
+        assert len(dataclass_fields(PlanSpec)) == 10
 
-    def test_duplicate_option_rejected(self, loop):
-        pd = PreprocessedDoacross()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                pd.run(loop, None, order=None)
+    def test_positional_options_are_gone(self, loop):
+        with pytest.raises(TypeError):
+            parallelize(loop, 8)
+        with pytest.raises(TypeError):
+            PreprocessedDoacross().run(loop, None, "natural")
 
-    def test_too_many_positionals_rejected(self, loop):
-        pd = PreprocessedDoacross()
-        with pytest.raises(TypeError, match="at most"):
-            pd.run(loop, None, "natural", False, None, 1, False, "extra")
-
-    def test_core_keywords_do_not_warn(self, loop):
-        import warnings
-
-        # processors/backend/cache are not part of the PlanSpec
-        # consolidation and stay warning-free.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            parallelize(loop, processors=4)
-            parallelize(loop, processors=4, backend="vectorized")
-
-    def test_consolidated_keywords_warn_toward_planspec(self, loop):
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            parallelize(loop, processors=4, schedule="cyclic", chunk=2)
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            make_runner("threaded", processors=2, observe=True)
-
-    def test_spec_form_does_not_warn(self, loop):
-        import warnings
-
-        from repro.passes import PlanSpec
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result, _ = parallelize(
-                loop, spec=PlanSpec(backend="threaded", processors=4)
-            )
-        np.testing.assert_allclose(result.y, loop.run_sequential())
-
-    def test_spec_rejects_legacy_keyword_mix(self, loop):
-        from repro.passes import PlanSpec
-
+    def test_spec_rejects_shorthand_mix(self, loop):
         with pytest.raises(TypeError, match="cannot be combined"):
-            parallelize(loop, spec=PlanSpec(), chunk=2)
+            parallelize(loop, spec=PlanSpec(), processors=4)
         with pytest.raises(TypeError, match="cannot be combined"):
-            make_runner(spec=PlanSpec(backend="threaded"), observe=True)
+            make_runner("threaded", spec=PlanSpec(backend="threaded"))
+
+    def test_hooked_runner_is_flat(self):
+        runner = make_runner(spec=PlanSpec(validate="static", observe=True))
+        assert isinstance(runner.inner, SimulatedRunner)
+        assert [hook.__name__ for hook in runner.hooks] == [
+            "StaticValidate",
+            "Observe",
+        ]
+
+
+# One loop per strategy the compiler can select, with the assertion (if
+# any) that selects it.
+STRATEGY_CASES = {
+    "linear": (lambda: make_test_loop(n=400, m=5, l=8), {}),
+    "preprocessed": (lambda: random_irregular_loop(300, seed=2), {}),
+    "doall": (
+        lambda: make_test_loop(n=400, m=5, l=7),
+        {"assert_independent": True},
+    ),
+    "classic": (lambda: chain_loop(300, 4), {"known_distance": 4}),
+}
 
 
 class TestParallelizeDispatch:
+    @pytest.mark.parametrize("strategy", STRATEGY_CASES)
+    def test_both_spellings_run_one_body(self, strategy):
+        build, asserts = STRATEGY_CASES[strategy]
+        loop = build()
+        short, plan = parallelize(loop, processors=16, **asserts)
+        base, _ = parallelize(loop, spec=PlanSpec(processors=16), **asserts)
+        assert plan.strategy == strategy
+        assert np.array_equal(base.y, loop.run_sequential())
+        for result in (short, base):
+            assert result.strategy.startswith(strategy)
+            assert result.extras["plan"] == plan.describe()
+        assert (short.strategy, short.total_cycles) == (
+            base.strategy,
+            base.total_cycles,
+        )
+        assert short.y.tobytes() == base.y.tobytes()
+
+        # The run hooks observe; they do not change what runs.
+        for option in (
+            {"validate": "static"},
+            {"validate": "sanitize"},
+            {"observe": True},
+        ):
+            hooked, _ = parallelize(
+                loop, spec=PlanSpec(processors=16, **option), **asserts
+            )
+            assert (hooked.strategy, hooked.total_cycles) == (
+                base.strategy,
+                base.total_cycles,
+            )
+        reordered, _ = parallelize(
+            loop,
+            spec=PlanSpec(processors=16, reorder="doconsider"),
+            **asserts,
+        )
+        assert reordered.strategy == base.strategy
+        assert np.array_equal(reordered.y, base.y)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_all_backends_agree(self, loop, backend):
         result, plan = parallelize(loop, processors=4, backend=backend)
@@ -176,22 +199,5 @@ class TestParallelizeDispatch:
         assert result.extras["plan"] == plan.describe()
 
     def test_unknown_backend_rejected(self, loop):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(ScheduleError, match="unknown backend"):
             parallelize(loop, backend="quantum")
-
-    def test_custom_runner_dispatch(self, loop):
-        class Recording(Runner):
-            name = "recording"
-
-            def __init__(self):
-                self.calls = 0
-
-            def run(self, loop, *, order=None, schedule=None, chunk=None,
-                    trace=False):
-                self.calls += 1
-                return VectorizedRunner().run(loop)
-
-        runner = Recording()
-        result, _ = parallelize(loop, backend=runner)
-        assert runner.calls == 1
-        np.testing.assert_allclose(result.y, loop.run_sequential())

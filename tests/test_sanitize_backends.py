@@ -14,15 +14,16 @@ import pytest
 
 import repro
 from repro.backends import (
+    HookedRunner,
     MultiprocRunner,
     ThreadedRunner,
     VectorizedRunner,
     make_runner,
 )
+from repro.backends.hooks import Sanitize
 from repro.errors import SanitizerError
-from repro.passes.execute import plan_loop, run_with_spec
+from repro.passes.execute import plan_loop
 from repro.passes.spec import PlanSpec, UnsupportedPlanOption
-from repro.sanitize import SanitizingRunner
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 
 
@@ -40,7 +41,7 @@ class TestSanitizingRunnerRoundTrips:
                 if backend == "threaded"
                 else VectorizedRunner()
             )
-            result = SanitizingRunner(inner).run(loop)
+            result = HookedRunner(inner, [Sanitize]).run(loop)
             assert np.allclose(result.y, loop.run_sequential())
             report = result.extras["sanitize"]
             assert report["ok"] is True
@@ -51,7 +52,7 @@ class TestSanitizingRunnerRoundTrips:
         inner = MultiprocRunner(workers=3)
         try:
             for loop in loops:
-                result = SanitizingRunner(inner).run(loop)
+                result = HookedRunner(inner, [Sanitize]).run(loop)
                 assert np.allclose(result.y, loop.run_sequential())
                 report = result.extras["sanitize"]
                 assert report["ok"] is True
@@ -83,7 +84,7 @@ class TestSpecWiring:
     def test_all_concrete_backends_support_the_option(self, backend):
         spec = PlanSpec(backend=backend, processors=2, validate="sanitize")
         loop = chain_loop(60, 1)
-        result, _plan = run_with_spec(loop, spec)
+        result, _plan = repro.parallelize(loop, spec=spec)
         assert np.allclose(result.y, loop.run_sequential())
         report = result.extras["sanitize"]
         assert report["ok"] is True
@@ -112,7 +113,9 @@ class TestSpecWiring:
                 backend="vectorized", validate="sanitize"
             )
         )
-        assert isinstance(runner, SanitizingRunner)
+        assert isinstance(runner, HookedRunner)
+        assert runner.hooks == (Sanitize,)
+        assert isinstance(runner.inner, VectorizedRunner)
 
     def test_parallelize_spec_path(self):
         loop = chain_loop(80, 1)
@@ -124,26 +127,25 @@ class TestSpecWiring:
         assert result.extras["sanitize"]["ok"] is True
 
 
-class TestLegacySimulatedPath:
+class TestSimulatedStrategies:
     def test_preprocessed_strategy_is_instrumented(self):
         loop = chain_loop(80, 1)
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            result, _plan = repro.parallelize(
-                loop, backend="simulated", validate="sanitize"
-            )
+        result, _plan = repro.parallelize(
+            loop, spec=PlanSpec(validate="sanitize")
+        )
         assert np.allclose(result.y, loop.run_sequential())
         report = result.extras["sanitize"]
         assert report["ok"] is True
         assert report["pairs_checked"] > 0
 
     def test_doall_strategy_reports_uninstrumented(self):
-        # Odd L makes the Figure-4 loop dependence-free: the planner
-        # picks doall, whose simulated strategy has no shadow hooks.
+        # Odd L makes the Figure-4 loop dependence-free; the simulated
+        # doall strategy has no shadow hooks.
         loop = repro.make_test_loop(n=40, m=2, l=7)
-        with pytest.warns(DeprecationWarning, match="PlanSpec"):
-            result, _plan = repro.parallelize(
-                loop, backend="simulated", validate="sanitize"
-            )
+        result, _plan = repro.parallelize(
+            loop, spec=PlanSpec(validate="sanitize"), assert_independent=True
+        )
+        assert result.strategy == "doall"
         report = result.extras["sanitize"]
         assert report["ok"] is True
         assert report["pairs_checked"] == 0

@@ -4,6 +4,7 @@ import json
 
 from repro.core.doacross import PreprocessedDoacross
 from repro.core.serialize import result_to_dict, result_to_json, results_to_csv
+from repro.passes import PlanSpec
 from repro.workloads.testloop import make_test_loop
 
 
@@ -73,8 +74,8 @@ class TestResultToDict:
 
 
 class TestWrapperCompositionExtras:
-    """validate= and observe= must compose in either order, and their
-    reports must survive into the serialized record (regression: the
+    """The validate and observe hooks must compose in either order, and
+    their reports must survive into the serialized record (regression: the
     old scalar-only extras filter silently dropped both)."""
 
     def _check(self, runner, loop):
@@ -93,17 +94,16 @@ class TestWrapperCompositionExtras:
         from repro.backends import make_runner
 
         loop = make_test_loop(n=60, m=2, l=8)
-        self._check(
-            make_runner("vectorized", validate="static", observe=True), loop
-        )
+        spec = PlanSpec(backend="vectorized", validate="static", observe=True)
+        self._check(make_runner(spec=spec), loop)
 
     def test_observe_then_validate(self):
-        from repro.backends import ValidatingRunner, make_runner
-        from repro.obs.instrument import InstrumentedRunner
+        from repro.backends import HookedRunner, make_runner
+        from repro.backends.hooks import Observe, StaticValidate
 
         loop = make_test_loop(n=60, m=2, l=8)
         inner = make_runner("vectorized")
-        self._check(ValidatingRunner(InstrumentedRunner(inner)), loop)
+        self._check(HookedRunner(inner, [Observe, StaticValidate]), loop)
 
 
 class TestCsv:

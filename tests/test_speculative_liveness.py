@@ -78,11 +78,13 @@ class TestParanoidDetectorLiveness:
         """The fallback path is not exempt from the dependence contract:
         its shadow log must replay clean — every cross-chunk true
         dependence covered by the commit chain."""
-        from repro.sanitize import SanitizingRunner
+        from repro.backends.hooks import HookedRunner, Sanitize
 
         _paranoid(monkeypatch)
         loop = chain_loop(96, 1)
-        runner = SanitizingRunner(SpeculativeRunner(workers=2, chunk=8))
+        runner = HookedRunner(
+            SpeculativeRunner(workers=2, chunk=8), [Sanitize]
+        )
         result = runner.run(loop)
         assert np.array_equal(result.y, loop.run_sequential())
         assert result.extras["sanitize"]["violations"] == []

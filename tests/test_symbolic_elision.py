@@ -13,7 +13,8 @@ from repro.analysis import (
 )
 from repro.backends import make_runner
 from repro.backends.cache import InspectorCache, build_inspector_record
-from repro.errors import ProofError
+from repro.errors import ProofError, ScheduleError
+from repro.passes import PlanSpec
 from repro.workloads.synthetic import affine_loop
 
 
@@ -62,12 +63,13 @@ def test_record_mismatches_reports_differing_fields():
 # ----------------------------------------------------------------------
 def test_vectorized_symbolic_elides_inspector():
     loop = repro.make_test_loop(200, 2, 8)
-    plain = make_runner("vectorized", cache=InspectorCache(), observe=True)
-    elided = make_runner(
-        "vectorized",
+    plain = make_runner(
+        spec=PlanSpec(backend="vectorized", observe=True),
         cache=InspectorCache(),
-        observe=True,
-        analyze="symbolic",
+    )
+    elided = make_runner(
+        spec=PlanSpec(backend="vectorized", observe=True, analyze="symbolic"),
+        cache=InspectorCache(),
     )
     full = plain.run(loop)
     fast = elided.run(loop)
@@ -85,7 +87,8 @@ def test_vectorized_symbolic_elides_inspector():
 
 def test_vectorized_symbolic_check_debug_mode():
     runner = make_runner(
-        "vectorized", cache=InspectorCache(), analyze="symbolic+check"
+        spec=PlanSpec(backend="vectorized", analyze="symbolic+check"),
+        cache=InspectorCache(),
     )
     for loop in ELIDABLE_LOOPS:
         result = runner.run(loop)
@@ -95,7 +98,8 @@ def test_vectorized_symbolic_check_debug_mode():
 def test_vectorized_symbolic_falls_back_on_runtime_only():
     loop = repro.random_irregular_loop(100, seed=5)
     runner = make_runner(
-        "vectorized", cache=InspectorCache(), observe=True, analyze="symbolic"
+        spec=PlanSpec(backend="vectorized", observe=True, analyze="symbolic"),
+        cache=InspectorCache(),
     )
     result = runner.run(loop)
     assert np.array_equal(result.y, loop.run_sequential())
@@ -112,7 +116,10 @@ def test_symbolic_fingerprint_shares_cache_across_instances():
     assert symbolic_fingerprint(a) == symbolic_fingerprint(b)
 
     cache = InspectorCache()
-    runner = make_runner("vectorized", cache=cache, analyze="symbolic")
+    runner = make_runner(
+        spec=PlanSpec(backend="vectorized", analyze="symbolic"),
+        cache=cache,
+    )
     ra = runner.run(a)
     rb = runner.run(b)
     assert cache.misses == 1 and cache.hits == 1
@@ -123,7 +130,8 @@ def test_symbolic_fingerprint_shares_cache_across_instances():
 def test_run_repeated_with_elision():
     loop = repro.chain_loop(150, 2)
     runner = make_runner(
-        "vectorized", cache=InspectorCache(), analyze="symbolic"
+        spec=PlanSpec(backend="vectorized", analyze="symbolic"),
+        cache=InspectorCache(),
     )
     result = runner.run_repeated(loop, instances=3)
     y = loop.y0.copy()
@@ -141,7 +149,12 @@ def test_run_repeated_with_elision():
 def test_threaded_symbolic_prefills_iter():
     loop = repro.make_test_loop(120, 2, 8)
     runner = make_runner(
-        "threaded", processors=4, observe=True, analyze="symbolic"
+        spec=PlanSpec(
+            backend="threaded",
+            processors=4,
+            observe=True,
+            analyze="symbolic",
+        ),
     )
     result = runner.run(loop)
     assert np.array_equal(result.y, loop.run_sequential())
@@ -151,11 +164,18 @@ def test_threaded_symbolic_prefills_iter():
 
 def test_threaded_symbolic_check_and_fallback():
     dep = repro.make_test_loop(100, 2, 8)
-    checked = make_runner("threaded", processors=4, analyze="symbolic+check")
+    checked = make_runner(
+        spec=PlanSpec(backend="threaded", processors=4, analyze="symbolic+check"),
+    )
     assert np.array_equal(checked.run(dep).y, dep.run_sequential())
     opaque = repro.random_irregular_loop(100, seed=4)
     fallback = make_runner(
-        "threaded", processors=4, observe=True, analyze="symbolic"
+        spec=PlanSpec(
+            backend="threaded",
+            processors=4,
+            observe=True,
+            analyze="symbolic",
+        ),
     )
     result = fallback.run(opaque)
     assert np.array_equal(result.y, opaque.run_sequential())
@@ -167,33 +187,28 @@ def test_threaded_symbolic_check_and_fallback():
 # make_runner / parallelize wiring
 # ----------------------------------------------------------------------
 def test_make_runner_rejects_bad_analyze_values():
-    with pytest.raises(ValueError, match="analyze"):
-        make_runner("vectorized", analyze="magic")
+    with pytest.raises(ScheduleError, match="analyze"):
+        PlanSpec(backend="vectorized", analyze="magic")
     with pytest.raises(ValueError, match="simulated"):
-        make_runner("simulated", analyze="symbolic")
+        make_runner(spec=PlanSpec(backend="simulated", analyze="symbolic"))
 
 
 def test_parallelize_analyze_upgrades_strategy():
     chain = repro.chain_loop(120, 3)
     result, plan = repro.parallelize(
-        chain, backend="simulated", analyze="symbolic"
+        chain,
+        spec=PlanSpec(backend="simulated", analyze="symbolic"),
     )
     assert plan.strategy == "classic"
+    assert result.strategy == "classic-doacross"
     assert np.array_equal(result.y, chain.run_sequential())
     assert result.extras["verdict"] == "constant-distance"
     assert result.extras["verdict_distance"] == 3
 
     indep = repro.make_test_loop(120, 2, 7)
     result, plan = repro.parallelize(
-        indep, backend="simulated", analyze="symbolic+check"
+        indep,
+        spec=PlanSpec(backend="simulated", analyze="symbolic+check"),
     )
     assert plan.strategy == "doall"
     assert np.array_equal(result.y, indep.run_sequential())
-
-
-def test_parallelize_analyze_rejects_prebuilt_runner():
-    runner = make_runner("vectorized")
-    with pytest.raises(ValueError, match="pre-built"):
-        repro.parallelize(
-            repro.chain_loop(40, 1), backend=runner, analyze="symbolic"
-        )

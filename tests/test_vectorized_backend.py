@@ -119,22 +119,6 @@ class TestParallelizeBackend:
         assert result.extras["plan"] == plan.describe()
         assert_bitwise_oracle(loop, result)
 
-    def test_runner_instance_as_backend(self):
-        loop = random_irregular_loop(130, seed=6)
-        cache = InspectorCache()
-        runner = VectorizedRunner(cache=cache)
-        parallelize(loop, backend=runner)
-        result, _ = parallelize(loop, backend=runner)
-        assert result.extras["cache_hit"] is True
-        assert cache.stats() == {
-            "entries": 1,
-            "capacity": 64,
-            "hits": 1,
-            "misses": 1,
-            "bytes": cache.stats()["bytes"],
-            "tuner_entries": 0,
-        }
-
     def test_shared_cache_via_keyword(self):
         loop = random_irregular_loop(130, seed=7)
         cache = InspectorCache()

@@ -243,13 +243,13 @@ class TestCorruptedScheduleSanitize:
         self, chain, monkeypatch
     ):
         import repro.backends.threaded as threaded_mod
-        from repro.sanitize import SanitizingRunner
+        from repro.backends.hooks import HookedRunner, Sanitize
 
         monkeypatch.setattr(
             threaded_mod, "validate_execution_order", lambda loop, order: None
         )
-        runner = SanitizingRunner(
-            ThreadedRunner(threads=2, wait_timeout=0.3)
+        runner = HookedRunner(
+            ThreadedRunner(threads=2, wait_timeout=0.3), [Sanitize]
         )
         self._expect_unsatisfied(runner, chain)
 
@@ -257,7 +257,7 @@ class TestCorruptedScheduleSanitize:
         self, chain, monkeypatch
     ):
         import repro.backends.multiproc as multiproc_mod
-        from repro.sanitize import SanitizingRunner
+        from repro.backends.hooks import HookedRunner, Sanitize
 
         monkeypatch.setattr(
             multiproc_mod, "validate_execution_order", lambda loop, order: None
@@ -266,7 +266,7 @@ class TestCorruptedScheduleSanitize:
             spin=10, sleep_initial=1e-4, sleep_max=1e-3, timeout=0.3
         )
         inner = MultiprocRunner(workers=2, ladder=ladder)
-        runner = SanitizingRunner(inner)
+        runner = HookedRunner(inner, [Sanitize])
         try:
             self._expect_unsatisfied(runner, chain)
             # The pool survives the sanitized failure; a clean rerun
@@ -281,11 +281,11 @@ class TestCorruptedScheduleSanitize:
         """Positive control: on the *correct* order both models agree
         there is nothing to report — static hb passes and the dynamic
         replay is violation-free."""
+        from repro.backends.hooks import HookedRunner, Sanitize
         from repro.lint.hb import check_backend_schedule
-        from repro.sanitize import SanitizingRunner
 
         assert check_backend_schedule(chain, "threaded", processors=2).passed
-        runner = SanitizingRunner(ThreadedRunner(threads=2))
+        runner = HookedRunner(ThreadedRunner(threads=2), [Sanitize])
         result = runner.run(chain)
         assert np.array_equal(result.y, chain.run_sequential())
         assert result.extras["sanitize"]["violations"] == []
