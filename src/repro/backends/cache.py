@@ -26,6 +26,11 @@ layout (terms permuted into wavefront order, read sources resolved to
 old-``y``/``ynew``, intra-iteration terms marked).  Everything in the
 record is structure-only; per-run values (coefficients, initial values)
 are gathered at execution time.
+
+The wavefront schedule alone is what every *other* backend's plan needs,
+so the cache also serves it by itself (:meth:`InspectorCache.levels_for`)
+under the same content key: planning, not only the inspector record, is
+paid once per dependence structure.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ import numpy as np
 
 from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
-from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import LevelSchedule, compute_levels
 from repro.ir.loop import IrregularLoop
 from repro.ir.transform import TransformPlan, plan_transform, structural_signature
@@ -145,13 +149,18 @@ class InspectorRecord:
         return int(sum(a.nbytes for a in arrays))
 
 
-def build_inspector_record(loop: IrregularLoop) -> InspectorRecord:
+def build_inspector_record(
+    loop: IrregularLoop, schedule: LevelSchedule | None = None
+) -> InspectorRecord:
     """Run the (vectorized) inspector and wavefront preprocessing for
     ``loop`` and package the result for caching.
 
     This is the whole run-time preprocessing pipeline of the paper —
     Figure 3's ``iter`` construction plus the §3.2 wavefront computation —
     executed as NumPy array operations rather than simulated phases.
+    ``schedule`` is the loop's wavefront decomposition when the caller
+    already holds it (the level-schedule pass, the cache's memo); it is
+    computed here otherwise.
     """
     n, y_size = loop.n, loop.y_size
     write = loop.write
@@ -167,14 +176,8 @@ def build_inspector_record(loop: IrregularLoop) -> InspectorRecord:
     intra_flat = writers == readers
     true_flat = writers < readers  # MAXINT compares greater: never true dep
 
-    # True-dependence DAG -> wavefront levels.
-    if bool(true_flat.any()):
-        pairs = np.unique(
-            np.stack([writers[true_flat], readers[true_flat]], axis=1), axis=0
-        )
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    schedule = compute_levels(DependenceGraph(n, pairs))
+    if schedule is None:
+        schedule = compute_levels(loop)
 
     return assemble_record(
         loop,
@@ -276,14 +279,19 @@ class InspectorCache:
     ----------
     capacity:
         Maximum number of dependence structures retained; least recently
-        used entries are evicted first.
+        used entries are evicted first.  The bound applies to the records
+        and, separately, to the level-schedule memo.
 
     Attributes
     ----------
     hits, misses:
-        Lookup counters — the measurable form of the paper's Figure-3
-        amortization claim (asserted in tests and reported by
+        Record lookup counters — the measurable form of the paper's
+        Figure-3 amortization claim (asserted in tests and reported by
         ``repro.bench.bench_vectorized``).
+    levels_hits, levels_misses:
+        The same for :meth:`levels_for`, the planner's lookups.
+    evictions:
+        Records and level schedules dropped by the capacity bound.
 
     Beyond inspector records, the cache carries the auto-tuner's state
     (:meth:`tuner_state`): per-fingerprint wall-time measurements,
@@ -301,7 +309,11 @@ class InspectorCache:
         self.capacity = capacity
         self.hits = 0
         self.misses = 0
+        self.levels_hits = 0
+        self.levels_misses = 0
+        self.evictions = 0
         self._entries: OrderedDict[str, InspectorRecord] = OrderedDict()
+        self._levels: OrderedDict[str, LevelSchedule] = OrderedDict()
         self._tuner: dict[str, dict] = {}
 
     def __len__(self) -> int:
@@ -309,6 +321,43 @@ class InspectorCache:
 
     def __contains__(self, loop: IrregularLoop) -> bool:
         return loop_fingerprint(loop) in self._entries
+
+    def _store(self, table: OrderedDict, fingerprint: str, value) -> None:
+        """Insert as most recently used, evicting down to ``capacity``."""
+        table[fingerprint] = value
+        table.move_to_end(fingerprint)
+        while len(table) > self.capacity:
+            table.popitem(last=False)
+            self.evictions += 1
+
+    def levels_for(
+        self, loop: IrregularLoop, fingerprint: str | None = None
+    ) -> tuple[LevelSchedule, bool]:
+        """Return ``(schedule, hit)``: the wavefront decomposition of
+        ``loop``, computed once per dependence structure.
+
+        Served from the memo, else from the ``schedule`` of the record
+        stored under the same key, else computed
+        (:func:`~repro.graph.levels.compute_levels`) and remembered.
+        ``fingerprint`` must be the loop's *current*
+        :func:`loop_fingerprint` (callers that already hashed the loop
+        pass it to avoid a second hash); it is never cached on the loop,
+        so an index array mutated in place misses.
+        """
+        fp = fingerprint if fingerprint is not None else loop_fingerprint(loop)
+        schedule = self._levels.get(fp)
+        if schedule is None:
+            record = self._entries.get(fp)
+            if record is not None:
+                schedule = record.schedule
+        hit = schedule is not None
+        if hit:
+            self.levels_hits += 1
+        else:
+            self.levels_misses += 1
+            schedule = compute_levels(loop)
+        self._store(self._levels, fp, schedule)
+        return schedule, hit
 
     def get_or_build(
         self,
@@ -318,8 +367,9 @@ class InspectorCache:
     ) -> tuple[InspectorRecord, bool]:
         """Return ``(record, hit)`` for ``loop``, building on a miss.
 
-        ``builder`` (default :func:`build_inspector_record`) produces the
-        record; the symbolic elision path injects
+        ``builder`` (default :func:`build_inspector_record`, handed the
+        memoized level schedule when :meth:`levels_for` already computed
+        it) produces the record; the symbolic elision path injects
         :func:`repro.analysis.build_symbolic_record` here.  ``fingerprint``
         overrides the content digest — a fully proven loop is keyed by its
         structure-only :func:`repro.analysis.symbolic_fingerprint`, which
@@ -333,33 +383,31 @@ class InspectorCache:
             self._entries.move_to_end(fp)
             return record, True
         self.misses += 1
-        record = (builder or build_inspector_record)(loop)
-        self._entries[fp] = record
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        if builder is None:
+            record = build_inspector_record(loop, schedule=self._levels.get(fp))
+        else:
+            record = builder(loop)
+        self._store(self._entries, fp, record)
         return record, False
 
     def seed(
         self, record: InspectorRecord, fingerprint: str | None = None
     ) -> None:
         """Insert a pre-built record without touching the hit/miss
-        counters — how plan-time preprocessing
-        (:class:`repro.passes.builtin.InspectorPass`) warms a runner's
-        cache without skewing the amortization accounting."""
+        counters — how :func:`repro.passes.execute.execute_plan` hands a
+        cache-less plan's record to the runner's private cache without
+        skewing the amortization accounting."""
         fp = fingerprint if fingerprint is not None else record.fingerprint
-        self._entries[fp] = record
-        self._entries.move_to_end(fp)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self._store(self._entries, fp, record)
 
     def tuner_state(self, fingerprint: str) -> dict:
         """The auto-tuner's mutable slot for one dependence structure.
 
         Layout: ``{"measurements": {backend: [wall_seconds, ...]},
         "features": {backend: {...}}, "decision": dict | None}``.  Slots
-        are created on demand and survive :meth:`clear` of the record
-        entries only via an explicit re-fetch (tuning history is cheap;
-        inspector records are the memory hogs).
+        are created on demand, are not subject to the LRU bound (tuning
+        history is cheap; inspector records are the memory hogs), and are
+        dropped only by :meth:`clear`.
         """
         return self._tuner.setdefault(
             fingerprint,
@@ -367,12 +415,16 @@ class InspectorCache:
         )
 
     def clear(self) -> None:
-        """Drop all entries, tuner state included (counters are kept)."""
+        """Drop all records, the level-schedule memo and the tuner state
+        (counters are kept)."""
         self._entries.clear()
+        self._levels.clear()
         self._tuner.clear()
 
     def stats(self) -> dict:
-        """Counters plus footprint, JSON-safe."""
+        """Counters plus footprint, JSON-safe.  ``hits``/``misses``/
+        ``bytes`` describe the records; the memo's arrays are shared with
+        the record of the same structure when there is one."""
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,
@@ -382,4 +434,8 @@ class InspectorCache:
                 sum(r.nbytes for r in self._entries.values())
             ),
             "tuner_entries": len(self._tuner),
+            "levels_entries": len(self._levels),
+            "levels_hits": self.levels_hits,
+            "levels_misses": self.levels_misses,
+            "evictions": self.evictions,
         }

@@ -495,6 +495,9 @@ class VectorizedRunner(Runner):
             met.gauge("inspector_cache_misses_total", cache_stats["misses"])
             met.gauge("inspector_cache_entries", cache_stats["entries"])
             met.gauge("inspector_cache_bytes", cache_stats["bytes"])
+            met.gauge("inspector_cache_evictions_total", cache_stats["evictions"])
+            met.gauge("levels_cache_hits_total", cache_stats["levels_hits"])
+            met.gauge("levels_cache_misses_total", cache_stats["levels_misses"])
             met.gauge("levels", schedule.n_levels)
             met.gauge("max_width", schedule.max_width())
             met.count("iterations", loop.n)

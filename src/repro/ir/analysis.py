@@ -85,15 +85,32 @@ def classify_reads(
     return readers, writers, categories
 
 
+#: Largest ``n`` whose ``writer * n + reader`` edge key fits in int64.
+_MAX_KEYED_N = 3_037_000_499
+
+
+def _unique_pairs(writers: np.ndarray, readers: np.ndarray, n: int) -> np.ndarray:
+    """Deduplicate ``(writer, reader)`` edges of an ``n``-iteration loop
+    into a lexicographically sorted ``(m, 2)`` array.
+
+    Sorts one int64 key per edge instead of ``np.unique(..., axis=0)``'s
+    structured view of the rows (several times slower); ``reader < n``
+    makes key order the lexicographic pair order.
+    """
+    if not len(writers):
+        return np.empty((0, 2), dtype=np.int64)
+    if n > _MAX_KEYED_N:
+        return np.unique(np.stack([writers, readers], axis=1), axis=0)
+    keys = np.unique(writers * n + readers)
+    return np.stack(np.divmod(keys, n), axis=1)
+
+
 def dependence_pairs(loop: IrregularLoop) -> np.ndarray:
     """Unique true-dependence edges as an ``(m, 2)`` array of
     ``(writer, reader)`` iteration pairs, lexicographically sorted."""
     readers, writers, categories = classify_reads(loop)
     mask = categories == CAT_TRUE
-    if not mask.any():
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = np.stack([writers[mask], readers[mask]], axis=1)
-    return np.unique(pairs, axis=0)
+    return _unique_pairs(writers[mask], readers[mask], loop.n)
 
 
 def is_doall(loop: IrregularLoop) -> bool:
@@ -166,13 +183,7 @@ def summarize_dependences(loop: IrregularLoop) -> DependenceSummary:
     """Compute a :class:`DependenceSummary` for ``loop``."""
     readers, writers, categories = classify_reads(loop)
     true_mask = categories == CAT_TRUE
-    pairs = (
-        np.unique(
-            np.stack([writers[true_mask], readers[true_mask]], axis=1), axis=0
-        )
-        if true_mask.any()
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    pairs = _unique_pairs(writers[true_mask], readers[true_mask], loop.n)
     min_d: int | None = None
     max_d: int | None = None
     dependent = 0

@@ -85,8 +85,9 @@ class PassContext:
         self.loop = loop
         self.spec = spec
         #: Optional :class:`~repro.backends.cache.InspectorCache` — serves
-        #: inspector records to the inspector pass and persists tuner
-        #: decisions for the auto-tune pass.
+        #: level schedules to the level-schedule pass and inspector records
+        #: to the inspector pass, and persists tuner decisions for the
+        #: auto-tune pass.
         self.cache = cache
         self._artifacts: dict[str, object] = {"loop": loop, "spec": spec}
         #: Provider bookkeeping: artifact name -> pass name.
@@ -221,7 +222,6 @@ class PassPipeline:
         ctx = PassContext(loop, spec, cache=cache)
         for p in self.passes:
             ctx._active = p
-            before = set(ctx._artifacts)
             p.run(ctx)
             missing = set(p.provides) - set(ctx._artifacts)
             if missing:
@@ -231,7 +231,6 @@ class PassPipeline:
                     f"pass {p.name!r} completed without providing declared "
                     f"artifact(s) {sorted(missing)}",
                 )
-            del before
         ctx._active = None
         return self._assemble(ctx)
 

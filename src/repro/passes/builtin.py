@@ -4,20 +4,20 @@ Each pass is one piece of scheduling logic under the requires/provides
 contract of :class:`~repro.passes.base.SchedulePass` (``subsumes`` names
 the backend-private code it stands in for):
 
-===================  ==========================  =======================
+===================  ==========================  ============================
 pass                 subsumes                    provides
-===================  ==========================  =======================
+===================  ==========================  ============================
 ``validate-options`` ``note_ignored_options``    ``options``
 ``fingerprint``      backend-private cache keys  ``fingerprint``
 ``dependence-dag``   per-backend DAG builds      ``depgraph``
-``level-schedule``   ``compute_levels`` calls    ``levels``
+``level-schedule``   ``compute_levels`` calls    ``levels``, ``levels_cached``
 ``doconsider``       ``Doconsider`` wrapper      ``order``
 ``coloring``         ``greedy_coloring`` (mesh)  ``coloring``
 ``fixed-backend``    ``backend=`` kwarg          ``backend``
 ``auto-tune``        (new)                       ``backend``, ``tuner``
 ``stripmine``        multiproc chunk formula     ``chunk``
 ``inspector``        vectorized ``_preprocess``  ``record``
-===================  ==========================  =======================
+===================  ==========================  ============================
 
 :func:`default_passes` composes them into the standard pipeline for a
 given :class:`~repro.passes.spec.PlanSpec`; any reordering that respects
@@ -29,7 +29,8 @@ sequence* of a sweep-style loop (valid for relaxation, not for exact
 replay), so ``coloring`` is analysis-only here — its output never feeds
 the doacross execution order, which must preserve exact sequential
 semantics.  It is provided for mesh workloads that consume the color
-order explicitly and is not part of the default pipeline.
+order explicitly and is not part of the default pipeline — and neither
+is ``dependence-dag``, whose ``depgraph`` only ``coloring`` consumes.
 """
 
 from __future__ import annotations
@@ -104,14 +105,22 @@ class DependenceDAGPass(SchedulePass):
 class LevelSchedulePass(SchedulePass):
     """Wavefront (level) decomposition of the dependence DAG — the §3.2
     doconsider preprocessing, shared by every consumer instead of being
-    recomputed privately per backend."""
+    recomputed privately per backend, and by every later plan of the same
+    structure when the context has a cache
+    (:meth:`~repro.backends.cache.InspectorCache.levels_for`).
+    ``levels_cached`` says whether this plan was served from it."""
 
     name = "level-schedule"
-    requires = ("depgraph",)
-    provides = ("levels",)
+    requires = ("fingerprint",)
+    provides = ("levels", "levels_cached")
 
     def run(self, ctx: PassContext) -> None:
-        ctx.set("levels", compute_levels(ctx.get("depgraph")))
+        if ctx.cache is not None:
+            levels, hit = ctx.cache.levels_for(ctx.loop, ctx.get("fingerprint"))
+        else:
+            levels, hit = compute_levels(ctx.loop), False
+        ctx.set("levels", levels)
+        ctx.set("levels_cached", hit)
 
 
 class DoconsiderPass(SchedulePass):
@@ -226,7 +235,7 @@ class InspectorPass(SchedulePass):
     one, so planning warms the same cache execution reads."""
 
     name = "inspector"
-    requires = ("fingerprint",)
+    requires = ("fingerprint", "levels")
     provides = ("record",)
 
     def run(self, ctx: PassContext) -> None:
@@ -235,7 +244,7 @@ class InspectorPass(SchedulePass):
                 ctx.loop, fingerprint=ctx.get("fingerprint")
             )
         else:
-            record = build_inspector_record(ctx.loop)
+            record = build_inspector_record(ctx.loop, ctx.get("levels"))
         ctx.set("record", record)
 
 
@@ -243,7 +252,7 @@ def default_passes(spec: PlanSpec) -> list[SchedulePass]:
     """The standard pass sequence for ``spec``.
 
     The shape is identical for every backend — validate, fingerprint,
-    DAG, levels, doconsider, backend resolution, stripmine — which is the
+    levels, doconsider, backend resolution, stripmine — which is the
     point of the framework: one pipeline, five consumers.  The only
     variation is *which* backend-resolution pass runs (``fixed-backend``
     vs ``auto-tune``) and whether the vectorized backend's inspector
@@ -252,7 +261,6 @@ def default_passes(spec: PlanSpec) -> list[SchedulePass]:
     passes: list[SchedulePass] = [
         ValidateOptionsPass(),
         LoopFingerprintPass(),
-        DependenceDAGPass(),
         LevelSchedulePass(),
         DoconsiderPass(),
     ]

@@ -46,7 +46,8 @@ class Plan:
     levels:
         The wavefront decomposition
         (:class:`~repro.graph.levels.LevelSchedule`), when a level pass
-        ran.
+        ran — shared with every other plan of the same structure made on
+        the same cache (``describe()["levels_cached"]``).
     order:
         Explicit doconsider execution order to run in, or ``None`` for
         the loop's natural order.
@@ -87,6 +88,7 @@ class Plan:
         if self.levels is not None:
             out["n_levels"] = int(self.levels.n_levels)
             out["max_wavefront"] = int(self.levels.max_width())
+            out["levels_cached"] = self.artifacts.get("levels_cached", False)
         out["reorder"] = self.spec.reorder
         if self.chunk is not None:
             out["chunk"] = int(self.chunk)

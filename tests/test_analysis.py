@@ -73,6 +73,23 @@ class TestDependencePairs:
         loop = build([0, 1], [[5], [6]], y_size=7)
         assert len(dependence_pairs(loop)) == 0
 
+    @pytest.mark.parametrize("max_keyed_n", [None, 0])
+    def test_matches_row_unique(self, monkeypatch, max_keyed_n):
+        # The int64-key dedup and its 2-D fallback (forced by a zero key
+        # limit) both reproduce np.unique over the rows, dtype included.
+        from repro.ir import analysis
+
+        if max_keyed_n is not None:
+            monkeypatch.setattr(analysis, "_MAX_KEYED_N", max_keyed_n)
+        for seed in range(5):
+            loop = random_irregular_loop(300, max_terms=6, seed=seed)
+            readers, writers, cats = classify_reads(loop)
+            mask = cats == CAT_TRUE
+            rows = np.stack([writers[mask], readers[mask]], axis=1)
+            pairs = dependence_pairs(loop)
+            assert pairs.dtype == np.int64
+            np.testing.assert_array_equal(pairs, np.unique(rows, axis=0))
+
 
 class TestDoall:
     def test_independent_loop(self):

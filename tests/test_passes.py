@@ -78,7 +78,8 @@ def loop():
 
 class TestBuildTimeContracts:
     def test_unmet_requires_raises_at_build(self):
-        # level-schedule needs the dependence DAG; alone it cannot build.
+        # level-schedule keys its memo by the fingerprint; alone it cannot
+        # build.
         with pytest.raises(PassContractError, match="requires artifact"):
             PassPipeline([LevelSchedulePass()])
 
@@ -95,7 +96,7 @@ class TestBuildTimeContracts:
         # Same passes as a valid pipeline, but the consumer precedes the
         # producer: ordering is part of the contract.
         with pytest.raises(PassContractError, match="requires artifact"):
-            PassPipeline([LevelSchedulePass(), DependenceDAGPass()])
+            PassPipeline([LevelSchedulePass(), LoopFingerprintPass()])
 
     def test_duplicate_provider_rejected(self):
         with pytest.raises(PassContractError, match="exactly one provider"):
@@ -190,7 +191,6 @@ class TestPlanContent:
         assert plan.passes == (
             "validate-options",
             "fingerprint",
-            "dependence-dag",
             "level-schedule",
             "doconsider",
             "fixed-backend",
@@ -203,6 +203,9 @@ class TestPlanContent:
         assert described["backend"] == "simulated"
         assert described["requested_backend"] == "simulated"
         assert described["n_levels"] == plan.levels.n_levels
+        assert described["levels_cached"] is False  # no cache to serve it
+        # The DAG is not materialized on the default path: nothing reads it.
+        assert "depgraph" not in plan.artifacts
 
     def test_doconsider_reorder_provides_wavefront_order(self, loop):
         plan = plan_loop(loop, PlanSpec(reorder="doconsider"))
@@ -247,7 +250,8 @@ class TestPlanContent:
 # ---------------------------------------------------------------------------
 
 #: A legal alternative order: every requires still follows its provider
-#: (fingerprint/DAG first, stripmine after backend, doconsider last).
+#: (fingerprint first, stripmine after backend, doconsider last), with the
+#: off-default DAG pass thrown in.
 def _reordered_passes():
     return [
         LoopFingerprintPass(),
