@@ -1,125 +1,20 @@
 """Command-line front door: ``python -m repro <command>``.
 
-Commands
---------
-``figure6 [N]``
-    Regenerate the paper's Figure 6 (default N=10000) with shape check.
-``table1 [--small]``
-    Regenerate the paper's Table 1 (``--small``: reduced grids).
-``ablations [--small]``
-    Run all ablation sweeps (A–G) and print their tables.
-``table2 [--small] [k]``
-    The amortization extension experiment (per-solve cost over k solves).
-``krylov [--small]``
-    The §3.2 Krylov motivation experiment.
-``verify [n] [seed]``
-    Cross-strategy verification of a random irregular loop (default
-    n=200, seed=0) — every applicable strategy vs. the sequential oracle.
-``codegen [kind]``
-    Print the transformed pseudo-Fortran source the "compiler" emits for a
-    sample loop; ``kind`` is ``irregular`` (default), ``affine``,
-    ``chain``, or ``independent``.
-``bench-vectorized [--small] [--json] [n]``
-    Measured wall clock: sequential vs. threaded vs. vectorized backends
-    plus the inspector-cache amortization curve (default n=100000;
-    ``--small``: smoke size for CI).
-``bench-threaded [--small] [--json] [n]``
-    Threaded-backend smoke benchmark: wall clock plus the telemetry-derived
-    busy-wait accounting, written to ``BENCH_threaded.json``.
-``bench-multiproc [--small] [--json] [nx]``
-    Cross-backend wall-clock race on a ≥50k-iteration sparse triangular
-    solve: threaded vs. vectorized vs. multiproc across worker counts and
-    chunk sizes, written to ``BENCH_multiproc.json`` (``--small``: smoke
-    grid for CI, correctness checks only).
-``bench-speculative [--small] [--json] [n]``
-    Conflict-density frontier sweep: race the speculative backend
-    against the threaded/vectorized inspector paths and the sequential
-    oracle while dialing the fraction of conflicting chunk boundaries
-    from 0 (DOALL) to 1 (dense chain), written to
-    ``BENCH_speculative.json`` (``--small``: smoke size for CI,
-    correctness and rollback-counter checks only).
-``bench-autotune [--small] [--json]``
-    Race ``backend="auto"`` (the telemetry-driven tuner) against every
-    fixed wall-clock backend on the chain / stencil / gather-scatter
-    families, written to ``BENCH_autotune.json``; fails if auto is
-    slower than the median fixed backend on any workload.
-``profile [--backend=NAME|auto] [--loop=SPEC] [--processors=P]
-        [--schedule=KIND] [--chunk=K] [--export=chrome|jsonl OUT]
-        [--gantt] [--json]``
-    Run one builtin workload with telemetry on and print its phase/metric
-    breakdown plus the schedule plan (pass list, resolved backend, tuner
-    decision under ``--backend=auto``); ``--export=chrome trace.json``
-    writes a ``chrome://tracing``-loadable trace-event file.
-``demo [--backend=simulated|threaded|vectorized]``
-    Two-minute tour: run a dependence-carrying Figure-4 loop, print the
-    result summary and (simulated backend) an executor-phase Gantt chart.
-``lint <target>... [--json] [--schedule=KIND] [--chunk=K]
-      [--processors=P] [--strip-block=B] [--backend=NAME]
-      [--rules=A,B] [--strict] [--baseline=FILE] [--write-baseline=FILE]``
-    Static analysis: run the paper-grounded lint rules (and, with
-    ``--backend``, the happens-before race checker) over loops from a
-    ``.py`` file, a directory of examples, or a builtin spec
-    (``figure4:n=200,l=8``, ``chain:n=100,d=1``, ``random:seed=3``).
-    ``--baseline`` suppresses previously recorded findings so a CI gate
-    fails only on new diagnostics; ``--write-baseline`` records them.
-``analyze <target>... [--json] [--cross-check]``
-    Symbolic dependence analysis: print each loop's proof-carrying
-    verdict (doall-proven / constant-distance / injective-write /
-    runtime-only); ``--cross-check`` validates every verdict against the
-    runtime inspector and exits 1 on any mismatch.  Targets are resolved
-    like ``lint`` targets.
-``bench-elision [--small] [--json] [n]``
-    Measured wall clock of the symbolic inspector elision: full runtime
-    inspector vs. ``analyze="symbolic"`` closed-form preprocessing on
-    proven-affine workloads, written to ``BENCH_elision.json``.
-``sanitize <target>... [--backend=NAME] [--processors=P] [--json]
-         [--strict] | --mutants [--min-kill=F]``
-    Dynamic execution sanitizer: run each loop under
-    ``validate="sanitize"`` (shadow-logged accesses replayed with vector
-    clocks against the loop's true dependences) and report witnessed
-    happens-before violations; targets are resolved like ``lint``
-    targets.  ``--mutants`` runs the schedule-mutation harness instead
-    and gates on the detector's kill rate (default floor 0.9).
-``bench-sanitize [--small] [--json] [nx]``
-    Sanitizer overhead benchmark: the ≥50k-row sparse triangular solve
-    with and without ``validate="sanitize"``, gated at 5× overhead,
-    written to ``BENCH_sanitize.json``.
-``bench-deptest [--small] [--json] [n]``
-    Dependence-distance elision benchmark: the battery-proven group
-    barriers vs. the per-element post/wait protocol on distance-k chain
-    and stencil workloads, gated at ≥30% fewer post/wait operations,
-    written to ``BENCH_deptest.json``.
-``bench-all [--quick] [--only=a,b] [--list] [--history=PATH]
-        [--no-history] [--out-dir=DIR]``
-    Run every registered benchmark through one orchestrator, write each
-    ``BENCH_*.json`` artifact with a provenance stamp (git SHA, ISO
-    date, machine fingerprint), and append normalized rows to the
-    append-only ``BENCH_history.jsonl`` (``--quick``: reduced CI sizes).
-``perf compare [--history=PATH] [--window=N] [--threshold=F]
-        [--min-effect=S] [--min-baseline=N] [--json] [--report]``
-    Statistical regression gate over the benchmark history: per
-    (benchmark, backend, n) key, the newest commit's median against a
-    MAD-outlier-rejected baseline window; exits 1 on regression
-    (``--report``: print but always exit 0 — the CI soft-fail mode).
-``doctor [SPEC] [--backend=NAME] [--processors=P] [--telemetry=FILE]
-        [--json]``
-    The telemetry-driven perf doctor: run a builtin loop observed (or
-    load a saved spans ``.jsonl`` / bench artifact) and print structured
-    findings — busy-wait share vs the §3 amortization argument, load
-    imbalance, narrow wavefronts, inspector-dominant runs, cold caches —
-    each with a machine-readable recommendation the auto-tuner can
-    consume as a prior.
-``version``
-    Print the package version.
+:data:`COMMANDS` is the one table of commands — name, entry point,
+argument synopsis, one-line summary; the usage text is generated from it
+and the option reference of each command is its entry point's module
+docstring.  An entry point reports a malformed argument by raising
+:class:`ValueError`; :func:`main` turns that into a one-line
+``repro <command>: <message>`` and exit status 2.
 """
 
 from __future__ import annotations
 
 import sys
+from importlib import import_module
+from typing import Callable, NamedTuple
 
 from repro._version import __version__
-
-USAGE = __doc__
 
 
 def _demo(args: list[str]) -> int:
@@ -130,14 +25,12 @@ def _demo(args: list[str]) -> int:
         if a.startswith("--backend="):
             backend = a.split("=", 1)[1]
         else:
-            print(f"unknown demo option {a!r}")
-            return 2
+            raise ValueError(f"unknown option {a!r}")
     if backend not in repro.BACKENDS:
-        print(
+        raise ValueError(
             f"unknown backend {backend!r}; "
             f"expected one of {', '.join(repro.BACKENDS)}"
         )
-        return 2
     if backend != "simulated":
         loop = repro.make_test_loop(n=600, m=2, l=8)
         result, plan = repro.parallelize(loop, backend=backend)
@@ -205,110 +98,126 @@ def _codegen(args: list[str]) -> int:
         loop = repro.random_irregular_loop(100, max_terms=0, seed=0)
         plan = plan_transform(loop, assert_independent=True)
     else:
-        print(f"unknown codegen kind {kind!r}")
-        return 2
+        raise ValueError(f"unknown kind {kind!r}")
     print(generate_source(loop, plan))
     return 0
+
+
+def _version(args: list[str]) -> int:
+    print(__version__)
+    return 0
+
+
+class Command(NamedTuple):
+    #: ``"package.module:function"``, imported on use, or a function of
+    #: this module.
+    entry: str | Callable[[list[str]], int]
+    synopsis: str
+    summary: str
+
+
+COMMANDS: dict[str, Command] = {
+    "figure6": Command(
+        "repro.bench.figure6:main", "[N] [--json PATH]",
+        "regenerate the paper's Figure 6 (default N=10000), shape-checked",
+    ),
+    "table1": Command(
+        "repro.bench.table1:main", "[--small] [--json PATH]",
+        "regenerate the paper's Table 1 (--small: reduced grids)",
+    ),
+    "ablations": Command(
+        "repro.bench.ablations:main", "[--small]",
+        "run the ablation sweeps A-H and print their tables",
+    ),
+    "table2": Command(
+        "repro.bench.amortized_table:main", "[--small] [k]",
+        "the amortization extension: per-solve cost over k solves",
+    ),
+    "krylov": Command(
+        "repro.bench.krylov_fraction:main", "[--small]",
+        "the section-3.2 Krylov motivation experiment",
+    ),
+    "verify": Command(
+        _verify, "[n] [seed]",
+        "every applicable strategy vs. the sequential oracle on a random "
+        "irregular loop (default n=200, seed=0)",
+    ),
+    "codegen": Command(
+        _codegen, "[irregular|affine|chain|independent]",
+        "print the transformed pseudo-Fortran source for a sample loop",
+    ),
+    "demo": Command(
+        _demo, "[--backend=NAME]",
+        "two-minute tour: a dependence-carrying Figure-4 loop and "
+        "(simulated backend) an executor-phase Gantt chart",
+    ),
+    "profile": Command(
+        "repro.obs.cli:main",
+        "[--backend=NAME|auto] [--loop=SPEC] [--processors=P] "
+        "[--schedule=KIND] [--chunk=K] [--export=chrome|jsonl OUT] "
+        "[--gantt] [--json]",
+        "run one builtin workload with telemetry on: phase/metric "
+        "breakdown, schedule plan, trace export",
+    ),
+    "lint": Command(
+        "repro.lint.cli:main",
+        "<target>... [--json] [--schedule=KIND] [--chunk=K] "
+        "[--processors=P] [--strip-block=B] [--backend=NAME] [--rules=A,B] "
+        "[--strict] [--baseline=FILE] [--write-baseline=FILE]",
+        "static analysis: the paper-grounded lint rules and, with "
+        "--backend, the happens-before race checker",
+    ),
+    "analyze": Command(
+        "repro.analysis.cli:main", "<target>... [--json] [--cross-check]",
+        "symbolic dependence analysis: each loop's proof-carrying verdict",
+    ),
+    "sanitize": Command(
+        "repro.sanitize.cli:main",
+        "<target>... [--backend=NAME] [--processors=P] [--json] [--strict] "
+        "| --mutants [--min-kill=F]",
+        "dynamic execution sanitizer: vector-clock replay of a run, or "
+        "the schedule-mutation kill-rate gate",
+    ),
+    "doctor": Command(
+        "repro.perf.cli:doctor_main",
+        "[SPEC] [--backend=NAME] [--processors=P] [--telemetry=FILE] "
+        "[--json]",
+        "the telemetry-driven perf doctor: structured findings, each with "
+        "a machine-readable recommendation",
+    ),
+    "version": Command(_version, "", "print the package version"),
+}
+
+
+def usage() -> str:
+    """The command list, generated from :data:`COMMANDS`."""
+    lines = ["usage: python -m repro <command> [arguments]", "", "Commands"]
+    for name, command in COMMANDS.items():
+        lines.append(f"  {name} {command.synopsis}".rstrip())
+        lines.append(f"      {command.summary}")
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if not args or args[0] in ("-h", "--help", "help"):
-        print(USAGE)
+        print(usage())
         return 0
-    command, rest = args[0], args[1:]
-    if command == "version":
-        print(__version__)
-        return 0
-    if command == "figure6":
-        from repro.bench.figure6 import main as figure6_main
-
-        return figure6_main(rest)
-    if command == "table1":
-        from repro.bench.table1 import main as table1_main
-
-        return table1_main(rest)
-    if command == "ablations":
-        from repro.bench.ablations import main as ablations_main
-
-        return ablations_main(rest)
-    if command == "table2":
-        from repro.bench.amortized_table import main as table2_main
-
-        return table2_main(rest)
-    if command == "krylov":
-        from repro.bench.krylov_fraction import main as krylov_main
-
-        return krylov_main(rest)
-    if command == "bench-vectorized":
-        from repro.bench.bench_vectorized import main as bench_vec_main
-
-        return bench_vec_main(rest)
-    if command == "bench-threaded":
-        from repro.bench.bench_threaded import main as bench_thr_main
-
-        return bench_thr_main(rest)
-    if command == "bench-multiproc":
-        from repro.bench.bench_multiproc import main as bench_mp_main
-
-        return bench_mp_main(rest)
-    if command == "profile":
-        from repro.obs.cli import main as profile_main
-
-        return profile_main(rest)
-    if command == "lint":
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(rest)
-    if command == "analyze":
-        from repro.analysis.cli import main as analyze_main
-
-        return analyze_main(rest)
-    if command == "bench-elision":
-        from repro.bench.bench_elision import main as bench_eli_main
-
-        return bench_eli_main(rest)
-    if command == "sanitize":
-        from repro.sanitize.cli import main as sanitize_main
-
-        return sanitize_main(rest)
-    if command == "bench-sanitize":
-        from repro.bench.bench_sanitize import main as bench_san_main
-
-        return bench_san_main(rest)
-    if command == "bench-deptest":
-        from repro.bench.bench_deptest import main as bench_dt_main
-
-        return bench_dt_main(rest)
-    if command == "bench-autotune":
-        from repro.bench.bench_autotune import main as bench_at_main
-
-        return bench_at_main(rest)
-    if command == "bench-speculative":
-        from repro.bench.bench_speculative import main as bench_spec_main
-
-        return bench_spec_main(rest)
-    if command == "bench-all":
-        from repro.perf.cli import bench_all_main
-
-        return bench_all_main(rest)
-    if command == "perf":
-        from repro.perf.cli import main as perf_main
-
-        return perf_main(rest)
-    if command == "doctor":
-        from repro.perf.cli import doctor_main
-
-        return doctor_main(rest)
-    if command == "verify":
-        return _verify(rest)
-    if command == "codegen":
-        return _codegen(rest)
-    if command == "demo":
-        return _demo(rest)
-    print(f"unknown command {command!r}\n")
-    print(USAGE)
-    return 2
+    name, rest = args[0], args[1:]
+    command = COMMANDS.get(name)
+    if command is None:
+        print(f"unknown command {name!r}\n")
+        print(usage())
+        return 2
+    entry = command.entry
+    if isinstance(entry, str):
+        module, _, function = entry.partition(":")
+        entry = getattr(import_module(module), function)
+    try:
+        return entry(rest)
+    except ValueError as exc:
+        print(f"repro {name}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -287,7 +287,7 @@ class InspectorCache:
     hits, misses:
         Record lookup counters — the measurable form of the paper's
         Figure-3 amortization claim (asserted in tests and reported by
-        ``repro.bench.bench_vectorized``).
+        ``benchmarks/e2e`` as ``cache.hits`` / ``cache.misses``).
     levels_hits, levels_misses:
         The same for :meth:`levels_for`, the planner's lookups.
     evictions:

@@ -802,6 +802,8 @@ class MultiprocRunner(Runner):
         timeline; use ``observe=True`` for wall-clock spans).  Both are
         recorded in ``result.extras["ignored_options"]`` when passed.
         """
+        if chunk is not None and chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
             validate_execution_order(loop, order)

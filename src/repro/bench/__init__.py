@@ -14,13 +14,6 @@ that regenerates it (DESIGN.md §5):
   repeated solves (``python -m repro.bench.amortized_table``).
 - :mod:`repro.bench.krylov_fraction` — the §3.2 Krylov motivation
   (``python -m repro.bench.krylov_fraction``).
-- :mod:`repro.bench.bench_vectorized` — measured wall clock: sequential
-  vs. threaded vs. vectorized backends plus the inspector-cache
-  amortization curve (``python -m repro.bench.bench_vectorized``).
-- :mod:`repro.bench.bench_multiproc` — the cross-backend wall-clock race
-  on a ≥50k-iteration sparse triangular solve: threaded vs. vectorized
-  vs. multiproc over worker counts and chunk sizes
-  (``python -m repro.bench.bench_multiproc``).
 - :mod:`repro.bench.model` — closed-form performance model validated
   against the simulator.
 
@@ -30,14 +23,6 @@ use.
 """
 
 from repro.bench.amortized_table import AmortizedTableResult, run_amortized_table
-from repro.bench.bench_multiproc import (
-    MultiprocBenchResult,
-    run_bench_multiproc,
-)
-from repro.bench.bench_vectorized import (
-    VectorizedBenchResult,
-    run_bench_vectorized,
-)
 from repro.bench.figure6 import Figure6Result, run_figure6
 from repro.bench.harness import ExperimentRow, check_monotone_nondecreasing
 from repro.bench.krylov_fraction import KrylovFractionResult, run_krylov_fraction
@@ -57,10 +42,6 @@ __all__ = [
     "AmortizedTableResult",
     "run_krylov_fraction",
     "KrylovFractionResult",
-    "run_bench_vectorized",
-    "VectorizedBenchResult",
-    "run_bench_multiproc",
-    "MultiprocBenchResult",
     "predict_figure4",
     "predict_chain_loop",
     "predict_dependence_free",

@@ -133,9 +133,8 @@ class CalibrationError(ReproError):
 
 
 class TelemetryError(ReproError):
-    """A telemetry blob or benchmark artifact violates the serialized
-    schema (:func:`repro.obs.telemetry.validate_telemetry`,
-    :func:`repro.bench.schema.validate_bench_payload`)."""
+    """A telemetry blob violates the serialized schema
+    (:func:`repro.obs.telemetry.validate_telemetry`)."""
 
 
 class WaitTimeout(ReproError):

@@ -295,7 +295,7 @@ class PlanSpec:
         return out
 
     def as_dict(self) -> dict:
-        """JSON-safe flat form (attached to results and bench artifacts)."""
+        """JSON-safe flat form (attached to results)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 

@@ -1,60 +1,24 @@
-"""The perf observatory: benchmark history, regression gate, doctor.
+"""The perf doctor: structured findings from one run's telemetry.
 
-Three instruments over the same raw material (bench artifacts and
-telemetry blobs):
-
-- :mod:`repro.perf.history` — ``python -m repro bench-all`` runs every
-  registered benchmark through one entry point and appends normalized,
-  provenance-stamped rows (git SHA, ISO date, machine fingerprint) to
-  the append-only ``BENCH_history.jsonl``.
-- :mod:`repro.perf.compare` — ``python -m repro perf compare`` judges
-  the newest measurements against a robust baseline window per
-  (benchmark, backend, n) key: median-of-k candidate, MAD outlier
-  rejection, relative threshold plus a minimum-effect floor.
-- :mod:`repro.perf.doctor` — ``python -m repro doctor`` (and
-  ``PlanSpec(diagnose=True)``) reads one run's telemetry and emits
-  structured :class:`~repro.perf.findings.Finding`\\ s tied to the
-  paper's accounting argument, each with a machine-readable
-  recommendation the auto-tuner consumes as a prior.
+:mod:`repro.perf.doctor` — ``python -m repro doctor`` (and
+``PlanSpec(diagnose=True)``) reads one run's telemetry and emits
+structured :class:`~repro.perf.findings.Finding`\\ s tied to the paper's
+accounting argument, each with a machine-readable recommendation the
+auto-tuner consumes as a prior.  Wall-clock measurement lives outside the
+package, in ``benchmarks/e2e`` (``python3 benchmarks/e2e/run.py``).
 """
 
-from repro.perf.compare import (
-    Comparison,
-    compare_history,
-    format_comparisons,
-    group_history,
-    reject_outliers,
-)
 from repro.perf.doctor import diagnose, diagnose_result
 from repro.perf.findings import (
     FINDING_KINDS,
     SEVERITIES,
     Finding,
 )
-from repro.perf.history import (
-    HISTORY_PATH,
-    append_history,
-    history_rows,
-    load_history,
-    machine_fingerprint,
-    run_metadata,
-)
 
 __all__ = [
-    "Comparison",
-    "compare_history",
-    "format_comparisons",
-    "group_history",
-    "reject_outliers",
     "diagnose",
     "diagnose_result",
     "Finding",
     "FINDING_KINDS",
     "SEVERITIES",
-    "HISTORY_PATH",
-    "append_history",
-    "history_rows",
-    "load_history",
-    "machine_fingerprint",
-    "run_metadata",
 ]

@@ -1,27 +1,12 @@
-"""CLI front doors for the perf observatory.
-
-Three commands, dispatched from ``python -m repro``:
-
-``bench-all [--quick] [--only=a,b] [--list] [--history=PATH]
-        [--no-history] [--out-dir=DIR]``
-    Run every registered benchmark (:data:`repro.bench.registry.REGISTRY`)
-    through one loop, collect their freshly written ``BENCH_*.json``
-    artifacts, and append normalized provenance-stamped rows to the
-    append-only ``BENCH_history.jsonl``.  ``--quick`` runs each bench's
-    reduced CI size; one failing bench does not stop the others.
-
-``perf compare [--history=PATH] [--window=N] [--threshold=F]
-        [--min-effect=S] [--min-baseline=N] [--json] [--report]``
-    The statistical regression gate over the history
-    (:mod:`repro.perf.compare`).  Exits 1 when any key regressed;
-    ``--report`` always exits 0 (the CI soft-fail mode).
+"""CLI front door for the perf doctor.
 
 ``doctor [SPEC] [--backend=NAME] [--processors=P] [--telemetry=FILE]
         [--json]``
     Run one builtin loop observed (or load saved telemetry: a spans
-    ``.jsonl`` export or a ``BENCH_*.json`` artifact with a telemetry
-    blob) and print the perf doctor's findings
-    (:mod:`repro.perf.doctor`).
+    ``.jsonl`` export, a telemetry JSON blob, or ``profile --json`` output
+    carrying one under ``"telemetry"``) and print the perf doctor's findings
+    (:mod:`repro.perf.doctor`).  A malformed argument raises
+    :class:`ValueError`, which ``python -m repro`` prints as one line.
 """
 
 from __future__ import annotations
@@ -30,192 +15,14 @@ import json
 import sys
 from pathlib import Path
 
-__all__ = ["bench_all_main", "doctor_main", "main"]
+__all__ = ["doctor_main"]
 
 _DOCTOR_LOOP = "figure4:n=2000,m=2,l=8"
 
 
-# ----------------------------------------------------------------------
-# bench-all
-# ----------------------------------------------------------------------
-def bench_all_main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    from repro.bench.registry import REGISTRY, bench_by_name
-    from repro.perf.history import (
-        HISTORY_PATH,
-        append_history,
-        history_rows,
-        run_metadata,
-    )
-
-    quick = "--quick" in args
-    list_only = "--list" in args
-    no_history = "--no-history" in args
-    history_path = HISTORY_PATH
-    out_dir = Path(".")
-    only: list[str] | None = None
-    for a in args:
-        if a.startswith("--history="):
-            history_path = a.split("=", 1)[1]
-        elif a.startswith("--out-dir="):
-            out_dir = Path(a.split("=", 1)[1])
-        elif a.startswith("--only="):
-            only = [s for s in a.split("=", 1)[1].split(",") if s]
-        elif a not in ("--quick", "--list", "--no-history"):
-            print(f"unknown bench-all option {a!r}")
-            return 2
-
-    try:
-        specs = (
-            tuple(bench_by_name(name) for name in only)
-            if only is not None
-            else REGISTRY
-        )
-    except KeyError as exc:
-        print(exc.args[0])
-        return 2
-
-    if list_only:
-        from repro.bench.reporting import format_table
-
-        print(
-            format_table(
-                ["benchmark", "artifact", "description"],
-                [(s.name, s.artifact, s.description) for s in specs],
-                title="registered benchmarks",
-            )
-        )
-        return 0
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # One provenance stamp for the whole sweep: every bench in this
-    # invocation shares the SHA/date/machine of one history generation.
-    meta = run_metadata()
-    rows: list[dict] = []
-    failures: list[str] = []
-    for spec in specs:
-        artifact = out_dir / spec.artifact
-        bench_argv = list(spec.quick_args) if quick else []
-        bench_argv.append(f"--out={artifact}")
-        print(f"== {spec.name} {'(quick) ' if quick else ''}==")
-        try:
-            rc = spec.main(bench_argv)
-        except Exception as exc:  # one broken bench must not stop the sweep
-            print(f"{spec.name} raised {type(exc).__name__}: {exc}")
-            rc = 1
-        if rc != 0:
-            failures.append(spec.name)
-            continue
-        payload = json.loads(artifact.read_text(encoding="utf-8"))
-        rows.extend(history_rows(payload, meta))
-        print()
-
-    if rows and not no_history:
-        written = append_history(rows, history_path)
-        print(
-            f"appended {len(rows)} history row(s) to {written} "
-            f"(sha={meta['git_sha'][:12]})"
-        )
-    if failures:
-        print(f"FAILED: {', '.join(failures)}")
-        return 1
-    return 0
-
-
-# ----------------------------------------------------------------------
-# perf compare
-# ----------------------------------------------------------------------
-def _compare_main(args: list[str]) -> int:
-    from repro.perf.compare import (
-        DEFAULT_MIN_BASELINE,
-        DEFAULT_MIN_EFFECT,
-        DEFAULT_THRESHOLD,
-        DEFAULT_WINDOW,
-        compare_history,
-        format_comparisons,
-    )
-    from repro.perf.history import HISTORY_PATH, load_history
-
-    history_path = HISTORY_PATH
-    window = DEFAULT_WINDOW
-    threshold = DEFAULT_THRESHOLD
-    min_effect = DEFAULT_MIN_EFFECT
-    min_baseline = DEFAULT_MIN_BASELINE
-    as_json = "--json" in args
-    report = "--report" in args
-    for a in args:
-        if a.startswith("--history="):
-            history_path = a.split("=", 1)[1]
-        elif a.startswith("--window="):
-            window = int(a.split("=", 1)[1])
-        elif a.startswith("--threshold="):
-            threshold = float(a.split("=", 1)[1])
-        elif a.startswith("--min-effect="):
-            min_effect = float(a.split("=", 1)[1])
-        elif a.startswith("--min-baseline="):
-            min_baseline = int(a.split("=", 1)[1])
-        elif a not in ("--json", "--report"):
-            print(f"unknown perf compare option {a!r}")
-            return 2
-
-    if not Path(history_path).exists():
-        print(f"no history at {history_path}; nothing to compare")
-        return 0
-    try:
-        rows = load_history(history_path)
-    except ValueError as exc:
-        print(exc)
-        return 2
-    comparisons = compare_history(
-        rows,
-        window=window,
-        threshold=threshold,
-        min_effect_seconds=min_effect,
-        min_baseline=min_baseline,
-    )
-    regressed = [c for c in comparisons if c.regressed]
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "comparisons": [c.as_dict() for c in comparisons],
-                    "regressed": len(regressed),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(format_comparisons(comparisons))
-        print(
-            f"\n{len(regressed)} regressed, "
-            f"{sum(1 for c in comparisons if not c.regressed and not c.skipped)}"
-            f" ok, {sum(1 for c in comparisons if c.skipped)} skipped"
-        )
-    if regressed and not report:
-        return 1
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro perf <subcommand>`` dispatcher."""
-    args = sys.argv[1:] if argv is None else argv
-    if not args or args[0] in ("-h", "--help", "help"):
-        print(__doc__)
-        return 0
-    sub, rest = args[0], args[1:]
-    if sub == "compare":
-        return _compare_main(rest)
-    print(f"unknown perf subcommand {sub!r} (expected: compare)")
-    return 2
-
-
-# ----------------------------------------------------------------------
-# doctor
-# ----------------------------------------------------------------------
 def _load_telemetry(path: str):
     """Saved telemetry: a spans ``.jsonl`` export, a bare telemetry JSON
-    blob, or a ``BENCH_*.json`` artifact carrying one under
+    blob, or ``profile --json`` output carrying one under
     ``"telemetry"``."""
     from repro.obs.export import read_spans_jsonl
     from repro.obs.telemetry import telemetry_from_dict
@@ -245,8 +52,7 @@ def doctor_main(argv: list[str] | None = None) -> int:
         elif a == "--json":
             pass
         elif a.startswith("--"):
-            print(f"unknown doctor option {a!r}")
-            return 2
+            raise ValueError(f"unknown option {a!r}")
         else:
             spec_arg = a
 
@@ -261,17 +67,17 @@ def doctor_main(argv: list[str] | None = None) -> int:
         findings = [f.as_dict() for f in diagnose(telemetry)]
         subject = f"{telemetry_path} ({telemetry.backend})"
     else:
+        from repro.errors import ScheduleError
         from repro.lint.cli import builtin_loops
         from repro.passes import PlanSpec, execute_plan, plan_loop
 
+        loop = next(iter(builtin_loops(spec_arg).values()))
         try:
-            loop = next(iter(builtin_loops(spec_arg).values()))
             spec = PlanSpec(
                 backend=backend, processors=processors, diagnose=True
             )
-        except ValueError as exc:
-            print(exc)
-            return 2
+        except ScheduleError as exc:  # a bad --backend / --processors value
+            raise ValueError(exc) from None
         plan = plan_loop(loop, spec)
         result = execute_plan(loop, plan)
         findings = result.extras["doctor"]
@@ -289,7 +95,3 @@ def doctor_main(argv: list[str] | None = None) -> int:
         print(f"[{f['severity']}] {f['kind']}: {f['summary']}")
         print(f"    recommend: {rec}")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,8 +1,6 @@
-"""The ``python -m repro analyze`` command and the elision benchmark."""
+"""The ``python -m repro analyze`` command."""
 
 import json
-
-import numpy as np
 
 from repro.__main__ import main as repro_main
 
@@ -57,27 +55,3 @@ def test_analyze_usage_errors(capsys):
     code = repro_main(["analyze", "--bogus", "chain"])
     assert code == 2
 
-
-def test_bench_elision_smoke(tmp_path):
-    from repro.bench.bench_elision import run_bench_elision, write_bench_json
-    from repro.bench.schema import validate_bench_payload
-
-    result = run_bench_elision(n=400, repeats=1)
-    result.check()
-    assert {c.workload for c in result.cases} == {
-        "chain-d3",
-        "figure4-dep",
-        "figure4-indep",
-    }
-    for case in result.cases:
-        assert case.outputs_equal
-        assert case.inspector_iterations_elided == 0
-        assert np.isfinite(case.inspect_pre_seconds)
-
-    out = tmp_path / "BENCH_elision.json"
-    write_bench_json(result, out)
-    payload = json.loads(out.read_text())
-    validate_bench_payload(payload)  # raises TelemetryError on violation
-    assert len(payload["records"]) == 6
-    backends = {r["backend"] for r in payload["records"]}
-    assert backends == {"vectorized-inspector", "vectorized-symbolic"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import COMMANDS, main
 from repro._version import __version__
 
 
@@ -22,6 +22,38 @@ class TestCli:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "unknown command" in capsys.readouterr().out
+
+    def test_usage_is_generated_from_the_command_table(self, capsys):
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        assert len(COMMANDS) == 14
+        for name, command in COMMANDS.items():
+            assert f"  {name}" in out
+            assert command.summary in out
+
+    @pytest.mark.parametrize("name", ["bench-vectorized", "perf"])
+    def test_removed_commands_are_unknown(self, capsys, name):
+        assert main([name]) == 2
+        assert "unknown command" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["doctor", "--processors=x"],
+            ["doctor", "--backend=cuda"],
+            ["doctor", "bogus:n=3"],
+            ["doctor", "--frob"],
+            ["verify", "abc"],
+            ["figure6", "--bogus"],
+            ["demo", "--backend=cuda"],
+        ],
+    )
+    def test_malformed_argument_exits_2_with_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro {argv[0]}: ")
 
     def test_verify_command(self, capsys):
         assert main(["verify", "60", "3"]) == 0

@@ -94,6 +94,18 @@ class TestExperimentCommandsRun:
                         "codegen", "table2", "krylov"):
             assert command in out.stdout
 
+    def test_docs_name_only_commands_in_the_table(self):
+        """Every ``python -m repro <command>`` a doc names (alternatives
+        written ``a|b|c`` included) is a row of the one command table."""
+        from repro.__main__ import COMMANDS
+
+        for doc in ("README.md", "EXPERIMENTS.md", "DESIGN.md",
+                    "docs/paper_mapping.md"):
+            text = " ".join(read(doc).split())  # commands wrap across lines
+            for names in re.findall(r"python -m repro ([a-z0-9|-]+)", text):
+                for name in names.split("|"):
+                    assert name in COMMANDS, f"{doc} names {name!r}"
+
 
 class TestExperimentsDocNumbers:
     def test_paper_table1_numbers_match_source(self):

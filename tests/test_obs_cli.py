@@ -1,13 +1,9 @@
-"""The ``profile`` command, the threaded smoke bench, and the benchmark
-artifact schema gate."""
+"""The ``profile`` command."""
 
 import json
 
 import pytest
 
-from repro.bench.bench_threaded import run_bench_threaded, write_bench_json
-from repro.bench.schema import main as schema_main, validate_bench_payload
-from repro.errors import TelemetryError
 from repro.obs.cli import main as profile_main
 
 
@@ -104,69 +100,3 @@ class TestProfileCommand:
         assert profile_main(argv) == 2
         assert capsys.readouterr().out
 
-
-class TestBenchThreaded:
-    @pytest.fixture(scope="class")
-    def bench(self):
-        return run_bench_threaded(n=300)
-
-    def test_shape_check_passes(self, bench):
-        bench.check()
-        assert bench.flag_sets == 300
-        assert 0.0 <= bench.wait_fraction < 1.0
-
-    def test_artifact_validates(self, bench, tmp_path):
-        path = write_bench_json(bench, tmp_path / "BENCH_threaded.json")
-        payload = json.loads(path.read_text())
-        validate_bench_payload(payload)
-        assert payload["benchmark"] == "bench-threaded"
-        assert payload["records"][0]["backend"] == "threaded"
-        assert payload["telemetry"]["clock"] == "wall_seconds"
-
-
-class TestBenchSchema:
-    def payload(self):
-        return {
-            "benchmark": "bench-x",
-            "records": [{"backend": "threaded", "wall_seconds": 0.5}],
-            "detail": {},
-        }
-
-    def test_accepts_minimal(self):
-        validate_bench_payload(self.payload())
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda p: p.update(benchmark=""),
-            lambda p: p.update(records=[]),
-            lambda p: p.update(records=[{"backend": "x"}]),
-            lambda p: p.update(
-                records=[{"backend": "x", "wall_seconds": -1.0}]
-            ),
-            lambda p: p.update(
-                records=[{"backend": "x", "wall_seconds": True}]
-            ),
-            lambda p: p.pop("detail"),
-            lambda p: p.update(telemetry={"schema_version": 0}),
-        ],
-    )
-    def test_rejects(self, mutate):
-        payload = self.payload()
-        mutate(payload)
-        with pytest.raises(TelemetryError):
-            validate_bench_payload(payload)
-
-    def test_cli_gate(self, tmp_path, capsys):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(self.payload()))
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        missing = tmp_path / "missing.json"
-
-        assert schema_main([str(good)]) == 0
-        assert schema_main([str(good), str(bad)]) == 1
-        assert schema_main([str(missing)]) == 1
-        assert schema_main([]) == 2
-        out = capsys.readouterr().out
-        assert "ok" in out and "INVALID" in out and "MISSING" in out

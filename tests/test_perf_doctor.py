@@ -277,24 +277,19 @@ class TestDoctorCli:
     def test_saved_artifact_diagnosed(self, tmp_path, capsys):
         import json
 
-        from repro.bench.registry import write_artifact
         from repro.perf.cli import doctor_main
 
         loop = chain_loop(200, 1)
         result = make_runner(
             spec=PlanSpec(backend="threaded", processors=8, observe=True)
         ).run(loop)
-        artifact = write_artifact(
-            {
-                "benchmark": "bench-x",
-                "records": [{"backend": "threaded", "wall_seconds": 0.01}],
-                "detail": {},
-                "telemetry": result.telemetry.as_dict(),
-            },
-            tmp_path / "BENCH_x.json",
-        )
-        assert doctor_main([f"--telemetry={artifact}"]) == 0
-        assert "wait_bound" in capsys.readouterr().out
+        blob = result.telemetry.as_dict()
+        # Bare, and nested the way ``profile --json`` prints it.
+        for payload in (blob, {"telemetry": blob}):
+            artifact = tmp_path / "telemetry.json"
+            artifact.write_text(json.dumps(payload), encoding="utf-8")
+            assert doctor_main([f"--telemetry={artifact}"]) == 0
+            assert "wait_bound" in capsys.readouterr().out
 
     def test_saved_spans_jsonl_diagnosed(self, tmp_path, capsys):
         from repro.obs import write_spans_jsonl

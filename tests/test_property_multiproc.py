@@ -68,6 +68,16 @@ def test_any_chunk_size_matches_oracle(pool, n, seed, chunk):
         assert result.extras["chunk"] == chunk
 
 
+def test_nonpositive_chunk_rejected_before_any_broadcast(pool):
+    """``chunk=0`` is a caller error, refused before the session is
+    touched: the same pool serves the next run."""
+    loop = chain_loop(40, 1)
+    with pytest.raises(ValueError, match="chunk must be >= 1, got 0"):
+        pool.run(loop, chunk=0)
+    result = pool.run(loop, chunk=4)
+    assert np.array_equal(result.y, loop.run_sequential())
+
+
 @given(n=st.integers(0, 50), seed=st.integers(0, 2000))
 @settings(max_examples=20, deadline=None)
 def test_doconsider_order_matches_oracle(pool, n, seed):

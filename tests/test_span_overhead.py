@@ -28,8 +28,10 @@ import numpy as np
 import pytest
 
 from repro.backends import InspectorCache, make_runner
-from repro.bench.bench_multiproc import _build_loop
 from repro.passes import PlanSpec
+from repro.sparse.ilu import ilu0
+from repro.sparse.stencils import five_point
+from repro.sparse.trisolve import lower_solve_loop
 
 #: The tested invariant: observed wall / bare wall - 1, per backend.
 OVERHEAD_BUDGET = 0.10
@@ -43,7 +45,10 @@ ATTEMPTS = 3
 
 @pytest.fixture(scope="module")
 def trisolve():
-    loop, _nnz = _build_loop(224, 224)  # the >=50k-row triangular solve
+    A = five_point(224, 224)  # the >=50k-row triangular solve
+    L, _upper = ilu0(A)
+    rhs = np.arange(1.0, A.n_rows + 1) / A.n_rows
+    loop = lower_solve_loop(L, rhs, name="trisolve-224x224")
     assert loop.n >= 50_000
     return loop
 
@@ -82,26 +87,3 @@ def test_observe_overhead_within_budget(trisolve, backend):
         f"crept back into the hot loop"
     )
 
-
-def test_bench_threaded_reports_the_budget_columns():
-    from repro.bench.bench_threaded import run_bench_threaded
-
-    result = run_bench_threaded(n=800)
-    assert result.bare_wall_seconds > 0
-    assert result.observe_overhead == pytest.approx(
-        result.wall_seconds / result.bare_wall_seconds - 1.0
-    )
-    d = result.as_dict()
-    assert {"bare_wall_seconds", "observe_overhead"} <= set(d)
-
-
-def test_bench_vectorized_reports_the_budget_columns():
-    from repro.bench.bench_vectorized import run_bench_vectorized
-
-    result = run_bench_vectorized(n=5_000, repeats=2)
-    assert result.vectorized_observed_seconds > 0
-    assert result.observe_overhead == pytest.approx(
-        result.vectorized_observed_seconds / result.vectorized_warm_seconds
-        - 1.0
-    )
-    assert "observe_overhead" in result.as_dict()

@@ -119,3 +119,18 @@ class TestParanoidDetectorLiveness:
         stats = result.extras["speculation"]
         assert not stats["sequential_fallback"]
         assert stats["rounds"] == 1
+        assert stats["chunks_rolled_back"] == 0
+
+        # The other end of the dial, same detector: half the boundaries
+        # conflicting rolls chunks back but finishes inside the budget;
+        # a dense chunk chain commits one chunk per round, so 16 chunks
+        # drain the 8-round budget into the fallback on their own.
+        half = SpeculativeRunner(workers=2, chunk=16).run(
+            conflict_frontier_loop(128, 16, 0.5)
+        )
+        assert half.extras["speculation"]["chunks_rolled_back"] >= 1
+        assert not half.extras["speculation"]["sequential_fallback"]
+        for dense in (conflict_frontier_loop(128, 8, 1.0), chain_loop(128, 1)):
+            result = SpeculativeRunner(workers=2, chunk=8).run(dense)
+            assert np.array_equal(result.y, dense.run_sequential())
+            assert result.extras["speculation"]["sequential_fallback"]

@@ -62,27 +62,34 @@ def test_record_mismatches_reports_differing_fields():
 # Vectorized backend: elision end to end
 # ----------------------------------------------------------------------
 def test_vectorized_symbolic_elides_inspector():
-    loop = repro.make_test_loop(200, 2, 8)
-    plain = make_runner(
-        spec=PlanSpec(backend="vectorized", observe=True),
-        cache=InspectorCache(),
-    )
-    elided = make_runner(
-        spec=PlanSpec(backend="vectorized", observe=True, analyze="symbolic"),
-        cache=InspectorCache(),
-    )
-    full = plain.run(loop)
-    fast = elided.run(loop)
-    assert np.array_equal(full.y, fast.y)
-    assert np.array_equal(fast.y, loop.run_sequential())
+    # Mixed distances, a constant-distance chain, and the odd-L DOALL.
+    for loop, verdict in (
+        (repro.make_test_loop(200, 2, 8), "injective-write"),
+        (repro.chain_loop(200, 3), "constant-distance"),
+        (repro.make_test_loop(200, 2, 7), "doall-proven"),
+    ):
+        plain = make_runner(
+            spec=PlanSpec(backend="vectorized", observe=True),
+            cache=InspectorCache(),
+        )
+        elided = make_runner(
+            spec=PlanSpec(
+                backend="vectorized", observe=True, analyze="symbolic"
+            ),
+            cache=InspectorCache(),
+        )
+        full = plain.run(loop)
+        fast = elided.run(loop)
+        assert np.array_equal(full.y, fast.y)
+        assert np.array_equal(fast.y, loop.run_sequential())
 
-    # The full path inspected every iteration; the elided path none.
-    assert counters(full)["inspector_iterations"] == loop.n
-    assert counters(fast)["inspector_iterations"] == 0
-    assert counters(fast)["inspector_elisions"] == 1
-    assert fast.extras["inspector_elided"] is True
-    assert fast.extras["analyze"] == "symbolic"
-    assert fast.extras["verdict"] == "injective-write"
+        # The full path inspected every iteration; the elided path none.
+        assert counters(full)["inspector_iterations"] == loop.n
+        assert counters(fast)["inspector_iterations"] == 0
+        assert counters(fast)["inspector_elisions"] == 1
+        assert fast.extras["inspector_elided"] is True
+        assert fast.extras["analyze"] == "symbolic"
+        assert fast.extras["verdict"] == verdict
 
 
 def test_vectorized_symbolic_check_debug_mode():
