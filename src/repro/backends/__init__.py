@@ -27,13 +27,18 @@ benchmarks select them interchangeably (``PlanSpec(backend=...)``).
   conflicts are detected from per-chunk access logs after the fact, and
   losers are rolled back and re-executed (bounded retry budget, then
   sequential fallback).
+- :mod:`repro.backends.kernel` — the Figure-5 term rule, once: lane
+  placement, vectorized term classification and the scalar evaluator the
+  threaded, multiproc and speculative backends are scheduling and
+  synchronisation around (and whose codes the static race checker reads).
 - :mod:`repro.backends.cache` — the inspector cache (Figure-3 amortization
   with hit/miss counters).
 - :mod:`repro.backends.hooks` — the optional steps around a run
   (static validation, sanitizing, telemetry) as one ordered hook list
   behind a single :class:`HookedRunner` wrapper.
-- :mod:`repro.backends.base` — the :class:`Runner` protocol and shared
-  helpers (order validation).
+- :mod:`repro.backends.base` — the :class:`Runner` protocol (``run``,
+  plus ``schedule_model``: the schedule a run is about to execute, for
+  ``validate="static"``) and shared helpers (order validation).
 """
 
 from repro.backends.base import Runner, validate_execution_order

@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.sanitize.shadow import ShadowCapture
 
 __all__ = [
+    "NON_NATURAL_GROUP",
     "Runner",
     "validate_execution_order",
     "inverse_permutation",
@@ -92,6 +93,23 @@ class Runner(abc.ABC):
     ) -> RunResult:
         """Execute ``loop`` and return its :class:`RunResult`."""
         raise NotImplementedError
+
+    def schedule_model(self, loop: IrregularLoop, **options) -> dict:
+        """Keyword arguments for
+        :func:`~repro.lint.hb.check_backend_schedule` describing the
+        schedule ``run(loop, **options)`` is about to execute — resolved
+        by the backend's own rules (default chunk, group alignment), so
+        ``validate="static"`` checks what runs.  Default: the wavefront
+        level model, the weakest order every wavefront-respecting backend
+        refines."""
+        return {"backend": "vectorized"}
+
+
+#: Why ``group_sync`` is refused under a doconsider ``order``.
+NON_NATURAL_GROUP = (
+    "group-synchronous elision only applies in natural order (the proven "
+    "distance bound is on iteration numbers); ran the flag protocol"
+)
 
 
 def note_ignored_options(

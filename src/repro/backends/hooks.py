@@ -31,21 +31,6 @@ __all__ = [
     "hooks_for",
 ]
 
-#: Backends the race checker has a happens-before model for; anything
-#: else (speculative, custom Runner subclasses) is checked against the
-#: level model, which is the weakest order every wavefront-respecting
-#: backend refines.
-_MODELED = ("vectorized", "threaded", "multiproc", "simulated")
-
-
-def _processors(backend: Runner) -> int:
-    for attr in ("threads", "workers"):
-        if hasattr(backend, attr):
-            return int(getattr(backend, attr))
-    if hasattr(backend, "machine"):
-        return int(backend.machine.processors)
-    return 16
-
 
 class RunHook:
     """One optional step around a single ``backend.run(loop, **options)``.
@@ -77,24 +62,18 @@ class StaticValidate(RunHook):
         from repro.lint.driver import run_lints
         from repro.lint.hb import check_backend_schedule
 
+        # The backend resolves its own defaults (chunk, group alignment),
+        # so the check sees the schedule that is about to run.
+        model = backend.schedule_model(loop, **options)
         schedule = options.get("schedule")
-        chunk = options.get("chunk") or 1
-        processors = _processors(backend)
         self.diagnostics = run_lints(
             loop,
             plan=options.get("transform"),
             schedule=schedule if isinstance(schedule, str) else None,
-            chunk=chunk,
-            processors=processors,
+            chunk=model.get("chunk") or 1,
+            processors=model.get("processors", 16),
         )
-        self.report = check_backend_schedule(
-            loop,
-            backend.name if backend.name in _MODELED else "vectorized",
-            processors=processors,
-            schedule=schedule,
-            chunk=chunk,
-            order=options.get("order"),
-        )
+        self.report = check_backend_schedule(loop, **model)
         if not self.report.passed:
             raise RaceConditionError(self.report)
 

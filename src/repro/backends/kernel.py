@@ -1,0 +1,191 @@
+"""The Figure-5 term rule and the lane placement it depends on — once.
+
+The paper's whole executor is one rule (§2.2, Figure 5): a right-hand
+side term ``y[idx]`` of iteration ``i`` is served according to how
+``iter[idx]`` (the writer of ``idx``) compares with ``i`` —
+
+- ``>`` (or unwritten): the **old** ``y[idx]`` (an antidependence, removed
+  by the ``ynew`` renaming),
+- ``==``: the **live accumulator** of iteration ``i`` itself,
+- ``<``: the **renamed** value ``ynew[idx]``, once its writer has
+  produced it.
+
+The last case is the only one that needs synchronisation, and whether it
+does depends on where the writer runs.  Every real-concurrency backend
+deals positions to lanes the same way — contiguous strips of ``chunk``
+positions, strip ``c`` to lane ``c % workers`` (threads: ``chunk = 1``,
+the cyclic schedule) — and a lane walks its positions in increasing
+order.  So a true dependence whose writer sits earlier in the reader's
+own strip is ordered by program order (:data:`LOCAL`); any other one
+crosses lanes and must wait for the writer's post (:data:`WAIT`).
+
+:func:`classify_terms` evaluates that rule for a batch of iterations in
+one vectorised pass; :func:`run_span` is the one scalar evaluator that
+walks iterations by code.  The threaded, multiproc and speculative
+backends are scheduling and synchronisation around these two, and the
+static race checker (:mod:`repro.lint.hb`) reads the same placement and
+the same codes — its wait set is exactly the terms coded :data:`WAIT` —
+so what it checks is what the backend executes.
+
+Not here, on purpose: the sequential oracle
+(:meth:`~repro.ir.loop.IrregularLoop.run_sequential`), the cycle-charging
+simulator and the vectorized backend's bulk per-level kernel share no
+control flow with a blocking scalar walk.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = [
+    "OLD",
+    "LOCAL",
+    "WAIT",
+    "ACC",
+    "default_chunk",
+    "lane_of",
+    "lane_positions",
+    "classify_terms",
+    "run_span",
+]
+
+#: Term codes.  ``OLD``: read the old ``y`` (antidependence or unwritten
+#: element).  ``LOCAL``: renamed value this lane wrote earlier in the
+#: same strip — program order is the happens-before edge.  ``WAIT``:
+#: renamed value written on another lane (or an earlier strip) — needs
+#: the writer's post.  ``ACC``: the iteration's own live accumulator.
+OLD, LOCAL, WAIT, ACC = 0, 1, 2, 3
+
+
+def default_chunk(n: int, workers: int) -> int:
+    """Strip-mine default (§2.3): four strips per worker, for load
+    balance without drowning short loops in cross-strip waits."""
+    return max(1, -(-n // (4 * workers)))
+
+
+def lane_of(pos: np.ndarray, chunk: int, workers: int) -> np.ndarray:
+    """The lane executing each position: strips of ``chunk`` positions
+    dealt round-robin."""
+    return (pos // chunk) % workers
+
+
+def lane_positions(
+    lo: int, hi: int, chunk: int, workers: int, wid: int
+) -> np.ndarray:
+    """Lane ``wid``'s positions inside ``[lo, hi)``, increasing — the
+    order it executes them in (the deadlock-freedom precondition)."""
+    p = np.arange(lo, hi, dtype=np.int64)
+    return p[lane_of(p, chunk, workers) == wid]
+
+
+def classify_terms(
+    ptr: np.ndarray,
+    index: np.ndarray,
+    iter_arr: np.ndarray,
+    its: np.ndarray,
+    chunk: int,
+    pos: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-term codes for iterations ``its``, in the order given (flat:
+    all terms of ``its[0]``, then of ``its[1]``, ...).
+
+    ``iter_arr[e]`` is the iteration writing element ``e``; any value
+    outside ``[0, i)`` for a reader ``i`` (``MAXINT``, ``-1``, a later
+    writer) means the old value is read.  ``pos[i]`` is the execution
+    position of iteration ``i`` (``None``: natural order, ``pos[i] = i``);
+    the Figure-5 compare is on iteration numbers, the strip test on
+    positions.  With ``chunk = 1`` a strip holds a single iteration, so
+    nothing is ``LOCAL`` and ``pos`` is irrelevant.
+    """
+    its = np.asarray(its, dtype=np.int64)
+    counts = ptr[its + 1] - ptr[its]
+    total = int(counts.sum())
+    flat = np.repeat(ptr[its] - (np.cumsum(counts) - counts), counts)
+    flat += np.arange(total, dtype=np.int64)
+    writers = iter_arr[index[flat]]
+    readers = np.repeat(its, counts)
+    codes = np.full(total, OLD, dtype=np.int8)
+    codes[writers == readers] = ACC
+    dep = np.nonzero((writers >= 0) & (writers < readers))[0]
+    w, r = writers[dep], readers[dep]
+    if pos is not None:
+        w, r = pos[w], pos[r]
+    local = (w // chunk == r // chunk) & (w < r)
+    codes[dep] = np.where(local, LOCAL, WAIT)
+    return codes
+
+
+def run_span(
+    its: np.ndarray,
+    codes: np.ndarray,
+    write: np.ndarray,
+    ptr: np.ndarray,
+    index: np.ndarray,
+    coeff: np.ndarray,
+    init: np.ndarray | None,
+    old,
+    new,
+    out,
+    *,
+    cur: int = 0,
+    wait=None,
+    post=None,
+    events: list | None = None,
+) -> int:
+    """Execute iterations ``its`` in order; returns the code cursor.
+
+    ``codes[cur:]`` are their term codes (:func:`classify_terms` order),
+    so a lane classified once can be walked in several calls — one per
+    barrier-separated group — by feeding the returned cursor back in.
+    Per iteration, terms accumulate in original order as float64 scalar
+    operations: bitwise the sequential oracle's arithmetic.
+
+    ``old`` serves ``OLD`` terms, ``out`` receives every write and serves
+    ``LOCAL`` terms, ``new`` serves ``WAIT`` terms after ``wait(idx)``
+    returned (the backend's bounded busy-wait on the writer's post).
+    ``wait=None`` means the caller's own ordering already discharged
+    every wait — a group barrier, the speculative commit chain — and the
+    term is read with no acquire.  ``post(w)`` publishes a finished
+    write; ``post=None`` publishes nothing.  ``init`` seeds the
+    accumulators (``None``: from ``old[w]``).
+
+    ``events`` is the lane's shadow log (:mod:`repro.sanitize.events`).
+    An acquire is logged *before* blocking: on success the lane's order
+    is unchanged, and a timed-out wait leaves the unsatisfied acquire in
+    the log for the sanitizer to name.  Accumulator terms are not logged.
+    """
+    code = memoryview(codes)  # Python ints on index, no numpy scalars
+    for i in its.tolist():
+        w = write[i]
+        acc = old[w] if init is None else init[i]
+        for k in range(ptr[i], ptr[i + 1]):
+            c = code[cur]
+            cur += 1
+            idx = index[k]
+            if c == OLD:
+                if events is not None:
+                    events.append(("r", i, int(idx), 0))
+                value = old[idx]
+            elif c == ACC:
+                value = acc
+            elif c == LOCAL:
+                if events is not None:
+                    events.append(("r", i, int(idx), 1))
+                value = out[idx]
+            else:
+                if wait is not None:
+                    if events is not None:
+                        events.append(("a", int(idx)))
+                    wait(idx)
+                if events is not None:
+                    events.append(("r", i, int(idx), 1))
+                value = new[idx]
+            acc += coeff[k] * value
+        out[w] = acc
+        if events is not None:
+            events.append(("w", i, int(w)))
+        if post is not None:
+            post(w)
+            if events is not None:
+                events.append(("p", int(w)))
+    return cur

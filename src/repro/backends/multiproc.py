@@ -17,11 +17,13 @@ positions (§2.3), dealt round-robin to workers; each worker executes its
 chunks in increasing order, so every cross-chunk true dependence points
 to a strictly earlier chunk and the busy-wait protocol is deadlock-free
 by the same induction as the cyclic threaded schedule (DESIGN.md §6).
-Within a chunk the worker precomputes a per-term classification from the
-shared ``iter`` array (old-``y`` read / same-chunk ``ynew`` read /
-cross-chunk wait / intra-iteration accumulator) — the Figure-5 compare
-hoisted out of the inner loop and, for natural-order runs, cached across
-loop instances per dependence structure.
+Each worker classifies its terms once from the shared ``iter`` array
+(:func:`~repro.backends.kernel.classify_terms`: old-``y`` read /
+same-chunk ``ynew`` read / cross-chunk wait / accumulator) — the Figure-5
+compare hoisted out of the inner loop and, for natural-order runs, cached
+across loop instances per dependence structure — and walks them with the
+shared scalar evaluator (:func:`~repro.backends.kernel.run_span`); this
+module is the pool, the shared arenas and the ladder-bounded wait.
 
 Every blocking cross-chunk wait is bounded by a
 :class:`~repro.backends.waitladder.WaitLadder` (spin, then escalating
@@ -56,8 +58,11 @@ from collections import OrderedDict
 import numpy as np
 from multiprocessing import shared_memory
 
+from repro.backends import kernel
 from repro.backends.base import (
+    NON_NATURAL_GROUP,
     Runner,
+    inverse_permutation,
     note_ignored_options,
     validate_execution_order,
 )
@@ -90,15 +95,6 @@ _BLOCKS = (
 
 def _block_len(dim: str, n: int, y_size: int, terms: int) -> int:
     return {"n": n, "n1": n + 1, "terms": terms, "y": y_size}[dim]
-
-
-def _chunk_ranges(n: int, chunk: int, workers: int, wid: int):
-    """Worker ``wid``'s chunks: contiguous ``chunk``-sized position ranges
-    dealt round-robin, visited in increasing order (deadlock freedom)."""
-    n_chunks = -(-n // chunk) if n else 0
-    for c in range(wid, n_chunks, workers):
-        lo = c * chunk
-        yield lo, min(n, lo + chunk)
 
 
 # ----------------------------------------------------------------------
@@ -142,86 +138,30 @@ def _worker_attach(meta: dict) -> dict:
         "views": views,
         "n": n,
         "y_size": y_size,
-        "counts": np.diff(views["ptr"]),
         "codes": {},
     }
 
 
-def _code_natural(sess: dict, lo: int, hi: int) -> np.ndarray:
-    """Per-term executor classification for natural-order chunk
-    ``[lo, hi)``: 0 = read old ``y`` (anti/unwritten), 1 = read ``ynew``
-    written earlier in this same chunk (no flag needed — this worker wrote
-    it), 2 = cross-chunk true dependence (ladder wait on ``ready``),
-    3 = intra-iteration (live accumulator).  Depends only on the loop's
-    structure, so callers cache it per (structure, chunking)."""
-    v = sess["views"]
-    ptr, index, it = v["ptr"], v["index"], v["iter"]
-    k0, k1 = int(ptr[lo]), int(ptr[hi])
-    writers = it[index[k0:k1]]
-    readers = np.repeat(
-        np.arange(lo, hi, dtype=np.int64), sess["counts"][lo:hi]
+def _lane(sess: dict, opts: dict, wid: int) -> np.ndarray:
+    """This worker's positions: its strips, in increasing order."""
+    return kernel.lane_positions(
+        0, sess["n"], opts["chunk"], opts["workers"], wid
     )
-    code = np.zeros(k1 - k0, dtype=np.int8)
-    code[writers == readers] = 3
-    true_dep = writers < readers
-    code[true_dep & (writers >= lo)] = 1
-    code[true_dep & (writers < lo)] = 2
-    return code
-
-
-def _code_ordered(
-    sess: dict, lo: int, hi: int, pos: np.ndarray
-) -> np.ndarray:
-    """Classification for position chunk ``[lo, hi)`` under a doconsider
-    order: the Figure-5 compare is still on iteration numbers, but "no
-    flag needed" now means the writer's *position* falls earlier in this
-    same chunk.  Terms appear in execution order (flat reads of
-    ``order[lo]``, then ``order[lo+1]``, ...)."""
-    v = sess["views"]
-    ptr, index, it = v["ptr"], v["index"], v["iter"]
-    its = v["order"][lo:hi]
-    cnt = sess["counts"][its]
-    total = int(cnt.sum())
-    code = np.zeros(total, dtype=np.int8)
-    if not total:
-        return code
-    shift = np.zeros(len(cnt), dtype=np.int64)
-    shift[1:] = np.cumsum(cnt)[:-1]
-    offs = np.repeat(ptr[its] - shift, cnt) + np.arange(
-        total, dtype=np.int64
-    )
-    writers = it[index[offs]]
-    readers_iter = np.repeat(its, cnt)
-    readers_pos = np.repeat(np.arange(lo, hi, dtype=np.int64), cnt)
-    code[writers == readers_iter] = 3
-    true_dep = writers < readers_iter
-    td = np.nonzero(true_dep)[0]
-    if len(td):
-        wpos = pos[writers[td]]
-        in_chunk = (wpos >= lo) & (wpos < readers_pos[td])
-        code[td[in_chunk]] = 1
-        code[td[~in_chunk]] = 2
-    return code
 
 
 def _task_inspector(sess: dict, opts: dict, wid: int) -> dict:
     """Phase 1: fill this worker's slice of ``iter`` (Figure 3, left).
-    ``iter[write[i]] = i`` is order-independent, so chunks fill in one
-    vectorized store each regardless of any doconsider order."""
+    ``iter[write[i]] = i`` is order-independent, so the slice fills in one
+    vectorized store regardless of any doconsider order."""
     v = sess["views"]
-    it, write = v["iter"], v["write"]
     observe = opts["observe"]
     if observe:
         t0 = time.perf_counter()
-    inspected = 0
-    for lo, hi in _chunk_ranges(
-        sess["n"], opts["chunk"], opts["workers"], wid
-    ):
-        it[write[lo:hi]] = np.arange(lo, hi, dtype=np.int64)
-        inspected += hi - lo
+    mine = _lane(sess, opts, wid)
+    v["iter"][v["write"][mine]] = mine
     payload: dict = {
         "wid": wid,
-        "metrics": {"inspector_iterations": inspected},
+        "metrics": {"inspector_iterations": len(mine)},
     }
     if observe:
         payload["spans"] = [
@@ -236,120 +176,97 @@ def _task_inspector(sess: dict, opts: dict, wid: int) -> dict:
     return payload
 
 
-def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
-    """Phase 2: the Figure-5 executor over this worker's chunks, with the
-    per-term compare precomputed into a classification code and every
-    blocking wait bounded by the ladder."""
+def _lane_codes(
+    sess: dict, opts: dict, wid: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """This worker's iterations inside position window ``[lo, hi)`` and
+    their term codes.  In natural order both depend only on the loop's
+    structure, so they are cached across runs per (chunking, window)."""
     v = sess["views"]
-    write, ptr, index = v["write"], v["ptr"], v["index"]
-    coeff, init = v["coeff"], v["init"]
-    y, ynew, ready = v["y"], v["ynew"], v["ready"]
-    n = sess["n"]
-    chunk, workers = opts["chunk"], opts["workers"]
-    has_order, external = opts["has_order"], opts["external"]
+    chunk, workers, ordered = opts["chunk"], opts["workers"], opts["has_order"]
+    key = (chunk, workers, lo, hi)
+    if not ordered and key in sess["codes"]:
+        return sess["codes"][key]
+    its = kernel.lane_positions(lo, hi, chunk, workers, wid)
+    pos = None
+    if ordered:
+        its = v["order"][its]
+        pos = inverse_permutation(v["order"])
+    entry = its, kernel.classify_terms(
+        v["ptr"], v["index"], v["iter"], its, chunk, pos
+    )
+    if not ordered:
+        sess["codes"][key] = entry
+    return entry
+
+
+def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
+    """Phase 2: the Figure-5 executor over this worker's strips inside
+    ``opts["window"]``, every blocking wait bounded by the ladder.
+
+    In flag mode the window is the whole loop.  In group-synchronous mode
+    (``opts["round"]`` set) it is one distance group: the DistancePass
+    proved every cross-iteration true dependence reaches into a strictly
+    earlier group, and the coordinator collects every worker between
+    rounds, so every wait is already discharged — no flag is checked or
+    set.  The coordinator's collect *is* the barrier; the shadow log
+    records it as one ``("g", round)`` barrier generation per worker so
+    the sanitizer can witness the same ordering.
+    """
+    v = sess["views"]
+    ready = v["ready"]
     observe, ladder = opts["observe"], opts["ladder"]
-    sanitize = opts.get("sanitize", False)
-    events: list | None = [] if sanitize else None
+    group_round = opts.get("round")
+    events: list | None = [] if opts["sanitize"] else None
     timed_out: WaitTimeout | None = None
     pid = os.getpid()
+    clock = time.perf_counter
 
-    if has_order:
-        order = v["order"]
-        pos = np.empty(n, dtype=np.int64)
-        pos[order[:n]] = np.arange(n, dtype=np.int64)
-
-    flag_checks = flag_sets = busy_waits = iterations = 0
-    wait_escalations = 0
+    busy_waits = wait_escalations = 0
     wait_seconds = 0.0
     spans: list = []
-    if observe:
-        t_phase = time.perf_counter()
-        seg_start = t_phase
+    t_phase = seg_start = clock()
 
+    def wait(idx) -> None:
+        nonlocal busy_waits, wait_escalations, wait_seconds, seg_start
+        if ready[idx]:
+            return
+        busy_waits += 1
+        element = int(idx)
+        w0 = clock()
+        slept = ladder.wait(lambda: ready[idx], element=element)
+        if observe:
+            # Blocking wait: close the running compute span, record the
+            # wait (threaded-backend tiling invariant, same vocabulary).
+            w1 = clock()
+            spans.append(("compute", CAT_COMPUTE, seg_start, w0, {"pid": pid}))
+            spans.append(
+                ("wait", CAT_WAIT, w0, w1, {"pid": pid, "element": element})
+            )
+            wait_seconds += w1 - w0
+            seg_start = w1
+        else:
+            wait_seconds += slept
+        if slept > 0:
+            # Past the spin rung: this stall was long enough to sleep on
+            # (the doctor's wait-escalation evidence).
+            wait_escalations += 1
+
+    def post(w) -> None:
+        ready[w] = 1
+
+    its, codes = _lane_codes(sess, opts, wid, *opts["window"])
+    n_waits = int(np.count_nonzero(codes == kernel.WAIT))
+    flagged = group_round is None
     try:
-        for lo, hi in _chunk_ranges(n, chunk, workers, wid):
-            if has_order:
-                code = _code_ordered(sess, lo, hi, pos)
-            else:
-                key = (chunk, workers, lo)
-                code = sess["codes"].get(key)
-                if code is None:
-                    code = sess["codes"][key] = _code_natural(sess, lo, hi)
-            cur = 0
-            for p in range(lo, hi):
-                i = int(order[p]) if has_order else p
-                w = write[i]
-                acc = init[i] if external else y[w]
-                for k in range(ptr[i], ptr[i + 1]):
-                    c = code[cur]
-                    cur += 1
-                    idx = index[k]
-                    if c == 0:
-                        if events is not None:
-                            events.append(("r", i, int(idx), 0))
-                        value = y[idx]
-                    elif c == 3:
-                        value = acc
-                    elif c == 1:
-                        # Same-chunk renamed read: this worker wrote it
-                        # earlier, so program order is the hb edge.
-                        if events is not None:
-                            events.append(("r", i, int(idx), 1))
-                        value = ynew[idx]
-                    else:
-                        flag_checks += 1
-                        if events is not None:
-                            # Log the acquire *before* blocking: the
-                            # per-chunk order is unchanged on success,
-                            # and a timed-out ladder leaves the
-                            # unsatisfied acquire in the shadow log for
-                            # the sanitizer to name.
-                            events.append(("a", int(idx)))
-                        if ready[idx]:
-                            value = ynew[idx]
-                        else:
-                            busy_waits += 1
-                            element = int(idx)
-                            if observe:
-                                # Blocking wait: close the running compute
-                                # span, record the wait (threaded-backend
-                                # tiling invariant, same span vocabulary).
-                                w0 = time.perf_counter()
-                                spans.append(
-                                    ("compute", CAT_COMPUTE, seg_start, w0,
-                                     {"pid": pid})
-                                )
-                                slept = ladder.wait(
-                                    lambda: ready[idx], element=element
-                                )
-                                w1 = time.perf_counter()
-                                spans.append(
-                                    ("wait", CAT_WAIT, w0, w1,
-                                     {"pid": pid, "element": element})
-                                )
-                                wait_seconds += w1 - w0
-                                seg_start = w1
-                            else:
-                                slept = ladder.wait(
-                                    lambda: ready[idx], element=element
-                                )
-                                wait_seconds += slept
-                            if slept > 0:
-                                # Past the spin rung: this stall was long
-                                # enough to sleep on (the doctor's
-                                # wait-escalation evidence).
-                                wait_escalations += 1
-                            value = ynew[idx]
-                        if events is not None:
-                            events.append(("r", i, int(idx), 1))
-                    acc += coeff[k] * value
-                ynew[w] = acc
-                ready[w] = 1
-                if events is not None:
-                    events.append(("w", i, int(w)))
-                    events.append(("p", int(w)))
-                flag_sets += 1
-            iterations += hi - lo
+        kernel.run_span(
+            its, codes, v["write"], v["ptr"], v["index"], v["coeff"],
+            v["init"] if opts["external"] else None,
+            v["y"], v["ynew"], v["ynew"],
+            wait=wait if flagged else None,
+            post=post if flagged else None,
+            events=events,
+        )
     except WaitTimeout as exc:
         if events is None:
             raise
@@ -358,123 +275,36 @@ def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
         # and the log usually explains the hang better than the timeout.
         timed_out = exc
 
-    payload: dict = {
-        "wid": wid,
-        "metrics": {
-            "flag_checks": flag_checks,
-            "flag_sets": flag_sets,
-            "busy_waits": busy_waits,
-            "wait_escalations": wait_escalations,
-            "wait_seconds": wait_seconds,
-            "iterations": iterations,
-        },
+    metrics = {
+        "flag_checks": n_waits if flagged else 0,
+        "flag_sets": len(its) if flagged else 0,
+        "busy_waits": busy_waits,
+        "wait_seconds": wait_seconds,
+        "iterations": len(its),
     }
+    attrs = {"pid": pid}
+    if flagged:
+        metrics["wait_escalations"] = wait_escalations
+    else:
+        # Posts never set (one per iteration) + waits never performed.
+        metrics["sync_elisions"] = len(its) + n_waits
+        attrs["group_round"] = group_round
+    payload: dict = {"wid": wid, "metrics": metrics}
     if observe:
-        t_end = time.perf_counter()
-        spans.append(("compute", CAT_COMPUTE, seg_start, t_end, {"pid": pid}))
-        spans.append(("executor", CAT_PHASE, t_phase, t_end, {"pid": pid}))
+        t_end = clock()
+        if flagged:
+            spans.append(("compute", CAT_COMPUTE, seg_start, t_end, attrs))
+        spans.append(("executor", CAT_PHASE, t_phase, t_end, attrs))
         payload["spans"] = spans
     if events is not None:
+        if not flagged:
+            # Every worker logs the round barrier, share or no share —
+            # the sanitizer's replay releases a generation only when
+            # *all* lanes arrive.
+            events.append(("b", ("g", group_round)))
         payload["sanitize"] = {"pid": pid, "events": events}
         if timed_out is not None:
             payload["wait_timeout"] = timed_out
-    return payload
-
-
-def _task_gexec(sess: dict, opts: dict, wid: int) -> dict:
-    """One *group round* of the group-synchronous executor.
-
-    ``opts["glo"]:opts["ghi"]`` is one distance group: the DistancePass
-    proved every cross-iteration true dependence reaches into a strictly
-    earlier group (the group size is a chunk-aligned floor of the proven
-    ``min_distance``), and the coordinator collects every worker between
-    rounds, so all renamed reads here are already written — the per-term
-    classification codes are reused, but code 2 (cross-chunk true
-    dependence) becomes a direct ``ynew`` read with **no flag check** and
-    no flag is ever set.  The coordinator's collect *is* the barrier;
-    the shadow log records it as one ``("g", round)`` barrier generation
-    per worker so the sanitizer can witness the same ordering.
-    """
-    v = sess["views"]
-    write, ptr, index = v["write"], v["ptr"], v["index"]
-    coeff, init = v["coeff"], v["init"]
-    y, ynew = v["y"], v["ynew"]
-    glo, ghi = opts["glo"], opts["ghi"]
-    chunk, workers = opts["chunk"], opts["workers"]
-    external, observe = opts["external"], opts["observe"]
-    events: list | None = [] if opts.get("sanitize") else None
-    pid = os.getpid()
-    if observe:
-        t0 = time.perf_counter()
-
-    elided_waits = iterations = 0
-    # The group is chunk-aligned, so the global chunk -> worker deal
-    # (chunk c belongs to worker c % workers) restricts cleanly.
-    for c in range(glo // chunk, -(-ghi // chunk)):
-        if c % workers != wid:
-            continue
-        lo = c * chunk
-        hi = min(ghi, lo + chunk)
-        key = (chunk, workers, lo)
-        code = sess["codes"].get(key)
-        if code is None:
-            code = sess["codes"][key] = _code_natural(sess, lo, hi)
-        cur = 0
-        for i in range(lo, hi):
-            w = write[i]
-            acc = init[i] if external else y[w]
-            for k in range(ptr[i], ptr[i + 1]):
-                cd = code[cur]
-                cur += 1
-                idx = index[k]
-                if cd == 0:
-                    if events is not None:
-                        events.append(("r", i, int(idx), 0))
-                    value = y[idx]
-                elif cd == 3:
-                    value = acc
-                else:
-                    # Renamed read: same-chunk program order (code 1) or
-                    # a strictly earlier group (code 2, the elided wait).
-                    if cd == 2:
-                        elided_waits += 1
-                    if events is not None:
-                        events.append(("r", i, int(idx), 1))
-                    value = ynew[idx]
-                acc += coeff[k] * value
-            ynew[w] = acc
-            # Elided post: ready[w] is never written in group mode.
-            if events is not None:
-                events.append(("w", i, int(w)))
-        iterations += hi - lo
-
-    payload: dict = {
-        "wid": wid,
-        "metrics": {
-            "flag_checks": 0,
-            "flag_sets": 0,
-            "busy_waits": 0,
-            "wait_seconds": 0.0,
-            "iterations": iterations,
-            "sync_elisions": iterations + elided_waits,
-        },
-    }
-    if observe:
-        payload["spans"] = [
-            (
-                "executor",
-                CAT_PHASE,
-                t0,
-                time.perf_counter(),
-                {"pid": pid, "group_round": opts["round"]},
-            )
-        ]
-    if events is not None:
-        # Every worker logs the round barrier, share or no share — the
-        # sanitizer's replay releases a generation only when *all* lanes
-        # arrive.
-        events.append(("b", ("g", opts["round"])))
-        payload["sanitize"] = {"pid": pid, "events": events}
     return payload
 
 
@@ -482,18 +312,13 @@ def _task_post(sess: dict, opts: dict, wid: int) -> dict:
     """Phase 3: reset scratch for the written elements and publish
     ``ynew`` into ``y`` — the arrays are reusable immediately after."""
     v = sess["views"]
-    write, it = v["write"], v["iter"]
-    y, ynew, ready = v["y"], v["ynew"], v["ready"]
     observe = opts["observe"]
     if observe:
         t0 = time.perf_counter()
-    for lo, hi in _chunk_ranges(
-        sess["n"], opts["chunk"], opts["workers"], wid
-    ):
-        w = write[lo:hi]
-        it[w] = MAXINT
-        y[w] = ynew[w]
-        ready[w] = 0
+    w = v["write"][_lane(sess, opts, wid)]
+    v["iter"][w] = MAXINT
+    v["y"][w] = v["ynew"][w]
+    v["ready"][w] = 0
     payload: dict = {"wid": wid, "metrics": {}}
     if observe:
         payload["spans"] = [
@@ -511,7 +336,6 @@ def _task_post(sess: dict, opts: dict, wid: int) -> dict:
 _TASKS = {
     "inspector": _task_inspector,
     "executor": _task_executor,
-    "gexec": _task_gexec,
     "post": _task_post,
 }
 
@@ -521,7 +345,6 @@ def _worker_detach(sess: dict) -> None:
     mmap's buffer; closing underneath them raises ``BufferError``)."""
     sess["views"].clear()
     sess["codes"].clear()
-    sess["counts"] = None
     for shm in sess["shms"]:
         shm.close()
 
@@ -638,8 +461,8 @@ class MultiprocRunner(Runner):
         Pool size; also the reported processor count.
     chunk:
         Default strip-mine chunk size (§2.3); ``None`` picks
-        ``ceil(n / (4 * workers))`` per run, and the per-run ``chunk``
-        option overrides both.
+        :func:`~repro.backends.kernel.default_chunk` per run, and the
+        per-run ``chunk`` option overrides both.
     cache:
         Optional :class:`~repro.backends.cache.InspectorCache`; on a hit
         the cached ``iter`` array is copied straight into shared memory
@@ -802,8 +625,9 @@ class MultiprocRunner(Runner):
         timeline; use ``observe=True`` for wall-clock spans).  Both are
         recorded in ``result.extras["ignored_options"]`` when passed.
         """
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        c_size, group, group_refused = self._resolve(
+            loop.n, order, chunk, group_sync
+        )
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
             validate_execution_order(loop, order)
@@ -831,11 +655,6 @@ class MultiprocRunner(Runner):
         observe = rec is not None
 
         n = loop.n
-        c_size = chunk if chunk is not None else self.chunk
-        if c_size is None:
-            c_size = max(1, -(-n // (4 * self.workers)))
-        c_size = int(c_size)
-
         if sess.dirty:
             # A previous run died mid-protocol (WaitTimeout): the normal
             # postprocess reset never ran, so scrub the scratch wholesale.
@@ -862,6 +681,7 @@ class MultiprocRunner(Runner):
             "observe": observe,
             "ladder": self.ladder,
             "sanitize": san is not None,
+            "window": (0, n),
         }
 
         # Phase 1: inspector — prefilled from the cache or the symbolic
@@ -884,43 +704,19 @@ class MultiprocRunner(Runner):
             self._broadcast(("inspector", sess.key, opts))
             self._apply(self._collect("inspector"), rec, met)
 
-        # Group-synchronous elision (DistancePass): natural order only,
-        # and the group must be a chunk-aligned multiple so the global
-        # chunk -> worker deal restricts cleanly to each group window.
-        group = group_sync if order is None else None
-        if group is not None and (group < c_size or group % c_size):
-            group = None
-
-        if group is not None:
-            # Phase 2 (group mode): one round per distance group; the
-            # collect between rounds is the group barrier.  No flags.
-            n_groups = -(-n // group) if n else 0
-            for gk in range(n_groups):
-                gopts = dict(
-                    opts,
-                    glo=gk * group,
-                    ghi=min(n, (gk + 1) * group),
-                    round=gk,
-                )
-                self._broadcast(("gexec", sess.key, gopts))
-                payloads = self._collect("gexec")
-                self._apply(payloads, rec, met)
-                if san is not None:
-                    for payload in payloads:
-                        if payload is None:
-                            continue
-                        blob = payload.get("sanitize")
-                        if blob is not None:
-                            san.ingest(
-                                payload["wid"], blob["events"],
-                                pid=blob["pid"],
-                            )
-            if met is not None:
-                met.count("group_barriers", n_groups)
+        # Phase 2: executor — one broadcast in flag mode; in group mode
+        # one round per distance group, the collect between rounds being
+        # the group barrier (no flags).  On WaitTimeout the session stays
+        # dirty and is scrubbed on the next run; the pool itself survives.
+        if group is None:
+            rounds = [opts]
         else:
-            # Phase 2: executor.  On WaitTimeout the session stays dirty
-            # and is scrubbed on the next run; the pool itself survives.
-            self._broadcast(("executor", sess.key, opts))
+            rounds = [
+                dict(opts, window=(lo, min(n, lo + group)), round=gk)
+                for gk, lo in enumerate(range(0, n, group))
+            ]
+        for ropts in rounds:
+            self._broadcast(("executor", sess.key, ropts))
             payloads = self._collect("executor")
             self._apply(payloads, rec, met)
             if san is not None:
@@ -940,6 +736,8 @@ class MultiprocRunner(Runner):
                     # post phase never runs, the session stays dirty and
                     # is scrubbed wholesale by the next run.
                     raise timeout_exc
+        if met is not None and group is not None:
+            met.count("group_barriers", len(rounds))
 
         # Phase 3: postprocess/reset — scratch reusable afterwards.
         self._broadcast(("post", sess.key, opts))
@@ -1003,8 +801,54 @@ class MultiprocRunner(Runner):
                 "no simulated timeline exists on real processes; use "
                 "observe=True for wall-clock spans",
             )
+        if group_refused:
+            ignored["group_sync"] = (group_sync, group_refused)
+            if met is not None:
+                met.count("sync_elision_fallbacks", 1)
         note_ignored_options(result, self.name, **ignored)
         return result
+
+    def _resolve(
+        self, n: int, order, chunk: int | None, group_sync: int | None
+    ) -> tuple[int, int | None, str]:
+        """The strip size and group size a run uses, and why a requested
+        group is refused: the per-run ``chunk``, else the constructor's,
+        else four strips per worker; group-synchronous elision
+        (DistancePass) only in natural order and only for a chunk-aligned
+        group, so the strip -> worker deal restricts cleanly to each group
+        window."""
+        if chunk is not None and chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        c_size = chunk if chunk is not None else self.chunk
+        if c_size is None:
+            c_size = kernel.default_chunk(n, self.workers)
+        c_size = int(c_size)
+        if group_sync is None:
+            return c_size, None, ""
+        if order is not None:
+            return c_size, None, NON_NATURAL_GROUP
+        if group_sync < c_size:
+            why = f"smaller than the strip size (chunk={c_size})"
+        elif group_sync % c_size:
+            why = f"not a multiple of the strip size (chunk={c_size})"
+        else:
+            return c_size, group_sync, ""
+        return c_size, None, (
+            f"the group is {why}, so strips would straddle group "
+            f"barriers; ran the flag protocol"
+        )
+
+    def schedule_model(
+        self, loop, *, order=None, chunk=None, group_sync=None, **_options
+    ) -> dict:
+        c_size, group, _ = self._resolve(loop.n, order, chunk, group_sync)
+        return {
+            "backend": self.name,
+            "processors": self.workers,
+            "chunk": c_size,
+            "order": order,
+            "group": group,
+        }
 
     @staticmethod
     def _apply(payloads: list, rec, met) -> None:

@@ -124,6 +124,17 @@ class SimulatedRunner(Runner):
             trace=trace,
         )
 
+    def schedule_model(
+        self, loop, *, order=None, schedule=None, chunk=None, **_options
+    ) -> dict:
+        return {
+            "backend": self.name,
+            "processors": self.machine.processors,
+            "schedule": schedule,
+            "chunk": chunk,
+            "order": order,
+        }
+
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------

@@ -53,6 +53,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.backends import kernel
 from repro.backends.base import (
     Runner,
     note_ignored_options,
@@ -151,7 +152,7 @@ class SpeculativeRunner(Runner):
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         cs = chunk if chunk is not None else self.chunk
         if cs is None:
-            cs = max(1, -(-loop.n // (4 * self.workers)))
+            cs = kernel.default_chunk(loop.n, self.workers)
 
         t0 = time.perf_counter()
         y, stats = self._execute(loop, cs)
@@ -206,6 +207,11 @@ class SpeculativeRunner(Runner):
                 met.count("fallback_chunks", stats["fallback_chunks"])
         return result
 
+    def schedule_model(self, loop, **_options) -> dict:
+        # No flag protocol to model: commits follow chunk order, which
+        # refines the wavefront-level order.
+        return {"backend": "vectorized", "processors": self.workers}
+
     # ------------------------------------------------------------------
     def _conflicts(
         self,
@@ -238,18 +244,13 @@ class SpeculativeRunner(Runner):
             loop.reads.index,
             loop.reads.coeff,
         )
-        external = loop.init_kind == INIT_EXTERNAL
-        init_values = loop.init_values
+        init = loop.init_values if loop.init_kind == INIT_EXTERNAL else None
 
         y = loop.y0.copy()
         n_chunks = -(-n // cs) if n else 0
         # writer_of[e] = the iteration writing element e, or -1: the
-        # ir-level access map the read logs are classified against.
+        # ir-level access map the terms are classified against.
         writer_of = writer_map(loop)
-        #: Elements written by a committed chunk so far — drives the
-        #: sanitizer's old/new source flags; frozen during each parallel
-        #: phase, grown only at commits.
-        written = np.zeros(loop.y_size, dtype=bool)
         rec = self._obs_recorder
         san = self._san_capture
         logging = san is not None
@@ -259,72 +260,59 @@ class SpeculativeRunner(Runner):
         def bounds(c: int) -> tuple[int, int]:
             return c * cs, min(n, (c + 1) * cs)
 
+        # Which reads hit the snapshot (vs. the chunk's own buffer or the
+        # live accumulator) depends only on subscripts, never on values,
+        # so each chunk is classified once and the codes reused across
+        # re-execution rounds.  WAIT here means "written by an earlier
+        # chunk": no flag exists — the commit order discharges it.
+        chunk_its = {c: np.arange(*bounds(c)) for c in range(n_chunks)}
+        codes = {
+            c: kernel.classify_terms(ptr, r_idx, writer_of, its, cs)
+            for c, its in chunk_its.items()
+        }
+
         def read_log(c: int) -> np.ndarray:
             """Elements chunk ``c`` reads from the snapshot — its
-            conflict-detection read log.
-
-            Which reads hit the snapshot (vs. the chunk's own buffer or
-            the live accumulator) depends only on subscripts, never on
-            values, so the log is computed once from the CSR read table
-            and the writer map and reused across re-execution rounds: a
-            term ``y[idx]`` of iteration ``i`` is served locally exactly
-            when ``idx``'s writer is ``i`` itself (the accumulator) or an
-            earlier iteration of the same chunk (the buffer).
-            """
+            conflict-detection read log: every term not served by the
+            live accumulator or the chunk's own buffer."""
             lo, hi = bounds(c)
-            elems = r_idx[ptr[lo]:ptr[hi]]
-            iters = np.repeat(
-                np.arange(lo, hi, dtype=np.int64),
-                np.diff(ptr[lo:hi + 1]),
-            )
-            wm = writer_of[elems]
-            return np.unique(elems[(wm < lo) | (wm > iters)])
+            snapshot = (codes[c] == kernel.OLD) | (codes[c] == kernel.WAIT)
+            return np.unique(r_idx[ptr[lo]:ptr[hi]][snapshot])
 
         def run_chunk(c: int) -> tuple[dict, list | None]:
             """Execute chunk ``c`` against the frozen snapshot.
 
             Returns the private write buffer and — when the sanitizer is
             attached — the shadow events to replay if this attempt
-            commits.  Per-iteration term order is the oracle's, so a
-            committed buffer is bitwise what sequential execution would
-            have produced from the same inputs.
+            commits.  There is no renaming: old and committed values
+            both live in the snapshot, and a read of an earlier chunk's
+            element is only kept if that chunk had committed (else the
+            RAW check rolls this attempt back).  Per-iteration term
+            order is the oracle's, so a committed buffer is bitwise what
+            sequential execution would have produced from the same
+            inputs.
             """
-            lo, hi = bounds(c)
             buf: dict = {}
             events: list | None = [] if logging else None
-            for i in range(lo, hi):
-                w = write[i]
-                # The write subscript is injective (no output deps), so
-                # no other iteration ever writes w: the initial read can
-                # never conflict and is not logged (threaded-backend
-                # convention for the accumulator seed).
-                acc = init_values[i] if external else y[w]
-                for k in range(ptr[i], ptr[i + 1]):
-                    idx = r_idx[k]
-                    if idx == w:
-                        value = acc
-                    elif idx in buf:
-                        value = buf[idx]
-                        if events is not None:
-                            events.append(("r", i, int(idx), 1))
-                    else:
-                        value = y[idx]
-                        if events is not None:
-                            events.append(
-                                ("r", i, int(idx), 1 if written[idx] else 0)
-                            )
-                    acc += r_coeff[k] * value
-                buf[w] = acc
-                if events is not None:
-                    events.append(("w", i, int(w)))
+            kernel.run_span(
+                chunk_its[c], codes[c], write, ptr, r_idx, r_coeff, init,
+                y, y, buf, events=events,
+            )
             return buf, events
 
         commits = 0
 
-        def commit_events(c: int, events: list) -> None:
-            """Replay a committed chunk's shadow log onto its lane,
-            chained to every earlier commit by the synthetic token."""
+        def commit(c: int, buf: dict, events: list | None) -> None:
+            """Apply a conflict-free chunk's buffer to the committed
+            state and replay its shadow log onto its lane, chained to
+            every earlier commit by the synthetic token."""
             nonlocal commits
+            elems = np.fromiter(buf.keys(), dtype=np.int64, count=len(buf))
+            y[elems] = np.fromiter(
+                buf.values(), dtype=np.float64, count=len(buf)
+            )
+            if not logging:
+                return
             lane = san.lane(int(c))
             if commits:
                 lane.append(("a", ("c", commits - 1)))
@@ -370,15 +358,7 @@ class SpeculativeRunner(Runner):
                         conflicted.add(c)
                         continue
                     pending_w[w_slice] = True
-                    elems = np.fromiter(
-                        buf.keys(), dtype=np.int64, count=len(buf)
-                    )
-                    y[elems] = np.fromiter(
-                        buf.values(), dtype=np.float64, count=len(buf)
-                    )
-                    written[elems] = True
-                    if logging:
-                        commit_events(c, events)
+                    commit(c, buf, events)
                 if rec is not None:
                     spans.append((
                         "commit", CAT_PHASE, t_commit, now(), 0,
@@ -398,29 +378,7 @@ class SpeculativeRunner(Runner):
             if rec is not None:
                 t_fb = now()
             for c in pending:
-                lo, hi = bounds(c)
-                events = [] if logging else None
-                for i in range(lo, hi):
-                    w = write[i]
-                    acc = init_values[i] if external else y[w]
-                    for k in range(ptr[i], ptr[i + 1]):
-                        idx = r_idx[k]
-                        if idx == w:
-                            value = acc
-                        else:
-                            value = y[idx]
-                            if events is not None:
-                                events.append((
-                                    "r", i, int(idx),
-                                    1 if written[idx] else 0,
-                                ))
-                        acc += r_coeff[k] * value
-                    y[w] = acc
-                    written[w] = True
-                    if events is not None:
-                        events.append(("w", i, int(w)))
-                if logging:
-                    commit_events(c, events)
+                commit(c, *run_chunk(c))
             if rec is not None:
                 spans.append((
                     "fallback", CAT_PHASE, t_fb, now(), 0,

@@ -31,7 +31,9 @@ import time
 
 import numpy as np
 
+from repro.backends import kernel
 from repro.backends.base import (
+    NON_NATURAL_GROUP,
     Runner,
     note_ignored_options,
     validate_execution_order,
@@ -122,9 +124,7 @@ class ThreadedRunner(Runner):
                 from repro.analysis import cross_check
 
                 cross_check(loop, verdict, strict=True)
-        # Group-synchronous elision (DistancePass): only sound in natural
-        # order — the distance bound is on iteration numbers.
-        group = group_sync if order is None else None
+        group, group_refused = self._group(order, group_sync)
         t0 = time.perf_counter()
         y = self._execute(loop, order=order, prefill_iter=elide, group=group)
         wall = time.perf_counter() - t0
@@ -164,8 +164,31 @@ class ThreadedRunner(Runner):
                 "no simulated timeline exists on real threads; use "
                 "observe=True for wall-clock spans",
             )
+        if group_refused:
+            ignored["group_sync"] = (group_sync, group_refused)
+            if self._obs_metrics is not None:
+                self._obs_metrics.count("sync_elision_fallbacks", 1)
         note_ignored_options(result, self.name, **ignored)
         return result
+
+    @staticmethod
+    def _group(order, group_sync: int | None) -> tuple[int | None, str]:
+        """The group size that runs, and why a requested one does not:
+        group-synchronous elision (DistancePass) is only sound in natural
+        order — the distance bound is on iteration numbers."""
+        if group_sync is None or order is None:
+            return group_sync, ""
+        return None, NON_NATURAL_GROUP
+
+    def schedule_model(
+        self, loop, *, order=None, group_sync=None, **_options
+    ) -> dict:
+        return {
+            "backend": self.name,
+            "processors": self.threads,
+            "order": order,
+            "group": self._group(order, group_sync)[0],
+        }
 
     def run_preprocessed(
         self, loop: IrregularLoop, order: np.ndarray | None = None
@@ -193,8 +216,8 @@ class ThreadedRunner(Runner):
         bound, natural order only), the executor runs group-synchronously:
         no per-element ready flags at all — every cross-iteration true
         dependence is proven to reach into a strictly earlier group, so
-        one barrier per group of ``group`` iterations orders every
-        renamed read after its write."""
+        one barrier per group of ``group`` iterations discharges every
+        wait and nothing is posted."""
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
             validate_execution_order(loop, order)
@@ -203,8 +226,7 @@ class ThreadedRunner(Runner):
         t_count = min(self.threads, max(n, 1))
         write = loop.write
         ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
-        external = loop.init_kind == INIT_EXTERNAL
-        init_values = loop.init_values
+        init = loop.init_values if loop.init_kind == INIT_EXTERNAL else None
 
         y = loop.y0.copy()
         ynew = np.zeros(loop.y_size, dtype=np.float64)
@@ -219,7 +241,7 @@ class ThreadedRunner(Runner):
             if group is not None
             else [threading.Event() for _ in range(loop.y_size)]
         )
-        n_groups = 0 if group is None else -(-n // group) if n else 0
+        n_groups = 0 if group is None else -(-n // group)
         barrier = threading.Barrier(t_count)
         failures: list[BaseException] = []
         failure_lock = threading.Lock()
@@ -227,26 +249,24 @@ class ThreadedRunner(Runner):
         met = self._obs_metrics
         san = self._san_capture
 
-        def positions_for(tid: int) -> range:
-            return range(tid, n, t_count)
-
-        def await_ready(event: threading.Event, idx: int) -> None:
+        def wait(idx) -> None:
             # Bounded form of the Figure-5 busy-wait: a correct schedule
             # always sets the flag, so an expired deadline means the
             # schedule (or iter array) is corrupted — diagnose, don't hang.
-            if not event.wait(self.wait_timeout):
+            if not ready[idx].wait(self.wait_timeout):
                 raise WaitTimeout(
                     f"busy-wait on element {idx} exceeded "
                     f"{self.wait_timeout:g}s; the schedule (or its iter "
                     f"array) is corrupted — a correct doacross schedule "
                     f"sets every awaited ready flag",
-                    element=idx,
+                    element=int(idx),
                     waited_seconds=self.wait_timeout,
                 )
 
+        def post(w) -> None:
+            ready[w].set()
+
         def worker(tid: int) -> None:
-            flag_checks = 0
-            flag_sets = 0
             busy_waits = 0
             wait_seconds = 0.0
             events = None if san is None else san.lane(tid)
@@ -259,17 +279,33 @@ class ThreadedRunner(Runner):
             buf: list[tuple] = []
             waits: list[tuple] = []
             now = time.perf_counter
+
+            def timed_wait(idx) -> None:
+                # The observed run's wait: a blocking busy-wait notes its
+                # interval; the compute/wait span tiling is expanded from
+                # these triples at drain time.
+                nonlocal busy_waits, wait_seconds
+                if ready[idx].is_set():
+                    return
+                busy_waits += 1
+                w0 = now()
+                wait(idx)
+                w1 = now()
+                waits.append((w0, w1, idx))
+                wait_seconds += w1 - w0
+
             try:
+                # Cyclic deal = strips of one position; each thread walks
+                # its positions in increasing order.
+                positions = kernel.lane_positions(0, n, 1, t_count, tid)
+                its = positions if order is None else order[positions]
+
                 # Phase 1: inspector — each thread fills its slice of iter
                 # (skipped entirely when the symbolic proof prefilled it).
                 if rec is not None:
                     t_phase = now()
-                inspected = 0
                 if not prefill_iter:
-                    for p in positions_for(tid):
-                        i = p if order is None else int(order[p])
-                        iter_arr[write[i]] = i
-                        inspected += 1
+                    iter_arr[write[its]] = its
                 if rec is not None:
                     buf.append((
                         "inspector", CAT_PHASE, t_phase, now(), tid,
@@ -279,134 +315,35 @@ class ThreadedRunner(Runner):
                     events.append(("b", 0))
                 barrier.wait()
 
-                # Phase 2: executor (Figure 5).  When observed, alternate
-                # compute/wait spans so the children exactly tile the phase.
+                # Phase 2: executor (Figure 5).  When observed, the
+                # blocking waits split the phase into compute/wait spans
+                # that exactly tile it.
                 if rec is not None:
                     t_phase = now()
-                observing = rec is not None
-                waits_append = waits.append
-                if group is not None:
-                    # Group-synchronous executor: iterations are processed
-                    # group by group (cyclic within each group), with a
-                    # barrier between groups.  The proven distance bound
-                    # puts every renamed read's writer in a strictly
-                    # earlier group, so no flag is ever checked or set.
-                    elided = 0
-                    executed = 0
+                codes = kernel.classify_terms(ptr, r_idx, iter_arr, its, 1)
+                n_waits = int(np.count_nonzero(codes == kernel.WAIT))
+                span = (write, ptr, r_idx, r_coeff, init, y, ynew, ynew)
+                if group is None:
+                    kernel.run_span(
+                        its, codes, *span, events=events, post=post,
+                        wait=wait if rec is None else timed_wait,
+                    )
+                else:
+                    # One barrier per group stands in for every post/wait
+                    # pair: the proven distance bound puts each renamed
+                    # read's writer in a strictly earlier group.
+                    cuts = np.searchsorted(
+                        positions, np.arange(n_groups + 1) * group
+                    )
+                    cur = 0
                     for gk in range(n_groups):
-                        ghi = min(n, (gk + 1) * group)
-                        for i in range(gk * group + tid, ghi, t_count):
-                            w = write[i]
-                            acc = init_values[i] if external else y[w]
-                            for k in range(ptr[i], ptr[i + 1]):
-                                idx = r_idx[k]
-                                writer = iter_arr[idx]
-                                if writer == i:
-                                    value = acc
-                                elif writer < i:
-                                    # Elided wait: the write completed
-                                    # before the last group barrier.
-                                    elided += 1
-                                    if events is not None:
-                                        events.append(("r", i, int(idx), 1))
-                                    value = ynew[idx]
-                                else:
-                                    if events is not None:
-                                        events.append(("r", i, int(idx), 0))
-                                    value = y[idx]
-                                acc += r_coeff[k] * value
-                            ynew[w] = acc
-                            # Elided post: no ready flag exists to set.
-                            if events is not None:
-                                events.append(("w", i, int(w)))
-                            executed += 1
+                        cur = kernel.run_span(
+                            its[cuts[gk]:cuts[gk + 1]], codes, *span,
+                            cur=cur, events=events,
+                        )
                         if events is not None:
                             events.append(("b", ("g", gk)))
                         barrier.wait()
-                    if met is not None:
-                        # sync_elisions = posts never set (one per
-                        # iteration) + waits never performed (one per
-                        # cross-iteration renamed read).
-                        met.count("sync_elisions", executed + elided)
-                        if tid == 0:
-                            met.count("group_barriers", n_groups)
-                    if rec is not None:
-                        t_end = now()
-                        buf.append(
-                            ("executor", CAT_PHASE, t_phase, t_end, tid, None)
-                        )
-                        rec.record_wait_segments(tid, t_phase, t_end, waits)
-                    if events is not None:
-                        events.append(("b", 1))
-                    barrier.wait()
-
-                    # Phase 3 (group mode): reset scratch, copy back —
-                    # identical minus the flag clears (none were set).
-                    if rec is not None:
-                        t_phase = now()
-                    for p in positions_for(tid):
-                        w = write[p]
-                        iter_arr[w] = MAXINT
-                        y[w] = ynew[w]
-                    if rec is not None:
-                        buf.append((
-                            "postprocessor", CAT_PHASE, t_phase, now(), tid,
-                            None,
-                        ))
-                        rec.record_batch(buf)
-                    if met is not None:
-                        met.count("flag_checks", 0)
-                        met.count("flag_sets", 0)
-                        met.count("busy_waits", 0)
-                        met.count("wait_seconds", 0.0)
-                        met.count("iterations", len(positions_for(tid)))
-                        met.count("inspector_iterations", inspected)
-                    return
-                for p in positions_for(tid):
-                    i = p if order is None else int(order[p])
-                    w = write[i]
-                    acc = init_values[i] if external else y[w]
-                    for k in range(ptr[i], ptr[i + 1]):
-                        idx = r_idx[k]
-                        writer = iter_arr[idx]
-                        if writer == i:
-                            value = acc
-                        elif writer < i:
-                            flag_checks += 1
-                            event = ready[idx]
-                            if events is not None:
-                                # Log the acquire *before* blocking: on a
-                                # successful wait the per-lane order is
-                                # unchanged, and a timed-out wait leaves
-                                # the unsatisfied acquire in the shadow
-                                # log for the sanitizer to name.
-                                events.append(("a", int(idx)))
-                            if observing and not event.is_set():
-                                # Blocking busy-wait: note the interval;
-                                # the compute/wait span tiling is expanded
-                                # from these triples at drain time.
-                                busy_waits += 1
-                                w0 = now()
-                                await_ready(event, int(idx))
-                                w1 = now()
-                                waits_append((w0, w1, idx))
-                                wait_seconds += w1 - w0
-                            else:
-                                await_ready(event, int(idx))
-                            if events is not None:
-                                events.append(("r", i, int(idx), 1))
-                            value = ynew[idx]
-                        else:
-                            if events is not None:
-                                events.append(("r", i, int(idx), 0))
-                            value = y[idx]
-                        acc += r_coeff[k] * value
-                    ynew[w] = acc
-                    ready[w].set()
-                    if events is not None:
-                        events.append(("w", i, int(w)))
-                        events.append(("p", int(w)))
-                    flag_sets += 1
                 if rec is not None:
                     t_end = now()
                     buf.append(
@@ -420,24 +357,33 @@ class ThreadedRunner(Runner):
                 # Phase 3: postprocessor — reset scratch, copy back.
                 if rec is not None:
                     t_phase = now()
-                for p in positions_for(tid):
-                    i = p if order is None else int(order[p])
-                    w = write[i]
+                for w in write[its]:
                     iter_arr[w] = MAXINT
                     y[w] = ynew[w]
-                    ready[w].clear()
+                    if ready is not None:
+                        ready[w].clear()
                 if rec is not None:
                     buf.append(
                         ("postprocessor", CAT_PHASE, t_phase, now(), tid, None)
                     )
                     rec.record_batch(buf)
                 if met is not None:
-                    met.count("flag_checks", flag_checks)
-                    met.count("flag_sets", flag_sets)
+                    flagged = group is None
+                    met.count("flag_checks", n_waits if flagged else 0)
+                    met.count("flag_sets", len(its) if flagged else 0)
                     met.count("busy_waits", busy_waits)
                     met.count("wait_seconds", wait_seconds)
-                    met.count("iterations", len(positions_for(tid)))
-                    met.count("inspector_iterations", inspected)
+                    met.count("iterations", len(its))
+                    met.count(
+                        "inspector_iterations", 0 if prefill_iter else len(its)
+                    )
+                    if not flagged:
+                        # sync_elisions = posts never set (one per
+                        # iteration) + waits never performed (one per
+                        # cross-iteration renamed read).
+                        met.count("sync_elisions", len(its) + n_waits)
+                        if tid == 0:
+                            met.count("group_barriers", n_groups)
             except BaseException as exc:  # pragma: no cover - defensive
                 with failure_lock:
                     failures.append(exc)

@@ -246,6 +246,12 @@ class VectorizedRunner(Runner):
         note_ignored_options(result, self.name, **ignored)
         return result
 
+    def schedule_model(self, loop, *, group_sync=None, **_options) -> dict:
+        # Wavefront order whatever ``order`` says; a group size >= 2
+        # replaces the DAG levels by the distance groups (_preprocess).
+        grouped = group_sync is not None and group_sync >= 2
+        return {"backend": self.name, "group": group_sync if grouped else None}
+
     # ------------------------------------------------------------------
     def run_repeated(
         self,

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends import kernel
 from repro.backends.base import inverse_permutation
 from repro.graph.levels import LevelSchedule, compute_levels
 from repro.ir.analysis import dependence_pairs, writer_map
@@ -210,6 +211,37 @@ def group_happens_before(
     return GroupHappensBefore(group, label=f"{backend}/group({group})")
 
 
+def _positions(loop: IrregularLoop, order: np.ndarray | None) -> np.ndarray:
+    if order is None:
+        return np.arange(loop.n, dtype=np.int64)
+    return inverse_permutation(np.asarray(order, dtype=np.int64))
+
+
+def _wait_keys(
+    loop: IrregularLoop,
+    iter_array: np.ndarray | None,
+    chunk: int,
+    pos: np.ndarray | None = None,
+) -> np.ndarray:
+    """Encoded ``(reader, element)`` pairs of the terms the executor
+    kernel codes :data:`~repro.backends.kernel.WAIT` — the same
+    classification the backends execute by."""
+    if iter_array is None:
+        iter_array = writer_map(loop)
+    reads = loop.reads
+    codes = kernel.classify_terms(
+        reads.ptr,
+        reads.index,
+        np.asarray(iter_array, dtype=np.int64),
+        np.arange(loop.n, dtype=np.int64),
+        chunk,
+        pos,
+    )
+    waited = codes == kernel.WAIT
+    readers = reads.iteration_of_term()[waited]
+    return np.unique(readers * np.int64(loop.y_size) + reads.index[waited])
+
+
 def waits_from_iter(
     loop: IrregularLoop, iter_array: np.ndarray | None = None
 ) -> np.ndarray:
@@ -221,17 +253,7 @@ def waits_from_iter(
     (stale entry, swapped writer) to model a broken inspector; the default
     is the correct :func:`~repro.ir.analysis.writer_map` contents.
     """
-    if iter_array is None:
-        iter_array = writer_map(loop)
-    else:
-        iter_array = np.asarray(iter_array, dtype=np.int64)
-    readers = loop.reads.iteration_of_term()
-    idx = loop.reads.index
-    writer = iter_array[idx]
-    # MAXINT / -1 sentinels both fail `0 <= writer < reader`.
-    blocking = (writer >= 0) & (writer < readers)
-    keys = readers[blocking] * np.int64(loop.y_size) + idx[blocking]
-    return np.unique(keys)
+    return _wait_keys(loop, iter_array, chunk=1)
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +279,28 @@ def level_happens_before(
     )
 
 
+def _protocol_happens_before(
+    loop: IrregularLoop,
+    workers: int,
+    chunk: int,
+    iter_array: np.ndarray | None,
+    order: np.ndarray | None,
+    label: str,
+) -> WorkerHappensBefore:
+    """The flag protocol's order under the executor kernel's placement:
+    strips of ``chunk`` positions dealt round-robin to ``workers`` lanes,
+    each walked in increasing order, plus a wait per ``WAIT``-coded
+    term."""
+    pos = _positions(loop, order)
+    return WorkerHappensBefore(
+        worker=kernel.lane_of(pos, chunk, workers),
+        pos=pos,
+        wait_keys=_wait_keys(loop, iter_array, chunk, pos),
+        y_size=loop.y_size,
+        label=label,
+    )
+
+
 def threaded_happens_before(
     loop: IrregularLoop,
     threads: int,
@@ -264,21 +308,12 @@ def threaded_happens_before(
     order: np.ndarray | None = None,
 ) -> WorkerHappensBefore:
     """The threaded backend's order: cyclic position→thread assignment
-    (each thread walks its positions in increasing order) plus the
-    ``ready``-event waits derived from ``iter_array``."""
-    n = loop.n
-    t = min(threads, max(n, 1))
-    if order is None:
-        pos = np.arange(n, dtype=np.int64)
-    else:
-        pos = inverse_permutation(np.asarray(order, dtype=np.int64))
-    worker = pos % t
-    return WorkerHappensBefore(
-        worker=worker,
-        pos=pos,
-        wait_keys=waits_from_iter(loop, iter_array),
-        y_size=loop.y_size,
-        label=f"threaded({t} threads)",
+    (strips of one position; each thread walks its positions in
+    increasing order) plus the ``ready``-event waits derived from
+    ``iter_array``."""
+    t = min(threads, max(loop.n, 1))
+    return _protocol_happens_before(
+        loop, t, 1, iter_array, order, f"threaded({t} threads)"
     )
 
 
@@ -290,47 +325,21 @@ def multiproc_happens_before(
     order: np.ndarray | None = None,
 ) -> WorkerHappensBefore:
     """The multiproc backend's order: contiguous position chunks of size
-    ``chunk`` dealt round-robin to workers (each worker walks its chunks,
-    and the positions inside them, in increasing order), plus the
-    ``ready``-flag ladder waits.
+    ``chunk`` (``None``: the backend's default) dealt round-robin to
+    workers, plus the ``ready``-flag ladder waits.
 
     The backend skips the flag for a true dependence whose writer sits
     *earlier in the reader's own chunk* (the worker itself wrote ``ynew``
-    moments before), so those edges are excluded from the wait set here —
-    they are covered by same-worker program order instead, and a corrupted
-    ``iter_array`` disturbs exactly the waits the real executor would
-    drop.
+    moments before — the kernel codes it ``LOCAL``), so those edges are
+    not in the wait set here — they are covered by same-worker program
+    order instead, and a corrupted ``iter_array`` disturbs exactly the
+    waits the real executor would drop.
     """
-    n = loop.n
     if chunk is None:
-        chunk = max(1, -(-n // (4 * workers)))
-    if order is None:
-        pos = np.arange(n, dtype=np.int64)
-    else:
-        pos = inverse_permutation(np.asarray(order, dtype=np.int64))
-    worker = (pos // chunk) % workers
-
-    if iter_array is None:
-        iter_array = writer_map(loop)
-    else:
-        iter_array = np.asarray(iter_array, dtype=np.int64)
-    readers = loop.reads.iteration_of_term()
-    idx = loop.reads.index
-    writer_it = iter_array[idx]
-    blocking = (writer_it >= 0) & (writer_it < readers)
-    rpos = pos[readers]
-    wpos = np.where(blocking, pos[np.clip(writer_it, 0, n - 1)], -1)
-    same_chunk_earlier = (wpos // chunk == rpos // chunk) & (wpos < rpos)
-    blocked = blocking & ~(blocking & same_chunk_earlier)
-    keys = np.unique(
-        readers[blocked] * np.int64(loop.y_size) + idx[blocked]
-    )
-    return WorkerHappensBefore(
-        worker=worker,
-        pos=pos,
-        wait_keys=keys,
-        y_size=loop.y_size,
-        label=f"multiproc({workers} workers, chunk={chunk})",
+        chunk = kernel.default_chunk(loop.n, workers)
+    return _protocol_happens_before(
+        loop, workers, chunk, iter_array, order,
+        f"multiproc({workers} workers, chunk={chunk})",
     )
 
 
@@ -364,10 +373,7 @@ def simulated_happens_before(
             processors,
             chunk=chunk,
         )
-    if order is None:
-        pos = np.arange(n, dtype=np.int64)
-    else:
-        pos = inverse_permutation(np.asarray(order, dtype=np.int64))
+    pos = _positions(loop, order)
 
     worker_of_position = np.full(n, -1, dtype=np.int64)
     if sched.is_dynamic:
@@ -451,7 +457,7 @@ def check_backend_schedule(
     *,
     processors: int = 16,
     schedule: IterationSchedule | str | None = None,
-    chunk: int = 1,
+    chunk: int | None = None,
     order: np.ndarray | None = None,
     group: int | None = None,
 ) -> RaceReport:
@@ -461,7 +467,8 @@ def check_backend_schedule(
     ``"threaded"`` (cyclic threads + events), ``"multiproc"`` (round-robin
     position chunks + ladder waits), or ``"simulated"`` (iteration
     schedule + flags).  This is the entry point behind
-    ``validate="static"``.
+    ``validate="static"``.  ``chunk=None`` means the backend's default
+    (1 on the simulated machine; threads always deal single positions).
 
     ``group`` models the distance-elided (group-synchronous) mode the
     DistancePass plans: natural-order groups of ``group`` iterations with
@@ -494,7 +501,11 @@ def check_backend_schedule(
         )
     elif backend == "simulated":
         hb = simulated_happens_before(
-            loop, processors, schedule=schedule, chunk=chunk, order=order
+            loop,
+            processors,
+            schedule=schedule,
+            chunk=1 if chunk is None else chunk,
+            order=order,
         )
     else:
         raise ValueError(

@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.cache import build_inspector_record, loop_fingerprint
+from repro.backends.kernel import default_chunk
 from repro.graph.coloring import greedy_coloring
 from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import compute_levels
@@ -206,10 +207,9 @@ class StripminePass(SchedulePass):
     """Pick the strip-mine chunk size for the resolved backend.
 
     A caller-specified ``spec.chunk`` wins; otherwise the multiproc
-    backend gets its load-balance default (four strips per worker, the
-    formula previously private to
-    :class:`~repro.backends.multiproc.MultiprocRunner`) and backends
-    without a chunk knob get ``None``.
+    backend gets its load-balance default
+    (:func:`~repro.backends.kernel.default_chunk`) and backends without a
+    chunk knob get ``None``.
     """
 
     name = "stripmine"
@@ -222,8 +222,7 @@ class StripminePass(SchedulePass):
         if spec.chunk is not None:
             ctx.set("chunk", spec.chunk)
         elif backend == "multiproc":
-            n = ctx.loop.n
-            ctx.set("chunk", max(1, -(-n // (4 * spec.processors))))
+            ctx.set("chunk", default_chunk(ctx.loop.n, spec.processors))
         else:
             ctx.set("chunk", None)
 

@@ -11,8 +11,10 @@ barrier per iteration group.
 import numpy as np
 import pytest
 
+from repro.backends import make_runner
 from repro.backends.cache import InspectorCache
 from repro.core.sequential import run_reference
+from repro.errors import RaceConditionError
 from repro.passes.distance import plan_distance_elision
 from repro.core.doacross import parallelize
 from repro.passes.execute import plan_loop
@@ -206,3 +208,70 @@ def test_undersized_bound_keeps_the_flags_on_multiproc():
     result, _plan = parallelize(chain, spec=spec, cache=InspectorCache())
     assert "distance_elision" not in result.extras
     np.testing.assert_array_equal(result.y, run_reference(chain).y)
+
+
+# ----------------------------------------------------------------------
+# validate="static" checks the group protocol that is about to run
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "backend,options",
+    [("threaded", {}), ("multiproc", {"chunk": 4}), ("vectorized", {})],
+)
+def test_static_validate_refuses_an_unsound_group(backend, options):
+    # Distance 3 under groups of 8: dependences inside a group are
+    # unordered.  The flag protocol would cover them — the check must
+    # look at the group protocol instead, before anything starts.
+    chain = chain_loop(240, 3)
+    runner = make_runner(
+        spec=PlanSpec(backend=backend, processors=2, validate="static")
+    )
+    with pytest.raises(RaceConditionError, match=rf"{backend}/group\(8\)"):
+        runner.run(chain, group_sync=8, **options)
+    if backend == "multiproc":
+        assert not runner.inner.started
+
+
+@pytest.mark.parametrize("backend,chunk", [("threaded", None), ("multiproc", 2)])
+def test_static_validate_labels_the_planned_group_schedule(backend, chunk):
+    spec = PlanSpec(
+        backend=backend,
+        processors=2,
+        chunk=chunk,
+        analyze="symbolic",
+        validate="static",
+    )
+    result, _plan = parallelize(chain_loop(64, 4), spec=spec)
+    assert result.extras["distance_group"] == 4
+    assert result.extras["race_check"]["schedule"] == f"{backend}/group(4)"
+    assert result.extras["race_check"]["passed"] is True
+
+
+# ----------------------------------------------------------------------
+# A refused group is recorded, never silent
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "backend,options,reason",
+    [
+        ("threaded", {"order": np.arange(240)}, "natural order"),
+        ("multiproc", {"order": np.arange(240)}, "natural order"),
+        ("multiproc", {"chunk": 3}, "not a multiple of the strip size"),
+        ("multiproc", {"chunk": 16}, "smaller than the strip size"),
+    ],
+    ids=["threaded-order", "multiproc-order", "misaligned", "undersized"],
+)
+def test_refused_group_sync_is_noted_and_counted(backend, options, reason):
+    chain = chain_loop(240, 8)
+    runner = make_runner(
+        spec=PlanSpec(backend=backend, processors=2, observe=True)
+    )
+    result = runner.run(chain, group_sync=8, **options)
+    np.testing.assert_array_equal(result.y, run_reference(chain).y)
+    assert "distance_group" not in result.extras
+    (note,) = [
+        n for n in result.extras["ignored_options"]
+        if n["option"] == "group_sync"
+    ]
+    assert note["value"] == 8 and reason in note["reason"]
+    counters = _counters(result)
+    assert counters["sync_elision_fallbacks"] == 1
+    assert counters["flag_sets"] == chain.n  # the flag protocol ran

@@ -1,0 +1,331 @@
+"""The executor kernel: one Figure-5 term rule, one scalar evaluator.
+
+``classify_terms`` is checked against a per-term Python loop that spells
+the rule out; ``run_span`` against the sequential oracle (bitwise) and
+against shadow-event lists captured from the per-backend executors this
+kernel replaced.  The last class pins the counters and per-lane shadow
+logs of the threaded and multiproc backends to the values those
+executors produced, and two structural checks keep the rule and the
+chunk default from being re-derived elsewhere.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import PlanSpec, make_runner, parallelize
+from repro.backends import MultiprocRunner, ThreadedRunner, kernel
+from repro.backends.base import inverse_permutation
+from repro.backends.kernel import ACC, LOCAL, OLD, WAIT
+from repro.core.doconsider import level_order
+from repro.ir.analysis import writer_map
+from repro.ir.loop import INIT_EXTERNAL
+from repro.sanitize.shadow import ShadowCapture
+from repro.workloads.synthetic import chain_loop, random_irregular_loop
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def brute_force_codes(loop, iter_arr, its, chunk, pos):
+    """The rule, one term at a time."""
+    if pos is None:
+        pos = np.arange(loop.n)
+    codes = []
+    for i in its:
+        for k in range(loop.reads.ptr[i], loop.reads.ptr[i + 1]):
+            writer = int(iter_arr[loop.reads.index[k]])
+            if writer == i:
+                codes.append(ACC)
+            elif not 0 <= writer < i:
+                codes.append(OLD)
+            elif (
+                pos[writer] // chunk == pos[i] // chunk
+                and pos[writer] < pos[i]
+            ):
+                codes.append(LOCAL)
+            else:
+                codes.append(WAIT)
+    return np.array(codes, dtype=np.int8)
+
+
+def span_args(loop):
+    init = loop.init_values if loop.init_kind == INIT_EXTERNAL else None
+    reads = loop.reads
+    return loop.write, reads.ptr, reads.index, reads.coeff, init
+
+
+class TestClassifyTerms:
+    @given(
+        n=st.integers(0, 50),
+        seed=st.integers(0, 2000),
+        chain=st.booleans(),
+        reorder=st.booleans(),
+        size=st.sampled_from(["1", "3", "n"]),
+        sentinel=st.sampled_from([-1, np.iinfo(np.int64).max]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_per_term_loop(
+        self, n, seed, chain, reorder, size, sentinel
+    ):
+        loop = (
+            chain_loop(n, 1 + seed % 4)
+            if chain and n
+            else random_irregular_loop(n, seed=seed)
+        )
+        chunk = max(n, 1) if size == "n" else int(size)
+        iter_arr = writer_map(loop)
+        iter_arr[iter_arr < 0] = sentinel  # both "unwritten" spellings
+        order = level_order(loop)[0] if reorder else np.arange(n)
+        pos = inverse_permutation(order) if reorder else None
+        reads = loop.reads
+        # Every strip on its own, and one lane's strips in one call.
+        spans = [order[lo:lo + chunk] for lo in range(0, n, chunk)]
+        spans.append(order[kernel.lane_positions(0, n, chunk, 2, 1)])
+        for its in spans:
+            got = kernel.classify_terms(
+                reads.ptr, reads.index, iter_arr, its, chunk, pos
+            )
+            want = brute_force_codes(loop, iter_arr, its.tolist(), chunk, pos)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, want)
+
+    def test_single_position_strips_have_no_local_terms(self):
+        loop = random_irregular_loop(80, seed=9)
+        reads = loop.reads
+        codes = kernel.classify_terms(
+            reads.ptr, reads.index, writer_map(loop), np.arange(80), 1
+        )
+        assert LOCAL not in codes and WAIT in codes
+
+    def test_placement_is_strips_dealt_round_robin(self):
+        pos = np.arange(10)
+        assert kernel.lane_of(pos, 3, 2).tolist() == [0, 0, 0, 1, 1, 1, 0, 0, 0, 1]
+        assert kernel.lane_positions(0, 10, 3, 2, 1).tolist() == [3, 4, 5, 9]
+        assert kernel.lane_positions(4, 9, 1, 3, 2).tolist() == [5, 8]
+        assert [kernel.default_chunk(n, 2) for n in (0, 1, 8, 9, 200)] == [
+            1, 1, 1, 2, 25,
+        ]
+
+
+class TestRunSpan:
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            random_irregular_loop(200, seed=3),
+            random_irregular_loop(120, seed=8, external_init=True),
+            chain_loop(150, 2),
+            random_irregular_loop(0, seed=1),
+        ],
+        ids=lambda loop: loop.name,
+    )
+    def test_whole_loop_as_one_span_is_the_oracle_bitwise(self, loop):
+        n = loop.n
+        its = np.arange(n)
+        reads = loop.reads
+        codes = kernel.classify_terms(
+            reads.ptr, reads.index, writer_map(loop), its, max(n, 1)
+        )
+        assert WAIT not in codes  # one strip: program order covers all
+        y, ynew = loop.y0.copy(), np.zeros(loop.y_size)
+        calls = []
+        cur = kernel.run_span(
+            its, codes, *span_args(loop), y, ynew, ynew,
+            wait=calls.append, post=lambda w: None,
+        )
+        assert cur == len(codes) and not calls
+        y[loop.write] = ynew[loop.write]
+        assert np.array_equal(y, loop.run_sequential())
+
+    def test_cursor_resumes_a_lane_across_calls(self):
+        loop = chain_loop(40, 3)
+        its = np.arange(40)
+        reads = loop.reads
+        codes = kernel.classify_terms(
+            reads.ptr, reads.index, writer_map(loop), its, 1
+        )
+        y, ynew = loop.y0.copy(), np.zeros(loop.y_size)
+        cur = 0
+        for lo in range(0, 40, 7):
+            # wait=None: the sequential walk already ordered every write.
+            cur = kernel.run_span(
+                its[lo:lo + 7], codes, *span_args(loop), y, ynew, ynew,
+                cur=cur,
+            )
+        y[loop.write] = ynew[loop.write]
+        assert np.array_equal(y, loop.run_sequential())
+
+    # Shadow events of thread 1 of 2 and of worker 1's first chunk
+    # (chunk=3, 2 workers) on random_irregular_loop(12, seed=2), captured
+    # from the per-backend executors before the kernel replaced them.
+    THREADED_LANE = [
+        ("r", 1, 13, 0), ("w", 1, 18), ("p", 18), ("a", 7), ("r", 3, 7, 1),
+        ("a", 7), ("r", 3, 7, 1), ("r", 3, 0, 0), ("w", 3, 10), ("p", 10),
+        ("a", 6), ("r", 5, 6, 1), ("a", 10), ("r", 5, 10, 1), ("w", 5, 11),
+        ("p", 11), ("r", 7, 15, 0), ("r", 7, 19, 0), ("a", 6),
+        ("r", 7, 6, 1), ("a", 18), ("r", 7, 18, 1), ("w", 7, 17), ("p", 17),
+        ("r", 9, 9, 0), ("w", 9, 16), ("p", 16), ("a", 2), ("r", 11, 2, 1),
+        ("a", 9), ("r", 11, 9, 1), ("a", 2), ("r", 11, 2, 1), ("a", 19),
+        ("r", 11, 19, 1), ("w", 11, 12), ("p", 12),
+    ]
+    MULTIPROC_CHUNK = [
+        ("a", 7), ("r", 3, 7, 1), ("a", 7), ("r", 3, 7, 1), ("r", 3, 0, 0),
+        ("w", 3, 10), ("p", 10), ("r", 4, 3, 0), ("a", 6), ("r", 4, 6, 1),
+        ("w", 4, 2), ("p", 2), ("a", 6), ("r", 5, 6, 1), ("r", 5, 10, 1),
+        ("w", 5, 11), ("p", 11),
+    ]
+
+    @pytest.mark.parametrize(
+        "its,chunk,expected",
+        [
+            (np.arange(1, 12, 2), 1, THREADED_LANE),
+            (np.arange(3, 6), 3, MULTIPROC_CHUNK),
+        ],
+        ids=["threaded-lane", "multiproc-chunk"],
+    )
+    def test_event_list_equals_the_old_executors(self, its, chunk, expected):
+        loop = random_irregular_loop(12, seed=2)
+        reads = loop.reads
+        codes = kernel.classify_terms(
+            reads.ptr, reads.index, writer_map(loop), its, chunk
+        )
+        ynew = np.zeros(loop.y_size)
+        events: list = []
+        kernel.run_span(
+            its, codes, *span_args(loop), loop.y0, ynew, ynew,
+            wait=lambda idx: None, post=lambda w: None, events=events,
+        )
+        assert events == expected
+        # Plain ints: the log crosses a process boundary by pickle.
+        assert all(type(x) in (int, str) for ev in events for x in ev)
+
+
+def _counters(result, names):
+    counters = result.telemetry.metrics.as_dict()["counters"]
+    return {name: counters.get(name) for name in names}
+
+
+def _log_digest(runner, loop, **options):
+    """Per-lane shadow logs of one bare run, pid-independent."""
+    capture = runner._san_capture = ShadowCapture()
+    try:
+        runner.run(loop, **options)
+    finally:
+        runner._san_capture = None
+    lanes: dict = {}
+    for key, events in capture.lanes.items():
+        lanes.setdefault(key[1] if isinstance(key, tuple) else key, []).extend(
+            events
+        )
+    blob = repr(sorted(lanes.items())).encode()
+    return hashlib.sha256(blob).hexdigest()[:16], sum(map(len, lanes.values()))
+
+
+class TestSameBehaviourAsTheOldExecutors:
+    """Counters and per-lane shadow logs, 2 lanes, pinned to the values
+    the per-backend executors produced at the parent commit."""
+
+    FLAG = ("flag_checks", "flag_sets", "iterations", "inspector_iterations")
+    GROUP = FLAG + ("sync_elisions", "group_barriers")
+    LOOPS = {
+        "chain": lambda: chain_loop(200, 1),
+        "random": lambda: random_irregular_loop(150, seed=5),
+    }
+
+    @pytest.fixture(scope="class")
+    def runners(self):
+        pool = MultiprocRunner(workers=2)
+        yield {"threaded": ThreadedRunner(threads=2), "multiproc": pool}
+        pool.close()
+
+    @pytest.mark.parametrize(
+        "backend,name,flag_checks,digest",
+        [
+            ("threaded", "chain", 199, ("cb26564129877744", 802)),
+            ("threaded", "random", 138, ("e351a9f66cc3be61", 729)),
+            ("multiproc", "chain", 7, ("9094b9b7ab8a5e82", 606)),
+            ("multiproc", "random", 128, ("5d575b251ca3077b", 715)),
+        ],
+    )
+    def test_flag_mode(self, runners, backend, name, flag_checks, digest):
+        loop = self.LOOPS[name]()
+        spec = PlanSpec(backend=backend, processors=2, observe=True)
+        result = make_runner(spec=spec).run(loop)
+        assert np.array_equal(result.y, loop.run_sequential())
+        counters = _counters(result, self.GROUP)
+        assert counters == {
+            "flag_checks": flag_checks,
+            "flag_sets": loop.n,
+            "iterations": loop.n,
+            "inspector_iterations": loop.n,
+            "sync_elisions": None,
+            "group_barriers": None,
+        }
+        assert _log_digest(runners[backend], loop) == digest
+
+    @pytest.mark.parametrize(
+        "backend,digest",
+        [
+            ("threaded", ("0f080e6b6255cb27", 729)),
+            ("multiproc", ("a4d86fcb700e5cc4", 720)),
+        ],
+    )
+    def test_doconsider_order(self, runners, backend, digest):
+        loop = self.LOOPS["random"]()
+        order = level_order(loop)[0]
+        assert _log_digest(runners[backend], loop, order=order) == digest
+
+    @pytest.mark.parametrize(
+        "backend,chunk,digest",
+        [
+            ("threaded", None, ("bea2ddb6e75a2a63", 160)),
+            ("multiproc", 2, ("6a32902e2e45e76f", 156)),
+        ],
+    )
+    def test_group_mode(self, runners, backend, chunk, digest):
+        loop = chain_loop(64, 4)
+        spec = PlanSpec(
+            backend=backend, processors=2, chunk=chunk,
+            analyze="symbolic", observe=True,
+        )
+        result, _plan = parallelize(loop, spec=spec)
+        assert np.array_equal(result.y, loop.run_sequential())
+        assert result.extras["distance_group"] == 4
+        # 64 posts never set + 60 waits never performed; 16 barriers.
+        assert _counters(result, self.GROUP) == {
+            "flag_checks": 0,
+            "flag_sets": 0,
+            "iterations": 64,
+            "inspector_iterations": 0,
+            "sync_elisions": 124,
+            "group_barriers": 16,
+        }
+        options = {"group_sync": 4}
+        if chunk is not None:
+            options["chunk"] = chunk
+        assert _log_digest(runners[backend], loop, **options) == digest
+
+
+class TestOneRuleOnePlace:
+    def test_figure5_compare_lives_only_in_the_simulator(self):
+        hits = {
+            path.name
+            for path in (SRC / "backends").glob("*.py")
+            if re.search(r"writer (==|<) i\b", path.read_text())
+        }
+        assert hits == {"simulated.py"}
+
+    def test_chunk_default_formula_occurs_once(self):
+        hits = [
+            str(path.relative_to(SRC))
+            for path in SRC.rglob("*.py")
+            for line in path.read_text().splitlines()
+            if re.search(r"// \(4 \* \w*\.?(workers|processors)\)", line)
+        ]
+        assert hits == ["backends/kernel.py"]

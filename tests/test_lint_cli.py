@@ -191,6 +191,48 @@ def test_validating_runner_wraps_arbitrary_runner_instance():
     assert result.extras["race_check"]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "ctor_chunk,run_chunk,expected",
+    [(None, None, 25), (5, None, 5), (5, 7, 7)],
+    ids=["default", "constructor", "run-option"],
+)
+def test_static_validate_checks_the_chunk_that_runs(
+    ctor_chunk, run_chunk, expected
+):
+    from repro.backends import MultiprocRunner
+
+    loop = repro.random_irregular_loop(200, seed=3)
+    inner = MultiprocRunner(workers=2, chunk=ctor_chunk)
+    try:
+        result = HookedRunner(inner, [StaticValidate]).run(
+            loop, chunk=run_chunk
+        )
+    finally:
+        inner.close()
+    assert result.schedule == f"chunked({expected} x 2 workers)"
+    assert (
+        result.extras["race_check"]["schedule"]
+        == f"multiproc(2 workers, chunk={expected})"
+    )
+
+
+def test_check_backend_schedule_default_chunk_is_the_backends():
+    from repro.lint.hb import check_backend_schedule
+
+    loop = repro.random_irregular_loop(200, seed=3)
+    labels = {
+        backend: check_backend_schedule(
+            loop, backend, processors=2
+        ).schedule_label
+        for backend in ("multiproc", "threaded", "simulated")
+    }
+    assert labels["multiproc"] == "multiproc(2 workers, chunk=25)"
+    assert labels["threaded"] == "threaded(2 threads)"
+    assert labels["simulated"] == check_backend_schedule(
+        loop, "simulated", processors=2, chunk=1
+    ).schedule_label
+
+
 # ----------------------------------------------------------------------
 # Baselines
 # ----------------------------------------------------------------------
