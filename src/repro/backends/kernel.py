@@ -22,10 +22,12 @@ crosses lanes and must wait for the writer's post (:data:`WAIT`).
 :func:`classify_terms` evaluates that rule for a batch of iterations in
 one vectorised pass; :func:`run_span` is the one scalar evaluator that
 walks iterations by code.  The threaded, multiproc and speculative
-backends are scheduling and synchronisation around these two, and the
-static race checker (:mod:`repro.lint.hb`) reads the same placement and
-the same codes — its wait set is exactly the terms coded :data:`WAIT` —
-so what it checks is what the backend executes.
+backends are scheduling and synchronisation around these two; the static
+race checker (:mod:`repro.lint.hb`) reads the same placement and the
+same codes — its wait set is exactly the terms coded :data:`WAIT` — and
+the mutation harness (:mod:`repro.sanitize.mutate`) corrupts these codes
+and replays :func:`run_span` over them, so what is checked, and what the
+detector is proven against, is what the backend executes.
 
 Not here, on purpose: the sequential oracle
 (:meth:`~repro.ir.loop.IrregularLoop.run_sequential`), the cycle-charging
@@ -87,7 +89,9 @@ def classify_terms(
     pos: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-term codes for iterations ``its``, in the order given (flat:
-    all terms of ``its[0]``, then of ``its[1]``, ...).
+    all terms of ``its[0]``, then of ``its[1]``, ...).  The code array is
+    the per-iteration read contract (Blom/Darabi/Huisman, arXiv
+    1406.3484): which memory each iteration may read, and after whom.
 
     ``iter_arr[e]`` is the iteration writing element ``e``; any value
     outside ``[0, i)`` for a reader ``i`` (``MAXINT``, ``-1``, a later

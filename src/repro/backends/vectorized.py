@@ -54,11 +54,47 @@ from repro.errors import InvalidLoopError
 from repro.machine.costs import CostModel
 from repro.obs.spans import CAT_LEVEL, CAT_PHASE
 
-__all__ = ["VectorizedRunner", "ANALYZE_MODES"]
+__all__ = ["VectorizedRunner", "ANALYZE_MODES", "log_level"]
 
 #: Accepted values for the ``analyze`` option (here and on
 #: :func:`~repro.backends.make_runner` / ``parallelize``).
 ANALYZE_MODES = (None, "symbolic", "symbolic+check")
+
+
+def log_level(
+    lane: list,
+    record: InspectorRecord,
+    y_size: int,
+    k: int,
+    n_levels: int,
+    p0: int,
+    p1: int,
+) -> None:
+    """Shadow-log wavefront level ``k`` of ``n_levels`` — execution
+    positions ``[p0, p1)`` of ``record`` — onto ``lane``: the handoff
+    acquire, one bulk ``R`` (intra-iteration terms are not memory reads),
+    one bulk ``W``, the handoff post.  The runner logs each level as it
+    executes it; the mutation harness logs the same record over mutated
+    level cuts."""
+    exec_order, exec_ptr = record.exec_order, record.exec_ptr
+    if k > 0:
+        lane.append(("a", -k))
+    tt0, tt1 = int(exec_ptr[p0]), int(exec_ptr[p1])
+    keep = ~record.intra[tt0:tt1]
+    ei = record.env_index[tt0:tt1][keep]
+    iters = np.repeat(
+        exec_order[p0:p1], np.diff(exec_ptr[p0 : p1 + 1])
+    )[keep]
+    srcs = (ei >= y_size).astype(np.int64)
+    if len(ei):
+        lane.append(
+            ("R", iters, np.where(srcs == 1, ei - y_size, ei), srcs)
+        )
+    lane.append(
+        ("W", exec_order[p0:p1].copy(), record.exec_write[p0:p1].copy())
+    )
+    if k + 1 < n_levels:
+        lane.append(("p", -(k + 1)))
 
 
 class VectorizedRunner(Runner):
@@ -375,26 +411,7 @@ class VectorizedRunner(Runner):
                 t_level = now()
             p0, p1 = int(level_ptr[k]), int(level_ptr[k + 1])
             if san is not None:
-                lane = san.lane(k)
-                if k > 0:
-                    lane.append(("a", -k))
-                tt0, tt1 = int(exec_ptr[p0]), int(exec_ptr[p1])
-                keep = ~intra[tt0:tt1]
-                ei = env_index[tt0:tt1][keep]
-                iters = np.repeat(
-                    exec_order[p0:p1], np.diff(exec_ptr[p0 : p1 + 1])
-                )[keep]
-                srcs = (ei >= y_size).astype(np.int64)
-                if len(ei):
-                    lane.append(
-                        ("R", iters, np.where(srcs == 1, ei - y_size, ei),
-                         srcs)
-                    )
-                lane.append(
-                    ("W", exec_order[p0:p1].copy(), exec_write[p0:p1].copy())
-                )
-                if k + 1 < n_levels:
-                    lane.append(("p", -(k + 1)))
+                log_level(san.lane(k), record, y_size, k, n_levels, p0, p1)
             if external:
                 acc = init[p0:p1].copy()
             else:

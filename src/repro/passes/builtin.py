@@ -42,6 +42,7 @@ from repro.backends.kernel import default_chunk
 from repro.graph.coloring import greedy_coloring
 from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import compute_levels
+from repro.ir.analysis import CAT_TRUE, classify_reads
 from repro.passes.base import PassContext, PassPipeline, SchedulePass
 from repro.passes.spec import AUTO_BACKEND, PlanSpec, check_options
 
@@ -198,9 +199,13 @@ class SanitizePass(SchedulePass):
     provides = ("sanitize",)
 
     def run(self, ctx: PassContext) -> None:
-        from repro.sanitize.detector import required_pairs
-
-        ctx.set("sanitize", {"pairs": len(required_pairs(ctx.loop))})
+        # The detector's required_pairs, counted without building them: a
+        # written element has one writer, so the unique (reader, element)
+        # true-dependence terms are its (writer, reader, element) triples.
+        readers, _, categories = classify_reads(ctx.loop)
+        true = categories == CAT_TRUE
+        terms = np.stack([readers[true], ctx.loop.reads.index[true]], axis=1)
+        ctx.set("sanitize", {"pairs": np.unique(terms, axis=0).shape[0]})
 
 
 class StripminePass(SchedulePass):

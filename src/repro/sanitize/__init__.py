@@ -16,8 +16,9 @@ dual of the happens-before race checker:
   against the happens-before relation the run *witnessed*; violations
   surface as a structured :class:`~repro.errors.SanitizerError`.
 - :mod:`repro.sanitize.mutate` — the schedule-mutation harness proving
-  detector power: corrupted schedules, dropped waits/posts, reversed
-  chunk round-robin, skipped scrubs; the kill rate is a CI gate.
+  detector power: mutations of the real kernel's codes / placement /
+  event stream (dropped waits/posts, reversed chunk round-robin, skipped
+  scrubs, ...); the kill rate is a CI gate.
 
 Select it with ``PlanSpec(validate="sanitize")`` (the
 :class:`~repro.backends.hooks.Sanitize` run hook), or from the CLI:

@@ -201,10 +201,11 @@ class SanitizeReport:
         }
 
 
-def _required_triples(loop) -> List[Tuple[int, int, int]]:
-    """Unique ``(writer_iteration, reader_iteration, element)`` triples
-    the §2.2 protocol must order — every cross-iteration true-dependence
-    read term."""
+def required_pairs(loop) -> List[Tuple[int, int, int]]:
+    """The sanitizer's contract: the unique ``(writer_iteration,
+    reader_iteration, element)`` triples the §2.2 protocol must order —
+    every cross-iteration true-dependence read term, each to be covered
+    by a witnessed happens-before edge."""
     readers, writers, categories = classify_reads(loop)
     mask = categories == CAT_TRUE
     if not mask.any():
@@ -215,15 +216,6 @@ def _required_triples(loop) -> List[Tuple[int, int, int]]:
     )
     trip = np.unique(trip, axis=0)
     return [(int(w), int(r), int(e)) for w, r, e in trip]
-
-
-def required_pairs(loop) -> List[Tuple[int, int, int]]:
-    """Public name for the sanitizer's contract: the unique
-    ``(writer_iteration, reader_iteration, element)`` triples whose reads
-    must each be covered by a witnessed happens-before edge.  Used by the
-    plan-time :class:`~repro.passes.builtin.SanitizePass` to record the
-    check workload before execution."""
-    return _required_triples(loop)
 
 
 class _Replay:
@@ -757,7 +749,7 @@ def detect(
         lanes=len(capture.lanes),
         backend=capture.meta.get("backend"),
     )
-    triples = _required_triples(loop)
+    triples = required_pairs(loop)
     has_access_events = any(
         ev[0] in (EV_READ, EV_WRITE, EV_BULK_READ, EV_BULK_WRITE)
         for events in capture.lanes.values()

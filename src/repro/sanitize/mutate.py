@@ -1,745 +1,350 @@
 """Schedule-mutation harness: proof of detector power.
 
 A race detector that never fires is indistinguishable from one that
-cannot fire.  This module provides the evidence: a deterministic
-:class:`ProtocolInterpreter` that *models* the §2.2 post/wait protocol
-in each backend shape (chunked workers, cyclic threads, wavefront
-levels, speculative commit chains) and emits exactly the shadow logs a
-conforming backend would — then a registry of :data:`MUTANTS` that
-corrupt the protocol the way a buggy executor would: dropped waits,
-dropped posts, reversed chunk round-robin, stale ``iter`` entries,
-skipped shm scrubs, posts-before-writes, merged wavefront levels,
-skipped barriers, skipped snapshot restores, dropped conflict edges,
-out-of-order rollback re-execution.
-
-The interpreter distinguishes the **planned** schedule (which drives
-wait-*elision* decisions, exactly as a real backend bakes elisions in at
-plan time) from the **actual** schedule it executes — so mutants that
-change only the actual order (e.g. ``reverse-round-robin``) invalidate
-elisions that were sound under the plan, which is precisely the class of
-bug static checking cannot see.
-
-:func:`run_mutation_suite` asserts two things at once:
-
-- every unmutated interpretation is **clean** (no false positives), and
-- the detector **kills** (reports at least one violation for) at least
-  ``min_kill`` of the mutants.
-
-The resulting kill rate is a CI gate (the dynamic dual of the
-corrupted-schedule happens-before tests).
+cannot fire.  The evidence is mutations of the *real* protocol: a backend
+shape is a small value made of what that backend executes (:class:`Flags`,
+:class:`Levels`, :class:`Commits`); a mutant is one method over it that
+corrupts the kernel's codes, the placement or the event stream and returns
+how many sites it found (none: *not applicable* to that workload).  Stages
+are lazy (``iter_arr`` -> ``codes`` -> ``capture``): the real kernel derives
+everything after the corrupted one.  :func:`run_mutation_suite` is the CI
+gate: unmutated captures clean, every applicable mutant killed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, partial
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from repro.backends import kernel, MultiprocRunner, SpeculativeRunner
+from repro.backends import ThreadedRunner, VectorizedRunner
+from repro.backends.vectorized import log_level
 from repro.ir.analysis import CAT_TRUE, classify_reads, writer_map
-from repro.sanitize.detector import SanitizeReport, detect
-from repro.sanitize.events import SRC_NEW, SRC_OLD
+from repro.sanitize.detector import detect
+from repro.sanitize.events import SRC_OLD
 from repro.sanitize.shadow import ShadowCapture
+from repro.workloads.synthetic import chain_loop, random_irregular_loop
 
-__all__ = [
-    "InterpreterConfig",
-    "ProtocolInterpreter",
-    "Mutant",
-    "MUTANTS",
-    "MutantResult",
-    "MutationReport",
-    "run_mutation_suite",
-]
+__all__ = ["MUTANTS", "Mutant", "MutationReport", "run_mutation_suite"]
 
 
-@dataclass
-class InterpreterConfig:
-    """Knobs of one protocol interpretation.  The default configuration
-    is a conforming execution; mutants flip individual knobs."""
+class Shape:
+    """One backend run as data; ``capture`` is its shadow log."""
 
-    mode: str = "chunked"  # "chunked" | "threaded" | "levels" | "speculative"
-    lanes: int = 3
-    chunk: int = 4
-    # --- mutation knobs (all off by default) ---
-    #: Suppress the first N acquire events a conforming run would emit.
-    drop_waits: int = 0
-    #: Suppress the first N post events a conforming run would emit.
-    drop_posts: int = 0
-    #: Each worker executes its chunk list in reverse order while
-    #: wait-elision decisions still assume the planned (ascending) order.
-    reverse_round_robin: bool = False
-    #: Corrupt the ``iter`` array for the first N true-dependence
-    #: elements: their entries revert to "unwritten", so readers take
-    #: the stale input value without waiting.
-    stale_iter: int = 0
-    #: Model a skipped shm scrub: the ready flags of the first N
-    #: true-dependence elements are left set from a previous session, so
-    #: readers skip the wait entirely.
-    skip_scrub: int = 0
-    #: Emit each post before its write instead of after it.
-    post_before_write: bool = False
-    #: (levels mode) Execute level k+1's iterations inside level k —
-    #: all gathers before all scatters, as the vectorized kernel would.
-    merge_level_at: int | None = None
-    #: (threaded mode) This lane skips the phase barrier.
-    skip_barrier_lane: int | None = None
-    #: (levels mode) Suppress the chain handoff post out of this level.
-    drop_chain_link_at: int | None = None
-    #: (speculative mode) The first N RAW-conflicting chunks commit the
-    #: values they computed against the stale snapshot instead of being
-    #: rolled back and re-executed — the skipped-restore bug.
-    skip_restore: int = 0
-    #: (speculative mode) The conflict detector misses the RAW edge of
-    #: the first N conflicting chunks whose writer chunk is deferred:
-    #: the reader chunk commits *before* the chunk that produces its
-    #: input, while its log still claims the new value.
-    drop_conflict_edge: int = 0
-    #: (speculative mode) Rolled-back chunks re-execute in reverse chunk
-    #: order instead of ascending chunk order.
-    reverse_reexec: bool = False
+    def __init__(self, loop, runner):
+        self.loop, self.runner = loop, runner
+
+    def lose_posts(self, early: bool = False) -> int:
+        """Two writers (levels, for handoff tokens) never post — or,
+        ``early``, every flag is set before its value lands in ``ynew``.
+        Only posts some lane acquires are sites."""
+        lanes = list(self.capture.lanes.values())
+        awaited = {ev[1] for evs in lanes for ev in evs if ev[0] == "a"}
+        sites = [
+            (evs, k) for evs in lanes for k, ev in enumerate(evs)
+            if ev[0] == "p" and ev[1] in awaited
+        ][: None if early else 2]
+        for evs, k in reversed(sites):
+            post = evs.pop(k)
+            if early:
+                evs.insert(k - 1, post)
+        return len(sites)
 
 
-class ProtocolInterpreter:
-    """Deterministically interpret the post/wait protocol over a loop,
-    emitting the shadow log a backend of the given shape would."""
+class Flags(Shape):
+    """The flag protocol: lane ``k`` of the runner's ``schedule_model()``
+    runs ``its[k]`` in order; ``codes`` is the kernel's per-term read
+    contract given ``iter_arr``; ``capture`` is what ``run_span`` logs."""
 
-    def __init__(self, loop, config: InterpreterConfig):
-        self.loop = loop
-        self.cfg = config
-        self.writer_of = writer_map(loop)
-        # Elements that carry at least one cross-iteration true
-        # dependence, in ascending order — the targets the scoped
-        # mutants (stale_iter, skip_scrub) corrupt so the corruption is
-        # guaranteed to matter.
-        readers, writers, categories = classify_reads(loop)
-        mask = categories == CAT_TRUE
-        self.dep_elements = np.unique(
-            np.asarray(loop.reads.index)[mask]
+    def __init__(self, loop, runner, phases: bool):
+        super().__init__(loop, runner)
+        model = runner.schedule_model(loop)
+        self.chunk, self.workers = model.get("chunk", 1), model["processors"]
+        # Threads bracket the executor with the phase barrier.
+        self.pre, self.post = ([("b", 0)], [("b", 1)]) if phases else ([], [])
+        self.iter_arr = writer_map(loop)
+        self.its = [
+            kernel.lane_positions(0, loop.n, self.chunk, self.workers, k)
+            for k in range(self.workers)
+        ]
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        r = self.loop.reads
+        return kernel.classify_terms(
+            r.ptr, r.index, self.iter_arr, np.arange(self.loop.n), self.chunk
         )
-        # (writer, reader, element) per cross-iteration true-dep term,
-        # for mutants that must target pairs with a known lane shape.
-        self.dep_triples = np.stack(
-            [
-                writers[mask],
-                readers[mask],
-                np.asarray(loop.reads.index, dtype=np.int64)[mask],
-            ],
-            axis=1,
-        ) if mask.any() else np.empty((0, 3), dtype=np.int64)
 
-    # ------------------------------------------------------------------
-    def interpret(self) -> ShadowCapture:
-        capture = ShadowCapture()
-        cfg = self.cfg
-        if cfg.mode == "chunked":
-            self._run_chunked(capture)
-        elif cfg.mode == "threaded":
-            self._run_threaded(capture)
-        elif cfg.mode == "levels":
-            self._run_levels(capture)
-        elif cfg.mode == "speculative":
-            self._run_speculative(capture)
-        else:  # pragma: no cover - config error
-            raise ValueError(f"unknown interpreter mode {cfg.mode!r}")
+    @cached_property
+    def capture(self) -> ShadowCapture:
+        loop, r, capture = self.loop, self.loop.reads, ShadowCapture()
+        y = np.zeros(loop.y_size)  # the log does not depend on values
+        for k, its in enumerate(self.its):
+            lane = capture.lane(k)
+            terms = [np.arange(r.ptr[i], r.ptr[i + 1]) for i in its]
+            lane += self.pre
+            kernel.run_span(  # wait/post are recorded, never blocked on
+                its, self.codes[np.concatenate([np.arange(0)] + terms)],
+                loop.write, r.ptr, r.index, r.coeff, None, y, y, y,
+                wait=lambda _e: None, post=lambda _e: None, events=lane,
+            )
+            lane += self.post
         return capture
 
-    # ------------------------------------------------------------------
-    def _corrupted_iter(self) -> np.ndarray:
-        """The ``iter`` array as the (possibly mutated) run sees it."""
-        arr = self.writer_of.copy()
-        if self.cfg.stale_iter:
-            for e in self.dep_elements[: self.cfg.stale_iter]:
-                arr[e] = -1
-        return arr
-
-    def _stale_flags(
-        self, elide: Callable[[int, int], bool] | None = None
-    ) -> set:
-        """Elements whose ready flags a skipped scrub leaves set.
-
-        Only dependences whose wait would actually be *taken* (not
-        elided into program order) are affected — a stale flag on a
-        program-order-covered pair is harmless, so corrupting it would
-        model a bug no execution can exhibit."""
-        if not self.cfg.skip_scrub:
-            return set()
-        chosen: set = set()
-        for w, r, e in self.dep_triples:
-            if elide is not None and elide(int(w), int(r)):
-                continue
-            chosen.add(int(e))
-            if len(chosen) >= self.cfg.skip_scrub:
-                break
-        return chosen
-
-    def _emit_iteration(
-        self,
-        events: List[tuple],
-        i: int,
-        iter_arr: np.ndarray,
-        stale_flags: set,
-        budget: Dict[str, int],
-        elide_wait: Callable[[int, int], bool],
-        cross_lane: Callable[[int, int], bool],
-    ) -> None:
-        """One iteration of the Figure-5 executor body.
-
-        ``cross_lane`` tells the drop-wait mutant which waits *matter*:
-        dropping a wait whose pair is covered by program order anyway
-        would make an equivalent mutant (undetectable by any sound
-        detector), so only cross-lane waits are droppable."""
-        cfg = self.cfg
-        indices, _ = self.loop.reads.terms_of(i)
-        for idx in indices:
-            idx = int(idx)
-            writer = int(iter_arr[idx])
-            if writer == i:
-                continue  # intra-iteration: the accumulator, not memory
-            if 0 <= writer < i:
-                if idx in stale_flags:
-                    pass  # flag left set by a previous session: no wait
-                elif elide_wait(writer, i):
-                    pass  # planned-ownership elision: program order
-                elif (
-                    budget["waits"] < cfg.drop_waits
-                    and cross_lane(writer, i)
-                ):
-                    budget["waits"] += 1  # mutated executor skips the wait
-                else:
-                    events.append(("a", idx))
-                events.append(("r", i, idx, SRC_NEW))
-            else:
-                events.append(("r", i, idx, SRC_OLD))
-        w = int(self.loop.write[i])
-        post = True
-        if budget["posts"] < cfg.drop_posts:
-            budget["posts"] += 1
-            post = False
-        if post and cfg.post_before_write:
-            events.append(("p", w))
-            events.append(("w", i, w))
+    def unwait(self, n: int = 3, whole_flags: bool = False) -> int:
+        """The executor reads ``ynew`` without awaiting the ready flag
+        (``whole_flags``: a skipped shm scrub left flags set for all their
+        readers).  Only waits on another lane's writer are sites: program
+        order covers the rest, and ``WAIT`` -> ``LOCAL`` there is no bug."""
+        r = self.loop.reads
+        lane = kernel.lane_of(np.arange(self.loop.n), self.chunk, self.workers)
+        cross = lane[self.iter_arr[r.index]] != lane[r.iteration_of_term()]
+        sites = np.flatnonzero((self.codes == kernel.WAIT) & cross)
+        if whole_flags:
+            sites = sites[np.isin(r.index[sites], r.index[sites[:n]])]
         else:
-            events.append(("w", i, w))
-            if post:
-                events.append(("p", w))
+            sites = sites[:n]
+        self.codes[sites] = kernel.LOCAL
+        return len(sites)
 
-    # ------------------------------------------------------------------
-    def _run_chunked(self, capture: ShadowCapture) -> None:
-        """Multiproc shape: chunks round-robined over workers; waits on
-        cross-owner dependences are elided when the *planned* owner of
-        the writer's chunk matches the reader's (program order on that
-        worker covers them)."""
-        cfg = self.cfg
-        n = self.loop.n
-        n_chunks = -(-n // cfg.chunk)
-        iter_arr = self._corrupted_iter()
-        budget = {"waits": 0, "posts": 0}
+    def stale_iter(self) -> int:
+        """Corrupt ``iter`` entries send readers to the stale input."""
+        _, _, categories = classify_reads(self.loop)
+        elems = np.unique(self.loop.reads.index[categories == CAT_TRUE])[:2]
+        self.iter_arr[elems] = -1
+        return len(elems)
 
-        def chunk_of(i: int) -> int:
-            return i // cfg.chunk
+    def reverse_strips(self) -> int:
+        """Workers drain their strips last-first; codes assume ascending."""
+        gaps = [np.flatnonzero(np.diff(its) > 1) + 1 for its in self.its]
+        self.its = [
+            np.concatenate(np.split(its, g)[::-1])
+            for its, g in zip(self.its, gaps)
+        ]
+        waits = self.codes == kernel.WAIT  # none: no strip order to break
+        return sum(map(len, gaps)) and np.count_nonzero(waits)
 
-        def planned_lane(c: int) -> int:
-            return c % cfg.lanes
+    def skip_barrier(self) -> int:
+        """One thread skips the inspector/executor phase barrier."""
+        evs = self.capture.lanes[1]
+        evs[:] = [ev for ev in evs if ev[0] != "b"]
+        return 2
 
-        def elide(writer: int, reader: int) -> bool:
-            cw, cr = chunk_of(writer), chunk_of(reader)
-            return planned_lane(cw) == planned_lane(cr) and cw <= cr
 
-        stale = self._stale_flags(elide)
+class Levels(Shape):
+    """The wavefront protocol: ``cuts`` are the level boundaries over the
+    inspector record; ``capture`` is what the runner's ``log_level`` logs."""
 
-        def cross(writer: int, reader: int) -> bool:
-            return planned_lane(chunk_of(writer)) != planned_lane(
-                chunk_of(reader)
-            )
+    def __init__(self, loop, runner):
+        super().__init__(loop, runner)
+        self.record = runner._preprocess(loop)[0]
+        self.cuts = self.record.schedule.level_ptr
 
-        for lane in range(cfg.lanes):
-            events = capture.lane(lane)
-            chunks = [c for c in range(n_chunks) if planned_lane(c) == lane]
-            if cfg.reverse_round_robin:
-                chunks = chunks[::-1]
-            for c in chunks:
-                lo, hi = c * cfg.chunk, min((c + 1) * cfg.chunk, n)
-                for i in range(lo, hi):
-                    self._emit_iteration(
-                        events, i, iter_arr, stale, budget, elide, cross
-                    )
-
-    def _run_threaded(self, capture: ShadowCapture) -> None:
-        """Threaded shape: cyclic iteration assignment, a phase barrier
-        between inspector and executor, waits never elided."""
-        cfg = self.cfg
-        n = self.loop.n
-        iter_arr = self._corrupted_iter()
-        stale = self._stale_flags()
-        budget = {"waits": 0, "posts": 0}
-
-        def never(_w: int, _r: int) -> bool:
-            return False
-
-        def cross(writer: int, reader: int) -> bool:
-            return writer % cfg.lanes != reader % cfg.lanes
-
-        for lane in range(cfg.lanes):
-            events = capture.lane(lane)
-            if lane != cfg.skip_barrier_lane:
-                events.append(("b", 0))
-            for i in range(lane, n, cfg.lanes):
-                self._emit_iteration(
-                    events, i, iter_arr, stale, budget, never, cross
-                )
-            if lane != cfg.skip_barrier_lane:
-                events.append(("b", 1))
-
-    def _run_levels(self, capture: ShadowCapture) -> None:
-        """Vectorized shape: lanes are wavefront levels chained by
-        synthetic handoff tokens, with bulk per-level events."""
-        cfg = self.cfg
-        loop = self.loop
-        iter_arr = self._corrupted_iter()
-        level_of = np.zeros(loop.n, dtype=np.int64)
-        for i in range(loop.n):
-            indices, _ = loop.reads.terms_of(i)
-            lv = 0
-            for idx in indices:
-                writer = int(self.writer_of[idx])
-                if 0 <= writer < i:
-                    lv = max(lv, int(level_of[writer]) + 1)
-            level_of[i] = lv
-        n_levels = int(level_of.max()) + 1 if loop.n else 1
-
-        merged = cfg.merge_level_at
-        lane_of_level = list(range(n_levels))
-        if merged is not None and merged + 1 < n_levels:
-            lane_of_level[merged + 1] = merged
-
-        members: Dict[int, List[int]] = {}
-        for i in range(loop.n):
-            members.setdefault(lane_of_level[int(level_of[i])], []).append(i)
-
+    @cached_property
+    def capture(self) -> ShadowCapture:
+        capture, n_levels = ShadowCapture(), len(self.cuts) - 1
         capture.meta["levels"] = n_levels
         for k in range(n_levels):
-            events = capture.lane(k)
-            if k > 0:
-                events.append(("a", -k))
-            iters = members.get(k, [])
-            r_it: List[int] = []
-            r_el: List[int] = []
-            r_src: List[int] = []
-            w_it: List[int] = []
-            w_el: List[int] = []
-            for i in iters:
-                indices, _ = loop.reads.terms_of(i)
-                for idx in indices:
-                    idx = int(idx)
-                    writer = int(iter_arr[idx])
-                    if writer == i:
-                        continue
-                    r_it.append(i)
-                    r_el.append(idx)
-                    r_src.append(
-                        SRC_NEW if 0 <= writer < i else SRC_OLD
-                    )
-                w_it.append(i)
-                w_el.append(int(loop.write[i]))
-            if r_it:
-                events.append(
-                    (
-                        "R",
-                        np.asarray(r_it, dtype=np.int64),
-                        np.asarray(r_el, dtype=np.int64),
-                        np.asarray(r_src, dtype=np.int64),
-                    )
-                )
-            if w_it:
-                events.append(
-                    (
-                        "W",
-                        np.asarray(w_it, dtype=np.int64),
-                        np.asarray(w_el, dtype=np.int64),
-                    )
-                )
-            if k + 1 < n_levels and cfg.drop_chain_link_at != k:
-                events.append(("p", -(k + 1)))
+            log_level(capture.lane(k), self.record, self.loop.y_size, k,
+                      n_levels, self.cuts[k], self.cuts[k + 1])
+        return capture
 
-    def _run_speculative(self, capture: ShadowCapture) -> None:
-        """Speculative shape: one lane per chunk, a commit chain of
-        synthetic ``("c", k)`` tokens ordering the commits.
-
-        The model mirrors the backend's commit rule in two phases:
-        phase 1 commits the hazard-free chunks in chunk order (a chunk
-        is deferred on a cross-chunk RAW, or when its writes touch
-        elements an already-deferred chunk reads or writes); phase 2
-        re-executes the deferred chunks, again in chunk order.  Reads
-        served by an already-committed write log ``SRC_NEW``; snapshot
-        reads log ``SRC_OLD``.  The mutants commit conflicting chunks
-        without the rollback (``skip_restore``), drop a conflict edge so
-        a reader chunk commits before its writer
-        (``drop_conflict_edge``), or reverse the phase-2 order
-        (``reverse_reexec``)."""
-        cfg = self.cfg
-        loop = self.loop
-        n = loop.n
-        n_chunks = -(-n // cfg.chunk)
-        iter_arr = self._corrupted_iter()
-        restore_budget = cfg.skip_restore
-        edge_budget = cfg.drop_conflict_edge
-
-        def span(c: int) -> range:
-            return range(c * cfg.chunk, min((c + 1) * cfg.chunk, n))
-
-        def chunk_reads(c: int) -> List[int]:
-            out: List[int] = []
-            for i in span(c):
-                indices, _ = loop.reads.terms_of(i)
-                out.extend(int(idx) for idx in indices)
-            return out
-
-        phase1: List[int] = []
-        phase2: List[int] = []
-        #: Chunks whose commit carries snapshot-stale true-dep values.
-        stale_chunks: set = set()
-        #: Chunks committed although their writer chunk is deferred.
-        optimistic_chunks: set = set()
-        deferred_rw: set = set()
-        for c in range(n_chunks):
-            reads = chunk_reads(c)
-            writes = [int(loop.write[i]) for i in span(c)]
-            raw_writers = {
-                c_w
-                for idx in reads
-                if 0 <= (w := int(iter_arr[idx])) < c * cfg.chunk
-                for c_w in (w // cfg.chunk,)
-            }
-            war = any(e in deferred_rw for e in writes)
-            if raw_writers and restore_budget > 0:
-                restore_budget -= 1
-                stale_chunks.add(c)
-                phase1.append(c)
-            elif (
-                raw_writers & set(phase2)
-                and not war
-                and edge_budget > 0
-            ):
-                edge_budget -= 1
-                optimistic_chunks.add(c)
-                phase1.append(c)
-            elif raw_writers or war:
-                phase2.append(c)
-                deferred_rw.update(reads)
-                deferred_rw.update(writes)
-            else:
-                phase1.append(c)
-        if cfg.reverse_reexec:
-            phase2 = phase2[::-1]
-
-        commits = 0
-        for c in phase1 + phase2:
-            events = capture.lane(c)
-            if commits > 0:
-                events.append(("a", ("c", commits - 1)))
-            for i in span(c):
-                indices, _ = loop.reads.terms_of(i)
-                for idx in indices:
-                    idx = int(idx)
-                    writer = int(iter_arr[idx])
-                    if writer == i:
-                        continue
-                    if 0 <= writer < i:
-                        cross = writer // cfg.chunk < c
-                        if c in stale_chunks and cross:
-                            src = SRC_OLD  # snapshot value, never redone
-                        else:
-                            src = SRC_NEW
-                    else:
-                        src = SRC_OLD
-                    events.append(("r", i, idx, src))
-                events.append(("w", i, int(loop.write[i])))
-            events.append(("p", ("c", commits)))
-            commits += 1
+    def merge(self) -> int:
+        """Two adjacent levels fused: their cross dependences unordered."""
+        self.cuts = np.delete(self.cuts, 1)
+        return len(self.cuts) > 1
 
 
-# ----------------------------------------------------------------------
-# Mutant registry
-# ----------------------------------------------------------------------
+class Commits(Shape):
+    """A real speculative run, its commit rule reachable through the
+    ``_conflicts`` seam; lanes appear in ``capture`` in commit order."""
+
+    @cached_property
+    def capture(self) -> ShadowCapture:
+        capture = self.runner._san_capture = ShadowCapture()
+        self.stats = self.runner.run(self.loop).extras["speculation"]
+        return capture
+
+    def miss_raw(self, deferred_only: bool = False) -> int:
+        """The rule misses the first two RAW conflicts: the chunks commit
+        what they computed against the stale snapshot and their log says
+        so — or, ``deferred_only``, misses only edges from a writer chunk
+        itself deferred: the reader commits first, claiming the new value."""
+        real = self.runner._conflicts
+        deferred_w = np.zeros(self.loop.y_size, dtype=bool)
+        missed: dict[int, set] = {}  # commit index -> elements read stale
+
+        def rule(reads, writes, pending_w, deferred_rw) -> bool:
+            defer = real(reads, writes, pending_w, deferred_rw)
+            edge = pending_w & deferred_w if deferred_only else pending_w
+            if defer and edge[reads].any() and len(missed) < 2:
+                commits = len(self.runner._san_capture.lanes)
+                missed[commits] = set(reads[edge[reads]].tolist())
+                defer = False
+            deferred_w[writes] = defer
+            return defer
+
+        self.runner._conflicts = rule
+        lanes = list(self.capture.lanes.values())
+        for k, stale in ({} if deferred_only else missed).items():
+            lanes[k][:] = [
+                ev[:3] + (SRC_OLD,) if ev[0] == "r" and ev[2] in stale else ev
+                for ev in lanes[k]
+            ]
+        return len(missed)
+
+    def reverse_tail(self) -> int:
+        """Rolled-back chunks re-commit newest-first: the same per-chunk
+        logs, the commit chain in the other order."""
+        lanes = self.capture.lanes
+        order = list(lanes)  # chunk ids, round-one commits first
+        first = len(order) - self.stats["chunks_conflicted"]
+        for k, c in enumerate(order[:first] + order[first:][::-1]):
+            body = [ev for ev in lanes[c] if ev[0] in "rw"]
+            chain = [("a", ("c", k - 1))] if k else []
+            lanes[c][:] = chain + body + [("p", ("c", k))]
+        return max(len(order) - first - 1, 0)
 
 
-@dataclass(frozen=True)
-class Mutant:
-    """One deliberately injected protocol bug."""
+def threaded(loop) -> Flags:
+    return Flags(loop, ThreadedRunner(threads=4), phases=True)
+
+
+def chunked(loop) -> Flags:
+    return Flags(loop, MultiprocRunner(workers=3, chunk=4), phases=False)
+
+
+def levels(loop) -> Levels:
+    return Levels(loop, VectorizedRunner())
+
+
+def speculative(loop) -> Commits:
+    return Commits(loop, SpeculativeRunner(workers=3, chunk=4))
+
+
+class Mutant(NamedTuple):
+    """One injected protocol bug: ``apply`` (its docstring describes the
+    bug) corrupts the value ``shape(loop)`` builds, returning its sites."""
 
     name: str
-    description: str
-    mode: str
-    expect: Tuple[str, ...]
-    apply: Callable[[InterpreterConfig], None]
-    #: Restrict to workloads whose name contains one of these substrings
-    #: (``None``: all).  Some bugs need a dependence shape every backend
-    #: sees but not every toy workload has (e.g. reverse-round-robin
-    #: needs a dependence spanning several chunks).
-    only: Tuple[str, ...] | None = None
+    shape: Callable[[Any], Shape]
+    expect: tuple[str, ...]
+    apply: Callable[[Any], int]
 
 
-def _set(**kwargs) -> Callable[[InterpreterConfig], None]:
-    def mutate(cfg: InterpreterConfig) -> None:
-        for k, v in kwargs.items():
-            setattr(cfg, k, v)
-
-    return mutate
-
-
-MUTANTS: Tuple[Mutant, ...] = (
-    Mutant(
-        "drop-wait-threaded",
-        "executor reads ynew without awaiting the ready flag",
-        "threaded",
-        ("no-hb-edge",),
-        _set(drop_waits=3, lanes=4),
-    ),
-    Mutant(
-        "drop-post-threaded",
-        "writer never sets its ready flag",
-        "threaded",
-        ("unsatisfied-acquire", "no-hb-edge"),
-        _set(drop_posts=2),
-    ),
-    Mutant(
-        "post-before-write",
-        "flag set before the value lands in ynew",
-        "threaded",
-        ("no-hb-edge",),
-        _set(post_before_write=True, lanes=4),
-    ),
-    Mutant(
-        "split-barrier",
-        "one thread skips the inspector/executor phase barrier",
-        "threaded",
-        ("unsatisfied-barrier",),
-        _set(skip_barrier_lane=1),
-    ),
-    Mutant(
-        "stale-iter",
-        "corrupt iter entries send readers to the stale input value",
-        "threaded",
-        ("stale-read",),
-        _set(stale_iter=2),
-    ),
-    Mutant(
-        "drop-wait-chunked",
-        "worker reads ynew without awaiting the ready flag",
-        "chunked",
-        ("no-hb-edge",),
-        _set(drop_waits=3),
-    ),
-    Mutant(
-        "reverse-round-robin",
-        "workers drain their chunk lists in reverse while planned-"
-        "ownership wait elisions assume ascending order",
-        "chunked",
-        ("no-hb-edge",),
-        _set(reverse_round_robin=True, chunk=2, lanes=2),
-        only=("irregular",),
-    ),
-    Mutant(
-        "skip-scrub",
-        "shm session scrub skipped: ready flags left set from the "
-        "previous run",
-        "chunked",
-        ("no-hb-edge",),
-        _set(skip_scrub=2),
-    ),
-    Mutant(
-        "stale-iter-chunked",
-        "corrupt iter entries in the shared session",
-        "chunked",
-        ("stale-read",),
-        _set(stale_iter=2),
-    ),
-    Mutant(
-        "merge-levels",
-        "two adjacent wavefront levels fused: their cross deps become "
-        "same-level and unordered",
-        "levels",
-        ("no-hb-edge",),
-        _set(merge_level_at=1),
-    ),
-    Mutant(
-        "break-level-chain",
-        "a level handoff token is never posted",
-        "levels",
-        ("unsatisfied-acquire", "no-hb-edge"),
-        _set(drop_chain_link_at=1),
-    ),
-    Mutant(
-        "skip-restore",
-        "conflicting chunks commit their stale speculation instead of "
-        "rolling back to the snapshot",
-        "speculative",
-        ("stale-read",),
-        _set(skip_restore=2),
-    ),
-    Mutant(
-        "drop-conflict-edge",
-        "the conflict detector misses a RAW edge: the reader chunk "
-        "commits before the deferred chunk that produces its input",
-        "speculative",
-        ("no-hb-edge",),
-        _set(drop_conflict_edge=2),
-        only=("chain",),
-    ),
-    Mutant(
-        "reverse-reexecution",
-        "rolled-back chunks re-execute newest-first instead of in "
-        "chunk order",
-        "speculative",
-        ("no-hb-edge",),
-        _set(reverse_reexec=True),
-        only=("chain",),
-    ),
+_RACE, _STALE = ("no-hb-edge",), ("stale-read",)
+_STALL = ("unsatisfied-acquire", "no-hb-edge")
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant("drop-wait-threaded", threaded, _RACE, Flags.unwait),
+    Mutant("drop-post-threaded", threaded, _STALL, Flags.lose_posts),
+    Mutant("post-before-write", threaded, _RACE,
+           partial(Flags.lose_posts, early=True)),
+    Mutant("split-barrier", threaded, ("unsatisfied-barrier",),
+           Flags.skip_barrier),
+    Mutant("stale-iter", threaded, _STALE, Flags.stale_iter),
+    Mutant("drop-wait-chunked", chunked, _RACE, Flags.unwait),
+    # The real kernel also waits on a same-lane earlier strip, so a
+    # reversed lane blocks on posts it only makes later.
+    Mutant("reverse-round-robin", chunked, _STALL, Flags.reverse_strips),
+    Mutant("skip-scrub", chunked, _RACE,
+           partial(Flags.unwait, n=2, whole_flags=True)),
+    Mutant("stale-iter-chunked", chunked, _STALE, Flags.stale_iter),
+    Mutant("merge-levels", levels, _RACE, Levels.merge),
+    Mutant("break-level-chain", levels, _STALL, Levels.lose_posts),
+    Mutant("skip-restore", speculative, _STALE, Commits.miss_raw),
+    Mutant("drop-conflict-edge", speculative, _RACE,
+           partial(Commits.miss_raw, deferred_only=True)),
+    Mutant("reverse-reexecution", speculative, _RACE, Commits.reverse_tail),
 )
-
-
-# ----------------------------------------------------------------------
-# Suite driver
-# ----------------------------------------------------------------------
 
 
 @dataclass
 class MutantResult:
     name: str
     mode: str
-    workload: str
-    killed: bool
-    expected: Tuple[str, ...]
-    matched_expected: bool
-    counts: Dict[str, int] = field(default_factory=dict)
+    expected: tuple[str, ...]
+    #: Violation counts per workload it found a site on (none: untested).
+    verdicts: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "workload": self.workload,
-            "killed": self.killed,
-            "expected": list(self.expected),
-            "matched_expected": self.matched_expected,
-            "counts": dict(self.counts),
-        }
+    @property
+    def killed(self) -> bool:
+        """An expected kind of violation on every workload it applied to."""
+        return all(set(c) & set(self.expected) for c in self.verdicts.values())
 
 
 @dataclass
 class MutationReport:
-    results: List[MutantResult] = field(default_factory=list)
-    baselines: List[Tuple[str, str, bool]] = field(default_factory=list)
+    results: list[MutantResult] = field(default_factory=list)
+    #: ``(mode, workload, clean)`` per unmutated capture.
+    baselines: list[tuple[str, str, bool]] = field(default_factory=list)
 
     @property
     def kill_rate(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(r.killed for r in self.results) / len(self.results)
+        ran = [r.killed for r in self.results if r.verdicts]
+        return sum(ran) / len(ran) if ran else 0.0
 
     @property
     def baseline_clean(self) -> bool:
         return all(ok for _, _, ok in self.baselines)
 
     def passed(self, min_kill: float = 0.9) -> bool:
-        return self.baseline_clean and self.kill_rate >= min_kill
+        tested = all(r.verdicts for r in self.results)  # each, somewhere
+        return self.baseline_clean and tested and self.kill_rate >= min_kill
 
     def summary(self) -> str:
-        killed = sum(r.killed for r in self.results)
+        ran = [r.killed for r in self.results if r.verdicts]
         lines = [
-            f"mutation suite: {killed}/{len(self.results)} mutant(s) "
-            f"killed (kill rate {self.kill_rate:.0%}); baselines "
+            f"mutation suite: {sum(ran)}/{len(ran)} mutant(s) killed (kill "
+            f"rate {self.kill_rate:.0%}); baselines "
             f"{'clean' if self.baseline_clean else 'NOT CLEAN'}"
         ]
         for r in self.results:
             mark = "KILLED" if r.killed else "SURVIVED"
-            note = "" if r.matched_expected else " (unexpected kind)"
             lines.append(
-                f"  [{mark}] {r.name} ({r.mode}, {r.workload})"
-                f"{note}: {r.counts or '-'}"
+                f"  [{mark if r.verdicts else 'NOT APPLICABLE'}] {r.name} "
+                f"({r.mode}): {r.verdicts or '-'}"
             )
-        for mode, workload, ok in self.baselines:
-            if not ok:
-                lines.append(
-                    f"  [FALSE POSITIVE] unmutated {mode} on {workload}"
-                )
+        lines += [
+            f"  [FALSE POSITIVE] unmutated {mode} on {workload}"
+            for mode, workload, ok in self.baselines if not ok
+        ]
         return "\n".join(lines)
 
-    def as_dict(self) -> Dict[str, Any]:
+    def as_dict(self) -> dict[str, Any]:
+        mutants = [asdict(r) | {"killed": r.killed} for r in self.results]
         return {
             "kill_rate": self.kill_rate,
             "baseline_clean": self.baseline_clean,
-            "mutants": [r.as_dict() for r in self.results],
-            "baselines": [
-                {"mode": m, "workload": w, "clean": ok}
-                for m, w, ok in self.baselines
-            ],
+            "mutants": mutants,
+            "baselines": self.baselines,
         }
 
 
-def _default_workloads() -> List[Tuple[str, Any]]:
-    from repro.workloads.synthetic import chain_loop, random_irregular_loop
-
-    return [
-        ("chain-48-d1", chain_loop(48, 1)),
-        ("chain-60-d3", chain_loop(60, 3)),
-        ("irregular-100-s5", random_irregular_loop(100, seed=5)),
-    ]
-
-
 def run_mutation_suite(
-    workloads: List[Tuple[str, Any]] | None = None,
-    mutants: Tuple[Mutant, ...] = MUTANTS,
+    workloads: list[tuple[str, Any]] | None = None,
+    mutants: tuple[Mutant, ...] = MUTANTS,
 ) -> MutationReport:
-    """Interpret every mutant over every workload it applies to.
-
-    A mutant counts as *killed* if the detector reports at least one
-    violation on **every** workload (a detector that only fires on easy
-    shapes does not get credit); an unmutated interpretation of each
-    mode over each workload must stay clean.
-    """
+    """Detect every shape's unmutated capture (must be clean) and every
+    mutant's capture on each workload it finds a site on (must not be)."""
     if workloads is None:
-        workloads = _default_workloads()
+        workloads = [
+            ("chain-48-d1", chain_loop(48, 1)),
+            ("chain-60-d3", chain_loop(60, 3)),
+            ("irregular-100-s5", random_irregular_loop(100, seed=5)),
+        ]
     report = MutationReport()
-
-    for mode in ("chunked", "threaded", "levels", "speculative"):
+    for shape in dict.fromkeys(m.shape for m in mutants):
         for wl_name, loop in workloads:
-            capture = ProtocolInterpreter(
-                loop, InterpreterConfig(mode=mode)
-            ).interpret()
-            verdict = detect(capture, loop)
-            report.baselines.append((mode, wl_name, verdict.ok))
-
-    for mutant in mutants:
-        killed_everywhere = True
-        matched = True
-        merged_counts: Dict[str, int] = {}
-        names = []
+            ok = detect(shape(loop).capture, loop).ok
+            report.baselines.append((shape.__name__, wl_name, ok))
+    for m in mutants:
+        result = MutantResult(m.name, m.shape.__name__, m.expect)
         for wl_name, loop in workloads:
-            if mutant.only is not None and not any(
-                tag in wl_name for tag in mutant.only
-            ):
-                continue
-            cfg = InterpreterConfig(mode=mutant.mode)
-            mutant.apply(cfg)
-            capture = ProtocolInterpreter(loop, cfg).interpret()
-            verdict: SanitizeReport = detect(capture, loop)
-            names.append(wl_name)
-            if verdict.ok:
-                killed_everywhere = False
-            else:
-                for k, v in verdict.counts.items():
-                    merged_counts[k] = merged_counts.get(k, 0) + v
-                if not any(k in mutant.expect for k in verdict.counts):
-                    matched = False
-        report.results.append(
-            MutantResult(
-                name=mutant.name,
-                mode=mutant.mode,
-                workload="+".join(names),
-                killed=killed_everywhere,
-                expected=mutant.expect,
-                matched_expected=matched,
-                counts=merged_counts,
-            )
-        )
+            p = m.shape(loop)
+            if m.apply(p):
+                result.verdicts[wl_name] = detect(p.capture, loop).counts
+        report.results.append(result)
     return report

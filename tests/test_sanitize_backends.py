@@ -198,7 +198,7 @@ class TestSanitizeCli:
         assert entry["sanitize"]["backend"] == "vectorized"
 
     def test_mutants_mode_meets_the_gate(self, capsys):
-        code, out = self.run_cli(capsys, "--mutants", "--min-kill=0.9")
+        code, out = self.run_cli(capsys, "--mutants", "--min-kill=1.0")
         assert code == 0
         assert "kill rate" in out
 
