@@ -302,6 +302,9 @@ _RECORD_ARRAYS = (
     "term_source",
     "env_index",
     "intra",
+    "codes",
+    "seg_ptr",
+    "seg_fused",
     "slot_active",
     "slot_ptr",
 )

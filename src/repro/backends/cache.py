@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backends.kernel import ACC, OLD, WAIT
 from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
 from repro.graph.levels import LevelSchedule, compute_levels
@@ -54,6 +55,17 @@ __all__ = [
     "build_inspector_record",
     "assemble_record",
 ]
+
+
+#: Wavefronts narrower than this are executed by the scalar kernel, a run
+#: of them as one ``run_span`` call; wider ones as NumPy batches (~5 us
+#: per term slot whatever the width, against ~0.25 us per term walked).
+#: Warm ``runner.run`` in ms, pinned, best of 12, at 1 (never fuse) / 4 /
+#: 8 / 16 / 32 / 64 / 128: ``trisolve_5pt`` 4.21 / 3.90 / 3.92 / 3.98 /
+#: 4.19 / 5.63 / 12.6, ``krylov_churn`` 10.6 / 10.1 / 9.9 / 9.9 / 9.9 /
+#: 10.5 / 11.8, ``fig4_chain`` 175 / 10.3 / 10.4 / 10.5 / 10.3 / 10.4 /
+#: 10.4 — flat from 2 to 32, +40 % at 64 on the trisolve.
+_FUSE_BELOW = 8
 
 
 def loop_fingerprint(loop: IrregularLoop) -> str:
@@ -105,9 +117,22 @@ class InspectorRecord:
     intra:
         Per execution-ordered term: reads the live accumulator of its own
         iteration (the paper's ``check == 0`` case).
+    codes:
+        The same classification as :mod:`~repro.backends.kernel` term
+        codes (``int8``, execution order): ``ACC`` where ``intra``,
+        ``WAIT`` where the read is renamed, ``OLD`` otherwise — what the
+        scalar kernel walks on fused runs.  Nothing is ``LOCAL``: level
+        order, not strip order, is what discharges the waits.
+    seg_ptr, seg_fused:
+        The executor's segments: segment ``s`` covers levels
+        ``seg_ptr[s]:seg_ptr[s+1]``.  A *fused* segment is a maximal run
+        of consecutive levels narrower than ``_FUSE_BELOW``, executed as
+        one scalar span; the others are maximal runs of bulk levels, each
+        level one NumPy batch.
     slot_active, slot_ptr:
-        For level ``k`` and term slot ``j``: ``slot_active[slot_ptr[k]+j]``
-        iterations (a prefix of the level) still have a ``j``-th term.
+        For bulk level ``k`` and term slot ``j``:
+        ``slot_active[slot_ptr[k]+j]`` iterations (a prefix of the level)
+        still have a ``j``-th term.  Fused levels have no slots.
     """
 
     fingerprint: str
@@ -121,12 +146,25 @@ class InspectorRecord:
     term_source: np.ndarray
     env_index: np.ndarray
     intra: np.ndarray
+    codes: np.ndarray
+    seg_ptr: np.ndarray
+    seg_fused: np.ndarray
     slot_active: np.ndarray
     slot_ptr: np.ndarray
 
     @property
     def n_levels(self) -> int:
         return self.schedule.n_levels
+
+    @property
+    def fused_runs(self) -> int:
+        """Scalar spans one execution makes."""
+        return int(np.count_nonzero(self.seg_fused))
+
+    @property
+    def fused_levels(self) -> int:
+        """Levels those spans cover (the rest are bulk batches)."""
+        return int(np.diff(self.seg_ptr)[self.seg_fused].sum())
 
     @property
     def nbytes(self) -> int:
@@ -143,6 +181,9 @@ class InspectorRecord:
             self.term_source,
             self.env_index,
             self.intra,
+            self.codes,
+            self.seg_ptr,
+            self.seg_fused,
             self.slot_active,
             self.slot_ptr,
         )
@@ -229,18 +270,30 @@ def assemble_record(
         + np.arange(total, dtype=np.int64)
     )
 
-    env_index = index[term_source] + y_size * true_flat[term_source]
+    renamed = true_flat[term_source]
+    env_index = index[term_source] + y_size * renamed
     intra = intra_flat[term_source]
+    codes = np.full(total, OLD, dtype=np.int8)
+    codes[renamed] = WAIT
+    codes[intra] = ACC
 
-    # Per-level, per-slot active prefix lengths.
+    # Segments: cut the levels wherever "narrow" flips (``unique``: an
+    # empty loop has the single boundary 0).
     level_ptr = schedule.level_ptr
     n_levels = schedule.n_levels
+    narrow = np.diff(level_ptr) < _FUSE_BELOW
+    flips = np.flatnonzero(narrow[1:] != narrow[:-1]) + 1
+    seg_ptr = np.unique(np.concatenate(([0], flips, [n_levels])))
+    seg_fused = narrow[seg_ptr[:-1]]
+
+    # Per-slot active prefix lengths, for the bulk levels only: a fused
+    # level never reads them, and a chain has thousands of levels.
     slot_counts = np.zeros(n_levels, dtype=np.int64)
     actives: list[np.ndarray] = []
-    for k in range(n_levels):
+    for k in np.flatnonzero(~narrow).tolist():
         lo, hi = int(level_ptr[k]), int(level_ptr[k + 1])
         cnt = exec_counts[lo:hi]  # non-increasing by construction
-        maxc = int(cnt[0]) if hi > lo else 0
+        maxc = int(cnt[0])
         slot_counts[k] = maxc
         if maxc:
             # active[j] = #iterations in the level with count > j.
@@ -267,6 +320,9 @@ def assemble_record(
         term_source=term_source,
         env_index=env_index,
         intra=intra,
+        codes=codes,
+        seg_ptr=seg_ptr,
+        seg_fused=seg_fused,
         slot_active=slot_active,
         slot_ptr=slot_ptr,
     )

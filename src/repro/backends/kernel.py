@@ -22,17 +22,23 @@ crosses lanes and must wait for the writer's post (:data:`WAIT`).
 :func:`classify_terms` evaluates that rule for a batch of iterations in
 one vectorised pass; :func:`run_span` is the one scalar evaluator that
 walks iterations by code.  The threaded, multiproc and speculative
-backends are scheduling and synchronisation around these two; the static
-race checker (:mod:`repro.lint.hb`) reads the same placement and the
-same codes — its wait set is exactly the terms coded :data:`WAIT` — and
-the mutation harness (:mod:`repro.sanitize.mutate`) corrupts these codes
-and replays :func:`run_span` over them, so what is checked, and what the
-detector is proven against, is what the backend executes.
+backends are scheduling and synchronisation around these two, and the
+vectorized backend calls :func:`run_span` for every run of wavefronts too
+narrow to batch (its codes come from the inspector record: level order
+discharges the waits, so nothing there is :data:`LOCAL` and ``wait`` is
+``None``).  The static race checker (:mod:`repro.lint.hb`) reads the same
+placement and the same codes — its wait set is exactly the terms coded
+:data:`WAIT` — and the mutation harness (:mod:`repro.sanitize.mutate`)
+corrupts these codes and replays :func:`run_span` over them, so what is
+checked, and what the detector is proven against, is what the backend
+executes.  A compiled kernel, when there is one, replaces the body of
+:func:`run_span` and nothing else.
 
 Not here, on purpose: the sequential oracle
-(:meth:`~repro.ir.loop.IrregularLoop.run_sequential`), the cycle-charging
-simulator and the vectorized backend's bulk per-level kernel share no
-control flow with a blocking scalar walk.
+(:meth:`~repro.ir.loop.IrregularLoop.run_sequential`) is the reference
+the walk is tested against, the cycle-charging simulator is a different
+machine, and the vectorized backend's bulk per-level kernel works on
+whole wavefronts — none shares control flow with a blocking scalar walk.
 """
 
 from __future__ import annotations
@@ -157,8 +163,19 @@ def run_span(
     An acquire is logged *before* blocking: on success the lane's order
     is unchanged, and a timed-out wait leaves the unsatisfied acquire in
     the log for the sanitizer to name.  Accumulator terms are not logged.
+
+    Array operands are walked through ``memoryview``s taken once here, so
+    every index yields a plain ``int`` / ``float`` instead of a NumPy
+    scalar (about half the interpreter time of the walk; Python floats
+    are IEEE doubles, so the arithmetic is bit-for-bit the same).  A view
+    reads the live buffer — a value another thread or process publishes
+    is seen as before.  Non-array operands (the speculative backend's
+    ``dict`` write buffer) pass through untouched.
     """
-    code = memoryview(codes)  # Python ints on index, no numpy scalars
+    code, write, ptr, index, coeff, init, old, new, out = (
+        memoryview(a) if isinstance(a, np.ndarray) else a
+        for a in (codes, write, ptr, index, coeff, init, old, new, out)
+    )
     for i in its.tolist():
         w = write[i]
         acc = old[w] if init is None else init[i]
@@ -168,28 +185,28 @@ def run_span(
             idx = index[k]
             if c == OLD:
                 if events is not None:
-                    events.append(("r", i, int(idx), 0))
+                    events.append(("r", i, idx, 0))
                 value = old[idx]
             elif c == ACC:
                 value = acc
             elif c == LOCAL:
                 if events is not None:
-                    events.append(("r", i, int(idx), 1))
+                    events.append(("r", i, idx, 1))
                 value = out[idx]
             else:
                 if wait is not None:
                     if events is not None:
-                        events.append(("a", int(idx)))
+                        events.append(("a", idx))
                     wait(idx)
                 if events is not None:
-                    events.append(("r", i, int(idx), 1))
+                    events.append(("r", i, idx, 1))
                 value = new[idx]
             acc += coeff[k] * value
         out[w] = acc
         if events is not None:
-            events.append(("w", i, int(w)))
+            events.append(("w", i, w))
         if post is not None:
             post(w)
             if events is not None:
-                events.append(("p", int(w)))
+                events.append(("p", w))
     return cur

@@ -3,34 +3,52 @@
 The simulated backend models a multiprocessor; the threaded backend proves
 the protocol correct under the GIL.  This backend is the one that actually
 runs fast on CPython: it executes the dependence DAG *level by level*
-(wavefronts, the §3.2 doconsider decomposition), and runs each wavefront as
-batched NumPy array operations over all of its iterations at once — SIMD
-lanes and memory bandwidth play the role of the paper's processors, with
-no per-iteration Python interpretation and no GIL involvement.
+(wavefronts, the §3.2 doconsider decomposition), and runs each wide
+wavefront as batched NumPy array operations over all of its iterations at
+once — SIMD lanes and memory bandwidth play the role of the paper's
+processors, with no per-iteration Python interpretation and no GIL
+involvement.  Where the DAG is deep and narrow there is nothing to batch,
+and it degrades the way the paper's Figure 6 does at the short-distance
+end — to the sequential loop plus a little — instead of paying a NumPy
+round-trip per level.
 
 Exactness, not approximation: the executor performs the *same* arithmetic
-as the sequential oracle, in the same per-term order, as elementwise
-float64 operations — iterations of one wavefront are mutually independent,
-so batching them changes nothing — and is therefore **bitwise equal** to
+as the sequential oracle, in the same per-term order, as float64
+operations — iterations of one wavefront are mutually independent, so
+neither batching them nor walking them one by one changes anything — and
+is therefore **bitwise equal** to
 :meth:`~repro.ir.loop.IrregularLoop.run_sequential` (a tested property,
 not a tolerance).
 
-Mechanics (per wavefront level, all arrays precomputed by the inspector):
+Mechanics.  The inspector record cuts the level sequence into *segments*
+(:func:`~repro.backends.cache.assemble_record`), per level, from the
+schedule alone — no option selects a path:
 
-- reads resolve through a doubled value environment ``[y_old | y_new]``:
-  antidependent and never-written reads gather from the old half, true
-  dependence reads from the renamed half (the paper's ``ynew``), so the
-  ``iter``-array comparison of Figure 5 is baked into one gather index;
-- iterations are ordered within the level by term count (descending), so
-  term slot ``j`` is live for a *prefix* of the level — each slot is one
-  gather + one fused multiply-add over contiguous slices;
-- intra-iteration reads (``check == 0``) select the live accumulator via
-  ``np.where`` in the same slot step.
+- a maximal run of consecutive levels each narrower than a measured
+  constant is a **fused run**: one call of the scalar kernel
+  (:func:`~repro.backends.kernel.run_span`) over the run's iterations in
+  level-major order with ``wait=None`` — level order has already
+  discharged every wait — walking the record's per-term ``codes``
+  (``ACC`` / ``WAIT`` / ``OLD``).  A distance-1 chain of 8,000 levels is
+  one call;
+- every other level is a **bulk level**, all arrays precomputed by the
+  inspector: iterations are ordered within the level by term count
+  (descending), so term slot ``j`` is live for a *prefix* of the level —
+  each slot is one gather + one fused multiply-add over contiguous
+  slices, and intra-iteration reads (``check == 0``) select the live
+  accumulator via ``np.where`` in the same slot step.
+
+Both read through one doubled value environment ``[y_old | y_new]``:
+antidependent and never-written reads come from the old half, true
+dependence reads from the renamed half (the paper's ``ynew``), so the
+``iter``-array comparison of Figure 5 is baked into the record — as one
+gather index for the bulk levels, as the term code for the fused runs,
+both derived from the same classification masks.
 
 All structure-dependent preprocessing — the inspector's ``iter`` array,
-the wavefront schedule, the execution-ordered term layout — lives in an
-:class:`~repro.backends.cache.InspectorRecord` and is served by a
-content-addressed :class:`~repro.backends.cache.InspectorCache`, so
+the wavefront schedule, the execution-ordered term layout, the segments —
+lives in an :class:`~repro.backends.cache.InspectorRecord` and is served
+by a content-addressed :class:`~repro.backends.cache.InspectorCache`, so
 repeated instances of one loop structure skip preprocessing entirely: the
 paper's Figure-3 amortization with a hit counter attached.
 """
@@ -41,6 +59,7 @@ import time
 
 import numpy as np
 
+from repro.backends import kernel
 from repro.backends.base import (
     Runner,
     note_ignored_options,
@@ -359,36 +378,42 @@ class VectorizedRunner(Runner):
         y: np.ndarray | None = None,
         init_values: np.ndarray | None = None,
     ) -> np.ndarray:
-        """One batched execution against current values ``y`` (defaults to
-        ``loop.y0``).  Returns the final ``y`` (a fresh array)."""
+        """One execution against current values ``y`` (defaults to
+        ``loop.y0``), segment by segment.  Returns the final ``y`` (a
+        fresh array)."""
         n, y_size = loop.n, loop.y_size
+        reads = loop.reads
         exec_order = record.exec_order
         exec_ptr = record.exec_ptr
         exec_write = record.exec_write
         env_index = record.env_index
         intra = record.intra
-        level_ptr = record.schedule.level_ptr
+        level_ptr = record.schedule.level_ptr.tolist()
         slot_active, slot_ptr = record.slot_active, record.slot_ptr
 
         if y is None:
             y = loop.y0
-        # Per-run values: coefficients permuted into execution order, and
-        # the per-iteration initial accumulators.
-        coeff = loop.reads.coeff[record.term_source]
         external = loop.init_kind == INIT_EXTERNAL
+        init = None
         if external:
-            init = (
-                init_values if init_values is not None else loop.init_values
-            )[exec_order]
+            init = init_values if init_values is not None else loop.init_values
+            init_exec = init[exec_order]
+        # Bulk levels read coefficients permuted into execution order;
+        # fused runs walk the loop's own arrays by iteration number.
+        coeff = reads.coeff[record.term_source]
 
         # Doubled environment: [y_old | y_new].  The old half is never
         # mutated (writes are renamed), the new half is filled level by
         # level and only read by strictly later levels.
         env = np.empty(2 * y_size, dtype=np.float64)
         env[:y_size] = y
+        old, new = env[:y_size], env[y_size:]
+        span = (
+            record.codes, loop.write, reads.ptr, reads.index, reads.coeff,
+            init, old, new, new,
+        )
 
         rec = self._obs_recorder
-        met = self._obs_metrics
         san = self._san_capture
         n_levels = record.schedule.n_levels
         if san is not None:
@@ -396,56 +421,88 @@ class VectorizedRunner(Runner):
             # -(k+1) posted by level k and acquired by level k+1 is the
             # log's rendering of "levels execute strictly in order".
             san.meta["levels"] = n_levels
-        # Per-level spans buffer locally and flush once — a locked
-        # record() per wavefront costs ~3µs, which on a many-level loop
-        # is a measurable fraction of the whole run (tested budget:
+        # Level spans buffer locally and flush once — a locked record()
+        # per wavefront costs ~3µs, which on a many-level loop is a
+        # measurable fraction of the whole run (tested budget:
         # observe=True adds <10% wall time).
         buf: list[tuple] = []
-        widths: list[int] = []
         if rec is not None:
             now = rec.now
             t_exec = now()
 
-        for k in range(n_levels):
-            if rec is not None:
-                t_level = now()
-            p0, p1 = int(level_ptr[k]), int(level_ptr[k + 1])
-            if san is not None:
-                log_level(san.lane(k), record, y_size, k, n_levels, p0, p1)
-            if external:
-                acc = init[p0:p1].copy()
-            else:
-                acc = env[exec_write[p0:p1]]
-            base = exec_ptr[p0 : p1 + 1]
-            for j in range(int(slot_ptr[k + 1] - slot_ptr[k])):
-                m = int(slot_active[slot_ptr[k] + j])
-                kk = base[:m] + j
-                vals = env[env_index[kk]]
-                a = acc[:m]
-                # Same op order as the oracle: acc += coeff * value, with
-                # value = live accumulator for intra-iteration reads.
-                acc[:m] = a + coeff[kk] * np.where(intra[kk], a, vals)
-            env[y_size + exec_write[p0:p1]] = acc
-            if rec is not None:
-                buf.append((
-                    f"level[{k}]", CAT_LEVEL, t_level, now(), 0,
-                    {"level": k, "width": p1 - p0},
-                ))
-            if met is not None:
-                widths.append(p1 - p0)
+        segments = zip(
+            record.seg_fused.tolist(),
+            record.seg_ptr[:-1].tolist(),
+            record.seg_ptr[1:].tolist(),
+        )
+        for fused, k0, k1 in segments:
+            if fused:
+                # A run of narrow levels: one scalar walk in level-major
+                # order, which has already discharged every wait.
+                if rec is not None:
+                    t_level = now()
+                p0, p1 = level_ptr[k0], level_ptr[k1]
+                if san is not None:
+                    # The walk is level-major and a level's iterations
+                    # share no true dependence, so "level k's gathers,
+                    # then its scatters, levels in order" is what ran.
+                    for k in range(k0, k1):
+                        log_level(
+                            san.lane(k), record, y_size, k, n_levels,
+                            level_ptr[k], level_ptr[k + 1],
+                        )
+                kernel.run_span(
+                    exec_order[p0:p1], *span, cur=int(exec_ptr[p0])
+                )
+                if rec is not None:
+                    buf.append((
+                        f"levels[{k0}:{k1}]", CAT_LEVEL, t_level, now(), 0,
+                        {"level": k0, "levels": k1 - k0, "width": p1 - p0},
+                    ))
+                continue
+            for k in range(k0, k1):
+                if rec is not None:
+                    t_level = now()
+                p0, p1 = level_ptr[k], level_ptr[k + 1]
+                if san is not None:
+                    log_level(
+                        san.lane(k), record, y_size, k, n_levels, p0, p1
+                    )
+                if external:
+                    acc = init_exec[p0:p1].copy()
+                else:
+                    acc = env[exec_write[p0:p1]]
+                base = exec_ptr[p0 : p1 + 1]
+                for j in range(int(slot_ptr[k + 1] - slot_ptr[k])):
+                    m = int(slot_active[slot_ptr[k] + j])
+                    kk = base[:m] + j
+                    vals = env[env_index[kk]]
+                    a = acc[:m]
+                    # Same op order as the oracle: acc += coeff * value,
+                    # value = live accumulator for intra-iteration reads.
+                    acc[:m] = a + coeff[kk] * np.where(intra[kk], a, vals)
+                new[exec_write[p0:p1]] = acc
+                if rec is not None:
+                    buf.append((
+                        f"level[{k}]", CAT_LEVEL, t_level, now(), 0,
+                        {"level": k, "width": p1 - p0},
+                    ))
 
-        if met is not None and widths:
-            met.observe_many("level_width", widths)
+        met = self._obs_metrics
+        if met is not None:
+            # One sample per level, fused or not: the width profile is a
+            # property of the loop, not of how its levels were executed.
+            met.observe_many("level_width", record.schedule.level_sizes())
         if rec is not None:
             t_post = now()
             buf.append((
                 "executor", CAT_PHASE, t_exec, t_post, 0,
-                {"levels": record.schedule.n_levels},
+                {"levels": n_levels},
             ))
             rec.record_batch(buf)
         out = np.array(y, dtype=np.float64, copy=True)
         if n:
-            out[exec_write] = env[y_size + exec_write]
+            out[exec_write] = new[exec_write]
         if rec is not None:
             # The copy-back of renamed values into y is this backend's
             # (tiny) postprocessor phase.
@@ -483,6 +540,7 @@ class VectorizedRunner(Runner):
                 "levels": schedule.n_levels,
                 "max_width": schedule.max_width(),
                 "average_width": schedule.average_width(),
+                "fused_levels": record.fused_levels,
                 "cache_hit": hit,
                 "cache_hits_total": cache_stats["hits"],
                 "cache_misses_total": cache_stats["misses"],
@@ -523,5 +581,7 @@ class VectorizedRunner(Runner):
             met.gauge("levels_cache_misses_total", cache_stats["levels_misses"])
             met.gauge("levels", schedule.n_levels)
             met.gauge("max_width", schedule.max_width())
+            met.gauge("fused_runs", record.fused_runs)
+            met.gauge("fused_levels", record.fused_levels)
             met.count("iterations", loop.n)
         return result

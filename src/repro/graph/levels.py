@@ -5,10 +5,11 @@ iterations of one *level* — iterations whose true dependencies are all
 satisfied by previous levels — are contiguous.  Level of an iteration:
 ``0`` if it has no predecessors, else ``1 + max(level of predecessors)``.
 
-Because every dependence edge points forward in the original order, one
-forward sweep computes all levels; sorting by ``(level, original index)``
-then yields the reordered execution sequence, which by construction makes
-every dependence point backward in execution order (the property
+Levels are computed wave by wave from the sources (every dependence edge
+points forward in the original order, so the graph is acyclic); sorting
+by ``(level, original index)`` then yields the reordered execution
+sequence, which by construction makes every dependence point backward in
+execution order (the property
 :func:`repro.backends.base.validate_execution_order` demands).
 """
 
@@ -85,39 +86,25 @@ class LevelSchedule:
                     )
 
 
-def compute_levels(
-    source: IrregularLoop | DependenceGraph,
-    method: str = "auto",
-) -> LevelSchedule:
-    """Compute the wavefront decomposition of a loop (or its DAG).
+#: Waves narrower than this are walked edge by edge instead of through the
+#: NumPy frontier step (~20 us a wave whatever its width, against ~0.5 us
+#: an edge).  ``compute_levels`` in ms, pinned, best of 12, at 1 (never
+#: scalar) / 2 / 16 / 64 / 128: ``fig4_chain`` 107 / 6.1 / 6.1 / 6.1 / 6.1,
+#: ``trisolve_5pt`` 6.9 / 6.8 / 6.5 / 6.7 / 9.5, ``krylov_churn`` 3.1 /
+#: 3.1 / 3.0 / 2.9 / 3.0, ``fig4_doall`` 0.7 throughout — flat from 2 to
+#: 64, so the value only has to sit inside that range.
+_SCALAR_BELOW = 16
 
-    Parameters
-    ----------
-    method:
-        ``"sweep"`` — the original per-node forward sweep (natural order is
-        topological, so one pass suffices); ``"frontier"`` — a vectorized
-        Kahn-by-waves propagation whose Python-level work is one step per
-        *level* rather than per node (much faster on wide DAGs, which is
-        exactly where the vectorized backend operates); ``"auto"`` — pick
-        by size.  Both produce identical schedules (tested).
-    """
+
+def compute_levels(source: IrregularLoop | DependenceGraph) -> LevelSchedule:
+    """Compute the wavefront decomposition of a loop (or its DAG)."""
     graph = (
         source
         if isinstance(source, DependenceGraph)
         else DependenceGraph.from_loop(source)
     )
     n = graph.n
-    if method == "auto":
-        method = "frontier" if n >= 2048 else "sweep"
-    if method == "frontier":
-        levels = _levels_by_frontier(graph)
-    elif method == "sweep":
-        levels = _levels_by_sweep(graph)
-    else:
-        raise ValueError(
-            f"unknown level method {method!r}; expected sweep/frontier/auto"
-        )
-
+    levels = _wavefront_levels(graph)
     order = np.lexsort((np.arange(n, dtype=np.int64), levels)).astype(np.int64)
     n_levels = int(levels.max()) + 1 if n else 0
     level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
@@ -126,43 +113,55 @@ def compute_levels(
     return LevelSchedule(levels=levels, order=order, level_ptr=level_ptr)
 
 
-def _levels_by_sweep(graph: DependenceGraph) -> np.ndarray:
-    """Per-node forward sweep (edges point forward, so natural order is
-    topological)."""
+def _wavefront_levels(graph: DependenceGraph) -> np.ndarray:
+    """Kahn by waves: wave ``k`` holds the nodes whose last predecessor
+    completed in wave ``k-1``, which is exactly the longest-path level.
+
+    One algorithm, two step sizes chosen per wave from its width.  A wide
+    wave is one NumPy step (gather the successor edges, decrement their
+    targets, keep what reached zero): Python-level cost per *level*, array
+    work per edge.  A narrow wave — a chain, the tip of a triangular
+    solve — is walked edge by edge through ``memoryview``s of the very
+    same arrays, so moving between the two converts nothing and a DAG may
+    alternate freely.
+    """
     n = graph.n
     levels = np.zeros(n, dtype=np.int64)
-    pred_ptr, pred = graph.pred_ptr, graph.pred
-    for r in range(n):
-        lo, hi = pred_ptr[r], pred_ptr[r + 1]
-        if hi > lo:
-            levels[r] = int(levels[pred[lo:hi]].max()) + 1
-    return levels
-
-
-def _levels_by_frontier(graph: DependenceGraph) -> np.ndarray:
-    """Vectorized Kahn-by-waves: wave ``k`` holds the nodes whose last
-    predecessor completed in wave ``k-1``, which is exactly the
-    longest-path level.  Python-level cost is one iteration per level; all
-    per-node work is NumPy array operations."""
-    n = graph.n
-    levels = np.zeros(n, dtype=np.int64)
-    indeg = graph.in_degrees().astype(np.int64).copy()
+    indeg = graph.in_degrees().astype(np.int64)
     succ_ptr, succ = graph.succ_ptr, graph.succ
-    frontier = np.nonzero(indeg == 0)[0]
+    s_levels, s_indeg, s_ptr, s_succ = map(
+        memoryview, (levels, indeg, succ_ptr, succ)
+    )
+    frontier = np.flatnonzero(indeg == 0)
     lvl = 0
     while len(frontier):
+        if len(frontier) < _SCALAR_BELOW:
+            wave = frontier.tolist()
+            while wave and len(wave) < _SCALAR_BELOW:
+                ready = []
+                for w in wave:
+                    s_levels[w] = lvl
+                    for e in range(s_ptr[w], s_ptr[w + 1]):
+                        r = s_succ[e]
+                        s_indeg[r] -= 1
+                        if not s_indeg[r]:
+                            ready.append(r)
+                wave = ready
+                lvl += 1
+            frontier = np.array(wave, dtype=np.int64)
+            continue
         levels[frontier] = lvl
-        counts = succ_ptr[frontier + 1] - succ_ptr[frontier]
+        starts = succ_ptr[frontier]
+        counts = succ_ptr[frontier + 1] - starts
         total = int(counts.sum())
         if total == 0:
             break
-        # Flat positions of every successor edge leaving the frontier.
-        offsets = np.repeat(succ_ptr[frontier], counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        targets = succ[offsets + within]
-        indeg -= np.bincount(targets, minlength=n)
+        # Every successor edge leaving the frontier, flat.
+        targets = succ[
+            np.arange(total, dtype=np.int64)
+            + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        ]
+        np.subtract.at(indeg, targets, 1)  # O(edges); a bincount is O(n)
         frontier = np.unique(targets[indeg[targets] == 0])
         lvl += 1
     return levels

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
+
 __all__ = ["MetricsRegistry", "PERCENTILE_KEYS"]
 
 #: The quantiles serialized into every histogram summary (as ``"p50"`` ...).
@@ -77,24 +79,27 @@ class MetricsRegistry:
 
     def observe_many(self, name: str, values) -> None:
         """Fold many samples into histogram ``name`` in one lock acquire
-        (the vectorized backend reports all its wavefront widths at once)."""
-        values = [float(v) for v in values]
-        if not values:
+        (the vectorized backend reports all its wavefront widths at once,
+        as an array: thousands of them on a chain, summarized in NumPy so
+        that observing stays a few percent of a fused run)."""
+        values = np.asarray(values, dtype=np.float64)
+        if not values.size:
             return
+        lo, hi = float(values.min()), float(values.max())
         with self._lock:
-            self._samples.setdefault(name, []).extend(values)
+            self._samples.setdefault(name, []).extend(values.tolist())
             h = self.histograms.get(name)
             if h is None:
                 h = self.histograms[name] = {
                     "count": 0,
                     "sum": 0.0,
-                    "min": values[0],
-                    "max": values[0],
+                    "min": lo,
+                    "max": hi,
                 }
-            h["count"] += len(values)
-            h["sum"] += sum(values)
-            h["min"] = min(h["min"], min(values))
-            h["max"] = max(h["max"], max(values))
+            h["count"] += values.size
+            h["sum"] += float(values.sum())
+            h["min"] = min(h["min"], lo)
+            h["max"] = max(h["max"], hi)
 
     def percentiles(
         self, name: str, q: tuple[float, ...] = PERCENTILE_KEYS

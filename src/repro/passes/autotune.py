@@ -13,10 +13,10 @@ that observation into a closed loop:
    telemetry-derived features: the busy-wait fraction per lane (from
    ``wait``-category spans) and the wavefront-width histogram (the
    vectorized backend's ``level_width`` metric).  High wait fractions
-   indict synchronization-heavy backends; narrow wavefronts indict the
-   batched one.
+   indict synchronization-heavy backends.
 3. **Policy** — explore-then-exploit.  The first run of a structure uses
-   a width heuristic (wide wavefronts → vectorized); subsequent runs
+   a width heuristic (vectorized first; the width orders the rest
+   of the field); subsequent runs
    measure each remaining candidate once; after that the tuner exploits
    the argmin of median measured wall time.  Perf-doctor hints
    (:func:`record_doctor_hints`, fed by ``PlanSpec(diagnose=True)`` runs
@@ -148,17 +148,17 @@ def _median(values: list) -> float:
 def _heuristic_order(levels, n: int) -> tuple[str, ...]:
     """Candidate priority from the wavefront shape alone.
 
-    Wide wavefronts are the vectorized backend's home turf (each level is
-    one big NumPy batch) and mean few cross-chunk conflicts, so the
-    speculative backend ranks high there too; deep, narrow DAGs make
-    per-level dispatch overhead dominate and force speculation into its
-    rollback/fallback worst case, so point-to-point backends go first
-    and speculation last there.
+    The vectorized backend goes first either way: a wide level is one
+    NumPy batch, and a run of narrow ones is one scalar span at about the
+    sequential loop's cost (~1.9 x_ref on ``fig4_chain``, where
+    ``threaded`` measures 22–26).  The shape orders the rest: wide
+    wavefronts mean few cross-chunk conflicts, so speculation ranks
+    second there; deep, narrow DAGs force it into its rollback/fallback
+    worst case, so the point-to-point backends precede it.
     """
     avg = levels.average_width() if levels is not None else float(n)
-    if avg >= 4.0:
-        return ("vectorized", "speculative", "multiproc", "threaded")
-    return ("threaded", "vectorized", "multiproc", "speculative")
+    rest = ("speculative", "multiproc", "threaded")
+    return ("vectorized", *(rest if avg >= 4.0 else rest[::-1]))
 
 
 def record_run_outcome(

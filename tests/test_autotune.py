@@ -122,6 +122,16 @@ class TestPolicy:
         assert "wavefront width" in plan.tuner.reason
         assert plan.tuner.fingerprint == loop_fingerprint(loop)
 
+    @pytest.mark.parametrize("l", [7, 8], ids=["one-wavefront", "chain"])
+    def test_vectorized_is_tried_first_whatever_the_width(self, l, cache):
+        # A chain is no longer threaded's to lose: the vectorized backend
+        # fuses its width-1 levels into one scalar span.
+        plan = plan_loop(
+            make_test_loop(n=200, m=5, l=l), PlanSpec(backend="auto"), cache=cache
+        )
+        assert plan.tuner.source == "heuristic"
+        assert plan.backend == "vectorized"
+
     def test_explores_unmeasured_candidates_before_exploiting(self, loop, cache):
         fp = loop_fingerprint(loop)
         seen: list[str] = []

@@ -206,6 +206,94 @@ class TestRunSpan:
         assert all(type(x) in (int, str) for ev in events for x in ev)
 
 
+class TestRunSpanOperands:
+    """``run_span`` walks ndarray operands through memoryviews and lets
+    anything else through: whatever the caller holds, the values, the
+    cursor and the shadow events are the same."""
+
+    @staticmethod
+    def _run(loop, convert, convert_new=None, out=None):
+        """One lane of two (cyclic) over ``convert``-ed operands; ``new``
+        (which doubles as ``out`` unless one is given) may be converted
+        differently, since the walk writes it."""
+        its = np.arange(1, loop.n, 2)
+        reads = loop.reads
+        codes = kernel.classify_terms(
+            reads.ptr, reads.index, writer_map(loop), its, 1
+        )
+        inputs = [codes, *span_args(loop), loop.y0]
+        inputs = [None if a is None else convert(a) for a in inputs]
+        # "Published" values, distinct per element.
+        new = (convert_new or convert)(np.arange(loop.y_size, dtype=np.float64))
+        out = new if out is None else out
+        events: list = []
+        cur = kernel.run_span(
+            its, *inputs, new, out,
+            wait=lambda idx: None, post=lambda w: None, events=events,
+        )
+        return cur, events, [float(out[w]) for w in loop.write[its].tolist()]
+
+    @staticmethod
+    def _read_only(a):
+        a = a.copy()
+        a.setflags(write=False)
+        return a
+
+    @staticmethod
+    def _strided(a):
+        wide = np.zeros(2 * len(a), dtype=a.dtype)
+        wide[::2] = a
+        view = wide[::2]
+        assert len(a) < 2 or not view.flags.c_contiguous
+        return view
+
+    @staticmethod
+    def _int32(a):
+        return a.astype(np.int32) if a.dtype == np.int64 else a
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            random_irregular_loop(60, seed=4),
+            random_irregular_loop(60, seed=6, external_init=True),
+            chain_loop(40, 2),
+        ],
+        ids=lambda loop: loop.name,
+    )
+    def test_every_operand_form_gives_the_same_walk(self, loop):
+        want = self._run(loop, lambda a: a)
+        assert want[0] > 0 and want[1]
+        assert self._run(loop, memoryview) == want
+        assert self._run(loop, self._strided) == want
+        assert self._run(loop, self._int32) == want
+        # A separate write buffer: an array or the speculative dict.
+        apart = self._run(loop, lambda a: a, out=np.zeros(loop.y_size))
+        assert self._run(loop, lambda a: a, out={}) == apart
+        # Everything the walk only reads may be read-only.
+        assert self._run(loop, self._read_only, lambda a: a) == want
+        # Plain ints: the log crosses a process boundary by pickle.
+        assert all(type(x) in (int, str) for ev in want[1] for x in ev)
+
+    def test_a_view_reads_the_live_buffer(self):
+        # A value published by another lane after entry must be seen:
+        # the wait callback stands in for the writer's post.
+        loop = chain_loop(2, 1)
+        reads = loop.reads
+        codes = kernel.classify_terms(
+            reads.ptr, reads.index, writer_map(loop), np.array([1]), 1
+        )
+        ynew = np.zeros(2)
+
+        def wait(idx):
+            ynew[idx] = 7.0  # lands while run_span holds its views
+
+        kernel.run_span(
+            np.array([1]), codes, *span_args(loop), loop.y0, ynew, ynew,
+            wait=wait,
+        )
+        assert ynew[1] == loop.y0[1] + 0.5 * 7.0
+
+
 def _counters(result, names):
     counters = result.telemetry.metrics.as_dict()["counters"]
     return {name: counters.get(name) for name in names}

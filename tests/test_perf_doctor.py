@@ -124,21 +124,38 @@ class TestLoadImbalance:
 class TestNarrowWavefronts:
     def test_chain_widths_critical_for_many_workers(self):
         t = telem(
-            backend="vectorized",
+            backend="multiproc",
             hists={"level_width": [1.0, 1.0, 1.0, 2.0]},
             gauges={"processors": 8},
         )
         finding = by_kind(diagnose(t))["narrow_wavefronts"]
         assert finding.severity == SEV_CRITICAL
-        assert finding.recommendation == {"backend": "threaded"}
+        # Never the 13x slower point-to-point backend.
+        assert finding.recommendation == {"backend": "vectorized"}
 
     def test_moderate_widths_warn(self):
         t = telem(
-            backend="vectorized",
+            backend="threaded",
             hists={"level_width": [4.0, 4.0, 4.0]},
             gauges={"processors": 8},
         )
         assert by_kind(diagnose(t))["narrow_wavefronts"].severity == SEV_WARNING
+
+    def test_vectorized_run_is_informed_not_sent_elsewhere(self):
+        """The vectorized backend fuses narrow levels itself: the finding
+        reports that, and recommends no other backend."""
+        loop = chain_loop(300, 1)
+        result = make_runner(
+            spec=PlanSpec(backend="vectorized", observe=True)
+        ).run(loop)
+        findings = diagnose(result.telemetry, processors=8)
+        finding = by_kind(findings)["narrow_wavefronts"]
+        assert finding.severity == SEV_INFO
+        assert finding.recommendation == {}
+        assert finding.evidence["fused_levels"] == 300
+        assert finding.evidence["fused_runs"] == 1
+        assert finding.evidence["level_width"]["count"] == 300
+        assert "300 of 300 levels ran fused" in finding.summary
 
     def test_wide_wavefronts_healthy(self):
         t = telem(
