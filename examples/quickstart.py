@@ -49,7 +49,7 @@ def main() -> None:
 
     independent = repro.make_test_loop(n=4000, m=2, l=7)  # odd L: no deps
     print("\n--- doall on the dependence-free (odd L) configuration ---")
-    doall = repro.DoallRunner(processors=16).run(independent)
+    doall = runner.runner().run_doall(independent)  # same machine
     print(doall.summary())
     overhead = repro.PreprocessedDoacross(processors=16).run(independent)
     print(

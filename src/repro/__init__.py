@@ -18,9 +18,11 @@ Quick start::
 
 Subpackages
 -----------
-- :mod:`repro.core` — the paper's contribution: preprocessed doacross,
-  strip-mined and linear-subscript variants, doconsider reordering, classic
-  doacross / doall baselines.
+- :mod:`repro.core` — the paper's contribution: the preprocessed doacross
+  (``PreprocessedDoacross.run`` / ``run(linear=True)`` / ``run_stripmined``),
+  doconsider reordering, amortized inspector reuse, and ``parallelize``,
+  which also dispatches the classic doacross / doall baselines
+  (``known_distance=`` / ``assert_independent=``).
 - :mod:`repro.machine` — the simulated multiprocessor.
 - :mod:`repro.ir` — the loop IR and the transformation "compiler".
 - :mod:`repro.graph` — dependence DAG, wavefronts, critical paths.
@@ -56,15 +58,11 @@ from repro.backends import (
     make_runner,
 )
 from repro.core.amortized import AmortizedDoacross
-from repro.core.classic import ClassicDoacross
 from repro.core.doacross import PreprocessedDoacross, parallelize
-from repro.core.doall_runner import DoallRunner
 from repro.core.doconsider import Doconsider, level_order
-from repro.core.linear import LinearDoacross
 from repro.core.results import RunResult
 from repro.core.sequential import run_reference, sequential_time
 from repro.core.serialize import result_to_dict, result_to_json, results_to_csv
-from repro.core.stripmine import StripminedDoacross
 from repro.core.verify import VerificationReport, verify_loop
 from repro.core.workspace import MAXINT, DoacrossWorkspace
 from repro.errors import (
@@ -114,13 +112,9 @@ __all__ = [
     "__version__",
     # Core runners
     "PreprocessedDoacross",
-    "StripminedDoacross",
-    "LinearDoacross",
     "AmortizedDoacross",
     "Doconsider",
     "level_order",
-    "ClassicDoacross",
-    "DoallRunner",
     "parallelize",
     # Backends
     "Runner",

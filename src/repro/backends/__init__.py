@@ -30,7 +30,8 @@ benchmarks select them interchangeably (``PlanSpec(backend=...)``).
 - :mod:`repro.backends.kernel` — the Figure-5 term rule, once: lane
   placement, vectorized term classification and the scalar evaluator the
   threaded, multiproc and speculative backends are scheduling and
-  synchronisation around (and whose codes the static race checker reads).
+  synchronisation around (and whose codes the static race checker reads
+  and the simulated executor branches on).
 - :mod:`repro.backends.cache` — the inspector cache (Figure-3 amortization
   with hit/miss counters).
 - :mod:`repro.backends.hooks` — the optional steps around a run

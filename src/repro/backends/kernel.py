@@ -34,11 +34,17 @@ checked, and what the detector is proven against, is what the backend
 executes.  A compiled kernel, when there is one, replaces the body of
 :func:`run_span` and nothing else.
 
+The cycle-charging simulator (:mod:`repro.backends.simulated`) shares
+:func:`classify_terms` — with ``chunk = 1``, per strip-mine block, from
+the ``iter`` array its inspector phase just filled — but not
+:func:`run_span`: its executor is a generator task that must *yield* a
+wait to the event engine, and cannot block inside a callback.
+
 Not here, on purpose: the sequential oracle
 (:meth:`~repro.ir.loop.IrregularLoop.run_sequential`) is the reference
-the walk is tested against, the cycle-charging simulator is a different
-machine, and the vectorized backend's bulk per-level kernel works on
-whole wavefronts — none shares control flow with a blocking scalar walk.
+the walk is tested against, and the vectorized backend's bulk per-level
+kernel works on whole wavefronts — neither shares control flow with a
+blocking scalar walk.
 """
 
 from __future__ import annotations

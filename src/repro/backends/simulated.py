@@ -1,20 +1,36 @@
-"""The simulated backend: phases of the preprocessed doacross on the
-discrete-event machine.
+"""The simulated backend: the preprocessed doacross as one loop nest on
+the discrete-event machine.
 
 This module is where the paper's Figure 3 (pre/postprocessing) and Figure 5
 (transformed executor) become executable.  Each run produces *both* the
-correct values (the executor really reads ``iter``, really resolves each
-term against the old/new arrays) and the simulated timing (every action is
-charged to the issuing processor's clock; busy-waits park the processor).
+correct values (the executor really resolves each term against the old/new
+arrays) and the simulated timing (every action is charged to the issuing
+processor's clock; busy-waits park the processor).
 
-Phase structure of a full preprocessed doacross (barriers between phases and
-after the last one, since the construct must complete before code after the
-loop runs)::
+Every §2 variant is the same pipeline, :meth:`SimulatedRunner._doacross`,
+with a barrier after each phase (the construct must complete before code
+after the loop runs)::
 
-    inspector  | barrier | executor | barrier | postprocessor | barrier
+    for each block of iterations:            # §2.3 strip-mining: many blocks
+        inspector     | barrier              # iter(a(i)) = i; none if linear
+        codes = kernel.classify_terms(iter)  # Figure 5's compare, per term
+        for each instance:                   # amortized inspector: many
+            executor      | barrier          # branches on the codes
+            postprocessor | barrier          # reduced before the last one
+        iter restored                        # also when a phase raised
 
-The strip-mined variant (§2.3) repeats that pipeline per block; the linear
-variant (§2.3) drops the inspector phase entirely.
+The plain doacross is one block × one instance, the §2.3 ``linear``
+variant the same with the closed-form writer in place of the inspector
+phase and the ``iter`` array; ``barriers`` is always the number of phases
+run.  The executor never compares ``iter`` with ``i`` itself: it charges
+``dep_check`` per term and branches on the codes
+:func:`repro.backends.kernel.classify_terms` derives from the ``iter``
+array just filled, so what ``validate="static"`` checks
+(:func:`repro.lint.hb.waits_from_iter`) is what executes here.  A read
+whose writer sits in an earlier strip-mine block finds ``iter`` already
+reset, classifies ``OLD`` and takes the no-wait path to the *updated*
+``y`` — §2.3's "no synchronisation across blocks" is the shared rule, not
+a second one.
 """
 
 from __future__ import annotations
@@ -22,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.base import Runner, validate_execution_order
+from repro.backends.kernel import ACC, WAIT, classify_terms
 from repro.core.results import PhaseBreakdown, RunResult
 from repro.core.sequential import sequential_time
 from repro.core.workspace import MAXINT, DoacrossWorkspace
@@ -49,6 +66,7 @@ from repro.machine.scheduler import (
     make_schedule,
 )
 from repro.machine.stats import PhaseStats
+from repro.machine.trace import Tracer
 
 __all__ = ["SimulatedRunner"]
 
@@ -127,6 +145,9 @@ class SimulatedRunner(Runner):
     def schedule_model(
         self, loop, *, order=None, schedule=None, chunk=None, **_options
     ) -> dict:
+        """The schedule ``run(loop, **options)`` would execute, for
+        ``validate="static"``: the options as given (``None`` resolves to
+        this backend's cyclic chunk-1 default in the checker too)."""
         return {
             "backend": self.name,
             "processors": self.machine.processors,
@@ -172,147 +193,143 @@ class SimulatedRunner(Runner):
         kind = "cyclic" if spec is None else spec
         return make_schedule(kind, n, self.machine.processors, chunk=chunk)
 
-    def _uniform_phase(
-        self, name: str, n: int, per_iter_cost: int, accesses_per_iter: int
-    ) -> PhaseStats:
-        """Simulate a regular ``parallel do`` (Figure 3's pre/post loops):
-        static block partition, cost charged per chunk."""
-        machine = self.machine
-        schedule = StaticBlockSchedule(n, machine.processors)
-        bus = machine.bus
-        bus_per_access = machine.cost_model.bus_per_access
-
-        def factory_for(proc: int):
-            chunks = schedule.chunks_for(proc)
-
-            def task(st):
-                for lo, hi in chunks:
-                    count = hi - lo
-                    st.iterations += count
-                    if bus:
-                        yield UseResource(
-                            RES_BUS, count * accesses_per_iter * bus_per_access
-                        )
-                    yield Compute(count * per_iter_cost)
-
-            return task
-
-        engine = machine.new_engine()
-        return engine.run(name, [factory_for(p) for p in range(machine.processors)])
-
-    def _weighted_phase(
-        self, name: str, costs: np.ndarray, accesses: np.ndarray | None = None
-    ) -> PhaseStats:
-        """Simulate a ``parallel do`` whose iterations have *varying* costs
-        (static block partition; per-chunk aggregation)."""
-        machine = self.machine
-        n = len(costs)
-        schedule = StaticBlockSchedule(n, machine.processors)
-        bus = machine.bus
-        bus_per_access = machine.cost_model.bus_per_access
-
-        def factory_for(proc: int):
-            chunks = schedule.chunks_for(proc)
-
-            def task(st):
-                for lo, hi in chunks:
-                    st.iterations += hi - lo
-                    if bus and accesses is not None:
-                        yield UseResource(
-                            RES_BUS,
-                            int(accesses[lo:hi].sum()) * bus_per_access,
-                        )
-                    yield Compute(int(costs[lo:hi].sum()))
-
-            return task
-
-        engine = machine.new_engine()
-        return engine.run(name, [factory_for(p) for p in range(machine.processors)])
-
-    def run_wavefront_preprocessing(
-        self, loop: IrregularLoop, graph, level_schedule
-    ) -> tuple[int, list[PhaseStats]]:
-        """Simulate the doconsider wavefront computation as machine phases.
-
-        The parallel frontier-peeling algorithm (reference [4]): an
-        in-degree initialization pass (touch every iteration and its
-        incoming edges), then one round per level — each round's processors
-        emit the current frontier and decrement its out-edges, with a
-        barrier per round.  Load *imbalance within rounds* is captured
-        (unlike the closed-form estimate in
-        :func:`repro.core.doconsider.modeled_reorder_cycles`, which
-        divides work evenly).
-
-        Returns ``(total_cycles, phases)``; total includes per-round
-        barriers.
-        """
-        cm = self.machine.cost_model
-        phases: list[PhaseStats] = []
-        barrier = cm.barrier(self.machine.processors)
-
-        in_deg = graph.in_degrees()
-        init_costs = cm.pre_iter * (1 + in_deg)
-        init = self._weighted_phase("wf-init", init_costs, 1 + in_deg)
-        phases.append(init)
-        total = init.span + barrier
-
-        out_deg = graph.out_degrees()
-        for k in range(level_schedule.n_levels):
-            members = level_schedule.order[
-                level_schedule.level_ptr[k] : level_schedule.level_ptr[k + 1]
-            ]
-            costs = cm.pre_iter * (1 + out_deg[members])
-            round_phase = self._weighted_phase(
-                f"wf-round-{k}", costs, 1 + out_deg[members]
-            )
-            phases.append(round_phase)
-            total += round_phase.span + barrier
-        return total, phases
-
-    # ------------------------------------------------------------------
-    # Executor phase
-    # ------------------------------------------------------------------
-    def _executor_phase(
+    def _phase(
         self,
-        loop: IrregularLoop,
+        name: str,
         schedule: IterationSchedule,
-        order: np.ndarray | None,
-        writers_flat: np.ndarray | None,
-        y: np.ndarray,
-        ynew: np.ndarray,
-        iter_arr: np.ndarray,
-        flags: FlagStore,
-        positions: tuple[int, int] | None = None,
+        body,
+        base: int = 0,
+        flags: FlagStore | None = None,
         tracer=None,
     ) -> PhaseStats:
-        """Run the Figure-5 executor.
+        """Run one parallel phase: deal ``schedule``'s positions to the
+        processors — a static schedule's chunk lists, or claims on the
+        shared dispatch counter (``cost_model.dispatch`` per grab,
+        serialised) — and run the generator ``body(st, lo, hi)`` over each
+        piece, shifted by ``base``.  The one dealer of this module."""
+        machine = self.machine
+        dispatch_cost = machine.cost_model.dispatch
 
-        ``writers_flat`` (linear variant): precomputed closed-form writer per
-        flat read term, with :data:`MAXINT` for "never written" — the inlined
-        ``(off − d) mod c`` test of §2.3.  When ``None``, the executor reads
-        the ``iter`` array the inspector filled (the general mechanism).
+        def factory_for(proc: int):
+            if schedule.is_dynamic:
 
-        ``positions`` restricts execution to a slice of positions (used by
-        the strip-mined variant); the schedule must already cover exactly
-        that many positions.
+                def task(st):
+                    while True:
+                        yield UseResource(RES_DISPATCH, dispatch_cost)
+                        st.dispatches += 1
+                        claim = schedule.claim()
+                        if claim is None:
+                            return
+                        yield from body(st, base + claim[0], base + claim[1])
+
+            else:
+                chunks = schedule.chunks_for(proc)
+
+                def task(st):
+                    for lo, hi in chunks:
+                        yield from body(st, base + lo, base + hi)
+
+            return task
+
+        engine = machine.new_engine(flags=flags, tracer=tracer)
+        return engine.run(
+            name, [factory_for(p) for p in range(machine.processors)]
+        )
+
+    def _parallel_do(
+        self, name: str, n: int, cost: int, accesses: int
+    ) -> PhaseStats:
+        """Simulate a regular ``parallel do`` (Figure 3's pre/post loops)
+        of ``n`` iterations, each ``cost`` cycles and ``accesses`` shared
+        accesses: static block partition, charged per chunk."""
+        machine = self.machine
+        bus = machine.bus
+        bus_per_access = machine.cost_model.bus_per_access
+
+        def body(st, lo: int, hi: int):
+            count = hi - lo
+            st.iterations += count
+            if bus:
+                yield UseResource(RES_BUS, count * accesses * bus_per_access)
+            yield Compute(count * cost)
+
+        return self._phase(
+            name, StaticBlockSchedule(n, machine.processors), body
+        )
+
+    def _result(
+        self,
+        loop: IrregularLoop,
+        strategy: str,
+        y: np.ndarray,
+        ran: list[PhaseStats],
+        schedule: IterationSchedule,
+        instances: int = 1,
+        order_label: str = "natural",
+    ) -> RunResult:
+        """The :class:`RunResult` of a run whose phases were ``ran``, in
+        that order: a barrier follows each, and same-named phases (strip-
+        mine blocks, instances) are reported merged."""
+        cm = self.machine.cost_model
+        phases: dict[str, PhaseStats] = {}
+        for phase in ran:
+            _merge_phase(phases, phase)
+
+        def span(name: str) -> int:
+            return sum(phase.span for phase in ran if phase.name == name)
+
+        breakdown = PhaseBreakdown(
+            inspector=span("inspector"),
+            executor=span("executor"),
+            postprocessor=span("postprocessor"),
+            barriers=len(ran) * cm.barrier(self.machine.processors),
+        )
+        return RunResult(
+            loop_name=loop.name,
+            strategy=strategy,
+            processors=self.machine.processors,
+            y=y,
+            total_cycles=breakdown.total,
+            sequential_cycles=instances * sequential_time(loop, cm),
+            cost_model=cm,
+            phases=list(phases.values()),
+            breakdown=breakdown,
+            wait_cycles=sum(phase.total_wait for phase in ran),
+            schedule=_describe_schedule(schedule),
+            order_label=order_label,
+        )
+
+    # ------------------------------------------------------------------
+    # Executor body (Figure 5)
+    # ------------------------------------------------------------------
+    def _executor_body(
+        self,
+        loop: IrregularLoop,
+        order: np.ndarray | None,
+        code,
+        init: np.ndarray | None,
+        y: np.ndarray,
+        ynew: np.ndarray,
+    ):
+        """Figure 5's loop body for one executor phase, as a
+        :meth:`_phase` body over execution positions.
+
+        ``code[k]`` is the :mod:`~repro.backends.kernel` code of flat read
+        term ``k``; ``init`` seeds the accumulators (``None``: from the old
+        ``y``).  Ownership for the coherence model starts empty every
+        phase.
         """
         machine = self.machine
         cm = machine.cost_model
         write = loop.write
         ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
-        external = loop.init_kind == INIT_EXTERNAL
-        init_values = loop.init_values
-        base = 0 if positions is None else positions[0]
 
         work = cm.effective_work(loop.work)
         iter_overhead = cm.exec_iter_overhead + work.overhead
         dep_check_setup = cm.dep_check + work.term_setup
         term_consume = work.term_consume
-        dispatch_cost = cm.dispatch
         bus = machine.bus
         bus_per_access = cm.bus_per_access
-        dynamic = schedule.is_dynamic
-        use_linear = writers_flat is not None
         coherence = machine.coherence
         coherence_miss = cm.coherence_miss
         # Write-invalidate ownership: which processor's cache holds each
@@ -320,7 +337,6 @@ class SimulatedRunner(Runner):
         owner = (
             np.full(loop.y_size, -1, dtype=np.int32) if coherence else None
         )
-
         san = self._san_capture
 
         def run_body(st, lo: int, hi: int):
@@ -331,7 +347,7 @@ class SimulatedRunner(Runner):
                 i = p if order is None else order[p]
                 w = write[i]
                 pending += iter_overhead
-                acc = init_values[i] if external else y[w]
+                acc = y[w] if init is None else init[i]
                 if bus:
                     n_terms = ptr[i + 1] - ptr[i]
                     yield UseResource(
@@ -342,10 +358,10 @@ class SimulatedRunner(Runner):
                     # Offset computation, iter load, compare — all done
                     # before (or while) any wait.
                     pending += dep_check_setup
-                    writer = writers_flat[k] if use_linear else iter_arr[idx]
-                    if writer == i:
+                    c = code[k]
+                    if c == ACC:
                         value = acc  # intra-iteration: the live accumulator
-                    elif writer < i:
+                    elif c == WAIT:
                         # True dependence: busy-wait for the writer, then
                         # read the renamed (new) value.
                         if pending:
@@ -381,35 +397,134 @@ class SimulatedRunner(Runner):
                 yield SetFlag(int(w))
                 st.iterations += 1
 
-        def factory_for(proc: int):
-            if dynamic:
+        return run_body
 
-                def task(st):
-                    while True:
-                        yield UseResource(RES_DISPATCH, dispatch_cost)
-                        st.dispatches += 1
-                        claim = schedule.claim()
-                        if claim is None:
-                            return
-                        yield from run_body(st, base + claim[0], base + claim[1])
+    # ------------------------------------------------------------------
+    # The pipeline (paper §2.1–§2.3)
+    # ------------------------------------------------------------------
+    def _doacross(
+        self,
+        loop: IrregularLoop,
+        strategy: str,
+        schedule,
+        chunk: int,
+        blocks: list[tuple[int, int]],
+        instances: int = 1,
+        rhs_sequence=None,
+        order: np.ndarray | None = None,
+        linear: bool = False,
+        order_label: str = "natural",
+        trace: bool = False,
+    ) -> RunResult:
+        """The loop nest of the module docstring; every public doacross
+        entry point is a set of arguments to it.
 
-            else:
-                chunks = schedule.chunks_for(proc)
+        ``blocks`` cuts the natural order into ``(lo, hi)`` iteration
+        ranges, run one after the other, each dealt by its own schedule of
+        the ``schedule`` kind.  ``order`` and ``linear`` belong to the
+        one-block forms: blocks cut the natural order, and the closed-form
+        writer knows no block boundary.  Each instance reads the previous
+        one's ``y``; ``rhs_sequence[k]``, when given, replaces the loop's
+        ``init_values`` for instance ``k``.
+        """
+        machine = self.machine
+        cm = machine.cost_model
+        n = loop.n
+        if order is not None:
+            order = np.asarray(order, dtype=np.int64)
+            validate_execution_order(loop, order)
+        sub = loop.write_subscript
+        if linear and not isinstance(sub, AffineSubscript):
+            raise InvalidLoopError(
+                "linear variant requires a statically affine write "
+                f"subscript, got {type(sub).__name__}"
+            )
 
-                def task(st):
-                    for lo, hi in chunks:
-                        yield from run_body(st, base + lo, base + hi)
-
-            return task
-
-        engine = machine.new_engine(flags=flags, tracer=tracer)
-        return engine.run(
-            "executor", [factory_for(p) for p in range(machine.processors)]
+        ws = self._checkout_workspace(loop)
+        iter_arr = ws.iter_arr
+        ynew = ws.ynew
+        y = loop.y0.copy()
+        # §2.3's inlined ``(off − d) mod c`` test: the writer of every
+        # element in closed form (-1: never written), so neither the
+        # inspector phase nor the ``iter`` array is needed.
+        writer_of = (
+            sub.writer_of_many(np.arange(loop.y_size), n)
+            if linear
+            else iter_arr
         )
+        # Resolved for the whole loop before any phase runs, so a bad kind,
+        # chunk or instance size leaves the workspace untouched.
+        described = self._resolve_schedule(schedule, n, chunk)
+        ptr, r_idx = loop.reads.ptr, loop.reads.index
+        codes = np.empty(len(r_idx), dtype=np.int8)
+        code = memoryview(codes)  # plain ints in the executor's inner loop
+        tracer = Tracer() if trace else None
+        ran: list[PhaseStats] = []
 
-    # ------------------------------------------------------------------
-    # Full preprocessed doacross (paper §2.1–§2.2, plus §2.3 linear variant)
-    # ------------------------------------------------------------------
+        for lo, hi in blocks:
+            count = hi - lo
+            its = np.arange(lo, hi, dtype=np.int64)
+            block_write = loop.write[lo:hi]
+            exec_schedule = self._resolve_schedule(schedule, count, chunk)
+            try:
+                # --- inspector: parallel do i: iter(a(i)) = i (Figure 3) ---
+                if not linear:
+                    ran.append(
+                        self._parallel_do("inspector", count, cm.pre_iter, 1)
+                    )
+                    iter_arr[block_write] = its
+                codes[ptr[lo] : ptr[hi]] = classify_terms(
+                    ptr, r_idx, writer_of, its, 1
+                )
+                for k in range(instances):
+                    # --- executor (Figure 5) ---
+                    exec_schedule.reset()
+                    body = self._executor_body(
+                        loop,
+                        order,
+                        code,
+                        loop.init_values
+                        if rhs_sequence is None
+                        else rhs_sequence[k],
+                        y,
+                        ynew,
+                    )
+                    ran.append(
+                        self._phase(
+                            "executor",
+                            exec_schedule,
+                            body,
+                            base=lo,
+                            flags=FlagStore(loop.y_size),
+                            tracer=tracer,
+                        )
+                    )
+                    # --- postprocessor: reset ready, copy ynew back and,
+                    # after the last instance, reset iter (Figure 3; one
+                    # shared store fewer while iter stays valid) ---
+                    last = k == instances - 1
+                    ran.append(
+                        self._parallel_do(
+                            "postprocessor",
+                            count,
+                            cm.post_iter if last else cm.post_iter_amortized,
+                            3 if last else 2,
+                        )
+                    )
+                    y[block_write] = ynew[block_write]
+            finally:
+                # The last postprocessor's reset — also when a phase raised
+                # (an executor deadlock), so one failed run does not leave
+                # the workspace dirty for every later one.
+                iter_arr[block_write] = MAXINT
+
+        result = self._result(
+            loop, strategy, y, ran, described, instances, order_label
+        )
+        if tracer is not None:
+            result.extras["trace"] = tracer
+        return result
+
     def run_preprocessed(
         self,
         loop: IrregularLoop,
@@ -433,99 +548,25 @@ class SimulatedRunner(Runner):
             loop's true dependencies.
         linear:
             Use the §2.3 linear-subscript variant: requires an affine write
-            subscript; skips the inspector phase and the ``iter`` array.
+            subscript; skips the inspector phase and the ``iter`` array
+            (ablation C, DESIGN.md §5, measures the saving).
         trace:
             Record a per-processor timeline of the *executor* phase; the
             :class:`~repro.machine.trace.Tracer` lands in
             ``result.extras["trace"]`` (render with ``.gantt()``).
         """
-        machine = self.machine
-        cm = machine.cost_model
-        n = loop.n
-
-        if order is not None:
-            order = np.asarray(order, dtype=np.int64)
-            validate_execution_order(loop, order)
-
-        writers_flat = None
-        if linear:
-            sub = loop.write_subscript
-            if not isinstance(sub, AffineSubscript):
-                raise InvalidLoopError(
-                    "linear variant requires a statically affine write "
-                    f"subscript, got {type(sub).__name__}"
-                )
-            writers = sub.writer_of_many(loop.reads.index, n)
-            writers_flat = np.where(writers < 0, MAXINT, writers)
-
-        ws = self._checkout_workspace(loop)
-        iter_arr = ws.iter_arr
-        ynew = ws.ynew
-        y = loop.y0.copy()
-        flags = FlagStore(loop.y_size)
-        exec_schedule = self._resolve_schedule(schedule, n, chunk=chunk)
-
-        phases: list[PhaseStats] = []
-        breakdown = PhaseBreakdown()
-
-        # --- inspector: parallel do i: iter(a(i)) = i (Figure 3, left) ---
-        if not linear:
-            pre = self._uniform_phase("inspector", n, cm.pre_iter, 1)
-            iter_arr[loop.write] = np.arange(n, dtype=np.int64)
-            phases.append(pre)
-            breakdown.inspector = pre.span
-
-        # --- executor (Figure 5) ---
-        tracer = None
-        if trace:
-            from repro.machine.trace import Tracer
-
-            tracer = Tracer()
-        exec_phase = self._executor_phase(
+        return self._doacross(
             loop,
-            exec_schedule,
-            order,
-            writers_flat,
-            y,
-            ynew,
-            iter_arr,
-            flags,
-            tracer=tracer,
-        )
-        phases.append(exec_phase)
-        breakdown.executor = exec_phase.span
-
-        # --- postprocessor: reset iter/ready, copy ynew back (Figure 3) ---
-        post = self._uniform_phase("postprocessor", n, cm.post_iter, 3)
-        iter_arr[loop.write] = MAXINT
-        y[loop.write] = ynew[loop.write]
-        phases.append(post)
-        breakdown.postprocessor = post.span
-
-        barrier = cm.barrier(machine.processors)
-        breakdown.barriers = barrier * len(phases)
-
-        result = RunResult(
-            loop_name=loop.name,
-            strategy="linear-doacross" if linear else "preprocessed-doacross",
-            processors=machine.processors,
-            y=y,
-            total_cycles=breakdown.total,
-            sequential_cycles=sequential_time(loop, cm),
-            cost_model=cm,
-            phases=phases,
-            breakdown=breakdown,
-            wait_cycles=exec_phase.total_wait,
-            schedule=_describe_schedule(exec_schedule),
+            "linear-doacross" if linear else "preprocessed-doacross",
+            schedule,
+            chunk,
+            [(0, loop.n)],
+            order=order,
+            linear=linear,
             order_label=order_label,
+            trace=trace,
         )
-        if tracer is not None:
-            result.extras["trace"] = tracer
-        return result
 
-    # ------------------------------------------------------------------
-    # Amortized-inspector variant (repeated loop instances)
-    # ------------------------------------------------------------------
     def run_amortized(
         self,
         loop: IrregularLoop,
@@ -582,89 +623,20 @@ class SimulatedRunner(Runner):
                         f"rhs_sequence[{k}] has shape {r.shape}, expected "
                         f"({loop.n},)"
                     )
-
-        machine = self.machine
-        cm = machine.cost_model
-        n = loop.n
-        if order is not None:
-            order = np.asarray(order, dtype=np.int64)
-            validate_execution_order(loop, order)
-
-        ws = self._checkout_workspace(loop)
-        iter_arr = ws.iter_arr
-        ynew = ws.ynew
-        y = loop.y0.copy()
-        exec_schedule = self._resolve_schedule(schedule, n, chunk=chunk)
-
-        phases_acc: dict[str, PhaseStats] = {}
-        breakdown = PhaseBreakdown()
-        total_wait = 0
-
-        # Inspector: once for all instances.
-        pre = self._uniform_phase("inspector", n, cm.pre_iter, 1)
-        iter_arr[loop.write] = np.arange(n, dtype=np.int64)
-        breakdown.inspector = pre.span
-        _merge_phase(phases_acc, pre)
-        barriers = 1
-
-        working = loop
-        for k in range(instances):
-            if rhs_sequence is not None:
-                working = loop.with_name(loop.name)
-                working.init_values = rhs_sequence[k]
-            exec_schedule.reset()
-            flags = FlagStore(loop.y_size)
-            exec_phase = self._executor_phase(
-                working,
-                exec_schedule,
-                order,
-                None,
-                y,
-                ynew,
-                iter_arr,
-                flags,
-            )
-            breakdown.executor += exec_phase.span
-            total_wait += exec_phase.total_wait
-            _merge_phase(phases_acc, exec_phase)
-            barriers += 1
-
-            last = k == instances - 1
-            post_cost = cm.post_iter if last else cm.post_iter_amortized
-            post = self._uniform_phase(
-                "postprocessor", n, post_cost, 3 if last else 2
-            )
-            y[loop.write] = ynew[loop.write]
-            if last:
-                iter_arr[loop.write] = MAXINT
-            breakdown.postprocessor += post.span
-            _merge_phase(phases_acc, post)
-            barriers += 1
-
-        breakdown.barriers = barriers * cm.barrier(machine.processors)
-
-        return RunResult(
-            loop_name=loop.name,
-            strategy="amortized-doacross",
-            processors=machine.processors,
-            y=y,
-            total_cycles=breakdown.total,
-            sequential_cycles=instances * sequential_time(loop, cm),
-            cost_model=cm,
-            phases=list(phases_acc.values()),
-            breakdown=breakdown,
-            wait_cycles=total_wait,
-            schedule=_describe_schedule(exec_schedule),
+        result = self._doacross(
+            loop,
+            "amortized-doacross",
+            schedule,
+            chunk,
+            [(0, loop.n)],
+            instances=instances,
+            rhs_sequence=rhs_sequence,
+            order=order,
             order_label=order_label,
-            extras={
-                "instances": instances,
-                "inspector_runs": 1,
-            },
         )
+        result.extras.update(instances=instances, inspector_runs=1)
+        return result
 
-    # ------------------------------------------------------------------
-    # Strip-mined variant (paper §2.3)
-    # ------------------------------------------------------------------
     def run_stripmined(
         self,
         loop: IrregularLoop,
@@ -679,88 +651,27 @@ class SimulatedRunner(Runner):
         reset (the earlier block's postprocessor copied its results into
         ``y``), so they take the no-wait old-value path and still see the
         *updated* value — the §2.3 design makes cross-block dependencies
-        free of synchronization by construction.
+        free of synchronization by construction.  The modeled scratch
+        footprint (``extras``) shrinks from the whole index set to the
+        widest block's write range, at the price of extra barriers and less
+        cross-block overlap; ablation B (DESIGN.md §5) sweeps ``block``.
         """
         if block < 1:
             raise InvalidLoopError(f"strip-mine block must be >= 1, got {block}")
-        machine = self.machine
-        cm = machine.cost_model
-        n = loop.n
-
-        ws = self._checkout_workspace(loop)
-        iter_arr = ws.iter_arr
-        ynew = ws.ynew
-        y = loop.y0.copy()
-
-        phases_acc: dict[str, PhaseStats] = {}
-        breakdown = PhaseBreakdown()
-        total_wait = 0
-        n_blocks = 0
-        max_write_span = 0
-
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            count = hi - lo
-            n_blocks += 1
-            block_write = loop.write[lo:hi]
-            if count:
-                span = int(block_write.max()) - int(block_write.min()) + 1
-                max_write_span = max(max_write_span, span)
-
-            # Inspector over the block only.
-            pre = self._uniform_phase("inspector", count, cm.pre_iter, 1)
-            iter_arr[block_write] = np.arange(lo, hi, dtype=np.int64)
-            breakdown.inspector += pre.span
-            _merge_phase(phases_acc, pre)
-
-            # Executor over the block's positions.
-            flags = FlagStore(loop.y_size)
-            sched = make_schedule(
-                schedule_kind, count, machine.processors, chunk=chunk
-            )
-            exec_phase = self._executor_phase(
-                loop,
-                sched,
-                None,
-                None,
-                y,
-                ynew,
-                iter_arr,
-                flags,
-                positions=(lo, hi),
-            )
-            breakdown.executor += exec_phase.span
-            total_wait += exec_phase.total_wait
-            _merge_phase(phases_acc, exec_phase)
-
-            # Postprocessor over the block: reset + copy back.
-            post = self._uniform_phase("postprocessor", count, cm.post_iter, 3)
-            iter_arr[block_write] = MAXINT
-            y[block_write] = ynew[block_write]
-            breakdown.postprocessor += post.span
-            _merge_phase(phases_acc, post)
-
-            breakdown.barriers += 3 * cm.barrier(machine.processors)
-
-        return RunResult(
-            loop_name=loop.name,
-            strategy="stripmined-doacross",
-            processors=machine.processors,
-            y=y,
-            total_cycles=breakdown.total,
-            sequential_cycles=sequential_time(loop, cm),
-            cost_model=cm,
-            phases=list(phases_acc.values()),
-            breakdown=breakdown,
-            wait_cycles=total_wait,
-            schedule=f"{schedule_kind}(chunk={chunk})",
-            extras={
-                "block": block,
-                "blocks": n_blocks,
-                "modeled_scratch_elements": max_write_span,
-                "full_scratch_elements": loop.y_size,
-            },
+        blocks = [
+            (lo, min(lo + block, loop.n)) for lo in range(0, loop.n, block)
+        ]
+        result = self._doacross(
+            loop, "stripmined-doacross", schedule_kind, chunk, blocks
         )
+        write_spans = [int(np.ptp(loop.write[lo:hi])) + 1 for lo, hi in blocks]
+        result.extras.update(
+            block=block,
+            blocks=len(blocks),
+            modeled_scratch_elements=max(write_spans, default=0),
+            full_scratch_elements=loop.y_size,
+        )
+        return result
 
     # ------------------------------------------------------------------
     # Classic doacross baseline (a-priori uniform distance)
@@ -773,6 +684,12 @@ class SimulatedRunner(Runner):
         chunk: int = 1,
     ) -> RunResult:
         """Classic doacross: iteration ``i`` waits for iteration ``i − d``.
+
+        The construct the paper contrasts against (§1, citing Cytron [2]):
+        with a compile-time distance there is no inspector, no ``iter``
+        check and no renaming, so an iteration is cheaper than the
+        preprocessed one by exactly its ``dep_check`` terms — comparing the
+        two isolates what run-time generality costs.
 
         Eligibility is verified: every true dependence must have distance
         exactly ``d`` and there must be no antidependencies (the classic
@@ -793,17 +710,12 @@ class SimulatedRunner(Runner):
                 "(no write renaming); use the preprocessed doacross"
             )
 
-        machine = self.machine
-        cm = machine.cost_model
-        n = loop.n
+        cm = self.machine.cost_model
         work = cm.effective_work(loop.work)
         term_counts = loop.reads.term_counts()
-        flags = FlagStore(n)  # one flag per *iteration* here
-        sched = self._resolve_schedule(schedule, n, chunk=chunk)
-        dispatch_cost = cm.dispatch
+        sched = self._resolve_schedule(schedule, loop.n, chunk=chunk)
         iter_cost_base = cm.exec_iter_overhead + work.overhead
         term_cost = work.term
-        dynamic = sched.is_dynamic
 
         def run_body(st, lo: int, hi: int):
             for i in range(lo, hi):
@@ -815,50 +727,17 @@ class SimulatedRunner(Runner):
                 yield SetFlag(i)
                 st.iterations += 1
 
-        def factory_for(proc: int):
-            if dynamic:
-
-                def task(st):
-                    while True:
-                        yield UseResource(RES_DISPATCH, dispatch_cost)
-                        st.dispatches += 1
-                        claim = sched.claim()
-                        if claim is None:
-                            return
-                        yield from run_body(st, claim[0], claim[1])
-
-            else:
-                chunks = sched.chunks_for(proc)
-
-                def task(st):
-                    for lo, hi in chunks:
-                        yield from run_body(st, lo, hi)
-
-            return task
-
-        engine = machine.new_engine(flags=flags)
-        exec_phase = engine.run(
-            "executor", [factory_for(p) for p in range(machine.processors)]
+        # One flag per *iteration* here.
+        phase = self._phase(
+            "executor", sched, run_body, flags=FlagStore(loop.n)
         )
-        breakdown = PhaseBreakdown(
-            executor=exec_phase.span, barriers=cm.barrier(machine.processors)
+        # In-place execution with a verified uniform distance is
+        # sequentially equivalent, so the oracle's values are exact.
+        result = self._result(
+            loop, "classic-doacross", loop.run_sequential(), [phase], sched
         )
-        return RunResult(
-            loop_name=loop.name,
-            strategy="classic-doacross",
-            processors=machine.processors,
-            # In-place execution with a verified uniform distance is
-            # sequentially equivalent, so the oracle's values are exact.
-            y=loop.run_sequential(),
-            total_cycles=breakdown.total,
-            sequential_cycles=sequential_time(loop, cm),
-            cost_model=cm,
-            phases=[exec_phase],
-            breakdown=breakdown,
-            wait_cycles=exec_phase.total_wait,
-            schedule=_describe_schedule(sched),
-            extras={"distance": distance},
-        )
+        result.extras["distance"] = distance
+        return result
 
     # ------------------------------------------------------------------
     # Doall baseline (asserted independence)
@@ -872,6 +751,12 @@ class SimulatedRunner(Runner):
     ) -> RunResult:
         """Doall: no synchronization, writes in place.
 
+        The other classic construct of §1.  For runtime subscripts the
+        compiler can never prove independence, so this models a *user
+        assertion* (a directive); on dependence-free inputs the gap to the
+        preprocessed doacross is the whole inspector/executor/postprocessor
+        overhead — the odd-``L`` points of Figure 6.
+
         ``validate=True`` re-checks at run time that the loop really has no
         cross-iteration true or anti dependencies — the check the paper's
         compiler *cannot* do statically, offered here as a debug net.
@@ -884,25 +769,20 @@ class SimulatedRunner(Runner):
                     "asserted independence does not hold"
                 )
 
-        machine = self.machine
-        cm = machine.cost_model
-        n = loop.n
+        cm = self.machine.cost_model
         write = loop.write
         ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
-        external = loop.init_kind == INIT_EXTERNAL
-        init_values = loop.init_values
+        init = loop.init_values
         y = loop.y0.copy()
         work = cm.effective_work(loop.work)
-        sched = self._resolve_schedule(schedule, n, chunk=chunk)
-        dispatch_cost = cm.dispatch
+        sched = self._resolve_schedule(schedule, loop.n, chunk=chunk)
         iter_cost_base = cm.exec_iter_overhead + work.overhead
         term_cost = work.term
-        dynamic = sched.is_dynamic
 
         def run_body(st, lo: int, hi: int):
             for i in range(lo, hi):
                 w = write[i]
-                acc = init_values[i] if external else y[w]
+                acc = y[w] if init is None else init[i]
                 cost = iter_cost_base
                 for k in range(ptr[i], ptr[i + 1]):
                     idx = r_idx[k]
@@ -913,47 +793,8 @@ class SimulatedRunner(Runner):
                 yield Compute(cost)
                 st.iterations += 1
 
-        def factory_for(proc: int):
-            if dynamic:
-
-                def task(st):
-                    while True:
-                        yield UseResource(RES_DISPATCH, dispatch_cost)
-                        st.dispatches += 1
-                        claim = sched.claim()
-                        if claim is None:
-                            return
-                        yield from run_body(st, claim[0], claim[1])
-
-            else:
-                chunks = sched.chunks_for(proc)
-
-                def task(st):
-                    for lo, hi in chunks:
-                        yield from run_body(st, lo, hi)
-
-            return task
-
-        engine = machine.new_engine()
-        exec_phase = engine.run(
-            "executor", [factory_for(p) for p in range(machine.processors)]
-        )
-        breakdown = PhaseBreakdown(
-            executor=exec_phase.span, barriers=cm.barrier(machine.processors)
-        )
-        return RunResult(
-            loop_name=loop.name,
-            strategy="doall",
-            processors=machine.processors,
-            y=y,
-            total_cycles=breakdown.total,
-            sequential_cycles=sequential_time(loop, cm),
-            cost_model=cm,
-            phases=[exec_phase],
-            breakdown=breakdown,
-            wait_cycles=0,
-            schedule=_describe_schedule(sched),
-        )
+        phase = self._phase("executor", sched, run_body)
+        return self._result(loop, "doall", y, [phase], sched)
 
 
 # ----------------------------------------------------------------------

@@ -7,18 +7,18 @@ Public entry points:
   strip-mined (§2.3) and linear-subscript (§2.3) variants.
 - :class:`repro.core.doconsider.Doconsider` — wavefront (level-schedule)
   iteration reordering before the doacross (paper §3.2, reference [4]).
-- :class:`repro.core.classic.ClassicDoacross` — the a-priori-distance
-  doacross baseline.
-- :class:`repro.core.doall_runner.DoallRunner` — the independence baseline.
+- :func:`repro.core.doacross.parallelize` — strategy selection; with
+  ``known_distance=d`` / ``assert_independent=True`` it runs the classic
+  a-priori-distance doacross / the doall baseline
+  (``PreprocessedDoacross.runner().run_classic`` / ``.run_doall`` when
+  they must share a machine with other runs).
 - :func:`repro.core.sequential.sequential_time` /
   :func:`repro.core.sequential.run_reference` — the sequential oracle.
 - :class:`repro.core.results.RunResult` — what every runner returns.
 """
 
 from repro.core.amortized import AmortizedDoacross
-from repro.core.classic import ClassicDoacross
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doall_runner import DoallRunner
 from repro.core.doconsider import Doconsider, level_order
 from repro.core.results import PhaseBreakdown, RunResult
 from repro.core.sequential import run_reference, sequential_time
@@ -31,8 +31,6 @@ __all__ = [
     "AmortizedDoacross",
     "Doconsider",
     "level_order",
-    "ClassicDoacross",
-    "DoallRunner",
     "RunResult",
     "PhaseBreakdown",
     "run_reference",

@@ -52,31 +52,16 @@ class AmortizedDoacross:
         order: np.ndarray | None = None,
         order_label: str = "natural",
         rhs_sequence=None,
-        backend: str = "simulated",
-        cache=None,
     ) -> RunResult:
         """Run ``instances`` back-to-back executions; see module docstring.
 
         ``result.extras["instances"]`` and ``["inspector_runs"] == 1``
         record the amortization; ``result.efficiency`` uses
-        ``instances × T_seq`` as the baseline.
-
-        ``backend="vectorized"`` executes the same composition through
-        :meth:`repro.backends.vectorized.VectorizedRunner.run_repeated`
-        (real wall clock, inspector served from ``cache`` — the Figure-3
-        amortization made literal: one cache miss, then hits).
+        ``instances × T_seq`` as the baseline.  (The wall-clock form of
+        the same composition is
+        :meth:`repro.backends.vectorized.VectorizedRunner.run_repeated`:
+        the inspector served from its cache, one miss and then hits.)
         """
-        if backend == "vectorized":
-            from repro.backends.vectorized import VectorizedRunner
-
-            return VectorizedRunner(cache=cache).run_repeated(
-                loop, instances, rhs_sequence=rhs_sequence
-            )
-        if backend != "simulated":
-            raise ValueError(
-                f"unknown amortized backend {backend!r}; "
-                "expected simulated or vectorized"
-            )
         pd = self.doacross
         return pd.runner().run_amortized(
             loop,

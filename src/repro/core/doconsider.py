@@ -96,7 +96,6 @@ class Doconsider:
         self,
         doacross: PreprocessedDoacross | None = None,
         include_reorder_cost: bool = False,
-        simulate_reorder: bool = False,
         **doacross_kwargs,
     ):
         self.doacross = (
@@ -105,10 +104,6 @@ class Doconsider:
             else PreprocessedDoacross(**doacross_kwargs)
         )
         self.include_reorder_cost = include_reorder_cost
-        #: When True, the wavefront computation is *simulated* as machine
-        #: phases (capturing within-round load imbalance) instead of the
-        #: closed-form estimate.
-        self.simulate_reorder = simulate_reorder
 
     def run(self, loop: IrregularLoop, **run_kwargs) -> RunResult:
         """Compute the wavefront order and run the preprocessed doacross in
@@ -124,19 +119,13 @@ class Doconsider:
             **run_kwargs,
         )
         result.strategy = "doconsider-doacross"
-        if self.simulate_reorder:
-            reorder_cycles, _phases = self.doacross.runner().run_wavefront_preprocessing(
-                loop, graph, schedule
-            )
-            result.extras["reorder_cycles_simulated"] = reorder_cycles
-        else:
-            reorder_cycles = modeled_reorder_cycles(
-                loop,
-                graph,
-                self.doacross.machine.processors,
-                schedule=schedule,
-            )
-            result.extras["reorder_cycles_modeled"] = reorder_cycles
+        reorder_cycles = modeled_reorder_cycles(
+            loop,
+            graph,
+            self.doacross.machine.processors,
+            schedule=schedule,
+        )
+        result.extras["reorder_cycles_modeled"] = reorder_cycles
         result.extras["n_levels"] = schedule.n_levels
         result.extras["max_wavefront"] = schedule.max_width()
         if self.include_reorder_cost:

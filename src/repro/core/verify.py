@@ -20,9 +20,7 @@ import numpy as np
 
 from repro.backends.threaded import ThreadedRunner
 from repro.core.amortized import AmortizedDoacross
-from repro.core.classic import ClassicDoacross
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doall_runner import DoallRunner
 from repro.core.doconsider import Doconsider
 from repro.ir.analysis import (
     CAT_ANTI,
@@ -140,10 +138,7 @@ def verify_loop(
 
     distance = uniform_distance(loop)
     if distance is not None and not has_anti:
-        check(
-            "classic-doacross",
-            ClassicDoacross(processors=processors).run(loop, distance).y,
-        )
+        check("classic-doacross", runner.runner().run_classic(loop, distance).y)
     else:
         skip(
             "classic-doacross",
@@ -153,7 +148,7 @@ def verify_loop(
         )
 
     if not has_true and not has_anti:
-        check("doall", DoallRunner(processors=processors).run(loop).y)
+        check("doall", runner.runner().run_doall(loop).y)
     else:
         skip("doall", "loop carries cross-iteration dependencies")
 

@@ -233,8 +233,8 @@ class AffineWriteRule(LintRule):
             detail += " (injectivity proven by the symbolic engine)"
         if ctx.plan.needs_inspector:
             suggestion = (
-                "use the linear variant (LinearDoacross, or "
-                "PreprocessedDoacross.run(loop, linear=True)): no "
+                "use the linear variant "
+                "(PreprocessedDoacross.run(loop, linear=True)): no "
                 "inspector phase, no iter array storage"
             )
             if ctx.verdict.elidable:

@@ -93,8 +93,10 @@ def execute_plan(
     )
 
     run_kwargs: dict = {}
+    order_label = None
     if plan.order is not None:
         run_kwargs["order"] = plan.order
+        order_label = f"doconsider(levels={plan.levels.n_levels})"
     if spec.schedule is not None and "schedule" in supported:
         run_kwargs["schedule"] = spec.schedule
     if plan.chunk is not None and "chunk" in supported:
@@ -108,6 +110,10 @@ def execute_plan(
         if transform is None:
             transform = plan_transform(loop, verdict=verdict)
         run_kwargs["transform"] = transform
+        if order_label is not None:
+            # The runner applies it where it executes the order (its doall
+            # and classic strategies run in natural order).
+            run_kwargs["order_label"] = order_label
 
     elision = plan.artifacts.get("distance_elision")
     if elision is not None:
@@ -118,6 +124,11 @@ def execute_plan(
     result = runner.run(loop, **run_kwargs)
     elapsed = time.perf_counter() - started
 
+    if order_label is not None and backend in ("threaded", "multiproc"):
+        # These execute whatever order they are handed, unlabelled (the
+        # vectorized backend runs and labels its own wavefront order;
+        # speculation commits in natural order and notes the order ignored).
+        result.order_label = order_label
     result.extras["schedule_plan"] = plan.describe()
     if elision is not None:
         result.extras["distance_elision"] = {

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.classic import ClassicDoacross
 from repro.core.doacross import PreprocessedDoacross
 from repro.errors import InvalidLoopError
 from repro.ir.accesses import ReadTable
@@ -12,10 +11,18 @@ from repro.workloads.synthetic import chain_loop
 from tests.conftest import assert_matches_oracle
 
 
+def classic(loop, distance, processors):
+    """The classic baseline on its own machine: the backend entry point
+    behind :meth:`PreprocessedDoacross.runner`."""
+    return PreprocessedDoacross(processors=processors).runner().run_classic(
+        loop, distance
+    )
+
+
 class TestEligibility:
     def test_wrong_distance_rejected(self):
         with pytest.raises(InvalidLoopError, match="actual uniform distance"):
-            ClassicDoacross(processors=4).run(chain_loop(50, 3), distance=2)
+            classic(chain_loop(50, 3), 2, processors=4)
 
     def test_loop_without_uniform_distance_rejected(self):
         # Distances 1 and 2 mixed.
@@ -27,7 +34,7 @@ class TestEligibility:
             reads=reads,
         )
         with pytest.raises(InvalidLoopError):
-            ClassicDoacross(processors=4).run(loop, distance=1)
+            classic(loop, 1, processors=4)
 
     def test_antidependence_rejected(self):
         # Uniform true distance 1 but also an antidependence: in-place
@@ -40,29 +47,29 @@ class TestEligibility:
             reads=reads,
         )
         with pytest.raises(InvalidLoopError, match="antidependencies"):
-            ClassicDoacross(processors=4).run(loop, distance=1)
+            classic(loop, 1, processors=4)
 
     def test_distance_must_be_positive(self):
         with pytest.raises(InvalidLoopError, match=">= 1"):
-            ClassicDoacross(processors=4).run(chain_loop(10, 1), distance=0)
+            classic(chain_loop(10, 1), 0, processors=4)
 
 
 class TestExecution:
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_values_correct(self, d):
         loop = chain_loop(120, d)
-        result = ClassicDoacross(processors=8).run(loop, distance=d)
+        result = classic(loop, d, processors=8)
         assert_matches_oracle(result.y, loop)
 
     def test_strategy_label_and_extras(self):
-        result = ClassicDoacross(processors=4).run(chain_loop(40, 2), 2)
+        result = classic(chain_loop(40, 2), 2, processors=4)
         assert result.strategy == "classic-doacross"
         assert result.extras["distance"] == 2
 
     def test_larger_distance_means_more_parallelism(self):
-        runner = ClassicDoacross(processors=16)
-        tight = runner.run(chain_loop(300, 1), distance=1)
-        loose = runner.run(chain_loop(300, 8), distance=8)
+        runner = PreprocessedDoacross(processors=16).runner()
+        tight = runner.run_classic(chain_loop(300, 1), 1)
+        loose = runner.run_classic(chain_loop(300, 8), 8)
         assert loose.total_cycles < tight.total_cycles
 
     def test_cheaper_than_preprocessed_when_applicable(self):
@@ -70,12 +77,10 @@ class TestExecution:
         classic doacross skips the inspector, the postprocessor, and every
         per-term iter check — it must beat the preprocessed doacross."""
         loop = chain_loop(400, 8)
-        classic = ClassicDoacross(processors=16).run(loop, distance=8)
+        baseline = classic(loop, 8, processors=16)
         preprocessed = PreprocessedDoacross(processors=16).run(loop)
-        assert classic.total_cycles < preprocessed.total_cycles
+        assert baseline.total_cycles < preprocessed.total_cycles
 
     def test_waits_accounted_on_tight_chain(self):
-        result = ClassicDoacross(processors=8).run(
-            chain_loop(100, 1), distance=1
-        )
+        result = classic(chain_loop(100, 1), 1, processors=8)
         assert result.wait_cycles > 0

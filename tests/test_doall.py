@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doall_runner import DoallRunner
 from repro.errors import InvalidLoopError
 from repro.ir.accesses import ReadTable
 from repro.ir.loop import IrregularLoop
@@ -11,6 +10,14 @@ from repro.ir.subscript import AffineSubscript
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
 from tests.conftest import assert_matches_oracle
+
+
+def doall(loop, processors, validate=True):
+    """The doall baseline on its own machine: the backend entry point
+    behind :meth:`PreprocessedDoacross.runner`."""
+    return PreprocessedDoacross(processors=processors).runner().run_doall(
+        loop, validate=validate
+    )
 
 
 def independent_loop(n=100, seed=0):
@@ -26,7 +33,7 @@ class TestValidation:
             n=2, y_size=2, write_subscript=AffineSubscript(1, 0), reads=reads
         )
         with pytest.raises(InvalidLoopError, match="asserted independence"):
-            DoallRunner(processors=4).run(loop)
+            doall(loop, processors=4)
 
     def test_antidependence_rejected(self):
         reads = ReadTable.from_lists([[(1, 1.0)], []])
@@ -34,13 +41,13 @@ class TestValidation:
             n=2, y_size=2, write_subscript=AffineSubscript(1, 0), reads=reads
         )
         with pytest.raises(InvalidLoopError):
-            DoallRunner(processors=4).run(loop)
+            doall(loop, processors=4)
 
     def test_validation_can_be_disabled(self):
         # validate=False models a trusted user directive; intra-only loops
         # execute correctly regardless.
         loop = independent_loop()
-        result = DoallRunner(processors=4).run(loop, validate=False)
+        result = doall(loop, processors=4, validate=False)
         assert_matches_oracle(result.y, loop)
 
 
@@ -48,13 +55,13 @@ class TestExecution:
     @pytest.mark.parametrize("seed", range(4))
     def test_values_correct(self, seed):
         loop = independent_loop(seed=seed)
-        result = DoallRunner(processors=8).run(loop)
+        result = doall(loop, processors=8)
         assert_matches_oracle(result.y, loop)
 
     def test_odd_l_test_loop_is_valid_doall(self):
         """Odd-L Figure-4 loops read only never-written elements."""
         loop = make_test_loop(n=200, m=2, l=5)
-        result = DoallRunner(processors=16).run(loop)
+        result = doall(loop, processors=16)
         assert_matches_oracle(result.y, loop)
 
     def test_doall_beats_preprocessed_on_independent_loops(self):
@@ -62,18 +69,18 @@ class TestExecution:
         doacross pays inspector + checks + postprocessor that a doall
         doesn't."""
         loop = make_test_loop(n=2000, m=1, l=3)
-        doall = DoallRunner(processors=16).run(loop)
+        baseline = doall(loop, processors=16)
         preprocessed = PreprocessedDoacross(processors=16).run(loop)
-        assert doall.total_cycles < preprocessed.total_cycles
-        assert doall.efficiency > 2 * preprocessed.efficiency
+        assert baseline.total_cycles < preprocessed.total_cycles
+        assert baseline.efficiency > 2 * preprocessed.efficiency
 
     def test_near_linear_scaling(self):
         loop = make_test_loop(n=4000, m=2, l=3)
-        t1 = DoallRunner(processors=1).run(loop).total_cycles
-        t16 = DoallRunner(processors=16).run(loop).total_cycles
+        t1 = doall(loop, processors=1).total_cycles
+        t16 = doall(loop, processors=16).total_cycles
         assert t1 / t16 > 12  # barriers cost a little
 
     def test_no_wait_cycles(self):
-        result = DoallRunner(processors=8).run(independent_loop())
+        result = doall(independent_loop(), processors=8)
         assert result.wait_cycles == 0
         assert result.strategy == "doall"

@@ -92,36 +92,6 @@ class TestDoconsiderRuns:
             + excluded.extras["reorder_cycles_modeled"]
         )
 
-    def test_simulated_reorder_cost(self):
-        """The simulated wavefront preprocessing agrees with the
-        closed-form estimate up to within-round load imbalance (it can
-        only be slower, and not wildly so on a balanced chain)."""
-        loop = chain_loop(200, 4)
-        modeled = Doconsider(processors=8).run(loop).extras[
-            "reorder_cycles_modeled"
-        ]
-        simulated = Doconsider(processors=8, simulate_reorder=True).run(
-            loop
-        ).extras["reorder_cycles_simulated"]
-        assert simulated >= modeled
-        assert simulated <= 2 * modeled
-
-    def test_simulated_reorder_deterministic(self):
-        loop = random_irregular_loop(120, seed=4)
-        a = Doconsider(processors=8, simulate_reorder=True).run(loop)
-        b = Doconsider(processors=8, simulate_reorder=True).run(loop)
-        assert (
-            a.extras["reorder_cycles_simulated"]
-            == b.extras["reorder_cycles_simulated"]
-        )
-
-    def test_simulated_reorder_values_unchanged(self):
-        loop = random_irregular_loop(90, seed=6)
-        result = Doconsider(
-            processors=8, simulate_reorder=True, include_reorder_cost=True
-        ).run(loop)
-        assert_matches_oracle(result.y, loop)
-
 
 class TestWavefrontValidity:
     @pytest.mark.parametrize("seed", range(4))

@@ -401,13 +401,37 @@ class TestSameBehaviourAsTheOldExecutors:
 
 
 class TestOneRuleOnePlace:
-    def test_figure5_compare_lives_only_in_the_simulator(self):
+    def test_figure5_compare_lives_in_no_backend(self):
+        """The simulator was the last backend with its own ``iter``-vs-``i``
+        compare; it executes :func:`kernel.classify_terms` codes now."""
         hits = {
             path.name
             for path in (SRC / "backends").glob("*.py")
             if re.search(r"writer (==|<) i\b", path.read_text())
         }
-        assert hits == {"simulated.py"}
+        assert hits == set()
+        assert "classify_terms(" in (SRC / "backends/simulated.py").read_text()
+
+    def test_the_simulator_has_one_dealer_and_one_result_builder(self):
+        text = (SRC / "backends/simulated.py").read_text()
+        assert text.count("def factory_for") == 1
+        assert text.count("RunResult(") == 1
+        for gone in (
+            "_uniform_phase", "_weighted_phase", "run_wavefront_preprocessing"
+        ):
+            assert gone not in text
+
+    def test_the_forwarding_facades_are_gone(self):
+        import repro
+
+        for module, name in (
+            ("classic", "ClassicDoacross"),
+            ("doall_runner", "DoallRunner"),
+            ("stripmine", "StripminedDoacross"),
+            ("linear", "LinearDoacross"),
+        ):
+            assert not (SRC / "core" / f"{module}.py").exists()
+            assert name not in repro.__all__ and not hasattr(repro, name)
 
     def test_chunk_default_formula_occurs_once(self):
         hits = [

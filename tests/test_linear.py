@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.linear import LinearDoacross
+from repro.core.doacross import PreprocessedDoacross
 from repro.errors import InvalidLoopError
 from repro.machine.costs import CostModel
 from repro.workloads.synthetic import random_irregular_loop
@@ -70,6 +70,6 @@ class TestCostSavings:
 class TestFacade:
     def test_linear_doacross_class(self):
         loop = make_test_loop(n=100, m=2, l=8)
-        result = LinearDoacross(processors=8).run(loop)
+        result = PreprocessedDoacross(processors=8).run(loop, linear=True)
         assert_matches_oracle(result.y, loop)
         assert result.breakdown.inspector == 0

@@ -48,8 +48,7 @@ class TestExports:
             "PreprocessedDoacross",
             "Doconsider",
             "AmortizedDoacross",
-            "ClassicDoacross",
-            "DoallRunner",
+            "SimulatedRunner",
             "parallelize",
             "verify_loop",
             "make_test_loop",
@@ -75,10 +74,7 @@ class TestDocstrings:
             "PreprocessedDoacross",
             "Doconsider",
             "AmortizedDoacross",
-            "ClassicDoacross",
-            "DoallRunner",
-            "StripminedDoacross",
-            "LinearDoacross",
+            "SimulatedRunner",
         ],
     )
     def test_runner_public_methods_documented(self, cls_name):

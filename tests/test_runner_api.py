@@ -198,6 +198,37 @@ class TestParallelizeDispatch:
         np.testing.assert_allclose(result.y, loop.run_sequential())
         assert result.extras["plan"] == plan.describe()
 
+    @pytest.mark.parametrize(
+        "backend,label",
+        [
+            ("simulated", "doconsider(levels=6)"),
+            ("threaded", "doconsider(levels=6)"),
+            ("multiproc", "doconsider(levels=6)"),
+            # Runs (and labels) its own wavefront order whatever the plan's.
+            ("vectorized", "wavefront(levels=6)"),
+            # Commits in natural chunk order; notes the order as ignored.
+            ("speculative", "natural"),
+        ],
+    )
+    def test_planned_doconsider_run_reports_the_order_it_ran(
+        self, backend, label
+    ):
+        loop = random_irregular_loop(150, seed=5)
+        spec = PlanSpec(backend=backend, processors=2, reorder="doconsider")
+        result, _ = parallelize(loop, spec=spec)
+        np.testing.assert_allclose(result.y, loop.run_sequential())
+        assert result.order_label == label
+        assert f"order={label}" in result.summary()
+        assert repro.result_to_dict(result)["order"] == label
+
+    def test_natural_order_strategies_keep_the_natural_label(self):
+        # The simulated classic doacross synchronises on iteration numbers:
+        # it runs in natural order whatever order the plan carries.
+        spec = PlanSpec(processors=4, reorder="doconsider")
+        result, _ = parallelize(chain_loop(64, 4), spec=spec, known_distance=4)
+        assert result.strategy == "classic-doacross"
+        assert result.order_label == "natural"
+
     def test_unknown_backend_rejected(self, loop):
         with pytest.raises(ScheduleError, match="unknown backend"):
             parallelize(loop, backend="quantum")

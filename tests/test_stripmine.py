@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.stripmine import StripminedDoacross
 from repro.errors import InvalidLoopError
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
@@ -78,24 +77,36 @@ class TestTradeoffs:
 
 
 class TestFacade:
+    """``PreprocessedDoacross.run_stripmined`` is the public strip-mined
+    entry point (same machine, workspace and default schedule as
+    ``run``)."""
+
     def test_stripmined_doacross_class(self):
         loop = make_test_loop(n=80, m=1, l=4)
-        runner = StripminedDoacross(block=20, processors=8)
-        result = runner.run(loop)
+        runner = PreprocessedDoacross(processors=8)
+        result = runner.run_stripmined(loop, 20)
         assert_matches_oracle(result.y, loop)
         assert result.extras["block"] == 20
 
     def test_facade_block_override(self):
+        """The block size is per call: one runner, any blocking."""
         loop = make_test_loop(n=80, m=1, l=4)
-        runner = StripminedDoacross(block=20, processors=8)
-        result = runner.run(loop, block=40)
-        assert result.extras["block"] == 40
+        runner = PreprocessedDoacross(processors=8)
+        assert runner.run_stripmined(loop, 20).extras["blocks"] == 4
+        assert runner.run_stripmined(loop, block=40).extras["block"] == 40
 
     def test_facade_rejects_bad_block(self):
-        with pytest.raises(ValueError):
-            StripminedDoacross(block=0, processors=2)
+        runner = PreprocessedDoacross(processors=2)
+        with pytest.raises(InvalidLoopError, match="block must be >= 1"):
+            runner.run_stripmined(make_test_loop(n=80, m=1, l=4), block=-3)
+        assert runner.workspace.is_clean()
 
     def test_facade_wraps_existing_runner(self):
-        pd = PreprocessedDoacross(processors=4)
-        runner = StripminedDoacross(block=10, doacross=pd)
-        assert runner.doacross is pd
+        """Strip-mined runs go through the runner's own backend: its
+        machine, its workspace, its default schedule and chunk."""
+        pd = PreprocessedDoacross(processors=4, schedule="dynamic", chunk=2)
+        assert pd.runner().machine is pd.machine
+        assert pd.runner().workspace is pd.workspace
+        result = pd.run_stripmined(make_test_loop(n=80, m=1, l=4), 10)
+        assert result.schedule == "DynamicSchedule(chunk=2)"
+        assert pd.workspace.invocations == 1

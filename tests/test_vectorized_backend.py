@@ -186,16 +186,16 @@ class TestRunRepeated:
 
 class TestAmortizedIntegration:
     def test_amortized_vectorized_backend(self):
+        """``run_repeated`` is the wall-clock form of the simulated
+        :class:`AmortizedDoacross` composition: same values, inspector
+        served by the cache it is given."""
         from repro.core.amortized import AmortizedDoacross
 
         loop = make_test_loop(n=140, m=2, l=6)
-        result = AmortizedDoacross().run(loop, 5, backend="vectorized")
+        cache = InspectorCache()
+        result = VectorizedRunner(cache=cache).run_repeated(loop, 5)
         assert np.array_equal(result.y, iterate_oracle(loop, 5))
         assert result.strategy == "vectorized-wavefront-amortized"
-
-    def test_amortized_unknown_backend(self):
-        from repro.core.amortized import AmortizedDoacross
-
-        loop = make_test_loop(n=50, m=1, l=6)
-        with pytest.raises(ValueError, match="unknown amortized backend"):
-            AmortizedDoacross().run(loop, 2, backend="nope")
+        assert cache.stats()["misses"] == 1
+        simulated = AmortizedDoacross(processors=4).run(loop, 5)
+        np.testing.assert_allclose(simulated.y, result.y, rtol=1e-12)
