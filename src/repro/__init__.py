@@ -37,11 +37,11 @@ Subpackages
 - :mod:`repro.obs` — cross-backend telemetry: phase/level/compute/wait
   spans, the unified metrics registry, Chrome-trace / JSONL / ASCII-Gantt
   exporters, and the ``PlanSpec(observe=True)`` instrumentation hook.
-- :mod:`repro.passes` — the schedule-pass framework: Figure-3
-  preprocessing stages as contract-checked composable passes producing
-  one :class:`Plan` for every backend, the consolidated
-  :class:`PlanSpec` run configuration, and the telemetry-driven
-  auto-tuner behind ``PlanSpec(backend="auto")``.
+- :mod:`repro.passes` — planning: the consolidated :class:`PlanSpec` run
+  configuration, :func:`plan_loop` making the Figure-3 preprocessing
+  decisions into one typed :class:`Plan` for every backend,
+  :func:`execute_plan` running it, and the telemetry-driven auto-tuner
+  behind ``PlanSpec(backend="auto")``.
 """
 
 from repro._version import __version__
@@ -97,11 +97,8 @@ from repro.obs import (
 )
 from repro.passes import (
     Plan,
-    PassPipeline,
     PlanSpec,
-    SchedulePass,
     UnsupportedPlanOption,
-    default_pipeline,
     execute_plan,
     plan_loop,
 )
@@ -155,13 +152,10 @@ __all__ = [
     "make_test_loop",
     "random_irregular_loop",
     "chain_loop",
-    # Schedule passes (ROADMAP item 5)
+    # Planning
     "PlanSpec",
     "Plan",
-    "SchedulePass",
-    "PassPipeline",
     "UnsupportedPlanOption",
-    "default_pipeline",
     "plan_loop",
     "execute_plan",
     # Observability

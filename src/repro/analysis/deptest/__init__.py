@@ -13,7 +13,7 @@ existing ``check_proof``/``cross_check`` machinery audits.
 
 A loop-level bound ``min_distance = k`` legalizes dropping post/wait
 pairs whenever ``k`` is at least the synchronization granularity — the
-group-synchronous execution of ``DistancePass``
+group-synchronous execution ``plan_distance_elision`` plans
 (:mod:`repro.passes.distance`), after "Parallelization of Loops with
 Variable Distance Data Dependences" (arXiv 1311.2927); carrying the
 machine-checkable certificate follows the proof-carrying style of

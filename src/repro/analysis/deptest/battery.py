@@ -531,8 +531,8 @@ def test_slot(loop: IrregularLoop, slot_index: int) -> DependenceVector:
 class BatteryResult:
     """The battery's conclusion for a whole loop: one
     :class:`DependenceVector` per declared read slot, plus the composed
-    loop-level ``min_distance`` bound :class:`~repro.passes.distance.
-    DistancePass` and the lint rules consume."""
+    loop-level ``min_distance`` bound :func:`~repro.passes.distance.
+    plan_distance_elision` and the lint rules consume."""
 
     loop_name: str
     n: int

@@ -394,7 +394,7 @@ def analyze_loop(
     # its per-slot direction/distance vectors ride on the verdict, and
     # its loop-level bound both upgrades otherwise-unclassifiable loops
     # to a ``min-distance-k`` verdict and legalizes group-synchronous
-    # post/wait elision (repro.passes.distance.DistancePass).
+    # post/wait elision (repro.passes.distance.plan_distance_elision).
     battery = run_battery(loop)
     batt_min = battery.min_distance
     steps.extend(battery.proof_steps())

@@ -62,7 +62,8 @@ class Runner(abc.ABC):
     takes ``transform`` (the :class:`~repro.ir.transform.TransformPlan`
     whose strategy it dispatches on), and the threaded, multiproc and
     vectorized backends take ``group_sync`` (the synchronization group
-    size the :class:`~repro.passes.distance.DistancePass` proved sound).
+    size :func:`~repro.passes.distance.plan_distance_elision` proved
+    sound).
     """
 
     #: Short identifier used by the ``backend=`` selector and in reports.

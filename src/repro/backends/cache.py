@@ -200,7 +200,7 @@ def build_inspector_record(
     Figure 3's ``iter`` construction plus the §3.2 wavefront computation —
     executed as NumPy array operations rather than simulated phases.
     ``schedule`` is the loop's wavefront decomposition when the caller
-    already holds it (the level-schedule pass, the cache's memo); it is
+    already holds it (``plan_loop``, the cache's memo); it is
     computed here otherwise.
     """
     n, y_size = loop.n, loop.y_size

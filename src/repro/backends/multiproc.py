@@ -205,8 +205,9 @@ def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
     ``opts["window"]``, every blocking wait bounded by the ladder.
 
     In flag mode the window is the whole loop.  In group-synchronous mode
-    (``opts["round"]`` set) it is one distance group: the DistancePass
-    proved every cross-iteration true dependence reaches into a strictly
+    (``opts["round"]`` set) it is one distance group: planning
+    (``plan_distance_elision``) proved every cross-iteration true
+    dependence reaches into a strictly
     earlier group, and the coordinator collects every worker between
     rounds, so every wait is already discharged — no flag is checked or
     set.  The coordinator's collect *is* the barrier; the shadow log
@@ -814,7 +815,7 @@ class MultiprocRunner(Runner):
         """The strip size and group size a run uses, and why a requested
         group is refused: the per-run ``chunk``, else the constructor's,
         else four strips per worker; group-synchronous elision
-        (DistancePass) only in natural order and only for a chunk-aligned
+        (the distance stage) only in natural order and only for a chunk-aligned
         group, so the strip -> worker deal restricts cleanly to each group
         window."""
         if chunk is not None and chunk < 1:

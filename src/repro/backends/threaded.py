@@ -174,8 +174,8 @@ class ThreadedRunner(Runner):
     @staticmethod
     def _group(order, group_sync: int | None) -> tuple[int | None, str]:
         """The group size that runs, and why a requested one does not:
-        group-synchronous elision (DistancePass) is only sound in natural
-        order — the distance bound is on iteration numbers."""
+        group-synchronous elision (``plan_distance_elision``) is only sound
+        in natural order — the distance bound is on iteration numbers."""
         if group_sync is None or order is None:
             return group_sync, ""
         return None, NON_NATURAL_GROUP

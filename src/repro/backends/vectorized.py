@@ -171,7 +171,7 @@ class VectorizedRunner(Runner):
         of :class:`InspectorCache` is used unchanged.
 
         With a ``group`` size (``run(group_sync=...)``, planned by the
-        DistancePass), the record's wavefronts are the distance groups
+        distance stage), the record's wavefronts are the distance groups
         ``i // group`` instead of the exact DAG levels — usually far fewer, far wider
         levels (:func:`repro.analysis.build_distance_record`).  This
         works even for verdicts that are *not* fully classified: a

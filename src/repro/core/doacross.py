@@ -170,8 +170,8 @@ def parallelize(
     Mirrors the paper's compiler flow: the *static* structure of the loop
     (plus optional user assertions) picks among doall, classic doacross,
     linear-subscript doacross, and the full preprocessed doacross
-    (:func:`~repro.ir.transform.plan_transform`); the schedule-pass
-    pipeline plans the run (:func:`~repro.passes.execute.plan_loop`) and
+    (:func:`~repro.ir.transform.plan_transform`);
+    :func:`~repro.passes.plan.plan_loop` plans the run and
     :func:`~repro.passes.execute.execute_plan` runs it.  Returns the run
     result together with the transform plan that justified it; the
     schedule plan is attached as ``result.extras["schedule_plan"]``.
@@ -210,27 +210,21 @@ def parallelize(
     elidable verdict skips the runtime inspector entirely.
     """
     # Imported here: repro.passes builds on repro.core.
-    from repro.passes.execute import execute_plan, plan_loop
+    from repro.passes import execute_plan, plan_loop
     from repro.passes.spec import resolve_shorthand
 
     spec = resolve_shorthand("parallelize", spec, backend, processors)
-    verdict = None
-    if spec.analyze is not None:
-        from repro.analysis import analyze_loop
-
-        verdict = analyze_loop(loop)
+    plan = plan_loop(loop, spec, cache=cache)
     transform = plan_transform(
         loop,
         assert_independent=assert_independent,
         known_distance=known_distance,
-        verdict=verdict,
+        verdict=plan.verdict,
     )
-    plan = plan_loop(loop, spec, cache=cache)
     result = execute_plan(
         loop,
         plan,
         cache=cache,
-        verdict=verdict,
         transform=transform,
         cost_model=cost_model,
     )

@@ -471,7 +471,8 @@ def check_backend_schedule(
     (1 on the simulated machine; threads always deal single positions).
 
     ``group`` models the distance-elided (group-synchronous) mode the
-    DistancePass plans: natural-order groups of ``group`` iterations with
+    distance stage (``plan_distance_elision``) plans: natural-order groups
+    of ``group`` iterations with
     one barrier between them and no per-element flags.  It replaces the
     backend's flag-based order — the check then verifies the battery's
     distance bound really covers every materialized dependence edge.

@@ -15,8 +15,8 @@ Usage::
 ``SPEC`` uses the same builtin grammar as ``python -m repro lint``
 (``figure4:n=2000,l=8``, ``chain:n=500,d=1``, ``random:seed=3``).
 
-Runs are planned through the schedule-pass pipeline where the options
-allow it, and the chosen plan — pass list, resolved backend, tuner
+Runs are planned by ``plan_loop`` where the options
+allow it, and the chosen plan — stage list, resolved backend, tuner
 decision for ``--backend=auto`` — is printed with the tables and
 embedded under ``"plan"`` in ``--json`` output, so tuner choices are
 auditable from the CLI.
@@ -125,9 +125,9 @@ def main(argv: list[str] | None = None) -> int:
         print(exc)
         return 2
 
-    # Preferred path: plan through the schedule-pass pipeline, so the
-    # printed/exported result carries the auditable plan (pass list +
-    # tuner decision).  Option combinations the pipeline rejects fall
+    # Preferred path: plan with plan_loop, so the printed/exported
+    # result carries the auditable plan (stage list + tuner decision).
+    # Option combinations planning rejects fall
     # back to a hand-driven runner, which documents what it ignores.
     plan_audit = None
     try:

@@ -2,7 +2,7 @@
 
 PAPERS.md's speculative-taskloop line of work makes the empirical point
 that backend/schedule choice is workload-dependent — no fixed backend
-wins on chains *and* stencils *and* gather/scatter.  This pass turns
+wins on chains *and* stencils *and* gather/scatter.  This module turns
 that observation into a closed loop:
 
 1. **Key** — runs are grouped by the loop's structural fingerprint
@@ -28,9 +28,9 @@ that observation into a closed loop:
    so sharing a cache across ``parallelize`` calls shares the learning
    exactly like it shares inspector records.
 
-The pass provides the ``backend`` artifact (plus its ``tuner`` audit
-record), making it a drop-in replacement for
-:class:`~repro.passes.builtin.FixedBackendPass` in the default pipeline.
+:func:`choose_backend` is the ``auto-tune`` stage of
+:func:`~repro.passes.plan.plan_loop`: it resolves ``backend="auto"`` to a
+concrete backend and returns the :class:`TunerDecision` audit record.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from dataclasses import dataclass
 
 from repro.backends.cache import InspectorCache
 from repro.obs.spans import CAT_WAIT
-from repro.passes.base import PassContext, SchedulePass
 
 __all__ = [
     "AUTO_CANDIDATES",
     "TunerDecision",
-    "AutoTunePass",
+    "choose_backend",
     "features_from_telemetry",
     "record_run_outcome",
     "record_doctor_hints",
@@ -78,7 +77,7 @@ class TunerDecision:
     backend:
         The chosen concrete backend.
     chunk:
-        Chunk constraint carried from the spec (the stripmine pass sizes
+        Chunk constraint carried from the spec (the stripmine stage sizes
         the default when this is ``None``).
     source:
         ``"heuristic"`` — first sight of this structure, width rule;
@@ -207,86 +206,76 @@ def record_doctor_hints(
         return
 
 
-class AutoTunePass(SchedulePass):
-    """Provide ``backend`` by explore-then-exploit over prior telemetry."""
+def choose_backend(
+    levels, fingerprint: str, n: int, chunk: int | None, store: InspectorCache
+) -> TunerDecision:
+    """Pick the backend for one structure by explore-then-exploit over the
+    measurements ``store`` holds for ``fingerprint`` (module docstring,
+    step 3), and record the decision there."""
+    state = store.tuner_state(fingerprint)
+    measurements = state["measurements"]
 
-    name = "auto-tune"
-    requires = ("levels", "fingerprint")
-    provides = ("backend", "tuner")
+    priority = [
+        b for b in _heuristic_order(levels, n) if b in AUTO_CANDIDATES
+    ]
+    unmeasured = [b for b in priority if not measurements.get(b)]
+    hint = (state.get("hints") or {}).get("backend")
+    if hint not in priority:
+        hint = None
 
-    def __init__(self, candidates: tuple[str, ...] = AUTO_CANDIDATES):
-        self.candidates = tuple(candidates)
-
-    def run(self, ctx: PassContext) -> None:
-        levels = ctx.get("levels")
-        fingerprint = ctx.get("fingerprint")
-        store = ctx.cache if ctx.cache is not None else _DEFAULT_STORE
-        state = store.tuner_state(fingerprint)
-        measurements = state["measurements"]
-
-        priority = [
-            b for b in _heuristic_order(levels, ctx.loop.n)
-            if b in self.candidates
-        ] or list(self.candidates)
-        unmeasured = [b for b in priority if not measurements.get(b)]
-        hint = (state.get("hints") or {}).get("backend")
-        if hint not in priority:
-            hint = None
-
-        if hint is not None and unmeasured:
-            # A perf-doctor hint shortcuts exploration: try the hinted
-            # backend first, and once it is measured exploit the best
-            # median immediately instead of timing the rest of the field.
-            kind = state["hints"].get("kind", "finding")
-            if not measurements.get(hint):
-                choice = hint
-                reason = (
-                    f"perf doctor ({kind}) recommends {choice}; "
-                    f"measuring it ahead of the width heuristic"
-                )
-            else:
-                measured = [b for b in priority if measurements.get(b)]
-                medians = {b: _median(measurements[b]) for b in measured}
-                choice = min(medians, key=medians.get)
-                reason = (
-                    f"perf doctor ({kind}) hint lets the tuner exploit "
-                    f"median wall {medians[choice]:.6f}s without timing "
-                    f"{'/'.join(unmeasured)}"
-                )
-            source = "hint"
-        elif unmeasured and not any(measurements.get(b) for b in priority):
-            choice = unmeasured[0]
-            source = "heuristic"
+    if hint is not None and unmeasured:
+        # A perf-doctor hint shortcuts exploration: try the hinted
+        # backend first, and once it is measured exploit the best
+        # median immediately instead of timing the rest of the field.
+        kind = state["hints"].get("kind", "finding")
+        if not measurements.get(hint):
+            choice = hint
             reason = (
-                f"first run of this structure: average wavefront width "
-                f"{levels.average_width():.1f} ranks {choice} first"
-            )
-        elif unmeasured:
-            choice = unmeasured[0]
-            source = "explore"
-            reason = (
-                f"{choice} not yet measured for this structure "
-                f"({len(priority) - len(unmeasured)}/{len(priority)} "
-                f"candidates timed)"
+                f"perf doctor ({kind}) recommends {choice}; "
+                f"measuring it ahead of the width heuristic"
             )
         else:
-            medians = {b: _median(measurements[b]) for b in priority}
+            measured = [b for b in priority if measurements.get(b)]
+            medians = {b: _median(measurements[b]) for b in measured}
             choice = min(medians, key=medians.get)
-            runner_up = sorted(medians.values())[1] if len(medians) > 1 else 0.0
-            source = "telemetry"
             reason = (
-                f"median wall {medians[choice]:.6f}s beats next-best "
-                f"{runner_up:.6f}s over "
-                f"{sum(len(measurements[b]) for b in priority)} observed runs"
+                f"perf doctor ({kind}) hint lets the tuner exploit "
+                f"median wall {medians[choice]:.6f}s without timing "
+                f"{'/'.join(unmeasured)}"
             )
-
-        decision = TunerDecision(
-            backend=choice,
-            chunk=ctx.spec.chunk,
-            source=source,
-            reason=reason,
-            fingerprint=fingerprint,
+        source = "hint"
+    elif unmeasured and not any(measurements.get(b) for b in priority):
+        choice = unmeasured[0]
+        source = "heuristic"
+        reason = (
+            f"first run of this structure: average wavefront width "
+            f"{levels.average_width():.1f} ranks {choice} first"
         )
-        state["decision"] = decision.as_dict()
-        ctx.set("backend", choice)
-        ctx.set("tuner", decision)
+    elif unmeasured:
+        choice = unmeasured[0]
+        source = "explore"
+        reason = (
+            f"{choice} not yet measured for this structure "
+            f"({len(priority) - len(unmeasured)}/{len(priority)} "
+            f"candidates timed)"
+        )
+    else:
+        medians = {b: _median(measurements[b]) for b in priority}
+        choice = min(medians, key=medians.get)
+        runner_up = sorted(medians.values())[1] if len(medians) > 1 else 0.0
+        source = "telemetry"
+        reason = (
+            f"median wall {medians[choice]:.6f}s beats next-best "
+            f"{runner_up:.6f}s over "
+            f"{sum(len(measurements[b]) for b in priority)} observed runs"
+        )
+
+    decision = TunerDecision(
+        backend=choice,
+        chunk=chunk,
+        source=source,
+        reason=reason,
+        fingerprint=fingerprint,
+    )
+    state["decision"] = decision.as_dict()
+    return decision

@@ -1,4 +1,4 @@
-"""The DistancePass: proof-carrying synchronization elision.
+"""The distance-elision stage: proof-carrying synchronization elision.
 
 The dependence-test battery (:mod:`repro.analysis.deptest`) proves a
 lower bound ``min_distance`` on the distance of every cross-iteration
@@ -10,8 +10,10 @@ already passed a barrier — no ready flag is ever checked or set (after
 "Parallelization of Loops with Variable Distance Data Dependences",
 arXiv 1311.2927).
 
-This pass decides the group size per backend and records the decision —
-with the battery's machine-checkable certificate — in the plan:
+The ``distance-elision`` stage of :func:`~repro.passes.plan.plan_loop`
+(:func:`plan_distance_elision`) decides the group size per backend and
+records the decision — with the battery's machine-checkable certificate —
+in the plan (``Plan.distance_elision``):
 
 - ``threaded`` / ``vectorized``: ``g = min_distance`` (the threaded
   backend swaps flags for barriers; the vectorized backend widens its
@@ -28,9 +30,7 @@ proven injective (concurrent renamed writes to one element would race).
 
 from __future__ import annotations
 
-from repro.passes.base import PassContext, SchedulePass
-
-__all__ = ["DistancePass", "plan_distance_elision"]
+__all__ = ["plan_distance_elision"]
 
 #: Backends whose ``run`` takes ``group_sync``.
 _GROUP_BACKENDS = ("threaded", "multiproc", "vectorized")
@@ -76,33 +76,3 @@ def plan_distance_elision(
             "vectors": [v.as_dict() for v in verdict.vectors],
         },
     }
-
-
-class DistancePass(SchedulePass):
-    """Plan group-synchronous post/wait elision from the battery's bound.
-
-    Publishes the ``distance_elision`` artifact: ``None`` when the
-    standard protocol must run, else the group decision + certificate
-    (see :func:`plan_distance_elision`).  Requires the resolved backend
-    and chunk (the multiproc group must be chunk-aligned) and the
-    doconsider decision (the bound is only meaningful in natural order).
-    """
-
-    name = "distance-elision"
-    requires = ("backend", "chunk", "order")
-    provides = ("distance_elision",)
-
-    def run(self, ctx: PassContext) -> None:
-        spec = ctx.spec
-        if spec.analyze is None:
-            ctx.set("distance_elision", None)
-            return
-        ctx.set(
-            "distance_elision",
-            plan_distance_elision(
-                ctx.loop,
-                ctx.get("backend"),
-                ctx.get("chunk"),
-                natural_order=ctx.get("order") is None,
-            ),
-        )

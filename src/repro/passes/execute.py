@@ -1,13 +1,13 @@
 """Plan execution: one code path from :class:`Plan` to :class:`RunResult`.
 
-This module is the bridge between the pass pipeline and the backends:
-:func:`plan_loop` runs the default pipeline for a spec, and
-:func:`execute_plan` hands the resulting plan to the resolved backend —
-forwarding exactly the options that backend honors (the plan was
-validated against the support matrix, so nothing is ever silently
-dropped: planned results carry no ``ignored_options`` notes).
-:func:`repro.core.doacross.parallelize` is ``plan_transform`` →
-:func:`plan_loop` → :func:`execute_plan`.
+This module is the bridge between planning and the backends:
+:func:`execute_plan` hands a :func:`~repro.passes.plan.plan_loop` plan to
+the resolved backend — forwarding exactly the options that backend
+honors (the plan was validated against the support matrix, so nothing is
+ever silently dropped: planned results carry no ``ignored_options``
+notes).  :func:`repro.core.doacross.parallelize` is
+:func:`~repro.passes.plan.plan_loop` → ``plan_transform`` →
+:func:`execute_plan`.
 """
 
 from __future__ import annotations
@@ -20,27 +20,16 @@ from repro.core.results import RunResult
 from repro.ir.loop import IrregularLoop
 from repro.ir.transform import TransformPlan, plan_transform
 from repro.passes.autotune import default_tuner_store, record_run_outcome
-from repro.passes.builtin import default_pipeline
 from repro.passes.plan import Plan
-from repro.passes.spec import AUTO_BACKEND, OPTION_SUPPORT, PlanSpec
+from repro.passes.spec import AUTO_BACKEND, OPTION_SUPPORT
 
-__all__ = ["plan_loop", "execute_plan"]
-
-
-def plan_loop(
-    loop: IrregularLoop,
-    spec: PlanSpec,
-    cache: InspectorCache | None = None,
-) -> Plan:
-    """Run the default pipeline for ``spec`` over ``loop``."""
-    return default_pipeline(spec).plan(loop, spec, cache=cache)
+__all__ = ["execute_plan"]
 
 
 def execute_plan(
     loop: IrregularLoop,
     plan: Plan,
     cache: InspectorCache | None = None,
-    verdict=None,
     transform: TransformPlan | None = None,
     cost_model=None,
 ) -> RunResult:
@@ -48,15 +37,15 @@ def execute_plan(
 
     Only options the resolved backend supports are forwarded (per
     :data:`~repro.passes.spec.OPTION_SUPPORT`): when the auto-tuner
-    rebases a chunked spec onto a chunk-less backend, the chunk is an
-    adaptation recorded in the plan, not an ignored option.  Auto-planned
-    runs are always observed, and their wall time + telemetry are fed
-    back into the tuner store afterwards.
+    rebases a chunked spec onto a chunk-less backend, ``plan.chunk`` is
+    already ``None`` — an adaptation the plan records, not an ignored
+    option.  Auto-planned runs are always observed, and their wall time +
+    telemetry are fed back into the tuner store afterwards.
 
     The simulated backend runs the strategy ``transform`` names (default:
     what :func:`~repro.ir.transform.plan_transform` selects from the
-    loop's structure and ``verdict``); the wall-clock backends execute
-    every strategy through the same generalized protocol.
+    loop's structure and ``plan.verdict``); the wall-clock backends
+    execute every strategy through the same generalized protocol.
     """
     from repro.backends import make_runner
 
@@ -64,14 +53,14 @@ def execute_plan(
     backend = plan.backend
     auto = spec.backend == AUTO_BACKEND
     supported = OPTION_SUPPORT[backend]
+    verdict = plan.verdict
     runner_cache = cache
-    record = plan.artifacts.get("record")
-    if cache is None and record is not None:
+    if cache is None and plan.record is not None:
         # No shared cache: give the vectorized runner a private one seeded
         # with the plan-time inspector record, so planning work is not
         # redone.
         runner_cache = InspectorCache()
-        runner_cache.seed(record)
+        runner_cache.seed(plan.record)
     runner = make_runner(
         spec=replace(
             spec,
@@ -99,11 +88,11 @@ def execute_plan(
         order_label = f"doconsider(levels={plan.levels.n_levels})"
     if spec.schedule is not None and "schedule" in supported:
         run_kwargs["schedule"] = spec.schedule
-    if plan.chunk is not None and "chunk" in supported:
+    if plan.chunk is not None:
         run_kwargs["chunk"] = plan.chunk
 
     if backend == "simulated":
-        if spec.analyze == "symbolic+check" and verdict is not None:
+        if spec.analyze == "symbolic+check":
             from repro.analysis import cross_check
 
             cross_check(loop, verdict, strict=True)
@@ -115,9 +104,9 @@ def execute_plan(
             # and classic strategies run in natural order).
             run_kwargs["order_label"] = order_label
 
-    elision = plan.artifacts.get("distance_elision")
+    elision = plan.distance_elision
     if elision is not None:
-        # The DistancePass certified group-synchronous execution.
+        # The plan certified group-synchronous execution.
         run_kwargs["group_sync"] = elision["group"]
 
     started = time.perf_counter()
@@ -141,7 +130,7 @@ def execute_plan(
             result.extras.setdefault("verdict_distance", int(verdict.distance))
 
     if auto:
-        result.extras["tuner"] = plan.tuner.as_dict() if plan.tuner else None
+        result.extras["tuner"] = plan.tuner.as_dict()
         store = cache if cache is not None else default_tuner_store()
         wall = result.wall_seconds if result.wall_seconds is not None else elapsed
         record_run_outcome(
@@ -154,7 +143,7 @@ def execute_plan(
 
         findings = diagnose_result(result)
         result.extras["doctor"] = [f.as_dict() for f in findings]
-        if cache is not None and plan.fingerprint is not None:
+        if cache is not None:
             # A shared cache is the tuner's memory: the doctor's backend
             # recommendation becomes a prior for later auto runs of this
             # structure (a private store would discard it immediately).

@@ -1,34 +1,54 @@
-"""The :class:`Plan`: what one pipeline invocation decided.
+"""Planning: :func:`plan_loop` decides, the :class:`Plan` records.
 
 A :class:`Plan` is the single hand-off object between planning
-(:class:`~repro.passes.base.PassPipeline`) and execution
+(:func:`plan_loop`) and execution
 (:func:`~repro.passes.execute.execute_plan`).  It records the resolved
-backend (``"auto"`` is resolved by the tuner pass before a plan exists),
-the schedule artifacts the passes computed, and the audit trail — which
-passes ran, and if the auto-tuner chose the backend, why — in a
-JSON-safe form the CLI surfaces verbatim (``python -m repro profile
---json``).
+backend (``"auto"`` is resolved by the tuner before a plan exists), the
+schedule decisions as typed fields, and the audit trail — which stages
+ran, and if the auto-tuner chose the backend, why — in a JSON-safe form
+the CLI surfaces verbatim (``python -m repro profile --json``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.passes.spec import PlanSpec
+import numpy as np
+
+from repro.backends.cache import (
+    InspectorCache,
+    InspectorRecord,
+    build_inspector_record,
+    loop_fingerprint,
+)
+from repro.backends.kernel import default_chunk
+from repro.graph.levels import LevelSchedule, compute_levels
+from repro.ir.analysis import CAT_TRUE, classify_reads
+from repro.ir.loop import IrregularLoop
+from repro.passes.autotune import (
+    TunerDecision,
+    choose_backend,
+    default_tuner_store,
+)
+from repro.passes.distance import plan_distance_elision
+from repro.passes.spec import (
+    AUTO_BACKEND,
+    OPTION_SUPPORT,
+    PlanSpec,
+    check_options,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
+    from repro.analysis.verdicts import DependenceVerdict
 
-    from repro.graph.levels import LevelSchedule
-    from repro.passes.autotune import TunerDecision
-
-__all__ = ["Plan"]
+__all__ = ["Plan", "plan_loop"]
 
 
 @dataclass
 class Plan:
-    """Schedule artifacts + decisions from one pipeline run over one loop.
+    """What :func:`plan_loop` decided for one loop under one spec.  A new
+    planning decision is a new typed field here.
 
     Attributes
     ----------
@@ -42,39 +62,56 @@ class Plan:
         (:func:`~repro.backends.cache.loop_fingerprint`) — the key the
         tuner's decisions persist under.
     passes:
-        Names of the pipeline's passes, in the order they ran.
+        Names of the planning stages, in the order they ran.
     levels:
         The wavefront decomposition
-        (:class:`~repro.graph.levels.LevelSchedule`), when a level pass
-        ran — shared with every other plan of the same structure made on
-        the same cache (``describe()["levels_cached"]``).
+        (:class:`~repro.graph.levels.LevelSchedule`) — shared with every
+        other plan of the same structure made on the same cache.
+    levels_cached:
+        Whether ``levels`` was served from the cache's memo.
     order:
         Explicit doconsider execution order to run in, or ``None`` for
         the loop's natural order.
     chunk:
-        Strip-mine chunk size to execute with, or ``None`` for the
-        backend default.
+        Strip-mine chunk size the resolved backend executes with, or
+        ``None`` when it has no chunk (the requested value stays visible
+        under ``describe()["spec"]``).
     tuner:
         The :class:`~repro.passes.autotune.TunerDecision` when the
         backend was auto-selected, else ``None``.
-    artifacts:
-        Every artifact the passes published (seed values included) — the
-        escape hatch for passes beyond the built-in vocabulary.
+    verdict:
+        The symbolic dependence verdict
+        (:func:`repro.analysis.analyze_loop`) when ``spec.analyze`` is
+        set, else ``None``.
+    distance_elision:
+        The group-synchronous elision decision + certificate
+        (:func:`~repro.passes.distance.plan_distance_elision`), or
+        ``None`` when the standard post/wait protocol runs.
+    sanitize_pairs:
+        Under ``validate="sanitize"``, how many true read-after-write
+        pairs the sanitizer will have to see covered; else ``None``.
+    record:
+        The vectorized backend's inspector record when it was prebuilt
+        at plan time, else ``None``.
     """
 
     spec: PlanSpec
     backend: str
-    fingerprint: str | None = None
-    passes: tuple[str, ...] = ()
-    levels: "LevelSchedule | None" = None
-    order: "np.ndarray | None" = None
-    chunk: int | None = None
-    tuner: "TunerDecision | None" = None
-    artifacts: dict = field(default_factory=dict)
+    fingerprint: str
+    passes: tuple[str, ...]
+    levels: LevelSchedule
+    levels_cached: bool
+    order: np.ndarray | None
+    chunk: int | None
+    tuner: TunerDecision | None = None
+    verdict: DependenceVerdict | None = None
+    distance_elision: dict | None = None
+    sanitize_pairs: int | None = None
+    record: InspectorRecord | None = None
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
-        """JSON-safe audit form: the pass list, the resolved backend, the
+        """JSON-safe audit form: the stage list, the resolved backend, the
         schedule shape, and the tuner's reasoning.  This is what
         ``profile --json`` embeds under ``"plan"``."""
         out: dict = {
@@ -82,22 +119,21 @@ class Plan:
             "requested_backend": self.spec.backend,
             "passes": list(self.passes),
             "spec": self.spec.as_dict(),
+            "fingerprint": self.fingerprint,
+            "n_levels": int(self.levels.n_levels),
+            "max_wavefront": int(self.levels.max_width()),
+            "levels_cached": self.levels_cached,
+            "reorder": self.spec.reorder,
         }
-        if self.fingerprint is not None:
-            out["fingerprint"] = self.fingerprint
-        if self.levels is not None:
-            out["n_levels"] = int(self.levels.n_levels)
-            out["max_wavefront"] = int(self.levels.max_width())
-            out["levels_cached"] = self.artifacts.get("levels_cached", False)
-        out["reorder"] = self.spec.reorder
         if self.chunk is not None:
             out["chunk"] = int(self.chunk)
         if self.tuner is not None:
             out["tuner"] = self.tuner.as_dict()
-        elision = self.artifacts.get("distance_elision")
-        if elision is not None:
+        if self.distance_elision is not None:
             out["distance_elision"] = {
-                k: v for k, v in elision.items() if k != "certificate"
+                k: v
+                for k, v in self.distance_elision.items()
+                if k != "certificate"
             }
         return out
 
@@ -106,10 +142,126 @@ class Plan:
         bits = [f"backend={self.backend}"]
         if self.spec.backend != self.backend:
             bits.append(f"(requested {self.spec.backend})")
-        if self.levels is not None:
-            bits.append(f"levels={self.levels.n_levels}")
+        bits.append(f"levels={self.levels.n_levels}")
         if self.chunk is not None:
             bits.append(f"chunk={self.chunk}")
         if self.tuner is not None:
             bits.append(f"tuner={self.tuner.source}")
         return "plan: " + " ".join(bits)
+
+
+def plan_loop(
+    loop: IrregularLoop,
+    spec: PlanSpec,
+    cache: InspectorCache | None = None,
+) -> Plan:
+    """Plan ``loop`` under ``spec``: the Figure-3 preprocessing decisions,
+    in their one fixed order.  ``Plan.passes`` names the stages that ran:
+
+    ``validate-options``
+        Reject options the requested backend cannot honor
+        (:func:`~repro.passes.spec.check_options`), before any scheduling
+        work or cache access.
+    ``fingerprint``
+        Content-address the dependence structure — the key of both the
+        inspector cache and the tuner's persisted decisions.
+    ``level-schedule``
+        The §3.2 wavefront decomposition, served from ``cache`` when it
+        has one for this structure.
+    ``doconsider``
+        Execution order: the wavefront order iff ``reorder="doconsider"``.
+    ``fixed-backend`` / ``auto-tune``
+        The backend: the one the spec names, or the tuner's choice under
+        ``backend="auto"`` (:func:`~repro.passes.autotune.choose_backend`).
+    ``stripmine``
+        The chunk of the *resolved* backend: ``spec.chunk`` if it has a
+        chunk option, else multiproc's load-balance default, else none.
+    ``distance-elision`` (iff ``analyze``)
+        The symbolic verdict, and group-synchronous post/wait elision
+        where it proves a minimum dependence distance.
+    ``sanitize`` (iff ``validate="sanitize"``)
+        The number of true-dependence pairs the sanitizer must cover.
+    ``inspector`` (iff ``backend="vectorized"`` and no ``analyze``)
+        Prebuild (or fetch) the vectorized inspector record.
+    """
+    check_options(spec)
+    passes = ["validate-options", "fingerprint", "level-schedule", "doconsider"]
+    fingerprint = loop_fingerprint(loop)
+    if cache is not None:
+        levels, levels_cached = cache.levels_for(loop, fingerprint)
+    else:
+        levels, levels_cached = compute_levels(loop), False
+    order = levels.order if spec.reorder == "doconsider" else None
+
+    tuner = None
+    if spec.backend == AUTO_BACKEND:
+        passes.append("auto-tune")
+        tuner = choose_backend(
+            levels,
+            fingerprint,
+            loop.n,
+            spec.chunk,
+            cache if cache is not None else default_tuner_store(),
+        )
+        backend = tuner.backend
+    else:
+        passes.append("fixed-backend")
+        backend = spec.backend
+
+    passes.append("stripmine")
+    if spec.chunk is not None and "chunk" in OPTION_SUPPORT[backend]:
+        chunk = spec.chunk
+    elif backend == "multiproc":
+        chunk = default_chunk(loop.n, spec.processors)
+    else:
+        chunk = None
+
+    verdict = elision = None
+    if spec.analyze is not None:
+        from repro.analysis import analyze_loop
+
+        passes.append("distance-elision")
+        verdict = analyze_loop(loop)
+        elision = plan_distance_elision(
+            loop, backend, chunk, natural_order=order is None
+        )
+
+    sanitize_pairs = None
+    if spec.validate == "sanitize":
+        passes.append("sanitize")
+        # The sanitizer itself runs during and after execution
+        # (repro.sanitize); what belongs in the plan is the contract it
+        # will enforce.  The detector's required_pairs, counted without
+        # building them: a written element has one writer, so the unique
+        # (reader, element) true-dependence terms are its (writer,
+        # reader, element) triples.
+        readers, _, categories = classify_reads(loop)
+        true = categories == CAT_TRUE
+        terms = np.stack([readers[true], loop.reads.index[true]], axis=1)
+        sanitize_pairs = np.unique(terms, axis=0).shape[0]
+
+    record = None
+    if spec.backend == "vectorized" and spec.analyze is None:
+        passes.append("inspector")
+        # Through the shared cache when there is one, so planning warms
+        # the same cache execution reads.
+        if cache is not None:
+            record, _hit = cache.get_or_build(loop, fingerprint=fingerprint)
+        else:
+            record = build_inspector_record(loop, levels)
+
+    return Plan(
+        spec=spec,
+        backend=backend,
+        fingerprint=fingerprint,
+        passes=tuple(passes),
+        levels=levels,
+        levels_cached=levels_cached,
+        order=order,
+        chunk=chunk,
+        tuner=tuner,
+        verdict=verdict,
+        distance_elision=elision,
+        sanitize_pairs=sanitize_pairs,
+        record=record,
+    )

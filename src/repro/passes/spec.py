@@ -5,8 +5,8 @@ The execution configuration of a run — ``backend``, ``processors``,
 ``analyze``, ``validate``, ``observe``, ``schedule``, ``chunk``,
 ``wait_timeout`` — is one immutable, hashable dataclass that
 :func:`repro.core.doacross.parallelize`,
-:func:`repro.backends.make_runner` and the pass pipeline
-(:mod:`repro.passes.base`) all plan against.
+:func:`repro.backends.make_runner` and
+:func:`~repro.passes.plan.plan_loop` all plan against.
 
 An option a backend cannot honor is **rejected at plan time** with a
 structured :class:`UnsupportedPlanOption` (a
@@ -19,7 +19,7 @@ ignores in ``extras["ignored_options"]``.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.errors import ScheduleError
 
@@ -39,15 +39,15 @@ __all__ = [
 #: (:data:`repro.backends.BACKENDS` re-exports it).
 BACKENDS = ("simulated", "threaded", "vectorized", "multiproc", "speculative")
 
-#: The tuner pseudo-backend: the pass pipeline resolves it to a concrete
-#: backend (:mod:`repro.passes.autotune`) before execution.
+#: The tuner pseudo-backend: planning resolves it to a concrete backend
+#: (:mod:`repro.passes.autotune`) before execution.
 AUTO_BACKEND = "auto"
 
 #: Backend names a :class:`PlanSpec` accepts (the concrete executors plus
 #: the auto-tuned selector).
 SPEC_BACKENDS = BACKENDS + (AUTO_BACKEND,)
 
-#: Iteration-order choices for the doconsider pass.
+#: Iteration-order choices for the doconsider stage.
 REORDER_KINDS = ("natural", "doconsider")
 
 #: Which tunable option each backend honors.  ``backend``, ``processors``,
@@ -185,7 +185,7 @@ class PlanSpec:
         strips).
     reorder:
         ``"natural"`` (default) or ``"doconsider"`` — run in the §3.2
-        wavefront order computed by the pipeline's doconsider pass.
+        wavefront order the plan's level schedule gives.
     analyze:
         ``None`` / ``"symbolic"`` / ``"symbolic+check"`` — the symbolic
         dependence engine (see :mod:`repro.analysis`).
@@ -217,7 +217,7 @@ class PlanSpec:
     construction; *well-formed but unsupported-for-the-backend* values
     raise :class:`UnsupportedPlanOption` at plan time
     (:func:`check_options`), so a spec for backend A can be rebased onto
-    backend B with :meth:`with_backend` and re-checked.
+    backend B with :func:`dataclasses.replace` and re-checked.
     """
 
     backend: str = "simulated"
@@ -272,11 +272,6 @@ class PlanSpec:
             )
 
     # ------------------------------------------------------------------
-    def with_backend(self, backend: str) -> "PlanSpec":
-        """The same spec rebased onto ``backend`` (used by the auto-tuner
-        to materialize its decision)."""
-        return replace(self, backend=backend)
-
     def tunable_options(self) -> dict[str, object]:
         """The executor options that are actually *set* (non-default) and
         therefore subject to the backend support matrix."""

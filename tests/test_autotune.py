@@ -1,5 +1,5 @@
 """Tests for the telemetry-driven auto-tuner (ISSUE 6 tentpole):
-``backend="auto"`` through the schedule-pass pipeline.
+``backend="auto"`` through ``plan_loop`` / ``execute_plan``.
 
 Covers the feature extraction, the explore-then-exploit policy, the
 persistence of decisions/measurements on a shared

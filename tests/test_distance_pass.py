@@ -1,7 +1,7 @@
-"""The DistancePass: proof-carrying group-synchronous sync elision.
+"""The distance-elision stage: proof-carrying group-synchronous sync elision.
 
 Covers the planning decision (:func:`plan_distance_elision` and the
-pass's ``distance_elision`` artifact) and the execution contract: every
+plan's ``distance_elision`` field) and the execution contract: every
 distance-elided schedule must run under ``validate="sanitize"`` without
 a single race report, produce output bitwise-identical to the
 sequential oracle, set/check **zero** post/wait flags, and account one
@@ -17,7 +17,7 @@ from repro.core.sequential import run_reference
 from repro.errors import RaceConditionError
 from repro.passes.distance import plan_distance_elision
 from repro.core.doacross import parallelize
-from repro.passes.execute import plan_loop
+from repro.passes.plan import plan_loop
 from repro.passes.spec import PlanSpec
 from repro.workloads.synthetic import (
     affine_loop,
@@ -97,17 +97,17 @@ def test_certificate_carries_the_machine_checkable_evidence():
 
 
 # ----------------------------------------------------------------------
-# The pass inside the pipeline
+# The stage inside plan_loop
 # ----------------------------------------------------------------------
 def test_pass_publishes_the_artifact_only_under_analyze():
     chain = chain_loop(400, 8)
     spec = PlanSpec(backend="threaded", processors=4, analyze="symbolic")
     plan = plan_loop(chain, spec)
-    artifact = plan.artifacts["distance_elision"]
-    assert artifact is not None and artifact["group"] == 8
+    elision = plan.distance_elision
+    assert elision is not None and elision["group"] == 8
     # No symbolic analysis requested: the protocol must run as planned.
     bare = plan_loop(chain, PlanSpec(backend="threaded", processors=4))
-    assert bare.artifacts.get("distance_elision") is None
+    assert bare.distance_elision is None
 
 
 def test_pass_declines_under_doconsider_reordering():
@@ -121,7 +121,7 @@ def test_pass_declines_under_doconsider_reordering():
             reorder="doconsider",
         ),
     )
-    assert plan.artifacts["distance_elision"] is None
+    assert plan.distance_elision is None
 
 
 # ----------------------------------------------------------------------

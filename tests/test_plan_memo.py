@@ -120,7 +120,7 @@ def _assert_memo_matches_standalone(loop):
     expected = compute_levels(DependenceGraph.from_loop(loop))
     for name in ("levels", "order", "level_ptr"):
         assert np.array_equal(getattr(warm.levels, name), getattr(expected, name))
-    record = warm.artifacts["record"]
+    record = warm.record
     assert record.schedule is warm.levels
     assert record_mismatches(record, build_inspector_record(loop)) == []
 
@@ -246,7 +246,7 @@ def test_simulated_memo_serves_a_vectorized_plan(analysis_calls):
     simulated = plan_loop(loop, PlanSpec(backend="simulated"), cache)
     vectorized = plan_loop(loop, PlanSpec(backend="vectorized"), cache)
     assert vectorized.describe()["levels_cached"] is True
-    assert vectorized.artifacts["record"].schedule is simulated.levels
+    assert vectorized.record.schedule is simulated.levels
     assert analysis_calls == {"compute_levels": 1, "from_loop": 1}
     assert np.array_equal(
         execute_plan(loop, vectorized, cache).y, loop.run_sequential()

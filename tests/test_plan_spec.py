@@ -47,13 +47,6 @@ class TestValueObject:
         assert spec.reorder == "natural"
         assert spec.tunable_options() == {}
 
-    def test_with_backend_rebases_without_mutating(self):
-        spec = PlanSpec(backend="auto", chunk=4)
-        rebased = spec.with_backend("multiproc")
-        assert rebased.backend == "multiproc"
-        assert rebased.chunk == 4
-        assert spec.backend == "auto"
-
     def test_as_dict_is_json_safe_and_complete(self):
         import json
 

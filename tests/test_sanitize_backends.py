@@ -2,7 +2,7 @@
 
 The detector's unit behaviour is pinned in ``test_sanitize_detector``;
 here the concern is the *wiring* — that every concrete backend logs a
-shadow capture the detector accepts, that the spec/pass pipeline routes
+shadow capture the detector accepts, that the spec and ``plan_loop`` route
 the mode, that telemetry carries the counters, and that the CLI speaks
 both text and JSON.
 """
@@ -22,7 +22,7 @@ from repro.backends import (
 )
 from repro.backends.hooks import Sanitize
 from repro.errors import SanitizerError
-from repro.passes.execute import plan_loop
+from repro.passes.plan import plan_loop
 from repro.passes.spec import PlanSpec, UnsupportedPlanOption
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 
@@ -101,11 +101,11 @@ class TestSpecWiring:
         plan = plan_loop(
             loop, PlanSpec(backend="threaded", validate="sanitize")
         )
-        assert plan.artifacts["sanitize"] == {"pairs": 59}
+        assert plan.sanitize_pairs == 59
         assert "sanitize" in plan.passes
-        # Without the mode the pass does not run.
+        # Without the mode the stage does not run.
         bare = plan_loop(loop, PlanSpec(backend="threaded"))
-        assert "sanitize" not in bare.artifacts
+        assert bare.sanitize_pairs is None
 
     def test_make_runner_builds_the_wrapper(self):
         runner = make_runner(
