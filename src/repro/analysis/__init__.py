@@ -1,8 +1,9 @@
 """Symbolic dependence analysis (the static half of the paper's §2.3).
 
-An abstract-interpretation engine over the closed-form subscripts in
-:mod:`repro.ir.subscript` that proves dependence properties *for every
-input*, where the runtime inspector only observes them for one:
+Abstract interpretation plus the classical dependence tests
+(:mod:`repro.analysis.deptest`) over the closed-form subscripts in
+:mod:`repro.ir.subscript`, proving dependence properties *for every
+input* where the runtime inspector only observes them for one:
 
 - :func:`analyze_loop` — produce a :class:`DependenceVerdict` (DOALL-
   proven / constant-distance / injective-write / runtime-only) with a
@@ -16,13 +17,6 @@ input*, where the runtime inspector only observes them for one:
 """
 
 from repro.analysis.checker import CrossCheckReport, check_proof, cross_check
-from repro.analysis.deptest import (
-    DIR_ANY,
-    DIR_NONE,
-    BatteryResult,
-    DependenceVector,
-    run_battery,
-)
 from repro.analysis.domains import (
     AffineFact,
     CongruenceFact,
@@ -42,6 +36,8 @@ from repro.analysis.engine import analyze_loop, slot_term_map
 from repro.analysis.eval import abstract_eval, facts_for_subscript
 from repro.analysis.proofs import Check, Proof, ProofStep, evaluate_check
 from repro.analysis.verdicts import (
+    DIR_ANY,
+    DIR_NONE,
     SLOT_ANTI,
     SLOT_INTRA,
     SLOT_NO_TRUE,
@@ -89,9 +85,6 @@ __all__ = [
     "VERDICT_RUNTIME_ONLY",
     "min_distance_kind",
     "is_min_distance_kind",
-    "run_battery",
-    "BatteryResult",
-    "DependenceVector",
     "DIR_ANY",
     "DIR_NONE",
     "SLOT_TRUE",

@@ -182,7 +182,7 @@ def cross_check(
 
     if verdict.slots and loop.read_slots is not None:
         try:
-            sids = slot_term_map(loop)
+            _, sids = slot_term_map(loop)
         except ProofError as exc:
             report.problems.append(str(exc))
             sids = None
@@ -232,7 +232,7 @@ def cross_check(
         observed = observed_distances(loop)
         if len(observed) and int(observed[0]) < verdict.min_distance:
             report.problems.append(
-                f"battery claims every true dependence has distance "
+                f"verdict claims every true dependence has distance "
                 f">= {verdict.min_distance}, inspector observes "
                 f"distance {int(observed[0])}"
             )

@@ -1,57 +1,75 @@
-"""The classical dependence-test battery.
+"""The per-slot dependence tests: one classifier for every read slot.
 
-:func:`run_battery` answers, per declared read slot, the question the
-symbolic engine's exact classifier cannot always settle: which
-*(writer, reader)* iteration relations can alias at all, and — when a
-cross-iteration true dependence is possible — **how far** it must reach.
-The tests are the classical single-index battery over the closed-form
-subscript IR:
+:func:`classify_slot` answers, for one declared read slot against the
+loop's write subscript, which *(writer, reader)* iteration relations can
+alias at all and — when a cross-iteration true dependence is possible —
+**how far** it must reach.  An exact answer (one relation, one constant
+distance: the paper's §2.3 closed form) is the special case of a bounded
+one, so the same tests that bound a variable distance also produce the
+exact per-iteration classification inspector elision needs.  Two tests
+come first whatever the subscripts look like:
+
+- **inactive** — empty active range: no reference at all.
+- **identical** — read and write closed forms are structurally equal
+  (affine or not): every reference is intra-iteration (paper Figure 5's
+  ``check == 0`` case).
+
+then an affine pair gets the classical single-index battery, GCD
+refutation before the bounds:
 
 - **ZIV** — both subscripts constant: alias everywhere or nowhere.
-- **strong SIV** — equal strides: one exact constant distance.
+- **strong SIV** — equal strides ``c``: the §2.3 closed form.  The
+  distance is the constant ``(d_w − d_r)/c`` — positive: true, zero:
+  intra, negative: anti — over the readers whose writer is in range.
 - **weak SIV** — one side constant (weak-zero) or opposed strides
   (weak-crossing): a single writer / crossing point.
 - **GCD** — ``gcd(c_w, c_r) ∤ (d_r − d_w)``: the diophantine aliasing
   equation has no integer solution.
 - **Banerjee bounds** — the distance function ``δ(i_r) = i_r − i_w(i_r)``
   is affine; its extrema over the (relaxed) feasible region refute whole
-  direction classes and yield a proven ``min_distance`` lower bound on
-  every true dependence (the variable-distance case of arXiv 1311.2927).
-- **MIV fallback** — closed-form but non-affine subscripts keep the
-  congruence / interval refutations and otherwise decline to ``*``.
+  direction classes (``">"`` alone: any aliasing writer comes after the
+  reader — anti or nothing, never true) and yield a proven
+  ``min_distance`` lower bound on every true dependence (the
+  variable-distance case of arXiv 1311.2927).
 
-Every conclusion is backed by :class:`~repro.analysis.proofs.ProofStep`
-side conditions over concrete integers, so ``check_proof`` /
-``cross_check`` audit battery output exactly like engine output.
+and anything else closed-form the **MIV fallback**: non-affine subscripts
+keep the congruence / interval refutations and otherwise decline to
+``*``.  A runtime subscript on either side puts the slot out of the
+tests' reach altogether (``applicable=False``).
+
+Every conclusion is one :class:`~repro.analysis.proofs.ProofStep` with
+side conditions over concrete integers, which ``check_proof`` /
+``cross_check`` audit; everything concluded is value-independent — it
+holds for every input array, unlike the runtime inspector's per-instance
+answer.
 
 Soundness note: aliasing pairs are a superset of the executor's true
 dependences (which run against the *last* writer of an element), so a
-battery ``min_distance`` lower-bounds every observed distance even for
+``min_distance`` lower-bounds every observed distance even for
 non-injective writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import List, Optional, Tuple
 
-from repro.analysis.deptest.vectors import (
-    DIR_ANY,
-    DIR_NONE,
-    DependenceVector,
-    direction_string,
-)
 from repro.analysis.domains import DomainFacts
 from repro.analysis.eval import facts_for_subscript
 from repro.analysis.proofs import Check, ProofStep
+from repro.analysis.verdicts import (
+    DIR_ANY,
+    DIR_NONE,
+    SlotDependence,
+    direction_string,
+)
 from repro.ir.loop import IrregularLoop
 
 __all__ = [
-    "BatteryResult",
-    "run_battery",
-    "test_slot",
+    "classify_slot",
+    "RULE_INACTIVE",
+    "RULE_IDENTICAL",
     "RULE_ZIV",
     "RULE_STRONG_SIV",
     "RULE_WEAK_SIV",
@@ -60,10 +78,11 @@ __all__ = [
     "RULE_CONGRUENCE",
     "RULE_INTERVAL",
     "RULE_MIV",
-    "RULE_INACTIVE",
 ]
 
-# Battery rule identifiers (namespaced apart from the engine's rules).
+# Per-slot rule identifiers (cited by proof steps and lint messages).
+RULE_INACTIVE = "deptest-inactive"
+RULE_IDENTICAL = "deptest-identical"
 RULE_ZIV = "deptest-ziv"
 RULE_STRONG_SIV = "deptest-strong-siv"
 RULE_WEAK_SIV = "deptest-weak-siv"
@@ -72,7 +91,8 @@ RULE_BANERJEE = "deptest-banerjee"
 RULE_CONGRUENCE = "deptest-congruence"
 RULE_INTERVAL = "deptest-interval"
 RULE_MIV = "deptest-miv"
-RULE_INACTIVE = "deptest-inactive"
+
+_Facts = Tuple[Tuple[str, tuple], ...]
 
 
 def _step(
@@ -80,48 +100,22 @@ def _step(
     slot: int,
     conclusion: str,
     checks: Tuple[Check, ...] = (),
-    facts: Tuple[Tuple[str, tuple], ...] = (),
+    facts: _Facts = (),
 ) -> ProofStep:
     return ProofStep(
         rule=rule,
-        target=f"deptest[{slot}]",
+        target=f"slot[{slot}]",
         conclusion=conclusion,
         checks=checks,
         facts=facts,
     )
 
 
-def _none_vector(
-    slot: int, test: str, step: ProofStep
-) -> DependenceVector:
-    return DependenceVector(
-        slot=slot,
-        test=test,
-        applicable=True,
-        direction=DIR_NONE,
-        steps=(step,),
-    )
-
-
-def _inapplicable(slot: int, why: str) -> DependenceVector:
-    return DependenceVector(
-        slot=slot,
-        test=RULE_MIV,
-        applicable=False,
-        direction=DIR_ANY,
-        steps=(
-            _step(RULE_MIV, slot, f"tests inapplicable: {why}"),
-        ),
-    )
-
-
-def _affine_facts_pair(
-    wf: DomainFacts, rf: DomainFacts
-) -> Tuple[Tuple[str, tuple], ...]:
-    return (
-        ("write-affine", wf.affine.as_tuple()),
-        ("read-affine", rf.affine.as_tuple()),
-    )
+def _none(
+    slot: int, active: Tuple[int, int], step: ProofStep
+) -> SlotDependence:
+    """No aliasing pair exists, by ``step``."""
+    return SlotDependence(slot, step.rule, active, DIR_NONE, steps=(step,))
 
 
 def _ziv(
@@ -131,13 +125,13 @@ def _ziv(
     n: int,
     rlo: int,
     rhi: int,
-    facts: Tuple[Tuple[str, tuple], ...],
-) -> DependenceVector:
+    facts: _Facts,
+) -> SlotDependence:
     """Both subscripts constant: alias everywhere or nowhere."""
     if dw != dr:
-        return _none_vector(
+        return _none(
             slot,
-            RULE_ZIV,
+            (rlo, rhi),
             _step(
                 RULE_ZIV,
                 slot,
@@ -150,11 +144,11 @@ def _ziv(
     may_lt = max(rlo, 1) <= rhi - 1
     may_eq = rhi > rlo
     may_gt = rlo < n - 1
-    return DependenceVector(
-        slot=slot,
-        test=RULE_ZIV,
-        applicable=True,
-        direction=direction_string(may_lt, may_eq, may_gt),
+    return SlotDependence(
+        slot,
+        RULE_ZIV,
+        (rlo, rhi),
+        direction_string(may_lt, may_eq, may_gt),
         min_distance=1 if may_lt else None,
         steps=(
             _step(
@@ -177,14 +171,14 @@ def _weak_zero_write(
     n: int,
     rlo: int,
     rhi: int,
-    facts: Tuple[Tuple[str, tuple], ...],
-) -> DependenceVector:
+    facts: _Facts,
+) -> SlotDependence:
     """Constant write, strided read: one aliasing reader iteration."""
     diff = dw - dr
     if diff % cr != 0:
-        return _none_vector(
+        return _none(
             slot,
-            RULE_GCD,
+            (rlo, rhi),
             _step(
                 RULE_GCD,
                 slot,
@@ -201,9 +195,9 @@ def _weak_zero_write(
             if i_star < rlo
             else Check("ge", (i_star, rhi))
         )
-        return _none_vector(
+        return _none(
             slot,
-            RULE_WEAK_SIV,
+            (rlo, rhi),
             _step(
                 RULE_WEAK_SIV,
                 slot,
@@ -215,11 +209,11 @@ def _weak_zero_write(
         )
     may_lt = i_star >= 1
     may_gt = i_star <= n - 2
-    return DependenceVector(
-        slot=slot,
-        test=RULE_WEAK_SIV,
-        applicable=True,
-        direction=direction_string(may_lt, True, may_gt),
+    return SlotDependence(
+        slot,
+        RULE_WEAK_SIV,
+        (rlo, rhi),
+        direction_string(may_lt, True, may_gt),
         min_distance=1 if may_lt else None,
         steps=(
             _step(
@@ -265,16 +259,18 @@ def _general_siv(
     n: int,
     rlo: int,
     rhi: int,
-    facts: Tuple[Tuple[str, tuple], ...],
-) -> DependenceVector:
+    facts: _Facts,
+) -> SlotDependence:
     """The general affine single-index pair (``c_w != 0``).
 
     Solves ``c_w·i_w + d_w = c_r·i_r + d_r`` for ``i_w`` as a function
     of ``i_r``, bounds the distance ``δ(i_r) = i_r − i_w(i_r)`` over the
     relaxed (real) feasible region, and reads directions and the
     ``min_distance`` bound off the extrema — GCD refutation first,
-    Banerjee-style interval reasoning after.
+    Banerjee-style interval reasoning after.  Equal strides make ``δ``
+    constant: the exact distance, binding exactly the feasible readers.
     """
+    active = (rlo, rhi)
     label = RULE_BANERJEE
     if cr == cw:
         label = RULE_STRONG_SIV
@@ -284,9 +280,9 @@ def _general_siv(
     delta_const = dr - dw
     g = gcd(abs(cw), abs(cr)) if cr != 0 else abs(cw)
     if delta_const % g != 0:
-        return _none_vector(
+        return _none(
             slot,
-            RULE_GCD,
+            active,
             _step(
                 RULE_GCD,
                 slot,
@@ -310,16 +306,16 @@ def _general_siv(
     )
     if writer_side is not None:
         region = _frac_interval_intersect(region, writer_side)
+    feasible = (ceil(region[0]), floor(region[1]) + 1)
     if region[0] > region[1]:
-        lo_i, hi_i = ceil(region[0]), floor(region[1]) + 1
-        return _none_vector(
+        return _none(
             slot,
-            label,
+            active,
             _step(
                 label,
                 slot,
                 "no reader iteration has an in-range aliasing writer",
-                checks=(gcd_check, Check("empty-range", (lo_i, hi_i))),
+                checks=(gcd_check, Check("empty-range", feasible)),
                 facts=facts,
             ),
         )
@@ -365,9 +361,9 @@ def _general_siv(
     may_gt = anti_region is not None
     if not (may_lt or may_eq or may_gt):
         # The relaxed δ range contains no integer at all.
-        return _none_vector(
+        return _none(
             slot,
-            label,
+            active,
             _step(
                 label,
                 slot,
@@ -392,23 +388,29 @@ def _general_siv(
             f"true dependences reach back at least {min_distance} "
             f"iteration(s)"
         )
-        if distance is not None:
-            conclusion = (
-                f"every dependence has exact constant distance {distance}"
-            )
+    elif may_gt and not may_eq:
+        conclusion = (
+            "any aliasing writer is a later iteration (anti or none, "
+            "never true)"
+        )
     else:
         conclusion = (
             "the distance bounds refute any cross-iteration true "
             "dependence"
         )
+    if distance is not None:
+        conclusion = (
+            f"every dependence has exact constant distance {distance}"
+        )
 
-    return DependenceVector(
-        slot=slot,
-        test=label,
-        applicable=True,
-        direction=direction_string(may_lt, may_eq, may_gt),
+    return SlotDependence(
+        slot,
+        label,
+        active,
+        direction_string(may_lt, may_eq, may_gt),
         distance=distance,
         min_distance=min_distance,
+        dep_range=feasible if distance is not None else None,
         steps=(
             _step(label, slot, conclusion, tuple(checks), facts),
         ),
@@ -417,9 +419,10 @@ def _general_siv(
 
 def _nonaffine(
     slot: int,
+    active: Tuple[int, int],
     wf: DomainFacts,
     rf: DomainFacts,
-) -> DependenceVector:
+) -> SlotDependence:
     """Closed-form but not affine: congruence / interval refutation,
     otherwise the conservative MIV-style decline."""
     facts = (
@@ -437,9 +440,9 @@ def _nonaffine(
             if g == 0
             else Check("incongruent", (rw, rr, g))
         )
-        return _none_vector(
+        return _none(
             slot,
-            RULE_CONGRUENCE,
+            active,
             _step(
                 RULE_CONGRUENCE,
                 slot,
@@ -449,9 +452,9 @@ def _nonaffine(
             ),
         )
     if wf.interval.disjoint_from(rf.interval):
-        return _none_vector(
+        return _none(
             slot,
-            RULE_INTERVAL,
+            active,
             _step(
                 RULE_INTERVAL,
                 slot,
@@ -470,11 +473,11 @@ def _nonaffine(
                 facts=facts,
             ),
         )
-    return DependenceVector(
-        slot=slot,
-        test=RULE_MIV,
-        applicable=True,
-        direction=DIR_ANY,
+    return SlotDependence(
+        slot,
+        RULE_MIV,
+        active,
+        DIR_ANY,
         min_distance=1,
         steps=(
             _step(
@@ -488,140 +491,75 @@ def _nonaffine(
     )
 
 
-def test_slot(loop: IrregularLoop, slot_index: int) -> DependenceVector:
-    """Run the battery for one declared read slot of ``loop``."""
+def classify_slot(
+    loop: IrregularLoop, j: int, wf: Optional[DomainFacts]
+) -> SlotDependence:
+    """Classify declared read slot ``j`` of ``loop`` against its write
+    subscript, whose abstract facts over ``0..n-1`` are ``wf`` (``None``
+    for a runtime write; computed once per loop by the caller)."""
     assert loop.read_slots is not None
-    slot = loop.read_slots[slot_index]
+    slot = loop.read_slots[j]
     n = loop.n
-    rlo, rhi = slot.active_range(n)
+    active = slot.active_range(n)
+    rlo, rhi = active
     if rhi <= rlo:
-        return _none_vector(
-            slot_index,
-            RULE_INACTIVE,
+        return _none(
+            j,
+            active,
             _step(
                 RULE_INACTIVE,
-                slot_index,
+                j,
                 "slot never active",
-                checks=(Check("empty-range", (rlo, rhi)),),
+                checks=(Check("empty-range", active),),
             ),
         )
-    wf = facts_for_subscript(loop.write_subscript, 0, n - 1)
     rf = facts_for_subscript(slot.subscript, rlo, rhi - 1)
     if wf is None or rf is None:
         side = "write" if wf is None else "read"
-        return _inapplicable(
-            slot_index, f"runtime {side} subscript (inspector required)"
+        return SlotDependence(
+            j,
+            RULE_MIV,
+            active,
+            DIR_ANY,
+            applicable=False,
+            steps=(
+                _step(
+                    RULE_MIV,
+                    j,
+                    f"tests inapplicable: runtime {side} subscript "
+                    f"(inspector required)",
+                ),
+            ),
         )
-    both_affine = not wf.affine.is_top and not rf.affine.is_top
-    if not both_affine:
-        return _nonaffine(slot_index, wf, rf)
+    wsig = loop.write_subscript.static_signature()
+    if wsig is not None and wsig == slot.subscript.static_signature():
+        return SlotDependence(
+            j,
+            RULE_IDENTICAL,
+            active,
+            "=",
+            distance=0,
+            dep_range=active,
+            steps=(
+                _step(
+                    RULE_IDENTICAL,
+                    j,
+                    "read subscript equals the write subscript: every "
+                    "reference is intra-iteration",
+                    facts=(("signature", ("equal",)),),
+                ),
+            ),
+        )
+    if wf.affine.is_top or rf.affine.is_top:
+        return _nonaffine(j, active, wf, rf)
     cw, dw = wf.affine.c, wf.affine.d
     cr, dr = rf.affine.c, rf.affine.d
-    facts = _affine_facts_pair(wf, rf)
-    if cw == 0 and cr == 0:
-        return _ziv(slot_index, dw, dr, n, rlo, rhi, facts)
-    if cw == 0:
-        return _weak_zero_write(
-            slot_index, dw, cr, dr, n, rlo, rhi, facts
-        )
-    return _general_siv(slot_index, cw, dw, cr, dr, n, rlo, rhi, facts)
-
-
-@dataclass(frozen=True)
-class BatteryResult:
-    """The battery's conclusion for a whole loop: one
-    :class:`DependenceVector` per declared read slot, plus the composed
-    loop-level ``min_distance`` bound :func:`~repro.passes.distance.
-    plan_distance_elision` and the lint rules consume."""
-
-    loop_name: str
-    n: int
-    vectors: Tuple[DependenceVector, ...]
-
-    @property
-    def applicable(self) -> bool:
-        """Whether every slot could be tested (no runtime subscripts)."""
-        return all(v.applicable for v in self.vectors)
-
-    @property
-    def min_distance(self) -> Optional[int]:
-        """Proven lower bound on every cross-iteration true-dependence
-        distance, or ``None`` when nothing is provable (a runtime
-        subscript, or no true dependence is possible at all)."""
-        if not self.applicable:
-            return None
-        bounds: List[int] = []
-        for v in self.vectors:
-            if not v.may_carry_true:
-                continue
-            if v.distance is not None and v.distance > 0:
-                bounds.append(v.distance)
-            elif v.min_distance is not None:
-                bounds.append(v.min_distance)
-            else:
-                bounds.append(1)
-        if not bounds:
-            return None
-        return min(bounds)
-
-    def may_carry_true(self) -> bool:
-        return any(v.may_carry_true for v in self.vectors)
-
-    def proof_steps(self) -> Tuple[ProofStep, ...]:
-        steps: List[ProofStep] = []
-        for v in self.vectors:
-            steps.extend(v.steps)
-        return tuple(steps)
-
-    def signature(self) -> tuple:
-        return (
-            self.n,
-            tuple(v.signature() for v in self.vectors),
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "loop": self.loop_name,
-            "n": self.n,
-            "applicable": self.applicable,
-            "min_distance": self.min_distance,
-            "vectors": [v.as_dict() for v in self.vectors],
-        }
-
-    def describe(self) -> str:
-        head = f"{self.loop_name}: battery"
-        if self.min_distance is not None:
-            head += f" min_distance={self.min_distance}"
-        elif not self.applicable:
-            head += " (inapplicable: runtime subscript)"
-        lines = [head]
-        lines += ["  " + v.describe() for v in self.vectors]
-        return "\n".join(lines)
-
-
-def run_battery(loop: IrregularLoop) -> BatteryResult:
-    """Run the classical test battery over every declared read slot.
-
-    Loops without declared slots (raw read tables — runtime data) get a
-    single inapplicable vector when they read anything at all, mirroring
-    the engine's honest runtime-only decline.
-    """
-    vectors: List[DependenceVector]
-    if loop.read_slots is None:
-        if loop.reads.total_terms == 0:
-            vectors = []
-        else:
-            vectors = [
-                _inapplicable(
-                    0, "no declared read slots (runtime read table)"
-                )
-            ]
-    else:
-        vectors = [
-            test_slot(loop, j) for j in range(len(loop.read_slots))
-        ]
-    return BatteryResult(
-        loop_name=loop.name,
-        n=loop.n,
-        vectors=tuple(vectors),
+    facts = (
+        ("write-affine", wf.affine.as_tuple()),
+        ("read-affine", rf.affine.as_tuple()),
     )
+    if cw == 0 and cr == 0:
+        return _ziv(j, dw, dr, n, rlo, rhi, facts)
+    if cw == 0:
+        return _weak_zero_write(j, dw, cr, dr, n, rlo, rhi, facts)
+    return _general_siv(j, cw, dw, cr, dr, n, rlo, rhi, facts)

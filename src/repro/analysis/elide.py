@@ -22,7 +22,7 @@ import hashlib
 
 import numpy as np
 
-from repro.analysis.engine import analyze_loop
+from repro.analysis.engine import analyze_loop, slot_term_map
 from repro.analysis.verdicts import (
     SLOT_INTRA,
     SLOT_TRUE,
@@ -59,37 +59,6 @@ def symbolic_fingerprint(loop: IrregularLoop) -> str:
     return h.hexdigest()
 
 
-def _slot_term_layout(loop: IrregularLoop) -> tuple[np.ndarray, np.ndarray]:
-    """Per-flat-term ``(iteration, slot)`` in read-table order, with the
-    per-iteration counts validated against the table."""
-    n = loop.n
-    ranges = [slot.active_range(n) for slot in loop.read_slots]
-    counts = np.zeros(n, dtype=np.int64)
-    for lo, hi in ranges:
-        counts[lo:hi] += 1
-    if not np.array_equal(counts, loop.reads.term_counts()):
-        bad = int(np.nonzero(counts != loop.reads.term_counts())[0][0])
-        raise ProofError(
-            f"{loop.name}: declared slots give {int(counts[bad])} term(s) "
-            f"at iteration {bad}, read table has "
-            f"{int(loop.reads.term_count(bad))}"
-        )
-    if not ranges:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    iters = np.concatenate(
-        [np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges]
-    )
-    sids = np.concatenate(
-        [
-            np.full(hi - lo, j, dtype=np.int64)
-            for j, (lo, hi) in enumerate(ranges)
-        ]
-    )
-    order = np.lexsort((sids, iters))
-    return iters[order], sids[order]
-
-
 def _chain_levels(has_pred: np.ndarray, delta: int) -> np.ndarray:
     """Wavefront levels for a single constant distance ``delta``:
     ``level[i] = level[i − delta] + 1`` where a predecessor exists, else 0.
@@ -111,20 +80,6 @@ def _chain_levels(has_pred: np.ndarray, delta: int) -> np.ndarray:
     )
     levels = (row_idx - last_clear).reshape(-1)[:n]
     return levels.astype(np.int64)
-
-
-def _schedule_from_levels(levels: np.ndarray) -> LevelSchedule:
-    """The deterministic LevelSchedule layout for given levels (identical
-    to the tail of :func:`repro.graph.levels.compute_levels`)."""
-    n = len(levels)
-    order = np.lexsort(
-        (np.arange(n, dtype=np.int64), levels)
-    ).astype(np.int64)
-    n_levels = int(levels.max()) + 1 if n else 0
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    if n:
-        level_ptr[1:] = np.cumsum(np.bincount(levels, minlength=n_levels))
-    return LevelSchedule(levels=levels, order=order, level_ptr=level_ptr)
 
 
 def build_symbolic_record(
@@ -159,7 +114,7 @@ def build_symbolic_record(
     intra_flat = np.zeros(total, dtype=bool)
     true_slots = []
     if loop.read_slots is not None and len(loop.read_slots):
-        iters, sids = _slot_term_layout(loop)
+        iters, sids = slot_term_map(loop)
         for dep in verdict.slots:
             mask = sids == dep.slot
             if dep.kind == SLOT_INTRA:
@@ -176,7 +131,7 @@ def build_symbolic_record(
     # Wavefront levels from the proven distances.
     if not true_slots:
         levels = np.zeros(n, dtype=np.int64)
-        schedule = _schedule_from_levels(levels)
+        schedule = LevelSchedule.from_levels(levels)
     else:
         distances = {dep.distance for dep in true_slots}
         has_pred = np.zeros(n, dtype=bool)
@@ -185,7 +140,7 @@ def build_symbolic_record(
             has_pred[a:b] = True
         if len(distances) == 1:
             levels = _chain_levels(has_pred, true_slots[0].distance)
-            schedule = _schedule_from_levels(levels)
+            schedule = LevelSchedule.from_levels(levels)
         else:
             # Mixed constant distances: emit the dependence pairs in
             # closed form (still no memory inspection) and reuse the
@@ -285,7 +240,7 @@ def build_distance_record(
     return assemble_record(
         loop,
         iter_array=iter_array,
-        schedule=_schedule_from_levels(levels),
+        schedule=LevelSchedule.from_levels(levels),
         true_flat=true_flat,
         intra_flat=intra_flat,
         plan=plan_transform(loop, verdict=verdict),

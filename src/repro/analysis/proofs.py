@@ -14,7 +14,6 @@ engine instance that produced the proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Tuple
 
 __all__ = [
@@ -25,26 +24,16 @@ __all__ = [
     "RULE_SINGLE_ITERATION",
     "RULE_AFFINE_INJECTIVE",
     "RULE_MONOTONE_INJECTIVE",
-    "RULE_INACTIVE_SLOT",
-    "RULE_IDENTICAL_SUBSCRIPT",
-    "RULE_SAME_STRIDE",
-    "RULE_CONGRUENCE_DISJOINT",
-    "RULE_INTERVAL_DISJOINT",
-    "RULE_MONOTONE_NO_TRUE",
     "RULE_NO_READS",
     "RULE_COMPOSE",
 ]
 
-# Rule identifiers (cited by proof steps and surfaced in lint messages).
+# Loop-level rule identifiers (cited by proof steps and surfaced in lint
+# messages); the per-slot ones live with the tests that apply them
+# (:mod:`repro.analysis.deptest`).
 RULE_SINGLE_ITERATION = "single-iteration"
 RULE_AFFINE_INJECTIVE = "affine-injective"
 RULE_MONOTONE_INJECTIVE = "monotone-injective"
-RULE_INACTIVE_SLOT = "inactive-slot"
-RULE_IDENTICAL_SUBSCRIPT = "identical-subscript"
-RULE_SAME_STRIDE = "same-stride-distance"
-RULE_CONGRUENCE_DISJOINT = "congruence-disjoint"
-RULE_INTERVAL_DISJOINT = "interval-disjoint"
-RULE_MONOTONE_NO_TRUE = "monotone-no-true"
 RULE_NO_READS = "no-read-terms"
 RULE_COMPOSE = "compose-verdict"
 
@@ -156,7 +145,3 @@ class Proof:
                     bad.append((step, check))
         return bad
 
-
-def congruence_meet_modulus(m1: int, m2: int) -> int:
-    """Modulus under which two congruence classes must agree to alias."""
-    return gcd(m1, m2)

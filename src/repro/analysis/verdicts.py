@@ -13,8 +13,8 @@ The engine's output is a :class:`DependenceVerdict` — one of four kinds:
   inspector is required.
 
 plus the parametric **min-distance-k** family (:func:`min_distance_kind`):
-the read side resisted exact classification, but the dependence-test
-battery (:mod:`repro.analysis.deptest`) proved every cross-iteration true
+the read side resisted exact classification, but the dependence tests
+(:mod:`repro.analysis.deptest`) proved every cross-iteration true
 dependence reaches back at least ``k >= 2`` iterations — enough for
 group-synchronous post/wait elision even without an exact distance.
 
@@ -22,8 +22,17 @@ Orthogonally, ``fully_classified`` records whether *every* read slot got
 an exact per-iteration classification — the precondition for eliding the
 runtime inspector (a mixed-distance loop can be fully classified yet not
 be a constant-distance doacross) — and ``min_distance`` carries the
-battery's loop-level bound regardless of kind (a constant-distance loop
+loop-level distance bound regardless of kind (a constant-distance loop
 has ``min_distance == distance``).
+
+Each declared read slot gets one :class:`SlotDependence`: the direction
+set and exact-or-bounded distance the tests proved, from which the slot
+*kind* follows.  The ``direction`` string names every relation an
+aliasing (writer, reader) iteration pair may take — ``"<"``
+writer-earlier (a true dependence), ``"="`` intra-iteration, ``">"``
+writer-later (an antidependence) — so ``"<="`` reads "true or intra,
+never anti".  :data:`DIR_NONE` means no aliasing is possible for any
+input; :data:`DIR_ANY` means the tests could not narrow the set.
 """
 
 from __future__ import annotations
@@ -31,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.analysis.deptest.vectors import DependenceVector
-from repro.analysis.proofs import Proof
+from repro.analysis.proofs import Proof, ProofStep
 
 __all__ = [
     "DependenceVerdict",
@@ -44,6 +52,9 @@ __all__ = [
     "VERDICT_MIN_DISTANCE_PREFIX",
     "min_distance_kind",
     "is_min_distance_kind",
+    "direction_string",
+    "DIR_ANY",
+    "DIR_NONE",
     "SLOT_TRUE",
     "SLOT_INTRA",
     "SLOT_ANTI",
@@ -69,6 +80,19 @@ def is_min_distance_kind(kind: str) -> bool:
     """Whether ``kind`` belongs to the ``min-distance-k`` family."""
     return kind.startswith(VERDICT_MIN_DISTANCE_PREFIX)
 
+#: No aliasing pair exists for any input.
+DIR_NONE = "-"
+#: The tests could not constrain the direction set.
+DIR_ANY = "*"
+
+
+def direction_string(may_lt: bool, may_eq: bool, may_gt: bool) -> str:
+    """Canonical direction string for a set of possible relations."""
+    out = ("<" if may_lt else "") + ("=" if may_eq else "")
+    out += ">" if may_gt else ""
+    return out or DIR_NONE
+
+
 #: Slot kinds.  ``no-true`` means "provably anti or no dependence, never
 #: true and never intra" — exact enough for elision (the executor treats
 #: anti and none identically), weaker than naming which of the two.
@@ -79,45 +103,101 @@ SLOT_NONE = "none"
 SLOT_NO_TRUE = "no-true"
 SLOT_UNKNOWN = "unknown"
 
-#: Kinds that give an exact per-iteration classification.
-_CLASSIFIED = (SLOT_TRUE, SLOT_INTRA, SLOT_ANTI, SLOT_NONE, SLOT_NO_TRUE)
-
 
 @dataclass(frozen=True)
 class SlotDependence:
-    """Per-slot conclusion.
+    """One read slot against the loop's write subscript.
 
-    ``active`` is the slot's iteration range ``[lo, hi)``; ``dep_range``
-    is the subrange where the named dependence actually applies (a true
-    dependence of distance ``d`` only binds iterations ``i >= d``) —
-    outside it the slot reads an element no iteration writes.
+    ``active`` is the slot's iteration range ``[lo, hi)``.  ``distance``
+    is the exact dependence distance when every dependent pair shares
+    one, and ``dep_range`` the subrange of ``active`` where that
+    dependence applies (a true dependence of distance ``d`` only binds
+    iterations ``i >= d``) — outside it the slot reads an element no
+    iteration writes.  ``min_distance`` is a proven lower bound on the
+    distance of *every* cross-iteration true dependence the slot can
+    carry, valid for every input (``None`` when no true dependence is
+    possible).  ``applicable`` is false when a runtime subscript put the
+    slot out of the tests' reach; ``steps`` is the slot's share of the
+    verdict's proof.
     """
 
     slot: int
-    kind: str
     rule: str
     active: Tuple[int, int]
+    direction: str
     distance: Optional[int] = None
+    min_distance: Optional[int] = None
     dep_range: Optional[Tuple[int, int]] = None
+    applicable: bool = True
+    steps: Tuple[ProofStep, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        """The per-iteration classification ``direction`` and
+        ``distance`` amount to.  Exact kinds need one relation and, for
+        a cross-iteration one, one distance; everything else — several
+        relations, or a variable distance — is ``unknown``."""
+        exact = self.distance is not None
+        if self.direction == DIR_NONE:
+            return SLOT_NONE
+        if self.direction == "<" and exact:
+            return SLOT_TRUE
+        if self.direction == ">":
+            return SLOT_ANTI if exact else SLOT_NO_TRUE
+        if self.direction == "=" and self.distance == 0:
+            return SLOT_INTRA
+        return SLOT_UNKNOWN
 
     @property
     def classified(self) -> bool:
-        return self.kind in _CLASSIFIED
+        """Whether ``kind`` is an exact per-iteration classification."""
+        return self.kind != SLOT_UNKNOWN
+
+    @property
+    def may_carry_true(self) -> bool:
+        """Whether a cross-iteration true dependence may exist."""
+        if not self.applicable:
+            return True
+        return self.direction == DIR_ANY or "<" in self.direction
+
+    def signature(self) -> tuple:
+        """Hashable summary (folded into verdict signatures)."""
+        return (
+            self.slot,
+            self.rule,
+            self.applicable,
+            self.active,
+            self.direction,
+            self.distance,
+            self.min_distance,
+            self.dep_range,
+        )
 
     def as_dict(self) -> dict:
         return {
             "slot": self.slot,
             "kind": self.kind,
             "rule": self.rule,
+            "applicable": self.applicable,
             "active": list(self.active),
+            "direction": self.direction,
             "distance": self.distance,
+            "min_distance": self.min_distance,
             "dep_range": list(self.dep_range) if self.dep_range else None,
         }
 
     def describe(self) -> str:
+        if not self.applicable:
+            return (
+                f"slot {self.slot}: tests inapplicable (runtime subscript)"
+            )
         body = self.kind
         if self.kind == SLOT_TRUE:
             body = f"true distance={self.distance}"
+        elif self.kind == SLOT_UNKNOWN:
+            body += f" direction {self.direction!r}"
+            if self.min_distance is not None:
+                body += f", distance>={self.min_distance}"
         if self.dep_range and self.kind in (SLOT_TRUE, SLOT_ANTI):
             body += f" over [{self.dep_range[0]}, {self.dep_range[1]})"
         return f"slot {self.slot}: {body} ({self.rule})"
@@ -135,11 +215,9 @@ class DependenceVerdict:
     slots: Tuple[SlotDependence, ...]
     proof: Proof
     distance: Optional[int] = None
-    #: The battery's proven lower bound on every cross-iteration true
-    #: dependence distance (``None``: unbounded or no true dependence).
+    #: Proven lower bound on every cross-iteration true dependence
+    #: distance (``None``: unbounded or no true dependence).
     min_distance: Optional[int] = None
-    #: Per-slot direction/distance vectors from the test battery.
-    vectors: Tuple[DependenceVector, ...] = ()
 
     @property
     def elidable(self) -> bool:
@@ -161,7 +239,6 @@ class DependenceVerdict:
             "n": self.n,
             "distance": self.distance,
             "min_distance": self.min_distance,
-            "vectors": [v.as_dict() for v in self.vectors],
             "write_injective": self.write_injective,
             "fully_classified": self.fully_classified,
             "elidable": self.elidable,
@@ -194,9 +271,5 @@ class DependenceVerdict:
             self.min_distance,
             self.write_injective,
             self.fully_classified,
-            tuple(
-                (s.kind, s.distance, s.active, s.dep_range)
-                for s in self.slots
-            ),
-            tuple(v.signature() for v in self.vectors),
+            tuple(s.signature() for s in self.slots),
         )

@@ -24,11 +24,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ScheduleError
+from repro.errors import ProofError, ScheduleError
 from repro.ir.analysis import dependence_pairs
 from repro.ir.loop import IrregularLoop
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.analysis.verdicts import DependenceVerdict
     from repro.core.results import RunResult
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.spans import SpanRecorder
@@ -37,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = [
     "NON_NATURAL_GROUP",
     "Runner",
+    "check_analyze_mode",
+    "check_group_sync",
+    "resolve_verdict",
+    "note_verdict",
     "validate_execution_order",
     "inverse_permutation",
     "note_ignored_options",
@@ -111,6 +116,78 @@ NON_NATURAL_GROUP = (
     "group-synchronous elision only applies in natural order (the proven "
     "distance bound is on iteration numbers); ran the flag protocol"
 )
+
+
+def check_group_sync(loop: IrregularLoop, group_sync: int | None) -> None:
+    """Refuse a ``group_sync`` the loop's verdict does not prove sound —
+    called first thing in ``run``, before a thread, worker or
+    shared-memory session is touched.  A group below 1 is no schedule at
+    all (:class:`~repro.errors.ScheduleError`); one larger than the
+    proven ``min_distance`` (or with no bound proven) would leave true
+    dependences inside a group unordered
+    (:class:`~repro.errors.ProofError`).  Planned runs never get here
+    with such a group: :func:`~repro.passes.distance.plan_distance_elision`
+    derives it from the same bound."""
+    if group_sync is None:
+        return
+    if group_sync < 1:
+        raise ScheduleError(f"group_sync must be >= 1, got {group_sync}")
+    from repro.analysis import analyze_loop
+
+    bound = analyze_loop(loop).min_distance
+    if bound is None or bound < group_sync:
+        raise ProofError(
+            f"{loop.name}: no proven dependence-distance bound >= "
+            f"{group_sync} (proven bound: {bound})"
+        )
+
+
+def check_analyze_mode(analyze: str | None) -> str | None:
+    """``analyze`` if it is a known mode (a runner-constructor check)."""
+    from repro.passes.spec import ANALYZE_MODES
+
+    if analyze not in ANALYZE_MODES:
+        raise ValueError(
+            f"unknown analyze mode {analyze!r}; expected one of "
+            f"{ANALYZE_MODES}"
+        )
+    return analyze
+
+
+def resolve_verdict(
+    loop: IrregularLoop, analyze: str | None
+) -> DependenceVerdict | None:
+    """The symbolic verdict a run under ``analyze`` consults: ``None``
+    without analysis; under ``"symbolic+check"`` validated against the
+    runtime inspector first (:class:`~repro.errors.ProofError` on
+    divergence)."""
+    if analyze is None:
+        return None
+    from repro.analysis import analyze_loop, cross_check
+
+    verdict = analyze_loop(loop)
+    if analyze == "symbolic+check":
+        cross_check(loop, verdict, strict=True)
+    return verdict
+
+
+def note_verdict(
+    result: RunResult,
+    analyze: str | None,
+    verdict: DependenceVerdict | None,
+    elided: bool | None = None,
+) -> None:
+    """Record what the analysis concluded in ``result.extras``
+    (``elided``: whether the inspector was skipped, on backends that
+    have one to skip)."""
+    if verdict is None:
+        return
+    result.extras["analyze"] = analyze
+    if elided is not None:
+        result.extras["inspector_elided"] = elided
+    result.extras["verdict"] = verdict.kind
+    if verdict.distance is not None:
+        result.extras["verdict_distance"] = int(verdict.distance)
 
 
 def note_ignored_options(

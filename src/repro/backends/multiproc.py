@@ -62,8 +62,12 @@ from repro.backends import kernel
 from repro.backends.base import (
     NON_NATURAL_GROUP,
     Runner,
+    check_analyze_mode,
+    check_group_sync,
     inverse_permutation,
     note_ignored_options,
+    note_verdict,
+    resolve_verdict,
     validate_execution_order,
 )
 from repro.backends.cache import InspectorCache, loop_fingerprint
@@ -498,17 +502,10 @@ class MultiprocRunner(Runner):
         ladder: WaitLadder | None = None,
         max_sessions: int = 8,
     ):
-        from repro.backends.vectorized import ANALYZE_MODES
-
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         if chunk is not None and chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
-        if analyze not in ANALYZE_MODES:
-            raise ValueError(
-                f"unknown analyze mode {analyze!r}; expected one of "
-                f"{ANALYZE_MODES}"
-            )
         if max_sessions < 1:
             raise ValueError(
                 f"max_sessions must be >= 1, got {max_sessions}"
@@ -516,7 +513,7 @@ class MultiprocRunner(Runner):
         self.workers = workers
         self.chunk = chunk
         self.cache = cache
-        self.analyze = analyze
+        self.analyze = check_analyze_mode(analyze)
         self.ladder = ladder if ladder is not None else DEFAULT_LADDER
         self.max_sessions = max_sessions
         methods = mp.get_all_start_methods()
@@ -626,6 +623,7 @@ class MultiprocRunner(Runner):
         timeline; use ``observe=True`` for wall-clock spans).  Both are
         recorded in ``result.extras["ignored_options"]`` when passed.
         """
+        check_group_sync(loop, group_sync)
         c_size, group, group_refused = self._resolve(
             loop.n, order, chunk, group_sync
         )
@@ -634,17 +632,8 @@ class MultiprocRunner(Runner):
             validate_execution_order(loop, order)
 
         t0 = time.perf_counter()
-        verdict = None
-        elide = False
-        if self.analyze is not None:
-            from repro.analysis import analyze_loop
-
-            verdict = analyze_loop(loop)
-            elide = verdict.write_injective
-            if self.analyze == "symbolic+check":
-                from repro.analysis import cross_check
-
-                cross_check(loop, verdict, strict=True)
+        verdict = resolve_verdict(loop, self.analyze)
+        elide = verdict is not None and verdict.write_injective
         record, hit = None, False
         if self.cache is not None:
             record, hit = self.cache.get_or_build(loop)
@@ -770,13 +759,7 @@ class MultiprocRunner(Runner):
             result.extras["cache_hit"] = hit
             result.extras["cache_hits_total"] = stats["hits"]
             result.extras["cache_misses_total"] = stats["misses"]
-        if self.analyze is not None:
-            result.extras["analyze"] = self.analyze
-            result.extras["inspector_elided"] = elide
-            if verdict is not None:
-                result.extras["verdict"] = verdict.kind
-                if verdict.distance is not None:
-                    result.extras["verdict_distance"] = int(verdict.distance)
+        note_verdict(result, self.analyze, verdict, elide)
         if met is not None:
             met.gauge("workers", self.workers)
             met.gauge("chunk", c_size)

@@ -56,7 +56,10 @@ import numpy as np
 from repro.backends import kernel
 from repro.backends.base import (
     Runner,
+    check_analyze_mode,
     note_ignored_options,
+    note_verdict,
+    resolve_verdict,
     validate_execution_order,
 )
 from repro.core.results import RunResult
@@ -93,8 +96,6 @@ class SpeculativeRunner(Runner):
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         analyze: str | None = None,
     ):
-        from repro.backends.vectorized import ANALYZE_MODES
-
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         if chunk is not None and chunk < 1:
@@ -103,18 +104,13 @@ class SpeculativeRunner(Runner):
             raise ValueError(
                 f"retry budget must allow at least one round, got {max_rounds}"
             )
-        if analyze not in ANALYZE_MODES:
-            raise ValueError(
-                f"unknown analyze mode {analyze!r}; expected one of "
-                f"{ANALYZE_MODES}"
-            )
         self.workers = workers
         self.chunk = chunk
         #: Speculation rounds before giving up on convergence and
         #: executing the remaining chunks sequentially (bounded-livelock
         #: contract, same spirit as the multiproc WaitLadder).
         self.max_rounds = max_rounds
-        self.analyze = analyze
+        self.analyze = check_analyze_mode(analyze)
 
     # ------------------------------------------------------------------
     def run(
@@ -136,15 +132,7 @@ class SpeculativeRunner(Runner):
         ``trace`` are ignored and recorded in
         ``result.extras["ignored_options"]``.
         """
-        verdict = None
-        if self.analyze is not None:
-            from repro.analysis import analyze_loop
-
-            verdict = analyze_loop(loop)
-            if self.analyze == "symbolic+check":
-                from repro.analysis import cross_check
-
-                cross_check(loop, verdict, strict=True)
+        verdict = resolve_verdict(loop, self.analyze)
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
             validate_execution_order(loop, order)
@@ -171,12 +159,7 @@ class SpeculativeRunner(Runner):
             wall_seconds=wall,
         )
         result.extras["speculation"] = stats
-        if self.analyze is not None:
-            result.extras["analyze"] = self.analyze
-            if verdict is not None:
-                result.extras["verdict"] = verdict.kind
-                if verdict.distance is not None:
-                    result.extras["verdict_distance"] = int(verdict.distance)
+        note_verdict(result, self.analyze, verdict)
         ignored = {}
         if order is not None:
             ignored["order"] = (

@@ -35,7 +35,11 @@ from repro.backends import kernel
 from repro.backends.base import (
     NON_NATURAL_GROUP,
     Runner,
+    check_analyze_mode,
+    check_group_sync,
     note_ignored_options,
+    note_verdict,
+    resolve_verdict,
     validate_execution_order,
 )
 from repro.core.results import RunResult
@@ -70,21 +74,14 @@ class ThreadedRunner(Runner):
         analyze: str | None = None,
         wait_timeout: float = 60.0,
     ):
-        from repro.backends.vectorized import ANALYZE_MODES
-
         if threads < 1:
             raise ValueError(f"need at least one thread, got {threads}")
-        if analyze not in ANALYZE_MODES:
-            raise ValueError(
-                f"unknown analyze mode {analyze!r}; expected one of "
-                f"{ANALYZE_MODES}"
-            )
         if wait_timeout <= 0:
             raise ValueError(
                 f"wait_timeout must be > 0, got {wait_timeout}"
             )
         self.threads = threads
-        self.analyze = analyze
+        self.analyze = check_analyze_mode(analyze)
         #: Ceiling (seconds) on any single blocking ``ready`` wait; a
         #: correct schedule sets every awaited flag, so exceeding this
         #: means the schedule is corrupted and :class:`WaitTimeout` is
@@ -111,19 +108,11 @@ class ThreadedRunner(Runner):
         no simulated timeline to record and is ignored too.  Every ignored
         option is recorded in ``result.extras["ignored_options"]``.
         """
-        verdict = None
-        elide = False
-        if self.analyze is not None:
-            from repro.analysis import analyze_loop
-
-            verdict = analyze_loop(loop)
-            # Prefilling iter in closed form is sound exactly when no two
-            # iterations write one element — which the verdict proves.
-            elide = verdict.write_injective
-            if self.analyze == "symbolic+check":
-                from repro.analysis import cross_check
-
-                cross_check(loop, verdict, strict=True)
+        check_group_sync(loop, group_sync)
+        verdict = resolve_verdict(loop, self.analyze)
+        # Prefilling iter in closed form is sound exactly when no two
+        # iterations write one element — which the verdict proves.
+        elide = verdict is not None and verdict.write_injective
         group, group_refused = self._group(order, group_sync)
         t0 = time.perf_counter()
         y = self._execute(loop, order=order, prefill_iter=elide, group=group)
@@ -140,13 +129,7 @@ class ThreadedRunner(Runner):
             schedule=f"cyclic({self.threads} threads)",
             wall_seconds=wall,
         )
-        if self.analyze is not None:
-            result.extras["analyze"] = self.analyze
-            result.extras["inspector_elided"] = elide
-            if verdict is not None:
-                result.extras["verdict"] = verdict.kind
-                if verdict.distance is not None:
-                    result.extras["verdict_distance"] = int(verdict.distance)
+        note_verdict(result, self.analyze, verdict, elide)
         if group is not None:
             result.extras["distance_group"] = int(group)
         ignored = {}

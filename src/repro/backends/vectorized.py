@@ -62,7 +62,11 @@ import numpy as np
 from repro.backends import kernel
 from repro.backends.base import (
     Runner,
+    check_analyze_mode,
+    check_group_sync,
     note_ignored_options,
+    note_verdict,
+    resolve_verdict,
     validate_execution_order,
 )
 from repro.backends.cache import InspectorCache, InspectorRecord
@@ -73,11 +77,7 @@ from repro.errors import InvalidLoopError
 from repro.machine.costs import CostModel
 from repro.obs.spans import CAT_LEVEL, CAT_PHASE
 
-__all__ = ["VectorizedRunner", "ANALYZE_MODES", "log_level"]
-
-#: Accepted values for the ``analyze`` option (here and on
-#: :func:`~repro.backends.make_runner` / ``parallelize``).
-ANALYZE_MODES = (None, "symbolic", "symbolic+check")
+__all__ = ["VectorizedRunner", "log_level"]
 
 
 def log_level(
@@ -151,14 +151,9 @@ class VectorizedRunner(Runner):
         cost_model: CostModel | None = None,
         analyze: str | None = None,
     ):
-        if analyze not in ANALYZE_MODES:
-            raise ValueError(
-                f"unknown analyze mode {analyze!r}; expected one of "
-                f"{ANALYZE_MODES}"
-            )
         self.cache = cache if cache is not None else InspectorCache()
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.analyze = analyze
+        self.analyze = check_analyze_mode(analyze)
 
     # ------------------------------------------------------------------
     def _preprocess(self, loop: IrregularLoop, group: int | None = None):
@@ -177,15 +172,13 @@ class VectorizedRunner(Runner):
         works even for verdicts that are *not* fully classified: a
         ``min-distance-k`` bound is enough.
         """
+        verdict = resolve_verdict(loop, self.analyze)
         if group is not None and group >= 2:
             from repro.analysis import (
-                analyze_loop,
                 build_distance_record,
-                cross_check,
                 distance_fingerprint,
             )
 
-            verdict = analyze_loop(loop)
             record, hit = self.cache.get_or_build(
                 loop,
                 builder=lambda lp: build_distance_record(
@@ -193,39 +186,32 @@ class VectorizedRunner(Runner):
                 ),
                 fingerprint=distance_fingerprint(loop, group),
             )
-            if self.analyze == "symbolic+check":
-                cross_check(loop, verdict, strict=True)
             return record, hit, False, verdict
-        if self.analyze is not None:
+        if verdict is not None and verdict.elidable:
             from repro.analysis import (
-                analyze_loop,
                 build_symbolic_record,
                 symbolic_fingerprint,
             )
 
-            verdict = analyze_loop(loop)
-            if verdict.elidable:
-                record, hit = self.cache.get_or_build(
-                    loop,
-                    builder=lambda lp: build_symbolic_record(lp, verdict),
-                    fingerprint=symbolic_fingerprint(loop),
-                )
-                if self.analyze == "symbolic+check":
-                    self._debug_check(loop, verdict, record)
-                return record, hit, True, verdict
-            record, hit = self.cache.get_or_build(loop)
-            return record, hit, False, verdict
+            record, hit = self.cache.get_or_build(
+                loop,
+                builder=lambda lp: build_symbolic_record(lp, verdict),
+                fingerprint=symbolic_fingerprint(loop),
+            )
+            if self.analyze == "symbolic+check":
+                self._debug_check(loop, record)
+            return record, hit, True, verdict
         record, hit = self.cache.get_or_build(loop)
-        return record, hit, False, None
+        return record, hit, False, verdict
 
-    def _debug_check(self, loop: IrregularLoop, verdict, record) -> None:
-        """``analyze="symbolic+check"``: validate the verdict against the
-        runtime inspector and the elided record against the real one."""
-        from repro.analysis import cross_check, record_mismatches
+    def _debug_check(self, loop: IrregularLoop, record) -> None:
+        """``analyze="symbolic+check"``: the elided record must equal the
+        real inspector's (the verdict itself was cross-checked when it
+        was resolved)."""
+        from repro.analysis import record_mismatches
         from repro.backends.cache import build_inspector_record
         from repro.errors import ProofError
 
-        cross_check(loop, verdict, strict=True)
         problems = record_mismatches(record, build_inspector_record(loop))
         if problems:
             raise ProofError(
@@ -253,6 +239,7 @@ class VectorizedRunner(Runner):
         per-processor scheduling and are ignored (each ignored option is
         recorded in ``result.extras["ignored_options"]``).
         """
+        check_group_sync(loop, group_sync)
         if order is not None:
             validate_execution_order(loop, np.asarray(order, dtype=np.int64))
         rec = self._obs_recorder
@@ -549,13 +536,7 @@ class VectorizedRunner(Runner):
                 "plan": record.plan.describe(),
             }
         )
-        if self.analyze is not None:
-            result.extras["analyze"] = self.analyze
-            result.extras["inspector_elided"] = elided
-            if verdict is not None:
-                result.extras["verdict"] = verdict.kind
-                if verdict.distance is not None:
-                    result.extras["verdict_distance"] = int(verdict.distance)
+        note_verdict(result, self.analyze, verdict, elided)
         met = self._obs_metrics
         if met is not None:
             met.count("inspector_cache_hits", 1 if hit else 0)

@@ -44,6 +44,21 @@ class LevelSchedule:
     order: np.ndarray
     level_ptr: np.ndarray
 
+    @classmethod
+    def from_levels(cls, levels: np.ndarray) -> "LevelSchedule":
+        """The deterministic layout for given per-iteration levels —
+        however they were derived (the DAG, a proven distance, distance
+        groups)."""
+        n = len(levels)
+        order = np.lexsort(
+            (np.arange(n, dtype=np.int64), levels)
+        ).astype(np.int64)
+        n_levels = int(levels.max()) + 1 if n else 0
+        level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
+        if n:
+            level_ptr[1:] = np.cumsum(np.bincount(levels, minlength=n_levels))
+        return cls(levels=levels, order=order, level_ptr=level_ptr)
+
     @property
     def n_levels(self) -> int:
         return len(self.level_ptr) - 1
@@ -103,14 +118,7 @@ def compute_levels(source: IrregularLoop | DependenceGraph) -> LevelSchedule:
         if isinstance(source, DependenceGraph)
         else DependenceGraph.from_loop(source)
     )
-    n = graph.n
-    levels = _wavefront_levels(graph)
-    order = np.lexsort((np.arange(n, dtype=np.int64), levels)).astype(np.int64)
-    n_levels = int(levels.max()) + 1 if n else 0
-    level_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    if n:
-        level_ptr[1:] = np.cumsum(np.bincount(levels, minlength=n_levels))
-    return LevelSchedule(levels=levels, order=order, level_ptr=level_ptr)
+    return LevelSchedule.from_levels(_wavefront_levels(graph))
 
 
 def _wavefront_levels(graph: DependenceGraph) -> np.ndarray:

@@ -87,14 +87,6 @@ class LintContext:
         return self._verdict
 
     @property
-    def static_min_distance(self) -> int | None:
-        """The battery's proven lower bound on every cross-iteration true
-        dependence distance (``verdict.min_distance``) — ``None`` when the
-        battery proves nothing.  Distinct from ``summary.min_distance``,
-        which is the distance *observed on this instance*."""
-        return self.verdict.min_distance
-
-    @property
     def classified(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(readers, writers, categories)`` per flat read term."""
         if self._classified is None:

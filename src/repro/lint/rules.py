@@ -494,18 +494,24 @@ class CoupledSubscriptRule(LintRule):
     max_listed = 8
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        vectors = ctx.verdict.vectors
-        if not vectors:
+        loop = ctx.loop
+        if loop.read_slots is not None:
+            slots = ctx.verdict.slots
+            total = len(slots)
+            opaque = [s.slot for s in slots if not s.applicable]
+        elif loop.reads.total_terms:
+            # A raw read table is one opaque slot: nothing is declared.
+            total, opaque = 1, [0]
+        else:
             return
-        opaque = [v for v in vectors if not v.applicable]
         if not opaque:
             return
-        listed = ", ".join(str(v.slot) for v in opaque[: self.max_listed])
+        listed = ", ".join(str(j) for j in opaque[: self.max_listed])
         if len(opaque) > self.max_listed:
             listed += ", …"
         yield self.finding(
             ctx,
-            f"{len(opaque)} of {len(vectors)} declared read slot(s) "
+            f"{len(opaque)} of {total} declared read slot(s) "
             f"[{listed}] carry subscripts the test battery cannot model "
             f"(non-affine or runtime-coupled): no static direction or "
             f"distance is provable for them",
@@ -531,7 +537,8 @@ class DistanceMismatchRule(LintRule):
     )
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        static_min = ctx.static_min_distance
+        # Proven for every input, against the distance observed on this one.
+        static_min = ctx.verdict.min_distance
         if static_min is None:
             return
         observed = ctx.summary.min_distance
@@ -573,7 +580,7 @@ class SymbolicMismatchRule(LintRule):
         from repro.errors import ProofError
 
         try:
-            sids = slot_term_map(loop)
+            readers, sids = slot_term_map(loop)
         except ProofError as exc:
             yield self.finding(
                 ctx,
@@ -586,7 +593,6 @@ class SymbolicMismatchRule(LintRule):
                 location="slot layout",
             )
             return
-        readers = loop.reads.iteration_of_term()
         for j, slot in enumerate(loop.read_slots):
             mask = sids == j
             if not mask.any():

@@ -1,6 +1,6 @@
 """The distance-elision stage: proof-carrying synchronization elision.
 
-The dependence-test battery (:mod:`repro.analysis.deptest`) proves a
+The per-slot dependence tests (:mod:`repro.analysis.deptest`) prove a
 lower bound ``min_distance`` on the distance of every cross-iteration
 true dependence.  Whenever that bound is at least the synchronization
 granularity, the per-element post/wait protocol of §2.2 is overkill: run
@@ -12,7 +12,7 @@ arXiv 1311.2927).
 
 The ``distance-elision`` stage of :func:`~repro.passes.plan.plan_loop`
 (:func:`plan_distance_elision`) decides the group size per backend and
-records the decision — with the battery's machine-checkable certificate —
+records the decision — with the verdict's machine-checkable certificate —
 in the plan (``Plan.distance_elision``):
 
 - ``threaded`` / ``vectorized``: ``g = min_distance`` (the threaded
@@ -42,18 +42,21 @@ def plan_distance_elision(
     chunk: int | None,
     *,
     natural_order: bool,
+    verdict=None,
 ) -> dict | None:
-    """The elision decision for one loop/backend/chunk combination.
+    """The elision decision for one loop/backend/chunk combination
+    under ``verdict`` (default: :func:`repro.analysis.analyze_loop`).
 
     Returns ``None`` when group-synchronous execution is not provably
     sound (or not supported), else a JSON-safe dict carrying the group
-    size and the battery's proof-backed certificate.
+    size and the verdict's proof-backed certificate.
     """
     if not natural_order or backend not in _GROUP_BACKENDS:
         return None
-    from repro.analysis import analyze_loop
+    if verdict is None:
+        from repro.analysis import analyze_loop
 
-    verdict = analyze_loop(loop)
+        verdict = analyze_loop(loop)
     m = verdict.min_distance
     if m is None or m < 2 or not verdict.write_injective:
         return None
@@ -73,6 +76,7 @@ def plan_distance_elision(
         "certificate": {
             "loop": loop.name,
             "min_distance": int(m),
-            "vectors": [v.as_dict() for v in verdict.vectors],
+            "slots": [s.as_dict() for s in verdict.slots],
+            "proof": verdict.proof.as_dict(),
         },
     }

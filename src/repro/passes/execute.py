@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+from repro.backends.base import note_verdict
 from repro.backends.cache import InspectorCache
 from repro.core.results import RunResult
 from repro.ir.loop import IrregularLoop
@@ -123,11 +124,9 @@ def execute_plan(
         result.extras["distance_elision"] = {
             k: v for k, v in elision.items() if k != "certificate"
         }
-    if verdict is not None:
-        result.extras.setdefault("analyze", spec.analyze)
-        result.extras.setdefault("verdict", verdict.kind)
-        if verdict.distance is not None:
-            result.extras.setdefault("verdict_distance", int(verdict.distance))
+    if backend == "simulated":
+        # Every other backend was handed ``analyze`` and noted it itself.
+        note_verdict(result, spec.analyze, verdict)
 
     if auto:
         result.extras["tuner"] = plan.tuner.as_dict()

@@ -223,7 +223,7 @@ def plan_loop(
         passes.append("distance-elision")
         verdict = analyze_loop(loop)
         elision = plan_distance_elision(
-            loop, backend, chunk, natural_order=order is None
+            loop, backend, chunk, natural_order=order is None, verdict=verdict
         )
 
     sanitize_pairs = None

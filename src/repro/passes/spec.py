@@ -31,6 +31,7 @@ __all__ = [
     "SPEC_BACKENDS",
     "AUTO_BACKEND",
     "REORDER_KINDS",
+    "ANALYZE_MODES",
     "check_options",
     "resolve_shorthand",
 ]
@@ -115,7 +116,9 @@ _REASONS = {
     ),
 }
 
-_ANALYZE_MODES = (None, "symbolic", "symbolic+check")
+#: Accepted values for the ``analyze`` option (here and on every runner
+#: constructor).
+ANALYZE_MODES = (None, "symbolic", "symbolic+check")
 _VALIDATE_MODES = (None, "static", "sanitize")
 
 
@@ -256,10 +259,10 @@ class PlanSpec:
                 f"unknown reorder kind {self.reorder!r}; expected one of "
                 f"{'/'.join(REORDER_KINDS)}"
             )
-        if self.analyze not in _ANALYZE_MODES:
+        if self.analyze not in ANALYZE_MODES:
             raise ScheduleError(
                 f"unknown analyze mode {self.analyze!r}; expected one of "
-                f"{_ANALYZE_MODES}"
+                f"{ANALYZE_MODES}"
             )
         if self.validate not in _VALIDATE_MODES:
             raise ScheduleError(

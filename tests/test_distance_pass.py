@@ -14,7 +14,7 @@ import pytest
 from repro.backends import make_runner
 from repro.backends.cache import InspectorCache
 from repro.core.sequential import run_reference
-from repro.errors import RaceConditionError
+from repro.errors import ProofError, RaceConditionError, ScheduleError
 from repro.passes.distance import plan_distance_elision
 from repro.core.doacross import parallelize
 from repro.passes.plan import plan_loop
@@ -92,8 +92,8 @@ def test_certificate_carries_the_machine_checkable_evidence():
     cert = decision["certificate"]
     assert cert["loop"] == "chain(n=400,d=8)"
     assert cert["min_distance"] == 8
-    assert cert["vectors"][0]["test"] == "deptest-strong-siv"
-    assert cert["vectors"][0]["steps"], "certificate must embed the proof"
+    assert cert["slots"][0]["rule"] == "deptest-strong-siv"
+    assert cert["proof"]["steps"], "certificate must embed the proof"
 
 
 # ----------------------------------------------------------------------
@@ -275,3 +275,74 @@ def test_refused_group_sync_is_noted_and_counted(backend, options, reason):
     counters = _counters(result)
     assert counters["sync_elision_fallbacks"] == 1
     assert counters["flag_sets"] == chain.n  # the flag protocol ran
+
+
+# ----------------------------------------------------------------------
+# A hand-passed group is checked against the proven bound, on every
+# group backend, before anything starts
+# ----------------------------------------------------------------------
+GROUP_BACKENDS = [
+    ("threaded", {}),
+    ("multiproc", {"chunk": 2}),
+    ("vectorized", {}),
+]
+
+
+def _bare_runner(backend, monkeypatch):
+    """An unhooked 2-worker runner that fails the test if it starts a
+    thread, a worker pool or a shared-memory session, or touches its
+    inspector cache."""
+    import threading
+
+    runner = make_runner(spec=PlanSpec(backend=backend, processors=2))
+
+    def started(*_args, **_kwargs):
+        raise AssertionError(f"{backend} started work before the check")
+
+    monkeypatch.setattr(threading.Thread, "start", started)
+    for name in ("_execute", "_ensure_pool", "_session_for", "_preprocess"):
+        if hasattr(runner, name):
+            monkeypatch.setattr(runner, name, started)
+    return runner
+
+
+@pytest.mark.parametrize("backend,options", GROUP_BACKENDS)
+def test_group_beyond_the_proven_bound_is_refused(
+    backend, options, monkeypatch
+):
+    # Distance-1 chain under groups of 8: seven of every eight true
+    # dependences would sit unordered inside a group.
+    runner = _bare_runner(backend, monkeypatch)
+    with pytest.raises(
+        ProofError, match="no proven dependence-distance bound >= 8"
+    ):
+        runner.run(chain_loop(4000, 1), group_sync=8, **options)
+    # No bound at all (runtime subscripts) refuses every group.
+    with pytest.raises(ProofError, match="proven bound: None"):
+        runner.run(random_irregular_loop(64, seed=2), group_sync=2, **options)
+
+
+@pytest.mark.parametrize("group", [0, -2])
+@pytest.mark.parametrize("backend,options", GROUP_BACKENDS)
+def test_nonpositive_group_is_no_schedule(
+    backend, options, group, monkeypatch
+):
+    runner = _bare_runner(backend, monkeypatch)
+    with pytest.raises(ScheduleError, match="group_sync must be >= 1"):
+        runner.run(chain_loop(64, 4), group_sync=group, **options)
+
+
+@pytest.mark.parametrize("group", [8, 4, 2])
+@pytest.mark.parametrize("backend,options", GROUP_BACKENDS)
+def test_group_within_the_proven_bound_matches_the_oracle(
+    backend, options, group
+):
+    chain = chain_loop(400, 8)
+    runner = make_runner(spec=PlanSpec(backend=backend, processors=2))
+    try:
+        result = runner.run(chain, group_sync=group, **options)
+    finally:
+        if backend == "multiproc":
+            runner.close()
+    assert result.extras["distance_group"] == group
+    np.testing.assert_array_equal(result.y, chain.run_sequential())

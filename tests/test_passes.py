@@ -79,6 +79,42 @@ def _sha(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
+def _as_parent_spelled(elision):
+    """The elision decision with its certificate respelled the way the
+    commit ``PINNED`` was captured at spelled it.  The per-slot record was
+    a ``vectors`` entry then (``rule`` was ``test``, its proof step was
+    targeted ``deptest[j]`` and rode inside the entry); the content is
+    unchanged, which is what keeping the digests pins."""
+    if elision is None:
+        return None
+    cert = elision["certificate"]
+    steps = cert["proof"]["steps"]
+    vectors = [
+        {
+            "slot": s["slot"],
+            "test": s["rule"],
+            "applicable": s["applicable"],
+            "direction": s["direction"],
+            "distance": s["distance"],
+            "min_distance": s["min_distance"],
+            "steps": [
+                dict(step, target=f"deptest[{s['slot']}]")
+                for step in steps
+                if step["target"] == f"slot[{s['slot']}]"
+            ],
+        }
+        for s in cert["slots"]
+    ]
+    return dict(
+        elision,
+        certificate={
+            "loop": cert["loop"],
+            "min_distance": cert["min_distance"],
+            "vectors": vectors,
+        },
+    )
+
+
 def _pin_cell(loop, spec_kwargs, cache):
     """Everything one ``plan_loop`` call decided (fingerprints dropped), or
     the error it raised."""
@@ -96,7 +132,7 @@ def _pin_cell(loop, spec_kwargs, cache):
         _sha(plan.order),
         _sha(plan.levels.levels),
         plan.chunk,
-        plan.distance_elision,
+        _as_parent_spelled(plan.distance_elision),
         plan.sanitize_pairs,
         plan.record is not None,
     ]

@@ -15,16 +15,8 @@ from repro.core.doacross import PreprocessedDoacross
 from repro.core.doconsider import Doconsider
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
+from tests.strategies import loop_params
 
-loop_params = st.fixed_dictionaries(
-    {
-        "n": st.integers(0, 80),
-        "max_terms": st.integers(0, 5),
-        "y_extra": st.integers(0, 12),
-        "seed": st.integers(0, 10_000),
-        "external_init": st.booleans(),
-    }
-)
 
 
 def close(a, b):

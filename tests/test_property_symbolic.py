@@ -2,7 +2,7 @@
 
 The engine's contract is soundness — everything it proves holds for the
 concrete instance the runtime inspector sees.  Random affine loops
-exercise the proving rules (same-stride, congruence, interval, monotone);
+exercise the per-slot tests (strong/weak SIV, GCD, Banerjee bounds);
 random opaque loops exercise the honest-decline path.  In both cases
 ``cross_check`` (which audits the proof AND replays the inspector) must
 come back clean, and elidable verdicts must reproduce the inspector
@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    DIR_ANY,
+    DIR_NONE,
+    SLOT_ANTI,
+    SLOT_INTRA,
+    SLOT_NO_TRUE,
+    SLOT_NONE,
     SLOT_TRUE,
+    SLOT_UNKNOWN,
     VERDICT_CONSTANT_DISTANCE,
     VERDICT_DOALL,
     analyze_loop,
@@ -24,25 +31,8 @@ from repro.analysis import (
 )
 from repro.backends.cache import build_inspector_record
 from repro.ir.analysis import observed_distances
-from repro.workloads.synthetic import affine_loop, random_irregular_loop
-
-# Affine (c, d) pairs kept small so loops stay fast but signs and
-# divisibility corner cases are all reachable.
-affine_pair = st.tuples(
-    st.integers(min_value=-3, max_value=3).filter(lambda c: c != 0),
-    st.integers(min_value=-6, max_value=6),
-)
-
-
-@st.composite
-def affine_loops(draw):
-    n = draw(st.integers(min_value=2, max_value=60))
-    write = draw(affine_pair)
-    n_slots = draw(st.integers(min_value=0, max_value=3))
-    slots = [draw(affine_pair) for _ in range(n_slots)]
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    return affine_loop(n, write, slots, seed=seed, name="prop-affine")
-
+from repro.workloads.synthetic import random_irregular_loop
+from tests.strategies import affine_loops
 
 @given(affine_loops())
 @settings(max_examples=80, deadline=None)
@@ -114,7 +104,7 @@ def test_chain_distance_is_recovered_exactly(d, n):
 
 
 # ----------------------------------------------------------------------
-# The dependence-test battery (direction/distance vectors)
+# The per-slot records (direction / distance / kind)
 # ----------------------------------------------------------------------
 @given(affine_loops())
 @settings(max_examples=60, deadline=None)
@@ -132,12 +122,10 @@ def test_battery_bound_never_exceeds_an_observed_distance(loop):
 @given(affine_loops())
 @settings(max_examples=60, deadline=None)
 def test_battery_vectors_agree_with_brute_force_pairs(loop):
-    from repro.analysis import DIR_ANY
-
     verdict = analyze_loop(loop)
     n = loop.n
     w = loop.write_subscript.materialize(n)
-    for vec in verdict.vectors:
+    for vec in verdict.slots:
         slot = loop.read_slots[vec.slot]
         lo, hi = slot.active_range(n)
         if hi <= lo or not vec.applicable:
@@ -166,3 +154,39 @@ def test_battery_vectors_agree_with_brute_force_pairs(loop):
                 assert min(true_distances) >= vec.min_distance
             if vec.distance is not None:
                 assert set(true_distances) == {vec.distance}
+
+
+def _table_kind(direction, distance):
+    """The slot kind as a function of (direction, distance) — spelled out
+    independently of ``SlotDependence.kind``."""
+    return {
+        (DIR_NONE, False): SLOT_NONE,
+        ("<", True): SLOT_TRUE,
+        (">", True): SLOT_ANTI,
+        (">", False): SLOT_NO_TRUE,
+        ("=", True): SLOT_INTRA,
+    }.get((direction, distance is not None), SLOT_UNKNOWN)
+
+
+@given(affine_loops())
+@settings(max_examples=80, deadline=None)
+def test_kind_is_the_table_and_elidable_records_match_the_inspector(loop):
+    verdict = analyze_loop(loop)
+    for slot in verdict.slots:
+        assert slot.kind == _table_kind(slot.direction, slot.distance)
+        assert slot.classified == (slot.kind != SLOT_UNKNOWN)
+        # An exact distance comes with the range it binds, and its sign
+        # is the direction.
+        assert (slot.distance is None) == (slot.dep_range is None)
+        if slot.distance is not None:
+            lo, hi = slot.dep_range
+            assert slot.active[0] <= lo < hi <= slot.active[1]
+            sign = (slot.distance > 0) - (slot.distance < 0)
+            assert slot.direction == {1: "<", 0: "=", -1: ">"}[sign]
+    assert verdict.fully_classified == all(s.classified for s in verdict.slots)
+    # One proof step per part: the write, each slot, the composition.
+    assert len(verdict.proof.steps) == len(verdict.slots) + 2
+    if verdict.elidable:
+        assert records_equal(
+            build_symbolic_record(loop), build_inspector_record(loop)
+        )

@@ -190,6 +190,50 @@ def test_threaded_symbolic_check_and_fallback():
     assert counters(result)["inspector_iterations"] == opaque.n
 
 
+@pytest.mark.parametrize(
+    "backend", ["vectorized", "threaded", "multiproc", "speculative"]
+)
+def test_verdict_is_resolved_the_same_way_on_every_backend(backend):
+    from repro.ir.accesses import ReadSlot
+    from repro.ir.loop import IrregularLoop
+    from repro.ir.subscript import AffineSubscript
+
+    def runner(analyze):
+        return make_runner(
+            spec=PlanSpec(backend=backend, processors=2, analyze=analyze)
+        )
+
+    chain = repro.chain_loop(96, 3)
+    result = runner("symbolic").run(chain)
+    assert np.array_equal(result.y, chain.run_sequential())
+    noted = {k: result.extras.get(k) for k in
+             ("analyze", "verdict", "verdict_distance")}
+    assert noted == {
+        "analyze": "symbolic",
+        "verdict": "constant-distance",
+        "verdict_distance": 3,
+    }
+    # Only the backends with an inspector to skip say whether they did.
+    assert ("inspector_elided" in result.extras) == (backend != "speculative")
+    assert "verdict" not in runner(None).run(chain).extras
+
+    # The debug mode audits the verdict whether or not it is elidable:
+    # the slot below claims reads at 2i-3 (direction "<=>", not
+    # classifiable) over a table that really reads i-3.
+    lying = IrregularLoop(
+        n=chain.n,
+        y_size=chain.y_size,
+        write_subscript=chain.write_subscript,
+        reads=chain.reads,
+        y0=chain.y0,
+        name="lying-chain",
+        read_slots=[ReadSlot(AffineSubscript(2, -3), start=3)],
+    )
+    assert not analyze_loop(lying).elidable
+    with pytest.raises(ProofError, match="cross-check"):
+        runner("symbolic+check").run(lying)
+
+
 # ----------------------------------------------------------------------
 # make_runner / parallelize wiring
 # ----------------------------------------------------------------------

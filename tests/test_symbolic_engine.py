@@ -164,7 +164,7 @@ def test_congruence_disjoint_stride_is_doall():
     verdict = analyze_loop(loop)
     assert verdict.kind == VERDICT_DOALL
     (slot,) = verdict.slots
-    assert slot.rule in ("same-stride-distance", "congruence-disjoint")
+    assert slot.rule == "deptest-gcd"
 
 
 def test_opaque_loop_is_runtime_only():
@@ -284,7 +284,7 @@ def test_proof_steps_name_their_rules():
     verdict = analyze_loop(repro.chain_loop(32, 4))
     rules = {step.rule for step in verdict.proof.steps}
     assert "affine-injective" in rules
-    assert "same-stride-distance" in rules
+    assert "deptest-strong-siv" in rules
     assert "compose-verdict" in rules
     assert verdict.proof.failed_checks() == []
     assert np.all(
