@@ -85,6 +85,12 @@ def _codegen(args: list[str]) -> int:
     from repro.ir.transform import plan_transform
 
     kind = args[0] if args else "irregular"
+    if kind == "--c":
+        # What is actually compiled: the executor's scalar walk.
+        from repro.backends.native import c_source
+
+        print(c_source(), end="")
+        return 0
     if kind == "irregular":
         loop = repro.random_irregular_loop(100, seed=0)
         plan = plan_transform(loop)
@@ -143,8 +149,9 @@ COMMANDS: dict[str, Command] = {
         "irregular loop (default n=200, seed=0)",
     ),
     "codegen": Command(
-        _codegen, "[irregular|affine|chain|independent]",
-        "print the transformed pseudo-Fortran source for a sample loop",
+        _codegen, "[irregular|affine|chain|independent|--c]",
+        "print the transformed pseudo-Fortran source for a sample loop "
+        "(--c: the C text of the compiled executor walk)",
     ),
     "demo": Command(
         _demo, "[--backend=NAME]",

@@ -42,6 +42,7 @@ __all__ = [
     "check_group_sync",
     "resolve_verdict",
     "note_verdict",
+    "note_kernel",
     "validate_execution_order",
     "inverse_permutation",
     "note_ignored_options",
@@ -188,6 +189,26 @@ def note_verdict(
     result.extras["verdict"] = verdict.kind
     if verdict.distance is not None:
         result.extras["verdict_distance"] = int(verdict.distance)
+
+
+def note_kernel(result: RunResult, metrics, tallies: list[tuple]) -> None:
+    """Record which body of :func:`~repro.backends.kernel.run_span` the
+    run's spans executed on, from the per-thread (or per-worker)
+    :func:`~repro.backends.kernel.take_tally` triples: counters
+    ``kernel_spans_native`` / ``kernel_spans_python``, and — when any span
+    ran at all — ``result.extras["kernel"]``: ``body`` is ``"native"`` if
+    any span ran compiled, ``reason`` is why the Python-body spans (if
+    any) did not."""
+    native = sum(t[0] for t in tallies)
+    python = sum(t[1] for t in tallies)
+    if metrics is not None:
+        metrics.count("kernel_spans_native", native)
+        metrics.count("kernel_spans_python", python)
+    if native or python:
+        result.extras["kernel"] = {
+            "body": "native" if native else "python",
+            "reason": next((t[2] for t in tallies if t[2]), None),
+        }
 
 
 def note_ignored_options(

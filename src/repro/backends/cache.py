@@ -64,7 +64,10 @@ __all__ = [
 #: 8 / 16 / 32 / 64 / 128: ``trisolve_5pt`` 4.21 / 3.90 / 3.92 / 3.98 /
 #: 4.19 / 5.63 / 12.6, ``krylov_churn`` 10.6 / 10.1 / 9.9 / 9.9 / 9.9 /
 #: 10.5 / 11.8, ``fig4_chain`` 175 / 10.3 / 10.4 / 10.5 / 10.3 / 10.4 /
-#: 10.4 — flat from 2 to 32, +40 % at 64 on the trisolve.
+#: 10.4 — flat from 2 to 32, +40 % at 64 on the trisolve.  Measured
+#: against the *Python* walk; deliberately not re-measured against the
+#: compiled one (``kernel._NATIVE_FROM``), which would move it — it
+#: changes the record's segments and the captures pinned on them.
 _FUSE_BELOW = 8
 
 

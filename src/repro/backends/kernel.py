@@ -31,8 +31,18 @@ placement and the same codes — its wait set is exactly the terms coded
 :data:`WAIT` — and the mutation harness (:mod:`repro.sanitize.mutate`)
 corrupts these codes and replays :func:`run_span` over them, so what is
 checked, and what the detector is proven against, is what the backend
-executes.  A compiled kernel, when there is one, replaces the body of
-:func:`run_span` and nothing else.
+executes.
+
+:func:`run_span` has two bodies behind one signature.  A span that needs
+no Python callback — no ``wait``, no ``post``, no shadow log, every
+operand a flat array — and is long enough to repay a foreign call runs
+compiled (:mod:`repro.backends.native`: the same walk in C, built once
+with ``gcc`` and cached on disk, called through :mod:`ctypes` with the GIL
+released); every other span, and every span when there is no compiler,
+runs the Python walk below.  Which body ran, and why, is tallied per
+thread (:func:`take_tally`) and reported by the backends per run
+(``result.extras["kernel"]``).  The two agree bit for bit except in the
+payload bits of a NaN (see :mod:`~repro.backends.native`).
 
 The cycle-charging simulator (:mod:`repro.backends.simulated`) shares
 :func:`classify_terms` — with ``chunk = 1``, per strip-mine block, from
@@ -49,7 +59,11 @@ blocking scalar walk.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
+
+from repro.backends import native
 
 __all__ = [
     "OLD",
@@ -61,6 +75,7 @@ __all__ = [
     "lane_positions",
     "classify_terms",
     "run_span",
+    "take_tally",
 ]
 
 #: Term codes.  ``OLD``: read the old ``y`` (antidependence or unwritten
@@ -69,6 +84,46 @@ __all__ = [
 #: renamed value written on another lane (or an earlier strip) — needs
 #: the writer's post.  ``ACC``: the iteration's own live accumulator.
 OLD, LOCAL, WAIT, ACC = 0, 1, 2, 3
+
+#: Spans shorter than this keep the Python body: a compiled call has a
+#: fixed cost (ten operand checks + marshalling 16 arguments) that a short
+#: walk does not repay.  One ``run_span`` call in us, best of 7 x 2000, on
+#: ``random_irregular_loop(4000, seed=3)`` (2.0 terms per iteration), at
+#: 1 / 8 / 16 / 24 / 32 / 48 / 64 / 128 iterations: Python 3.6 / 7.1 /
+#: 10.3 / 13.8 / 17.4 / 25.7 / 32.0 / 49.6, compiled 14.6 / 14.9 / 15.3 /
+#: 14.5 / 15.4 / 16.3 / 15.4 / 12.6 — they cross between 24 and 32.  It is
+#: a property of the span the code can see, not a setting: the fused runs
+#: of ``krylov_churn`` (1-7 iterations) and ``trisolve_5pt`` (two of 28)
+#: stay interpreted, ``fig4_chain``'s one run of 8,000 is compiled.  The
+#: segment cut ``cache._FUSE_BELOW`` sits beside it and is unchanged.
+_NATIVE_FROM = 32
+
+
+class _Tally(threading.local):
+    """Spans this thread ran on each body since :func:`take_tally`, and
+    why the last Python one did."""
+
+    native = 0
+    python = 0
+    reason: str | None = None
+
+
+_tally = _Tally()
+
+
+def take_tally() -> tuple[int, int, str | None]:
+    """``(native spans, Python spans, reason)`` of the calling thread
+    since it last asked; resets the count.  The reason is why the latest
+    Python-body span did not run compiled: ``sanitize`` (a shadow log),
+    ``blocking-span`` (``wait`` / ``post`` callbacks), ``short-span``,
+    ``non-array-operand`` (anything but flat arrays of the walk's dtypes,
+    ``out`` writeable), or the process-level ``no-compiler`` /
+    ``unsafe-cache-dir`` / ``build-failed: ...``, which take precedence."""
+    t = _tally
+    taken = t.native, t.python, t.reason
+    t.native = t.python = 0
+    t.reason = None
+    return taken
 
 
 def default_chunk(n: int, workers: int) -> int:
@@ -177,7 +232,31 @@ def run_span(
     reads the live buffer — a value another thread or process publishes
     is seen as before.  Non-array operands (the speculative backend's
     ``dict`` write buffer) pass through untouched.
+
+    That is the Python body.  A span with no callback and no log, at
+    least :data:`_NATIVE_FROM` iterations long, is handed to the compiled
+    body instead (:func:`repro.backends.native.run_span`), which either
+    returns the cursor or says why it cannot run; its bounds violations
+    raise :class:`~repro.errors.InvalidLoopError`.
     """
+    reason = native.unavailable()
+    if reason is None:
+        if events is not None:
+            reason = "sanitize"
+        elif wait is not None or post is not None:
+            reason = "blocking-span"
+        elif len(its) < _NATIVE_FROM:
+            reason = "short-span"
+        else:
+            done = native.run_span(
+                its, codes, write, ptr, index, coeff, init, old, new, out, cur
+            )
+            if type(done) is int:
+                _tally.native += 1
+                return done
+            reason = done
+    _tally.python += 1
+    _tally.reason = reason
     code, write, ptr, index, coeff, init, old, new, out = (
         memoryview(a) if isinstance(a, np.ndarray) else a
         for a in (codes, write, ptr, index, coeff, init, old, new, out)

@@ -66,6 +66,7 @@ from repro.backends.base import (
     check_group_sync,
     inverse_permutation,
     note_ignored_options,
+    note_kernel,
     note_verdict,
     resolve_verdict,
     validate_execution_order,
@@ -263,6 +264,7 @@ def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
     its, codes = _lane_codes(sess, opts, wid, *opts["window"])
     n_waits = int(np.count_nonzero(codes == kernel.WAIT))
     flagged = group_round is None
+    kernel.take_tally()  # a span that timed out left its count behind
     try:
         kernel.run_span(
             its, codes, v["write"], v["ptr"], v["index"], v["coeff"],
@@ -294,7 +296,9 @@ def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
         # Posts never set (one per iteration) + waits never performed.
         metrics["sync_elisions"] = len(its) + n_waits
         attrs["group_round"] = group_round
-    payload: dict = {"wid": wid, "metrics": metrics}
+    payload: dict = {
+        "wid": wid, "metrics": metrics, "kernel": kernel.take_tally(),
+    }
     if observe:
         t_end = clock()
         if flagged:
@@ -705,10 +709,12 @@ class MultiprocRunner(Runner):
                 dict(opts, window=(lo, min(n, lo + group)), round=gk)
                 for gk, lo in enumerate(range(0, n, group))
             ]
+        tallies: list[tuple] = []
         for ropts in rounds:
             self._broadcast(("executor", sess.key, ropts))
             payloads = self._collect("executor")
             self._apply(payloads, rec, met)
+            tallies.extend(p["kernel"] for p in payloads if p is not None)
             if san is not None:
                 timeout_exc: WaitTimeout | None = None
                 for payload in payloads:
@@ -760,6 +766,7 @@ class MultiprocRunner(Runner):
             result.extras["cache_hits_total"] = stats["hits"]
             result.extras["cache_misses_total"] = stats["misses"]
         note_verdict(result, self.analyze, verdict, elide)
+        note_kernel(result, met, tallies)
         if met is not None:
             met.gauge("workers", self.workers)
             met.gauge("chunk", c_size)

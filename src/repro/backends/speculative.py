@@ -58,6 +58,7 @@ from repro.backends.base import (
     Runner,
     check_analyze_mode,
     note_ignored_options,
+    note_kernel,
     note_verdict,
     resolve_verdict,
     validate_execution_order,
@@ -143,7 +144,7 @@ class SpeculativeRunner(Runner):
             cs = kernel.default_chunk(loop.n, self.workers)
 
         t0 = time.perf_counter()
-        y, stats = self._execute(loop, cs)
+        y, stats, tallies = self._execute(loop, cs)
         wall = time.perf_counter() - t0
 
         cm = CostModel()
@@ -160,6 +161,7 @@ class SpeculativeRunner(Runner):
         )
         result.extras["speculation"] = stats
         note_verdict(result, self.analyze, verdict)
+        note_kernel(result, self._obs_metrics, tallies)
         ignored = {}
         if order is not None:
             ignored["order"] = (
@@ -219,7 +221,7 @@ class SpeculativeRunner(Runner):
     # ------------------------------------------------------------------
     def _execute(
         self, loop: IrregularLoop, cs: int
-    ) -> tuple[np.ndarray, dict]:
+    ) -> tuple[np.ndarray, dict, list]:
         n = loop.n
         write = loop.write
         ptr, r_idx, r_coeff = (
@@ -281,9 +283,11 @@ class SpeculativeRunner(Runner):
                 chunk_its[c], codes[c], write, ptr, r_idx, r_coeff, init,
                 y, y, buf, events=events,
             )
+            tallies.append(kernel.take_tally())
             return buf, events
 
         commits = 0
+        tallies: list[tuple] = []
 
         def commit(c: int, buf: dict, events: list | None) -> None:
             """Apply a conflict-free chunk's buffer to the committed
@@ -379,4 +383,4 @@ class SpeculativeRunner(Runner):
             "sequential_fallback": fallback,
             "fallback_chunks": fallback_chunks,
         }
-        return y, stats
+        return y, stats, tallies

@@ -38,6 +38,7 @@ from repro.backends.base import (
     check_analyze_mode,
     check_group_sync,
     note_ignored_options,
+    note_kernel,
     note_verdict,
     resolve_verdict,
     validate_execution_order,
@@ -115,7 +116,9 @@ class ThreadedRunner(Runner):
         elide = verdict is not None and verdict.write_injective
         group, group_refused = self._group(order, group_sync)
         t0 = time.perf_counter()
-        y = self._execute(loop, order=order, prefill_iter=elide, group=group)
+        y, tallies = self._execute(
+            loop, order=order, prefill_iter=elide, group=group
+        )
         wall = time.perf_counter() - t0
         cm = CostModel()
         result = RunResult(
@@ -130,6 +133,7 @@ class ThreadedRunner(Runner):
             wall_seconds=wall,
         )
         note_verdict(result, self.analyze, verdict, elide)
+        note_kernel(result, self._obs_metrics, tallies)
         if group is not None:
             result.extras["distance_group"] = int(group)
         ignored = {}
@@ -190,8 +194,9 @@ class ThreadedRunner(Runner):
         order: np.ndarray | None = None,
         prefill_iter: bool = False,
         group: int | None = None,
-    ) -> np.ndarray:
-        """The three-phase protocol on real threads; returns final ``y``.
+    ) -> tuple[np.ndarray, list]:
+        """The three-phase protocol on real threads; returns final ``y``
+        and each thread's :func:`kernel.take_tally`.
 
         With ``prefill_iter`` (symbolic elision, write proven injective),
         ``iter`` is filled once on the calling thread and the workers skip
@@ -228,6 +233,7 @@ class ThreadedRunner(Runner):
         barrier = threading.Barrier(t_count)
         failures: list[BaseException] = []
         failure_lock = threading.Lock()
+        tallies: list[tuple] = []
         rec = self._obs_recorder
         met = self._obs_metrics
         san = self._san_capture
@@ -327,6 +333,7 @@ class ThreadedRunner(Runner):
                         if events is not None:
                             events.append(("b", ("g", gk)))
                         barrier.wait()
+                tallies.append(kernel.take_tally())
                 if rec is not None:
                     t_end = now()
                     buf.append(
@@ -387,4 +394,4 @@ class ThreadedRunner(Runner):
                 if not isinstance(exc, threading.BrokenBarrierError):
                     raise exc
             raise failures[0]
-        return y
+        return y, tallies

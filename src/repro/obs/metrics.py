@@ -58,8 +58,10 @@ class MetricsRegistry:
         # Raw histogram samples, kept so percentiles() can answer any
         # quantile; one float per observe() call (histograms here count
         # wavefronts/phases, not per-iteration events, so retention is
-        # O(levels), not O(n)).
-        self._samples: dict[str, list[float]] = {}
+        # O(levels), not O(n)).  Held as the arrays they arrived in and
+        # flattened only when a quantile is asked for: converting 8,000
+        # widths to a list cost 0.15 ms, a fifth of a compiled chain run.
+        self._samples: dict[str, list[np.ndarray]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -81,13 +83,15 @@ class MetricsRegistry:
         """Fold many samples into histogram ``name`` in one lock acquire
         (the vectorized backend reports all its wavefront widths at once,
         as an array: thousands of them on a chain, summarized in NumPy so
-        that observing stays a few percent of a fused run)."""
-        values = np.asarray(values, dtype=np.float64)
+        that observing stays a few percent of a fused run).  An array is
+        retained as it is, not copied: hand over one nobody writes to
+        again."""
+        values = np.asarray(values)
         if not values.size:
             return
         lo, hi = float(values.min()), float(values.max())
         with self._lock:
-            self._samples.setdefault(name, []).extend(values.tolist())
+            self._samples.setdefault(name, []).append(values)
             h = self.histograms.get(name)
             if h is None:
                 h = self.histograms[name] = {
@@ -96,7 +100,7 @@ class MetricsRegistry:
                     "min": lo,
                     "max": hi,
                 }
-            h["count"] += values.size
+            h["count"] += int(values.size)
             h["sum"] += float(values.sum())
             h["min"] = min(h["min"], lo)
             h["max"] = max(h["max"], hi)
@@ -109,9 +113,10 @@ class MetricsRegistry:
         histogram has no retained samples — e.g. one deserialized from a
         summary blob."""
         with self._lock:
-            samples = sorted(self._samples.get(name, ()))
-        if not samples:
+            chunks = list(self._samples.get(name, ()))
+        if not chunks:
             return {}
+        samples = np.sort(np.concatenate(chunks).astype(np.float64)).tolist()
         return {f"p{g:g}": _quantile(samples, g) for g in q}
 
     # ------------------------------------------------------------------

@@ -5,11 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import native
 from repro.core.doacross import PreprocessedDoacross
 from repro.machine.costs import CostModel
 from repro.machine.engine import Machine
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
+
+
+def pytest_report_header(config):
+    """Which ``run_span`` body eligible spans run on in this session."""
+    return f"kernel body: {native.describe()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # ``addopts = -q`` suppresses the header; say it at the end instead.
+    if config.getoption("verbose") < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture
@@ -53,3 +65,18 @@ def assert_matches_oracle(result_y: np.ndarray, loop) -> None:
     terms in the same order — so we demand tight agreement)."""
     reference = loop.run_sequential()
     np.testing.assert_allclose(result_y, reference, rtol=1e-12, atol=1e-12)
+
+
+def assert_same_bits(got: np.ndarray, oracle: np.ndarray) -> None:
+    """The contract between the executors and ``run_sequential()`` that
+    actually holds: bit-equal wherever the oracle is not NaN (finite
+    values, ±inf and the sign of zero included), NaN exactly where the
+    oracle is NaN.  NaN *payload* bits are not compared — IEEE 754 leaves
+    the result of an operation on two NaNs to the implementation, NumPy's
+    batched kernels and ``gcc -O2`` commute the operands, and the payload
+    that survives differs."""
+    got, oracle = np.asarray(got), np.asarray(oracle)
+    assert got.shape == oracle.shape and got.dtype == oracle.dtype == np.float64
+    nan = np.isnan(oracle)
+    assert np.array_equal(np.isnan(got), nan), "NaNs at different positions"
+    assert np.array_equal(got[~nan].view(np.uint64), oracle[~nan].view(np.uint64))

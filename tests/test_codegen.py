@@ -92,3 +92,32 @@ class TestTransformedSource:
         )
         text = generate_original_source(loop)
         assert "y(-1*i + 9)" in text
+
+
+class TestCompiledExecutorText:
+    """``codegen --c``: the one piece of generated code that is compiled
+    and run, not just rendered (``repro.backends.native``)."""
+
+    def test_golden_fragments(self, capsys):
+        from repro.__main__ import main
+        from repro.backends.native import c_source
+
+        assert main(["codegen", "--c"]) == 0
+        text = capsys.readouterr().out
+        assert text == c_source()
+        assert text.startswith(
+            "#include <stdint.h>\n\n"
+            "#define OLD 0\n#define LOCAL 1\n#define WAIT 2\n#define ACC 3\n"
+        )
+        # Figure 5's three-way term rule, by code ...
+        assert (
+            "            case OLD: value = old[idx]; break;\n"
+            "            case ACC: value = acc; break;\n"
+            "            case LOCAL: value = out[idx]; break;\n"
+            "            case WAIT: default: value = new_[idx]; break;\n"
+        ) in text
+        # ... one multiply, one add, left to right, like the oracle ...
+        assert "            acc += coeff[k] * value;\n" in text
+        # ... and every subscript checked before it is used.
+        assert "if (idx < 0 || idx >= y_size)\n                return -(t + 1);" in text
+        assert "double acc = init ? init[i] : old[w];" in text

@@ -346,3 +346,28 @@ def test_group_within_the_proven_bound_matches_the_oracle(
             runner.close()
     assert result.extras["distance_group"] == group
     np.testing.assert_array_equal(result.y, chain.run_sequential())
+
+
+@pytest.mark.parametrize(
+    "backend,options",
+    [("threaded", {}), ("multiproc", {"chunk": 64})],
+)
+def test_wide_group_spans_run_on_the_compiled_body(backend, options):
+    """Groups of 128 over 2 lanes are 64-iteration barrier spans: long
+    enough for the compiled walk, which the threads run with the GIL
+    released — same values, and the run says which body it was."""
+    from repro.backends import native
+
+    chain = chain_loop(1024, 128)
+    runner = make_runner(spec=PlanSpec(backend=backend, processors=2))
+    try:
+        result = runner.run(chain, group_sync=128, **options)
+    finally:
+        if backend == "multiproc":
+            runner.close()
+    assert result.extras["distance_group"] == 128
+    np.testing.assert_array_equal(result.y, chain.run_sequential())
+    why = native.unavailable()
+    assert result.extras["kernel"] == {
+        "body": "python" if why else "native", "reason": why,
+    }

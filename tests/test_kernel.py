@@ -1,7 +1,8 @@
 """The executor kernel: one Figure-5 term rule, one scalar evaluator.
 
 ``classify_terms`` is checked against a per-term Python loop that spells
-the rule out; ``run_span`` against the sequential oracle (bitwise) and
+the rule out; ``run_span`` — both of its bodies, the Python walk and the
+compiled one — against the sequential oracle (bitwise) and
 against shadow-event lists captured from the per-backend executors this
 kernel replaced.  The last class pins the counters and per-lane shadow
 logs of the threaded and multiproc backends to the values those
@@ -11,6 +12,7 @@ chunk default from being re-derived elsewhere.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import re
 from pathlib import Path
@@ -21,16 +23,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PlanSpec, make_runner, parallelize
-from repro.backends import MultiprocRunner, ThreadedRunner, kernel
+from repro.backends import MultiprocRunner, ThreadedRunner, kernel, native
 from repro.backends.base import inverse_permutation
 from repro.backends.kernel import ACC, LOCAL, OLD, WAIT
 from repro.core.doconsider import level_order
+from repro.errors import InvalidLoopError
 from repro.ir.analysis import writer_map
 from repro.ir.loop import INIT_EXTERNAL
 from repro.sanitize.shadow import ShadowCapture
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
+from tests.conftest import assert_same_bits
+from tests.strategies import loop_params
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+needs_native = pytest.mark.skipif(
+    native.describe().startswith("python"),
+    reason=f"no compiled run_span body: {native.describe()}",
+)
+
+#: Both bodies of ``run_span``; the compiled one needs a compiler.
+BODIES = ["python", pytest.param("native", marks=needs_native)]
+
+
+@contextlib.contextmanager
+def forced(body):
+    """Callback-free spans of any length run on ``body``: the cut-off is
+    the only thing between a flat-array span and the compiled walk."""
+    saved = kernel._NATIVE_FROM
+    kernel._NATIVE_FROM = 0 if body == "native" else 1 << 62
+    kernel.take_tally()
+    try:
+        yield
+    finally:
+        kernel._NATIVE_FROM = saved
+
+
+def ran_on(body) -> bool:
+    """Whether every span since the last ask ran on ``body``."""
+    n_native, n_python, _reason = kernel.take_tally()
+    return (n_python == 0) if body == "native" else (n_native == 0)
 
 
 def brute_force_codes(loop, iter_arr, its, chunk, pos):
@@ -204,6 +236,327 @@ class TestRunSpan:
         assert events == expected
         # Plain ints: the log crosses a process boundary by pickle.
         assert all(type(x) in (int, str) for ev in events for x in ev)
+
+
+def sequential_spans(loop, chunk, cuts, old=None):
+    """The whole loop in natural order as spans cut at ``cuts``, under
+    ``classify_terms`` codes for strips of ``chunk`` (``LOCAL`` and
+    ``WAIT`` both resolve to the one renamed buffer): ``(cursor, y)``."""
+    n, reads = loop.n, loop.reads
+    its = np.arange(n)
+    codes = kernel.classify_terms(
+        reads.ptr, reads.index, writer_map(loop), its, chunk
+    )
+    old = loop.y0.copy() if old is None else old
+    ynew = np.zeros(loop.y_size)
+    cur = 0
+    bounds = [0, *sorted(c for c in cuts if c < n), n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        cur = kernel.run_span(
+            its[lo:hi], codes, *span_args(loop), old, ynew, ynew, cur=cur
+        )
+    assert cur == len(codes)
+    y = old.copy()
+    y[loop.write] = ynew[loop.write]
+    return cur, y
+
+
+SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, 5e-324)
+
+
+def seed_specials(loop, seed, share):
+    """Overwrite about ``share`` of the loop's values and coefficients
+    with NaN / inf / signed zeros / overflow-prone magnitudes, in place."""
+    rng = np.random.default_rng(seed)
+    for values in (loop.y0, loop.reads.coeff, loop.init_values):
+        if values is not None and len(values):
+            hit = rng.random(len(values)) < share
+            values[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+    return loop
+
+
+class TestBothBodies:
+    """One property suite, two bodies: the compiled walk is the Python
+    walk in another language."""
+
+    @pytest.mark.parametrize("body", BODIES)
+    @given(
+        params=loop_params,
+        size=st.sampled_from(["1", "3", "n"]),
+        cuts=st.lists(st.integers(0, 80), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_spans_equal_the_oracle_bit_for_bit(self, body, params, size, cuts):
+        loop = random_irregular_loop(**params)
+        chunk = max(loop.n, 1) if size == "n" else int(size)
+        with forced(body):
+            _cur, y = sequential_spans(loop, chunk, cuts)
+            assert ran_on(body)
+        oracle = loop.run_sequential()
+        assert np.array_equal(y.view(np.uint64), oracle.view(np.uint64))
+
+    @pytest.mark.parametrize("body", BODIES)
+    @given(
+        params=loop_params,
+        seed=st.integers(0, 10_000),
+        share=st.sampled_from([0.02, 0.2]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_nan_inf_and_signed_zero(self, body, params, seed, share):
+        loop = seed_specials(random_irregular_loop(**params), seed, share)
+        with forced(body), np.errstate(all="ignore"):
+            _cur, y = sequential_spans(loop, max(loop.n, 1), ())
+            assert_same_bits(y, loop.run_sequential())
+
+    @pytest.mark.parametrize("body", BODIES)
+    @given(seed=st.integers(0, 10_000), share=st.sampled_from([0.01, 0.1]))
+    @settings(max_examples=25, deadline=None)
+    def test_vectorized_bulk_and_fused_paths_on_special_values(
+        self, body, seed, share
+    ):
+        loop = seed_specials(random_irregular_loop(400, seed=seed), seed, share)
+        with forced(body), np.errstate(all="ignore"):
+            result = make_runner("vectorized").run(loop)
+            assert ran_on(body)
+            # Wide levels ran as NumPy batches, narrow ones (most seeds
+            # have some) as spans.
+            assert result.extras["fused_levels"] < result.extras["levels"]
+            assert_same_bits(result.y, loop.run_sequential())
+
+    @pytest.mark.parametrize("body", BODIES)
+    def test_cursor_and_values_agree_across_a_lane_walk(self, body):
+        # A lane of two under WAIT codes with published values in ``new``
+        # and a separate ``out``: same cursor, same bits on either body.
+        loop = random_irregular_loop(300, seed=11)
+        its = np.arange(1, loop.n, 2)
+        reads = loop.reads
+        codes = kernel.classify_terms(
+            reads.ptr, reads.index, writer_map(loop), its, 1
+        )
+        runs = {}
+        for which in ("python", body):
+            new = np.arange(loop.y_size, dtype=np.float64)
+            out = np.zeros(loop.y_size)
+            with forced(which):
+                cur = kernel.run_span(
+                    its, codes, *span_args(loop), loop.y0, new, out
+                )
+                assert ran_on(which)
+            runs[which] = cur, out
+        assert runs[body][0] == runs["python"][0] == len(codes)
+        assert np.array_equal(
+            runs[body][1].view(np.uint64), runs["python"][1].view(np.uint64)
+        )
+
+
+def test_c_text_uses_the_generated_term_codes_only():
+    text = native.c_source()
+    for name in ("OLD", "LOCAL", "WAIT", "ACC"):
+        assert f"#define {name} {getattr(kernel, name)}\n" in text
+        assert re.search(rf"case {name}:", text)
+    # The hand-written part holds no define and no literal code.
+    assert "#define" not in native._C_TEMPLATE
+    assert not re.search(r"case\s+-?\d|codes\[[^\]]*\]\s*[=!]=\s*\d", text)
+    assert len(re.findall(r"\bcase\b", text)) == 4
+
+
+@needs_native
+class TestNativeEntry:
+    """What the compiled body refuses, and how."""
+
+    @staticmethod
+    def _operands(loop):
+        n = loop.n
+        its = np.arange(n)
+        reads = loop.reads
+        codes = kernel.classify_terms(
+            reads.ptr, reads.index, writer_map(loop), its, n
+        )
+        return {
+            "its": its, "codes": codes, "write": loop.write.copy(),
+            "ptr": reads.ptr.copy(), "index": reads.index.copy(),
+            "coeff": reads.coeff.copy(), "init": None,
+            "old": loop.y0.copy(), "new": np.zeros(loop.y_size),
+        }
+
+    @staticmethod
+    def _call(ops, cur=0, out=None):
+        out = ops["new"] if out is None else out
+        return kernel.run_span(
+            ops["its"], ops["codes"], ops["write"], ops["ptr"], ops["index"],
+            ops["coeff"], ops["init"], ops["old"], ops["new"], out, cur=cur,
+        )
+
+    def _broken(self, what):
+        loop = random_irregular_loop(64, seed=4)
+        ops = self._operands(loop)
+        ptr = ops["ptr"]
+        bad = next(i for i in range(32, loop.n) if ptr[i + 1] > ptr[i] > 0)
+        k = int(ptr[bad])  # the first term of iteration ``bad``
+        if what == "index-too-large":
+            ops["index"][k] = loop.y_size
+        elif what == "index-negative":
+            ops["index"][k] = -1
+        elif what == "its-too-large":
+            ops["its"] = ops["its"].copy()
+            ops["its"][bad] = loop.n
+        elif what == "its-negative":
+            ops["its"] = ops["its"].copy()
+            ops["its"][bad] = -1
+        elif what == "write-too-large":
+            ops["write"][bad] = loop.y_size
+        elif what == "codes-too-short":
+            ops["codes"] = ops["codes"][: k + 1].copy()
+        elif what == "ptr-decreasing":
+            ptr[bad + 1] = k - 1
+        elif what == "ptr-past-the-end":
+            ptr[bad + 1] = len(ops["index"]) + 1
+        return loop, ops, bad
+
+    @pytest.mark.parametrize(
+        "what",
+        [
+            "index-too-large", "index-negative", "its-too-large",
+            "its-negative", "write-too-large", "codes-too-short",
+            "ptr-decreasing", "ptr-past-the-end",
+        ],
+    )
+    def test_out_of_bounds_operand_is_a_structured_error(self, what):
+        loop, ops, bad = self._broken(what)
+        y = ops["old"]
+        before = y.copy()
+        with forced("native"), pytest.raises(
+            InvalidLoopError, match=rf"span position {bad} \(iteration"
+        ):
+            self._call(ops)
+        # The caller's y is the ``old`` operand: bitwise untouched, and
+        # the renamed buffer holds exactly the iterations before the bad one.
+        assert np.array_equal(y.view(np.uint64), before.view(np.uint64))
+        good = self._operands(loop)
+        with forced("native"):
+            kernel.run_span(
+                good["its"][:bad], good["codes"], *span_args(loop),
+                good["old"], good["new"], good["new"],
+            )
+        assert np.array_equal(ops["new"], good["new"])
+
+    def test_inconsistent_lengths_and_negative_cursor(self):
+        loop = random_irregular_loop(64, seed=4)
+        for change in (
+            {"cur": -1},
+            {"ptr": lambda a: a[:-1].copy()},
+            {"coeff": lambda a: a[:-1].copy()},
+            {"old": lambda a: a[:-1].copy()},
+        ):
+            ops = self._operands(loop)
+            cur = change.pop("cur", 0)
+            for name, shorten in change.items():
+                ops[name] = shorten(ops[name])
+            with forced("native"), pytest.raises(
+                InvalidLoopError, match="inconsistent operands"
+            ):
+                self._call(ops, cur=cur)
+
+    @pytest.mark.parametrize(
+        "change,reason",
+        [
+            (lambda ops: ops.update(its=ops["its"].astype(np.int32)),
+             "non-array-operand"),
+            (lambda ops: ops.update(index=ops["index"].astype(np.int32)),
+             "non-array-operand"),
+            (lambda ops: ops.update(
+                coeff=TestRunSpanOperands._strided(ops["coeff"])),
+             "non-array-operand"),
+            (lambda ops: ops.update(old=memoryview(ops["old"])),
+             "non-array-operand"),
+            (lambda ops: None, None),
+        ],
+        ids=["int32-its", "int32-index", "strided", "memoryview", "flat"],
+    )
+    def test_other_operand_forms_take_the_python_body_and_say_so(
+        self, change, reason
+    ):
+        loop = random_irregular_loop(64, seed=4)
+        want = self._operands(loop)
+        with forced("python"):
+            self._call(want)
+        ops = self._operands(loop)
+        change(ops)
+        with forced("native"):
+            cur = self._call(ops)
+            assert kernel.take_tally() == (
+                (1, 0, None) if reason is None else (0, 1, reason)
+            )
+        assert cur == len(want["codes"])
+        assert np.array_equal(ops["new"], want["new"])
+
+    def test_read_only_inputs_run_compiled_a_read_only_out_does_not(self):
+        loop = random_irregular_loop(64, seed=4)
+        ops = self._operands(loop)
+        for name in ("its", "codes", "write", "ptr", "index", "coeff", "old"):
+            ops[name] = TestRunSpanOperands._read_only(ops[name])
+        with forced("native"):
+            self._call(ops)
+            assert kernel.take_tally() == (1, 0, None)
+            frozen = TestRunSpanOperands._read_only(ops["new"])
+            with pytest.raises(TypeError):  # the Python walk's own refusal
+                self._call(ops, out=frozen)
+            assert kernel.take_tally() == (0, 1, "non-array-operand")
+
+    def test_short_spans_and_callback_spans_keep_the_python_body(self):
+        loop = random_irregular_loop(64, seed=4)
+        ops = self._operands(loop)
+        span = (
+            ops["codes"], *span_args(loop), ops["old"], ops["new"], ops["new"],
+        )
+        kernel.take_tally()
+        kernel.run_span(ops["its"][: kernel._NATIVE_FROM - 1], *span)
+        assert kernel.take_tally() == (0, 1, "short-span")
+        kernel.run_span(ops["its"][: kernel._NATIVE_FROM], *span)
+        assert kernel.take_tally() == (1, 0, None)
+        kernel.run_span(ops["its"], *span, post=lambda w: None)
+        assert kernel.take_tally() == (0, 1, "blocking-span")
+        kernel.run_span(ops["its"], *span, wait=lambda idx: None)
+        assert kernel.take_tally() == (0, 1, "blocking-span")
+        kernel.run_span(ops["its"], *span, events=[])
+        assert kernel.take_tally() == (0, 1, "sanitize")
+
+    def test_the_foreign_call_releases_the_gil(self):
+        # With forced switches turned off, a thread that only yields
+        # voluntarily can advance between two reads by the calling thread
+        # only if the caller let go of the lock in between — which between
+        # these two reads nothing but the compiled span does.
+        import sys
+        import threading
+        import time
+
+        loop = chain_loop(200_000, 1)
+        ops = self._operands(loop)
+        ticks, stop = [0], threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                ticks[0] += 1
+                time.sleep(0)  # hand the lock back to whoever wants it
+
+        thread = threading.Thread(target=spin, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1000.0)
+        try:
+            thread.start()
+            moved = 0
+            for _ in range(200):
+                before = ticks[0]
+                self._call(ops)
+                moved += ticks[0] - before
+                if moved:
+                    break
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert moved and kernel.take_tally()[1] == 0
 
 
 class TestRunSpanOperands:

@@ -219,6 +219,34 @@ class TestInspectorCacheMetrics:
         assert hist["sum"] == 400  # every iteration is in exactly one level
 
 
+class TestKernelBodyCounters:
+    """Which ``run_span`` body ran is part of the schema: two counters on
+    every wall-clock backend, validated and serialized like the rest."""
+
+    @pytest.mark.parametrize(
+        "backend", ("threaded", "vectorized", "multiproc", "speculative")
+    )
+    def test_counters_account_for_every_span(self, loop, backend):
+        result = make_runner(
+            spec=PlanSpec(backend=backend, processors=2, observe=True)
+        ).run(loop)
+        blob = json.loads(json.dumps(result_to_dict(result)))
+        validate_telemetry(blob["telemetry"])
+        counters = blob["telemetry"]["metrics"]["counters"]
+        native, python = (
+            counters["kernel_spans_native"], counters["kernel_spans_python"]
+        )
+        assert native + python >= 1
+        note = blob["extras"]["kernel"]
+        assert note["body"] == ("native" if native else "python")
+        assert (note["reason"] is None) == (python == 0)
+
+    def test_the_simulator_runs_no_span(self, observed):
+        counters = observed["simulated"].telemetry.metrics.as_dict()["counters"]
+        assert "kernel_spans_native" not in counters
+        assert "kernel" not in observed["simulated"].extras
+
+
 class TestIgnoredOptions:
     """Satellite: silently-dropped run options become structured notes."""
 
