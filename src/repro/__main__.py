@@ -1,39 +1,71 @@
 """Command-line front door: ``python -m repro <command>``.
 
-:data:`COMMANDS` is the one table of commands — name, entry point,
-argument synopsis, one-line summary; the usage text is generated from it
-and the option reference of each command is its entry point's module
-docstring.  An entry point reports a malformed argument by raising
-:class:`ValueError`; :func:`main` turns that into a one-line
-``repro <command>: <message>`` and exit status 2.
+:func:`build_parser` declares the whole command line — every command,
+option, default and accepted value — as one :mod:`argparse` tree; the
+usage text and each command's ``--help`` are generated from it.  A command
+body is a function of the parsed :class:`~argparse.Namespace` (imported on
+use; it reports a constraint between options through ``args.error``).  An
+argument the tree does not accept is one ``repro <command>: <message>``
+line on stderr and exit status 2, never a traceback.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from importlib import import_module
-from typing import Callable, NamedTuple
+from pathlib import Path
+from typing import Callable, NoReturn
 
 from repro._version import __version__
 
+#: What ``profile`` and ``doctor`` run when no builtin spec is given.
+DEFAULT_LOOP = "figure4:n=2000,m=2,l=8"
 
-def _demo(args: list[str]) -> int:
+#: The four experiments that return a result object (``rows``,
+#: ``report()``, ``check_shape()``): the function that runs each, and which
+#: of the command's parsed options that function takes.
+EXPERIMENTS = {
+    "figure6": ("repro.bench.figure6:run_figure6", ("n",)),
+    "table1": ("repro.bench.table1:run_table1", ("small",)),
+    "table2": (
+        "repro.bench.amortized_table:run_amortized_table",
+        ("small", "instances"),
+    ),
+    "krylov": (
+        "repro.bench.krylov_fraction:run_krylov_fraction",
+        ("small",),
+    ),
+}
+
+
+def _load(entry: str) -> Callable:
+    """The function a ``"package.module:function"`` string names."""
+    module, _, function = entry.partition(":")
+    return getattr(import_module(module), function)
+
+
+def _experiment(args: argparse.Namespace) -> int:
+    from repro.bench.harness import rows_to_json
+
+    entry, keywords = EXPERIMENTS[args.command]
+    result = _load(entry)(**{k: getattr(args, k) for k in keywords})
+    print(result.report())
+    if args.json:
+        with open(args.json, "w") as handle:
+            handle.write(rows_to_json(result.rows))
+        print(f"wrote {args.json}")
+    result.check_shape()
+    print("shape check: PASS")
+    return 0
+
+
+def _demo(args: argparse.Namespace) -> int:
     import repro
 
-    backend = "simulated"
-    for a in args:
-        if a.startswith("--backend="):
-            backend = a.split("=", 1)[1]
-        else:
-            raise ValueError(f"unknown option {a!r}")
-    if backend not in repro.BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; "
-            f"expected one of {', '.join(repro.BACKENDS)}"
-        )
-    if backend != "simulated":
+    if args.backend != "simulated":
         loop = repro.make_test_loop(n=600, m=2, l=8)
-        result, plan = repro.parallelize(loop, backend=backend)
+        result, plan = repro.parallelize(loop, backend=args.backend)
         print(f"plan: {plan.describe()}")
         print(result.summary())
         import numpy as np
@@ -68,163 +100,335 @@ def _demo(args: list[str]) -> int:
     return 0
 
 
-def _verify(args: list[str]) -> int:
+def _verify(args: argparse.Namespace) -> int:
     import repro
 
-    n = int(args[0]) if args else 200
-    seed = int(args[1]) if len(args) > 1 else 0
-    loop = repro.random_irregular_loop(n, seed=seed)
+    loop = repro.random_irregular_loop(args.n, seed=args.seed)
     report = repro.verify_loop(loop)
     print(report.summary())
     return 0 if report.passed else 1
 
 
-def _codegen(args: list[str]) -> int:
+def _codegen(args: argparse.Namespace) -> int:
     import repro
     from repro.ir.codegen import generate_source
     from repro.ir.transform import plan_transform
 
-    kind = args[0] if args else "irregular"
-    if kind == "--c":
+    if args.c:
         # What is actually compiled: the executor's scalar walk.
         from repro.backends.native import c_source
 
         print(c_source(), end="")
         return 0
-    if kind == "irregular":
+    if args.kind == "irregular":
         loop = repro.random_irregular_loop(100, seed=0)
         plan = plan_transform(loop)
-    elif kind == "affine":
+    elif args.kind == "affine":
         loop = repro.make_test_loop(n=100, m=2, l=6)
         plan = plan_transform(loop)
-    elif kind == "chain":
+    elif args.kind == "chain":
         loop = repro.chain_loop(100, 4)
         plan = plan_transform(loop, known_distance=4)
-    elif kind == "independent":
+    else:
         loop = repro.random_irregular_loop(100, max_terms=0, seed=0)
         plan = plan_transform(loop, assert_independent=True)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     print(generate_source(loop, plan))
     return 0
 
 
-def _version(args: list[str]) -> int:
+def _version(args: argparse.Namespace) -> int:
     print(__version__)
     return 0
 
 
-class Command(NamedTuple):
-    #: ``"package.module:function"``, imported on use, or a function of
-    #: this module.
-    entry: str | Callable[[list[str]], int]
-    synopsis: str
-    summary: str
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every rejection is one ``repro <command>: <message>``
+    line on stderr and exit status 2."""
+
+    #: Sub-command name -> its parser (set on the root by build_parser).
+    commands: dict[str, "_Parser"]
+
+    def error(self, message: str) -> NoReturn:
+        prog = self.prog.removeprefix("python -m ")
+        print(f"{prog}: {message}", file=sys.stderr)
+        raise SystemExit(2)
 
 
-COMMANDS: dict[str, Command] = {
-    "figure6": Command(
-        "repro.bench.figure6:main", "[N] [--json PATH]",
+def _typed(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """``convert`` as an argparse ``type=``: the :class:`ValueError` it
+    rejects a text with becomes the error line's message."""
+
+    def typed(text: str) -> object:
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return typed
+
+
+def _integer_from(lowest: int) -> Callable[[str], object]:
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise ValueError(f"must be an integer >= {lowest}, got {value}")
+        return value
+
+    return _typed(convert)
+
+
+def build_parser() -> _Parser:
+    """The one declaration of the command line."""
+    from repro.lint.cli import builtin_loops, collect_loops, rule_list
+    from repro.lint.hb import RACE_CHECKED_BACKENDS
+    from repro.machine.scheduler import SCHEDULE_KINDS
+    from repro.passes.spec import BACKENDS, SPEC_BACKENDS
+
+    positive = _integer_from(1)
+    #: A lint target, resolved to its ``(source, name, loop)`` triples.
+    target = _typed(lambda text: collect_loops([text]))
+
+    @_typed
+    def builtin(text: str) -> tuple:
+        """A builtin loop spec, with the one loop it builds."""
+        (loop,) = builtin_loops(text).values()
+        return text, loop
+
+    parser = _Parser(
+        prog="python -m repro",
+        description="The preprocessed doacross loop: the paper's "
+        "experiments, and the tools around the executors.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(
+        title="Commands", metavar="<command>", dest="command", required=True
+    )
+    parser.commands = commands.choices
+
+    def command(name: str, handler: str | Callable, summary: str) -> _Parser:
+        sub = commands.add_parser(
+            name, help=summary, description=summary, allow_abbrev=False
+        )
+        sub.set_defaults(handler=handler, error=sub.error)
+        return sub
+
+    def flag(sub: _Parser, name: str, text: str) -> None:
+        sub.add_argument(name, action="store_true", help=text)
+
+    def targets(sub: _Parser, nargs: str) -> None:
+        sub.add_argument(
+            "targets", nargs=nargs, type=target, metavar="target",
+            help="a .py file exposing loops, a directory of such files, or "
+            "a builtin spec (figure4/chain/random[:key=value,...])",
+        )
+
+    def json_path(sub: _Parser) -> None:
+        sub.add_argument(
+            "--json", metavar="PATH", help="also write the rows as JSON"
+        )
+
+    reduced = "reduced grids (fast smoke version)"
+
+    sub = command(
+        "figure6", _experiment,
         "regenerate the paper's Figure 6 (default N=10000), shape-checked",
-    ),
-    "table1": Command(
-        "repro.bench.table1:main", "[--small] [--json PATH]",
+    )
+    sub.add_argument(
+        "n", nargs="?", type=positive, default=10000, metavar="N",
+        help="iterations of the Figure-4 test loop",
+    )
+    json_path(sub)
+
+    sub = command(
+        "table1", _experiment,
         "regenerate the paper's Table 1 (--small: reduced grids)",
-    ),
-    "ablations": Command(
-        "repro.bench.ablations:main", "[--small]",
+    )
+    flag(sub, "--small", reduced)
+    json_path(sub)
+
+    sub = command(
+        "ablations", "repro.bench.ablations:main",
         "run the ablation sweeps A-H and print their tables",
-    ),
-    "table2": Command(
-        "repro.bench.amortized_table:main", "[--small] [k]",
+    )
+    flag(sub, "--small", reduced)
+
+    sub = command(
+        "table2", _experiment,
         "the amortization extension: per-solve cost over k solves",
-    ),
-    "krylov": Command(
-        "repro.bench.krylov_fraction:main", "[--small]",
-        "the section-3.2 Krylov motivation experiment",
-    ),
-    "verify": Command(
-        _verify, "[n] [seed]",
+    )
+    flag(sub, "--small", reduced)
+    sub.add_argument(
+        "instances", nargs="?", type=positive, default=10, metavar="k",
+        help="consecutive solves of each problem (default 10)",
+    )
+    sub.set_defaults(json=None)
+
+    sub = command(
+        "krylov", _experiment, "the section-3.2 Krylov motivation experiment"
+    )
+    flag(sub, "--small", reduced)
+    sub.set_defaults(json=None)
+
+    sub = command(
+        "verify", _verify,
         "every applicable strategy vs. the sequential oracle on a random "
         "irregular loop (default n=200, seed=0)",
-    ),
-    "codegen": Command(
-        _codegen, "[irregular|affine|chain|independent|--c]",
+    )
+    sub.add_argument("n", nargs="?", type=positive, default=200)
+    sub.add_argument("seed", nargs="?", type=_integer_from(0), default=0)
+
+    sub = command(
+        "codegen", _codegen,
         "print the transformed pseudo-Fortran source for a sample loop "
         "(--c: the C text of the compiled executor walk)",
-    ),
-    "demo": Command(
-        _demo, "[--backend=NAME]",
+    )
+    sub.add_argument(
+        "kind", nargs="?", default="irregular",
+        choices=("irregular", "affine", "chain", "independent"),
+    )
+    flag(sub, "--c", "print the C text that is compiled instead")
+
+    sub = command(
+        "demo", _demo,
         "two-minute tour: a dependence-carrying Figure-4 loop and "
         "(simulated backend) an executor-phase Gantt chart",
-    ),
-    "profile": Command(
-        "repro.obs.cli:main",
-        "[--backend=NAME|auto] [--loop=SPEC] [--processors=P] "
-        "[--schedule=KIND] [--chunk=K] [--export=chrome|jsonl OUT] "
-        "[--gantt] [--json]",
+    )
+    sub.add_argument("--backend", choices=BACKENDS, default="simulated")
+
+    sub = command(
+        "profile", "repro.obs.cli:main",
         "run one builtin workload with telemetry on: phase/metric "
         "breakdown, schedule plan, trace export",
-    ),
-    "lint": Command(
-        "repro.lint.cli:main",
-        "<target>... [--json] [--schedule=KIND] [--chunk=K] "
-        "[--processors=P] [--strip-block=B] [--backend=NAME] [--rules=A,B] "
-        "[--strict] [--baseline=FILE] [--write-baseline=FILE]",
+    )
+    sub.add_argument("--backend", choices=SPEC_BACKENDS, default="simulated")
+    sub.add_argument(
+        "--loop", type=builtin, default=DEFAULT_LOOP, metavar="SPEC",
+        help=f"builtin loop spec (default {DEFAULT_LOOP})",
+    )
+    sub.add_argument("--processors", type=positive, default=8, metavar="P")
+    sub.add_argument("--schedule", choices=SCHEDULE_KINDS)
+    sub.add_argument("--chunk", type=positive, metavar="K")
+    sub.add_argument(
+        "--export", choices=("chrome", "jsonl"),
+        help="write the trace to OUT: Chrome trace-event JSON or JSONL spans",
+    )
+    sub.add_argument("out", nargs="?", metavar="OUT", help="--export's file")
+    flag(sub, "--gantt", "append the ASCII Gantt chart")
+    flag(sub, "--json", "print the result, telemetry and plan as JSON")
+
+    sub = command(
+        "lint", "repro.lint.cli:main",
         "static analysis: the paper-grounded lint rules and, with "
         "--backend, the happens-before race checker",
-    ),
-    "analyze": Command(
-        "repro.analysis.cli:main", "<target>... [--json] [--cross-check]",
+    )
+    targets(sub, "+")
+    flag(sub, "--json", "machine-readable output instead of text")
+    sub.add_argument(
+        "--schedule", choices=SCHEDULE_KINDS,
+        help="lint against an executor schedule",
+    )
+    sub.add_argument(
+        "--chunk", type=positive, default=1, metavar="K",
+        help="chunk size for cyclic/dynamic/guided (default 1)",
+    )
+    sub.add_argument(
+        "--processors", type=positive, default=16, metavar="P",
+        help="processor count (default 16)",
+    )
+    sub.add_argument(
+        "--strip-block", type=positive, metavar="B",
+        help="lint a section-2.3 strip-mined variant with block B",
+    )
+    sub.add_argument(
+        "--backend", choices=RACE_CHECKED_BACKENDS,
+        help="also race-check this backend's schedule",
+    )
+    sub.add_argument(
+        "--rules", type=_typed(rule_list), metavar="A,B",
+        help="run only these rule IDs",
+    )
+    flag(sub, "--strict", "exit 1 on warnings, not just errors")
+    baseline = sub.add_mutually_exclusive_group()
+    baseline.add_argument(
+        "--baseline", type=Path, metavar="FILE",
+        help="suppress the findings recorded in FILE",
+    )
+    baseline.add_argument(
+        "--write-baseline", type=Path, metavar="FILE",
+        help="record the current findings in FILE and exit 0",
+    )
+    flag(
+        sub, "--prune-baseline",
+        "with --baseline: drop FILE's stale entries and exit 0",
+    )
+
+    sub = command(
+        "analyze", "repro.analysis.cli:main",
         "symbolic dependence analysis: each loop's proof-carrying verdict",
-    ),
-    "sanitize": Command(
-        "repro.sanitize.cli:main",
-        "<target>... [--backend=NAME] [--processors=P] [--json] [--strict] "
-        "| --mutants [--min-kill=F]",
+    )
+    targets(sub, "+")
+    flag(sub, "--json", "machine-readable verdicts, proof objects included")
+    flag(
+        sub, "--cross-check",
+        "also validate every verdict against the runtime inspector",
+    )
+
+    sub = command(
+        "sanitize", "repro.sanitize.cli:main",
         "dynamic execution sanitizer: vector-clock replay of a run, or "
         "the schedule-mutation kill-rate gate",
-    ),
-    "doctor": Command(
-        "repro.perf.cli:doctor_main",
-        "[SPEC] [--backend=NAME] [--processors=P] [--telemetry=FILE] "
-        "[--json]",
+    )
+    targets(sub, "*")
+    sub.add_argument("--backend", choices=BACKENDS, default="threaded")
+    sub.add_argument(
+        "--processors", type=positive, default=4, metavar="P",
+        help="thread/worker/processor count (default 4)",
+    )
+    flag(sub, "--json", "machine-readable output instead of text")
+    flag(sub, "--strict", "also fail when a run was uninstrumented")
+    flag(sub, "--mutants", "run the mutation harness instead of targets")
+    sub.add_argument(
+        "--min-kill", type=float, default=0.9, metavar="F",
+        help="kill-rate floor for --mutants (default 0.9)",
+    )
+
+    sub = command(
+        "doctor", "repro.perf.cli:doctor_main",
         "the telemetry-driven perf doctor: structured findings, each with "
         "a machine-readable recommendation",
-    ),
-    "version": Command(_version, "", "print the package version"),
-}
+    )
+    sub.add_argument(
+        "spec", nargs="?", type=builtin, default=DEFAULT_LOOP, metavar="SPEC",
+        help=f"builtin loop spec to run observed (default {DEFAULT_LOOP})",
+    )
+    sub.add_argument("--backend", choices=SPEC_BACKENDS, default="threaded")
+    sub.add_argument("--processors", type=positive, default=8, metavar="P")
+    sub.add_argument(
+        "--telemetry", metavar="FILE",
+        help="diagnose saved telemetry instead of running SPEC",
+    )
+    flag(sub, "--json", "print the findings as JSON")
 
-
-def usage() -> str:
-    """The command list, generated from :data:`COMMANDS`."""
-    lines = ["usage: python -m repro <command> [arguments]", "", "Commands"]
-    for name, command in COMMANDS.items():
-        lines.append(f"  {name} {command.synopsis}".rstrip())
-        lines.append(f"      {command.summary}")
-    return "\n".join(lines)
+    command("version", _version, "print the package version")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if not args or args[0] in ("-h", "--help", "help"):
-        print(usage())
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    if not argv or argv[0] == "help":
+        parser.print_help()
         return 0
-    name, rest = args[0], args[1:]
-    command = COMMANDS.get(name)
-    if command is None:
-        print(f"unknown command {name!r}\n")
-        print(usage())
-        return 2
-    entry = command.entry
-    if isinstance(entry, str):
-        module, _, function = entry.partition(":")
-        entry = getattr(import_module(module), function)
     try:
-        return entry(rest)
-    except ValueError as exc:
-        print(f"repro {name}: {exc}", file=sys.stderr)
-        return 2
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.error(f"unrecognized arguments: {' '.join(extra)}")
+        handler = args.handler
+        if isinstance(handler, str):
+            handler = _load(handler)
+        return handler(args)
+    except SystemExit as exc:  # argparse's --help (0) and error (2)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -6,11 +6,7 @@ Targets resolve exactly like ``python -m repro lint`` targets (see
 such files, or builtin specs (``figure4[:n=..,m=..,l=..]``,
 ``chain[:n=..,d=..]``, ``random[:n=..,seed=..]``).
 
-Options
--------
-``--json``         machine-readable verdicts, proof objects included
-``--cross-check``  additionally validate every verdict against the
-                   runtime inspector (:func:`repro.analysis.cross_check`)
+Options: ``python -m repro analyze --help``.
 
 Exit status: 0 when every verdict's proof checks out (and, with
 ``--cross-check``, matches the runtime inspector), 1 on any problem,
@@ -19,8 +15,8 @@ Exit status: 0 when every verdict's proof checks out (and, with
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 
 from repro.analysis.checker import check_proof, cross_check
 from repro.analysis.engine import analyze_loop
@@ -28,37 +24,14 @@ from repro.analysis.engine import analyze_loop
 __all__ = ["main"]
 
 
-def main(argv: list[str]) -> int:
-    from repro.lint.cli import collect_loops
-
-    as_json = False
-    do_cross = False
-    targets: list[str] = []
-    try:
-        for arg in argv:
-            if arg == "--json":
-                as_json = True
-            elif arg == "--cross-check":
-                do_cross = True
-            elif arg.startswith("-"):
-                raise ValueError(f"unknown analyze option {arg!r}")
-            else:
-                targets.append(arg)
-        if not targets:
-            raise ValueError(
-                "no targets; give a .py file, a directory, or a builtin "
-                "spec (figure4/chain/random)"
-            )
-        loops = collect_loops(targets)
-    except ValueError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
+def main(args: argparse.Namespace) -> int:
+    loops = [triple for target in args.targets for triple in target]
 
     records: list[dict] = []
     failed = 0
     for source, name, loop in loops:
         verdict = analyze_loop(loop)
-        if do_cross:
+        if args.cross_check:
             report = cross_check(loop, verdict)
             problems = list(report.problems)
             checked_terms = report.checked_terms
@@ -77,10 +50,10 @@ def main(argv: list[str]) -> int:
         if checked_terms is not None:
             record["checked_terms"] = checked_terms
         records.append(record)
-        if not as_json:
+        if not args.json:
             print(f"== {name} ({source}) ==")
             print(verdict.describe())
-            if do_cross:
+            if args.cross_check:
                 status = "OK" if not problems else "MISMATCH"
                 print(
                     f"cross-check {status} ({checked_terms} term(s) "
@@ -90,11 +63,11 @@ def main(argv: list[str]) -> int:
                 print("  ! " + problem)
             print()
 
-    if as_json:
+    if args.json:
         print(json.dumps({"targets": records, "failed": failed}, indent=2))
     else:
         print(
-            f"analyzed {len(loops)} loop(s) from {len(targets)} "
+            f"analyzed {len(loops)} loop(s) from {len(args.targets)} "
             f"target(s); {failed} with problems"
         )
     return 1 if failed else 0

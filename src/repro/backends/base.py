@@ -1,8 +1,8 @@
 """Shared backend infrastructure: the :class:`Runner` protocol and order
 validation helpers.
 
-Every execution backend — simulated, threaded, vectorized — implements the
-same small surface::
+Every execution backend (:data:`~repro.passes.spec.BACKENDS`) implements
+the same small surface::
 
     runner.run(loop, *, order=None, schedule=None, chunk=None, trace=False)
         -> RunResult

@@ -4,22 +4,23 @@ Every table and figure of the paper's evaluation section has a module here
 that regenerates it (DESIGN.md §5):
 
 - :mod:`repro.bench.figure6` — Figure 6 (test-loop efficiencies vs ``L``);
-  run with ``python -m repro.bench.figure6``.
+  run with ``python -m repro figure6``.
 - :mod:`repro.bench.table1` — Table 1 (sparse triangular solve times);
-  run with ``python -m repro.bench.table1``.
+  run with ``python -m repro table1``.
 - :mod:`repro.bench.ablations` — chunk size, schedule policy, strip-mine
-  block, linear-subscript variant, bus contention, processor sweep,
-  coherence/locality, inspector amortization (A–G).
+  block, linear-subscript variant, bus contention, processor sweeps,
+  coherence/locality, inspector amortization (A–H);
+  ``python -m repro ablations``.
 - :mod:`repro.bench.amortized_table` — "Table 2": per-solve cost over
-  repeated solves (``python -m repro.bench.amortized_table``).
+  repeated solves (``python -m repro table2``).
 - :mod:`repro.bench.krylov_fraction` — the §3.2 Krylov motivation
-  (``python -m repro.bench.krylov_fraction``).
+  (``python -m repro krylov``).
 - :mod:`repro.bench.model` — closed-form performance model validated
   against the simulator.
 
 The pytest-benchmark entry points in ``benchmarks/`` call into these
-modules; the modules themselves are also directly runnable for interactive
-use.
+modules; ``python -m repro <command>`` (:mod:`repro.__main__`) is the one
+way to run them from the shell.
 """
 
 from repro.bench.amortized_table import AmortizedTableResult, run_amortized_table

@@ -1,9 +1,9 @@
-"""Ablation experiments (DESIGN.md §5, Abl. A–E).
+"""Ablation experiments (DESIGN.md §5, Abl. A–H).
 
 Each function sweeps one design knob the paper discusses (or that the
 implementation exposes) and returns :class:`ExperimentRow` records; the
 ``benchmarks/bench_ablation_*.py`` files drive them under pytest-benchmark
-and ``python -m repro.bench.ablations`` prints them all.
+and ``python -m repro ablations [--small]`` prints them all.
 
 - **A. Scheduling** — schedule kind × chunk size on the Figure-4 loop:
   chunked schedules break the term-level pipelining of short-distance
@@ -22,11 +22,13 @@ and ``python -m repro.bench.ablations`` prints them all.
 - **G. Inspector amortization** — repeated instances of one loop share a
   single inspector pass; the per-instance cost converges to executor +
   reduced postprocessor.
+- **H. Processor sweep, Figure-4 loop** — P ∈ {1..32} on the test loop,
+  dependence-free vs a distance-1 chain.
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 
 import numpy as np
 
@@ -327,14 +329,12 @@ def _print(rows: list[ExperimentRow], title: str) -> None:
     print()
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    small = "--small" in args
+def main(args: argparse.Namespace) -> int:
     _print(ablation_scheduling(), "Ablation A — schedule kind x chunk")
     _print(ablation_stripmine(), "Ablation B — strip-mine block size")
     _print(ablation_linear(), "Ablation C — linear-subscript variant")
     _print(
-        ablation_processors(small=small),
+        ablation_processors(small=args.small),
         "Ablation D — processor sweep (5-PT trisolve)",
     )
     _print(ablation_bus(), "Ablation E — bus contention")
@@ -351,7 +351,3 @@ def main(argv: list[str] | None = None) -> int:
         "Ablation G — inspector amortization over repeated instances",
     )
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -19,12 +19,11 @@ Expected (and asserted) shape: each column improves on the previous for
 the chain-dominated point-stencil problems, and ``amort+reord`` wins
 everywhere.
 
-Run: ``python -m repro.bench.amortized_table [--small] [k]``.
+Run: ``python -m repro table2 [--small] [k]``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,7 @@ from repro.sparse.ilu import ilu0
 from repro.sparse.spe import paper_problems
 from repro.sparse.trisolve import lower_solve_loop, solve_lower_unit
 
-__all__ = ["AmortizedTableResult", "run_amortized_table", "main"]
+__all__ = ["AmortizedTableResult", "run_amortized_table"]
 
 MODES = ("full", "reordered", "amortized", "amort+reord")
 
@@ -187,19 +186,3 @@ def run_amortized_table(
             )
         )
     return out
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    small = "--small" in args
-    numeric = [a for a in args if a.isdigit()]
-    instances = int(numeric[0]) if numeric else 10
-    result = run_amortized_table(small=small, instances=instances)
-    print(result.report())
-    result.check_shape()
-    print("shape check: PASS")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

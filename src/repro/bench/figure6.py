@@ -12,14 +12,11 @@ and the benchmark suite):
 - even-``L`` efficiencies rise monotonically with ``L`` for both ``M``,
   staying below the odd plateau.
 
-Run interactively::
-
-    python -m repro.bench.figure6
+Run: ``python -m repro figure6 [N] [--json PATH]``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from repro.bench.harness import (
@@ -32,7 +29,7 @@ from repro.core.doacross import PreprocessedDoacross
 from repro.machine.costs import CostModel
 from repro.workloads.testloop import dependence_distances, make_test_loop
 
-__all__ = ["Figure6Result", "run_figure6", "main"]
+__all__ = ["Figure6Result", "run_figure6"]
 
 #: The paper's reported plateaus and our acceptance half-widths.
 PAPER_PLATEAU = {1: 0.33, 5: 0.50}
@@ -184,24 +181,3 @@ def run_figure6(
                 )
             )
     return out
-
-
-def main(argv: list[str] | None = None) -> int:
-    from repro.bench.harness import parse_json_flag, rows_to_json
-
-    args = sys.argv[1:] if argv is None else argv
-    args, json_path = parse_json_flag(args)
-    n = int(args[0]) if args else 10000
-    result = run_figure6(n=n)
-    print(result.report())
-    if json_path:
-        with open(json_path, "w") as handle:
-            handle.write(rows_to_json(result.rows))
-        print(f"wrote {json_path}")
-    result.check_shape()
-    print("shape check: PASS")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

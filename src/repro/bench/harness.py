@@ -21,7 +21,6 @@ __all__ = [
     "check_within",
     "geometric_mean",
     "rows_to_json",
-    "parse_json_flag",
 ]
 
 
@@ -92,20 +91,6 @@ def rows_to_json(rows: Sequence[ExperimentRow], indent: int = 2) -> str:
             record["run"] = result_to_dict(row.result)
         records.append(record)
     return json.dumps(records, indent=indent, sort_keys=True)
-
-
-def parse_json_flag(args: list[str]) -> tuple[list[str], str | None]:
-    """Extract ``--json PATH`` from a CLI argument list.
-
-    Returns ``(remaining_args, path_or_None)``; raises ``ValueError`` when
-    the flag has no path."""
-    if "--json" not in args:
-        return list(args), None
-    i = args.index("--json")
-    if i + 1 >= len(args):
-        raise ValueError("--json requires a file path")
-    remaining = args[:i] + args[i + 2 :]
-    return remaining, args[i + 1]
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -14,12 +14,11 @@ SPE block operators) twice:
   loops on ``P`` simulated processors, measuring the solve and
   whole-solver speedups (identical numerics, asserted).
 
-Run: ``python -m repro.bench.krylov_fraction [--small]``.
+Run: ``python -m repro krylov [--small]``.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from repro.machine.costs import CostModel
 from repro.sparse.krylov import IluPreconditioner, cg, gmres
 from repro.sparse.spe import paper_problems
 
-__all__ = ["KrylovFractionResult", "run_krylov_fraction", "main"]
+__all__ = ["KrylovFractionResult", "run_krylov_fraction"]
 
 #: Which solver applies to which problem (the SPE block operators are
 #: nonsymmetric; the point stencils are SPD).
@@ -165,17 +164,3 @@ def run_krylov_fraction(
             )
         )
     return out
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    small = "--small" in args
-    result = run_krylov_fraction(small=small)
-    print(result.report())
-    result.check_shape()
-    print("shape check: PASS")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

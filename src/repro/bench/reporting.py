@@ -2,7 +2,7 @@
 
 The paper's artifacts are one figure (an efficiency-vs-parameter plot) and
 one table; these helpers render both as terminal text: aligned tables and a
-coarse ASCII chart for the figure, so ``python -m repro.bench.figure6``
+coarse ASCII chart for the figure, so ``python -m repro figure6``
 shows the same story as the paper's plot without any plotting dependency.
 """
 

@@ -16,15 +16,12 @@ for every matrix ``T_seq > T_plain ≥ T_reordered``; plain efficiencies land
 in a low band and reordered efficiencies in a higher band (the paper reports
 0.32–0.46 and 0.63–0.75 respectively).
 
-Run interactively::
-
-    python -m repro.bench.table1          # full paper sizes
-    python -m repro.bench.table1 --small  # reduced grids (fast smoke)
+Run: ``python -m repro table1 [--small] [--json PATH]`` (``--small``:
+reduced grids, a fast smoke version).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +35,7 @@ from repro.sparse.ilu import ilu0
 from repro.sparse.spe import paper_problems
 from repro.sparse.trisolve import lower_solve_loop, solve_lower_unit
 
-__all__ = ["Table1Result", "run_table1", "main", "PAPER_TABLE1"]
+__all__ = ["Table1Result", "run_table1", "PAPER_TABLE1"]
 
 #: The paper's Table 1, for side-by-side reporting:
 #: name -> (doacross_ms, rearranged_ms, sequential_ms).
@@ -190,24 +187,3 @@ def run_table1(
             )
         )
     return out
-
-
-def main(argv: list[str] | None = None) -> int:
-    from repro.bench.harness import parse_json_flag, rows_to_json
-
-    args = sys.argv[1:] if argv is None else argv
-    args, json_path = parse_json_flag(args)
-    small = "--small" in args
-    result = run_table1(small=small)
-    print(result.report())
-    if json_path:
-        with open(json_path, "w") as handle:
-            handle.write(rows_to_json(result.rows))
-        print(f"wrote {json_path}")
-    result.check_shape()
-    print("shape check: PASS")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,27 +13,10 @@ A target is any mix of:
 - a builtin spec: ``figure4[:n=..,m=..,l=..]``, ``chain[:n=..,d=..]``,
   ``random[:n=..,seed=..,max_terms=..]``.
 
-Options
--------
-``--json``               machine-readable output instead of text
-``--schedule=KIND``      lint against an executor schedule
-                         (block/cyclic/dynamic/guided)
-``--chunk=K``            chunk size for cyclic/dynamic/guided
-``--processors=P``       processor count (default 16)
-``--strip-block=B``      lint a §2.3 strip-mined variant with block B
-``--backend=NAME``       also race-check NAME's schedule
-                         (vectorized/threaded/simulated)
-``--rules=A,B``          run only these rule IDs
-``--strict``             exit 1 on warnings, not just errors
-``--baseline=FILE``      suppress findings recorded in FILE, so the gate
-                         fails only on *new* diagnostics
-``--write-baseline=FILE`` record the current findings as the baseline
-                         and exit 0 (mutually exclusive with --baseline)
-``--prune-baseline``     with ``--baseline=FILE``: rewrite FILE keeping
-                         only the recorded findings the current run still
-                         produces, dropping stale entries (fixed findings
-                         whose baseline keys would otherwise shadow any
-                         future regression), and exit 0
+Options: ``python -m repro lint --help``.  ``--prune-baseline`` rewrites
+the ``--baseline`` file keeping only the recorded findings the current run
+still produces: a fixed finding's stale key would otherwise shadow the
+same finding if it ever regresses.
 
 A baseline file is JSON — ``{"version": 1, "findings": [key, ...]}``
 with one ``rule|loop|location`` key per accepted finding.  Suppressed
@@ -48,9 +31,9 @@ error-severity finding (always includes races), 2 on usage errors.
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 from repro.ir.loop import IrregularLoop
@@ -65,6 +48,7 @@ from repro.lint.rules import rule_ids
 
 __all__ = [
     "main",
+    "rule_list",
     "collect_loops",
     "loops_from_file",
     "builtin_loops",
@@ -201,73 +185,31 @@ def collect_loops(
     return collected
 
 
-def main(argv: list[str]) -> int:
-    as_json = False
-    strict = False
-    schedule: str | None = None
-    chunk = 1
-    processors = 16
-    strip_block: int | None = None
-    backend: str | None = None
-    only: list[str] | None = None
+def rule_list(text: str) -> list[str]:
+    """The rule IDs of a ``--rules=A,B`` value."""
+    only = [r.strip() for r in text.split(",")]
+    unknown = sorted(set(only) - set(rule_ids()))
+    if unknown:
+        raise ValueError(
+            f"unknown rule ID(s) {', '.join(unknown)}; "
+            f"registered: {', '.join(rule_ids())}"
+        )
+    return only
+
+
+def main(args: argparse.Namespace) -> int:
     baseline: set[str] | None = None
-    baseline_path: Path | None = None
-    write_baseline: Path | None = None
-    prune_baseline = False
-    targets: list[str] = []
-    try:
-        for arg in argv:
-            if arg == "--json":
-                as_json = True
-            elif arg == "--strict":
-                strict = True
-            elif arg == "--prune-baseline":
-                prune_baseline = True
-            elif arg.startswith("--baseline="):
-                baseline_path = Path(arg.split("=", 1)[1])
-                baseline = load_baseline(baseline_path)
-            elif arg.startswith("--write-baseline="):
-                write_baseline = Path(arg.split("=", 1)[1])
-            elif arg.startswith("--schedule="):
-                schedule = arg.split("=", 1)[1]
-            elif arg.startswith("--chunk="):
-                chunk = int(arg.split("=", 1)[1])
-            elif arg.startswith("--processors="):
-                processors = int(arg.split("=", 1)[1])
-            elif arg.startswith("--strip-block="):
-                strip_block = int(arg.split("=", 1)[1])
-            elif arg.startswith("--backend="):
-                backend = arg.split("=", 1)[1]
-            elif arg.startswith("--rules="):
-                only = [r.strip() for r in arg.split("=", 1)[1].split(",")]
-                unknown = sorted(set(only) - set(rule_ids()))
-                if unknown:
-                    raise ValueError(
-                        f"unknown rule ID(s) {', '.join(unknown)}; "
-                        f"registered: {', '.join(rule_ids())}"
-                    )
-            elif arg.startswith("-"):
-                raise ValueError(f"unknown lint option {arg!r}")
-            else:
-                targets.append(arg)
-        if baseline is not None and write_baseline is not None:
-            raise ValueError(
-                "--baseline and --write-baseline are mutually exclusive"
-            )
-        if prune_baseline and baseline is None:
-            raise ValueError(
-                "--prune-baseline needs --baseline=FILE to know which "
-                "file to rewrite"
-            )
-        if not targets:
-            raise ValueError(
-                "no targets; give a .py file, a directory, or a builtin "
-                "spec (figure4/chain/random)"
-            )
-        loops = collect_loops(targets)
-    except ValueError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+    if args.baseline is not None:
+        try:
+            baseline = load_baseline(args.baseline)
+        except ValueError as exc:
+            args.error(str(exc))
+    elif args.prune_baseline:
+        args.error(
+            "--prune-baseline needs --baseline=FILE to know which file "
+            "to rewrite"
+        )
+    loops = [triple for target in args.targets for triple in target]
 
     records: list[dict] = []
     all_keys: set[str] = set()
@@ -277,12 +219,12 @@ def main(argv: list[str]) -> int:
     for source, name, loop in loops:
         diagnostics = run_lints(
             loop,
-            schedule=schedule,
-            chunk=chunk,
-            processors=processors,
-            strip_block=strip_block,
-            only=only,
-            backend=backend,
+            schedule=args.schedule,
+            chunk=args.chunk,
+            processors=args.processors,
+            strip_block=args.strip_block,
+            only=args.rules,
+            backend=args.backend,
         )
         all_keys.update(baseline_key(d) for d in diagnostics)
         suppressed: list[Diagnostic] = []
@@ -303,32 +245,32 @@ def main(argv: list[str]) -> int:
             }
         )
         worst = _worse(worst, diagnostics)
-        if not as_json and write_baseline is None and not prune_baseline:
+        if not (args.json or args.write_baseline or args.prune_baseline):
             print(f"== {name} ({source}) ==")
             print(format_diagnostics(diagnostics))
             if suppressed:
                 print(f"({len(suppressed)} baselined finding(s) suppressed)")
             print()
 
-    if prune_baseline:
-        assert baseline is not None and baseline_path is not None
+    if args.prune_baseline:
+        assert baseline is not None
         kept = baseline & all_keys
         stale = sorted(baseline - all_keys)
-        baseline_path.write_text(
+        args.baseline.write_text(
             json.dumps({"version": 1, "findings": sorted(kept)}, indent=2)
             + "\n",
             encoding="utf-8",
         )
         print(
             f"pruned {len(stale)} stale finding key(s) from "
-            f"{baseline_path} ({len(kept)} kept)"
+            f"{args.baseline} ({len(kept)} kept)"
         )
         for key in stale:
             print(f"  - {key}")
         return 0
 
-    if write_baseline is not None:
-        write_baseline.write_text(
+    if args.write_baseline is not None:
+        args.write_baseline.write_text(
             json.dumps(
                 {"version": 1, "findings": sorted(all_keys)}, indent=2
             )
@@ -337,11 +279,11 @@ def main(argv: list[str]) -> int:
         )
         print(
             f"wrote {len(all_keys)} finding key(s) from {len(loops)} "
-            f"loop(s) to {write_baseline}"
+            f"loop(s) to {args.write_baseline}"
         )
         return 0
 
-    if as_json:
+    if args.json:
         print(
             json.dumps(
                 {
@@ -359,12 +301,12 @@ def main(argv: list[str]) -> int:
             else ""
         )
         print(
-            f"linted {len(loops)} loop(s) from {len(targets)} "
+            f"linted {len(loops)} loop(s) from {len(args.targets)} "
             f"target(s){tail}"
         )
     if worst == SEVERITY_ERROR:
         return 1
-    if strict and worst == SEVERITY_WARNING:
+    if args.strict and worst == SEVERITY_WARNING:
         return 1
     return 0
 

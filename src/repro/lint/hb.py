@@ -55,7 +55,11 @@ __all__ = [
     "simulated_happens_before",
     "check_dependence_coverage",
     "check_backend_schedule",
+    "RACE_CHECKED_BACKENDS",
 ]
+
+#: The backends whose schedule :func:`check_backend_schedule` models.
+RACE_CHECKED_BACKENDS = ("vectorized", "threaded", "multiproc", "simulated")
 
 
 @dataclass(frozen=True)
@@ -511,6 +515,6 @@ def check_backend_schedule(
     else:
         raise ValueError(
             f"unknown backend {backend!r} for race checking; expected "
-            f"vectorized/threaded/multiproc/simulated"
+            f"{'/'.join(RACE_CHECKED_BACKENDS)}"
         )
     return check_dependence_coverage(loop, hb)

@@ -6,14 +6,11 @@ breakdown, the unified metrics, and any ignored-option notes — plus the
 machine-readable exports (Chrome trace-event JSON for ``chrome://tracing``
 / Perfetto, JSONL spans for ad-hoc scripting) and the ASCII Gantt chart.
 
-Usage::
-
-    python -m repro profile [--backend=NAME|auto] [--loop=SPEC]
-        [--processors=P] [--schedule=KIND] [--chunk=K]
-        [--export=chrome|jsonl OUT] [--gantt] [--json]
-
-``SPEC`` uses the same builtin grammar as ``python -m repro lint``
-(``figure4:n=2000,l=8``, ``chain:n=500,d=1``, ``random:seed=3``).
+Options: ``python -m repro profile --help``.  ``--loop=SPEC`` uses the
+same builtin grammar as ``python -m repro lint``
+(``figure4:n=2000,l=8``, ``chain:n=500,d=1``, ``random:seed=3``);
+``--export=chrome|jsonl`` is followed by the output path as its own
+argument.
 
 Runs are planned by ``plan_loop`` where the options
 allow it, and the chosen plan — stage list, resolved backend, tuner
@@ -24,7 +21,7 @@ auditable from the CLI.
 
 from __future__ import annotations
 
-import sys
+import argparse
 
 from repro.bench.reporting import format_table
 from repro.obs.export import (
@@ -36,74 +33,12 @@ from repro.obs.telemetry import CLOCK_WALL, PHASE_NAMES
 
 __all__ = ["main"]
 
-DEFAULT_LOOP = "figure4:n=2000,m=2,l=8"
 
-
-def _parse(argv: list[str]) -> dict:
-    opts = {
-        "backend": "simulated",
-        "loop": DEFAULT_LOOP,
-        "processors": 8,
-        "schedule": None,
-        "chunk": None,
-        "export": None,  # (kind, path)
-        "gantt": False,
-        "json": False,
-    }
-    positional: list[str] = []
-    pending_export: str | None = None
-    for a in argv:
-        if pending_export is not None:
-            opts["export"] = (pending_export, a)
-            pending_export = None
-        elif a.startswith("--backend="):
-            opts["backend"] = a.split("=", 1)[1]
-        elif a.startswith("--loop="):
-            opts["loop"] = a.split("=", 1)[1]
-        elif a.startswith("--processors="):
-            opts["processors"] = int(a.split("=", 1)[1])
-        elif a.startswith("--schedule="):
-            opts["schedule"] = a.split("=", 1)[1]
-        elif a.startswith("--chunk="):
-            opts["chunk"] = int(a.split("=", 1)[1])
-        elif a.startswith("--export="):
-            kind = a.split("=", 1)[1]
-            if kind not in ("chrome", "jsonl"):
-                raise ValueError(
-                    f"unknown export kind {kind!r}; expected chrome or jsonl"
-                )
-            pending_export = kind
-        elif a == "--gantt":
-            opts["gantt"] = True
-        elif a == "--json":
-            opts["json"] = True
-        elif a.startswith("--"):
-            raise ValueError(f"unknown profile option {a!r}")
-        else:
-            positional.append(a)
-    if pending_export is not None:
-        raise ValueError(
-            f"--export={pending_export} needs an output path argument"
-        )
-    if positional:
-        raise ValueError(f"unexpected argument(s) {positional}")
-    return opts
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    try:
-        opts = _parse(args)
-    except ValueError as exc:
-        print(exc)
-        return 2
-
+def main(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.backends import BACKENDS, make_runner
+    from repro.backends import make_runner
     from repro.core.serialize import result_to_dict
-    from repro.errors import ScheduleError
-    from repro.lint.cli import builtin_loops
     from repro.passes import (
         PlanSpec,
         UnsupportedPlanOption,
@@ -112,18 +47,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     from repro.passes.spec import AUTO_BACKEND
 
-    known = BACKENDS + (AUTO_BACKEND,)
-    if opts["backend"] not in known:
-        print(
-            f"unknown backend {opts['backend']!r}; "
-            f"expected one of {', '.join(known)}"
-        )
-        return 2
-    try:
-        loop = next(iter(builtin_loops(opts["loop"]).values()))
-    except ValueError as exc:
-        print(exc)
-        return 2
+    if args.export is not None and args.out is None:
+        args.error(f"--export={args.export} needs an output path argument")
+    if args.export is None and args.out is not None:
+        args.error(f"unrecognized arguments: {args.out}")
+    _, loop = args.loop
 
     # Preferred path: plan with plan_loop, so the printed/exported
     # result carries the auditable plan (stage list + tuner decision).
@@ -132,39 +60,35 @@ def main(argv: list[str] | None = None) -> int:
     plan_audit = None
     try:
         spec = PlanSpec(
-            backend=opts["backend"],
-            processors=opts["processors"],
-            schedule=opts["schedule"],
-            chunk=opts["chunk"],
+            backend=args.backend,
+            processors=args.processors,
+            schedule=args.schedule,
+            chunk=args.chunk,
             observe=True,
         )
         plan = plan_loop(loop, spec)
         result = execute_plan(loop, plan)
         plan_audit = plan.describe()
     except UnsupportedPlanOption as exc:
-        if opts["backend"] == AUTO_BACKEND:
-            print(f"cannot plan: {exc}")
-            return 2
+        if args.backend == AUTO_BACKEND:
+            args.error(f"cannot plan: {exc}")
         runner = make_runner(
             spec=PlanSpec(
-                backend=opts["backend"],
-                processors=opts["processors"],
+                backend=args.backend,
+                processors=args.processors,
                 observe=True,
             )
         )
         run_kwargs = {}
-        if opts["schedule"] is not None:
-            run_kwargs["schedule"] = opts["schedule"]
-        if opts["chunk"] is not None:
-            run_kwargs["chunk"] = opts["chunk"]
+        if args.schedule is not None:
+            run_kwargs["schedule"] = args.schedule
+        if args.chunk is not None:
+            run_kwargs["chunk"] = args.chunk
         result = runner.run(loop, **run_kwargs)
-    except ScheduleError as exc:
-        print(exc)
-        return 2
     telemetry = result.telemetry
     assert telemetry is not None  # observe=True guarantees it
 
-    if opts["json"]:
+    if args.json:
         payload = result_to_dict(result)
         payload["plan"] = plan_audit
         print(json_module.dumps(payload, indent=2, sort_keys=True))
@@ -222,19 +146,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"note: {note['backend']} ignored "
                 f"{note['option']}={note['value']!r} — {note['reason']}"
             )
-        if opts["gantt"]:
+        if args.gantt:
             print()
             print(gantt(telemetry))
 
-    if opts["export"] is not None:
-        kind, path = opts["export"]
-        if kind == "chrome":
-            written = write_chrome_trace(telemetry, path)
+    if args.export is not None:
+        if args.export == "chrome":
+            written = write_chrome_trace(telemetry, args.out)
         else:
-            written = write_spans_jsonl(telemetry, path)
-        print(f"wrote {kind} export: {written}")
+            written = write_spans_jsonl(telemetry, args.out)
+        print(f"wrote {args.export} export: {written}")
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,23 +1,19 @@
-"""CLI front door for the perf doctor.
+"""``python -m repro doctor``: run one builtin loop observed (or load saved
+telemetry: a spans ``.jsonl`` export, a telemetry JSON blob, or
+``profile --json`` output carrying one under ``"telemetry"``) and print the
+perf doctor's findings (:mod:`repro.perf.doctor`).
 
-``doctor [SPEC] [--backend=NAME] [--processors=P] [--telemetry=FILE]
-        [--json]``
-    Run one builtin loop observed (or load saved telemetry: a spans
-    ``.jsonl`` export, a telemetry JSON blob, or ``profile --json`` output
-    carrying one under ``"telemetry"``) and print the perf doctor's findings
-    (:mod:`repro.perf.doctor`).  A malformed argument raises
-    :class:`ValueError`, which ``python -m repro`` prints as one line.
+Options: ``python -m repro doctor --help``.  A ``--telemetry`` file that
+cannot be loaded is a usage error (exit status 2).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 from pathlib import Path
 
 __all__ = ["doctor_main"]
-
-_DOCTOR_LOOP = "figure4:n=2000,m=2,l=8"
 
 
 def _load_telemetry(path: str):
@@ -35,55 +31,30 @@ def _load_telemetry(path: str):
     return telemetry_from_dict(blob)
 
 
-def doctor_main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    backend = "threaded"
-    processors = 8
-    telemetry_path: str | None = None
-    as_json = "--json" in args
-    spec_arg = _DOCTOR_LOOP
-    for a in args:
-        if a.startswith("--backend="):
-            backend = a.split("=", 1)[1]
-        elif a.startswith("--processors="):
-            processors = int(a.split("=", 1)[1])
-        elif a.startswith("--telemetry="):
-            telemetry_path = a.split("=", 1)[1]
-        elif a == "--json":
-            pass
-        elif a.startswith("--"):
-            raise ValueError(f"unknown option {a!r}")
-        else:
-            spec_arg = a
-
+def doctor_main(args: argparse.Namespace) -> int:
+    telemetry_path: str | None = args.telemetry
     if telemetry_path is not None:
         try:
             telemetry = _load_telemetry(telemetry_path)
         except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load telemetry from {telemetry_path}: {exc}")
-            return 2
+            args.error(f"cannot load telemetry from {telemetry_path}: {exc}")
         from repro.perf.doctor import diagnose
 
         findings = [f.as_dict() for f in diagnose(telemetry)]
         subject = f"{telemetry_path} ({telemetry.backend})"
     else:
-        from repro.errors import ScheduleError
-        from repro.lint.cli import builtin_loops
         from repro.passes import PlanSpec, execute_plan, plan_loop
 
-        loop = next(iter(builtin_loops(spec_arg).values()))
-        try:
-            spec = PlanSpec(
-                backend=backend, processors=processors, diagnose=True
-            )
-        except ScheduleError as exc:  # a bad --backend / --processors value
-            raise ValueError(exc) from None
+        spec_arg, loop = args.spec
+        spec = PlanSpec(
+            backend=args.backend, processors=args.processors, diagnose=True
+        )
         plan = plan_loop(loop, spec)
         result = execute_plan(loop, plan)
         findings = result.extras["doctor"]
-        subject = f"{spec_arg} on {backend} ({processors} workers)"
+        subject = f"{spec_arg} on {args.backend} ({args.processors} workers)"
 
-    if as_json:
+    if args.json:
         print(json.dumps({"subject": subject, "findings": findings}, indent=2))
         return 0
     print(f"doctor — {subject}")

@@ -12,16 +12,7 @@ Two modes:
   mutant protocol corruption must be killed while the conformant
   protocols stay silent — and gate on the kill rate.
 
-Options
--------
-``--backend=NAME``    execution backend (simulated/threaded/vectorized/
-                      multiproc/speculative; default threaded)
-``--processors=P``    thread/worker/processor count (default 4)
-``--json``            machine-readable output instead of text
-``--strict``          also fail when a loop's run was uninstrumented
-                      (coverage notes), not just on violations
-``--mutants``         run the mutation harness instead of targets
-``--min-kill=F``      kill-rate floor for ``--mutants`` (default 0.9)
+Options: ``python -m repro sanitize --help``.
 
 Exit status: 0 clean, 1 on any violation (target mode) or a failed
 kill-rate / dirty baseline (mutation mode), 2 on usage errors.
@@ -29,26 +20,24 @@ kill-rate / dirty baseline (mutation mode), 2 on usage errors.
 
 from __future__ import annotations
 
+import argparse
 import json
-import sys
 
 from repro.errors import SanitizerError
-from repro.passes.spec import BACKENDS, PlanSpec
+from repro.passes.spec import PlanSpec
 
 __all__ = ["main"]
 
 
 def _run_targets(
-    targets: list[str],
+    loops: list[tuple],
     backend: str,
     processors: int,
     as_json: bool,
     strict: bool,
 ) -> int:
     from repro.backends import make_runner
-    from repro.lint.cli import collect_loops
 
-    loops = collect_loops(targets)
     records: list[dict] = []
     total_violations = 0
     total_notes = 0
@@ -111,50 +100,20 @@ def _run_mutants(as_json: bool, min_kill: float) -> int:
     return 0 if report.passed(min_kill=min_kill) else 1
 
 
-def main(argv: list[str]) -> int:
-    as_json = False
-    strict = False
-    mutants = False
-    backend = "threaded"
-    processors = 4
-    min_kill = 0.9
-    targets: list[str] = []
-    try:
-        for arg in argv:
-            if arg == "--json":
-                as_json = True
-            elif arg == "--strict":
-                strict = True
-            elif arg == "--mutants":
-                mutants = True
-            elif arg.startswith("--backend="):
-                backend = arg.split("=", 1)[1]
-                if backend not in BACKENDS:
-                    raise ValueError(
-                        f"unknown backend {backend!r}; expected one of "
-                        f"{', '.join(BACKENDS)}"
-                    )
-            elif arg.startswith("--processors="):
-                processors = int(arg.split("=", 1)[1])
-            elif arg.startswith("--min-kill="):
-                min_kill = float(arg.split("=", 1)[1])
-            elif arg.startswith("-"):
-                raise ValueError(f"unknown sanitize option {arg!r}")
-            else:
-                targets.append(arg)
-        if mutants and targets:
-            raise ValueError(
+def main(args: argparse.Namespace) -> int:
+    if args.mutants:
+        if args.targets:
+            args.error(
                 "--mutants runs the builtin mutation workloads and takes "
                 "no targets"
             )
-        if not mutants and not targets:
-            raise ValueError(
-                "no targets; give a .py file, a directory, or a builtin "
-                "spec (figure4/chain/random), or pass --mutants"
-            )
-        if mutants:
-            return _run_mutants(as_json, min_kill)
-        return _run_targets(targets, backend, processors, as_json, strict)
-    except ValueError as exc:
-        print(f"sanitize: {exc}", file=sys.stderr)
-        return 2
+        return _run_mutants(args.json, args.min_kill)
+    if not args.targets:
+        args.error(
+            "no targets; give a .py file, a directory, or a builtin spec "
+            "(figure4/chain/random), or pass --mutants"
+        )
+    loops = [triple for target in args.targets for triple in target]
+    return _run_targets(
+        loops, args.backend, args.processors, args.json, args.strict
+    )

@@ -45,7 +45,7 @@ class TestAmortizedTable:
         r.metrics["amort+reord"] = saved
 
     def test_main_runs(self, capsys):
-        from repro.bench.amortized_table import main
+        from repro.__main__ import main
 
-        assert main(["--small", "4"]) == 0
+        assert main(["table2", "--small", "4"]) == 0
         assert "shape check: PASS" in capsys.readouterr().out

@@ -2,8 +2,47 @@
 
 import pytest
 
-from repro.__main__ import COMMANDS, main
+from repro.__main__ import build_parser, main
 from repro._version import __version__
+
+#: Every option of every command.  A command missing here fails
+#: ``test_inventory_covers_every_command``, so a new one cannot skip the
+#: strict-parser guards below; an option missing here fails ``--help``.
+OPTIONS = {
+    "figure6": ["--json"],
+    "table1": ["--small", "--json"],
+    "ablations": ["--small"],
+    "table2": ["--small"],
+    "krylov": ["--small"],
+    "verify": [],
+    "codegen": ["--c"],
+    "demo": ["--backend"],
+    "profile": [
+        "--backend", "--loop", "--processors", "--schedule", "--chunk",
+        "--export", "--gantt", "--json",
+    ],
+    "lint": [
+        "--json", "--schedule", "--chunk", "--processors", "--strip-block",
+        "--backend", "--rules", "--strict", "--baseline", "--write-baseline",
+        "--prune-baseline",
+    ],
+    "analyze": ["--json", "--cross-check"],
+    "sanitize": [
+        "--backend", "--processors", "--json", "--strict", "--mutants",
+        "--min-kill",
+    ],
+    "doctor": ["--backend", "--processors", "--telemetry", "--json"],
+    "version": [],
+}
+#: Commands that need a target before anything else is looked at.
+TARGET = {"lint": ["chain"], "analyze": ["chain"], "sanitize": ["chain"]}
+
+
+def one_error_line(captured, command):
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"repro {command}: ")
+    return line
 
 
 class TestCli:
@@ -21,20 +60,43 @@ class TestCli:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
-        assert "unknown command" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: ") and "'frobnicate'" in line
 
     def test_usage_is_generated_from_the_command_table(self, capsys):
         assert main([]) == 0
-        out = capsys.readouterr().out
-        assert len(COMMANDS) == 14
-        for name, command in COMMANDS.items():
-            assert f"  {name}" in out
-            assert command.summary in out
+        out = " ".join(capsys.readouterr().out.split())
+        commands = build_parser().commands
+        assert len(commands) == 14
+        for name, sub in commands.items():
+            assert f" {name} " in out
+            assert sub.description in out
 
     @pytest.mark.parametrize("name", ["bench-vectorized", "perf"])
     def test_removed_commands_are_unknown(self, capsys, name):
         assert main([name]) == 2
-        assert "unknown command" in capsys.readouterr().out
+        assert f"invalid choice: {name!r}" in capsys.readouterr().err
+
+    def test_inventory_covers_every_command(self):
+        assert set(OPTIONS) == set(build_parser().commands)
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_unknown_option_exits_2_with_one_line(self, capsys, command):
+        argv = [command, *TARGET.get(command, []), "--definitely-not-an-option"]
+        assert main(argv) == 2
+        line = one_error_line(capsys.readouterr(), command)
+        assert "unrecognized arguments: --definitely-not-an-option" in line
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_exits_0_and_names_every_option(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"python -m repro {command}" in captured.out
+        for option in OPTIONS[command]:
+            assert option in captured.out
 
     @pytest.mark.parametrize(
         "argv",
@@ -46,14 +108,28 @@ class TestCli:
             ["verify", "abc"],
             ["figure6", "--bogus"],
             ["demo", "--backend=cuda"],
+            # Accepted (or a traceback) while each command parsed its own
+            # argv; rejected by construction now that one parser does.
+            ["krylov", "--smal"],
+            ["table1", "--small", "--bogus"],
+            ["ablations", "--bogus"],
+            ["doctor", "chain:n=100,d=1", "chain:n=200,d=2"],
+            ["verify", "10", "2", "3", "4"],
+            ["verify", "-5"],
+            ["figure6", "0"],
+            ["figure6", "1500", "--json"],
+            ["table2", "--small", "0"],
+            ["table2", "--small", "x"],
+            ["sanitize", "chain", "--processors=0"],
+            ["lint", "chain", "--schedule=bogus"],
+            ["lint", "chain", "--chunk=0"],
+            ["lint", "chain", "--processors=0"],
+            ["profile", "--backend=nope"],
         ],
     )
     def test_malformed_argument_exits_2_with_one_line(self, capsys, argv):
         assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith(f"repro {argv[0]}: ")
+        one_error_line(capsys.readouterr(), argv[0])
 
     def test_verify_command(self, capsys):
         assert main(["verify", "60", "3"]) == 0
@@ -71,6 +147,12 @@ class TestCli:
     def test_figure6_command_small(self, capsys):
         assert main(["figure6", "1500"]) == 0
         assert "shape check: PASS" in capsys.readouterr().out
+
+    def test_figure6_json_path_on_either_side_of_n(self, tmp_path, capsys):
+        out = tmp_path / "rows.json"
+        assert main(["figure6", "--json", str(out), "1500"]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        assert out.read_text().startswith("[")
 
     def test_table1_command_small(self, capsys):
         assert main(["table1", "--small"]) == 0

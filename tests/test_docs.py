@@ -60,27 +60,44 @@ class TestDesignTargetsExist:
                 assert path.exists(), f"{current_pkg}/{m.group(1)}"
 
 
+DOCS_NAMING_COMMANDS = (
+    "README.md", "EXPERIMENTS.md", "DESIGN.md", "docs/paper_mapping.md",
+)
+
+
+def commands_named(doc):
+    """What follows each ``python -m repro `` in ``doc``: a command, or an
+    ``a|b|c`` list of them."""
+    text = " ".join(read(doc).split())  # commands wrap across lines
+    return re.findall(r"python -m repro ([a-z0-9|-]+)", text)
+
+
+#: Experiment module -> the sub-command that runs it.
+EXPERIMENT_COMMANDS = {
+    "repro.bench.figure6": "figure6",
+    "repro.bench.table1": "table1",
+    "repro.bench.ablations": "ablations",
+    "repro.bench.amortized_table": "table2",
+    "repro.bench.krylov_fraction": "krylov",
+}
+
+
 class TestExperimentCommandsRun:
-    @pytest.mark.parametrize(
-        "module",
-        [
-            "repro.bench.figure6",
-            "repro.bench.table1",
-            "repro.bench.ablations",
-            "repro.bench.amortized_table",
-            "repro.bench.krylov_fraction",
-        ],
-    )
+    @pytest.mark.parametrize("module", EXPERIMENT_COMMANDS)
     def test_documented_commands_importable(self, module):
-        """Every `python -m <module>` named in the docs must import and
-        expose main()."""
-        for doc in ("README.md", "EXPERIMENTS.md", "DESIGN.md"):
-            if module in read(doc):
-                break
-        else:
-            pytest.fail(f"{module} not mentioned in any doc")
+        """Every experiment module imports, and the command that runs it is
+        a sub-command of the one parser that some doc names as ``python -m
+        repro <command>`` (alone or in an ``a|b|c`` list)."""
+        from repro.__main__ import build_parser
+
         __import__(module)
-        assert hasattr(sys.modules[module], "main")
+        command = EXPERIMENT_COMMANDS[module]
+        assert command in build_parser().commands
+        assert any(
+            command in names.split("|")
+            for doc in DOCS_NAMING_COMMANDS
+            for names in commands_named(doc)
+        ), f"python -m repro {command} not mentioned in any doc"
 
     def test_cli_help_lists_commands_that_exist(self):
         out = subprocess.run(
@@ -94,17 +111,20 @@ class TestExperimentCommandsRun:
                         "codegen", "table2", "krylov"):
             assert command in out.stdout
 
+    def test_docs_use_the_one_door(self):
+        for doc in DOCS_NAMING_COMMANDS:
+            assert "python -m repro." not in read(doc), doc
+
     def test_docs_name_only_commands_in_the_table(self):
         """Every ``python -m repro <command>`` a doc names (alternatives
-        written ``a|b|c`` included) is a row of the one command table."""
-        from repro.__main__ import COMMANDS
+        written ``a|b|c`` included) is a sub-command of the one parser."""
+        from repro.__main__ import build_parser
 
-        for doc in ("README.md", "EXPERIMENTS.md", "DESIGN.md",
-                    "docs/paper_mapping.md"):
-            text = " ".join(read(doc).split())  # commands wrap across lines
-            for names in re.findall(r"python -m repro ([a-z0-9|-]+)", text):
+        commands = build_parser().commands
+        for doc in DOCS_NAMING_COMMANDS:
+            for names in commands_named(doc):
                 for name in names.split("|"):
-                    assert name in COMMANDS, f"{doc} names {name!r}"
+                    assert name in commands, f"{doc} names {name!r}"
 
 
 class TestExperimentsDocNumbers:

@@ -2,15 +2,11 @@
 
 import json
 
-import pytest
-
-from repro.bench.figure6 import main as figure6_main
+from repro.__main__ import main
 from repro.bench.harness import (
     ExperimentRow,
-    parse_json_flag,
     rows_to_json,
 )
-from repro.bench.table1 import main as table1_main
 from repro.core.doacross import PreprocessedDoacross
 from repro.workloads.testloop import make_test_loop
 
@@ -49,24 +45,10 @@ class TestRowsToJson:
         assert records[0]["metrics"] == {"eff": 1.0}
 
 
-class TestParseJsonFlag:
-    def test_absent(self):
-        assert parse_json_flag(["--small", "5"]) == (["--small", "5"], None)
-
-    def test_present(self):
-        args, path = parse_json_flag(["a", "--json", "out.json", "b"])
-        assert args == ["a", "b"]
-        assert path == "out.json"
-
-    def test_missing_path(self):
-        with pytest.raises(ValueError, match="file path"):
-            parse_json_flag(["--json"])
-
-
 class TestCliJsonExport:
     def test_figure6_writes_json(self, tmp_path, capsys):
         out = tmp_path / "fig6.json"
-        assert figure6_main(["800", "--json", str(out)]) == 0
+        assert main(["figure6", "800", "--json", str(out)]) == 0
         records = json.loads(out.read_text())
         assert len(records) == 28
         assert all("run" in r for r in records)
@@ -74,7 +56,7 @@ class TestCliJsonExport:
 
     def test_table1_writes_json(self, tmp_path, capsys):
         out = tmp_path / "tab1.json"
-        assert table1_main(["--small", "--json", str(out)]) == 0
+        assert main(["table1", "--small", "--json", str(out)]) == 0
         records = json.loads(out.read_text())
         assert {r["label"] for r in records} == {
             "SPE2",

@@ -110,23 +110,23 @@ class TestExamplesRun:
 
 class TestBenchModulesRun:
     def test_figure6_main(self, capsys):
-        from repro.bench import figure6
+        from repro.__main__ import main
 
-        assert figure6.main(["800"]) == 0
+        assert main(["figure6", "800"]) == 0
         out = capsys.readouterr().out
         assert "shape check: PASS" in out
 
     def test_table1_main_small(self, capsys):
-        from repro.bench import table1
+        from repro.__main__ import main
 
-        assert table1.main(["--small"]) == 0
+        assert main(["table1", "--small"]) == 0
         out = capsys.readouterr().out
         assert "shape check: PASS" in out
 
     def test_ablations_main_small(self, capsys):
-        from repro.bench import ablations
+        from repro.__main__ import main
 
-        assert ablations.main(["--small"]) == 0
+        assert main(["ablations", "--small"]) == 0
         out = capsys.readouterr().out
         assert "Ablation A" in out
         assert "Ablation E" in out

@@ -54,7 +54,7 @@ class TestKrylovFraction:
         r.metrics["precond_fraction_seq"] = saved
 
     def test_main_runs(self, capsys):
-        from repro.bench.krylov_fraction import main
+        from repro.__main__ import main
 
-        assert main(["--small"]) == 0
+        assert main(["krylov", "--small"]) == 0
         assert "shape check: PASS" in capsys.readouterr().out

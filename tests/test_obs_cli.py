@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.obs.cli import main as profile_main
+from repro.__main__ import main
+
+
+def profile_main(argv):
+    return main(["profile", *argv])
 
 
 SMALL = "--loop=figure4:n=200,m=2,l=8"
@@ -98,5 +102,7 @@ class TestProfileCommand:
     )
     def test_bad_usage_exits_2(self, capsys, argv):
         assert profile_main(argv) == 2
-        assert capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro profile: ")
 

@@ -271,10 +271,14 @@ class TestDiagnoseContract:
             }
 
 
+def doctor_main(argv):
+    from repro.__main__ import main
+
+    return main(["doctor", *argv])
+
+
 class TestDoctorCli:
     def test_builtin_loop_run_prints_findings(self, capsys):
-        from repro.perf.cli import doctor_main
-
         assert doctor_main(
             ["chain:n=200,d=1", "--backend=threaded", "--processors=8"]
         ) == 0
@@ -285,16 +289,12 @@ class TestDoctorCli:
     def test_json_output_parses(self, capsys):
         import json
 
-        from repro.perf.cli import doctor_main
-
         doctor_main(["chain:n=200,d=1", "--json"])
         blob = json.loads(capsys.readouterr().out)
         assert any(f["kind"] == "wait_bound" for f in blob["findings"])
 
     def test_saved_artifact_diagnosed(self, tmp_path, capsys):
         import json
-
-        from repro.perf.cli import doctor_main
 
         loop = chain_loop(200, 1)
         result = make_runner(
@@ -310,8 +310,6 @@ class TestDoctorCli:
 
     def test_saved_spans_jsonl_diagnosed(self, tmp_path, capsys):
         from repro.obs import write_spans_jsonl
-        from repro.perf.cli import doctor_main
-
         loop = chain_loop(200, 1)
         result = make_runner(
             spec=PlanSpec(backend="threaded", processors=8, observe=True)
@@ -321,10 +319,8 @@ class TestDoctorCli:
         assert "wait_bound" in capsys.readouterr().out
 
     def test_unreadable_telemetry_fails_cleanly(self, tmp_path, capsys):
-        from repro.perf.cli import doctor_main
-
         assert doctor_main([f"--telemetry={tmp_path / 'nope.json'}"]) == 2
-        assert "cannot load telemetry" in capsys.readouterr().out
+        assert "cannot load telemetry" in capsys.readouterr().err
 
 
 class TestEndToEnd:
