@@ -22,22 +22,6 @@ from repro._version import __version__
 #: What ``profile`` and ``doctor`` run when no builtin spec is given.
 DEFAULT_LOOP = "figure4:n=2000,m=2,l=8"
 
-#: The four experiments that return a result object (``rows``,
-#: ``report()``, ``check_shape()``): the function that runs each, and which
-#: of the command's parsed options that function takes.
-EXPERIMENTS = {
-    "figure6": ("repro.bench.figure6:run_figure6", ("n",)),
-    "table1": ("repro.bench.table1:run_table1", ("small",)),
-    "table2": (
-        "repro.bench.amortized_table:run_amortized_table",
-        ("small", "instances"),
-    ),
-    "krylov": (
-        "repro.bench.krylov_fraction:run_krylov_fraction",
-        ("small",),
-    ),
-}
-
 
 def _load(entry: str) -> Callable:
     """The function a ``"package.module:function"`` string names."""
@@ -46,18 +30,35 @@ def _load(entry: str) -> Callable:
 
 
 def _experiment(args: argparse.Namespace) -> int:
-    from repro.bench.harness import rows_to_json
+    """Every experiment of the table that ``args.command`` runs: print its
+    report, then its shape check's verdict (exit 1 if any check fails)."""
+    from repro.bench.experiments import EXPERIMENTS
+    from repro.bench.harness import rows_of, rows_to_json
 
-    entry, keywords = EXPERIMENTS[args.command]
-    result = _load(entry)(**{k: getattr(args, k) for k in keywords})
-    print(result.report())
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(rows_to_json(result.rows))
-        print(f"wrote {args.json}")
-    result.check_shape()
-    print("shape check: PASS")
-    return 0
+    json_path = getattr(args, "json", None)
+    if json_path:
+        try:  # an unwritable path is a usage error, found before the run
+            open(json_path, "w").close()
+        except OSError as exc:
+            args.error(f"argument --json: {exc}")
+    status = 0
+    for exp in EXPERIMENTS:
+        if exp.command != args.command:
+            continue
+        result = exp.run(**{k: getattr(args, k) for k in exp.options})
+        print(exp.report(result))
+        if json_path:
+            with open(json_path, "w") as handle:
+                handle.write(rows_to_json(rows_of(result)))
+            print(f"wrote {json_path}")
+        try:
+            exp.check(result)
+        except AssertionError as exc:
+            print(f"shape check: FAIL — {exc}", file=sys.stderr)
+            status = 1
+        else:
+            print("shape check: PASS")
+    return status
 
 
 def _demo(args: argparse.Namespace) -> int:
@@ -247,7 +248,7 @@ def build_parser() -> _Parser:
     json_path(sub)
 
     sub = command(
-        "ablations", "repro.bench.ablations:main",
+        "ablations", _experiment,
         "run the ablation sweeps A-H and print their tables",
     )
     flag(sub, "--small", reduced)
@@ -261,13 +262,11 @@ def build_parser() -> _Parser:
         "instances", nargs="?", type=positive, default=10, metavar="k",
         help="consecutive solves of each problem (default 10)",
     )
-    sub.set_defaults(json=None)
 
     sub = command(
         "krylov", _experiment, "the section-3.2 Krylov motivation experiment"
     )
     flag(sub, "--small", reduced)
-    sub.set_defaults(json=None)
 
     sub = command(
         "verify", _verify,

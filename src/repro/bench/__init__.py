@@ -1,7 +1,9 @@
 """Benchmark harness: the paper's experiments and our ablations.
 
 Every table and figure of the paper's evaluation section has a module here
-that regenerates it (DESIGN.md §5):
+that regenerates it, and one record in :data:`repro.bench.experiments.
+EXPERIMENTS` — the table the commands, the shape tests, the golden cycle
+counts and DESIGN.md §5 are all read from:
 
 - :mod:`repro.bench.figure6` — Figure 6 (test-loop efficiencies vs ``L``);
   run with ``python -m repro figure6``.
@@ -16,11 +18,10 @@ that regenerates it (DESIGN.md §5):
 - :mod:`repro.bench.krylov_fraction` — the §3.2 Krylov motivation
   (``python -m repro krylov``).
 - :mod:`repro.bench.model` — closed-form performance model validated
-  against the simulator.
+  against the simulator (tier-1 only; no command).
 
-The pytest-benchmark entry points in ``benchmarks/`` call into these
-modules; ``python -m repro <command>`` (:mod:`repro.__main__`) is the one
-way to run them from the shell.
+``python -m repro <command>`` (:mod:`repro.__main__`) is the one way to run
+them from the shell; each prints its report and ends with its shape check.
 """
 
 from repro.bench.amortized_table import AmortizedTableResult, run_amortized_table

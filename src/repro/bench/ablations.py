@@ -1,9 +1,10 @@
 """Ablation experiments (DESIGN.md §5, Abl. A–H).
 
-Each function sweeps one design knob the paper discusses (or that the
-implementation exposes) and returns :class:`ExperimentRow` records; the
-``benchmarks/bench_ablation_*.py`` files drive them under pytest-benchmark
-and ``python -m repro ablations [--small]`` prints them all.
+Each ``ablation_*`` function sweeps one design knob the paper discusses (or
+that the implementation exposes) and returns :class:`ExperimentRow` records;
+the ``check_*`` function after it asserts the structure its rationale
+predicts.  ``python -m repro ablations [--small]`` prints every table and
+ends each with its check (:data:`repro.bench.experiments.EXPERIMENTS`).
 
 - **A. Scheduling** — schedule kind × chunk size on the Figure-4 loop:
   chunked schedules break the term-level pipelining of short-distance
@@ -14,8 +15,9 @@ and ``python -m repro ablations [--small]`` prints them all.
   modeled scratch footprint but add barriers and cut cross-block overlap.
 - **C. Linear subscript** — §2.3's inspector elimination: identical
   executor, inspector phase removed.
-- **D. Processor sweep** — Table-1 problems at P ∈ {1..32}.
-- **E. Bus contention** — the optional shared-bus model on/off.
+- **D. Processor sweep** — the 5-PT triangular solve at P ∈ {1..32}.
+- **E. Bus contention** — the optional shared-bus model, cost per access
+  ∈ {0, 1, 2, 4} (0 turns it off).
 - **F. Coherence / locality** — with invalidation misses priced, chain
   pipelining (cyclic chunk-1, every dependence crosses caches) trades off
   against locality (block schedules keep chains in one cache).
@@ -28,11 +30,15 @@ and ``python -m repro ablations [--small]`` prints them all.
 
 from __future__ import annotations
 
-import argparse
+from typing import Callable
 
 import numpy as np
 
-from repro.bench.harness import ExperimentRow
+from repro.bench.harness import (
+    ExperimentRow,
+    check_monotone_nondecreasing,
+    require,
+)
 from repro.bench.reporting import format_table
 from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
@@ -53,8 +59,12 @@ __all__ = [
     "ablation_bus",
     "ablation_coherence",
     "ablation_amortization",
-    "main",
+    "report",
 ]
+
+
+def _total_cycles(rows: list[ExperimentRow]) -> dict[str, int]:
+    return {r.label: r.result.total_cycles for r in rows}
 
 
 def ablation_scheduling(
@@ -85,6 +95,18 @@ def ablation_scheduling(
                 )
             )
     return rows
+
+
+def check_scheduling(rows: list[ExperimentRow]) -> None:
+    """On a tight chain, cyclic chunk-1 beats big chunks and the block
+    schedule."""
+    total = _total_cycles(rows)
+    for loser in ("cyclic/chunk=64", "block/chunk=1"):
+        require(
+            total["cyclic/chunk=1"] < total[loser],
+            f"cyclic/chunk=1 ({total['cyclic/chunk=1']}) does not beat "
+            f"{loser} ({total[loser]}) on a tight chain",
+        )
 
 
 def ablation_stripmine(
@@ -123,6 +145,19 @@ def ablation_stripmine(
     return rows
 
 
+def check_stripmine(rows: list[ExperimentRow]) -> None:
+    """Scratch shrinks with the block size, and tiny blocks are not free."""
+    blocked = [r for r in rows if r.params["block"]]
+    check_monotone_nondecreasing(
+        [r.metrics["scratch_elements"] for r in blocked],
+        label="scratch elements by block size",
+    )
+    require(
+        blocked[0].result.total_cycles >= blocked[-1].result.total_cycles,
+        "the smallest strip-mine block is faster than the largest",
+    )
+
+
 def ablation_linear(
     n: int = 10000,
     processors: int = 16,
@@ -153,6 +188,21 @@ def ablation_linear(
     return rows
 
 
+def check_linear(rows: list[ExperimentRow]) -> None:
+    """The linear variant has no inspector phase and is strictly faster."""
+    by = {r.label: r for r in rows}
+    for m in sorted({r.params["m"] for r in rows}):
+        standard, linear = by[f"M={m}/standard"], by[f"M={m}/linear"]
+        require(
+            linear.metrics["inspector_cycles"] == 0,
+            f"M={m}: the linear variant still ran an inspector",
+        )
+        require(
+            linear.result.total_cycles < standard.result.total_cycles,
+            f"M={m}: dropping the inspector did not save time",
+        )
+
+
 def ablation_processors(
     problem: str = "5-PT",
     processor_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
@@ -172,7 +222,10 @@ def ablation_processors(
         rows.append(
             ExperimentRow(
                 label=f"P={p}",
-                params={"processors": p},
+                params={
+                    "processors": p,
+                    "max_wavefront": reordered.extras["max_wavefront"],
+                },
                 result=plain,
                 metrics={
                     "plain_speedup": plain.speedup,
@@ -183,6 +236,27 @@ def ablation_processors(
             )
         )
     return rows
+
+
+def check_processors(rows: list[ExperimentRow]) -> None:
+    """Speedup grows with P for as long as the widest wavefront can feed
+    the processors, efficiency decays throughout, and one processor
+    measures pure machinery overhead (speedup < 1)."""
+    fed = [
+        r for r in rows if r.params["processors"] <= r.params["max_wavefront"]
+    ]
+    check_monotone_nondecreasing(
+        [r.metrics["reordered_speedup"] for r in fed],
+        label="reordered speedup by processor count",
+    )
+    check_monotone_nondecreasing(
+        [r.metrics["reordered_efficiency"] for r in reversed(rows)],
+        label="reordered efficiency by falling processor count",
+    )
+    require(
+        rows[0].metrics["plain_speedup"] < 1.0,
+        "one processor shows a speedup: the machinery overhead is unpriced",
+    )
 
 
 def ablation_processors_testloop(
@@ -213,6 +287,23 @@ def ablation_processors_testloop(
     return rows
 
 
+def check_processors_testloop(rows: list[ExperimentRow]) -> None:
+    """A dependence-free loop scales with P; a distance-1 chain saturates —
+    the chain, not the machine, is the limit."""
+    speedup = {
+        (r.params["l"], r.params["processors"]): r.result.speedup for r in rows
+    }
+    require(
+        speedup[3, 16] > 1.7 * speedup[3, 8] > 3 * speedup[3, 1],
+        "dependence-free loop (L=3) does not scale from 1 to 8 to 16 "
+        "processors",
+    )
+    require(
+        speedup[4, 16] < 1.15 * speedup[4, 8],
+        "distance-1 chain (L=4) still speeds up from 8 to 16 processors",
+    )
+
+
 def ablation_bus(
     n: int = 10000,
     m: int = 2,
@@ -237,6 +328,13 @@ def ablation_bus(
             )
         )
     return rows
+
+
+def check_bus(rows: list[ExperimentRow]) -> None:
+    """Total time grows with the per-access bus cost."""
+    totals = [r.result.total_cycles for r in rows]
+    check_monotone_nondecreasing(totals, label="total cycles by bus cost")
+    require(totals[-1] > totals[0], "the bus never became a bottleneck")
 
 
 def ablation_coherence(
@@ -280,6 +378,27 @@ def ablation_coherence(
     return rows
 
 
+def check_coherence(rows: list[ExperimentRow]) -> None:
+    """The winner flips with the miss cost: pipelining (cyclic) while misses
+    are cheap, locality (block) once they are dear; cyclic pays about one
+    miss per dependence, block only at its boundaries."""
+    total = _total_cycles(rows)
+    require(
+        total["cyclic/miss=0"] < total["block/miss=0"],
+        "free misses: block scheduling beats pipelining",
+    )
+    require(
+        total["block/miss=200"] < total["cyclic/miss=200"],
+        "200-cycle misses: pipelining still beats locality",
+    )
+    misses = {r.label: r.metrics["misses"] for r in rows}
+    require(
+        misses["cyclic/miss=10"] > 50 * misses["block/miss=10"],
+        f"cyclic misses ({misses['cyclic/miss=10']}) are not far above "
+        f"block misses ({misses['block/miss=10']})",
+    )
+
+
 def ablation_amortization(
     n: int = 4000,
     processors: int = 16,
@@ -310,44 +429,37 @@ def ablation_amortization(
     return rows
 
 
-def _print(rows: list[ExperimentRow], title: str) -> None:
-    table = format_table(
-        ["config", "efficiency", "speedup", "total cycles", "wait cycles"],
-        [
-            (
-                r.label,
-                r.result.efficiency,
-                r.result.speedup,
-                r.result.total_cycles,
-                r.result.wait_cycles,
-            )
-            for r in rows
-        ],
-        title=title,
+def check_amortization(rows: list[ExperimentRow]) -> None:
+    """Per-instance cost falls monotonically toward the executor floor, and
+    the gain over the full pipeline ends above 1.15."""
+    check_monotone_nondecreasing(
+        [r.metrics["per_instance_cycles"] for r in reversed(rows)],
+        label="per-instance cycles by falling instance count",
     )
-    print(table)
-    print()
+    gains = [r.metrics["gain_vs_full"] for r in rows]
+    check_monotone_nondecreasing(gains, label="gain vs the full pipeline")
+    require(gains[-1] > 1.15, f"final gain {gains[-1]:.3f} not above 1.15")
 
 
-def main(args: argparse.Namespace) -> int:
-    _print(ablation_scheduling(), "Ablation A — schedule kind x chunk")
-    _print(ablation_stripmine(), "Ablation B — strip-mine block size")
-    _print(ablation_linear(), "Ablation C — linear-subscript variant")
-    _print(
-        ablation_processors(small=args.small),
-        "Ablation D — processor sweep (5-PT trisolve)",
-    )
-    _print(ablation_bus(), "Ablation E — bus contention")
-    _print(
-        ablation_coherence(),
-        "Ablation F — coherence misses x schedule (distance-1 chain)",
-    )
-    _print(
-        ablation_processors_testloop(),
-        "Ablation H — processor sweep on the Figure-4 loop",
-    )
-    _print(
-        ablation_amortization(),
-        "Ablation G — inspector amortization over repeated instances",
-    )
-    return 0
+def report(title: str) -> Callable[[list[ExperimentRow]], str]:
+    """The table every ablation prints under ``title``, and the blank line
+    that follows it."""
+
+    def render(rows: list[ExperimentRow]) -> str:
+        table = format_table(
+            ["config", "efficiency", "speedup", "total cycles", "wait cycles"],
+            [
+                (
+                    r.label,
+                    r.result.efficiency,
+                    r.result.speedup,
+                    r.result.total_cycles,
+                    r.result.wait_cycles,
+                )
+                for r in rows
+            ],
+            title=title,
+        )
+        return table + "\n"
+
+    return render

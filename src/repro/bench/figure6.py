@@ -5,7 +5,7 @@ the Figure-4 loop with ``N = 10000``, ``M ∈ {1, 5}``, ``L = 1..14``
 (``a(i) = 2i``, ``b(i) = 2i``, ``nbrs(j) = 2j − L``).
 
 Shape acceptance (DESIGN.md §2, enforced by :meth:`Figure6Result.check_shape`
-and the benchmark suite):
+wherever the sweep runs — the command below and the tier-1 tests):
 
 - odd-``L`` efficiencies are flat (pure-overhead plateau) with the ``M=5``
   plateau above the ``M=1`` plateau — the paper reports ≈0.33 and ≈0.50;

@@ -2,8 +2,10 @@
 
 The experiment modules produce lists of :class:`ExperimentRow` records (one
 measured configuration each) and validate them with the shape checks below —
-the acceptance criteria of DESIGN.md §2 expressed as code, so the benchmark
-suite *fails* if the reproduction stops reproducing.
+the acceptance criteria of DESIGN.md §2 expressed as code.  Every check runs
+where its experiment runs (``python -m repro <command>`` and the tier-1
+tests, over :data:`repro.bench.experiments.EXPERIMENTS`), so the suite
+*fails* if the reproduction stops reproducing.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ __all__ = [
     "check_monotone_nondecreasing",
     "check_within",
     "geometric_mean",
+    "require",
+    "rows_of",
     "rows_to_json",
 ]
 
@@ -39,6 +43,17 @@ class ExperimentRow:
         if self.result is not None and hasattr(self.result, name):
             return getattr(self.result, name)
         raise KeyError(f"row {self.label!r} has no metric {name!r}")
+
+
+def rows_of(result: object) -> list[ExperimentRow]:
+    """An experiment returns its rows, or a result object holding them."""
+    return getattr(result, "rows", result)
+
+
+def require(condition: bool, message: str) -> None:
+    """A shape assertion that survives ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
 
 
 def check_monotone_nondecreasing(

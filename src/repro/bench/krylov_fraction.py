@@ -54,16 +54,16 @@ class KrylovFractionResult:
 
     def check_shape(self) -> None:
         """The paper's claim and its payoff, as assertions: solves dominate
-        sequential solver time (fraction > 0.35 for every problem) and
-        parallelizing them speeds up the whole solver (> 1.2× at full
-        sizes)."""
+        sequential solver time (fraction > 0.5 for every problem; measured
+        ≈ 0.60–0.65) and parallelizing them speeds up the whole solver
+        (> 2× at full sizes; measured ≈ 2.2×)."""
         for r in self.rows:
-            if r.metrics["precond_fraction_seq"] <= 0.35:
+            if r.metrics["precond_fraction_seq"] <= 0.5:
                 raise AssertionError(
                     f"{r.label}: preconditioner fraction "
                     f"{r.metrics['precond_fraction_seq']:.2f} not 'large'"
                 )
-            floor = 1.0 if self.small else 1.2
+            floor = 1.0 if self.small else 2.0
             if r.metrics["solver_speedup"] < floor:
                 raise AssertionError(
                     f"{r.label}: whole-solver speedup "
@@ -160,6 +160,10 @@ def run_krylov_fraction(
                     "solver_speedup": (
                         rep_seq.total_cycles / rep_par.total_cycles
                     ),
+                    "sequential_solver_cycles": rep_seq.total_cycles,
+                    "parallel_solver_cycles": rep_par.total_cycles,
+                    "sequential_precond_cycles": rep_seq.precond_cycles,
+                    "parallel_precond_cycles": rep_par.precond_cycles,
                 },
             )
         )

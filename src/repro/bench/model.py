@@ -17,18 +17,23 @@ cyclic chunk-1 executor exhibits:
   two regimes.
 
 Accuracy is a tested property: predictions must track the simulator within
-a tight relative tolerance across the Figure-4 family and chain loops (see
-``benchmarks/bench_model_validation.py`` for the predicted-vs-simulated
-table).
+a tight relative tolerance across the Figure-4 family and chain loops
+(:func:`run_model_validation` builds the predicted-vs-simulated table,
+:func:`check_model` bounds its worst row) — a regression net for both the
+model *and* the simulator: an unintended cost change breaks it immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bench.harness import ExperimentRow, require
+from repro.bench.reporting import format_table
+from repro.core.doacross import PreprocessedDoacross
 from repro.core.results import RunResult
 from repro.machine.costs import CostModel, WorkProfile
-from repro.workloads.testloop import dependence_distances
+from repro.workloads.synthetic import chain_loop
+from repro.workloads.testloop import dependence_distances, make_test_loop
 
 __all__ = [
     "ModelPrediction",
@@ -36,7 +41,13 @@ __all__ = [
     "predict_figure4",
     "predict_chain_loop",
     "relative_error",
+    "run_model_validation",
+    "check_model",
+    "report_model",
 ]
+
+#: Worst relative error on total makespan the model may show (measured 6.2%).
+MAX_RELATIVE_ERROR = 0.07
 
 
 @dataclass(frozen=True)
@@ -197,3 +208,71 @@ def relative_error(prediction: ModelPrediction, result: RunResult) -> float:
     if result.total_cycles == 0:
         return 0.0 if prediction.total == 0 else float("inf")
     return abs(prediction.total - result.total_cycles) / result.total_cycles
+
+
+def run_model_validation(
+    n: int = 4000, chain_n: int = 3000, processors: int = 16
+) -> list[ExperimentRow]:
+    """Predicted vs simulated makespan across the Figure-4 family
+    (``M`` × ``L`` grid, both regimes) and distance-``d`` chain loops."""
+    cases = [
+        (
+            f"fig4 M={m} L={l}",
+            make_test_loop(n=n, m=m, l=l),
+            predict_figure4(n, m, l, processors),
+        )
+        for m in (1, 2, 5)
+        for l in (3, 4, 8, 12, 14)
+    ] + [
+        (
+            f"chain d={d}",
+            chain_loop(chain_n, d),
+            predict_chain_loop(chain_n, d, processors),
+        )
+        for d in (1, 4, 16)
+    ]
+    runner = PreprocessedDoacross(processors=processors)
+    rows = []
+    for label, loop, prediction in cases:
+        simulated = runner.run(loop)
+        rows.append(
+            ExperimentRow(
+                label=label,
+                params={"regime": prediction.regime},
+                result=simulated,
+                metrics={
+                    "predicted_cycles": prediction.total,
+                    "relative_error": relative_error(prediction, simulated),
+                },
+            )
+        )
+    return rows
+
+
+def check_model(rows: list[ExperimentRow]) -> None:
+    """The model tracks the simulator within :data:`MAX_RELATIVE_ERROR`."""
+    worst = max(rows, key=lambda r: r.metrics["relative_error"])
+    require(
+        worst.metrics["relative_error"] < MAX_RELATIVE_ERROR,
+        f"{worst.label}: model is {worst.metrics['relative_error']:.3f} off "
+        f"the simulator (bound {MAX_RELATIVE_ERROR})",
+    )
+
+
+def report_model(rows: list[ExperimentRow]) -> str:
+    table = format_table(
+        ["workload", "regime", "predicted", "simulated", "rel err"],
+        [
+            (
+                r.label,
+                r.params["regime"],
+                r.metrics["predicted_cycles"],
+                r.result.total_cycles,
+                r.metrics["relative_error"],
+            )
+            for r in rows
+        ],
+        title="Analytic model vs. discrete-event simulation",
+    )
+    worst = max(r.metrics["relative_error"] for r in rows)
+    return f"{table}\n\nworst relative error: {worst:.3f}\n"

@@ -59,6 +59,22 @@ def small_test_loop():
     return make_test_loop(n=200, m=2, l=6)
 
 
+@pytest.fixture(scope="session")
+def measured():
+    """``measured(exp, size)``: the result of one record of the experiment
+    table at ``"reduced"`` or ``"full"`` size, run once per session however
+    many tests read it (copy before doctoring)."""
+    results = {}
+
+    def run(exp, size):
+        if (exp.name, size) not in results:
+            kwargs = {"reduced": exp.reduced, "full": {}}[size]
+            results[exp.name, size] = exp.run(**kwargs)
+        return results[exp.name, size]
+
+    return run
+
+
 def assert_matches_oracle(result_y: np.ndarray, loop) -> None:
     """Every strategy must reproduce the sequential oracle exactly (up to
     floating-point associativity, which the executor preserves by summing

@@ -39,11 +39,3 @@ class TestTable1:
         assert small_table.row("5-PT").params["n"] == 144
         with pytest.raises(KeyError):
             small_table.row("nope")
-
-    def test_shape_check_catches_inversion(self, small_table):
-        r = small_table.rows[0]
-        saved = r.metrics["reordered_cycles"]
-        r.metrics["reordered_cycles"] = r.metrics["plain_cycles"] * 2
-        with pytest.raises(AssertionError, match="slower"):
-            small_table.check_shape()
-        r.metrics["reordered_cycles"] = saved

@@ -118,6 +118,8 @@ class TestCli:
             ["verify", "-5"],
             ["figure6", "0"],
             ["figure6", "1500", "--json"],
+            # Found before the sweep runs, not as a traceback after it.
+            ["figure6", "1500", "--json", "/nonexistent-directory/rows.json"],
             ["table2", "--small", "0"],
             ["table2", "--small", "x"],
             ["sanitize", "chain", "--processors=0"],

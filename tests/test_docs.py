@@ -1,8 +1,8 @@
 """Documentation-consistency tests: the docs must track the repository.
 
-Stale docs are bugs too: these tests fail when an example, benchmark
-target, or experiment command named in README/DESIGN/EXPERIMENTS stops
-existing (or a new example is added without being documented).
+Stale docs are bugs too: these tests fail when an example, experiment
+index row, or experiment command named in README/DESIGN/EXPERIMENTS stops
+matching the code (or a new example is added without being documented).
 """
 
 import re
@@ -35,10 +35,18 @@ class TestExamplesDocumented:
 
 
 class TestDesignTargetsExist:
-    def test_bench_targets_in_design_exist(self):
-        design = read("DESIGN.md")
-        for target in set(re.findall(r"benchmarks/([a-z_0-9]+\.py)", design)):
-            assert (ROOT / "benchmarks" / target).exists(), target
+    def test_experiment_index_is_generated_from_the_table(self):
+        """DESIGN.md §5 holds exactly what the experiment table renders
+        (regenerate: ``python -c "from repro.bench.experiments import
+        design_index; print(design_index())"``)."""
+        from repro.bench.experiments import design_index
+
+        section = read("DESIGN.md").split("## 5. Per-experiment index")[1]
+        table = [
+            line for line in section.split("\n## ")[0].splitlines()
+            if line.startswith("|")
+        ]
+        assert table == design_index().splitlines()
 
     def test_module_paths_in_design_exist(self):
         design = read("DESIGN.md")

@@ -7,11 +7,36 @@ simulated behavior; if intentional, regenerate with
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
+from benchmarks.update_golden import GOLDEN_DIR, golden_text
+from repro.bench.experiments import EXPERIMENTS
+
+BY_NAME = {exp.name: exp for exp in EXPERIMENTS}
+
+
+def fresh(name, measured):
+    """The record a fresh reduced-size run of experiment ``name`` pins."""
+    exp = BY_NAME[name]
+    return json.loads(golden_text(exp, measured(exp, "reduced")))
+
+
+class TestGoldenExperiments:
+    def test_one_file_per_experiment(self):
+        assert {p.name for p in GOLDEN_DIR.iterdir()} == {
+            f"{name}.json" for name in BY_NAME
+        }
+
+    @pytest.mark.parametrize("name", BY_NAME)
+    def test_exact_match(self, name, measured):
+        """Byte for byte: what ``update_golden.py`` would write is what is
+        committed, and no row pins nothing."""
+        exp = BY_NAME[name]
+        text = (GOLDEN_DIR / f"{name}.json").read_text()
+        assert golden_text(exp, measured(exp, "reduced")) == text
+        rows = json.loads(text).get("rows") or json.loads(text)["points"]
+        assert all(rows.values())
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +50,8 @@ def golden_table1():
 
 
 class TestGoldenFigure6:
-    def test_exact_match(self, golden_figure6):
-        from benchmarks.update_golden import figure6_record
-
-        assert figure6_record() == golden_figure6
+    def test_exact_match(self, golden_figure6, measured):
+        assert fresh("figure6", measured) == golden_figure6
 
     def test_golden_covers_all_28_points(self, golden_figure6):
         assert len(golden_figure6["points"]) == 28
@@ -44,10 +67,8 @@ class TestGoldenFigure6:
 
 
 class TestGoldenTable1:
-    def test_exact_match(self, golden_table1):
-        from benchmarks.update_golden import table1_record
-
-        assert table1_record() == golden_table1
+    def test_exact_match(self, golden_table1, measured):
+        assert fresh("table1", measured) == golden_table1
 
     def test_golden_orderings_hold(self, golden_table1):
         for name, row in golden_table1["rows"].items():
