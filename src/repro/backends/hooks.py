@@ -129,10 +129,12 @@ class Sanitize(RunHook):
 class Observe(RunHook):
     """``observe=True``: ``result.telemetry`` on every run.
 
-    Wall-clock backends get a :class:`~repro.obs.spans.SpanRecorder` and a
-    :class:`~repro.obs.metrics.MetricsRegistry` attached and emit spans at
-    their phase/level boundaries.  The simulated machine already accounts
-    every cycle, so there the telemetry is synthesized from the result
+    Every backend gets a :class:`~repro.obs.metrics.MetricsRegistry`
+    attached for its own counters; wall-clock backends also get a
+    :class:`~repro.obs.spans.SpanRecorder` and emit spans at their
+    phase/level boundaries.  The simulated machine already accounts
+    every cycle, so there the spans and cycle counters are synthesized
+    from the result into the same registry
     (:func:`~repro.obs.instrument.telemetry_from_result`); an executor
     trace is always collected — observation *is* the request for a
     timeline — but ``extras["trace"]`` is only left behind when the caller
@@ -141,16 +143,16 @@ class Observe(RunHook):
 
     def __init__(self, backend, loop, options):
         super().__init__(backend, loop, options)
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.spans import SpanRecorder
+
+        self.metrics = backend._obs_metrics = MetricsRegistry()
         self.simulated = backend.name == "simulated"
         if self.simulated:
             self.keep_trace = options.get("trace", False)
             options["trace"] = True
             return
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.spans import SpanRecorder
-
         self.recorder = backend._obs_recorder = SpanRecorder()
-        self.metrics = backend._obs_metrics = MetricsRegistry()
         self.t0 = time.perf_counter()
 
     def after(self, result) -> None:
@@ -159,7 +161,7 @@ class Observe(RunHook):
         from repro.obs.telemetry import CLOCK_WALL, Telemetry
 
         if self.simulated:
-            result.telemetry = telemetry_from_result(result)
+            result.telemetry = telemetry_from_result(result, self.metrics)
             if not self.keep_trace:
                 result.extras.pop("trace", None)
             return

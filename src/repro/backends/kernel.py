@@ -21,9 +21,9 @@ crosses lanes and must wait for the writer's post (:data:`WAIT`).
 
 :func:`classify_terms` evaluates that rule for a batch of iterations in
 one vectorised pass; :func:`run_span` is the one scalar evaluator that
-walks iterations by code.  The threaded, multiproc and speculative
-backends are scheduling and synchronisation around these two, and the
-vectorized backend calls :func:`run_span` for every run of wavefronts too
+walks iterations by code.  The threaded, multiproc, speculative and
+simulated backends are scheduling and synchronisation around these two,
+and the vectorized backend calls :func:`run_span` for every run of wavefronts too
 narrow to batch (its codes come from the inspector record: level order
 discharges the waits, so nothing there is :data:`LOCAL` and ``wait`` is
 ``None``).  The static race checker (:mod:`repro.lint.hb`) reads the same
@@ -44,11 +44,15 @@ thread (:func:`take_tally`) and reported by the backends per run
 (``result.extras["kernel"]``).  The two agree bit for bit except in the
 payload bits of a NaN (see :mod:`~repro.backends.native`).
 
-The cycle-charging simulator (:mod:`repro.backends.simulated`) shares
-:func:`classify_terms` — with ``chunk = 1``, per strip-mine block, from
-the ``iter`` array its inspector phase just filled — but not
-:func:`run_span`: its executor is a generator task that must *yield* a
-wait to the event engine, and cannot block inside a callback.
+The cycle-charging simulator (:mod:`repro.backends.simulated`) calls both
+as well: :func:`classify_terms` with ``chunk = 1``, per strip-mine block,
+from the ``iter`` array its inspector phase just filled, and one
+:func:`run_span` per executor phase over the positions in execution order
+(``wait=None``: every writer sits at an earlier position).  Values and
+cycles are separate there — the codes fix which value each term reads
+whatever the interleaving, so the simulated clock (a recurrence over the
+flag set-times, or generator tasks that *yield* their waits to the event
+engine) charges and synchronises without doing any arithmetic.
 
 Not here, on purpose: the sequential oracle
 (:meth:`~repro.ir.loop.IrregularLoop.run_sequential`) is the reference

@@ -1,11 +1,14 @@
 """The simulated backend: the preprocessed doacross as one loop nest on
-the discrete-event machine.
+the simulated multiprocessor.
 
 This module is where the paper's Figure 3 (pre/postprocessing) and Figure 5
 (transformed executor) become executable.  Each run produces *both* the
-correct values (the executor really resolves each term against the old/new
-arrays) and the simulated timing (every action is charged to the issuing
-processor's clock; busy-waits park the processor).
+correct values and the simulated timing, and the two are computed apart:
+the code array of :func:`repro.backends.kernel.classify_terms` fixes which
+value every term reads whatever the interleaving, so an executor phase's
+values are one :func:`repro.backends.kernel.run_span` call over its
+positions in execution order — the walk every backend shares — and its
+cycles are a separate question that involves no arithmetic on ``y``.
 
 Every §2 variant is the same pipeline, :meth:`SimulatedRunner._doacross`,
 with a barrier after each phase (the construct must complete before code
@@ -15,7 +18,7 @@ after the loop runs)::
         inspector     | barrier              # iter(a(i)) = i; none if linear
         codes = kernel.classify_terms(iter)  # Figure 5's compare, per term
         for each instance:                   # amortized inspector: many
-            executor      | barrier          # branches on the codes
+            executor      | barrier          # run_span(codes); cycles below
             postprocessor | barrier          # reduced before the last one
         iter restored                        # also when a phase raised
 
@@ -23,26 +26,55 @@ The plain doacross is one block × one instance, the §2.3 ``linear``
 variant the same with the closed-form writer in place of the inspector
 phase and the ``iter`` array; ``barriers`` is always the number of phases
 run.  The executor never compares ``iter`` with ``i`` itself: it charges
-``dep_check`` per term and branches on the codes
-:func:`repro.backends.kernel.classify_terms` derives from the ``iter``
+``dep_check`` per term and branches on the codes derived from the ``iter``
 array just filled, so what ``validate="static"`` checks
 (:func:`repro.lint.hb.waits_from_iter`) is what executes here.  A read
 whose writer sits in an earlier strip-mine block finds ``iter`` already
 reset, classifies ``OLD`` and takes the no-wait path to the *updated*
 ``y`` — §2.3's "no synchronisation across blocks" is the shared rule, not
 a second one.
+
+The cycles of an executor phase have two bodies, chosen from the machine
+and the schedule class (:meth:`SimulatedRunner._why_engine`; never an
+option) and named in ``result.extras["sim_executor"]``:
+
+- On the machine of both paper experiments — a built-in static schedule,
+  no bus, no coherence, nothing recording a timeline — processors share
+  nothing but the flag set-times, each walks its positions in increasing
+  order and every true dependence points backwards in execution order, so
+  the finish times obey a max-plus recurrence that one sweep in position
+  order evaluates (:meth:`SimulatedRunner._executor_recurrence`): no
+  generators, no ready queue.
+- Every other configuration — bus, coherence, dynamic / guided
+  self-scheduling, ``trace=True`` (hence ``observe=True``),
+  ``validate="sanitize"``, a caller's own ``IterationSchedule`` subclass —
+  has a serial resource, order-dependent state or a log to fill, and runs
+  :meth:`SimulatedRunner._executor_body` as generator tasks on the
+  discrete-event engine (:mod:`repro.machine.engine`), which is also what
+  detects a schedule that deadlocks.  ``tests/test_simulated_executor.py``
+  holds the recurrence to the engine field by field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import Runner, validate_execution_order
-from repro.backends.kernel import ACC, WAIT, classify_terms
+from repro.backends.base import (
+    Runner,
+    note_kernel,
+    validate_execution_order,
+)
+from repro.backends.kernel import (
+    ACC,
+    WAIT,
+    classify_terms,
+    run_span,
+    take_tally,
+)
 from repro.core.results import PhaseBreakdown, RunResult
 from repro.core.sequential import sequential_time
 from repro.core.workspace import MAXINT, DoacrossWorkspace
-from repro.errors import InvalidLoopError
+from repro.errors import InvalidLoopError, ScheduleError
 from repro.ir.analysis import (
     CAT_ANTI,
     CAT_TRUE,
@@ -58,17 +90,24 @@ from repro.ir.transform import (
     TransformPlan,
 )
 from repro.machine.engine import RES_BUS, RES_DISPATCH, Machine
-from repro.machine.flags import FlagStore
+from repro.machine.flags import UNSET, FlagStore
 from repro.machine.ops import Compute, SetFlag, UseResource, WaitFlag
 from repro.machine.scheduler import (
     IterationSchedule,
     StaticBlockSchedule,
+    StaticCyclicSchedule,
     make_schedule,
 )
-from repro.machine.stats import PhaseStats
+from repro.machine.stats import PhaseStats, ProcessorStats
 from repro.machine.trace import Tracer
 
 __all__ = ["SimulatedRunner"]
+
+#: The schedules whose executor phases the recurrence may time: their
+#: placement is a closed form (``lanes()``) and every processor walks its
+#: positions in increasing order.  Exact classes — a subclass may deal
+#: differently, and is a caller's schedule like any other.
+_RECURRENCE_SCHEDULES = (StaticBlockSchedule, StaticCyclicSchedule)
 
 
 class SimulatedRunner(Runner):
@@ -183,32 +222,45 @@ class SimulatedRunner(Runner):
     def _resolve_schedule(
         self, spec, n: int, chunk: int = 1
     ) -> IterationSchedule:
+        """The schedule of a phase of ``n`` positions: ``spec`` itself if
+        it is one — a static one checked to deal every position exactly
+        once over this machine's processors — or a fresh one of kind
+        ``spec`` (``None``: cyclic)."""
+        processors = self.machine.processors
         if isinstance(spec, IterationSchedule):
             if spec.n != n:
                 raise InvalidLoopError(
                     f"schedule covers {spec.n} iterations, loop has {n}"
                 )
-            spec.reset()
+            if not spec.is_dynamic:
+                if spec.processors != processors:
+                    raise ScheduleError(
+                        f"schedule deals to {spec.processors} processors, "
+                        f"the machine has {processors}"
+                    )
+                # A position dealt never or twice would run a part of the
+                # loop, or set a flag a second time.
+                spec.lanes()
             return spec
         kind = "cyclic" if spec is None else spec
-        return make_schedule(kind, n, self.machine.processors, chunk=chunk)
+        return make_schedule(kind, n, processors, chunk=chunk)
 
     def _phase(
         self,
         name: str,
         schedule: IterationSchedule,
         body,
-        base: int = 0,
         flags: FlagStore | None = None,
         tracer=None,
     ) -> PhaseStats:
-        """Run one parallel phase: deal ``schedule``'s positions to the
-        processors — a static schedule's chunk lists, or claims on the
-        shared dispatch counter (``cost_model.dispatch`` per grab,
-        serialised) — and run the generator ``body(st, lo, hi)`` over each
-        piece, shifted by ``base``.  The one dealer of this module."""
+        """Run one parallel phase on the event engine: deal ``schedule``'s
+        positions to the processors — a static schedule's chunk lists, or
+        claims on the shared dispatch counter (``cost_model.dispatch`` per
+        grab, serialised) — and run the generator ``body(st, lo, hi)`` over
+        each piece."""
         machine = self.machine
         dispatch_cost = machine.cost_model.dispatch
+        schedule.reset()  # a reused dynamic schedule deals from the start
 
         def factory_for(proc: int):
             if schedule.is_dynamic:
@@ -220,14 +272,14 @@ class SimulatedRunner(Runner):
                         claim = schedule.claim()
                         if claim is None:
                             return
-                        yield from body(st, base + claim[0], base + claim[1])
+                        yield from body(st, *claim)
 
             else:
                 chunks = schedule.chunks_for(proc)
 
                 def task(st):
                     for lo, hi in chunks:
-                        yield from body(st, base + lo, base + hi)
+                        yield from body(st, lo, hi)
 
             return task
 
@@ -300,29 +352,55 @@ class SimulatedRunner(Runner):
         )
 
     # ------------------------------------------------------------------
-    # Executor body (Figure 5)
+    # Executor timing (Figure 5's cycles; its values are run_span's)
     # ------------------------------------------------------------------
+    def _why_engine(self, schedule: IterationSchedule, tracer) -> str | None:
+        """Why an executor phase dealt by ``schedule`` needs the event
+        engine, or ``None`` when :meth:`_executor_recurrence` times it.
+
+        The recurrence holds when processors share nothing but the flag
+        set-times and each walks its positions in increasing order.  The
+        disqualifiers, in the order they are named: a serial resource
+        (``bus``), state that depends on the interleaving (``coherence``
+        ownership, the ``dynamic-schedule`` dispatch counter), a timeline
+        or shadow log to record (``trace``, ``sanitize``), a placement
+        only the schedule's ``chunks_for`` knows (``custom-schedule``).
+        """
+        machine = self.machine
+        if machine.bus:
+            return "bus"
+        if machine.coherence:
+            return "coherence"
+        if schedule.is_dynamic:
+            return "dynamic-schedule"
+        if tracer is not None:
+            return "trace"
+        if self._san_capture is not None:
+            return "sanitize"
+        if type(schedule) not in _RECURRENCE_SCHEDULES:
+            return "custom-schedule"
+        return None
+
     def _executor_body(
         self,
         loop: IrregularLoop,
-        order: np.ndarray | None,
-        code,
-        init: np.ndarray | None,
-        y: np.ndarray,
-        ynew: np.ndarray,
+        its: np.ndarray,
+        codes: np.ndarray,
+        first: np.ndarray,
     ):
-        """Figure 5's loop body for one executor phase, as a
-        :meth:`_phase` body over execution positions.
-
-        ``code[k]`` is the :mod:`~repro.backends.kernel` code of flat read
-        term ``k``; ``init`` seeds the accumulators (``None``: from the old
-        ``y``).  Ownership for the coherence model starts empty every
-        phase.
+        """The cycles of Figure 5's loop body for one executor phase, as a
+        :meth:`_phase` body over execution positions: position ``p`` runs
+        iteration ``its[p]``, whose terms are coded ``codes[first[p]:]``
+        (:mod:`~repro.backends.kernel` codes).  It charges and
+        synchronises; the values are :func:`~repro.backends.kernel.run_span`'s.
+        Ownership for the coherence model starts empty every phase.
         """
         machine = self.machine
         cm = machine.cost_model
-        write = loop.write
-        ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
+        its, code, first = memoryview(its), memoryview(codes), memoryview(first)
+        write, ptr, r_idx = (
+            memoryview(a) for a in (loop.write, loop.reads.ptr, loop.reads.index)
+        )
 
         work = cm.effective_work(loop.work)
         iter_overhead = cm.exec_iter_overhead + work.overhead
@@ -334,9 +412,7 @@ class SimulatedRunner(Runner):
         coherence_miss = cm.coherence_miss
         # Write-invalidate ownership: which processor's cache holds each
         # renamed element (-1 = none yet).
-        owner = (
-            np.full(loop.y_size, -1, dtype=np.int32) if coherence else None
-        )
+        owner = [-1] * loop.y_size if coherence else None
         san = self._san_capture
 
         def run_body(st, lo: int, hi: int):
@@ -344,60 +420,166 @@ class SimulatedRunner(Runner):
             events = None if san is None else san.lane(st.proc)
             pending = 0
             for p in range(lo, hi):
-                i = p if order is None else order[p]
+                i = its[p]
                 w = write[i]
                 pending += iter_overhead
-                acc = y[w] if init is None else init[i]
                 if bus:
                     n_terms = ptr[i + 1] - ptr[i]
-                    yield UseResource(
-                        RES_BUS, int(2 + n_terms) * bus_per_access
-                    )
+                    yield UseResource(RES_BUS, (2 + n_terms) * bus_per_access)
+                c = first[p]
                 for k in range(ptr[i], ptr[i + 1]):
-                    idx = r_idx[k]
                     # Offset computation, iter load, compare — all done
                     # before (or while) any wait.
                     pending += dep_check_setup
-                    c = code[k]
-                    if c == ACC:
-                        value = acc  # intra-iteration: the live accumulator
-                    elif c == WAIT:
+                    if code[c] == WAIT:
                         # True dependence: busy-wait for the writer, then
                         # read the renamed (new) value.
+                        idx = r_idx[k]
                         if pending:
                             yield Compute(pending)
                             pending = 0
-                        yield WaitFlag(int(idx))
+                        yield WaitFlag(idx)
                         if events is not None:
-                            events.append(("a", int(idx)))
-                            events.append(("r", int(i), int(idx), 1))
-                        value = ynew[idx]
+                            events.append(("a", idx))
+                            events.append(("r", i, idx, 1))
                         if coherence and owner[idx] != st.proc:
                             # Invalidation miss: the line is dirty in the
                             # writer's cache; pay the transfer.
                             pending += coherence_miss
                             st.coherence_misses += 1
                             owner[idx] = st.proc
-                    else:
-                        # Antidependence or never written: old value, no wait.
-                        if events is not None:
-                            events.append(("r", int(i), int(idx), 0))
-                        value = y[idx]
-                    acc += r_coeff[k] * value
+                    elif events is not None and code[c] != ACC:
+                        # Antidependence or never written: old value, no
+                        # wait (the live accumulator is not logged).
+                        events.append(("r", i, r_idx[k], 0))
+                    c += 1
                     pending += term_consume
-                ynew[w] = acc
                 if coherence:
                     owner[w] = st.proc
                 if pending:
                     yield Compute(pending)
                     pending = 0
                 if events is not None:
-                    events.append(("w", int(i), int(w)))
-                    events.append(("p", int(w)))
-                yield SetFlag(int(w))
+                    events.append(("w", i, w))
+                    events.append(("p", w))
+                yield SetFlag(w)
                 st.iterations += 1
 
         return run_body
+
+    def _executor_recurrence(
+        self,
+        loop: IrregularLoop,
+        its: np.ndarray,
+        codes: np.ndarray,
+        counts: np.ndarray,
+        first: np.ndarray,
+        lanes: np.ndarray,
+    ) -> PhaseStats:
+        """The :class:`PhaseStats` the engine gives :meth:`_executor_body`
+        when :meth:`_why_engine` finds no reason for it, without the engine.
+
+        Position ``p`` runs on processor ``lanes[p]`` after that
+        processor's previous position; a ``WAIT`` term resumes no earlier
+        than its flag's set-time, and every writer sits at an earlier
+        position, so one sweep in position order meets every set-time
+        after it is known::
+
+            t = free[lane]
+            per WAIT term:  t += pending;  t = max(t, set_time[idx])
+                            t += flag_check
+            t += pending + flag_set;  set_time[w] = free[lane] = t
+
+        Everything but the ``max`` is sums, taken here per processor in
+        NumPy — a processor's ``wait_cycles`` are what its finish time
+        exceeds its own cycles by — and a phase with no ``WAIT`` term has
+        no sweep at all.
+        """
+        machine = self.machine
+        cm = machine.cost_model
+        processors = machine.processors
+        work = cm.effective_work(loop.work)
+        iter_overhead = cm.exec_iter_overhead + work.overhead
+        dep_check_setup = cm.dep_check + work.term_setup
+        term_consume = work.term_consume
+        flag_check = cm.flag_check
+
+        written = loop.write[its]
+        sets = np.bincount(written, minlength=1)
+        if sets.max() > 1:
+            raise ValueError(
+                f"flag {int(sets.argmax())} set twice; write subscript not "
+                f"injective?"
+            )
+        # Per WAIT term, in execution order: its position, the element
+        # whose flag it reads, the cycles pending when the wait is issued.
+        wait = np.flatnonzero(codes == WAIT)
+        at = np.repeat(np.arange(len(its)), counts)[wait]
+        local = wait - first[at]
+        pending = iter_overhead + (local + 1) * dep_check_setup + local * term_consume
+        n_waits = np.bincount(at, minlength=len(its))
+        # An iteration's own cycles: what it computes, and its flag set.
+        whole = (
+            iter_overhead + counts * (dep_check_setup + term_consume) + cm.flag_set
+        )
+
+        def per_lane(weights) -> list[int]:
+            # Exact: cycle sums stay far below 2**53.
+            return (
+                np.bincount(lanes, weights=weights, minlength=processors)
+                .astype(np.int64)
+                .tolist()
+            )
+
+        compute = per_lane(whole + flag_check * n_waits)
+        free = compute
+        if len(wait):
+            # ``ahead[j]``: cycles from the previous wait of the iteration
+            # (its flag check included) — or from the iteration's start —
+            # to this one; ``tail[p]``: from the last wait to the flag set.
+            again = at[1:] == at[:-1]
+            ahead = pending.copy()
+            ahead[1:][again] -= pending[:-1][again] - flag_check
+            last = np.ones(len(wait), dtype=bool)
+            last[:-1] = ~again
+            tail = whole.copy()
+            tail[at[last]] -= pending[last] - flag_check
+            next_wait = zip(
+                ahead.tolist(),
+                loop.reads.index[loop.reads.ptr[its[at]] + local].tolist(),
+            ).__next__
+            set_time = [UNSET] * loop.y_size
+            free = [0] * processors
+            for lane, n, rest, w in zip(
+                lanes.tolist(), n_waits.tolist(), tail.tolist(), written.tolist()
+            ):
+                t = free[lane]
+                while n:
+                    cycles, idx = next_wait()
+                    t += cycles
+                    if set_time[idx] > t:
+                        t = set_time[idx]
+                    n -= 1
+                set_time[w] = free[lane] = t + rest
+
+        return PhaseStats(
+            name="executor",
+            processors=[
+                ProcessorStats(
+                    proc=proc,
+                    compute_cycles=compute[proc],
+                    # A processor only computes or spins until it is done.
+                    wait_cycles=free[proc] - compute[proc],
+                    flag_checks=checks,
+                    flag_sets=done,
+                    iterations=done,
+                    finish_time=free[proc],
+                )
+                for proc, (checks, done) in enumerate(
+                    zip(per_lane(n_waits), per_lane(None))
+                )
+            ],
+        )
 
     # ------------------------------------------------------------------
     # The pipeline (paper §2.1–§2.3)
@@ -431,7 +613,7 @@ class SimulatedRunner(Runner):
         cm = machine.cost_model
         n = loop.n
         if order is not None:
-            order = np.asarray(order, dtype=np.int64)
+            order = np.ascontiguousarray(order, dtype=np.int64)
             validate_execution_order(loop, order)
         sub = loop.write_subscript
         if linear and not isinstance(sub, AffineSubscript):
@@ -440,9 +622,12 @@ class SimulatedRunner(Runner):
                 f"subscript, got {type(sub).__name__}"
             )
 
+        # Resolved for the whole loop before anything is touched: a bad
+        # kind, chunk, instance size or partition never reaches a phase.
+        described = self._resolve_schedule(schedule, n, chunk)
         ws = self._checkout_workspace(loop)
         iter_arr = ws.iter_arr
-        ynew = ws.ynew
+        ynew = ws.ynew[: loop.y_size]
         y = loop.y0.copy()
         # §2.3's inlined ``(off − d) mod c`` test: the writer of every
         # element in closed form (-1: never written), so neither the
@@ -452,49 +637,65 @@ class SimulatedRunner(Runner):
             if linear
             else iter_arr
         )
-        # Resolved for the whole loop before any phase runs, so a bad kind,
-        # chunk or instance size leaves the workspace untouched.
-        described = self._resolve_schedule(schedule, n, chunk)
-        ptr, r_idx = loop.reads.ptr, loop.reads.index
-        codes = np.empty(len(r_idx), dtype=np.int8)
-        code = memoryview(codes)  # plain ints in the executor's inner loop
+        write = loop.write
+        ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
         tracer = Tracer() if trace else None
+        why_engine = self._why_engine(described, tracer)
+        take_tally()
         ran: list[PhaseStats] = []
 
         for lo, hi in blocks:
             count = hi - lo
-            its = np.arange(lo, hi, dtype=np.int64)
-            block_write = loop.write[lo:hi]
-            exec_schedule = self._resolve_schedule(schedule, count, chunk)
+            block_its = np.arange(lo, hi, dtype=np.int64)
+            block_write = write[lo:hi]
+            its = block_its if order is None else order
+            exec_schedule = (
+                described
+                if count == n
+                else self._resolve_schedule(schedule, count, chunk)
+            )
             try:
                 # --- inspector: parallel do i: iter(a(i)) = i (Figure 3) ---
                 if not linear:
                     ran.append(
                         self._parallel_do("inspector", count, cm.pre_iter, 1)
                     )
-                    iter_arr[block_write] = its
-                codes[ptr[lo] : ptr[hi]] = classify_terms(
-                    ptr, r_idx, writer_of, its, 1
+                    iter_arr[block_write] = block_its
+                codes = classify_terms(ptr, r_idx, writer_of, its, 1)
+                counts = ptr[its + 1] - ptr[its]
+                first = np.cumsum(counts) - counts
+                # The cycles of a phase the recurrence times do not depend
+                # on the values: one sweep serves every instance.
+                cycles = (
+                    self._executor_recurrence(
+                        loop, its, codes, counts, first, exec_schedule.lanes()
+                    )
+                    if why_engine is None
+                    else None
                 )
                 for k in range(instances):
-                    # --- executor (Figure 5) ---
-                    exec_schedule.reset()
-                    body = self._executor_body(
-                        loop,
-                        order,
-                        code,
+                    # --- executor (Figure 5): the values, then the cycles ---
+                    run_span(
+                        its,
+                        codes,
+                        write,
+                        ptr,
+                        r_idx,
+                        r_coeff,
                         loop.init_values
                         if rhs_sequence is None
                         else rhs_sequence[k],
                         y,
                         ynew,
+                        ynew,
                     )
                     ran.append(
-                        self._phase(
+                        cycles
+                        if cycles is not None
+                        else self._phase(
                             "executor",
                             exec_schedule,
-                            body,
-                            base=lo,
+                            self._executor_body(loop, its, codes, first),
                             flags=FlagStore(loop.y_size),
                             tracer=tracer,
                         )
@@ -521,6 +722,17 @@ class SimulatedRunner(Runner):
         result = self._result(
             loop, strategy, y, ran, described, instances, order_label
         )
+        result.extras["sim_executor"] = {
+            "body": "recurrence" if why_engine is None else "engine",
+            "reason": why_engine,
+        }
+        metrics = self._obs_metrics
+        if metrics is not None:
+            executors = sum(phase.name == "executor" for phase in ran)
+            engine = executors if why_engine else 0
+            metrics.count("sim_phases_engine", engine)
+            metrics.count("sim_phases_recurrence", executors - engine)
+        note_kernel(result, metrics, [take_tally()])
         if tracer is not None:
             result.extras["trace"] = tracer
         return result

@@ -6,7 +6,8 @@ both families plus a guided variant, behind one small interface used by the
 backends:
 
 - static schedules precompute each processor's chunk list
-  (:meth:`IterationSchedule.chunks_for`);
+  (:meth:`IterationSchedule.chunks_for`) and answer which processor runs
+  each position as one array (:meth:`IterationSchedule.lanes`);
 - dynamic schedules hand out chunks on demand (:meth:`IterationSchedule.claim`)
   in the order processors reach the dispatch counter — the engine's strict
   global-time ordering makes the claim order causally correct.
@@ -19,6 +20,8 @@ unfinished iteration is always currently executable — see DESIGN.md §6).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.errors import ScheduleError
 
@@ -66,36 +69,68 @@ class IterationSchedule:
         """Restore a dynamic schedule for reuse (static schedules: no-op)."""
 
     # ------------------------------------------------------------------
-    def validate_partition(self) -> None:
-        """Check that a *static* schedule covers 0..n exactly once.
+    def lanes(self) -> np.ndarray:
+        """The processor each position is dealt to (static schedules):
+        position ``p`` runs on processor ``lanes()[p]``.
 
-        Raises :class:`ScheduleError` on overlap or gap.  Dynamic schedules
-        are validated by construction (a single monotone counter).
+        Read off :meth:`chunks_for` here, with a coverage count: a chunk
+        outside ``0..n`` or a position dealt twice or never raises
+        :class:`ScheduleError`.  The built-in static schedules answer in
+        closed form instead.  The order *within* a processor's chunk list
+        is not looked at (:meth:`validate_partition` does that).
+        """
+        n = self.n
+        dealt = [self.chunks_for(proc) for proc in range(self.processors)]
+        chunks = np.array(
+            [chunk for chunks in dealt for chunk in chunks], dtype=np.int64
+        ).reshape(-1, 2)
+        start, stop = chunks[:, 0], chunks[:, 1]
+        bad = np.nonzero((start < 0) | (start > stop) | (stop > n))[0]
+        if len(bad):
+            k = int(bad[0])
+            raise ScheduleError(
+                f"chunk ({int(start[k])}, {int(stop[k])}) out of range "
+                f"for n={n}"
+            )
+        sizes = stop - start
+        pos = np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
+        pos += np.arange(len(pos), dtype=np.int64)
+        times = np.bincount(pos, minlength=n)
+        if (times != 1).any():
+            twice = np.nonzero(times > 1)[0]
+            if len(twice):
+                raise ScheduleError(f"iteration {int(twice[0])} assigned twice")
+            missing = np.nonzero(times == 0)[0]
+            raise ScheduleError(
+                f"{len(missing)} iteration(s) unassigned, first: "
+                f"{int(missing[0])}"
+            )
+        lanes = np.empty(n, dtype=np.int64)
+        lanes[pos] = np.repeat(
+            np.repeat(np.arange(self.processors), [len(c) for c in dealt]),
+            sizes,
+        )
+        return lanes
+
+    def validate_partition(self) -> None:
+        """Check that a *static* schedule covers 0..n exactly once, every
+        processor's chunks in increasing order.
+
+        Raises :class:`ScheduleError` on overlap, gap or disorder.  Dynamic
+        schedules are validated by construction (a single monotone
+        counter).
         """
         if self.is_dynamic:
             return
-        seen = [False] * self.n
+        IterationSchedule.lanes(self)
         for proc in range(self.processors):
             prev_stop = -1
             for start, stop in self.chunks_for(proc):
-                if not (0 <= start <= stop <= self.n):
-                    raise ScheduleError(
-                        f"chunk ({start}, {stop}) out of range for n={self.n}"
-                    )
                 if start < prev_stop:
                     raise ScheduleError(
                         f"processor {proc} receives iterations out of order"
                     )
                 prev_stop = stop
-                for i in range(start, stop):
-                    if seen[i]:
-                        raise ScheduleError(f"iteration {i} assigned twice")
-                    seen[i] = True
-        missing = [i for i, s in enumerate(seen) if not s]
-        if missing:
-            raise ScheduleError(
-                f"{len(missing)} iteration(s) unassigned, first: {missing[0]}"
-            )
 
 
 class StaticBlockSchedule(IterationSchedule):
@@ -113,6 +148,16 @@ class StaticBlockSchedule(IterationSchedule):
         if start == stop:
             return []
         return [(start, stop)]
+
+    def lanes(self) -> np.ndarray:
+        base, extra = divmod(self.n, self.processors)
+        pos = np.arange(self.n, dtype=np.int64)
+        longer = extra * (base + 1)  # positions in the (base + 1)-long blocks
+        return np.where(
+            pos < longer,
+            pos // (base + 1),
+            extra + (pos - longer) // max(base, 1),
+        )
 
 
 class StaticCyclicSchedule(IterationSchedule):
@@ -135,6 +180,10 @@ class StaticCyclicSchedule(IterationSchedule):
             out.append((start, min(start + self.chunk, self.n)))
             start += stride
         return out
+
+    def lanes(self) -> np.ndarray:
+        pos = np.arange(self.n, dtype=np.int64)
+        return (pos // self.chunk) % self.processors
 
 
 class DynamicSchedule(IterationSchedule):

@@ -12,7 +12,11 @@ backends by name.
 Three instrument kinds, matching how each quantity behaves:
 
 - **counter** — monotonically accumulated totals (``flag_checks``,
-  ``wait_cycles``, ``busy_waits``); ``count()`` adds.
+  ``wait_cycles``, ``busy_waits``; ``kernel_spans_native`` /
+  ``kernel_spans_python``, the ``run_span`` bodies a run's spans took;
+  ``sim_phases_recurrence`` / ``sim_phases_engine``, the simulated
+  executor phases timed by the recurrence and by the event engine);
+  ``count()`` adds.
 - **gauge** — point-in-time values (``processors``, ``levels``,
   ``inspector_cache_entries``); ``gauge()`` overwrites.
 - **histogram** — distributions summarized as count/sum/min/max plus

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from repro.backends import native
+from repro.backends import native, simulated
 from repro.core.doacross import PreprocessedDoacross
 from repro.machine.costs import CostModel
 from repro.machine.engine import Machine
@@ -81,6 +83,20 @@ def assert_matches_oracle(result_y: np.ndarray, loop) -> None:
     terms in the same order — so we demand tight agreement)."""
     reference = loop.run_sequential()
     np.testing.assert_allclose(result_y, reference, rtol=1e-12, atol=1e-12)
+
+
+@contextlib.contextmanager
+def on_engine():
+    """Inside, the simulator times every executor phase on the event
+    engine: no schedule class is one the recurrence knows, so each is a
+    caller's own (reason ``custom-schedule``).  Test-only — there is no
+    runner option for this."""
+    saved = simulated._RECURRENCE_SCHEDULES
+    simulated._RECURRENCE_SCHEDULES = ()
+    try:
+        yield
+    finally:
+        simulated._RECURRENCE_SCHEDULES = saved
 
 
 def assert_same_bits(got: np.ndarray, oracle: np.ndarray) -> None:

@@ -247,15 +247,13 @@ def test_a_run_without_scalar_spans_reports_no_kernel_body():
     result = make_runner(spec=spec).run(loop)
     assert result.extras["levels"] == 1 and "kernel" not in result.extras
     assert _counters(result) == {"native": 0, "python": 0}
-    simulated = make_runner(spec=PlanSpec(backend="simulated", processors=4))
-    assert "kernel" not in simulated.run(loop).extras
 
 
 FALLBACK_CELLS = [
     (backend, options)
     for backend in ("vectorized", "threaded", "multiproc", "speculative")
     for options in ({}, {"analyze": "symbolic"}, {"validate": "sanitize"})
-]
+] + [("simulated", {})]  # its executor values are run_span's too
 
 
 @pytest.mark.parametrize("backend,options", FALLBACK_CELLS)

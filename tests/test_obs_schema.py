@@ -221,10 +221,12 @@ class TestInspectorCacheMetrics:
 
 class TestKernelBodyCounters:
     """Which ``run_span`` body ran is part of the schema: two counters on
-    every wall-clock backend, validated and serialized like the rest."""
+    every backend (the simulator's executor values are one span per
+    phase), validated and serialized like the rest."""
 
     @pytest.mark.parametrize(
-        "backend", ("threaded", "vectorized", "multiproc", "speculative")
+        "backend",
+        ("threaded", "vectorized", "multiproc", "speculative", "simulated"),
     )
     def test_counters_account_for_every_span(self, loop, backend):
         result = make_runner(
@@ -240,11 +242,6 @@ class TestKernelBodyCounters:
         note = blob["extras"]["kernel"]
         assert note["body"] == ("native" if native else "python")
         assert (note["reason"] is None) == (python == 0)
-
-    def test_the_simulator_runs_no_span(self, observed):
-        counters = observed["simulated"].telemetry.metrics.as_dict()["counters"]
-        assert "kernel_spans_native" not in counters
-        assert "kernel" not in observed["simulated"].extras
 
 
 class TestIgnoredOptions:

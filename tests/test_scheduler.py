@@ -1,14 +1,17 @@
 """Tests for iteration schedules: exact-cover partitions, per-processor
 ordering (the deadlock-freedom precondition), dynamic claiming."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends.kernel import lane_of
 from repro.errors import ScheduleError
 from repro.machine.scheduler import (
     DynamicSchedule,
     GuidedSchedule,
+    IterationSchedule,
     StaticBlockSchedule,
     StaticCyclicSchedule,
     make_schedule,
@@ -149,6 +152,23 @@ class TestPartitionProperties:
         n=st.integers(0, 300),
         p=st.integers(1, 17),
         chunk=st.integers(1, 9),
+        kind=st.sampled_from(["block", "cyclic"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_lanes_are_what_chunks_for_deals(self, n, p, chunk, kind):
+        s = make_schedule(kind, n, p, chunk=chunk)
+        lanes = s.lanes()
+        assert lanes.dtype == np.int64 and lanes.shape == (n,)
+        # The base class reads the placement off the chunk lists.
+        assert np.array_equal(lanes, IterationSchedule.lanes(s))
+        if kind == "cyclic":
+            # One lane placement: the real-concurrency backends' formula.
+            assert np.array_equal(lanes, lane_of(np.arange(n), chunk, p))
+
+    @given(
+        n=st.integers(0, 300),
+        p=st.integers(1, 17),
+        chunk=st.integers(1, 9),
         kind=st.sampled_from(["dynamic", "guided"]),
     )
     @settings(max_examples=60, deadline=None)
@@ -178,3 +198,45 @@ class TestPartitionProperties:
                     i for lo, hi in s.chunks_for(proc) for i in range(lo, hi)
                 ]
                 assert flat == sorted(flat)
+
+
+class _Dealt(IterationSchedule):
+    """A static schedule given as its chunk lists."""
+
+    def __init__(self, n, chunk_lists):
+        super().__init__(n, len(chunk_lists))
+        self.chunk_lists = chunk_lists
+
+    def chunks_for(self, proc):
+        return self.chunk_lists[proc]
+
+
+class TestCoverage:
+    """``lanes()`` on a caller's schedule is the coverage check."""
+
+    def test_reads_the_placement_off_the_chunks(self):
+        s = _Dealt(6, [[(4, 6), (0, 1)], [(1, 4)], []])
+        assert s.lanes().tolist() == [0, 1, 1, 1, 0, 0]
+
+    @pytest.mark.parametrize(
+        "chunk_lists,message",
+        [
+            ([[(0, 3)], []], r"3 iteration\(s\) unassigned, first: 3"),
+            ([[(0, 4)], [(3, 6)]], "iteration 3 assigned twice"),
+            ([[(0, 6)], [(0, 6)]], "iteration 0 assigned twice"),
+            ([[(0, 7)], []], r"chunk \(0, 7\) out of range"),
+            ([[(-1, 6)], []], r"chunk \(-1, 6\) out of range"),
+            ([[(4, 2)], [(0, 6)]], r"chunk \(4, 2\) out of range"),
+        ],
+    )
+    def test_rejects(self, chunk_lists, message):
+        with pytest.raises(ScheduleError, match=message):
+            _Dealt(6, chunk_lists).lanes()
+        with pytest.raises(ScheduleError, match=message):
+            _Dealt(6, chunk_lists).validate_partition()
+
+    def test_order_is_validate_partitions_to_refuse(self):
+        backwards = _Dealt(6, [[(3, 6), (0, 3)], []])
+        assert backwards.lanes().tolist() == [0] * 6
+        with pytest.raises(ScheduleError, match="out of order"):
+            backwards.validate_partition()

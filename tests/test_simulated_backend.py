@@ -31,7 +31,7 @@ from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
-from tests.conftest import assert_matches_oracle
+from tests.conftest import assert_matches_oracle, on_engine
 
 @pytest.fixture
 def runner():
@@ -51,6 +51,47 @@ class TestScheduleResolution:
             runner.run_preprocessed(
                 loop, schedule=StaticCyclicSchedule(50, 4)
             )
+
+    @pytest.mark.parametrize(
+        "chunks,message",
+        [
+            (lambda n, proc: [(0, n // 2)] if proc == 0 else [], "unassigned"),
+            (lambda n, proc: [(0, n)] if proc < 2 else [], "assigned twice"),
+            (lambda n, proc: [(0, n + 1)] if proc == 0 else [], "out of range"),
+        ],
+        ids=["gap", "overlap", "overrun"],
+    )
+    def test_rejects_a_static_schedule_that_is_no_partition(
+        self, runner, chunks, message
+    ):
+        class Dealt(IterationSchedule):
+            def chunks_for(self, proc):
+                return chunks(self.n, proc)
+
+        loop = chain_loop(60, 1)
+        for run in (
+            lambda s: runner.run_preprocessed(loop, schedule=s),
+            lambda s: runner.run_amortized(loop, 2, schedule=s),
+            lambda s: runner.run_classic(loop, 1, schedule=s),
+            lambda s: runner.run_doall(make_test_loop(60, 1, 3), schedule=s),
+        ):
+            with pytest.raises(ScheduleError, match=message):
+                run(Dealt(60, 4))
+        assert runner.workspace.is_clean()
+        assert runner.workspace.invocations == 0  # before any phase
+
+    @pytest.mark.parametrize("built_for", [2, 8])
+    def test_rejects_a_static_schedule_for_another_machine_size(
+        self, runner, built_for
+    ):
+        # Eight: half the positions would never run.  Two: the engine
+        # would ask it for a processor it does not have.
+        loop = chain_loop(60, 1)
+        with pytest.raises(ScheduleError, match="the machine has 4"):
+            runner.run_preprocessed(
+                loop, schedule=StaticCyclicSchedule(60, built_for)
+            )
+        assert runner.workspace.invocations == 0
 
     def test_dynamic_schedule_instance_reset_between_runs(self, runner):
         loop = make_test_loop(n=40, m=1, l=3)
@@ -460,6 +501,14 @@ class TestSameBehaviourAsTheOldPipelines:
     def test_pinned(self, loop_name, variant):
         assert _pin_row(loop_name, variant) == PINNED[loop_name, variant]
 
+    @pytest.mark.parametrize(
+        "loop_name,variant", sorted(PINNED), ids=lambda v: str(v)
+    )
+    def test_pinned_on_the_engine(self, loop_name, variant):
+        # The same 456 cells with no phase timed by the recurrence.
+        with on_engine():
+            assert _pin_row(loop_name, variant) == PINNED[loop_name, variant]
+
 
 class TestOnePipeline:
     """Equivalences the shared loop nest makes true by construction."""
@@ -545,13 +594,16 @@ class TestFailedExecutorLeavesTheRunnerUsable:
     def test_next_run_is_correct(self, failing, entry):
         pd = PreprocessedDoacross(processors=2)
         loop = chain_loop(40, 1)
-        with pytest.raises(SimulationDeadlockError):
+        with pytest.raises(SimulationDeadlockError) as deadlock:
             if failing == "run":
                 pd.run(loop, schedule=_Backwards(40, 2))
             else:
                 pd.runner().run_amortized(
                     loop, 2, schedule=_Backwards(40, 2)
                 )
+        # Per-processor order is the engine's to refuse: processor 0 is
+        # parked on the flag position 19 would have set.
+        assert deadlock.value.waiters == {0: 19}
         assert pd.workspace.is_clean()
         result = self.ENTRY_POINTS[entry](pd, loop)
         assert np.array_equal(result.y, loop.run_sequential())
