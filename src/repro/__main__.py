@@ -116,7 +116,8 @@ def _codegen(args: argparse.Namespace) -> int:
     from repro.ir.transform import plan_transform
 
     if args.c:
-        # What is actually compiled: the executor's scalar walk.
+        # What is actually compiled: the executor's scalar walk and the
+        # inspector's level pass.
         from repro.backends.native import c_source
 
         print(c_source(), end="")
@@ -279,7 +280,7 @@ def build_parser() -> _Parser:
     sub = command(
         "codegen", _codegen,
         "print the transformed pseudo-Fortran source for a sample loop "
-        "(--c: the C text of the compiled executor walk)",
+        "(--c: the compiled C text, executor walk and level pass)",
     )
     sub.add_argument(
         "kind", nargs="?", default="irregular",

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ProofError, ScheduleError
-from repro.ir.analysis import dependence_pairs
+from repro.ir.analysis import CAT_TRUE, classify_reads
 from repro.ir.loop import IrregularLoop
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -274,18 +274,20 @@ def validate_execution_order(
 
     Returns the inverse permutation (position of each original iteration).
     Raises :class:`~repro.errors.ScheduleError` on violation — running such
-    an order would deadlock the busy-wait executor.
+    an order would deadlock the busy-wait executor.  Checked per true
+    term, not per deduplicated edge: a repeated edge is simply checked
+    again, which costs less than deduplicating it.
     """
     pos = inverse_permutation(order)
-    pairs = dependence_pairs(loop)
-    if len(pairs):
-        bad = pos[pairs[:, 0]] >= pos[pairs[:, 1]]
-        if bad.any():
-            k = int(np.nonzero(bad)[0][0])
-            w, r = int(pairs[k, 0]), int(pairs[k, 1])
-            raise ScheduleError(
-                f"execution order violates true dependence {w} → {r}: "
-                f"writer at position {int(pos[w])}, reader at position "
-                f"{int(pos[r])}; the busy-wait executor would deadlock"
-            )
+    readers, writers, categories = classify_reads(loop)
+    true = categories == CAT_TRUE
+    writers, readers = writers[true], readers[true]
+    bad = np.flatnonzero(pos[writers] >= pos[readers])
+    if len(bad):
+        w, r = int(writers[bad[0]]), int(readers[bad[0]])
+        raise ScheduleError(
+            f"execution order violates true dependence {w} → {r}: "
+            f"writer at position {int(pos[w])}, reader at position "
+            f"{int(pos[r])}; the busy-wait executor would deadlock"
+        )
     return pos

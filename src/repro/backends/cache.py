@@ -45,6 +45,7 @@ from repro.backends.kernel import ACC, OLD, WAIT
 from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
 from repro.graph.levels import LevelSchedule, compute_levels
+from repro.ir.analysis import sorted_unique
 from repro.ir.loop import IrregularLoop
 from repro.ir.transform import TransformPlan, plan_transform, structural_signature
 
@@ -194,7 +195,9 @@ class InspectorRecord:
 
 
 def build_inspector_record(
-    loop: IrregularLoop, schedule: LevelSchedule | None = None
+    loop: IrregularLoop,
+    schedule: LevelSchedule | None = None,
+    fingerprint: str | None = None,
 ) -> InspectorRecord:
     """Run the (vectorized) inspector and wavefront preprocessing for
     ``loop`` and package the result for caching.
@@ -202,26 +205,25 @@ def build_inspector_record(
     This is the whole run-time preprocessing pipeline of the paper —
     Figure 3's ``iter`` construction plus the §3.2 wavefront computation —
     executed as NumPy array operations rather than simulated phases.
-    ``schedule`` is the loop's wavefront decomposition when the caller
-    already holds it (``plan_loop``, the cache's memo); it is
-    computed here otherwise.
+    ``schedule`` is the loop's wavefront decomposition and ``fingerprint``
+    its :func:`loop_fingerprint` when the caller already holds them
+    (``plan_loop``, the cache); they are computed here otherwise — the
+    levels first, so an out-of-range subscript is refused before any
+    array is indexed with it.
     """
+    if schedule is None:
+        schedule = compute_levels(loop)
     n, y_size = loop.n, loop.y_size
-    write = loop.write
-    index = loop.reads.index
 
     # Inspector: iter(a(i)) = i, everything else MAXINT (Figure 3, left).
     iter_array = np.full(y_size, MAXINT, dtype=np.int64)
-    iter_array[write] = np.arange(n, dtype=np.int64)
+    iter_array[loop.write] = np.arange(n, dtype=np.int64)
 
     # Classify every flat term against iter (the executor's check).
     readers = loop.reads.iteration_of_term()
-    writers = iter_array[index]  # MAXINT where unwritten
+    writers = iter_array[loop.reads.index]  # MAXINT where unwritten
     intra_flat = writers == readers
     true_flat = writers < readers  # MAXINT compares greater: never true dep
-
-    if schedule is None:
-        schedule = compute_levels(loop)
 
     return assemble_record(
         loop,
@@ -230,7 +232,7 @@ def build_inspector_record(
         true_flat=true_flat,
         intra_flat=intra_flat,
         plan=plan_transform(loop),
-        fingerprint=loop_fingerprint(loop),
+        fingerprint=fingerprint or loop_fingerprint(loop),
     )
 
 
@@ -280,13 +282,13 @@ def assemble_record(
     codes[renamed] = WAIT
     codes[intra] = ACC
 
-    # Segments: cut the levels wherever "narrow" flips (``unique``: an
+    # Segments: cut the levels wherever "narrow" flips (deduplicated: an
     # empty loop has the single boundary 0).
     level_ptr = schedule.level_ptr
     n_levels = schedule.n_levels
     narrow = np.diff(level_ptr) < _FUSE_BELOW
     flips = np.flatnonzero(narrow[1:] != narrow[:-1]) + 1
-    seg_ptr = np.unique(np.concatenate(([0], flips, [n_levels])))
+    seg_ptr = sorted_unique(np.concatenate(([0], flips, [n_levels])))
     seg_fused = narrow[seg_ptr[:-1]]
 
     # Per-slot active prefix lengths, for the bulk levels only: a fused
@@ -443,7 +445,7 @@ class InspectorCache:
             return record, True
         self.misses += 1
         if builder is None:
-            record = build_inspector_record(loop, schedule=self._levels.get(fp))
+            record = build_inspector_record(loop, self._levels.get(fp), fp)
         else:
             record = builder(loop)
         self._store(self._entries, fp, record)

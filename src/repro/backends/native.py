@@ -1,12 +1,15 @@
-"""The compiled body of :func:`repro.backends.kernel.run_span`.
+"""The compiled bodies of :func:`repro.backends.kernel.run_span` and of
+:func:`repro.graph.levels.compute_levels`.
 
 The paper's §1 flow *compiles* the executor out of the source loop.  This
 module is that step for the one scalar evaluator every wall-clock backend
-shares: the C text of the walk (:func:`c_source`, its term codes generated
-from :mod:`~repro.backends.kernel`'s constants), a ``gcc`` build into a
-shared object cached on disk, and the :mod:`ctypes` entry
-(:func:`run_span`, GIL released) that ``kernel.run_span`` hands every span
-that needs no Python callback.
+shares, and for the inspector's wavefront pass: one C text
+(:func:`c_source`, the walk's term codes generated from
+:mod:`~repro.backends.kernel`'s constants), a ``gcc`` build into one shared
+object cached on disk, and two :mod:`ctypes` entries (GIL released):
+:func:`run_span`, which ``kernel.run_span`` hands every span that needs no
+Python callback, and :func:`wavefront_levels`, the level recurrence
+``compute_levels`` runs on every loop and dependence graph.
 
 Contract.  The same operands, the same term codes, one ``double`` multiply
 then one add per term, left to right — ``-ffp-contract=off``, no
@@ -23,11 +26,15 @@ first violation, which :func:`run_span` raises as
 :class:`~repro.errors.InvalidLoopError`.  (``min`` / ``max`` /
 monotonicity passes before each call cost 144 us and made ``krylov_churn``
 warm 17-24 % slower.)  Writes go to the renamed buffer, so a span that
-stops early has not touched the caller's ``y``.
+stops early has not touched the caller's ``y``.  The level pass checks
+every write index, ``ptr`` pair and term index the same way, so an index
+array mutated out of range after construction is refused before any
+executor starts.
 
 Soft dependency.  No compiler, a cache directory somebody else could write
 to, or a failed build (one :mod:`warnings` line per process) leave the
-Python body in charge; :func:`unavailable` says which.
+Python walk and the NumPy level frontier in charge; :func:`unavailable`
+says which.
 
 Cache.  One ``.so`` in a per-user directory (``$XDG_CACHE_HOME`` or
 ``~/.cache``, else a ``0700`` directory under the temp dir), named by a
@@ -36,8 +43,9 @@ that finds it must start no child at all: the benchmark's ``peak_rss_mb``
 is own + largest waited-for child, and a ``vfork``-ed compiler is
 accounted at the *parent's* peak RSS (Linux ``exec_mmap``) — +16 % on
 ``fig4_chain`` for the one process that compiles.  Hence the build is lazy
-(first eligible span), the cache persistent, and the compiler's version
-string cached beside the object, keyed by the binary's path, size, mtime.
+(first eligible span or level pass), the cache persistent, and the
+compiler's version string cached beside the object, keyed by the binary's
+path, size, mtime.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ __all__ = [
     "object_name",
     "unavailable",
     "run_span",
+    "wavefront_levels",
     "describe",
 ]
 
@@ -115,6 +124,46 @@ int64_t run_span(
         out[w] = acc;
     }}
     return cur;
+}}
+
+/* Wavefront levels by the position-order recurrence: every true dependence
+   points backwards in iteration order, so level[i] = 1 + max level[w] over
+   the terms of i whose writer w is earlier, and 0 when it has none.  The
+   terms of i are src[ptr[i]..ptr[i+1]), elements of an array of `size`.
+   With `write` (one element per iteration) they are mapped to their writer
+   through iter, built here: iter[write[i]] = i, INT64_MAX where unwritten.
+   Without it each term is its writer already (a predecessor list, size ==
+   n).  Returns 0, or -(i + 1) when iteration i's write index, ptr pair or
+   a term reaches outside its operand (level[i..n) not written). */
+int64_t wavefront_levels(
+    const int64_t *write, int64_t *iter, int64_t size, int64_t n,
+    const int64_t *ptr, const int64_t *src, int64_t n_src, int64_t *level)
+{{
+    if (write) {{
+        for (int64_t e = 0; e < size; e++)
+            iter[e] = INT64_MAX;
+        for (int64_t i = 0; i < n; i++) {{
+            int64_t w = write[i];
+            if (w < 0 || w >= size)
+                return -(i + 1);
+            iter[w] = i;
+        }}
+    }}
+    for (int64_t i = 0; i < n; i++) {{
+        int64_t k = ptr[i], hi = ptr[i + 1], lvl = 0;
+        if (k < 0 || k > hi || hi > n_src)
+            return -(i + 1);
+        for (; k < hi; k++) {{
+            int64_t idx = src[k];
+            if (idx < 0 || idx >= size)
+                return -(i + 1);
+            int64_t w = write ? iter[idx] : idx;
+            if (w < i && level[w] >= lvl)
+                lvl = level[w] + 1;
+        }}
+        level[i] = lvl;
+    }}
+    return 0;
 }}
 """
 
@@ -216,41 +265,41 @@ def object_name(version: str) -> str:
     key = "\0".join(
         (c_source(), " ".join(FLAGS), version, platform.machine())
     )
-    return f"run_span-{hashlib.sha256(key.encode()).hexdigest()[:20]}.so"
+    return f"native-{hashlib.sha256(key.encode()).hexdigest()[:20]}.so"
 
 
-_ARGTYPES = [
-    ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-    ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-    ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-    ctypes.c_int64, ctypes.c_int64,
-]
+_P, _N = ctypes.c_void_p, ctypes.c_int64
+#: ``argtypes`` of each C function, in the order of its parameters.
+_ARGTYPES = {
+    "run_span": [_P, _N, _P, _N, _P, _N, _P, _P, _N, _P, _P, _P, _P, _P, _N, _N],
+    "wavefront_levels": [_P, _P, _N, _N, _P, _P, _N, _P],
+}
 
 
 class _Body:
-    """What this process knows about the compiled body, resolved in two
-    steps so a process that never runs an eligible span builds nothing:
-    the compiler lookup when first asked, build-or-load at the first
-    eligible span."""
+    """What this process knows about the compiled object, resolved in two
+    steps so a process that never runs an eligible span or level pass
+    builds nothing: the compiler lookup when first asked, build-or-load at
+    the first call that could use it."""
 
     def __init__(self) -> None:
         self.cc = find_compiler()
-        #: Process-level reason the Python body runs, ``None`` while the
-        #: compiled one is (or may still become) available.
+        #: Process-level reason the Python bodies run, ``None`` while the
+        #: compiled ones are (or may still become) available.
         self.why: str | None = None if self.cc else "no-compiler"
-        self.fn = None
+        self.lib = None
         self.version = ""
         self.path: Path | None = None
         self._lock = threading.Lock()
 
     def entry(self):
-        """The loaded ``run_span``, or ``None`` with :attr:`why` set."""
-        if self.fn is None and self.why is None:
+        """The loaded object (its functions typed), or ``None`` with
+        :attr:`why` set."""
+        if self.lib is None and self.why is None:
             with self._lock:  # threads reach their first span together
-                if self.fn is None and self.why is None:
+                if self.lib is None and self.why is None:
                     self._load()
-        return self.fn
+        return self.lib
 
     def _load(self) -> None:
         directory = cache_dir()
@@ -262,18 +311,20 @@ class _Body:
             self.path = directory / object_name(self.version)
             if not self.path.exists():
                 build(self.cc, c_source(), self.path)
-            fn = ctypes.CDLL(str(self.path)).run_span
+            lib = ctypes.CDLL(str(self.path))
+            for name, argtypes in _ARGTYPES.items():
+                fn = getattr(lib, name)
+                fn.argtypes = argtypes
+                fn.restype = ctypes.c_int64
         except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
             self.why = f"build-failed: {exc}"
             warnings.warn(
                 f"repro: the compiled run_span is unavailable ({exc}); "
-                f"spans run on the Python body",
+                f"spans run on the Python walk, levels on the NumPy frontier",
                 RuntimeWarning, stacklevel=2,
             )
             return
-        fn.argtypes = _ARGTYPES
-        fn.restype = ctypes.c_int64
-        self.fn = fn
+        self.lib = lib
 
 
 _body: _Body | None = None
@@ -329,8 +380,8 @@ def run_span(its, codes, write, ptr, index, coeff, init, old, new, out, cur):
     ):
         return "non-array-operand"
     body = _state()
-    fn = body.entry()  # the first eligible span builds or loads
-    if fn is None:
+    lib = body.entry()  # the first eligible span builds or loads
+    if lib is None:
         return body.why
     n, n_index, y_size = len(write), len(index), len(out)
     if (
@@ -346,7 +397,7 @@ def run_span(its, codes, write, ptr, index, coeff, init, old, new, out, cur):
             f"{len(ptr)} ptr entries, {n_index} indices, {len(coeff)} "
             f"coefficients, value arrays of {len(old)}/{len(new)}/{y_size})"
         )
-    got = fn(
+    got = lib.run_span(
         its.ctypes.data, len(its), codes.ctypes.data, len(codes),
         write.ctypes.data, n, ptr.ctypes.data, index.ctypes.data, n_index,
         coeff.ctypes.data, None if init is None else init.ctypes.data,
@@ -361,3 +412,47 @@ def run_span(its, codes, write, ptr, index, coeff, init, old, new, out, cur):
             f"terms; the span stopped there"
         )
     return got
+
+
+def wavefront_levels(ptr, src, write=None, size=0):
+    """The level of every iteration, compiled: an ``int64`` array, or the
+    reason (``str``) the caller must run the NumPy frontier instead.
+
+    Iteration ``i``'s terms are ``src[ptr[i]:ptr[i+1]]``.  With ``write``
+    they are elements of a ``size``-element array, written by iteration
+    ``j`` where ``write[j]`` names them (a loop's read table); without it
+    they are iteration numbers (a dependence graph's predecessor lists).
+    O(1) checks here, the per-element bounds in the C loop (module doc).
+    """
+    if not (
+        _flat(ptr, _I64) and _flat(src, _I64)
+        and (write is None or _flat(write, _I64))
+    ):
+        return "non-array-operand"
+    body = _state()
+    lib = body.entry()  # the first level pass may build or load
+    if lib is None:
+        return body.why
+    n = len(ptr) - 1
+    if n < 0 or (write is not None and len(write) != n):
+        raise InvalidLoopError(
+            f"wavefront_levels: inconsistent operands ({len(ptr)} ptr "
+            f"entries, {n if write is None else len(write)} writes)"
+        )
+    level = np.empty(n, dtype=np.int64)
+    if write is None:
+        write_at, iter_at, size = None, None, n
+    else:
+        iter_ = np.empty(size, dtype=np.int64)  # the C pass fills it
+        write_at, iter_at = write.ctypes.data, iter_.ctypes.data
+    got = lib.wavefront_levels(
+        write_at, iter_at, size, n,
+        ptr.ctypes.data, src.ctypes.data, len(src), level.ctypes.data,
+    )
+    if got < 0:
+        raise InvalidLoopError(
+            f"wavefront_levels: iteration {-got - 1} reaches outside its "
+            f"operands — a write or read index out of range, or a "
+            f"decreasing ptr; the level pass stopped there"
+        )
+    return level

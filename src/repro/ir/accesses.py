@@ -119,7 +119,7 @@ class ReadTable:
                 f"ptr[-1]={self.ptr[-1]} does not match term count "
                 f"{len(self.index)}"
             )
-        if len(self.ptr) > 1 and np.any(np.diff(self.ptr) < 0):
+        if np.any(self.ptr[1:] < self.ptr[:-1]):  # no (n,) temporary
             raise InvalidLoopError("read table ptr must be non-decreasing")
 
     # ------------------------------------------------------------------
@@ -159,7 +159,8 @@ class ReadTable:
                 f"{index_matrix.shape} and {coeff_matrix.shape}"
             )
         n, m = index_matrix.shape
-        ptr = m * np.arange(n + 1, dtype=np.int64)
+        ptr = np.arange(n + 1, dtype=np.int64)
+        ptr *= m  # in place: one allocation
         return cls(ptr, index_matrix.reshape(-1), coeff_matrix.reshape(-1))
 
     # ------------------------------------------------------------------

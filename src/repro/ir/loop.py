@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.errors import InvalidLoopError, OutputDependenceError
 from repro.ir.accesses import ReadTable
-from repro.ir.subscript import IndirectSubscript, Subscript
+from repro.ir.subscript import AffineSubscript, IndirectSubscript, Subscript
 
 __all__ = ["IrregularLoop", "INIT_OLD_VALUE", "INIT_EXTERNAL"]
 
@@ -116,14 +116,7 @@ class IrregularLoop:
                 f"write subscript materialized to {len(self.write)} entries "
                 f"for {n} iterations"
             )
-        if n > 0:
-            lo, hi = int(self.write.min()), int(self.write.max())
-            if lo < 0 or hi >= y_size:
-                raise InvalidLoopError(
-                    f"write index out of range: min={lo}, max={hi}, "
-                    f"y_size={y_size}"
-                )
-        reads.check_bounds(y_size)
+        self.check_subscripts()
 
         self.init_values: np.ndarray | None
         if init_kind == INIT_EXTERNAL:
@@ -158,10 +151,29 @@ class IrregularLoop:
         self._check_output_dependencies()
 
     # ------------------------------------------------------------------
+    def check_subscripts(self) -> None:
+        """Raise :class:`~repro.errors.InvalidLoopError` if a write or read
+        index lies outside ``y`` — checked at construction, and again
+        before levels are computed without the compiled pass (an index
+        array may have been mutated since)."""
+        if self.n > 0:
+            lo, hi = int(self.write.min()), int(self.write.max())
+            if lo < 0 or hi >= self.y_size:
+                raise InvalidLoopError(
+                    f"write index out of range: min={lo}, max={hi}, "
+                    f"y_size={self.y_size}"
+                )
+        self.reads.check_bounds(self.y_size)
+
     def _check_output_dependencies(self) -> None:
         """Enforce the paper's no-output-dependence assumption: the write
-        subscript must be injective over the iteration range."""
-        if self.n <= 1:
+        subscript must be injective over the iteration range.  A closed
+        form that proves it (an affine ``c·i + d`` with ``c != 0``) is
+        taken at its word; anything else is sorted and checked."""
+        if self.n <= 1 or (
+            isinstance(self.write_subscript, AffineSubscript)
+            and self.write_subscript.is_injective(self.n)
+        ):
             return
         order = np.argsort(self.write, kind="stable")
         sorted_w = self.write[order]

@@ -263,7 +263,10 @@ class AffineSubscript(Subscript):
         return self.c * i + self.d
 
     def materialize(self, n: int) -> np.ndarray:
-        return self.c * np.arange(n, dtype=np.int64) + self.d
+        out = np.arange(n, dtype=np.int64)  # one allocation, no temporaries
+        out *= self.c
+        out += self.d
+        return out
 
     def is_injective(self, n: int) -> bool:
         return self.c != 0 or n <= 1

@@ -68,7 +68,9 @@ class Plan:
         (:class:`~repro.graph.levels.LevelSchedule`) — shared with every
         other plan of the same structure made on the same cache.
     levels_cached:
-        Whether ``levels`` was served from the cache's memo.
+        Whether ``levels`` was served from the cache's memo.  When it was
+        not, ``describe()["levels_body"]`` says which body computed it
+        (``"native"`` or ``"frontier (<reason>)"``).
     order:
         Explicit doconsider execution order to run in, or ``None`` for
         the loop's natural order.
@@ -125,6 +127,8 @@ class Plan:
             "levels_cached": self.levels_cached,
             "reorder": self.spec.reorder,
         }
+        if not self.levels_cached:
+            out["levels_body"] = self.levels.body
         if self.chunk is not None:
             out["chunk"] = int(self.chunk)
         if self.tuner is not None:
@@ -248,7 +252,7 @@ def plan_loop(
         if cache is not None:
             record, _hit = cache.get_or_build(loop, fingerprint=fingerprint)
         else:
-            record = build_inspector_record(loop, levels)
+            record = build_inspector_record(loop, levels, fingerprint)
 
     return Plan(
         spec=spec,

@@ -81,10 +81,11 @@ def make_test_loop(
     # a(i) = 2i, 1-based  →  i₀ ↦ 2(i₀ + 1) + shift.
     write_subscript = AffineSubscript(2, 2 + shift)
 
-    i1 = np.arange(1, n + 1, dtype=np.int64)  # the paper's 1-based i
     j1 = np.arange(1, m + 1, dtype=np.int64)  # the paper's 1-based j
-    # offset(i, j) = b(i) + nbrs(j) = 2i + 2j − L, then shifted.
-    index_matrix = (2 * i1)[:, None] + (2 * j1 - l)[None, :] + shift
+    # offset(i, j) = b(i) + nbrs(j) = 2i + 2j − L, then shifted, for the
+    # paper's 1-based i: one (n,) and one (n, m) allocation, no temporaries.
+    b_shifted = np.arange(2 + shift, 2 * n + 2 + shift, 2, dtype=np.int64)
+    index_matrix = np.add.outer(b_shifted, 2 * j1 - l)
     coeff_matrix = np.broadcast_to(val, (n, m)).copy()
     reads = ReadTable.from_uniform(index_matrix, coeff_matrix)
 

@@ -99,6 +99,19 @@ def on_engine():
         simulated._RECURRENCE_SCHEDULES = saved
 
 
+@contextlib.contextmanager
+def on_frontier():
+    """Inside, the process has no compiler: ``compute_levels`` runs the
+    NumPy frontier (body ``frontier (no-compiler)``) and every span the
+    Python walk.  Test-only — nothing selects a body by hand."""
+    saved = native.find_compiler, native._body
+    native.find_compiler, native._body = (lambda: None), None
+    try:
+        yield
+    finally:
+        native.find_compiler, native._body = saved
+
+
 def assert_same_bits(got: np.ndarray, oracle: np.ndarray) -> None:
     """The contract between the executors and ``run_sequential()`` that
     actually holds: bit-equal wherever the oracle is not NaN (finite

@@ -121,3 +121,7 @@ class TestCompiledExecutorText:
         # ... and every subscript checked before it is used.
         assert "if (idx < 0 || idx >= y_size)\n                return -(t + 1);" in text
         assert "double acc = init ? init[i] : old[w];" in text
+        # The inspector's level pass is the object's second function, its
+        # subscripts checked the same way.
+        assert "int64_t wavefront_levels(" in text
+        assert "            if (w < i && level[w] >= lvl)\n                lvl = level[w] + 1;\n" in text

@@ -1,7 +1,8 @@
-"""The compiled ``run_span`` body around the walk itself: build, cache,
-load, fall back — and how a run says which body it used.
+"""The compiled ``run_span`` and level bodies around the C itself: build,
+cache, load, fall back — and how a run or a plan says which body it used.
 
-The walk's arithmetic and bounds checks are ``tests/test_kernel.py``'s;
+The walk's arithmetic and bounds checks are ``tests/test_kernel.py``'s,
+the level pass's ``tests/test_levels.py``'s;
 here the compiler lookup, the build function and ``subprocess`` are
 patched (no environment switch selects a body), each test on its own
 empty cache directory and its own unresolved process state.
@@ -18,9 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import PlanSpec, make_runner, parallelize
+from repro import InspectorCache, PlanSpec, make_runner, parallelize
 from repro.backends import kernel, native
 from repro.ir.analysis import writer_map
+from repro.passes import execute_plan, plan_loop
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
 
@@ -254,6 +256,27 @@ FALLBACK_CELLS = [
     for backend in ("vectorized", "threaded", "multiproc", "speculative")
     for options in ({}, {"analyze": "symbolic"}, {"validate": "sanitize"})
 ] + [("simulated", {})]  # its executor values are run_span's too
+
+
+@needs_compiler
+def test_a_cold_plan_names_its_level_body_a_warm_one_none(cache_home):
+    loop, cache = chain_loop(400, 1), InspectorCache()
+    spec = PlanSpec(backend="simulated")
+    assert plan_loop(loop, spec, cache).describe()["levels_body"] == "native"
+    assert cache_home.exists()  # the level pass built the one object
+    assert "levels_body" not in plan_loop(loop, spec, cache).describe()
+
+
+def test_without_a_compiler_levels_run_on_the_frontier_and_say_so(
+    monkeypatch, cache_home
+):
+    monkeypatch.setattr(native, "find_compiler", lambda: None)
+    loop = chain_loop(400, 1)
+    plan = plan_loop(loop, PlanSpec(backend="vectorized"))
+    assert plan.describe()["levels_body"] == "frontier (no-compiler)"
+    assert np.array_equal(plan.levels.levels, np.arange(400))
+    assert np.array_equal(execute_plan(loop, plan).y, loop.run_sequential())
+    assert not cache_home.exists()
 
 
 @pytest.mark.parametrize("backend,options", FALLBACK_CELLS)

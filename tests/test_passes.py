@@ -124,6 +124,9 @@ def _pin_cell(loop, spec_kwargs, cache):
         return [type(exc).__name__, str(exc)]
     described = plan.describe()
     del described["fingerprint"]
+    # Added after the capture; which body computed the levels depends on
+    # the machine (a compiler or not), not on the planning decisions.
+    described.pop("levels_body", None)
     if "tuner" in described:
         del described["tuner"]["fingerprint"]
     return [

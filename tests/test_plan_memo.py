@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro import InspectorCache, PlanSpec, parallelize
 from repro.analysis import record_mismatches
-from repro.backends import BACKENDS
+from repro.backends import BACKENDS, native
 from repro.backends.cache import build_inspector_record
 from repro.graph import levels as levels_module
 from repro.graph.depgraph import DependenceGraph
@@ -34,6 +34,7 @@ from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
+from tests.conftest import on_frontier
 
 
 def _trisolve_loop(nx: int = 9, ny: int = 8):
@@ -71,6 +72,13 @@ def analysis_calls(monkeypatch):
     return calls
 
 
+def analyses(levels: int) -> dict:
+    """The counts ``levels`` level computations leave: the compiled pass
+    builds no dependence graph, the NumPy frontier one per call."""
+    graphs = 0 if native.unavailable() is None else levels
+    return {"compute_levels": levels, "from_loop": graphs}
+
+
 # ---------------------------------------------------------------------------
 # (a) one analysis per structure
 # ---------------------------------------------------------------------------
@@ -84,12 +92,20 @@ def test_one_analysis_cold_none_warm(analysis_calls, backend):
 
     result, _ = parallelize(loop, spec=spec, cache=cache)
     assert np.array_equal(result.y, loop.run_sequential())
-    assert analysis_calls == {"compute_levels": 1, "from_loop": 1}
+    assert analysis_calls == analyses(1)
     assert result.extras["schedule_plan"]["levels_cached"] is False
 
     plan = plan_loop(loop, spec, cache)
     assert plan.describe()["levels_cached"] is True
     result, _ = parallelize(loop, spec=spec, cache=cache)
+    assert np.array_equal(result.y, loop.run_sequential())
+    assert analysis_calls == analyses(1)
+
+
+def test_only_the_frontier_builds_a_dependence_graph(analysis_calls):
+    loop = make_test_loop(n=120, m=2, l=8)
+    with on_frontier():
+        result, _ = parallelize(loop, backend="vectorized")
     assert np.array_equal(result.y, loop.run_sequential())
     assert analysis_calls == {"compute_levels": 1, "from_loop": 1}
 
@@ -100,7 +116,7 @@ def test_without_a_cache_every_call_analyses_once(analysis_calls, backend):
     for call in (1, 2):
         result, _ = parallelize(loop, backend=backend)
         assert np.array_equal(result.y, loop.run_sequential())
-        assert analysis_calls == {"compute_levels": call, "from_loop": call}
+        assert analysis_calls == analyses(call)
         assert result.extras["schedule_plan"]["levels_cached"] is False
 
 
@@ -247,7 +263,7 @@ def test_simulated_memo_serves_a_vectorized_plan(analysis_calls):
     vectorized = plan_loop(loop, PlanSpec(backend="vectorized"), cache)
     assert vectorized.describe()["levels_cached"] is True
     assert vectorized.record.schedule is simulated.levels
-    assert analysis_calls == {"compute_levels": 1, "from_loop": 1}
+    assert analysis_calls == analyses(1)
     assert np.array_equal(
         execute_plan(loop, vectorized, cache).y, loop.run_sequential()
     )
@@ -261,7 +277,7 @@ def test_record_schedule_serves_a_simulated_plan(analysis_calls):
     simulated = plan_loop(loop, PlanSpec(backend="simulated"), cache)
     assert simulated.describe()["levels_cached"] is True
     assert simulated.levels is record.schedule
-    assert analysis_calls == {"compute_levels": 1, "from_loop": 1}
+    assert analysis_calls == analyses(1)
     assert np.array_equal(
         execute_plan(loop, simulated, cache).y, loop.run_sequential()
     )
