@@ -117,7 +117,7 @@ def _codegen(args: argparse.Namespace) -> int:
 
     if args.c:
         # What is actually compiled: the executor's scalar walk and the
-        # inspector's level pass.
+        # max-plus sweep.
         from repro.backends.native import c_source
 
         print(c_source(), end="")
@@ -280,7 +280,7 @@ def build_parser() -> _Parser:
     sub = command(
         "codegen", _codegen,
         "print the transformed pseudo-Fortran source for a sample loop "
-        "(--c: the compiled C text, executor walk and level pass)",
+        "(--c: the compiled C text, executor walk and max-plus sweep)",
     )
     sub.add_argument(
         "kind", nargs="?", default="irregular",

@@ -28,6 +28,7 @@ from repro.analysis.verdicts import (
     SLOT_TRUE,
     DependenceVerdict,
 )
+from repro.backends import native
 from repro.backends.cache import InspectorRecord, assemble_record
 from repro.core.workspace import MAXINT
 from repro.errors import ProofError
@@ -142,25 +143,21 @@ def build_symbolic_record(
             levels = _chain_levels(has_pred, true_slots[0].distance)
             schedule = LevelSchedule.from_levels(levels)
         else:
-            # Mixed constant distances: emit the dependence pairs in
-            # closed form (still no memory inspection) and reuse the
-            # standard level computation.
-            from repro.graph.depgraph import DependenceGraph
-            from repro.graph.levels import compute_levels
-
-            pair_list = [
-                np.stack(
-                    [
-                        np.arange(a, b, dtype=np.int64) - dep.distance,
-                        np.arange(a, b, dtype=np.int64),
-                    ],
-                    axis=1,
-                )
-                for dep in true_slots
-                for a, b in [dep.dep_range]
-            ]
-            pairs = np.unique(np.concatenate(pair_list, axis=0), axis=0)
-            schedule = compute_levels(DependenceGraph(n, pairs))
+            # Mixed constant distances: every reader's proven writers in
+            # closed form (still no memory inspection), grouped by reader
+            # into a predecessor CSR for the level sweep; a writer named
+            # twice is harmless to a max.
+            spans = [np.arange(*dep.dep_range, dtype=np.int64) for dep in true_slots]
+            readers = np.concatenate(spans)
+            writers = np.concatenate(
+                [span - dep.distance for span, dep in zip(spans, true_slots)]
+            )
+            pred_ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(readers, minlength=n), out=pred_ptr[1:])
+            times, _, body = native.max_plus(
+                pred_ptr, writers[np.argsort(readers, kind="stable")], n, step=1
+            )
+            schedule = LevelSchedule.from_levels(times - 1, body)
 
     return assemble_record(
         loop,

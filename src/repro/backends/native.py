@@ -1,15 +1,19 @@
-"""The compiled bodies of :func:`repro.backends.kernel.run_span` and of
-:func:`repro.graph.levels.compute_levels`.
+"""The compiled bodies of :func:`repro.backends.kernel.run_span` and of the
+one max-plus recurrence, :func:`max_plus`.
 
 The paper's §1 flow *compiles* the executor out of the source loop.  This
 module is that step for the one scalar evaluator every wall-clock backend
-shares, and for the inspector's wavefront pass: one C text
-(:func:`c_source`, the walk's term codes generated from
+shares, and for the sweep behind the §3.2 wavefronts and every cycle
+bound: one C text (:func:`c_source`, the walk's term codes generated from
 :mod:`~repro.backends.kernel`'s constants), a ``gcc`` build into one shared
 object cached on disk, and two :mod:`ctypes` entries (GIL released):
 :func:`run_span`, which ``kernel.run_span`` hands every span that needs no
-Python callback, and :func:`wavefront_levels`, the level recurrence
-``compute_levels`` runs on every loop and dependence graph.
+Python callback, and :func:`max_plus`.  Every value an iteration reads was
+written by an earlier one (the per-iteration read contract), so position
+order is topological, and one forward sweep with times indexed by element
+(no ``iter`` array, no dependence graph) gives the wavefront levels, the
+critical path and the simulated executor's cycles; :func:`max_plus` is
+its one dispatch site, between the C function and its Python body.
 
 Contract.  The same operands, the same term codes, one ``double`` multiply
 then one add per term, left to right — ``-ffp-contract=off``, no
@@ -26,15 +30,16 @@ first violation, which :func:`run_span` raises as
 :class:`~repro.errors.InvalidLoopError`.  (``min`` / ``max`` /
 monotonicity passes before each call cost 144 us and made ``krylov_churn``
 warm 17-24 % slower.)  Writes go to the renamed buffer, so a span that
-stops early has not touched the caller's ``y``.  The level pass checks
-every write index, ``ptr`` pair and term index the same way, so an index
-array mutated out of range after construction is refused before any
-executor starts.
+stops early has not touched the caller's ``y``.  The sweep checks every
+``ptr`` pair, term, write and lane index the same way, and refuses a
+second write of one element, on both bodies, so an index array mutated
+after construction — out of range, or into a non-injective write — is
+refused by the level pass before any executor starts.
 
 Soft dependency.  No compiler, a cache directory somebody else could write
 to, or a failed build (one :mod:`warnings` line per process) leave the
-Python walk and the NumPy level frontier in charge; :func:`unavailable`
-says which.
+Python walk and the Python sweep in charge; :func:`unavailable` says
+which.
 
 Cache.  One ``.so`` in a per-user directory (``$XDG_CACHE_HOME`` or
 ``~/.cache``, else a ``0700`` directory under the temp dir), named by a
@@ -43,7 +48,7 @@ that finds it must start no child at all: the benchmark's ``peak_rss_mb``
 is own + largest waited-for child, and a ``vfork``-ed compiler is
 accounted at the *parent's* peak RSS (Linux ``exec_mmap``) — +16 % on
 ``fig4_chain`` for the one process that compiles.  Hence the build is lazy
-(first eligible span or level pass), the cache persistent, and the
+(first eligible span or sweep), the cache persistent, and the
 compiler's version string cached beside the object, keyed by the binary's
 path, size, mtime.
 """
@@ -65,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import InvalidLoopError
+from repro.errors import InvalidLoopError, OutputDependenceError
 
 __all__ = [
     "FLAGS",
@@ -76,7 +81,7 @@ __all__ = [
     "object_name",
     "unavailable",
     "run_span",
-    "wavefront_levels",
+    "max_plus",
     "describe",
 ]
 
@@ -126,42 +131,52 @@ int64_t run_span(
     return cur;
 }}
 
-/* Wavefront levels by the position-order recurrence: every true dependence
-   points backwards in iteration order, so level[i] = 1 + max level[w] over
-   the terms of i whose writer w is earlier, and 0 when it has none.  The
-   terms of i are src[ptr[i]..ptr[i+1]), elements of an array of `size`.
-   With `write` (one element per iteration) they are mapped to their writer
-   through iter, built here: iter[write[i]] = i, INT64_MAX where unwritten.
-   Without it each term is its writer already (a predecessor list, size ==
-   n).  Returns 0, or -(i + 1) when iteration i's write index, ptr pair or
-   a term reaches outside its operand (level[i..n) not written). */
-int64_t wavefront_levels(
-    const int64_t *write, int64_t *iter, int64_t size, int64_t n,
-    const int64_t *ptr, const int64_t *src, int64_t n_src, int64_t *level)
+/* The max-plus recurrence in position order, times indexed by element.
+   Position p reads the elements src[ptr[p]..ptr[p+1]) of an array of
+   `size` and then writes element write[p] (p itself without `write`,
+   size == n).  Every writer of an element p reads sits at an earlier
+   position, so one sweep meets each time after it is set:
+       t = lane ? free_[lane[p]] : start ? start[p] : 0
+       per term k:  t += ahead[k];  t = max(t, set[src[k]])
+       set[write[p]] = free_[lane[p]] = t + step + tail[p]
+   ahead, start, tail, write and lane may each be NULL (zero, zero, zero,
+   p, no lanes).  An element no earlier position wrote holds INT64_MIN,
+   below every time.  Returns 0; -(p + 1) when position p's ptr pair, a
+   term, its write index or its lane reaches outside its operand; p + 1
+   when p writes an element an earlier position wrote.  Either way nothing
+   of p is written. */
+int64_t max_plus(
+    int64_t n, const int64_t *ptr, const int64_t *src, int64_t n_src,
+    const int64_t *ahead, const int64_t *start, const int64_t *tail,
+    int64_t step, const int64_t *write, int64_t *set, int64_t size,
+    const int64_t *lane, int64_t *free_, int64_t lanes)
 {{
-    if (write) {{
-        for (int64_t e = 0; e < size; e++)
-            iter[e] = INT64_MAX;
-        for (int64_t i = 0; i < n; i++) {{
-            int64_t w = write[i];
-            if (w < 0 || w >= size)
-                return -(i + 1);
-            iter[w] = i;
-        }}
-    }}
-    for (int64_t i = 0; i < n; i++) {{
-        int64_t k = ptr[i], hi = ptr[i + 1], lvl = 0;
-        if (k < 0 || k > hi || hi > n_src)
-            return -(i + 1);
+    for (int64_t e = 0; e < size; e++)
+        set[e] = INT64_MIN;
+    for (int64_t l = 0; l < lanes; l++)
+        free_[l] = 0;
+    for (int64_t p = 0; p < n; p++) {{
+        int64_t k = ptr[p], hi = ptr[p + 1];
+        int64_t w = write ? write[p] : p, l = lane ? lane[p] : 0;
+        if (k < 0 || k > hi || hi > n_src || w < 0 || w >= size
+            || (lane && (l < 0 || l >= lanes)))
+            return -(p + 1);
+        int64_t t = lane ? free_[l] : start ? start[p] : 0;
         for (; k < hi; k++) {{
             int64_t idx = src[k];
             if (idx < 0 || idx >= size)
-                return -(i + 1);
-            int64_t w = write ? iter[idx] : idx;
-            if (w < i && level[w] >= lvl)
-                lvl = level[w] + 1;
+                return -(p + 1);
+            if (ahead)
+                t += ahead[k];
+            if (set[idx] > t)
+                t = set[idx];
         }}
-        level[i] = lvl;
+        if (set[w] != INT64_MIN)
+            return p + 1;
+        t += step + (tail ? tail[p] : 0);
+        set[w] = t;
+        if (lane)
+            free_[l] = t;
     }}
     return 0;
 }}
@@ -272,13 +287,13 @@ _P, _N = ctypes.c_void_p, ctypes.c_int64
 #: ``argtypes`` of each C function, in the order of its parameters.
 _ARGTYPES = {
     "run_span": [_P, _N, _P, _N, _P, _N, _P, _P, _N, _P, _P, _P, _P, _P, _N, _N],
-    "wavefront_levels": [_P, _P, _N, _N, _P, _P, _N, _P],
+    "max_plus": [_N, _P, _P, _N, _P, _P, _P, _N, _P, _P, _N, _P, _P, _N],
 }
 
 
 class _Body:
     """What this process knows about the compiled object, resolved in two
-    steps so a process that never runs an eligible span or level pass
+    steps so a process that never runs an eligible span or sweep
     builds nothing: the compiler lookup when first asked, build-or-load at
     the first call that could use it."""
 
@@ -319,8 +334,8 @@ class _Body:
         except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
             self.why = f"build-failed: {exc}"
             warnings.warn(
-                f"repro: the compiled run_span is unavailable ({exc}); "
-                f"spans run on the Python walk, levels on the NumPy frontier",
+                f"repro: the compiled bodies are unavailable ({exc}); spans "
+                f"run on the Python walk, the max-plus sweep in Python",
                 RuntimeWarning, stacklevel=2,
             )
             return
@@ -414,45 +429,112 @@ def run_span(its, codes, write, ptr, index, coeff, init, old, new, out, cur):
     return got
 
 
-def wavefront_levels(ptr, src, write=None, size=0):
-    """The level of every iteration, compiled: an ``int64`` array, or the
-    reason (``str``) the caller must run the NumPy frontier instead.
+_UNSET = -(2**63)  # C INT64_MIN: no earlier position wrote the element
 
-    Iteration ``i``'s terms are ``src[ptr[i]:ptr[i+1]]``.  With ``write``
-    they are elements of a ``size``-element array, written by iteration
-    ``j`` where ``write[j]`` names them (a loop's read table); without it
-    they are iteration numbers (a dependence graph's predecessor lists).
-    O(1) checks here, the per-element bounds in the C loop (module doc).
+
+def _sweep(n, ptr, src, ahead, start, tail, step, write, times, lane, free):
+    """The C ``max_plus`` statement for statement, for processes without
+    it: over ``memoryview``s, filling the lists ``times`` (all
+    ``_UNSET``) and ``free`` (all 0); the same status."""
+    size, n_src, lanes = len(times), len(src), len(free)
+    for p in range(n):
+        k, hi = ptr[p], ptr[p + 1]
+        w = p if write is None else write[p]
+        on = 0 if lane is None else lane[p]
+        if (
+            k < 0 or k > hi or hi > n_src or not 0 <= w < size
+            or (lane is not None and not 0 <= on < lanes)
+        ):
+            return -(p + 1)
+        t = free[on] if lane is not None else 0 if start is None else start[p]
+        for k in range(k, hi):
+            idx = src[k]
+            if not 0 <= idx < size:
+                return -(p + 1)
+            if ahead is not None:
+                t += ahead[k]
+            if times[idx] > t:
+                t = times[idx]
+        if times[w] != _UNSET:
+            return p + 1
+        t += step if tail is None else step + tail[p]
+        times[w] = t
+        if lane is not None:
+            free[on] = t
+    return 0
+
+
+def max_plus(
+    ptr, src, size, *, write=None, ahead=None, start=None, tail=None,
+    step=0, lane=None, lanes=0,
+):
+    """The max-plus recurrence of the C text's ``max_plus`` (its comment
+    has the per-position rule), compiled or, where it cannot be,
+    :func:`_sweep`: ``(times, free, body)`` — each element's write time
+    (``INT64_MIN`` where never written), each lane's last time, and
+    ``"native"`` or ``"python (<reason>)"``.
+
+    Unit ``step`` gives wavefront levels plus one; ``start = weights −
+    step`` the critical path; lanes, per-``WAIT`` ``ahead`` and
+    per-position ``tail`` the simulated executor's finish times.  A
+    position reaching outside its operands raises
+    :class:`~repro.errors.InvalidLoopError`, one writing an element an
+    earlier one wrote :class:`~repro.errors.OutputDependenceError`, on
+    either body.  O(1) checks here, the per-element ones in the sweep.
     """
-    if not (
-        _flat(ptr, _I64) and _flat(src, _I64)
-        and (write is None or _flat(write, _I64))
-    ):
-        return "non-array-operand"
-    body = _state()
-    lib = body.entry()  # the first level pass may build or load
-    if lib is None:
-        return body.why
     n = len(ptr) - 1
-    if n < 0 or (write is not None and len(write) != n):
+    per_position = (write, start, tail, lane)
+    if (
+        n < 0
+        or (write is None and size != n)
+        or any(a is not None and len(a) != n for a in per_position)
+        or (ahead is not None and len(ahead) != len(src))
+    ):
         raise InvalidLoopError(
-            f"wavefront_levels: inconsistent operands ({len(ptr)} ptr "
-            f"entries, {n if write is None else len(write)} writes)"
+            f"max_plus: inconsistent operands ({len(ptr)} ptr entries, "
+            f"{len(src)} terms, {size} elements)"
         )
-    level = np.empty(n, dtype=np.int64)
-    if write is None:
-        write_at, iter_at, size = None, None, n
+    body = _state()
+    if all(
+        a is None or _flat(a, _I64)
+        for a in (ptr, src, ahead, start, tail, write, lane)
+    ):
+        lib, why = body.entry(), body.why  # the first sweep may build or load
     else:
-        iter_ = np.empty(size, dtype=np.int64)  # the C pass fills it
-        write_at, iter_at = write.ctypes.data, iter_.ctypes.data
-    got = lib.wavefront_levels(
-        write_at, iter_at, size, n,
-        ptr.ctypes.data, src.ctypes.data, len(src), level.ctypes.data,
-    )
+        lib, why = None, "non-array-operand"
+    if lib is not None:
+        times = np.empty(size, dtype=np.int64)
+        free = np.empty(lanes, dtype=np.int64)
+
+        def at(a):
+            return None if a is None else a.ctypes.data
+
+        got = lib.max_plus(
+            n, at(ptr), at(src), len(src), at(ahead), at(start), at(tail),
+            step, at(write), at(times), size, at(lane), at(free), lanes,
+        )
+        ran = "native"
+    else:
+        times, free = [_UNSET] * size, [0] * lanes
+
+        def view(a):
+            return None if a is None else memoryview(np.ascontiguousarray(a))
+
+        got = _sweep(
+            n, view(ptr), view(src), view(ahead), view(start), view(tail),
+            step, view(write), times, view(lane), free,
+        )
+        times = np.array(times, dtype=np.int64)
+        free = np.array(free, dtype=np.int64)
+        ran = f"python ({why})"
     if got < 0:
         raise InvalidLoopError(
-            f"wavefront_levels: iteration {-got - 1} reaches outside its "
-            f"operands — a write or read index out of range, or a "
-            f"decreasing ptr; the level pass stopped there"
+            f"max_plus: position {-got - 1} reaches outside its operands — "
+            f"a write, read or lane index out of range, or a decreasing "
+            f"ptr; the sweep stopped there"
         )
-    return level
+    if got > 0:
+        w = int(write[got - 1])
+        first = int(np.flatnonzero(write[: got - 1] == w)[0])
+        raise OutputDependenceError(w, first, got - 1)
+    return times, free, ran

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.backends import native
 from repro.backends.base import (
     Runner,
     note_kernel,
@@ -74,7 +75,7 @@ from repro.backends.kernel import (
 from repro.core.results import PhaseBreakdown, RunResult
 from repro.core.sequential import sequential_time
 from repro.core.workspace import MAXINT, DoacrossWorkspace
-from repro.errors import InvalidLoopError, ScheduleError
+from repro.errors import InvalidLoopError, OutputDependenceError, ScheduleError
 from repro.ir.analysis import (
     CAT_ANTI,
     CAT_TRUE,
@@ -90,7 +91,7 @@ from repro.ir.transform import (
     TransformPlan,
 )
 from repro.machine.engine import RES_BUS, RES_DISPATCH, Machine
-from repro.machine.flags import UNSET, FlagStore
+from repro.machine.flags import FlagStore
 from repro.machine.ops import Compute, SetFlag, UseResource, WaitFlag
 from repro.machine.scheduler import (
     IterationSchedule,
@@ -482,18 +483,22 @@ class SimulatedRunner(Runner):
         Position ``p`` runs on processor ``lanes[p]`` after that
         processor's previous position; a ``WAIT`` term resumes no earlier
         than its flag's set-time, and every writer sits at an earlier
-        position, so one sweep in position order meets every set-time
-        after it is known::
+        position, so one sweep of the max-plus recurrence
+        (:func:`repro.backends.native.max_plus`) in position order meets
+        every set-time after it is known::
 
             t = free[lane]
-            per WAIT term:  t += pending;  t = max(t, set_time[idx])
-                            t += flag_check
-            t += pending + flag_set;  set_time[w] = free[lane] = t
+            per WAIT term:  t += ahead;  t = max(t, set_time[idx])
+            set_time[w] = free[lane] = t + tail
 
-        Everything but the ``max`` is sums, taken here per processor in
-        NumPy — a processor's ``wait_cycles`` are what its finish time
-        exceeds its own cycles by — and a phase with no ``WAIT`` term has
-        no sweep at all.
+        ``ahead`` is the cycles from the previous wait of the iteration
+        (its flag check included), or from the iteration's start, to this
+        one; ``tail`` from the last wait to the flag set.  Everything but
+        the ``max`` is sums, taken here per processor in NumPy — a
+        processor's ``wait_cycles`` are what its finish time exceeds its
+        own cycles by — and a phase with no ``WAIT`` term has no sweep at
+        all.  A flag set twice is refused by the sweep, or by a count where
+        there is none.
         """
         machine = self.machine
         cm = machine.cost_model
@@ -504,15 +509,8 @@ class SimulatedRunner(Runner):
         term_consume = work.term_consume
         flag_check = cm.flag_check
 
-        written = loop.write[its]
-        sets = np.bincount(written, minlength=1)
-        if sets.max() > 1:
-            raise ValueError(
-                f"flag {int(sets.argmax())} set twice; write subscript not "
-                f"injective?"
-            )
-        # Per WAIT term, in execution order: its position, the element
-        # whose flag it reads, the cycles pending when the wait is issued.
+        # Per WAIT term, in execution order: its position, the cycles
+        # pending when the wait is issued.
         wait = np.flatnonzero(codes == WAIT)
         at = np.repeat(np.arange(len(its)), counts)[wait]
         local = wait - first[at]
@@ -522,6 +520,7 @@ class SimulatedRunner(Runner):
         whole = (
             iter_overhead + counts * (dep_check_setup + term_consume) + cm.flag_set
         )
+        written = loop.write[its]
 
         def per_lane(weights) -> list[int]:
             # Exact: cycle sums stay far below 2**53.
@@ -531,12 +530,20 @@ class SimulatedRunner(Runner):
                 .tolist()
             )
 
+        def set_twice(index: int) -> ValueError:
+            return ValueError(
+                f"flag {index} set twice; write subscript not injective?"
+            )
+
         compute = per_lane(whole + flag_check * n_waits)
         free = compute
-        if len(wait):
-            # ``ahead[j]``: cycles from the previous wait of the iteration
-            # (its flag check included) — or from the iteration's start —
-            # to this one; ``tail[p]``: from the last wait to the flag set.
+        if not len(wait):
+            # Nothing awaited: no sweep, a processor finishes when its own
+            # cycles are done; only a flag set twice is left to refuse.
+            sets = np.bincount(written, minlength=1)
+            if sets.max() > 1:
+                raise set_twice(int(sets.argmax()))
+        else:
             again = at[1:] == at[:-1]
             ahead = pending.copy()
             ahead[1:][again] -= pending[:-1][again] - flag_check
@@ -544,23 +551,17 @@ class SimulatedRunner(Runner):
             last[:-1] = ~again
             tail = whole.copy()
             tail[at[last]] -= pending[last] - flag_check
-            next_wait = zip(
-                ahead.tolist(),
-                loop.reads.index[loop.reads.ptr[its[at]] + local].tolist(),
-            ).__next__
-            set_time = [UNSET] * loop.y_size
-            free = [0] * processors
-            for lane, n, rest, w in zip(
-                lanes.tolist(), n_waits.tolist(), tail.tolist(), written.tolist()
-            ):
-                t = free[lane]
-                while n:
-                    cycles, idx = next_wait()
-                    t += cycles
-                    if set_time[idx] > t:
-                        t = set_time[idx]
-                    n -= 1
-                set_time[w] = free[lane] = t + rest
+            wait_ptr = np.zeros(len(its) + 1, dtype=np.int64)
+            np.cumsum(n_waits, out=wait_ptr[1:])
+            try:
+                _, free, _ = native.max_plus(
+                    wait_ptr, loop.reads.index[loop.reads.ptr[its[at]] + local],
+                    loop.y_size, write=written, ahead=ahead, tail=tail,
+                    lane=lanes, lanes=processors,
+                )
+            except OutputDependenceError as exc:
+                raise set_twice(exc.index) from None
+            free = free.tolist()
 
         return PhaseStats(
             name="executor",

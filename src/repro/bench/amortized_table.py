@@ -33,7 +33,6 @@ from repro.bench.reporting import format_table
 from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
 from repro.core.doconsider import Doconsider, modeled_reorder_cycles
-from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import compute_levels
 from repro.machine.costs import CostModel
 from repro.sparse.ilu import ilu0
@@ -153,10 +152,9 @@ def run_amortized_table(
         rhs = np.ones(A.n_rows)
         loop = lower_solve_loop(L, rhs, name=name)
         reference = solve_lower_unit(L, rhs)
-        graph = DependenceGraph.from_loop(loop)
-        schedule = compute_levels(graph)
+        schedule = compute_levels(loop)
         reorder_once = modeled_reorder_cycles(
-            loop, graph, processors, schedule=schedule
+            loop, processors, schedule=schedule
         )
 
         # Mode 1: full pipeline, natural order (the Table-1 baseline).

@@ -27,8 +27,8 @@ import numpy as np
 
 from repro.core.doacross import PreprocessedDoacross
 from repro.core.results import RunResult
-from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import LevelSchedule, compute_levels
+from repro.ir.analysis import dependence_pairs
 from repro.ir.loop import IrregularLoop
 
 __all__ = ["level_order", "Doconsider"]
@@ -46,7 +46,6 @@ def level_order(loop: IrregularLoop) -> tuple[np.ndarray, LevelSchedule]:
 
 def modeled_reorder_cycles(
     loop: IrregularLoop,
-    graph: DependenceGraph,
     processors: int,
     schedule: LevelSchedule | None = None,
     item_cycles: int = 4,
@@ -65,24 +64,27 @@ def modeled_reorder_cycles(
     where ``c`` is the per-touched-item cost and ``B`` the barrier.  Deep
     DAGs (many levels) therefore pay real preprocessing — the reason this
     cost is amortized over repeated solves rather than paid per solve.
+    ``edges`` counts the loop's
+    :func:`~repro.ir.analysis.dependence_pairs`, and a level's out-edges
+    are the pairs whose writer it holds.
     """
+    pairs = dependence_pairs(loop)
     if schedule is None:
-        schedule = compute_levels(graph)
+        schedule = compute_levels(loop)
     if barrier_cycles is None:
         barrier_cycles = 20 + 4 * processors  # CostModel.barrier defaults
 
-    def share(work: int) -> int:
+    def share(work):
         return -(-work // processors) * item_cycles  # ceil division
 
-    total = share(loop.n + graph.edge_count) + barrier_cycles
-    out_degrees = graph.out_degrees()
-    for k in range(schedule.n_levels):
-        members = schedule.order[
-            schedule.level_ptr[k] : schedule.level_ptr[k + 1]
-        ]
-        frontier_work = len(members) + int(out_degrees[members].sum())
-        total += share(frontier_work) + barrier_cycles
-    return total
+    frontier_work = schedule.level_sizes() + np.bincount(
+        schedule.levels[pairs[:, 0]], minlength=schedule.n_levels
+    )
+    return (
+        share(loop.n + len(pairs))
+        + int(share(frontier_work).sum())
+        + (schedule.n_levels + 1) * barrier_cycles
+    )
 
 
 class Doconsider:
@@ -109,8 +111,7 @@ class Doconsider:
         """Compute the wavefront order and run the preprocessed doacross in
         it; level counts, widest wavefront, and the modeled reorder cost
         land in ``result.extras``."""
-        graph = DependenceGraph.from_loop(loop)
-        schedule = compute_levels(graph)
+        schedule = compute_levels(loop)
         order = schedule.order
         result = self.doacross.run(
             loop,
@@ -120,10 +121,7 @@ class Doconsider:
         )
         result.strategy = "doconsider-doacross"
         reorder_cycles = modeled_reorder_cycles(
-            loop,
-            graph,
-            self.doacross.machine.processors,
-            schedule=schedule,
+            loop, self.doacross.machine.processors, schedule=schedule
         )
         result.extras["reorder_cycles_modeled"] = reorder_cycles
         result.extras["n_levels"] = schedule.n_levels

@@ -1,15 +1,17 @@
-"""Iteration dependence-graph analysis.
+"""Iteration dependence analysis: the wavefronts and cycle bounds of the
+loop's *true-dependence DAG* — a node per iteration, an edge ``w → r``
+whenever iteration ``r`` reads a value written by earlier iteration ``w``.
 
-The doconsider transformation (paper §3.2, reference [4]) and the harness's
-ideal-speedup bounds both need the loop's *true-dependence DAG*: a node per
-iteration, an edge ``w → r`` whenever iteration ``r`` reads a value written
-by earlier iteration ``w``.
+The doconsider transformation (paper §3.2, reference [4]) and the
+harness's ideal-speedup bounds both need it; neither builds it (every edge
+points backwards, so one sweep of :func:`repro.backends.native.max_plus`
+serves).
 
-- :mod:`repro.graph.depgraph` — :class:`DependenceGraph`, CSR adjacency
-  built from :func:`repro.ir.analysis.dependence_pairs`.
 - :mod:`repro.graph.levels` — level (wavefront) scheduling.
 - :mod:`repro.graph.critical_path` — weighted critical path and parallelism
   bounds.
+- :mod:`repro.graph.depgraph` — :class:`DependenceGraph`, CSR adjacency;
+  kept only for the benchmark's structure layer, which imports it.
 """
 
 from repro.graph.coloring import color_order, greedy_coloring, validate_coloring

@@ -1,4 +1,4 @@
-"""Critical-path analysis of the dependence DAG.
+"""Critical-path analysis of the dependence DAG, without building it.
 
 The longest weighted path through the true-dependence DAG is a lower bound
 on any parallel schedule's makespan; ``total_work / critical_path`` bounds
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.depgraph import DependenceGraph
 from repro.ir.loop import IrregularLoop
 from repro.machine.costs import CostModel
 
@@ -35,41 +34,32 @@ def iteration_weights(
     ).astype(np.int64)
 
 
-def critical_path_cycles(
-    loop: IrregularLoop,
-    cost_model: CostModel,
-    graph: DependenceGraph | None = None,
-) -> int:
+def critical_path_cycles(loop: IrregularLoop, cost_model: CostModel) -> int:
     """A lower bound on any schedule's makespan from the dependence DAG.
 
     Dependence chains *pipeline*: a reader's setup work overlaps its
     writer's execution, so after the awaited flag flips only the post-wake
     cost remains (flag check + term consume + flag set).  The bound is
     therefore: iteration ``r`` finishes no earlier than the latest of (a)
-    its own full weight and (b) any predecessor's finish plus the minimal
-    post-wake step.  One forward sweep (natural order is topological).
+    its own full weight and (b) any earlier writer's finish plus the
+    minimal post-wake step — one sweep of the max-plus recurrence
+    (:func:`repro.backends.native.max_plus`) with ``start = weights −
+    step`` and ``step``.
     """
-    if graph is None:
-        graph = DependenceGraph.from_loop(loop)
+    from repro.backends import native  # that package imports repro.graph
+
     weights = iteration_weights(loop, cost_model)
     work = cost_model.effective_work(loop.work)
     step = cost_model.flag_check + work.term_consume + cost_model.flag_set
-    finish = np.zeros(loop.n, dtype=np.int64)
-    pred_ptr, pred = graph.pred_ptr, graph.pred
-    for r in range(loop.n):
-        lo, hi = pred_ptr[r], pred_ptr[r + 1]
-        after_preds = (
-            int(finish[pred[lo:hi]].max()) + step if hi > lo else 0
-        )
-        finish[r] = max(int(weights[r]), after_preds)
+    reads = loop.reads
+    finish, _, _ = native.max_plus(
+        reads.ptr, reads.index, loop.y_size,
+        write=loop.write, start=weights - step, step=step,
+    )
     return int(finish.max()) if loop.n else 0
 
 
-def ideal_speedup(
-    loop: IrregularLoop,
-    cost_model: CostModel,
-    graph: DependenceGraph | None = None,
-) -> float:
+def ideal_speedup(loop: IrregularLoop, cost_model: CostModel) -> float:
     """Structural speedup bound: total executor work over the critical path.
 
     This ignores inspector/postprocessor/barrier overheads and assumes
@@ -78,10 +68,8 @@ def ideal_speedup(
     """
     if loop.n == 0:
         return 1.0
-    if graph is None:
-        graph = DependenceGraph.from_loop(loop)
     total = int(iteration_weights(loop, cost_model).sum())
-    path = critical_path_cycles(loop, cost_model, graph)
+    path = critical_path_cycles(loop, cost_model)
     if path == 0:
         return 1.0
     return total / path

@@ -7,6 +7,10 @@ is acyclic by construction and natural order is already topological — which
 is why a forward sweep suffices for level computation.
 
 Storage is CSR (two flat arrays), built vectorized from the analysis layer.
+
+The library builds no graph (levels and cycle bounds are one sweep of
+:func:`repro.backends.native.max_plus`); this module stays because the
+benchmark's structure layer (``benchmarks/e2e/layers.py``) imports it.
 """
 
 from __future__ import annotations

@@ -153,9 +153,8 @@ class IrregularLoop:
     # ------------------------------------------------------------------
     def check_subscripts(self) -> None:
         """Raise :class:`~repro.errors.InvalidLoopError` if a write or read
-        index lies outside ``y`` — checked at construction, and again
-        before levels are computed without the compiled pass (an index
-        array may have been mutated since)."""
+        index lies outside ``y`` — checked at construction (the level sweep
+        checks again, since an index array may have been mutated)."""
         if self.n > 0:
             lo, hi = int(self.write.min()), int(self.write.max())
             if lo < 0 or hi >= self.y_size:

@@ -70,7 +70,7 @@ class Plan:
     levels_cached:
         Whether ``levels`` was served from the cache's memo.  When it was
         not, ``describe()["levels_body"]`` says which body computed it
-        (``"native"`` or ``"frontier (<reason>)"``).
+        (``"native"`` or ``"python (<reason>)"``).
     order:
         Explicit doconsider execution order to run in, or ``None`` for
         the loop's natural order.

@@ -100,10 +100,10 @@ def on_engine():
 
 
 @contextlib.contextmanager
-def on_frontier():
-    """Inside, the process has no compiler: ``compute_levels`` runs the
-    NumPy frontier (body ``frontier (no-compiler)``) and every span the
-    Python walk.  Test-only — nothing selects a body by hand."""
+def no_compiler():
+    """Inside, the process has no compiler: the max-plus sweep runs its
+    Python body (``python (no-compiler)``) and every span the Python walk.
+    Test-only — nothing selects a body by hand."""
     saved = native.find_compiler, native._body
     native.find_compiler, native._body = (lambda: None), None
     try:

@@ -121,7 +121,13 @@ class TestCompiledExecutorText:
         # ... and every subscript checked before it is used.
         assert "if (idx < 0 || idx >= y_size)\n                return -(t + 1);" in text
         assert "double acc = init ? init[i] : old[w];" in text
-        # The inspector's level pass is the object's second function, its
-        # subscripts checked the same way.
-        assert "int64_t wavefront_levels(" in text
-        assert "            if (w < i && level[w] >= lvl)\n                lvl = level[w] + 1;\n" in text
+        # The one max-plus recurrence is the object's second function —
+        # levels, critical path and simulated cycles — its subscripts
+        # checked the same way and a second write of an element refused.
+        assert text.count("\nint64_t ") == 2  # run_span, max_plus
+        assert "int64_t max_plus(" in text
+        assert (
+            "            if (ahead)\n                t += ahead[k];\n"
+            "            if (set[idx] > t)\n                t = set[idx];\n"
+        ) in text
+        assert "        if (set[w] != INT64_MIN)\n            return p + 1;\n" in text

@@ -1,6 +1,11 @@
 """Tests for critical-path bounds: they must bound the measured runs."""
 
+import contextlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.doacross import PreprocessedDoacross
 from repro.core.doconsider import Doconsider
@@ -9,9 +14,12 @@ from repro.graph.critical_path import (
     ideal_speedup,
     iteration_weights,
 )
-from repro.machine.costs import CostModel
+from repro.graph.depgraph import DependenceGraph
+from repro.machine.costs import CostModel, WorkProfile
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
+from tests.conftest import no_compiler
+from tests.strategies import affine_loops, loop_params
 
 
 class TestWeights:
@@ -114,3 +122,46 @@ class TestBoundsHoldForMeasuredRuns:
 
     def test_ideal_speedup_empty_loop(self):
         assert ideal_speedup(random_irregular_loop(0, seed=0), CostModel()) == 1.0
+
+
+def graph_sweep_cycles(loop, cm):
+    """Reference: the forward sweep over a dependence graph's predecessor
+    lists that ``critical_path_cycles`` was before it became one sweep of
+    the max-plus recurrence."""
+    graph = DependenceGraph.from_loop(loop)
+    weights = iteration_weights(loop, cm)
+    work = cm.effective_work(loop.work)
+    step = cm.flag_check + work.term_consume + cm.flag_set
+    finish = np.zeros(loop.n, dtype=np.int64)
+    for r in range(loop.n):
+        preds = graph.predecessors(r)
+        after = int(finish[preds].max()) + step if len(preds) else 0
+        finish[r] = max(int(weights[r]), after)
+    return int(finish.max()) if loop.n else 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    loop=st.one_of(
+        loop_params.map(lambda p: random_irregular_loop(**p)), affine_loops()
+    ),
+    cm=st.sampled_from(
+        [
+            CostModel(),
+            # A post-wake step heavier than a whole iteration.
+            CostModel(
+                flag_check=40, flag_set=9, dep_check=0, exec_iter_overhead=0,
+                work=WorkProfile(overhead=0, term_setup=0, term_consume=7),
+            ),
+        ]
+    ),
+)
+def test_both_bodies_equal_the_graph_sweep(loop, cm):
+    want = graph_sweep_cycles(loop, cm)
+    total = int(iteration_weights(loop, cm).sum())
+    for body in (contextlib.nullcontext, no_compiler):
+        with body():
+            assert critical_path_cycles(loop, cm) == want
+            assert ideal_speedup(loop, cm) == (
+                total / want if loop.n and want else 1.0
+            )

@@ -1,8 +1,9 @@
 """Tests for level scheduling, with networkx as an independent oracle.
 
-``compute_levels`` has two bodies — the compiled recurrence and, where no
-compiled object exists, the NumPy frontier — and every comparison below
-runs both (``tests/conftest.py::on_frontier`` takes the compiler away).
+``compute_levels`` is one sweep of the max-plus recurrence with two bodies
+— compiled and, where no compiled object exists, Python — and every
+comparison below runs both (``tests/conftest.py::no_compiler`` takes the
+compiler away).
 """
 
 import contextlib
@@ -13,18 +14,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import make_runner
+from repro import make_runner, parallelize
 from repro.backends import native
-from repro.errors import InvalidLoopError
+from repro.errors import InvalidLoopError, OutputDependenceError
 from repro.graph.depgraph import DependenceGraph
-from repro.graph.levels import _SCALAR_BELOW, compute_levels
+from repro.graph.levels import compute_levels
 from repro.ir.analysis import dependence_pairs
 from repro.sparse.ilu import ilu0
 from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
-from tests.conftest import on_frontier
+from tests.conftest import no_compiler
 from tests.strategies import affine_loops, loop_params
 
 
@@ -114,12 +115,12 @@ def assert_matches_sweep(source):
     )
     want = sweep_levels(graph)
     compiled = compute_levels(source)
-    with on_frontier():
-        frontier = compute_levels(source)
+    with no_compiler():
+        python = compute_levels(source)
     why = native.unavailable()
-    assert compiled.body == ("native" if why is None else f"frontier ({why})")
-    assert frontier.body == "frontier (no-compiler)"
-    for s in (compiled, frontier):
+    assert compiled.body == ("native" if why is None else f"python ({why})")
+    assert python.body == "python (no-compiler)"
+    for s in (compiled, python):
         np.testing.assert_array_equal(s.levels, want)
         np.testing.assert_array_equal(
             s.order, np.lexsort((np.arange(graph.n), want))
@@ -143,10 +144,9 @@ def hourglass_graph(widths):
 
 
 class TestLevelMethods:
-    """The compiled recurrence is one pass in iteration order; the frontier
-    steps wave by wave — one NumPy step while the wave is wide, an
-    edge-by-edge walk while it is narrow.  Both must agree with the
-    per-node reference sweep whichever step the frontier takes."""
+    """Both bodies of the sweep agree with the per-node reference sweep in
+    the wavefronts (``levels``, ``order``, ``level_ptr``), whatever the
+    width profile."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_frontier_matches_sweep(self, seed):
@@ -165,22 +165,15 @@ class TestLevelMethods:
         assert wide.n_levels == 1
         L, _ = ilu0(five_point(30, 30))
         tri = assert_matches_sweep(lower_solve_loop(L, np.ones(L.n_rows)))
-        # Tips narrower than the switch-over, a middle wider than it.
+        # Narrow tips, a wide middle.
         sizes = tri.level_sizes()
-        assert sizes.min() < _SCALAR_BELOW <= sizes.max()
+        assert sizes.min() == 1 and sizes.max() == 30
         assert_matches_sweep(random_irregular_loop(3000, seed=4))
-
-    @pytest.mark.parametrize("narrow", [1, 3, _SCALAR_BELOW - 1])
-    def test_enters_and_leaves_the_narrow_walk_repeatedly(self, narrow):
-        wide = 3 * _SCALAR_BELOW
-        widths = [wide, narrow, narrow, wide, _SCALAR_BELOW, narrow, wide, 1]
-        s = assert_matches_sweep(hourglass_graph(widths))
-        assert s.level_sizes().tolist() == widths
 
     def test_duplicate_edges_count_once_per_edge(self):
         edges = np.array([[0, 2], [0, 2], [1, 2], [2, 3], [2, 3]])
         assert_matches_sweep(DependenceGraph(4, edges))
-        # The same through the wide step: 40 sources, each twice into 40.
+        # 40 sources, each twice into node 40.
         fan_in = np.stack([np.arange(40), np.full(40, 40)], axis=1)
         s = assert_matches_sweep(DependenceGraph(41, np.repeat(fan_in, 2, axis=0)))
         assert s.level_sizes().tolist() == [40, 1]
@@ -210,7 +203,7 @@ def multigraphs(draw):
 LEVEL_SOURCES = st.one_of(
     loop_params.map(lambda params: random_irregular_loop(**params)),
     affine_loops(),
-    st.lists(st.integers(1, 3 * _SCALAR_BELOW), min_size=1, max_size=8).map(
+    st.lists(st.integers(1, 48), min_size=1, max_size=8).map(
         hourglass_graph
     ),
     multigraphs(),
@@ -224,7 +217,7 @@ NO_EDGES = np.empty((0, 2), dtype=np.int64)
 @example(source=random_irregular_loop(1, seed=0))
 @example(source=DependenceGraph(0, NO_EDGES))
 @example(source=DependenceGraph(1, NO_EDGES))
-def test_compiled_body_equals_frontier_and_sweep(source):
+def test_both_bodies_equal_the_sweep(source):
     assert_matches_sweep(source)
 
 
@@ -251,9 +244,10 @@ def test_benchmark_shaped_loops(name):
 
 
 class TestMutatedSubscripts:
-    """An index array mutated out of range after construction — a real
-    input path, since the inspector cache's contract is "mutate and miss"
-    — is refused by both bodies before any executor starts."""
+    """An index array mutated after construction — out of range, or into a
+    non-injective write — is a real input path, since the inspector
+    cache's contract is "mutate and miss": both bodies of the sweep refuse
+    it, so every planned backend does before any executor starts."""
 
     @staticmethod
     def mutated(where: str):
@@ -266,49 +260,74 @@ class TestMutatedSubscripts:
             loop.reads.index[ptr[i]] = loop.y_size
         elif where == "write-negative":
             loop.write[i] = -1
-        else:
+        elif where == "write-too-large":
             loop.write[i] = loop.y_size
+        else:
+            loop.write[10] = loop.write[i]
         return loop, i
 
     @pytest.mark.parametrize(
         "where",
-        ["read-negative", "read-too-large", "write-negative", "write-too-large"],
+        [
+            "read-negative", "read-too-large", "write-negative",
+            "write-too-large", "write-duplicate",
+        ],
     )
     def test_both_bodies_raise(self, where):
         loop, i = self.mutated(where)
-        if native.unavailable() is None:
-            with pytest.raises(InvalidLoopError, match=rf"iteration {i} reaches"):
+        for body in (contextlib.nullcontext, no_compiler):
+            if where != "write-duplicate":
+                with body(), pytest.raises(
+                    InvalidLoopError, match=rf"position {i} reaches .* out of range"
+                ):
+                    compute_levels(loop)
+                continue
+            with body(), pytest.raises(OutputDependenceError) as info:
                 compute_levels(loop)
-        with on_frontier(), pytest.raises(InvalidLoopError, match="out of range"):
-            compute_levels(loop)
+            got = info.value
+            assert (got.index, got.first_writer, got.second_writer) == (
+                loop.write[i], 10, i,
+            )
 
-    @pytest.mark.skipif(
-        native.find_compiler() is None, reason="no compiled level pass"
-    )
     def test_the_compiled_pass_checks_ptr_and_operands(self):
         loop = random_irregular_loop(200, seed=3)
         ptr, index = loop.reads.ptr, loop.reads.index
-        for i, bad in ((120, ptr[120] - 1), (150, len(index) + 1)):
-            broken = ptr.copy()
-            broken[i + 1] = bad  # decreasing, then past the end
-            with pytest.raises(InvalidLoopError, match=rf"iteration {i} reaches"):
-                native.wavefront_levels(broken, index, loop.write, loop.y_size)
-        for args in ((ptr[:0], index), (ptr, index, loop.write[:-1], loop.y_size)):
+        for body in (contextlib.nullcontext, no_compiler):
+            for i, bad in ((120, ptr[120] - 1), (150, len(index) + 1)):
+                broken = ptr.copy()
+                broken[i + 1] = bad  # decreasing, then past the end
+                with body(), pytest.raises(
+                    InvalidLoopError, match=rf"position {i} reaches"
+                ):
+                    native.max_plus(broken, index, loop.y_size, write=loop.write)
+        for args, kwargs in (
+            ((ptr[:0], index, 0), {}),
+            ((ptr, index, loop.y_size), {"write": loop.write[:-1]}),
+            ((ptr, index, loop.y_size), {}),  # no write: one element each
+        ):
             with pytest.raises(InvalidLoopError, match="inconsistent operands"):
-                native.wavefront_levels(*args)
-        # An operand that is no flat int64 array: the frontier's to take.
-        assert native.wavefront_levels(ptr.astype(np.int32), index) == (
-            "non-array-operand"
-        )
+                native.max_plus(*args, **kwargs)
+        # An operand that is no flat int64 array: the Python body's to take.
         graph = DependenceGraph.from_loop(loop)
         graph.pred = graph.pred.astype(np.int32)
-        assert compute_levels(graph).body == "frontier (non-array-operand)"
+        s = compute_levels(graph)
+        assert s.body == "python (non-array-operand)"
+        assert np.array_equal(s.levels, compute_levels(loop).levels)
 
-    @pytest.mark.parametrize("body", ["compiled", "frontier"])
+    @pytest.mark.parametrize("body", ["compiled", "python"])
     def test_a_vectorized_run_raises_and_leaves_y_untouched(self, body):
         loop, _ = self.mutated("read-negative")
         y = loop.y0.copy()
-        ctx = on_frontier() if body == "frontier" else contextlib.nullcontext()
+        ctx = no_compiler() if body == "python" else contextlib.nullcontext()
         with ctx, pytest.raises(InvalidLoopError):
             make_runner("vectorized").run(loop)
+        assert np.array_equal(loop.y0.view(np.uint64), y.view(np.uint64))
+
+    @pytest.mark.parametrize("backend", ["vectorized", "threaded", "multiproc"])
+    def test_a_duplicated_write_is_refused_before_any_executor(self, backend):
+        loop = random_irregular_loop(200, seed=5)
+        loop.write[10] = loop.write[150]
+        y = loop.y0.copy()
+        with pytest.raises(OutputDependenceError, match="iterations 10 and 150"):
+            parallelize(loop, backend=backend, processors=2)
         assert np.array_equal(loop.y0.view(np.uint64), y.view(np.uint64))

@@ -1,8 +1,10 @@
-"""The compiled ``run_span`` and level bodies around the C itself: build,
-cache, load, fall back — and how a run or a plan says which body it used.
+"""The compiled ``run_span`` and ``max_plus`` bodies around the C itself:
+build, cache, load, fall back — and how a run or a plan says which body it
+used.
 
 The walk's arithmetic and bounds checks are ``tests/test_kernel.py``'s,
-the level pass's ``tests/test_levels.py``'s;
+the sweep's ``tests/test_levels.py``'s, ``tests/test_critical_path.py``'s
+and ``tests/test_simulated_executor.py``'s;
 here the compiler lookup, the build function and ``subprocess`` are
 patched (no environment switch selects a body), each test on its own
 empty cache directory and its own unresolved process state.
@@ -147,7 +149,7 @@ class TestBuildCache:
         self, cache_home, monkeypatch
     ):
         monkeypatch.setattr(native, "c_source", lambda: "this is not C\n")
-        with pytest.warns(RuntimeWarning, match="compiled run_span is unavailable"):
+        with pytest.warns(RuntimeWarning, match="compiled bodies are unavailable"):
             tally = one_span()
         assert tally[:2] == (0, 1)
         assert tally[2].startswith("build-failed: ") and "error" in tally[2]
@@ -267,13 +269,40 @@ def test_a_cold_plan_names_its_level_body_a_warm_one_none(cache_home):
     assert "levels_body" not in plan_loop(loop, spec, cache).describe()
 
 
-def test_without_a_compiler_levels_run_on_the_frontier_and_say_so(
+@needs_compiler
+def test_every_caller_of_the_sweep_reaches_the_compiled_body(
+    monkeypatch, cache_home
+):
+    # Only compute_levels names its body; an operand of the wrong dtype in
+    # the other callers would fall to the Python sweep unsaid.
+    from repro.backends.simulated import SimulatedRunner
+    from repro.graph.critical_path import critical_path_cycles
+    from repro.graph.levels import compute_levels
+    from repro.machine.costs import CostModel
+    from repro.machine.engine import Machine
+
+    bodies, sweep = [], native.max_plus
+
+    def spy(*args, **kwargs):
+        got = sweep(*args, **kwargs)
+        bodies.append(got[2])
+        return got
+
+    monkeypatch.setattr(native, "max_plus", spy)
+    loop = make_test_loop(n=120, m=2, l=8)
+    compute_levels(loop)
+    critical_path_cycles(loop, CostModel())
+    SimulatedRunner(Machine(4)).run_preprocessed(loop)
+    assert bodies == ["native"] * 3
+
+
+def test_without_a_compiler_levels_run_in_python_and_say_so(
     monkeypatch, cache_home
 ):
     monkeypatch.setattr(native, "find_compiler", lambda: None)
     loop = chain_loop(400, 1)
     plan = plan_loop(loop, PlanSpec(backend="vectorized"))
-    assert plan.describe()["levels_body"] == "frontier (no-compiler)"
+    assert plan.describe()["levels_body"] == "python (no-compiler)"
     assert np.array_equal(plan.levels.levels, np.arange(400))
     assert np.array_equal(execute_plan(loop, plan).y, loop.run_sequential())
     assert not cache_home.exists()

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 from repro import InspectorCache, PlanSpec, parallelize
 from repro.analysis import record_mismatches
-from repro.backends import BACKENDS, native
+from repro.backends import BACKENDS
 from repro.backends.cache import build_inspector_record
+from repro.core.doconsider import Doconsider
 from repro.graph import levels as levels_module
 from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import compute_levels
@@ -34,7 +35,7 @@ from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
-from tests.conftest import on_frontier
+from tests.conftest import no_compiler
 
 
 def _trisolve_loop(nx: int = 9, ny: int = 8):
@@ -73,10 +74,9 @@ def analysis_calls(monkeypatch):
 
 
 def analyses(levels: int) -> dict:
-    """The counts ``levels`` level computations leave: the compiled pass
-    builds no dependence graph, the NumPy frontier one per call."""
-    graphs = 0 if native.unavailable() is None else levels
-    return {"compute_levels": levels, "from_loop": graphs}
+    """The counts ``levels`` level computations leave: the sweep builds no
+    dependence graph."""
+    return {"compute_levels": levels, "from_loop": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +102,14 @@ def test_one_analysis_cold_none_warm(analysis_calls, backend):
     assert analysis_calls == analyses(1)
 
 
-def test_only_the_frontier_builds_a_dependence_graph(analysis_calls):
+def test_no_body_builds_a_dependence_graph(analysis_calls):
     loop = make_test_loop(n=120, m=2, l=8)
-    with on_frontier():
-        result, _ = parallelize(loop, backend="vectorized")
-    assert np.array_equal(result.y, loop.run_sequential())
-    assert analysis_calls == {"compute_levels": 1, "from_loop": 1}
+    with no_compiler():
+        planned, _ = parallelize(loop, backend="vectorized")
+        reordered = Doconsider(processors=2).run(loop)
+    for result in (planned, reordered):
+        assert np.array_equal(result.y, loop.run_sequential())
+    assert analysis_calls == analyses(2)
 
 
 @pytest.mark.parametrize("backend", ("simulated", "vectorized"))

@@ -5,8 +5,10 @@ An executor phase is timed either by the max-plus recurrence
 (``SimulatedRunner._executor_recurrence``) or by the event engine; the
 engine is the only body that can run a bus, coherence, a dynamic schedule,
 a trace, a shadow log or a caller's own schedule, and it is what the
-recurrence is held against here.  ``on_engine`` (``tests/conftest.py``) is
-the test-only seam that sends eligible phases to the engine too.
+recurrence is held against here, on both bodies of the recurrence's sweep
+(:func:`repro.backends.native.max_plus`).  ``on_engine`` and
+``no_compiler`` (``tests/conftest.py``) are the test-only seams that send
+eligible phases to the engine too, and the sweep to its Python body.
 """
 
 import json
@@ -27,7 +29,7 @@ from repro.machine.scheduler import StaticCyclicSchedule
 from repro.obs import validate_telemetry
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
-from tests.conftest import assert_same_bits, on_engine
+from tests.conftest import assert_same_bits, no_compiler, on_engine
 from tests.strategies import affine_loops, loop_params
 
 RECURRENCE = {"body": "recurrence", "reason": None}
@@ -91,9 +93,12 @@ class TestRecurrenceEqualsEngine:
         )
         runner = SimulatedRunner(Machine(processors))
         recurrence = run_variant(runner, loop, variant, kind, chunk, order)
+        with no_compiler():
+            python = run_variant(runner, loop, variant, kind, chunk, order)
         with on_engine():
             engine = run_variant(runner, loop, variant, kind, chunk, order)
         assert_same_run(recurrence, engine)
+        assert_same_run(python, engine)
         if variant != "amortized":
             assert_same_bits(recurrence.y, loop.run_sequential())
 
@@ -113,9 +118,12 @@ class TestRecurrenceEqualsEngine:
         loop = make_test_loop(n=300, m=3, l=8)
         runner = SimulatedRunner(Machine(processors, cost_model=model))
         recurrence = runner.run_preprocessed(loop)
+        with no_compiler():
+            python = runner.run_preprocessed(loop)
         with on_engine():
             engine = runner.run_preprocessed(loop)
         assert_same_run(recurrence, engine)
+        assert_same_run(python, engine)
 
 
 class _Reversed(StaticCyclicSchedule):
