@@ -245,21 +245,7 @@ def build_distance_record(
     )
 
 
-_RECORD_ARRAYS = (
-    "iter_array",
-    "exec_order",
-    "exec_counts",
-    "exec_ptr",
-    "exec_write",
-    "term_source",
-    "env_index",
-    "intra",
-    "codes",
-    "seg_ptr",
-    "seg_fused",
-    "slot_active",
-    "slot_ptr",
-)
+_RECORD_ARRAYS = ("iter_array", "codes")
 
 
 def record_mismatches(

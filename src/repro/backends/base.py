@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ProofError, ScheduleError
+from repro.errors import InvalidLoopError, ProofError, ScheduleError
 from repro.ir.analysis import CAT_TRUE, classify_reads
-from repro.ir.loop import IrregularLoop
+from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.analysis.verdicts import DependenceVerdict
@@ -40,6 +40,7 @@ __all__ = [
     "Runner",
     "check_analyze_mode",
     "check_group_sync",
+    "check_repeated",
     "resolve_verdict",
     "note_verdict",
     "note_kernel",
@@ -141,6 +142,36 @@ def check_group_sync(loop: IrregularLoop, group_sync: int | None) -> None:
             f"{loop.name}: no proven dependence-distance bound >= "
             f"{group_sync} (proven bound: {bound})"
         )
+
+
+def check_repeated(
+    loop: IrregularLoop, instances: int, rhs_sequence
+) -> list[np.ndarray] | None:
+    """The arguments of a repeated run (``run_repeated`` /
+    ``run_amortized``), checked before anything runs: at least one
+    instance and, when given, one right-hand side per instance, each of
+    shape ``(n,)``, on an external-init loop.  Returns the right-hand
+    sides as contiguous float64 arrays (``None`` stays ``None``)."""
+    if instances < 1:
+        raise InvalidLoopError(f"need at least one instance, got {instances}")
+    if rhs_sequence is None:
+        return None
+    if loop.init_kind != INIT_EXTERNAL:
+        raise InvalidLoopError("rhs_sequence requires an external-init loop")
+    rhs_sequence = [
+        np.ascontiguousarray(r, dtype=np.float64) for r in rhs_sequence
+    ]
+    if len(rhs_sequence) != instances:
+        raise InvalidLoopError(
+            f"rhs_sequence has {len(rhs_sequence)} entries for "
+            f"{instances} instances"
+        )
+    for k, r in enumerate(rhs_sequence):
+        if r.shape != (loop.n,):
+            raise InvalidLoopError(
+                f"rhs_sequence[{k}] has shape {r.shape}, expected ({loop.n},)"
+            )
+    return rhs_sequence
 
 
 def check_analyze_mode(analyze: str | None) -> str | None:

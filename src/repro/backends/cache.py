@@ -21,11 +21,12 @@ array, the read table's ``ptr``/``index`` arrays, and the static signature
 A cache entry (:class:`InspectorRecord`) holds everything the vectorized
 backend's preprocessing produces: the paper's ``iter`` array, the
 wavefront :class:`~repro.graph.levels.LevelSchedule`, the
-:class:`~repro.ir.transform.TransformPlan`, and the executor-ready term
-layout (terms permuted into wavefront order, read sources resolved to
-old-``y``/``ynew``, intra-iteration terms marked).  Everything in the
-record is structure-only; per-run values (coefficients, initial values)
-are gathered at execution time.
+:class:`~repro.ir.transform.TransformPlan`, and the Figure-5 compare done
+once: one term code per read (old ``y``, renamed ``ynew``, or the
+iteration's own accumulator) in the schedule's level-major order, which
+is what the executor's one walk reads.  Everything in the record is
+structure-only; per-run values (coefficients, initial values) are read
+at execution time.
 
 The wavefront schedule alone is what every *other* backend's plan needs,
 so the cache also serves it by itself (:meth:`InspectorCache.levels_for`)
@@ -41,11 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends.kernel import ACC, OLD, WAIT
+from repro.backends.kernel import ACC, OLD, WAIT, term_positions
 from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
 from repro.graph.levels import LevelSchedule, compute_levels
-from repro.ir.analysis import sorted_unique
 from repro.ir.loop import IrregularLoop
 from repro.ir.transform import TransformPlan, plan_transform, structural_signature
 
@@ -56,20 +56,6 @@ __all__ = [
     "build_inspector_record",
     "assemble_record",
 ]
-
-
-#: Wavefronts narrower than this are executed by the scalar kernel, a run
-#: of them as one ``run_span`` call; wider ones as NumPy batches (~5 us
-#: per term slot whatever the width, against ~0.25 us per term walked).
-#: Warm ``runner.run`` in ms, pinned, best of 12, at 1 (never fuse) / 4 /
-#: 8 / 16 / 32 / 64 / 128: ``trisolve_5pt`` 4.21 / 3.90 / 3.92 / 3.98 /
-#: 4.19 / 5.63 / 12.6, ``krylov_churn`` 10.6 / 10.1 / 9.9 / 9.9 / 9.9 /
-#: 10.5 / 11.8, ``fig4_chain`` 175 / 10.3 / 10.4 / 10.5 / 10.3 / 10.4 /
-#: 10.4 — flat from 2 to 32, +40 % at 64 on the trisolve.  Measured
-#: against the *Python* walk; deliberately not re-measured against the
-#: compiled one (``kernel._NATIVE_FROM``), which would move it — it
-#: changes the record's segments and the captures pinned on them.
-_FUSE_BELOW = 8
 
 
 def loop_fingerprint(loop: IrregularLoop) -> str:
@@ -83,7 +69,7 @@ def loop_fingerprint(loop: IrregularLoop) -> str:
     h.update(repr(structural_signature(loop)).encode())
     for arr in (loop.write, loop.reads.ptr, loop.reads.index):
         h.update(b"|")
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.ascontiguousarray(arr))  # the buffer itself, no copy
     return h.hexdigest()
 
 
@@ -99,76 +85,23 @@ class InspectorRecord:
         The paper's ``iter``: writer iteration per ``y`` element,
         ``MAXINT`` where unwritten.
     schedule:
-        Wavefront decomposition of the true-dependence DAG.
+        Wavefront decomposition of the true-dependence DAG; its level-major
+        ``order`` is the order the executor walks.
     plan:
         The compiler's strategy decision for the loop's static structure.
-    exec_order:
-        Iterations permuted for batched execution: wavefront level major,
-        then per-iteration term count *descending* (so each term slot's
-        active set is a prefix — no masks in the executor's inner step).
-    exec_counts, exec_ptr:
-        Term counts / CSR boundaries per execution position.
-    exec_write:
-        Write index per execution position.
-    term_source:
-        Flat original-term positions in execution order; per-run data
-        (coefficients) is gathered through this permutation.
-    env_index:
-        Per execution-ordered term: the gather index into the doubled
-        value environment ``[y_old | y_new]`` — ``index`` for
-        antidependent/unwritten reads (old value), ``index + y_size`` for
-        true-dependence reads (renamed new value).
-    intra:
-        Per execution-ordered term: reads the live accumulator of its own
-        iteration (the paper's ``check == 0`` case).
     codes:
-        The same classification as :mod:`~repro.backends.kernel` term
-        codes (``int8``, execution order): ``ACC`` where ``intra``,
-        ``WAIT`` where the read is renamed, ``OLD`` otherwise — what the
-        scalar kernel walks on fused runs.  Nothing is ``LOCAL``: level
+        The term codes of :mod:`~repro.backends.kernel` (``int8``), every
+        term of ``order[0]``, then of ``order[1]``, ...: ``ACC`` for a read
+        of the iteration's own element, ``WAIT`` for a renamed (true
+        dependence) read, ``OLD`` otherwise.  Nothing is ``LOCAL``: level
         order, not strip order, is what discharges the waits.
-    seg_ptr, seg_fused:
-        The executor's segments: segment ``s`` covers levels
-        ``seg_ptr[s]:seg_ptr[s+1]``.  A *fused* segment is a maximal run
-        of consecutive levels narrower than ``_FUSE_BELOW``, executed as
-        one scalar span; the others are maximal runs of bulk levels, each
-        level one NumPy batch.
-    slot_active, slot_ptr:
-        For bulk level ``k`` and term slot ``j``:
-        ``slot_active[slot_ptr[k]+j]`` iterations (a prefix of the level)
-        still have a ``j``-th term.  Fused levels have no slots.
     """
 
     fingerprint: str
     iter_array: np.ndarray
     schedule: LevelSchedule
     plan: TransformPlan
-    exec_order: np.ndarray
-    exec_counts: np.ndarray
-    exec_ptr: np.ndarray
-    exec_write: np.ndarray
-    term_source: np.ndarray
-    env_index: np.ndarray
-    intra: np.ndarray
     codes: np.ndarray
-    seg_ptr: np.ndarray
-    seg_fused: np.ndarray
-    slot_active: np.ndarray
-    slot_ptr: np.ndarray
-
-    @property
-    def n_levels(self) -> int:
-        return self.schedule.n_levels
-
-    @property
-    def fused_runs(self) -> int:
-        """Scalar spans one execution makes."""
-        return int(np.count_nonzero(self.seg_fused))
-
-    @property
-    def fused_levels(self) -> int:
-        """Levels those spans cover (the rest are bulk batches)."""
-        return int(np.diff(self.seg_ptr)[self.seg_fused].sum())
 
     @property
     def nbytes(self) -> int:
@@ -178,18 +111,7 @@ class InspectorRecord:
             self.schedule.levels,
             self.schedule.order,
             self.schedule.level_ptr,
-            self.exec_order,
-            self.exec_counts,
-            self.exec_ptr,
-            self.exec_write,
-            self.term_source,
-            self.env_index,
-            self.intra,
             self.codes,
-            self.seg_ptr,
-            self.seg_fused,
-            self.slot_active,
-            self.slot_ptr,
         )
         return int(sum(a.nbytes for a in arrays))
 
@@ -246,90 +168,24 @@ def assemble_record(
     plan: TransformPlan,
     fingerprint: str,
 ) -> InspectorRecord:
-    """Lay out an :class:`InspectorRecord` from classified terms.
+    """Package classified terms as an :class:`InspectorRecord`: the
+    ``true_flat`` / ``intra_flat`` masks (flat term order) become term
+    codes in the schedule's order.
 
     Shared by the runtime inspector (:func:`build_inspector_record`) and
-    the symbolic elision path (:func:`repro.analysis.build_symbolic_record`)
+    the symbolic and distance-group paths (:mod:`repro.analysis.elide`)
     — both feed the same deterministic layout, so records are bitwise
     comparable regardless of which side produced the classification.
     """
-    n, y_size = loop.n, loop.y_size
-    write = loop.write
-    ptr, index = loop.reads.ptr, loop.reads.index
-
-    # Execution order: level-major, term count descending inside a level
-    # so slot j's active iterations are always a leading prefix.
-    counts = np.diff(ptr)
-    exec_order = np.lexsort(
-        (np.arange(n, dtype=np.int64), -counts, schedule.levels)
-    ).astype(np.int64)
-
-    exec_counts = counts[exec_order]
-    exec_ptr = np.zeros(n + 1, dtype=np.int64)
-    exec_ptr[1:] = np.cumsum(exec_counts)
-    total = int(ptr[-1])
-
-    # Flat original-term position feeding each execution-ordered term.
-    term_source = (
-        np.repeat(ptr[exec_order] - exec_ptr[:-1], exec_counts)
-        + np.arange(total, dtype=np.int64)
-    )
-
-    renamed = true_flat[term_source]
-    env_index = index[term_source] + y_size * renamed
-    intra = intra_flat[term_source]
-    codes = np.full(total, OLD, dtype=np.int8)
-    codes[renamed] = WAIT
-    codes[intra] = ACC
-
-    # Segments: cut the levels wherever "narrow" flips (deduplicated: an
-    # empty loop has the single boundary 0).
-    level_ptr = schedule.level_ptr
-    n_levels = schedule.n_levels
-    narrow = np.diff(level_ptr) < _FUSE_BELOW
-    flips = np.flatnonzero(narrow[1:] != narrow[:-1]) + 1
-    seg_ptr = sorted_unique(np.concatenate(([0], flips, [n_levels])))
-    seg_fused = narrow[seg_ptr[:-1]]
-
-    # Per-slot active prefix lengths, for the bulk levels only: a fused
-    # level never reads them, and a chain has thousands of levels.
-    slot_counts = np.zeros(n_levels, dtype=np.int64)
-    actives: list[np.ndarray] = []
-    for k in np.flatnonzero(~narrow).tolist():
-        lo, hi = int(level_ptr[k]), int(level_ptr[k + 1])
-        cnt = exec_counts[lo:hi]  # non-increasing by construction
-        maxc = int(cnt[0])
-        slot_counts[k] = maxc
-        if maxc:
-            # active[j] = #iterations in the level with count > j.
-            ascending = cnt[::-1]
-            active = (hi - lo) - np.searchsorted(
-                ascending, np.arange(maxc, dtype=np.int64), side="right"
-            )
-            actives.append(active.astype(np.int64))
-    slot_ptr = np.zeros(n_levels + 1, dtype=np.int64)
-    slot_ptr[1:] = np.cumsum(slot_counts)
-    slot_active = (
-        np.concatenate(actives) if actives else np.empty(0, dtype=np.int64)
-    )
-
+    codes = np.full(len(true_flat), OLD, dtype=np.int8)
+    codes[true_flat] = WAIT
+    codes[intra_flat] = ACC
     return InspectorRecord(
         fingerprint=fingerprint,
         iter_array=iter_array,
         schedule=schedule,
         plan=plan,
-        exec_order=exec_order,
-        exec_counts=exec_counts,
-        exec_ptr=exec_ptr,
-        exec_write=write[exec_order],
-        term_source=term_source,
-        env_index=env_index,
-        intra=intra,
-        codes=codes,
-        seg_ptr=seg_ptr,
-        seg_fused=seg_fused,
-        slot_active=slot_active,
-        slot_ptr=slot_ptr,
+        codes=codes[term_positions(loop.reads.ptr, schedule.order)[0]],
     )
 
 

@@ -23,10 +23,10 @@ crosses lanes and must wait for the writer's post (:data:`WAIT`).
 one vectorised pass; :func:`run_span` is the one scalar evaluator that
 walks iterations by code.  The threaded, multiproc, speculative and
 simulated backends are scheduling and synchronisation around these two,
-and the vectorized backend calls :func:`run_span` for every run of wavefronts too
-narrow to batch (its codes come from the inspector record: level order
-discharges the waits, so nothing there is :data:`LOCAL` and ``wait`` is
-``None``).  The static race checker (:mod:`repro.lint.hb`) reads the same
+and the vectorized backend is one :func:`run_span` call over the level-major
+order of its wavefronts (its codes come from the inspector record: level
+order discharges the waits, so nothing there is :data:`LOCAL` and ``wait``
+is ``None``).  The static race checker (:mod:`repro.lint.hb`) reads the same
 placement and the same codes — its wait set is exactly the terms coded
 :data:`WAIT` — and the mutation harness (:mod:`repro.sanitize.mutate`)
 corrupts these codes and replays :func:`run_span` over them, so what is
@@ -56,9 +56,7 @@ engine) charges and synchronises without doing any arithmetic.
 
 Not here, on purpose: the sequential oracle
 (:meth:`~repro.ir.loop.IrregularLoop.run_sequential`) is the reference
-the walk is tested against, and the vectorized backend's bulk per-level
-kernel works on whole wavefronts — neither shares control flow with a
-blocking scalar walk.
+the walk is tested against, so it shares no code with it.
 """
 
 from __future__ import annotations
@@ -77,6 +75,7 @@ __all__ = [
     "default_chunk",
     "lane_of",
     "lane_positions",
+    "term_positions",
     "classify_terms",
     "run_span",
     "take_tally",
@@ -96,10 +95,9 @@ OLD, LOCAL, WAIT, ACC = 0, 1, 2, 3
 #: 1 / 8 / 16 / 24 / 32 / 48 / 64 / 128 iterations: Python 3.6 / 7.1 /
 #: 10.3 / 13.8 / 17.4 / 25.7 / 32.0 / 49.6, compiled 14.6 / 14.9 / 15.3 /
 #: 14.5 / 15.4 / 16.3 / 15.4 / 12.6 — they cross between 24 and 32.  It is
-#: a property of the span the code can see, not a setting: the fused runs
-#: of ``krylov_churn`` (1-7 iterations) and ``trisolve_5pt`` (two of 28)
-#: stay interpreted, ``fig4_chain``'s one run of 8,000 is compiled.  The
-#: segment cut ``cache._FUSE_BELOW`` sits beside it and is unchanged.
+#: a property of the span the code can see, not a setting: every
+#: vectorized walk of the four benchmark workloads (2,000 to 50,000
+#: iterations) is compiled, a walk of a toy loop is interpreted.
 _NATIVE_FROM = 32
 
 
@@ -151,6 +149,22 @@ def lane_positions(
     return p[lane_of(p, chunk, workers) == wid]
 
 
+def term_positions(ptr: np.ndarray, its: np.ndarray):
+    """``(terms, counts)`` of iterations ``its``, in the order given: the
+    flat positions of their terms and each one's term count.  ``terms``
+    is a ``slice`` when ``its`` is one ascending contiguous range (the
+    natural order of a block, a doall's or a chain's level order), so no
+    term-sized index array is built; an index array otherwise."""
+    n = len(its)
+    if n and its[-1] - its[0] == n - 1 and bool((its[1:] > its[:-1]).all()):
+        lo, hi = int(its[0]), int(its[-1]) + 1
+        return slice(int(ptr[lo]), int(ptr[hi])), np.diff(ptr[lo : hi + 1])
+    counts = ptr[its + 1] - ptr[its]
+    flat = np.repeat(ptr[its] - (np.cumsum(counts) - counts), counts)
+    flat += np.arange(len(flat), dtype=np.int64)
+    return flat, counts
+
+
 def classify_terms(
     ptr: np.ndarray,
     index: np.ndarray,
@@ -173,13 +187,13 @@ def classify_terms(
     nothing is ``LOCAL`` and ``pos`` is irrelevant.
     """
     its = np.asarray(its, dtype=np.int64)
-    counts = ptr[its + 1] - ptr[its]
-    total = int(counts.sum())
-    flat = np.repeat(ptr[its] - (np.cumsum(counts) - counts), counts)
-    flat += np.arange(total, dtype=np.int64)
-    writers = iter_arr[index[flat]]
-    readers = np.repeat(its, counts)
-    codes = np.full(total, OLD, dtype=np.int8)
+    terms, counts = term_positions(ptr, its)
+    writers = iter_arr[index[terms]]
+    # The reader of every term, as narrow as iteration numbers allow: it
+    # is the largest temporary here besides ``writers``.
+    narrow = np.int32 if len(ptr) <= 2**31 else np.int64
+    readers = np.repeat(its.astype(narrow), counts)
+    codes = np.full(len(writers), OLD, dtype=np.int8)
     codes[writers == readers] = ACC
     dep = np.nonzero((writers >= 0) & (writers < readers))[0]
     w, r = writers[dep], readers[dep]

@@ -62,6 +62,7 @@ import numpy as np
 from repro.backends import native
 from repro.backends.base import (
     Runner,
+    check_repeated,
     note_kernel,
     validate_execution_order,
 )
@@ -82,7 +83,7 @@ from repro.ir.analysis import (
     classify_reads,
     uniform_distance,
 )
-from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
+from repro.ir.loop import IrregularLoop
 from repro.ir.subscript import AffineSubscript
 from repro.ir.transform import (
     STRATEGY_CLASSIC_DOACROSS,
@@ -512,7 +513,7 @@ class SimulatedRunner(Runner):
         # Per WAIT term, in execution order: its position, the cycles
         # pending when the wait is issued.
         wait = np.flatnonzero(codes == WAIT)
-        at = np.repeat(np.arange(len(its)), counts)[wait]
+        at = np.searchsorted(first, wait, side="right") - 1
         local = wait - first[at]
         pending = iter_overhead + (local + 1) * dep_check_setup + local * term_consume
         n_waits = np.bincount(at, minlength=len(its))
@@ -812,30 +813,7 @@ class SimulatedRunner(Runner):
             ``init_values`` arrays (length ``instances``); ``None`` reuses
             the loop's own values every time.
         """
-        if instances < 1:
-            raise InvalidLoopError(
-                f"need at least one instance, got {instances}"
-            )
-        if rhs_sequence is not None:
-            if loop.init_kind != INIT_EXTERNAL:
-                raise InvalidLoopError(
-                    "rhs_sequence requires an external-init loop"
-                )
-            rhs_sequence = [
-                np.ascontiguousarray(r, dtype=np.float64)
-                for r in rhs_sequence
-            ]
-            if len(rhs_sequence) != instances:
-                raise InvalidLoopError(
-                    f"rhs_sequence has {len(rhs_sequence)} entries for "
-                    f"{instances} instances"
-                )
-            for k, r in enumerate(rhs_sequence):
-                if r.shape != (loop.n,):
-                    raise InvalidLoopError(
-                        f"rhs_sequence[{k}] has shape {r.shape}, expected "
-                        f"({loop.n},)"
-                    )
+        rhs_sequence = check_repeated(loop, instances, rhs_sequence)
         result = self._doacross(
             loop,
             "amortized-doacross",

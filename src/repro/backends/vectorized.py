@@ -1,54 +1,36 @@
-"""Vectorized wavefront backend: real wall-clock parallel throughput.
+"""Vectorized wavefront backend: the executor as one level-ordered walk.
 
-The simulated backend models a multiprocessor; the threaded backend proves
-the protocol correct under the GIL.  This backend is the one that actually
-runs fast on CPython: it executes the dependence DAG *level by level*
-(wavefronts, the §3.2 doconsider decomposition), and runs each wide
-wavefront as batched NumPy array operations over all of its iterations at
-once — SIMD lanes and memory bandwidth play the role of the paper's
-processors, with no per-iteration Python interpretation and no GIL
-involvement.  Where the DAG is deep and narrow there is nothing to batch,
-and it degrades the way the paper's Figure 6 does at the short-distance
-end — to the sequential loop plus a little — instead of paying a NumPy
-round-trip per level.
+The paper's executor (§2.2, Figure 5) is one rule per term, applied in
+any order in which every writer comes before its readers.  The §3.2
+level-major order of the wavefront schedule is such an order, so this
+backend executes a loop as *one* call of the scalar kernel
+(:func:`~repro.backends.kernel.run_span`) over the schedule's ``order``
+with ``wait=None`` — level order has already discharged every wait —
+followed by the copy-back of the renamed values.  With a compiler that
+call is the compiled walk (:mod:`~repro.backends.native`, GIL released);
+without one it is the Python walk, several times slower on wide loops (a
+stated cost, not a second path; EXPERIMENTS.md).  The name is historical:
+wide wavefronts were once NumPy batches, and a compiled walk beat them on
+every benchmark workload.
 
-Exactness, not approximation: the executor performs the *same* arithmetic
-as the sequential oracle, in the same per-term order, as float64
-operations — iterations of one wavefront are mutually independent, so
-neither batching them nor walking them one by one changes anything — and
-is therefore **bitwise equal** to
+Exactness, not approximation: the walk performs the *same* arithmetic as
+the sequential oracle, in the same per-term order, as float64 operations
+— iterations of one wavefront are mutually independent, so the order
+they run in changes nothing — and is therefore **bitwise equal** to
 :meth:`~repro.ir.loop.IrregularLoop.run_sequential` (a tested property,
 not a tolerance).
 
-Mechanics.  The inspector record cuts the level sequence into *segments*
-(:func:`~repro.backends.cache.assemble_record`), per level, from the
-schedule alone — no option selects a path:
-
-- a maximal run of consecutive levels each narrower than a measured
-  constant is a **fused run**: one call of the scalar kernel
-  (:func:`~repro.backends.kernel.run_span`) over the run's iterations in
-  level-major order with ``wait=None`` — level order has already
-  discharged every wait — walking the record's per-term ``codes``
-  (``ACC`` / ``WAIT`` / ``OLD``).  A distance-1 chain of 8,000 levels is
-  one call;
-- every other level is a **bulk level**, all arrays precomputed by the
-  inspector: iterations are ordered within the level by term count
-  (descending), so term slot ``j`` is live for a *prefix* of the level —
-  each slot is one gather + one fused multiply-add over contiguous
-  slices, and intra-iteration reads (``check == 0``) select the live
-  accumulator via ``np.where`` in the same slot step.
-
-Both read through one doubled value environment ``[y_old | y_new]``:
-antidependent and never-written reads come from the old half, true
-dependence reads from the renamed half (the paper's ``ynew``), so the
-``iter``-array comparison of Figure 5 is baked into the record — as one
-gather index for the bulk levels, as the term code for the fused runs,
-both derived from the same classification masks.
+Mechanics.  ``OLD`` terms read a copy of the caller's ``y`` (never
+written during the walk), ``WAIT`` terms the renamed buffer (the paper's
+``ynew``), ``ACC`` terms the iteration's live accumulator; the record's
+term codes are the ``iter``-array compare of Figure 5, done once by the
+inspector.  After the walk every written element is copied from the
+renamed buffer into the copy, which is the result.
 
 All structure-dependent preprocessing — the inspector's ``iter`` array,
-the wavefront schedule, the execution-ordered term layout, the segments —
-lives in an :class:`~repro.backends.cache.InspectorRecord` and is served
-by a content-addressed :class:`~repro.backends.cache.InspectorCache`, so
+the wavefront schedule, the term codes — lives in an
+:class:`~repro.backends.cache.InspectorRecord` and is served by a
+content-addressed :class:`~repro.backends.cache.InspectorCache`, so
 repeated instances of one loop structure skip preprocessing entirely: the
 paper's Figure-3 amortization with a hit counter attached.
 """
@@ -64,6 +46,7 @@ from repro.backends.base import (
     Runner,
     check_analyze_mode,
     check_group_sync,
+    check_repeated,
     note_ignored_options,
     note_kernel,
     note_verdict,
@@ -71,54 +54,57 @@ from repro.backends.base import (
     validate_execution_order,
 )
 from repro.backends.cache import InspectorCache, InspectorRecord
+from repro.backends.kernel import ACC, WAIT, term_positions
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
-from repro.errors import InvalidLoopError
 from repro.machine.costs import CostModel
 from repro.obs.spans import CAT_LEVEL, CAT_PHASE
 
-__all__ = ["VectorizedRunner", "log_level"]
+__all__ = ["VectorizedRunner", "log_levels"]
 
 
-def log_level(
-    lane: list,
-    record: InspectorRecord,
-    y_size: int,
-    k: int,
-    n_levels: int,
-    p0: int,
-    p1: int,
-) -> None:
-    """Shadow-log wavefront level ``k`` of ``n_levels`` — execution
-    positions ``[p0, p1)`` of ``record`` — onto ``lane``: the handoff
-    acquire, one bulk ``R`` (intra-iteration terms are not memory reads),
-    one bulk ``W``, the handoff post.  The runner logs each level as it
-    executes it; the mutation harness logs the same record over mutated
-    level cuts."""
-    exec_order, exec_ptr = record.exec_order, record.exec_ptr
-    if k > 0:
-        lane.append(("a", -k))
-    tt0, tt1 = int(exec_ptr[p0]), int(exec_ptr[p1])
-    keep = ~record.intra[tt0:tt1]
-    ei = record.env_index[tt0:tt1][keep]
-    iters = np.repeat(
-        exec_order[p0:p1], np.diff(exec_ptr[p0 : p1 + 1])
-    )[keep]
-    srcs = (ei >= y_size).astype(np.int64)
-    if len(ei):
-        lane.append(
-            ("R", iters, np.where(srcs == 1, ei - y_size, ei), srcs)
-        )
-    lane.append(
-        ("W", exec_order[p0:p1].copy(), record.exec_write[p0:p1].copy())
-    )
-    if k + 1 < n_levels:
-        lane.append(("p", -(k + 1)))
+def log_levels(capture, record: InspectorRecord, loop: IrregularLoop, cuts) -> None:
+    """Shadow-log the walk of ``record`` onto ``capture``, one lane per
+    level: level ``k`` — positions ``cuts[k]:cuts[k+1]`` of
+    ``record.schedule.order`` — is the handoff acquire, one bulk ``R``
+    (accumulator terms are not memory reads), one bulk ``W``, the handoff
+    post.  The synthetic token ``-(k+1)``, posted by level ``k`` and
+    acquired by level ``k+1``, is the log's rendering of "levels execute
+    strictly in order"; the walk is level-major and a level's iterations
+    share no true dependence, so "level ``k``'s reads, then its writes,
+    levels in order" is what ran.  The runner logs the record's own level
+    cuts; the mutation harness logs the same record over mutated cuts."""
+    order, reads = record.schedule.order, loop.reads
+    terms, counts = term_positions(reads.ptr, order)
+    term_ptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(counts, out=term_ptr[1:])
+    readers = np.repeat(order, counts)
+    index = reads.index[terms]
+    read = record.codes != ACC
+    renamed = (record.codes == WAIT).astype(np.int64)
+    n_levels = len(cuts) - 1
+    capture.meta["levels"] = n_levels
+    for k in range(n_levels):
+        lane = capture.lane(k)
+        p0, p1 = int(cuts[k]), int(cuts[k + 1])
+        t0, t1 = int(term_ptr[p0]), int(term_ptr[p1])
+        if k > 0:
+            lane.append(("a", -k))
+        keep = read[t0:t1]
+        if keep.any():
+            lane.append((
+                "R", readers[t0:t1][keep], index[t0:t1][keep],
+                renamed[t0:t1][keep],
+            ))
+        lane.append(("W", order[p0:p1].copy(), loop.write[order[p0:p1]]))
+        if k + 1 < n_levels:
+            lane.append(("p", -(k + 1)))
 
 
 class VectorizedRunner(Runner):
-    """Batched wavefront execution with cached inspector results.
+    """Wavefront-ordered execution, one walk, with cached inspector
+    results.
 
     Parameters
     ----------
@@ -231,7 +217,8 @@ class VectorizedRunner(Runner):
         trace: bool = False,
         group_sync: int | None = None,
     ) -> RunResult:
-        """Execute ``loop`` as batched wavefronts; see the module doc.
+        """Execute ``loop`` as one walk of its wavefronts; see the module
+        doc.
 
         ``order`` is validated for legality (identically to the other
         backends) but does not change the result: the backend always
@@ -284,8 +271,8 @@ class VectorizedRunner(Runner):
         if trace:
             ignored["trace"] = (
                 True,
-                "no simulated timeline exists for batched execution; use "
-                "observe=True for wall-clock level spans",
+                "no simulated timeline exists for the level walk; use "
+                "observe=True for wall-clock spans",
             )
         note_ignored_options(result, self.name, **ignored)
         return result
@@ -310,30 +297,7 @@ class VectorizedRunner(Runner):
         output (or, for external-init loops, a per-instance ``rhs``), and
         the inspector/wavefront work is fetched from the cache once.
         """
-        if instances < 1:
-            raise InvalidLoopError(
-                f"need at least one instance, got {instances}"
-            )
-        if rhs_sequence is not None:
-            if loop.init_kind != INIT_EXTERNAL:
-                raise InvalidLoopError(
-                    "rhs_sequence requires an external-init loop"
-                )
-            rhs_sequence = [
-                np.ascontiguousarray(rhs, dtype=np.float64)
-                for rhs in rhs_sequence
-            ]
-            if len(rhs_sequence) != instances:
-                raise InvalidLoopError(
-                    f"rhs_sequence has {len(rhs_sequence)} entries for "
-                    f"{instances} instances"
-                )
-            for rhs in rhs_sequence:
-                if len(rhs) != loop.n:
-                    raise InvalidLoopError(
-                        f"rhs has {len(rhs)} entries for {loop.n} iterations"
-                    )
-
+        rhs_sequence = check_repeated(loop, instances, rhs_sequence)
         kernel.take_tally()
         t0 = time.perf_counter()
         record, hit, elided, verdict = self._preprocess(loop)
@@ -369,125 +333,37 @@ class VectorizedRunner(Runner):
         init_values: np.ndarray | None = None,
     ) -> np.ndarray:
         """One execution against current values ``y`` (defaults to
-        ``loop.y0``), segment by segment.  Returns the final ``y`` (a
-        fresh array)."""
-        n, y_size = loop.n, loop.y_size
-        reads = loop.reads
-        exec_order = record.exec_order
-        exec_ptr = record.exec_ptr
-        exec_write = record.exec_write
-        env_index = record.env_index
-        intra = record.intra
-        level_ptr = record.schedule.level_ptr.tolist()
-        slot_active, slot_ptr = record.slot_active, record.slot_ptr
-
-        if y is None:
-            y = loop.y0
-        external = loop.init_kind == INIT_EXTERNAL
+        ``loop.y0``): one walk of the record's level-major order, then the
+        copy-back.  Returns the final ``y`` (a fresh array)."""
+        reads, schedule = loop.reads, record.schedule
         init = None
-        if external:
+        if loop.init_kind == INIT_EXTERNAL:
             init = init_values if init_values is not None else loop.init_values
-            init_exec = init[exec_order]
-        # Bulk levels read coefficients permuted into execution order;
-        # fused runs walk the loop's own arrays by iteration number.
-        coeff = reads.coeff[record.term_source]
+        # ``out`` serves the old values during the walk, which writes only
+        # the renamed buffer ``new``, and receives the new ones after it.
+        out = np.array(loop.y0 if y is None else y, dtype=np.float64)
+        new = np.empty_like(out)
 
-        # Doubled environment: [y_old | y_new].  The old half is never
-        # mutated (writes are renamed), the new half is filled level by
-        # level and only read by strictly later levels.
-        env = np.empty(2 * y_size, dtype=np.float64)
-        env[:y_size] = y
-        old, new = env[:y_size], env[y_size:]
-        span = (
-            record.codes, loop.write, reads.ptr, reads.index, reads.coeff,
-            init, old, new, new,
-        )
-
-        rec = self._obs_recorder
-        san = self._san_capture
-        n_levels = record.schedule.n_levels
+        rec, san = self._obs_recorder, self._san_capture
+        n_levels = schedule.n_levels
         if san is not None:
-            # Shadow lanes are wavefront levels; the synthetic token
-            # -(k+1) posted by level k and acquired by level k+1 is the
-            # log's rendering of "levels execute strictly in order".
-            san.meta["levels"] = n_levels
-        # Level spans buffer locally and flush once — a locked record()
-        # per wavefront costs ~3µs, which on a many-level loop is a
-        # measurable fraction of the whole run (tested budget:
-        # observe=True adds <10% wall time).
-        buf: list[tuple] = []
+            log_levels(san, record, loop, schedule.level_ptr)
         if rec is not None:
-            now = rec.now
-            t_exec = now()
-
-        segments = zip(
-            record.seg_fused.tolist(),
-            record.seg_ptr[:-1].tolist(),
-            record.seg_ptr[1:].tolist(),
+            t_exec = rec.now()
+        kernel.run_span(
+            schedule.order, record.codes, loop.write, reads.ptr, reads.index,
+            reads.coeff, init, out, new, new,
         )
-        for fused, k0, k1 in segments:
-            if fused:
-                # A run of narrow levels: one scalar walk in level-major
-                # order, which has already discharged every wait.
-                if rec is not None:
-                    t_level = now()
-                p0, p1 = level_ptr[k0], level_ptr[k1]
-                if san is not None:
-                    # The walk is level-major and a level's iterations
-                    # share no true dependence, so "level k's gathers,
-                    # then its scatters, levels in order" is what ran.
-                    for k in range(k0, k1):
-                        log_level(
-                            san.lane(k), record, y_size, k, n_levels,
-                            level_ptr[k], level_ptr[k + 1],
-                        )
-                kernel.run_span(
-                    exec_order[p0:p1], *span, cur=int(exec_ptr[p0])
-                )
-                if rec is not None:
-                    buf.append((
-                        f"levels[{k0}:{k1}]", CAT_LEVEL, t_level, now(), 0,
-                        {"level": k0, "levels": k1 - k0, "width": p1 - p0},
-                    ))
-                continue
-            for k in range(k0, k1):
-                if rec is not None:
-                    t_level = now()
-                p0, p1 = level_ptr[k], level_ptr[k + 1]
-                if san is not None:
-                    log_level(
-                        san.lane(k), record, y_size, k, n_levels, p0, p1
-                    )
-                if external:
-                    acc = init_exec[p0:p1].copy()
-                else:
-                    acc = env[exec_write[p0:p1]]
-                base = exec_ptr[p0 : p1 + 1]
-                for j in range(int(slot_ptr[k + 1] - slot_ptr[k])):
-                    m = int(slot_active[slot_ptr[k] + j])
-                    kk = base[:m] + j
-                    vals = env[env_index[kk]]
-                    a = acc[:m]
-                    # Same op order as the oracle: acc += coeff * value,
-                    # value = live accumulator for intra-iteration reads.
-                    acc[:m] = a + coeff[kk] * np.where(intra[kk], a, vals)
-                new[exec_write[p0:p1]] = acc
-                if rec is not None:
-                    buf.append((
-                        f"level[{k}]", CAT_LEVEL, t_level, now(), 0,
-                        {"level": k, "width": p1 - p0},
-                    ))
-
         if rec is not None:
-            t_post = now()
-            buf.append((
-                "executor", CAT_PHASE, t_exec, t_post, 0,
-                {"levels": n_levels},
-            ))
-            rec.record_batch(buf)
-        out = np.array(y, dtype=np.float64, copy=True)
-        if n:
-            out[exec_write] = new[exec_write]
+            t_post = rec.now()
+            rec.record_batch([
+                (
+                    f"levels[0:{n_levels}]", CAT_LEVEL, t_exec, t_post, 0,
+                    {"level": 0, "levels": n_levels, "width": loop.n},
+                ),
+                ("executor", CAT_PHASE, t_exec, t_post, 0, {"levels": n_levels}),
+            ])
+        out[loop.write] = new[loop.write]
         if rec is not None:
             # The copy-back of renamed values into y is this backend's
             # (tiny) postprocessor phase.
@@ -525,7 +401,6 @@ class VectorizedRunner(Runner):
                 "levels": schedule.n_levels,
                 "max_width": schedule.max_width(),
                 "average_width": schedule.average_width(),
-                "fused_levels": record.fused_levels,
                 "cache_hit": hit,
                 "cache_hits_total": cache_stats["hits"],
                 "cache_misses_total": cache_stats["misses"],
@@ -560,13 +435,10 @@ class VectorizedRunner(Runner):
             met.gauge("levels_cache_hits_total", cache_stats["levels_hits"])
             met.gauge("levels_cache_misses_total", cache_stats["levels_misses"])
             met.gauge("levels", schedule.n_levels)
-            # One sample per level, fused or not: the width profile is a
-            # property of the loop, not of how its levels were executed —
-            # so it is summarized here, outside the timed window (8,000
-            # samples cost 40 us, 5 % of a compiled chain run).
+            # One sample per level: the width profile is a property of the
+            # loop, not of how it was executed — so it is summarized here,
+            # outside the timed window (8,000 samples cost 40 us).
             met.observe_many("level_width", schedule.level_sizes())
             met.gauge("max_width", schedule.max_width())
-            met.gauge("fused_runs", record.fused_runs)
-            met.gauge("fused_levels", record.fused_levels)
             met.count("iterations", loop.n)
         return result

@@ -87,7 +87,7 @@ class MetricsRegistry:
         """Fold many samples into histogram ``name`` in one lock acquire
         (the vectorized backend reports all its wavefront widths at once,
         as an array: thousands of them on a chain, summarized in NumPy so
-        that observing stays a few percent of a fused run).  An array is
+        that observing stays a few percent of a compiled walk).  An array is
         retained as it is, not copied: hand over one nobody writes to
         again."""
         values = np.asarray(values)

@@ -13,8 +13,8 @@ backend, not just the simulated one:
   ``threading.Event.wait`` calls);
 - category ``"compute"`` / ``"queue"`` spans match the simulated
   :class:`~repro.machine.trace.Tracer` segment kinds;
-- category ``"level"`` spans are the vectorized backend's per-wavefront
-  batches (§3.2 doconsider decomposition);
+- category ``"level"`` spans are the vectorized backend's walk over the
+  wavefronts (§3.2 doconsider decomposition), one span for all levels;
 - one category ``"run"`` span brackets the whole construct.
 
 Span times are floats in the clock of the enclosing
@@ -84,7 +84,7 @@ class Span:
     Attributes
     ----------
     name:
-        What happened (``"inspector"``, ``"level[3]"``, ``"wait"`` ...).
+        What happened (``"inspector"``, ``"levels[0:8]"``, ``"wait"`` ...).
     cat:
         One of :data:`SPAN_CATEGORIES`.
     start, end:

@@ -147,10 +147,10 @@ def _median(values: list) -> float:
 def _heuristic_order(levels, n: int) -> tuple[str, ...]:
     """Candidate priority from the wavefront shape alone.
 
-    The vectorized backend goes first either way: a wide level is one
-    NumPy batch, and a run of narrow ones is one scalar span at about the
-    sequential loop's cost (~1.9 x_ref on ``fig4_chain``, where
-    ``threaded`` measures 22–26).  The shape orders the rest: wide
+    The vectorized backend goes first either way: it walks every level,
+    wide or narrow, in one compiled span at about the sequential loop's
+    cost (``fig4_chain``: ~0.2 x_ref warm, where ``threaded`` measures
+    22–26).  The shape orders the rest: wide
     wavefronts mean few cross-chunk conflicts, so speculation ranks
     second there; deep, narrow DAGs force it into its rollback/fallback
     worst case, so the point-to-point backends precede it.

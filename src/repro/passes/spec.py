@@ -91,7 +91,7 @@ _REASONS = {
         "execution order is the wavefront decomposition itself"
     ),
     ("vectorized", "wait_timeout"): (
-        "batched wavefront execution never busy-waits"
+        "the level walk never busy-waits"
     ),
     ("multiproc", "schedule"): (
         "the multiproc backend always assigns contiguous chunks "

@@ -14,12 +14,11 @@ against one run's :class:`~repro.obs.telemetry.Telemetry` blob:
   the mean says that assumption broke.
 - **narrow_wavefronts** — the ``level_width`` distribution vs the worker
   count.  §3.2's doconsider decomposition only pays when levels are wide
-  enough to fill the machine.  The vectorized backend already walks runs
-  of narrow levels as one scalar span (its ``fused_levels`` gauge), at
-  about the sequential loop's cost, so there the finding is information;
-  every point-to-point backend pays a wait per dependence on such a DAG
-  (22–26 x_ref threaded against ~1.9 fused on ``fig4_chain``), so from
-  them the recommendation is ``vectorized``.
+  enough to fill the machine.  Every point-to-point backend pays a wait
+  per dependence on such a DAG (22–26 x_ref threaded on ``fig4_chain``),
+  so from them the recommendation is ``vectorized``, which walks all the
+  levels in one compiled span whatever their width — and so gets no
+  finding of this kind itself.
 - **inspector_dominant** — Figure 3's preprocessing cost vs the executor
   extent.  When the inspector dominates, symbolic analysis (which builds
   the record in closed form) removes it.
@@ -167,41 +166,30 @@ def diagnose(
     if level_width and level_width.get("count"):
         avg_width = level_width["sum"] / level_width["count"]
         workers = processors or 1
-        if workers > 1 and avg_width < workers:
-            evidence = {
-                "avg_width": avg_width,
-                "processors": workers,
-                "level_width": dict(level_width),
-                "levels": gauges.get("levels"),
-            }
-            if telemetry.backend == "vectorized":
-                # Nothing to fix: the narrow levels ran fused.
-                fused = gauges.get("fused_levels", 0)
-                evidence["fused_levels"] = fused
-                evidence["fused_runs"] = gauges.get("fused_runs", 0)
-                severity = SEV_INFO
-                note = (
-                    f"{fused:g} of {level_width['count']} levels ran fused "
-                    f"into scalar spans, at about the sequential loop's cost"
-                )
-                recommendation = {}
-            else:
-                severity = SEV_CRITICAL if avg_width < 2.0 else SEV_WARNING
-                note = (
-                    "the vectorized backend walks runs of narrow levels "
-                    "as one scalar span instead of waiting per dependence"
-                )
-                recommendation = {"backend": "vectorized"}
+        # The vectorized backend walks the levels as one span whatever
+        # their width: nothing there waits per level.
+        if (
+            workers > 1
+            and avg_width < workers
+            and telemetry.backend != "vectorized"
+        ):
             findings.append(
                 Finding(
                     kind=KIND_NARROW_WAVEFRONTS,
-                    severity=severity,
+                    severity=SEV_CRITICAL if avg_width < 2.0 else SEV_WARNING,
                     summary=(
                         f"average wavefront width {avg_width:.1f} cannot "
-                        f"fill {workers} workers (§3.2) — {note}"
+                        f"fill {workers} workers (§3.2) — the vectorized "
+                        f"backend walks the levels in one span instead of "
+                        f"waiting per dependence"
                     ),
-                    evidence=evidence,
-                    recommendation=recommendation,
+                    evidence={
+                        "avg_width": avg_width,
+                        "processors": workers,
+                        "level_width": dict(level_width),
+                        "levels": gauges.get("levels"),
+                    },
+                    recommendation={"backend": "vectorized"},
                 )
             )
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.backends import kernel, MultiprocRunner, SpeculativeRunner
 from repro.backends import ThreadedRunner, VectorizedRunner
-from repro.backends.vectorized import log_level
+from repro.backends.vectorized import log_levels
 from repro.ir.analysis import CAT_TRUE, classify_reads, writer_map
 from repro.sanitize.detector import detect
 from repro.sanitize.events import SRC_OLD
@@ -136,7 +136,7 @@ class Flags(Shape):
 
 class Levels(Shape):
     """The wavefront protocol: ``cuts`` are the level boundaries over the
-    inspector record; ``capture`` is what the runner's ``log_level`` logs."""
+    inspector record; ``capture`` is what the runner's ``log_levels`` logs."""
 
     def __init__(self, loop, runner):
         super().__init__(loop, runner)
@@ -145,11 +145,8 @@ class Levels(Shape):
 
     @cached_property
     def capture(self) -> ShadowCapture:
-        capture, n_levels = ShadowCapture(), len(self.cuts) - 1
-        capture.meta["levels"] = n_levels
-        for k in range(n_levels):
-            log_level(capture.lane(k), self.record, self.loop.y_size, k,
-                      n_levels, self.cuts[k], self.cuts[k + 1])
+        capture = ShadowCapture()
+        log_levels(capture, self.record, self.loop, self.cuts)
         return capture
 
     def merge(self) -> int:

@@ -81,15 +81,18 @@ def make_test_loop(
     # a(i) = 2i, 1-based  →  i₀ ↦ 2(i₀ + 1) + shift.
     write_subscript = AffineSubscript(2, 2 + shift)
 
-    j1 = np.arange(1, m + 1, dtype=np.int64)  # the paper's 1-based j
     # offset(i, j) = b(i) + nbrs(j) = 2i + 2j − L, then shifted, for the
-    # paper's 1-based i: one (n,) and one (n, m) allocation, no temporaries.
+    # paper's 1-based i and j: one (n,) and one (n, m) allocation, filled a
+    # column per term (an outer add walks rows of m, about twice as slow).
     b_shifted = np.arange(2 + shift, 2 * n + 2 + shift, 2, dtype=np.int64)
-    index_matrix = np.add.outer(b_shifted, 2 * j1 - l)
-    coeff_matrix = np.broadcast_to(val, (n, m)).copy()
+    index_matrix = np.empty((n, m), dtype=np.int64)
+    for j in range(1, m + 1):
+        np.add(b_shifted, 2 * j - l, out=index_matrix[:, j - 1])
+    coeff_matrix = np.tile(val, (n, 1))
     reads = ReadTable.from_uniform(index_matrix, coeff_matrix)
 
-    y_size = int(max(write_subscript(n - 1), index_matrix.max())) + 1
+    # The largest offset is the last iteration's last term's.
+    y_size = max(write_subscript(n - 1), int(b_shifted[-1]) + 2 * m - l) + 1
     y0 = np.full(y_size, y0_value, dtype=np.float64)
     # Term j₀ reads offset(i₀) = 2·i₀ + (4 + 2j₀ − L + shift): affine in the
     # loop index, so the whole read side is declared symbolically.

@@ -125,7 +125,7 @@ class TestPolicy:
     @pytest.mark.parametrize("l", [7, 8], ids=["one-wavefront", "chain"])
     def test_vectorized_is_tried_first_whatever_the_width(self, l, cache):
         # A chain is no longer threaded's to lose: the vectorized backend
-        # fuses its width-1 levels into one scalar span.
+        # walks its width-1 levels in one span.
         plan = plan_loop(
             make_test_loop(n=200, m=5, l=l), PlanSpec(backend="auto"), cache=cache
         )

@@ -13,6 +13,7 @@ from repro.backends.cache import (
     build_inspector_record,
     loop_fingerprint,
 )
+from repro.backends.kernel import LOCAL, classify_terms
 from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
@@ -133,27 +134,25 @@ class TestRecordContents:
         assert np.array_equal(record.iter_array, expected)
 
     def test_exec_order_is_level_major_permutation(self):
+        # The executor walks the schedule's order: every iteration once,
+        # levels in order.
         loop = random_irregular_loop(60, seed=1)
-        record = build_inspector_record(loop)
-        assert np.array_equal(
-            np.sort(record.exec_order), np.arange(loop.n)
-        )
-        levels_in_order = record.schedule.levels[record.exec_order]
-        assert np.all(np.diff(levels_in_order) >= 0)
+        schedule = build_inspector_record(loop).schedule
+        assert np.array_equal(np.sort(schedule.order), np.arange(loop.n))
+        assert np.all(np.diff(schedule.levels[schedule.order]) >= 0)
 
-    def test_term_source_is_permutation_of_terms(self):
+    def test_codes_are_the_kernel_classification(self):
+        # The Figure-5 compare of every term, in the schedule's order —
+        # what kernel.classify_terms says with one iteration per strip.
         loop = random_irregular_loop(60, seed=2)
         record = build_inspector_record(loop)
-        total = int(loop.reads.ptr[-1])
+        reads = loop.reads
+        assert record.codes.dtype == np.int8
         assert np.array_equal(
-            np.sort(record.term_source), np.arange(total)
+            record.codes,
+            classify_terms(
+                reads.ptr, reads.index, record.iter_array,
+                record.schedule.order, 1,
+            ),
         )
-
-    def test_counts_nonincreasing_within_level(self):
-        loop = random_irregular_loop(60, seed=2)
-        record = build_inspector_record(loop)
-        for k in range(record.n_levels):
-            lo = int(record.schedule.level_ptr[k])
-            hi = int(record.schedule.level_ptr[k + 1])
-            cnt = record.exec_counts[lo:hi]
-            assert np.all(np.diff(cnt) <= 0)
+        assert LOCAL not in record.codes

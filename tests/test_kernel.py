@@ -311,16 +311,11 @@ class TestBothBodies:
     @pytest.mark.parametrize("body", BODIES)
     @given(seed=st.integers(0, 10_000), share=st.sampled_from([0.01, 0.1]))
     @settings(max_examples=25, deadline=None)
-    def test_vectorized_bulk_and_fused_paths_on_special_values(
-        self, body, seed, share
-    ):
+    def test_vectorized_walk_on_special_values(self, body, seed, share):
         loop = seed_specials(random_irregular_loop(400, seed=seed), seed, share)
         with forced(body), np.errstate(all="ignore"):
             result = make_runner("vectorized").run(loop)
             assert ran_on(body)
-            # Wide levels ran as NumPy batches, narrow ones (most seeds
-            # have some) as spans.
-            assert result.extras["fused_levels"] < result.extras["levels"]
             assert_same_bits(result.y, loop.run_sequential())
 
     @pytest.mark.parametrize("body", BODIES)

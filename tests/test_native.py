@@ -207,7 +207,7 @@ def _counters(result) -> dict:
 CELLS = [
     # backend, loop, plan options, (body, reason) with a compiler
     ("vectorized", lambda: chain_loop(400, 1), {}, ("native", None)),
-    ("vectorized", lambda: random_irregular_loop(150, seed=5), {},
+    ("vectorized", lambda: random_irregular_loop(20, seed=5), {},
      ("python", "short-span")),
     ("threaded", lambda: chain_loop(400, 1), {}, ("python", "blocking-span")),
     ("multiproc", lambda: chain_loop(400, 1), {}, ("python", "blocking-span")),
@@ -243,14 +243,16 @@ def test_every_run_names_its_kernel_body(backend, make_loop, options, expected):
     assert (counts["native"] > 0) == (body == "native")
 
 
-def test_a_run_without_scalar_spans_reports_no_kernel_body():
-    # One bulk level: run_span is never called, so there is nothing to
-    # name — the counters are there and zero.
+def test_a_doall_names_its_kernel_body():
+    # One level of 400 iterations is still one walk, so the run names the
+    # body it ran on.
     loop = make_test_loop(n=400, m=2, l=7)
     spec = PlanSpec(backend="vectorized", observe=True)
     result = make_runner(spec=spec).run(loop)
-    assert result.extras["levels"] == 1 and "kernel" not in result.extras
-    assert _counters(result) == {"native": 0, "python": 0}
+    assert result.extras["levels"] == 1
+    body = "native" if native.unavailable() is None else "python"
+    assert result.extras["kernel"]["body"] == body
+    assert _counters(result) == {"native": 0, "python": 0, body: 1}
 
 
 FALLBACK_CELLS = [
