@@ -13,10 +13,31 @@ array, the read table's ``ptr``/``index`` arrays, and the static signature
 
 - two distinct loop objects with equal index arrays share one cache entry
   (amortization across instances, Figure 3);
-- mutating any index array in place changes the digest and *misses*
-  (there is no way to consume a stale inspector result);
 - coefficients and values are deliberately excluded: they do not affect
   who-writes-what, so a solver that rescales its matrix still hits.
+
+The key is paid once per loop object, not once per call.  The first
+:func:`loop_fingerprint` of a loop marks ``write``, ``reads.ptr``,
+``reads.index`` and every ndarray in their ``.base`` chains read-only,
+hashes them and memoizes the digest on the loop.  Later
+calls return the memo while the same three array objects are bound and
+every array in their chains is still read-only; anything else (a rebound
+``loop.reads`` or ``loop.write``, a ``deepcopy``, a pickle round-trip, a
+root whose write flag was turned back on) hashes and freezes again.  The
+contract is therefore **mutate before first use, or the write raises
+``ValueError``**: an index array changed in place before the loop is
+first fingerprinted is simply what gets hashed; after that, a write
+through any frozen array is refused by NumPy, and a stale inspector
+result stays unreachable.  Outside the contract: re-enabling writes on a
+frozen root, mutating it and disabling writes again; writing through a
+view of a frozen array that existed before the freeze (its own flag was
+never cleared); and rebinding the loop's static attributes (``n``,
+``y_size``, ``init_kind``, the subscripts), which are set at
+construction.  A chain rooted in a writeable foreign buffer
+(``bytearray``, ``mmap``, shared memory) cannot be frozen: such a loop is
+hashed on every call and keeps the old "mutate and miss" contract.
+``Plan.describe()["fingerprint_body"]`` names which case ran:
+``"memo"``, ``"hashed"`` or ``"hashed (foreign-buffer)"``.
 
 A cache entry (:class:`InspectorRecord`) holds everything the vectorized
 backend's preprocessing produces: the paper's ``iter`` array, the
@@ -51,6 +72,7 @@ from repro.ir.transform import TransformPlan, plan_transform, structural_signatu
 
 __all__ = [
     "loop_fingerprint",
+    "fingerprint_with_body",
     "InspectorRecord",
     "InspectorCache",
     "build_inspector_record",
@@ -58,19 +80,69 @@ __all__ = [
 ]
 
 
+def _frozen_chain(arrays) -> list[np.ndarray] | None:
+    """Every ndarray in the ``.base`` chains of ``arrays``, or ``None``
+    when a chain ends in a buffer that stays writeable whatever the
+    arrays' flags say (``bytearray``, ``mmap``, a writeable
+    ``memoryview``, or anything without the buffer protocol)."""
+    chain = []
+    for arr in arrays:
+        while isinstance(arr, np.ndarray):
+            chain.append(arr)
+            arr = arr.base
+        if arr is not None:
+            try:
+                with memoryview(arr) as view:
+                    if not view.readonly:
+                        return None
+            except TypeError:
+                return None
+    return chain
+
+
+def fingerprint_with_body(loop: IrregularLoop) -> tuple[str, str]:
+    """Return ``(digest, body)``: the loop's :func:`loop_fingerprint` and
+    how it was obtained — ``"memo"``, ``"hashed"`` (and frozen) or
+    ``"hashed (foreign-buffer)"`` (see the module doc for the
+    freeze-and-memoize contract)."""
+    arrays = (loop.write, loop.reads.ptr, loop.reads.index)
+    memo = loop._fingerprint_memo
+    if memo is not None:
+        bound, chain, digest = memo
+        if (
+            all(a is b for a, b in zip(arrays, bound))
+            and not any(a.flags.writeable for a in chain)
+        ):
+            return digest, "memo"
+    chain = _frozen_chain(arrays)
+    if chain is not None:
+        # Frozen before hashing: the digest is of content that can no
+        # longer change.
+        for arr in chain:
+            arr.flags.writeable = False
+    h = hashlib.sha256()
+    h.update(repr(structural_signature(loop)).encode())
+    for arr in arrays:
+        h.update(b"|")
+        h.update(np.ascontiguousarray(arr))  # the buffer itself, no copy
+    digest = h.hexdigest()
+    if chain is None:
+        loop._fingerprint_memo = None
+        return digest, "hashed (foreign-buffer)"
+    loop._fingerprint_memo = (arrays, tuple(chain), digest)
+    return digest, "hashed"
+
+
 def loop_fingerprint(loop: IrregularLoop) -> str:
     """SHA-256 digest of the loop's dependence structure.
 
     Covers the static signature plus the raw bytes of ``write``,
     ``reads.ptr``, and ``reads.index``.  Excludes coefficients, ``y0``,
-    and ``init_values`` — they affect arithmetic, not dependence.
+    and ``init_values`` — they affect arithmetic, not dependence.  Hashed
+    once per loop object: the first call freezes the three arrays and
+    later calls return the memoized digest (module doc).
     """
-    h = hashlib.sha256()
-    h.update(repr(structural_signature(loop)).encode())
-    for arr in (loop.write, loop.reads.ptr, loop.reads.index):
-        h.update(b"|")
-        h.update(np.ascontiguousarray(arr))  # the buffer itself, no copy
-    return h.hexdigest()
+    return fingerprint_with_body(loop)[0]
 
 
 @dataclass
@@ -258,8 +330,7 @@ class InspectorCache:
         (:func:`~repro.graph.levels.compute_levels`) and remembered.
         ``fingerprint`` must be the loop's *current*
         :func:`loop_fingerprint` (callers that already hashed the loop
-        pass it to avoid a second hash); it is never cached on the loop,
-        so an index array mutated in place misses.
+        pass it rather than calling it again).
         """
         fp = fingerprint if fingerprint is not None else loop_fingerprint(loop)
         schedule = self._levels.get(fp)
@@ -306,16 +377,6 @@ class InspectorCache:
             record = builder(loop)
         self._store(self._entries, fp, record)
         return record, False
-
-    def seed(
-        self, record: InspectorRecord, fingerprint: str | None = None
-    ) -> None:
-        """Insert a pre-built record without touching the hit/miss
-        counters — how :func:`repro.passes.execute.execute_plan` hands a
-        cache-less plan's record to the runner's private cache without
-        skewing the amortization accounting."""
-        fp = fingerprint if fingerprint is not None else record.fingerprint
-        self._store(self._entries, fp, record)
 
     def tuner_state(self, fingerprint: str) -> dict:
         """The auto-tuner's mutable slot for one dependence structure.

@@ -53,7 +53,7 @@ from repro.backends.base import (
     resolve_verdict,
     validate_execution_order,
 )
-from repro.backends.cache import InspectorCache, InspectorRecord
+from repro.backends.cache import InspectorCache, InspectorRecord, loop_fingerprint
 from repro.backends.kernel import ACC, WAIT, term_positions
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
@@ -143,7 +143,9 @@ class VectorizedRunner(Runner):
         self.analyze = check_analyze_mode(analyze)
 
     # ------------------------------------------------------------------
-    def _preprocess(self, loop: IrregularLoop, group: int | None = None):
+    def _preprocess(
+        self, loop: IrregularLoop, group: int | None = None, planned=None
+    ):
         """Serve the inspector record for ``loop``.
 
         Returns ``(record, hit, elided, verdict)``.  With ``analyze`` set
@@ -158,6 +160,10 @@ class VectorizedRunner(Runner):
         levels (:func:`repro.analysis.build_distance_record`).  This
         works even for verdicts that are *not* fully classified: a
         ``min-distance-k`` bound is enough.
+
+        ``planned`` is ``(record, hit)`` from the plan (see :meth:`run`):
+        served as is while the record's fingerprint is the loop's, so
+        the cache is not consulted a second time.
         """
         verdict = resolve_verdict(loop, self.analyze)
         if group is not None and group >= 2:
@@ -188,6 +194,10 @@ class VectorizedRunner(Runner):
             if self.analyze == "symbolic+check":
                 self._debug_check(loop, record)
             return record, hit, True, verdict
+        if planned is not None:
+            record, hit = planned
+            if record.fingerprint == loop_fingerprint(loop):
+                return record, hit, False, verdict
         record, hit = self.cache.get_or_build(loop)
         return record, hit, False, verdict
 
@@ -216,6 +226,7 @@ class VectorizedRunner(Runner):
         chunk: int | None = None,
         trace: bool = False,
         group_sync: int | None = None,
+        planned: tuple[InspectorRecord, bool] | None = None,
     ) -> RunResult:
         """Execute ``loop`` as one walk of its wavefronts; see the module
         doc.
@@ -226,6 +237,11 @@ class VectorizedRunner(Runner):
         values.  ``schedule``/``chunk``/``trace`` have no meaning without
         per-processor scheduling and are ignored (each ignored option is
         recorded in ``result.extras["ignored_options"]``).
+
+        ``planned`` is how :func:`~repro.passes.execute.execute_plan`
+        hands over the record :func:`~repro.passes.plan.plan_loop` already
+        fetched or built, with whether that lookup hit; it is reported as
+        this run's lookup.
         """
         check_group_sync(loop, group_sync)
         if order is not None:
@@ -234,7 +250,9 @@ class VectorizedRunner(Runner):
         kernel.take_tally()  # _result reports this run's spans only
 
         t0 = time.perf_counter()
-        record, hit, elided, verdict = self._preprocess(loop, group_sync)
+        record, hit, elided, verdict = self._preprocess(
+            loop, group_sync, planned
+        )
         t1 = time.perf_counter()
         if rec is not None:
             # The cache lookup/build window IS this backend's inspector
@@ -395,15 +413,14 @@ class VectorizedRunner(Runner):
             order_label=f"wavefront(levels={schedule.n_levels})",
             wall_seconds=preprocess_seconds + execute_seconds,
         )
-        cache_stats = self.cache.stats()
         result.extras.update(
             {
                 "levels": schedule.n_levels,
                 "max_width": schedule.max_width(),
                 "average_width": schedule.average_width(),
                 "cache_hit": hit,
-                "cache_hits_total": cache_stats["hits"],
-                "cache_misses_total": cache_stats["misses"],
+                "cache_hits_total": self.cache.hits,
+                "cache_misses_total": self.cache.misses,
                 "preprocess_seconds": preprocess_seconds,
                 "execute_seconds": execute_seconds,
                 "plan": record.plan.describe(),
@@ -427,6 +444,8 @@ class VectorizedRunner(Runner):
                 loop.reads.total_terms if ran_inspector else 0,
             )
             met.count("inspector_elisions", 1 if elided else 0)
+            # stats() sums every cached record's bytes: observed runs only.
+            cache_stats = self.cache.stats()
             met.gauge("inspector_cache_hits_total", cache_stats["hits"])
             met.gauge("inspector_cache_misses_total", cache_stats["misses"])
             met.gauge("inspector_cache_entries", cache_stats["entries"])

@@ -75,7 +75,22 @@ class IrregularLoop:
         active slots in increasing slot order.  Consumed by the symbolic
         dependence analysis (``repro.analysis``); checked against the
         materialized table by the SYMBOLIC-MISMATCH lint rule.
+
+    The index arrays ``write``, ``reads.ptr`` and ``reads.index`` (and
+    every array they are views of) become **read-only at the loop's first
+    plan** — its first :func:`~repro.backends.cache.loop_fingerprint` —
+    so the content-addressed inspector cache can memoize the digest: edit
+    them before the first plan, or the write raises ``ValueError``.  The
+    coefficients, ``y0`` and ``init_values`` stay writeable.  Arrays
+    backed by a writeable foreign buffer (``bytearray``, ``mmap``) are not
+    frozen and are hashed on every call instead.
     """
+
+    #: ``(bound arrays, frozen chain, digest)`` once
+    #: :func:`~repro.backends.cache.loop_fingerprint` has frozen the index
+    #: arrays; shared by :meth:`with_name` clones, dropped by copies and
+    #: pickles.
+    _fingerprint_memo: tuple | None = None
 
     def __init__(
         self,
@@ -276,11 +291,19 @@ class IrregularLoop:
         return "\n".join(lines)
 
     def with_name(self, name: str) -> "IrregularLoop":
-        """Shallow relabeled copy (shares all arrays)."""
+        """Shallow relabeled copy (shares all arrays and the fingerprint
+        memo)."""
         clone = object.__new__(IrregularLoop)
         clone.__dict__.update(self.__dict__)
         clone.name = name
         return clone
+
+    def __getstate__(self) -> dict:
+        # A copy or an unpickled loop hashes its own arrays again; the
+        # memo would also drag the frozen base arrays along.
+        state = self.__dict__.copy()
+        state.pop("_fingerprint_memo", None)
+        return state
 
     def __repr__(self) -> str:
         return (

@@ -55,13 +55,6 @@ def execute_plan(
     auto = spec.backend == AUTO_BACKEND
     supported = OPTION_SUPPORT[backend]
     verdict = plan.verdict
-    runner_cache = cache
-    if cache is None and plan.record is not None:
-        # No shared cache: give the vectorized runner a private one seeded
-        # with the plan-time inspector record, so planning work is not
-        # redone.
-        runner_cache = InspectorCache()
-        runner_cache.seed(plan.record)
     runner = make_runner(
         spec=replace(
             spec,
@@ -79,7 +72,7 @@ def execute_plan(
             },
         ),
         cost_model=cost_model,
-        cache=runner_cache,
+        cache=cache,
     )
 
     run_kwargs: dict = {}
@@ -104,6 +97,11 @@ def execute_plan(
             # The runner applies it where it executes the order (its doall
             # and classic strategies run in natural order).
             run_kwargs["order_label"] = order_label
+
+    if plan.record is not None:
+        # The plan-time record and its lookup outcome: the runner neither
+        # looks it up again nor counts a second cache access.
+        run_kwargs["planned"] = (plan.record, plan.record_cached)
 
     elision = plan.distance_elision
     if elision is not None:

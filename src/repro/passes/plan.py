@@ -20,7 +20,7 @@ from repro.backends.cache import (
     InspectorCache,
     InspectorRecord,
     build_inspector_record,
-    loop_fingerprint,
+    fingerprint_with_body,
 )
 from repro.backends.kernel import default_chunk
 from repro.graph.levels import LevelSchedule, compute_levels
@@ -61,6 +61,11 @@ class Plan:
         Content digest of the loop's dependence structure
         (:func:`~repro.backends.cache.loop_fingerprint`) — the key the
         tuner's decisions persist under.
+    fingerprint_body:
+        How that digest was obtained: ``"memo"`` (the loop's frozen
+        arrays were hashed by an earlier call), ``"hashed"`` (hashed now,
+        and frozen) or ``"hashed (foreign-buffer)"`` (hashed now; a
+        writeable foreign buffer cannot be frozen, so every call hashes).
     passes:
         Names of the planning stages, in the order they ran.
     levels:
@@ -95,11 +100,16 @@ class Plan:
     record:
         The vectorized backend's inspector record when it was prebuilt
         at plan time, else ``None``.
+    record_cached:
+        Whether ``record`` was served by the cache rather than built —
+        the lookup outcome the runner reports, since it does not look the
+        record up again.
     """
 
     spec: PlanSpec
     backend: str
     fingerprint: str
+    fingerprint_body: str
     passes: tuple[str, ...]
     levels: LevelSchedule
     levels_cached: bool
@@ -110,6 +120,7 @@ class Plan:
     distance_elision: dict | None = None
     sanitize_pairs: int | None = None
     record: InspectorRecord | None = None
+    record_cached: bool = False
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
@@ -122,6 +133,7 @@ class Plan:
             "passes": list(self.passes),
             "spec": self.spec.as_dict(),
             "fingerprint": self.fingerprint,
+            "fingerprint_body": self.fingerprint_body,
             "n_levels": int(self.levels.n_levels),
             "max_wavefront": int(self.levels.max_width()),
             "levels_cached": self.levels_cached,
@@ -168,7 +180,8 @@ def plan_loop(
         work or cache access.
     ``fingerprint``
         Content-address the dependence structure — the key of both the
-        inspector cache and the tuner's persisted decisions.
+        inspector cache and the tuner's persisted decisions; hashed once
+        per loop object, then memoized (``fingerprint_body``).
     ``level-schedule``
         The §3.2 wavefront decomposition, served from ``cache`` when it
         has one for this structure.
@@ -186,11 +199,12 @@ def plan_loop(
     ``sanitize`` (iff ``validate="sanitize"``)
         The number of true-dependence pairs the sanitizer must cover.
     ``inspector`` (iff ``backend="vectorized"`` and no ``analyze``)
-        Prebuild (or fetch) the vectorized inspector record.
+        Prebuild (or fetch) the vectorized inspector record; the runner
+        executes it and reports this lookup's outcome.
     """
     check_options(spec)
     passes = ["validate-options", "fingerprint", "level-schedule", "doconsider"]
-    fingerprint = loop_fingerprint(loop)
+    fingerprint, fingerprint_body = fingerprint_with_body(loop)
     if cache is not None:
         levels, levels_cached = cache.levels_for(loop, fingerprint)
     else:
@@ -244,13 +258,15 @@ def plan_loop(
         terms = np.stack([readers[true], loop.reads.index[true]], axis=1)
         sanitize_pairs = np.unique(terms, axis=0).shape[0]
 
-    record = None
+    record, record_cached = None, False
     if spec.backend == "vectorized" and spec.analyze is None:
         passes.append("inspector")
         # Through the shared cache when there is one, so planning warms
         # the same cache execution reads.
         if cache is not None:
-            record, _hit = cache.get_or_build(loop, fingerprint=fingerprint)
+            record, record_cached = cache.get_or_build(
+                loop, fingerprint=fingerprint
+            )
         else:
             record = build_inspector_record(loop, levels, fingerprint)
 
@@ -258,6 +274,7 @@ def plan_loop(
         spec=spec,
         backend=backend,
         fingerprint=fingerprint,
+        fingerprint_body=fingerprint_body,
         passes=tuple(passes),
         levels=levels,
         levels_cached=levels_cached,
@@ -268,4 +285,5 @@ def plan_loop(
         distance_elision=elision,
         sanitize_pairs=sanitize_pairs,
         record=record,
+        record_cached=record_cached,
     )

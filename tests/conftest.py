@@ -125,3 +125,24 @@ def assert_same_bits(got: np.ndarray, oracle: np.ndarray) -> None:
     nan = np.isnan(oracle)
     assert np.array_equal(np.isnan(got), nan), "NaNs at different positions"
     assert np.array_equal(got[~nan].view(np.uint64), oracle[~nan].view(np.uint64))
+
+
+def assert_write_refused(loop, mutate, *cached: np.ndarray) -> None:
+    """After ``loop``'s first fingerprint its index arrays are read-only:
+    ``mutate(loop)`` (an in-place write into one of them) raises
+    ``ValueError``, and neither the index arrays nor the ``cached``
+    arrays (a cached record's or level schedule's) change by a bit."""
+    arrays = (loop.write, loop.reads.ptr, loop.reads.index) + cached
+    before = [a.tobytes() for a in arrays]
+    with pytest.raises(ValueError, match="read-only"):
+        mutate(loop)
+    assert [a.tobytes() for a in arrays] == before
+
+
+def record_arrays(record) -> tuple[np.ndarray, ...]:
+    """Every array of an inspector record."""
+    schedule = record.schedule
+    return (
+        record.iter_array, record.codes,
+        schedule.levels, schedule.order, schedule.level_ptr,
+    )

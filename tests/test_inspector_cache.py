@@ -1,16 +1,20 @@
 """Tests for the content-addressed inspector cache.
 
 The cache's correctness story: equal dependence *content* (index arrays)
-shares preprocessing, and any in-place mutation of that content changes the
-fingerprint — a stale inspector result is unreachable by construction.
+shares preprocessing, and that content cannot change under a cached
+result — the first fingerprint freezes the index arrays, so a later
+in-place write raises ``ValueError`` and a stale inspector result is
+unreachable by construction.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import make_runner
 from repro.backends.cache import (
     InspectorCache,
     build_inspector_record,
+    fingerprint_with_body,
     loop_fingerprint,
 )
 from repro.backends.kernel import LOCAL, classify_terms
@@ -18,6 +22,7 @@ from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
+from tests.conftest import assert_write_refused, record_arrays
 
 
 class TestFingerprint:
@@ -39,17 +44,40 @@ class TestFingerprint:
         assert loop_fingerprint(a) == loop_fingerprint(b)
 
     def test_index_mutation_changes_fingerprint(self):
-        loop = random_irregular_loop(80, seed=3)
-        before = loop_fingerprint(loop)
-        loop.reads.index[0] = (loop.reads.index[0] + 1) % loop.y_size
-        assert loop_fingerprint(loop) != before
+        # After the first fingerprint the write is refused, so the digest
+        # (served from the memo) is still the content's.
+        def mutate(loop):
+            loop.reads.index[0] = (loop.reads.index[0] + 1) % loop.y_size
+
+        _assert_refused_then_hit(random_irregular_loop(80, seed=3), mutate)
 
     def test_write_mutation_changes_fingerprint(self):
-        loop = chain_loop(40, 2)
-        before = loop_fingerprint(loop)
-        # Swap two write targets: still injective, different content.
-        loop.write[0], loop.write[1] = loop.write[1], loop.write[0]
-        assert loop_fingerprint(loop) != before
+        def mutate(loop):
+            # Swap two write targets: still injective, different content.
+            loop.write[0], loop.write[1] = loop.write[1], loop.write[0]
+
+        _assert_refused_then_hit(chain_loop(40, 2), mutate)
+
+    def test_mutation_before_first_use_is_what_gets_hashed(self):
+        a = random_irregular_loop(80, seed=3)
+        b = random_irregular_loop(80, seed=3)
+        b.reads.index[0] = (b.reads.index[0] + 1) % b.y_size
+        assert loop_fingerprint(a) != loop_fingerprint(b)
+
+
+def _assert_refused_then_hit(loop, mutate):
+    """A mutation after first use raises, changes neither the arrays nor
+    the cached record, and the next run hits that record and is bitwise
+    the sequential oracle."""
+    cache = InspectorCache()
+    record, _hit = cache.get_or_build(loop)
+    before = loop_fingerprint(loop)
+    assert_write_refused(loop, mutate, *record_arrays(record))
+    assert fingerprint_with_body(loop) == (before, "memo")
+    result = make_runner("vectorized", cache=cache).run(loop)
+    assert result.extras["cache_hit"] is True
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert np.array_equal(result.y, loop.run_sequential())
 
 
 class TestCacheBehavior:
@@ -79,13 +107,26 @@ class TestCacheBehavior:
         assert hit is True
 
     def test_index_mutation_misses(self):
+        # Before first use a mutation is simply what gets hashed; after it
+        # the write is refused and the record keeps hitting.
+        def mutate(loop):
+            loop.reads.index[5] = (loop.reads.index[5] + 1) % loop.y_size
+
+        _assert_refused_then_hit(random_irregular_loop(80, seed=4), mutate)
+
+    def test_stats_only_when_observed(self, monkeypatch):
+        # stats() sums every record's bytes; an unobserved run reads the
+        # counters instead.
         cache = InspectorCache()
-        loop = random_irregular_loop(80, seed=4)
-        cache.get_or_build(loop)
-        loop.reads.index[5] = (loop.reads.index[5] + 1) % loop.y_size
-        _, hit = cache.get_or_build(loop)
-        assert hit is False
-        assert cache.misses == 2
+        loop = make_test_loop(n=60, m=1, l=6)
+        runner = make_runner("vectorized", cache=cache)
+        runner.run(loop)
+        monkeypatch.setattr(
+            InspectorCache, "stats", lambda self: pytest.fail("stats()")
+        )
+        result = runner.run(loop)
+        assert result.extras["cache_hits_total"] == 1
+        assert result.extras["cache_misses_total"] == 1
 
     def test_lru_eviction(self):
         cache = InspectorCache(capacity=2)

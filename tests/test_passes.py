@@ -127,6 +127,9 @@ def _pin_cell(loop, spec_kwargs, cache):
     # Added after the capture; which body computed the levels depends on
     # the machine (a compiler or not), not on the planning decisions.
     described.pop("levels_body", None)
+    # Added after the capture too; it says whether this loop object was
+    # fingerprinted before, not what was decided.
+    described.pop("fingerprint_body", None)
     if "tuner" in described:
         del described["tuner"]["fingerprint"]
     return [
@@ -419,7 +422,7 @@ def test_planning_has_no_pass_framework():
     assert sum(path.read_text().count("Plan(") for path in passes) == 1
     # ... and a new planning decision is a new typed field, never a dict key.
     assert {f.name for f in dataclasses.fields(Plan)} == {
-        "spec", "backend", "fingerprint", "passes", "levels", "levels_cached",
-        "order", "chunk", "tuner", "verdict", "distance_elision",
-        "sanitize_pairs", "record",
+        "spec", "backend", "fingerprint", "fingerprint_body", "passes",
+        "levels", "levels_cached", "order", "chunk", "tuner", "verdict",
+        "distance_elision", "sanitize_pairs", "record", "record_cached",
     }

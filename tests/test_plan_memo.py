@@ -7,14 +7,22 @@ fingerprint as the inspector record:
 (a) a warm plan runs no dependence analysis and a cold call runs one;
 (b) a memoized schedule / a record built from it is the one the
     standalone functions compute;
-(c) an index array mutated in place re-plans (the key is hashed per call);
+(c) the key is hashed once per loop object: the first fingerprint freezes
+    the index arrays, a later in-place write raises ``ValueError`` and
+    changes nothing, a warm call hashes nothing, and anything that could
+    make the memo stale (a rebound array, a copy, a re-enabled write
+    flag, a writeable foreign buffer) hashes again;
 (d) the memo is bounded by the cache's capacity, and evictions are counted;
 (e) the memo and the records serve each other across backends.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import pickle
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -24,18 +32,20 @@ from hypothesis import strategies as st
 from repro import InspectorCache, PlanSpec, parallelize
 from repro.analysis import record_mismatches
 from repro.backends import BACKENDS
-from repro.backends.cache import build_inspector_record
+from repro.backends import cache as cache_module
+from repro.backends.cache import build_inspector_record, fingerprint_with_body
 from repro.core.doconsider import Doconsider
 from repro.graph import levels as levels_module
 from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import compute_levels
+from repro.ir.accesses import ReadTable
 from repro.passes import execute_plan, plan_loop
 from repro.sparse.ilu import ilu0
 from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
-from tests.conftest import no_compiler
+from tests.conftest import assert_write_refused, no_compiler, record_arrays
 
 
 def _trisolve_loop(nx: int = 9, ny: int = 8):
@@ -183,32 +193,166 @@ def _redirect_read(loop):
     loop.reads.index[loop.reads.ptr[50]] = loop.write[10]
 
 
+def _schedule_arrays(plan):
+    return (plan.levels.levels, plan.levels.order, plan.levels.level_ptr)
+
+
 @pytest.mark.parametrize("mutate", (_swap_writes, _redirect_read))
 @pytest.mark.parametrize("backend", ("simulated", "threaded", "vectorized"))
 def test_in_place_mutation_replans(backend, mutate):
+    # Mutate and raise: after the first plan the write is refused, and the
+    # next call is served the same schedule (and record) from the cache.
     loop = random_irregular_loop(90, max_terms=3, seed=11)
     spec = PlanSpec(backend=backend, processors=2)
     cache = InspectorCache()
     parallelize(loop, spec=spec, cache=cache)
-    stale = plan_loop(loop, spec, cache)
+    held = plan_loop(loop, spec, cache)
+    cached = _schedule_arrays(held)
+    if held.record is not None:
+        cached += record_arrays(held.record)
 
-    mutate(loop)
+    assert_write_refused(loop, mutate, *cached)
     result, _ = parallelize(loop, spec=spec, cache=cache)
-    assert result.extras["schedule_plan"]["levels_cached"] is False
-    assert cache.stats()["levels_misses"] == 2
-    assert result.extras["schedule_plan"]["fingerprint"] != stale.fingerprint
+    planned = result.extras["schedule_plan"]
+    assert planned["levels_cached"] is True
+    assert cache.stats()["levels_misses"] == 1
+    assert planned["fingerprint"] == held.fingerprint
+    assert planned["fingerprint_body"] == "memo"
     assert np.array_equal(result.y, loop.run_sequential())
 
 
 def test_plan_held_across_a_mutation_cannot_serve_a_stale_record():
     loop = random_irregular_loop(90, max_terms=3, seed=11)
     cache = InspectorCache()
+    parallelize(loop, backend="vectorized", cache=cache)
     plan = plan_loop(loop, PlanSpec(backend="vectorized"), cache)
-    _redirect_read(loop)
-    # The runner looks the record up under the loop's *current* content.
+    # The held record cannot go stale: its content cannot change.
+    assert_write_refused(loop, _redirect_read, *record_arrays(plan.record))
     result = execute_plan(loop, plan, cache)
+    assert result.extras["cache_hit"] is True
+    assert np.array_equal(result.y, loop.run_sequential())
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """``hashes()``: SHA-256 objects the cache module has created so far
+    (one per content hash)."""
+    count = [0]
+
+    def counted_sha256(*args):
+        count[0] += 1
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(
+        cache_module, "hashlib", types.SimpleNamespace(sha256=counted_sha256)
+    )
+    return lambda: count[0]
+
+
+@pytest.mark.parametrize(
+    "backend", ("vectorized", "simulated", "threaded", "speculative", "multiproc")
+)
+def test_a_warm_call_hashes_nothing(hashes, backend):
+    # multiproc keys its shared-memory session by the same fingerprint.
+    loop = random_irregular_loop(90, max_terms=3, seed=11)
+    spec = PlanSpec(backend=backend, processors=2)
+    cache = InspectorCache()
+    cold, _ = parallelize(loop, spec=spec, cache=cache)
+    assert hashes() == 1
+    assert cold.extras["schedule_plan"]["fingerprint_body"] == "hashed"
+    warm, _ = parallelize(loop, spec=spec, cache=cache)
+    assert hashes() == 1
+    assert warm.extras["schedule_plan"]["fingerprint_body"] == "memo"
+    assert np.array_equal(warm.y, loop.run_sequential())
+
+
+def _rebind_reads(loop):
+    reads = loop.reads
+    loop.reads = ReadTable(reads.ptr.copy(), reads.index.copy(), reads.coeff)
+    return loop
+
+
+def _rebind_write(loop):
+    loop.write = loop.write.copy()
+    return loop
+
+
+def _reenable_root(loop):
+    root = loop.reads.index
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    root.flags.writeable = True
+    return loop
+
+
+@pytest.mark.parametrize(
+    "fresh",
+    (
+        _rebind_reads,
+        _rebind_write,
+        copy.deepcopy,
+        lambda loop: pickle.loads(pickle.dumps(loop, pickle.HIGHEST_PROTOCOL)),
+        _reenable_root,
+    ),
+    ids=("rebound-reads", "rebound-write", "deepcopy", "pickle", "re-enabled"),
+)
+def test_a_memo_that_could_be_stale_hashes_again(hashes, fresh):
+    loop = random_irregular_loop(90, max_terms=3, seed=11)
+    digest, _ = fingerprint_with_body(loop)
+    other = fresh(loop)
+    assert fingerprint_with_body(other) == (digest, "hashed")
+    assert hashes() == 2
+    # ... and freezes again: the next call is the memo.
+    assert fingerprint_with_body(other) == (digest, "memo")
+    assert hashes() == 2
+
+
+def test_a_relabeled_clone_shares_the_memo(hashes):
+    loop = random_irregular_loop(90, max_terms=3, seed=11)
+    digest, _ = fingerprint_with_body(loop)
+    assert fingerprint_with_body(loop.with_name("clone")) == (digest, "memo")
+    assert hashes() == 1
+
+
+def test_a_foreign_buffer_is_hashed_every_call_and_mutates_and_misses(hashes):
+    base = random_irregular_loop(90, max_terms=3, seed=11)
+    index = np.frombuffer(bytearray(base.reads.index.tobytes()), np.int64)
+    loop = random_irregular_loop(90, max_terms=3, seed=11)
+    loop.reads = ReadTable(base.reads.ptr, index, base.reads.coeff)
+    assert loop.reads.index is index
+    cache = InspectorCache()
+    for call in (1, 2):
+        result, _ = parallelize(loop, backend="vectorized", cache=cache)
+        planned = result.extras["schedule_plan"]
+        assert planned["fingerprint_body"] == "hashed (foreign-buffer)"
+        # The plan's hash, and the runner's check of the planned record.
+        assert hashes() == 2 * call
+    assert index.flags.writeable
+    held = plan_loop(loop, PlanSpec(backend="vectorized"), cache)
+    _redirect_read(loop)
+    # The held plan's record is of the old content: the runner sees that
+    # and looks the loop up again.
+    result = execute_plan(loop, held, cache)
     assert result.extras["cache_hit"] is False
     assert np.array_equal(result.y, loop.run_sequential())
+
+
+@pytest.mark.parametrize("shared", (True, False), ids=("shared", "cache=None"))
+def test_cold_call_counts_one_miss_and_warm_call_one_hit(shared):
+    loop = random_irregular_loop(200, seed=1)
+    spec = PlanSpec(backend="vectorized", observe=True)
+    cache = InspectorCache() if shared else None
+    for call in (1, 2):
+        result, _ = parallelize(loop, spec=spec, cache=cache)
+        counters = result.telemetry.metrics.as_dict()["counters"]
+        warm = shared and call == 2
+        assert result.extras["cache_hit"] is warm
+        assert counters["inspector_cache_misses"] == (0 if warm else 1)
+        assert counters["inspector_iterations"] == (0 if warm else loop.n)
+        assert result.extras["cache_hits_total"] == (1 if warm else 0)
+        if shared:
+            assert (cache.hits, cache.misses) == (call - 1, 1)
+        assert np.array_equal(result.y, loop.run_sequential())
 
 
 def test_clear_drops_the_memo():
