@@ -5,18 +5,21 @@ All backends implement the :class:`repro.backends.base.Runner` protocol —
 returning a :class:`~repro.core.results.RunResult` — so strategy code and
 benchmarks select them interchangeably (``PlanSpec(backend=...)``).
 
-- :mod:`repro.backends.simulated` — the paper-experiment backend: runs the
-  inspector/executor/postprocessor phases on the discrete-event machine
-  (:mod:`repro.machine`), producing both correct values and simulated
-  timings.  All paper experiments use this backend.
+- :mod:`repro.backends.simulated` — the paper-experiment backend: the
+  inspector/executor/postprocessor phases of the simulated machine
+  (:mod:`repro.machine`), producing both correct values (one ``run_span``
+  per executor phase) and simulated cycles — a max-plus sweep and closed
+  forms on the paper's machine, the discrete-event engine where a bus,
+  coherence, a dynamic schedule or a timeline needs it.  All paper
+  experiments use this backend.
 - :mod:`repro.backends.threaded` — real ``threading`` execution with
   per-element events; demonstrates the protocol is functionally correct on
   actual concurrent hardware (no timing claims — the GIL forbids them; see
   DESIGN.md §3).
-- :mod:`repro.backends.vectorized` — batched wavefront execution: each
-  dependence level runs as NumPy array operations over all its iterations,
-  giving real wall-clock parallel throughput on CPython; preprocessing is
-  served by a content-addressed :class:`InspectorCache`.
+- :mod:`repro.backends.vectorized` — wavefront-ordered execution: one
+  compiled walk (``run_span``) over the schedule's level-major order, which
+  discharges every wait; preprocessing is served by a content-addressed
+  :class:`InspectorCache`.
 - :mod:`repro.backends.multiproc` — the doacross protocol across real OS
   processes: a persistent worker pool busy-waits on
   ``multiprocessing.shared_memory`` arrays (``iter``/``ready``/``ynew``)
@@ -33,7 +36,8 @@ benchmarks select them interchangeably (``PlanSpec(backend=...)``).
   synchronisation around (and whose codes the static race checker reads
   and the simulated executor branches on).
 - :mod:`repro.backends.cache` — the inspector cache (Figure-3 amortization
-  with hit/miss counters).
+  with hit/miss counters): inspector records, level schedules and the
+  simulated executor's operands.
 - :mod:`repro.backends.hooks` — the optional steps around a run
   (static validation, sanitizing, telemetry) as one ordered hook list
   behind a single :class:`HookedRunner` wrapper.
@@ -101,9 +105,13 @@ def make_runner(
     thread count for the threaded backend, and worker-process count for
     the multiproc and speculative backends; the vectorized backend has no
     processor knob (its parallelism is the wavefront width).  ``cache``
-    serves the vectorized backend's inspector records and, on the
-    multiproc backend, prefills the shared ``iter`` array so workers skip
-    their inspector phase.
+    serves the vectorized backend's inspector records, the simulated
+    backend's executor operands (term codes, lanes, the max-plus sweep's
+    inputs and per-processor sums, keyed by structure and machine) and,
+    on the multiproc backend, prefills the shared ``iter`` array so
+    workers skip their inspector phase.  Without one, the vectorized
+    runner keeps a private cache and the simulated runner builds its
+    operands on every call (and leaves the loop's index arrays writeable).
 
     ``analyze="symbolic"`` enables the symbolic dependence engine on the
     wall-clock backends: when a loop's verdict is proven, the runtime
@@ -140,7 +148,8 @@ def make_runner(
                 "dispatch"
             )
         runner: Runner = SimulatedRunner(
-            Machine(workers, cost_model=cost_model, bus=bus, coherence=coherence)
+            Machine(workers, cost_model=cost_model, bus=bus, coherence=coherence),
+            cache=cache,
         )
     elif spec.backend == "threaded":
         kwargs = {} if timeout is None else {"wait_timeout": timeout}

@@ -39,6 +39,16 @@ hashed on every call and keeps the old "mutate and miss" contract.
 ``Plan.describe()["fingerprint_body"]`` names which case ran:
 ``"memo"``, ``"hashed"`` or ``"hashed (foreign-buffer)"``.
 
+A loop's first fingerprint is taken by its first plan or its first run
+on any backend but one: a simulated run hashes (and freezes) only when
+its runner was given an :class:`InspectorCache`, whatever the machine,
+and without one — the classic ``PreprocessedDoacross`` API — leaves the
+arrays writeable.  Hashing is also where ``write`` is checked to be
+injective (:meth:`~repro.ir.loop.IrregularLoop.check_write_injective`),
+so a loop mutated before first use into one with an output dependence
+is refused with :class:`~repro.errors.OutputDependenceError` before
+anything runs, and a frozen loop is never checked again.
+
 A cache entry (:class:`InspectorRecord`) holds everything the vectorized
 backend's preprocessing produces: the paper's ``iter`` array, the
 wavefront :class:`~repro.graph.levels.LevelSchedule`, the
@@ -53,6 +63,16 @@ The wavefront schedule alone is what every *other* backend's plan needs,
 so the cache also serves it by itself (:meth:`InspectorCache.levels_for`)
 under the same content key: planning, not only the inspector record, is
 paid once per dependence structure.
+
+The simulated backend keeps its executor operands here too
+(:meth:`InspectorCache.sim_operands`): per strip-mine block, the term
+codes in execution order, the schedule's lanes, the operands of the
+max-plus sweep and the per-processor cycle sums.  They depend on the
+machine as well as the structure, so their key extends the fingerprint
+with the strategy, order, blocks, processors, schedule kind, chunk,
+cost model and effective work profile; the cycles themselves are not
+cached — the sweep runs on every call.  A simulated runner without a
+cache builds them on every call.
 """
 
 from __future__ import annotations
@@ -114,6 +134,9 @@ def fingerprint_with_body(loop: IrregularLoop) -> tuple[str, str]:
             and not any(a.flags.writeable for a in chain)
         ):
             return digest, "memo"
+    # The last moment ``write`` can change: checked here, a frozen loop's
+    # is never checked again.
+    loop.check_write_injective()
     chain = _frozen_chain(arrays)
     if chain is not None:
         # Frozen before hashing: the digest is of content that can no
@@ -269,7 +292,8 @@ class InspectorCache:
     capacity:
         Maximum number of dependence structures retained; least recently
         used entries are evicted first.  The bound applies to the records
-        and, separately, to the level-schedule memo.
+        and, separately, to the level-schedule memo and to the simulated
+        backend's operands.
 
     Attributes
     ----------
@@ -279,8 +303,11 @@ class InspectorCache:
         ``benchmarks/e2e`` as ``cache.hits`` / ``cache.misses``).
     levels_hits, levels_misses:
         The same for :meth:`levels_for`, the planner's lookups.
+    sim_hits, sim_misses:
+        The same for :meth:`sim_operands`, the simulated backend's lookups.
     evictions:
-        Records and level schedules dropped by the capacity bound.
+        Records, level schedules and simulated operands dropped by the
+        capacity bound.
 
     Beyond inspector records, the cache carries the auto-tuner's state
     (:meth:`tuner_state`): per-fingerprint wall-time measurements,
@@ -300,9 +327,12 @@ class InspectorCache:
         self.misses = 0
         self.levels_hits = 0
         self.levels_misses = 0
+        self.sim_hits = 0
+        self.sim_misses = 0
         self.evictions = 0
         self._entries: OrderedDict[str, InspectorRecord] = OrderedDict()
         self._levels: OrderedDict[str, LevelSchedule] = OrderedDict()
+        self._sim: OrderedDict[tuple, object] = OrderedDict()
         self._tuner: dict[str, dict] = {}
 
     def __len__(self) -> int:
@@ -311,10 +341,10 @@ class InspectorCache:
     def __contains__(self, loop: IrregularLoop) -> bool:
         return loop_fingerprint(loop) in self._entries
 
-    def _store(self, table: OrderedDict, fingerprint: str, value) -> None:
+    def _store(self, table: OrderedDict, key, value) -> None:
         """Insert as most recently used, evicting down to ``capacity``."""
-        table[fingerprint] = value
-        table.move_to_end(fingerprint)
+        table[key] = value
+        table.move_to_end(key)
         while len(table) > self.capacity:
             table.popitem(last=False)
             self.evictions += 1
@@ -378,6 +408,25 @@ class InspectorCache:
         self._store(self._entries, fp, record)
         return record, False
 
+    def sim_operands(self, key: tuple, build) -> tuple[object, bool]:
+        """Return ``(operands, hit)``: the simulated backend's executor
+        operands under ``key``, ``build()`` on a miss.
+
+        ``key`` starts with the loop's :func:`loop_fingerprint` and names
+        everything else the operands depend on (module doc); the value
+        reports its footprint as ``nbytes``.  A ``build`` that raises
+        stores nothing.
+        """
+        operands = self._sim.get(key)
+        if operands is not None:
+            self.sim_hits += 1
+            self._sim.move_to_end(key)
+            return operands, True
+        self.sim_misses += 1
+        operands = build()
+        self._store(self._sim, key, operands)
+        return operands, False
+
     def tuner_state(self, fingerprint: str) -> dict:
         """The auto-tuner's mutable slot for one dependence structure.
 
@@ -393,16 +442,18 @@ class InspectorCache:
         )
 
     def clear(self) -> None:
-        """Drop all records, the level-schedule memo and the tuner state
-        (counters are kept)."""
+        """Drop all records, the level-schedule memo, the simulated
+        operands and the tuner state (counters are kept)."""
         self._entries.clear()
         self._levels.clear()
+        self._sim.clear()
         self._tuner.clear()
 
     def stats(self) -> dict:
-        """Counters plus footprint, JSON-safe.  ``hits``/``misses``/
-        ``bytes`` describe the records; the memo's arrays are shared with
-        the record of the same structure when there is one."""
+        """Counters plus footprint, JSON-safe.  ``hits``/``misses``
+        describe the records, ``bytes`` the records plus the simulated
+        operands; the memo's arrays are shared with the record of the same
+        structure when there is one."""
         return {
             "entries": len(self._entries),
             "capacity": self.capacity,
@@ -410,10 +461,14 @@ class InspectorCache:
             "misses": self.misses,
             "bytes": int(
                 sum(r.nbytes for r in self._entries.values())
+                + sum(o.nbytes for o in self._sim.values())
             ),
             "tuner_entries": len(self._tuner),
             "levels_entries": len(self._levels),
             "levels_hits": self.levels_hits,
             "levels_misses": self.levels_misses,
+            "sim_entries": len(self._sim),
+            "sim_hits": self.sim_hits,
+            "sim_misses": self.sim_misses,
             "evictions": self.evictions,
         }

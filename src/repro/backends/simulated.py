@@ -17,10 +17,10 @@ after the loop runs)::
     for each block of iterations:            # §2.3 strip-mining: many blocks
         inspector     | barrier              # iter(a(i)) = i; none if linear
         codes = kernel.classify_terms(iter)  # Figure 5's compare, per term
+        iter restored
         for each instance:                   # amortized inspector: many
             executor      | barrier          # run_span(codes); cycles below
             postprocessor | barrier          # reduced before the last one
-        iter restored                        # also when a phase raised
 
 The plain doacross is one block × one instance, the §2.3 ``linear``
 variant the same with the closed-form writer in place of the inspector
@@ -34,6 +34,15 @@ reset, classifies ``OLD`` and takes the no-wait path to the *updated*
 ``y`` — §2.3's "no synchronisation across blocks" is the shared rule, not
 a second one.
 
+What depends on structure and machine alone — the codes, the schedule's
+lanes, the sweep's operands and the per-processor cycle sums — is built
+once per key and kept in the :class:`~repro.backends.cache.InspectorCache`
+the runner was given (the paper's Figure-3 amortization, for the
+simulator's own preprocessing): a warm call classifies nothing and runs
+only ``run_span`` and one sweep per block.  A runner without a cache
+builds them every call.  ``result.extras["sim_executor"]["operands"]``
+says ``"cached"`` or ``"built"``.
+
 The cycles of an executor phase have two bodies, chosen from the machine
 and the schedule class (:meth:`SimulatedRunner._why_engine`; never an
 option) and named in ``result.extras["sim_executor"]``:
@@ -44,18 +53,23 @@ option) and named in ``result.extras["sim_executor"]``:
   order and every true dependence points backwards in execution order, so
   the finish times obey a max-plus recurrence that one sweep in position
   order evaluates (:meth:`SimulatedRunner._executor_recurrence`): no
-  generators, no ready queue.
+  generators, no ready queue.  Figure 3's inspector and postprocessor
+  ``parallel do`` loops are closed forms on any bus-free machine
+  (:meth:`SimulatedRunner._parallel_do`).
 - Every other configuration — bus, coherence, dynamic / guided
   self-scheduling, ``trace=True`` (hence ``observe=True``),
   ``validate="sanitize"``, a caller's own ``IterationSchedule`` subclass —
   has a serial resource, order-dependent state or a log to fill, and runs
   :meth:`SimulatedRunner._executor_body` as generator tasks on the
   discrete-event engine (:mod:`repro.machine.engine`), which is also what
-  detects a schedule that deadlocks.  ``tests/test_simulated_executor.py``
-  holds the recurrence to the engine field by field.
+  detects a schedule that deadlocks; its operands are built every call.
+  ``tests/test_simulated_executor.py`` holds the recurrence and the closed
+  forms to the engine field by field.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,10 +87,13 @@ from repro.backends.kernel import (
     run_span,
     take_tally,
 )
+# A module, not names: ``cache`` is still initialising when the package
+# import reaches this one (cache → core.workspace → core → simulated).
+from repro.backends import cache as inspector_cache
 from repro.core.results import PhaseBreakdown, RunResult
 from repro.core.sequential import sequential_time
 from repro.core.workspace import MAXINT, DoacrossWorkspace
-from repro.errors import InvalidLoopError, OutputDependenceError, ScheduleError
+from repro.errors import InvalidLoopError, ScheduleError
 from repro.ir.analysis import (
     CAT_ANTI,
     CAT_TRUE,
@@ -112,6 +129,45 @@ __all__ = ["SimulatedRunner"]
 _RECURRENCE_SCHEDULES = (StaticBlockSchedule, StaticCyclicSchedule)
 
 
+@dataclass
+class _Block:
+    """One strip-mine block's executor operands: its positions ``its`` in
+    execution order and their term ``codes``, plus — for the engine — each
+    position's first term (``first``), or — for the recurrence — the
+    sweep's operands (``None`` when no term waits) and the per-processor
+    ``(own cycles, flag checks, iterations)`` sums."""
+
+    lo: int
+    hi: int
+    its: np.ndarray
+    codes: np.ndarray
+    first: np.ndarray | None = None
+    sweep: tuple | None = None
+    sums: tuple | None = None
+
+    @property
+    def nbytes(self) -> int:
+        arrays = [self.its, self.codes, self.first]
+        if self.sweep is not None:
+            wait_ptr, sources, operands = self.sweep
+            arrays += [wait_ptr, sources, *operands.values()]
+        return sum(a.nbytes for a in arrays if a is not None)
+
+
+@dataclass
+class _Operands:
+    """What :meth:`SimulatedRunner._doacross` derives from structure and
+    machine alone, one :class:`_Block` per strip-mine block; what the
+    :class:`~repro.backends.cache.InspectorCache` holds for the simulated
+    backend."""
+
+    blocks: list[_Block]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(block.nbytes for block in self.blocks)
+
+
 class SimulatedRunner(Runner):
     """Runs transformed loops on a :class:`~repro.machine.engine.Machine`.
 
@@ -123,15 +179,24 @@ class SimulatedRunner(Runner):
         Optional shared :class:`DoacrossWorkspace`; passing one across runs
         exercises the paper's scratch-array reuse (postprocessing must leave
         it pristine — tested).
+    cache:
+        Optional :class:`InspectorCache` holding the executor operands
+        (module doc), shared to amortize across runners.  Given one, every
+        run hashes the loop first, freezing its index arrays; without one,
+        nothing is hashed or frozen and the operands are built every call.
     """
 
     name = "simulated"
 
     def __init__(
-        self, machine: Machine, workspace: DoacrossWorkspace | None = None
+        self,
+        machine: Machine,
+        workspace: DoacrossWorkspace | None = None,
+        cache: inspector_cache.InspectorCache | None = None,
     ):
         self.machine = machine
         self.workspace = workspace if workspace is not None else DoacrossWorkspace()
+        self.cache = cache
 
     # ------------------------------------------------------------------
     # The uniform Runner entry point
@@ -295,7 +360,34 @@ class SimulatedRunner(Runner):
     ) -> PhaseStats:
         """Simulate a regular ``parallel do`` (Figure 3's pre/post loops)
         of ``n`` iterations, each ``cost`` cycles and ``accesses`` shared
-        accesses: static block partition, charged per chunk."""
+        accesses: static block partition, charged per chunk.  Without a
+        bus the processors share nothing, and processor ``p``'s block of
+        ``count`` iterations takes ``count × cost`` cycles in closed form;
+        the bus is a serial resource, and the engine queues for it
+        (:meth:`_parallel_do_on_engine`)."""
+        processors = self.machine.processors
+        if self.machine.bus:
+            return self._parallel_do_on_engine(name, n, cost, accesses)
+        base, extra = divmod(n, processors)
+        return PhaseStats(
+            name=name,
+            processors=[
+                ProcessorStats(
+                    proc=proc,
+                    compute_cycles=count * cost,
+                    iterations=count,
+                    finish_time=count * cost,
+                )
+                for proc, count in enumerate(
+                    [base + 1] * extra + [base] * (processors - extra)
+                )
+            ],
+        )
+
+    def _parallel_do_on_engine(
+        self, name: str, n: int, cost: int, accesses: int
+    ) -> PhaseStats:
+        """:meth:`_parallel_do` as generator tasks on the event engine."""
         machine = self.machine
         bus = machine.bus
         bus_per_access = machine.cost_model.bus_per_access
@@ -469,7 +561,7 @@ class SimulatedRunner(Runner):
 
         return run_body
 
-    def _executor_recurrence(
+    def _executor_operands(
         self,
         loop: IrregularLoop,
         its: np.ndarray,
@@ -477,9 +569,9 @@ class SimulatedRunner(Runner):
         counts: np.ndarray,
         first: np.ndarray,
         lanes: np.ndarray,
-    ) -> PhaseStats:
-        """The :class:`PhaseStats` the engine gives :meth:`_executor_body`
-        when :meth:`_why_engine` finds no reason for it, without the engine.
+    ) -> tuple[tuple | None, tuple]:
+        """The structure-only half of :meth:`_executor_recurrence`:
+        ``(sweep, sums)`` for positions ``its`` dealt to ``lanes``.
 
         Position ``p`` runs on processor ``lanes[p]`` after that
         processor's previous position; a ``WAIT`` term resumes no earlier
@@ -494,12 +586,11 @@ class SimulatedRunner(Runner):
 
         ``ahead`` is the cycles from the previous wait of the iteration
         (its flag check included), or from the iteration's start, to this
-        one; ``tail`` from the last wait to the flag set.  Everything but
-        the ``max`` is sums, taken here per processor in NumPy — a
-        processor's ``wait_cycles`` are what its finish time exceeds its
-        own cycles by — and a phase with no ``WAIT`` term has no sweep at
-        all.  A flag set twice is refused by the sweep, or by a count where
-        there is none.
+        one; ``tail`` from the last wait to the flag set.  ``sweep`` is
+        ``(wait_ptr, sources, keyword operands)`` — ``None`` for a phase
+        with no ``WAIT`` term, which needs no sweep — and ``sums`` each
+        processor's own cycles, flag checks and iterations, taken here in
+        NumPy; everything but the ``max`` is such a sum.
         """
         machine = self.machine
         cm = machine.cost_model
@@ -521,7 +612,6 @@ class SimulatedRunner(Runner):
         whole = (
             iter_overhead + counts * (dep_check_setup + term_consume) + cm.flag_set
         )
-        written = loop.write[its]
 
         def per_lane(weights) -> list[int]:
             # Exact: cycle sums stay far below 2**53.
@@ -531,39 +621,48 @@ class SimulatedRunner(Runner):
                 .tolist()
             )
 
-        def set_twice(index: int) -> ValueError:
-            return ValueError(
-                f"flag {index} set twice; write subscript not injective?"
-            )
-
-        compute = per_lane(whole + flag_check * n_waits)
-        free = compute
+        sums = (
+            per_lane(whole + flag_check * n_waits),
+            per_lane(n_waits),
+            per_lane(None),
+        )
         if not len(wait):
-            # Nothing awaited: no sweep, a processor finishes when its own
-            # cycles are done; only a flag set twice is left to refuse.
-            sets = np.bincount(written, minlength=1)
-            if sets.max() > 1:
-                raise set_twice(int(sets.argmax()))
-        else:
-            again = at[1:] == at[:-1]
-            ahead = pending.copy()
-            ahead[1:][again] -= pending[:-1][again] - flag_check
-            last = np.ones(len(wait), dtype=bool)
-            last[:-1] = ~again
-            tail = whole.copy()
-            tail[at[last]] -= pending[last] - flag_check
-            wait_ptr = np.zeros(len(its) + 1, dtype=np.int64)
-            np.cumsum(n_waits, out=wait_ptr[1:])
-            try:
-                _, free, _ = native.max_plus(
-                    wait_ptr, loop.reads.index[loop.reads.ptr[its[at]] + local],
-                    loop.y_size, write=written, ahead=ahead, tail=tail,
-                    lane=lanes, lanes=processors,
-                )
-            except OutputDependenceError as exc:
-                raise set_twice(exc.index) from None
-            free = free.tolist()
+            return None, sums
+        again = at[1:] == at[:-1]
+        ahead = pending.copy()
+        ahead[1:][again] -= pending[:-1][again] - flag_check
+        last = np.ones(len(wait), dtype=bool)
+        last[:-1] = ~again
+        tail = whole.copy()
+        tail[at[last]] -= pending[last] - flag_check
+        wait_ptr = np.zeros(len(its) + 1, dtype=np.int64)
+        np.cumsum(n_waits, out=wait_ptr[1:])
+        sources = loop.reads.index[loop.reads.ptr[its[at]] + local]
+        operands = {
+            "write": loop.write[its],
+            "ahead": ahead,
+            "tail": tail,
+            "lane": np.ascontiguousarray(lanes, dtype=np.int64),
+        }
+        return (wait_ptr, sources, operands), sums
 
+    def _executor_recurrence(self, loop: IrregularLoop, block: _Block) -> PhaseStats:
+        """The :class:`PhaseStats` the engine gives :meth:`_executor_body`
+        when :meth:`_why_engine` finds no reason for it, without the
+        engine: one sweep over ``block``'s operands
+        (:meth:`_executor_operands`), none where nothing waits.  A
+        processor's ``wait_cycles`` are what its finish time exceeds its
+        own cycles by; a flag set twice is refused by the sweep
+        (:class:`~repro.errors.OutputDependenceError`)."""
+        compute, checks, done = block.sums
+        free = compute
+        if block.sweep is not None:
+            wait_ptr, sources, operands = block.sweep
+            _, free, _ = native.max_plus(
+                wait_ptr, sources, loop.y_size,
+                lanes=self.machine.processors, **operands,
+            )
+            free = free.tolist()
         return PhaseStats(
             name="executor",
             processors=[
@@ -572,20 +671,74 @@ class SimulatedRunner(Runner):
                     compute_cycles=compute[proc],
                     # A processor only computes or spins until it is done.
                     wait_cycles=free[proc] - compute[proc],
-                    flag_checks=checks,
-                    flag_sets=done,
-                    iterations=done,
+                    flag_checks=checks[proc],
+                    flag_sets=done[proc],
+                    iterations=done[proc],
                     finish_time=free[proc],
                 )
-                for proc, (checks, done) in enumerate(
-                    zip(per_lane(n_waits), per_lane(None))
-                )
+                for proc in range(self.machine.processors)
             ],
         )
 
     # ------------------------------------------------------------------
     # The pipeline (paper §2.1–§2.3)
     # ------------------------------------------------------------------
+    def _build_operands(
+        self,
+        loop: IrregularLoop,
+        blocks: list[tuple[int, int]],
+        order: np.ndarray | None,
+        linear: bool,
+        schedule,
+        chunk: int,
+        described: IterationSchedule,
+        recurrence: bool,
+    ) -> _Operands:
+        """Inspect and classify every block (the loop nest's first two
+        lines, ``iter`` restored after each block also when one raised),
+        and — when the ``recurrence`` times the executor — derive its
+        operands; the engine gets each position's first term instead."""
+        if order is not None:
+            order = order.copy()  # kept by the cache; the caller's may change
+            validate_execution_order(loop, order)
+        n = loop.n
+        write, ptr, r_idx = loop.write, loop.reads.ptr, loop.reads.index
+        iter_arr = self.workspace.iter_arr
+        # §2.3's inlined ``(off − d) mod c`` test: the writer of every
+        # element in closed form (-1: never written), so neither the
+        # inspector phase nor the ``iter`` array is needed.
+        writer_of = (
+            loop.write_subscript.writer_of_many(np.arange(loop.y_size), n)
+            if linear
+            else iter_arr
+        )
+        parts = []
+        for lo, hi in blocks:
+            block_its = np.arange(lo, hi, dtype=np.int64)
+            its = block_its if order is None else order
+            try:
+                if not linear:
+                    # The inspector: iter(a(i)) = i (Figure 3).
+                    iter_arr[write[lo:hi]] = block_its
+                codes = classify_terms(ptr, r_idx, writer_of, its, 1)
+            finally:
+                iter_arr[write[lo:hi]] = MAXINT
+            counts = ptr[its + 1] - ptr[its]
+            first = np.cumsum(counts) - counts
+            if not recurrence:
+                parts.append(_Block(lo, hi, its, codes, first=first))
+                continue
+            exec_schedule = (
+                described
+                if hi - lo == n
+                else self._resolve_schedule(schedule, hi - lo, chunk)
+            )
+            sweep, sums = self._executor_operands(
+                loop, its, codes, counts, first, exec_schedule.lanes()
+            )
+            parts.append(_Block(lo, hi, its, codes, sweep=sweep, sums=sums))
+        return _Operands(parts)
+
     def _doacross(
         self,
         loop: IrregularLoop,
@@ -610,116 +763,130 @@ class SimulatedRunner(Runner):
         writer knows no block boundary.  Each instance reads the previous
         one's ``y``; ``rhs_sequence[k]``, when given, replaces the loop's
         ``init_values`` for instance ``k``.
+
+        Given a cache, the operands (:meth:`_build_operands`) of a
+        recurrence-timed run with a schedule *kind* are looked up in
+        ``self.cache`` under everything they depend on: the loop's
+        fingerprint, ``linear``, ``order``, ``blocks``, the processors, the
+        kind and chunk, the cost model and the effective work profile
+        (``loop.work`` is not in the fingerprint).  Engine runs, schedule
+        instances and a runner without a cache build them every call.
         """
         machine = self.machine
         cm = machine.cost_model
         n = loop.n
         if order is not None:
             order = np.ascontiguousarray(order, dtype=np.int64)
-            validate_execution_order(loop, order)
-        sub = loop.write_subscript
-        if linear and not isinstance(sub, AffineSubscript):
+        if linear and not isinstance(loop.write_subscript, AffineSubscript):
             raise InvalidLoopError(
                 "linear variant requires a statically affine write "
-                f"subscript, got {type(sub).__name__}"
+                f"subscript, got {type(loop.write_subscript).__name__}"
             )
 
         # Resolved for the whole loop before anything is touched: a bad
         # kind, chunk, instance size or partition never reaches a phase.
         described = self._resolve_schedule(schedule, n, chunk)
-        ws = self._checkout_workspace(loop)
-        iter_arr = ws.iter_arr
-        ynew = ws.ynew[: loop.y_size]
-        y = loop.y0.copy()
-        # §2.3's inlined ``(off − d) mod c`` test: the writer of every
-        # element in closed form (-1: never written), so neither the
-        # inspector phase nor the ``iter`` array is needed.
-        writer_of = (
-            sub.writer_of_many(np.arange(loop.y_size), n)
-            if linear
-            else iter_arr
-        )
-        write = loop.write
-        ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
         tracer = Tracer() if trace else None
         why_engine = self._why_engine(described, tracer)
+        ws = self._checkout_workspace(loop)
+        # Given a cache, every run hashes the loop, whatever the machine;
+        # hashing checks that ``write`` is injective.  Without one nothing
+        # is hashed or frozen, and the check runs here.
+        if self.cache is None:
+            loop.check_write_injective()
+            fingerprint = None
+        else:
+            fingerprint = inspector_cache.loop_fingerprint(loop)
+
+        def build() -> _Operands:
+            return self._build_operands(
+                loop, blocks, order, linear, schedule, chunk, described,
+                why_engine is None,
+            )
+
+        cached = False
+        if (
+            fingerprint is not None
+            and why_engine is None
+            and not isinstance(schedule, IterationSchedule)
+        ):
+            key = (
+                fingerprint,
+                linear,
+                None if order is None else order.tobytes(),
+                tuple(blocks),
+                machine.processors,
+                "cyclic" if schedule is None else schedule,
+                chunk,
+                cm,
+                cm.effective_work(loop.work),
+            )
+            operands, cached = self.cache.sim_operands(key, build)
+        else:
+            operands = build()
+
+        y = loop.y0.copy()
+        ynew = ws.ynew[: loop.y_size]
+        write = loop.write
+        ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
         take_tally()
         ran: list[PhaseStats] = []
-
-        for lo, hi in blocks:
-            count = hi - lo
-            block_its = np.arange(lo, hi, dtype=np.int64)
-            block_write = write[lo:hi]
-            its = block_its if order is None else order
-            exec_schedule = (
-                described
-                if count == n
-                else self._resolve_schedule(schedule, count, chunk)
-            )
-            try:
+        for block in operands.blocks:
+            count = block.hi - block.lo
+            block_write = write[block.lo : block.hi]
+            if not linear:
                 # --- inspector: parallel do i: iter(a(i)) = i (Figure 3) ---
-                if not linear:
-                    ran.append(
-                        self._parallel_do("inspector", count, cm.pre_iter, 1)
-                    )
-                    iter_arr[block_write] = block_its
-                codes = classify_terms(ptr, r_idx, writer_of, its, 1)
-                counts = ptr[its + 1] - ptr[its]
-                first = np.cumsum(counts) - counts
-                # The cycles of a phase the recurrence times do not depend
-                # on the values: one sweep serves every instance.
-                cycles = (
-                    self._executor_recurrence(
-                        loop, its, codes, counts, first, exec_schedule.lanes()
-                    )
-                    if why_engine is None
-                    else None
+                ran.append(self._parallel_do("inspector", count, cm.pre_iter, 1))
+            # The cycles of a phase the recurrence times do not depend on
+            # the values: one sweep serves every instance.
+            if why_engine is None:
+                cycles = self._executor_recurrence(loop, block)
+            else:
+                exec_schedule = (
+                    described
+                    if count == n
+                    else self._resolve_schedule(schedule, count, chunk)
                 )
-                for k in range(instances):
-                    # --- executor (Figure 5): the values, then the cycles ---
-                    run_span(
-                        its,
-                        codes,
-                        write,
-                        ptr,
-                        r_idx,
-                        r_coeff,
-                        loop.init_values
-                        if rhs_sequence is None
-                        else rhs_sequence[k],
-                        y,
-                        ynew,
-                        ynew,
+            for k in range(instances):
+                # --- executor (Figure 5): the values, then the cycles ---
+                run_span(
+                    block.its,
+                    block.codes,
+                    write,
+                    ptr,
+                    r_idx,
+                    r_coeff,
+                    loop.init_values if rhs_sequence is None else rhs_sequence[k],
+                    y,
+                    ynew,
+                    ynew,
+                )
+                ran.append(
+                    cycles
+                    if why_engine is None
+                    else self._phase(
+                        "executor",
+                        exec_schedule,
+                        self._executor_body(
+                            loop, block.its, block.codes, block.first
+                        ),
+                        flags=FlagStore(loop.y_size),
+                        tracer=tracer,
                     )
-                    ran.append(
-                        cycles
-                        if cycles is not None
-                        else self._phase(
-                            "executor",
-                            exec_schedule,
-                            self._executor_body(loop, its, codes, first),
-                            flags=FlagStore(loop.y_size),
-                            tracer=tracer,
-                        )
+                )
+                # --- postprocessor: reset ready, copy ynew back and,
+                # after the last instance, reset iter (Figure 3; one
+                # shared store fewer while iter stays valid) ---
+                last = k == instances - 1
+                ran.append(
+                    self._parallel_do(
+                        "postprocessor",
+                        count,
+                        cm.post_iter if last else cm.post_iter_amortized,
+                        3 if last else 2,
                     )
-                    # --- postprocessor: reset ready, copy ynew back and,
-                    # after the last instance, reset iter (Figure 3; one
-                    # shared store fewer while iter stays valid) ---
-                    last = k == instances - 1
-                    ran.append(
-                        self._parallel_do(
-                            "postprocessor",
-                            count,
-                            cm.post_iter if last else cm.post_iter_amortized,
-                            3 if last else 2,
-                        )
-                    )
-                    y[block_write] = ynew[block_write]
-            finally:
-                # The last postprocessor's reset — also when a phase raised
-                # (an executor deadlock), so one failed run does not leave
-                # the workspace dirty for every later one.
-                iter_arr[block_write] = MAXINT
+                )
+                y[block_write] = ynew[block_write]
 
         result = self._result(
             loop, strategy, y, ran, described, instances, order_label
@@ -727,6 +894,7 @@ class SimulatedRunner(Runner):
         result.extras["sim_executor"] = {
             "body": "recurrence" if why_engine is None else "engine",
             "reason": why_engine,
+            "operands": "cached" if cached else "built",
         }
         metrics = self._obs_metrics
         if metrics is not None:
@@ -734,6 +902,8 @@ class SimulatedRunner(Runner):
             engine = executors if why_engine else 0
             metrics.count("sim_phases_engine", engine)
             metrics.count("sim_phases_recurrence", executors - engine)
+            metrics.count("sim_operand_hits", int(cached))
+            metrics.count("sim_operand_misses", int(not cached))
         note_kernel(result, metrics, [take_tally()])
         if tracer is not None:
             result.extras["trace"] = tracer

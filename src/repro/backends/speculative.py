@@ -63,6 +63,7 @@ from repro.backends.base import (
     resolve_verdict,
     validate_execution_order,
 )
+from repro.backends.cache import loop_fingerprint
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.ir.analysis import writer_map
@@ -133,6 +134,8 @@ class SpeculativeRunner(Runner):
         ``trace`` are ignored and recorded in
         ``result.extras["ignored_options"]``.
         """
+        # Hashing checks ``write`` is injective; free once the loop is.
+        loop_fingerprint(loop)
         verdict = resolve_verdict(loop, self.analyze)
         if order is not None:
             order = np.asarray(order, dtype=np.int64)

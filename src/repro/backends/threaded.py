@@ -43,6 +43,9 @@ from repro.backends.base import (
     resolve_verdict,
     validate_execution_order,
 )
+# A module, not names: ``cache`` is still initialising when the package
+# import reaches this one (cache → core → core.verify → threaded).
+from repro.backends import cache as inspector_cache
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.core.workspace import MAXINT
@@ -110,6 +113,8 @@ class ThreadedRunner(Runner):
         option is recorded in ``result.extras["ignored_options"]``.
         """
         check_group_sync(loop, group_sync)
+        # Hashing checks ``write`` is injective; free once the loop is.
+        inspector_cache.loop_fingerprint(loop)
         verdict = resolve_verdict(loop, self.analyze)
         # Prefilling iter in closed form is sound exactly when no two
         # iterations write one element — which the verdict proves.

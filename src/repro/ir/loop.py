@@ -78,12 +78,15 @@ class IrregularLoop:
 
     The index arrays ``write``, ``reads.ptr`` and ``reads.index`` (and
     every array they are views of) become **read-only at the loop's first
-    plan** — its first :func:`~repro.backends.cache.loop_fingerprint` —
-    so the content-addressed inspector cache can memoize the digest: edit
-    them before the first plan, or the write raises ``ValueError``.  The
-    coefficients, ``y0`` and ``init_values`` stay writeable.  Arrays
-    backed by a writeable foreign buffer (``bytearray``, ``mmap``) are not
-    frozen and are hashed on every call instead.
+    plan or run** — its first :func:`~repro.backends.cache.loop_fingerprint`
+    — so the content-addressed inspector cache can memoize the digest:
+    edit them before first use, or the write raises ``ValueError``.  A
+    simulated run freezes them only when its runner holds an
+    :class:`~repro.backends.cache.InspectorCache` (whatever the machine);
+    without one it leaves them writeable.  The coefficients, ``y0`` and
+    ``init_values`` stay writeable.  Arrays backed by a writeable foreign
+    buffer (``bytearray``, ``mmap``) are not frozen and are hashed on
+    every call instead.
     """
 
     #: ``(bound arrays, frozen chain, digest)`` once
@@ -184,10 +187,20 @@ class IrregularLoop:
         subscript must be injective over the iteration range.  A closed
         form that proves it (an affine ``c·i + d`` with ``c != 0``) is
         taken at its word; anything else is sorted and checked."""
-        if self.n <= 1 or (
+        if not (
             isinstance(self.write_subscript, AffineSubscript)
             and self.write_subscript.is_injective(self.n)
         ):
+            self.check_write_injective()
+
+    def check_write_injective(self) -> None:
+        """Raise :class:`~repro.errors.OutputDependenceError` naming the
+        first element two iterations write, reading the ``write`` array as
+        it is now — a loop whose ``write`` was mutated before first use
+        included, whatever its subscript's closed form says.  Hashing the
+        loop (:func:`~repro.backends.cache.loop_fingerprint`) calls it, so
+        every run checks before anything is executed."""
+        if self.n <= 1:
             return
         order = np.argsort(self.write, kind="stable")
         sorted_w = self.write[order]

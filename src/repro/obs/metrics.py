@@ -15,7 +15,9 @@ Three instrument kinds, matching how each quantity behaves:
   ``wait_cycles``, ``busy_waits``; ``kernel_spans_native`` /
   ``kernel_spans_python``, the ``run_span`` bodies a run's spans took;
   ``sim_phases_recurrence`` / ``sim_phases_engine``, the simulated
-  executor phases timed by the recurrence and by the event engine);
+  executor phases timed by the recurrence and by the event engine;
+  ``sim_operand_hits`` / ``sim_operand_misses``, simulated runs served
+  their executor operands by the inspector cache or building them);
   ``count()`` adds.
 - **gauge** — point-in-time values (``processors``, ``levels``,
   ``inspector_cache_entries``); ``gauge()`` overwrites.

@@ -165,6 +165,28 @@ class TestCacheBehavior:
         assert stats["capacity"] == 8
         assert stats["bytes"] > 0
 
+    def test_simulated_operands_are_counted_and_cleared(self):
+        cache = InspectorCache()
+        cache.get_or_build(make_test_loop(n=60, m=1, l=6))
+        before = cache.stats()
+        runner = make_runner("simulated", processors=4, cache=cache)
+        loop = chain_loop(80, 1)
+        runner.run(loop)
+        runner.run(loop, schedule="block")
+        key, operands = next(iter(cache._sim.items()))
+        stats = cache.stats()
+        assert (stats["sim_entries"], stats["sim_misses"]) == (2, 2)
+        assert stats["entries"] == before["entries"] == 1
+        assert stats["bytes"] == before["bytes"] + sum(
+            o.nbytes for o in cache._sim.values()
+        )
+        assert operands.nbytes > 0 and key[0] == loop_fingerprint(loop)
+        cache.clear()
+        stats = cache.stats()
+        assert (stats["sim_entries"], stats["bytes"]) == (0, 0)
+        assert stats["sim_misses"] == 2  # counters are kept
+        assert runner.run(loop).extras["sim_executor"]["operands"] == "built"
+
 
 class TestRecordContents:
     def test_iter_array_matches_paper(self):

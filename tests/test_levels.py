@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import make_runner, parallelize
+from repro import BACKENDS, make_runner, parallelize
 from repro.backends import native
 from repro.errors import InvalidLoopError, OutputDependenceError
 from repro.graph.depgraph import DependenceGraph
@@ -331,3 +331,33 @@ class TestMutatedSubscripts:
         with pytest.raises(OutputDependenceError, match="iterations 10 and 150"):
             parallelize(loop, backend=backend, processors=2)
         assert np.array_equal(loop.y0.view(np.uint64), y.view(np.uint64))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_direct_run_refuses_a_duplicated_write(self, backend):
+        # No plan: the runner checks the write array it is handed, however
+        # its subscript was built (make_test_loop's is affine).
+        for n, m, l in ((40, 2, 8), (60, 5, 8), (200, 3, 4)):
+            loop = make_test_loop(n, m, l)
+            loop.write[5] = loop.write[4]
+            y = loop.y0.copy()
+            with pytest.raises(OutputDependenceError, match="iterations 4 and 5"):
+                make_runner(backend, processors=2).run(loop)
+            assert np.array_equal(loop.y0.view(np.uint64), y.view(np.uint64))
+
+    @pytest.mark.parametrize("backend", ["threaded", "speculative"])
+    def test_a_warm_direct_run_checks_nothing(self, backend, monkeypatch):
+        # The check runs where the loop is hashed; a frozen loop's memo is
+        # served without it.
+        from repro.ir.loop import IrregularLoop
+
+        loop = make_test_loop(60, 3, 8)
+        runner = make_runner(backend, processors=2)
+        runner.run(loop)
+        calls = []
+        real = IrregularLoop.check_write_injective
+        monkeypatch.setattr(
+            IrregularLoop, "check_write_injective",
+            lambda self: calls.append(1) or real(self),
+        )
+        runner.run(loop)
+        assert calls == []

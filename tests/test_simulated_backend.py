@@ -10,6 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.backends.cache import InspectorCache
 from repro.backends.simulated import SimulatedRunner
 from repro.core.doacross import PreprocessedDoacross
 from repro.core.doconsider import level_order
@@ -244,14 +245,18 @@ def _pin_cell(result):
     return int(result.total_cycles), int(result.wait_cycles), digest
 
 
-def _pin_row(loop_name, variant):
-    """The twelve cells of one (loop, variant): schedules x machines."""
+def _pin_row(loop_name, variant, cache=None):
+    """The twelve cells of one (loop, variant): schedules x machines, each
+    on a runner of its own (sharing ``cache`` when one is given)."""
     loop = PIN_LOOPS[loop_name]()
     return [
         [
             _pin_cell(
                 PIN_VARIANTS[variant](
-                    SimulatedRunner(machine()), loop, schedule=kind, chunk=chunk
+                    SimulatedRunner(machine(), cache=cache),
+                    loop,
+                    schedule=kind,
+                    chunk=chunk,
                 )
             )
             for machine in PIN_MACHINES
@@ -508,6 +513,20 @@ class TestSameBehaviourAsTheOldPipelines:
         # The same 456 cells with no phase timed by the recurrence.
         with on_engine():
             assert _pin_row(loop_name, variant) == PINNED[loop_name, variant]
+
+    @pytest.mark.parametrize(
+        "loop_name,variant", sorted(PINNED), ids=lambda v: str(v)
+    )
+    def test_pinned_again_through_one_warm_cache(self, loop_name, variant):
+        # Twice through one cache: the second pass is served the operands
+        # the first built (the default machine's two static schedules; the
+        # engine's cells and the classic / doall strategies build none).
+        cache = InspectorCache()
+        for _ in range(2):
+            assert _pin_row(loop_name, variant, cache) == PINNED[loop_name, variant]
+        stats = cache.stats()
+        built = 0 if variant.startswith(("classic", "doall")) else 2
+        assert (stats["sim_misses"], stats["sim_hits"]) == (built, built)
 
 
 class TestOnePipeline:

@@ -9,8 +9,13 @@ recurrence is held against here, on both bodies of the recurrence's sweep
 (:func:`repro.backends.native.max_plus`).  ``on_engine`` and
 ``no_compiler`` (``tests/conftest.py``) are the test-only seams that send
 eligible phases to the engine too, and the sweep to its Python body.
+Figure 3's ``parallel do`` loops have a closed form held to the engine the
+same way, and the recurrence's operands a cache whose key is tested part
+by part.
 """
 
+import contextlib
+import copy
 import json
 
 import numpy as np
@@ -22,6 +27,7 @@ from repro import PlanSpec, make_runner
 from repro.backends.simulated import SimulatedRunner
 from repro.core.doconsider import level_order
 from repro.core.serialize import result_to_dict
+from repro.errors import OutputDependenceError
 from repro.ir.loop import INIT_EXTERNAL
 from repro.machine.costs import CostModel
 from repro.machine.engine import Machine
@@ -33,6 +39,14 @@ from tests.conftest import assert_same_bits, no_compiler, on_engine
 from tests.strategies import affine_loops, loop_params
 
 RECURRENCE = {"body": "recurrence", "reason": None}
+
+
+def timed_by(result) -> dict:
+    """``extras["sim_executor"]`` without the operand lookup's outcome:
+    which body timed the executor, and why."""
+    note = dict(result.extras["sim_executor"])
+    assert note.pop("operands") in ("cached", "built")
+    return note
 
 
 def run_variant(runner, loop, variant, kind, chunk, order):
@@ -53,7 +67,7 @@ def run_variant(runner, loop, variant, kind, chunk, order):
 
 
 def assert_same_run(recurrence, engine):
-    assert recurrence.extras["sim_executor"] == RECURRENCE
+    assert timed_by(recurrence) == RECURRENCE
     assert engine.extras["sim_executor"]["body"] == "engine"
     assert recurrence.total_cycles == engine.total_cycles
     assert recurrence.wait_cycles == engine.wait_cycles
@@ -160,7 +174,7 @@ class TestRouting:
         self, reason, machine, options
     ):
         result = SimulatedRunner(machine).run(self.LOOP, **options)
-        assert result.extras["sim_executor"] == {
+        assert timed_by(result) == {
             "body": "engine",
             "reason": reason,
         }
@@ -199,7 +213,7 @@ class TestRouting:
     def test_degenerate_loops_take_the_recurrence(self, loop, kind):
         runner = SimulatedRunner(Machine(4))
         result = runner.run(loop, schedule=kind)
-        assert result.extras["sim_executor"] == RECURRENCE
+        assert timed_by(result) == RECURRENCE
         assert result.wait_cycles == 0
         with on_engine():
             assert_same_run(result, runner.run(loop, schedule=kind))
@@ -209,7 +223,7 @@ class TestRouting:
         result = runner.run(
             self.LOOP, schedule=StaticCyclicSchedule(120, 4, chunk=3)
         )
-        assert result.extras["sim_executor"] == RECURRENCE
+        assert timed_by(result) == RECURRENCE
 
     def test_a_custom_schedule_times_like_the_built_in_it_permutes(self):
         runner = SimulatedRunner(Machine(4))
@@ -220,25 +234,32 @@ class TestRouting:
 
     def test_a_flag_set_twice_is_refused_by_both(self):
         # A loop is checked for output dependences when it is built; one
-        # corrupted afterwards still cannot set a flag a second time.
-        loop = chain_loop(20, 1)
-        loop.write[3] = loop.write[2]
-        runner = SimulatedRunner(Machine(2))
-        with pytest.raises(ValueError, match="flag 2 set twice"):
-            runner.run_preprocessed(loop)
-        with on_engine(), pytest.raises(ValueError, match="flag 2 set twice"):
-            runner.run_preprocessed(loop)
-        assert runner.workspace.is_clean()
+        # corrupted before first use is refused before any phase runs.
+        # With or without a cache (whose hashing is then what checks).
+        from repro import InspectorCache
+
+        for cache in (None, InspectorCache()):
+            loop = chain_loop(20, 1)
+            loop.write[3] = loop.write[2]
+            runner = SimulatedRunner(Machine(2), cache=cache)
+            for body in (contextlib.nullcontext, on_engine):
+                with body(), pytest.raises(OutputDependenceError) as info:
+                    runner.run_preprocessed(loop)
+                got = info.value
+                assert (got.index, got.first_writer, got.second_writer) == (2, 2, 3)
+            assert runner.workspace.is_clean()
+            assert loop.write.flags.writeable  # refused before any freeze
+        assert cache.stats()["sim_entries"] == 0
 
     def test_the_seam_is_restored(self):
         runner = SimulatedRunner(Machine(2))
         with on_engine():
             forced = runner.run(chain_loop(20, 1))
-        assert forced.extras["sim_executor"] == {
+        assert timed_by(forced) == {
             "body": "engine",
             "reason": "custom-schedule",
         }
-        assert runner.run(chain_loop(20, 1)).extras["sim_executor"] == RECURRENCE
+        assert timed_by(runner.run(chain_loop(20, 1))) == RECURRENCE
 
 
 class TestCounters:
@@ -255,6 +276,7 @@ class TestCounters:
         assert blob["extras"]["sim_executor"] == {
             "body": "engine",
             "reason": "trace",
+            "operands": "built",
         }
 
     def test_every_instance_of_every_block_is_a_phase(self):
@@ -273,3 +295,217 @@ class TestCounters:
             counters["kernel_spans_native"] + counters["kernel_spans_python"]
             == 6
         )
+
+
+class TestParallelDo:
+    """Figure 3's inspector and postprocessor loops: ``count × cost`` per
+    processor in closed form on a bus-free machine, the engine's answer
+    field by field."""
+
+    @pytest.mark.parametrize("coherence", [False, True])
+    @pytest.mark.parametrize("processors", [1, 3, 4, 16])
+    @pytest.mark.parametrize("n", [0, 1, 5, 16, 101])
+    def test_closed_form_equals_engine(self, n, processors, coherence):
+        machine = Machine(processors, cost_model=_CONTENDED, coherence=coherence)
+        runner = SimulatedRunner(machine)
+        for name, cost, accesses in (
+            ("inspector", 3, 1),
+            ("postprocessor", 4, 3),
+            ("postprocessor", 0, 2),
+        ):
+            closed = runner._parallel_do(name, n, cost, accesses)
+            engine = runner._parallel_do_on_engine(name, n, cost, accesses)
+            assert closed == engine
+
+    def test_a_bus_queues_on_the_engine(self):
+        runner = SimulatedRunner(Machine(4, cost_model=_CONTENDED, bus=True))
+        phase = runner._parallel_do("postprocessor", 40, 4, 3)
+        assert phase.total_resource_wait > 0
+        assert phase.span > 10 * 4
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOperandCache:
+    """The executor operands are built once per key and served from the
+    runner's :class:`InspectorCache`; the cycles are not — the sweep runs
+    on every call."""
+
+    def test_a_warm_call_classifies_nothing(self, monkeypatch):
+        from repro import InspectorCache, parallelize
+        from repro.backends import native, simulated
+
+        loop = make_test_loop(n=300, m=3, l=8)
+        spec = PlanSpec(backend="simulated", processors=4)
+        cache = InspectorCache()
+        cold, _ = parallelize(loop, spec=spec, cache=cache)
+        classified = _counting(monkeypatch, simulated, "classify_terms")
+        sweeps = _counting(monkeypatch, native, "max_plus")
+        engines = _counting(monkeypatch, Machine, "new_engine")
+        warm, _ = parallelize(loop, spec=spec, cache=cache)
+        assert cold.extras["sim_executor"]["operands"] == "built"
+        assert warm.extras["sim_executor"]["operands"] == "cached"
+        assert (classified, engines) == ([], [])
+        executors = [p for p in warm.phases if p.name == "executor"]
+        assert len(sweeps) == len(executors) == 1
+        assert warm.wait_cycles > 0  # the sweep had waits to resolve
+        # Field by field, the warm result is the cold one.
+        assert warm.total_cycles == cold.total_cycles
+        assert warm.wait_cycles == cold.wait_cycles
+        assert warm.breakdown == cold.breakdown
+        assert warm.phases == cold.phases
+        assert_same_bits(warm.y, cold.y)
+
+    def test_every_key_part_separates(self):
+        # One shared cache, one set of index arrays; every configuration
+        # that changes the operands must get its own entry, so each result
+        # equals a fresh cache's — on the first pass (misses next to
+        # other configurations' entries) and on the second (hits).
+        from repro import InspectorCache
+        from repro.machine.costs import WorkProfile
+
+        loop = make_test_loop(n=240, m=3, l=8)
+        heavy = copy.copy(loop)  # the same arrays, another work profile
+        heavy.work = WorkProfile(overhead=9, term_setup=1, term_consume=7)
+        order = level_order(loop)[0]
+        slow = CostModel(flag_check=7, dep_check=5)
+        configs = [
+            ("plain", loop, 4, None, {}),
+            ("cost-model", loop, 4, slow, {}),
+            ("work-profile", heavy, 4, None, {}),
+            ("processors", loop, 3, None, {}),
+            ("block", loop, 4, None, {"schedule": "block"}),
+            ("chunk", loop, 4, None, {"chunk": 3}),
+            ("doconsider", loop, 4, None, {"order": order}),
+            ("linear", loop, 4, None, {"linear": True}),
+            ("strip", loop, 4, None, {"block": 50}),
+            ("strip-other", loop, 4, None, {"block": 70}),
+        ]
+
+        def run(runner, lp, options):
+            options = dict(options)
+            if "block" in options:
+                return runner.run_stripmined(lp, options.pop("block"), **options)
+            return runner.run_preprocessed(lp, **options)
+
+        shared = InspectorCache()
+        for _ in range(2):
+            for name, lp, processors, model, options in configs:
+                got = run(
+                    make_runner(
+                        "simulated", processors=processors,
+                        cost_model=model, cache=shared,
+                    ),
+                    lp, options,
+                )
+                fresh = run(
+                    make_runner(
+                        "simulated", processors=processors, cost_model=model
+                    ),
+                    lp, options,
+                )
+                assert got.phases == fresh.phases, name
+                assert got.breakdown == fresh.breakdown, name
+                assert got.total_cycles == fresh.total_cycles, name
+                assert_same_bits(got.y, fresh.y)
+        stats = shared.stats()
+        assert stats["sim_entries"] == stats["sim_misses"] == len(configs)
+        assert stats["sim_hits"] == len(configs)
+
+    def test_doconsider_through_parallelize(self):
+        from repro import InspectorCache, parallelize
+
+        loop = make_test_loop(n=240, m=3, l=8)
+        cache = InspectorCache()
+        notes, cycles = [], []
+        for reorder in ("natural", "doconsider", "doconsider", "natural"):
+            spec = PlanSpec(backend="simulated", processors=4, reorder=reorder)
+            result, _ = parallelize(loop, spec=spec, cache=cache)
+            notes.append(result.extras["sim_executor"]["operands"])
+            cycles.append(result.total_cycles)
+        assert notes == ["built", "built", "cached", "cached"]
+        assert cycles[0] == cycles[3] and cycles[1] == cycles[2]
+
+    def test_an_order_changed_after_the_run_is_not_what_is_served(self):
+        from repro import InspectorCache
+
+        loop = random_irregular_loop(150, seed=5)
+        order = level_order(loop)[0]
+        assert not np.array_equal(order, np.arange(loop.n))
+        runner = SimulatedRunner(Machine(4), cache=InspectorCache())
+        first = runner.run(loop, order=order)
+        kept = order.copy()
+        order[:] = kept[::-1]  # the caller's buffer, reused for other data
+        again = runner.run(loop, order=kept)
+        assert again.extras["sim_executor"]["operands"] == "cached"
+        assert again.phases == first.phases
+        assert_same_bits(again.y, loop.run_sequential())
+
+    def test_engine_runs_build_every_call(self):
+        from repro import InspectorCache
+
+        runner = SimulatedRunner(Machine(4), cache=InspectorCache())
+        loop = make_test_loop(n=120, m=2, l=8)
+        for options in ({"schedule": "dynamic"}, {"trace": True}):
+            notes = [
+                runner.run(loop, **options).extras["sim_executor"]["operands"]
+                for _ in range(2)
+            ]
+            assert notes == ["built", "built"]
+        assert runner.cache.stats()["sim_entries"] == 0
+
+    def test_the_lookups_are_counted(self):
+        from repro import InspectorCache
+        from repro.obs.metrics import MetricsRegistry
+
+        runner = SimulatedRunner(Machine(4), cache=InspectorCache())
+        runner._obs_metrics = MetricsRegistry()
+        loop = make_test_loop(n=120, m=2, l=8)
+        for _ in range(3):
+            runner.run(loop)
+        counters = runner._obs_metrics.as_dict()["counters"]
+        assert (counters["sim_operand_hits"], counters["sim_operand_misses"]) == (2, 1)
+        assert counters["sim_phases_recurrence"] == 3
+
+    def test_without_a_cache_nothing_is_kept_or_frozen(self):
+        runner = SimulatedRunner(Machine(4))
+        loop = make_test_loop(n=120, m=2, l=8)
+        notes = [
+            runner.run(loop).extras["sim_executor"]["operands"] for _ in range(2)
+        ]
+        assert notes == ["built", "built"]
+        assert loop.write.flags.writeable and loop.reads.index.flags.writeable
+
+    @pytest.mark.parametrize(
+        "machine, options",
+        [
+            ({}, {}),
+            ({"bus": True, "cost_model": _CONTENDED}, {}),
+            ({"coherence": True, "cost_model": _CONTENDED}, {}),
+            ({}, {"schedule": "dynamic"}),
+            ({}, {"trace": True}),
+            ({}, {"schedule": StaticCyclicSchedule(120, 4)}),
+        ],
+        ids=["default", "bus", "coherence", "dynamic", "trace", "instance"],
+    )
+    def test_given_a_cache_every_machine_freezes(self, machine, options):
+        # Whether a run freezes the index arrays is the cache's to say,
+        # not the machine's or the schedule's.
+        from repro import InspectorCache
+
+        runner = SimulatedRunner(Machine(4, **machine), cache=InspectorCache())
+        loop = make_test_loop(n=120, m=2, l=8)
+        runner.run(loop, **options)
+        with pytest.raises(ValueError, match="read-only"):
+            loop.write[0] = loop.write[1]
