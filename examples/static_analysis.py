@@ -19,7 +19,6 @@ from repro.lint import (
     check_backend_schedule,
     check_dependence_coverage,
     format_diagnostics,
-    level_happens_before,
     run_lints,
 )
 
@@ -52,27 +51,28 @@ def main() -> None:
         report = check_backend_schedule(loop, backend, processors=16)
         print(report.summary())
 
-    # --- 3. Prove the checker has teeth: corrupt a schedule -------------
-    # Swap one true-dependence pair across wavefront levels; every such
+    # --- 3. Prove the checker has teeth: corrupt a placement ------------
+    # The runner's placement is plain data (lanes, strip size, barrier
+    # cuts).  Swap one true-dependence pair across the level cuts; the
     # edge must now surface as a race.
-    from repro.graph.levels import compute_levels
+    from repro.backends.kernel import Placement
     from repro.ir.analysis import dependence_pairs
-    from repro.lint.hb import LevelHappensBefore
 
+    pristine = repro.make_runner("vectorized").schedule_model(loop)
     pairs = dependence_pairs(loop)
     writer, reader = int(pairs[0, 0]), int(pairs[0, 1])
-    levels = compute_levels(loop).levels.copy()
-    levels[writer], levels[reader] = levels[reader], levels[writer]
-    corrupted = LevelHappensBefore(levels, label="corrupted-levels")
+    cut = pristine.cut.copy()
+    cut[writer], cut[reader] = cut[reader], cut[writer]
+    corrupted = Placement.barriers(cut, "corrupted-levels")
     report = check_dependence_coverage(loop, corrupted)
     print()
     print(report.summary())
     assert not report.passed, "the corrupted schedule must be flagged"
 
-    # The pristine schedule, read back off the executed slices, is clean.
-    clean = check_dependence_coverage(loop, level_happens_before(loop))
+    # The pristine placement, read off the executed level cuts, is clean.
+    clean = check_dependence_coverage(loop, pristine)
     assert clean.passed
-    print("\npristine level schedule re-checked: clean")
+    print("\npristine level placement re-checked: clean")
 
     # --- 4. validate='static' wires the same check into execution -------
     result, plan = repro.parallelize(

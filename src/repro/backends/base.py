@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.backends.kernel import Placement
 from repro.errors import InvalidLoopError, ProofError, ScheduleError
 from repro.ir.analysis import CAT_TRUE, classify_reads
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
@@ -41,6 +42,8 @@ __all__ = [
     "check_analyze_mode",
     "check_group_sync",
     "check_repeated",
+    "execution_positions",
+    "level_placement",
     "resolve_verdict",
     "note_verdict",
     "note_kernel",
@@ -102,15 +105,35 @@ class Runner(abc.ABC):
         """Execute ``loop`` and return its :class:`RunResult`."""
         raise NotImplementedError
 
-    def schedule_model(self, loop: IrregularLoop, **options) -> dict:
-        """Keyword arguments for
-        :func:`~repro.lint.hb.check_backend_schedule` describing the
-        schedule ``run(loop, **options)`` is about to execute — resolved
-        by the backend's own rules (default chunk, group alignment), so
-        ``validate="static"`` checks what runs.  Default: the wavefront
-        level model, the weakest order every wavefront-respecting backend
-        refines."""
-        return {"backend": "vectorized"}
+    def schedule_model(self, loop: IrregularLoop, **options) -> Placement:
+        """The :class:`~repro.backends.kernel.Placement` ``run(loop,
+        **options)`` is about to execute — lanes, strip size and barriers
+        resolved by the backend's own rules (default chunk, group
+        alignment), so ``validate="static"`` checks what runs.  It never
+        consults the runner's cache.  Default: the wavefront levels, the
+        weakest order every wavefront-respecting backend refines."""
+        return level_placement(loop)
+
+
+def level_placement(loop: IrregularLoop) -> Placement:
+    """The wavefront levels as barrier cuts, read off the level-major
+    ``order`` and ``level_ptr`` the level walk executes."""
+    from repro.graph.levels import compute_levels
+
+    schedule = compute_levels(loop)
+    cut = np.empty(schedule.n, dtype=np.int64)
+    cut[schedule.order] = np.repeat(
+        np.arange(schedule.n_levels, dtype=np.int64), schedule.level_sizes()
+    )
+    return Placement.barriers(cut, f"vectorized/levels({schedule.n_levels})")
+
+
+def execution_positions(n: int, order: np.ndarray | None) -> np.ndarray:
+    """``pos[i]``, iteration ``i``'s place in ``order`` (``None``:
+    natural order)."""
+    if order is None:
+        return np.arange(n, dtype=np.int64)
+    return inverse_permutation(order)
 
 
 #: Why ``group_sync`` is refused under a doconsider ``order``.

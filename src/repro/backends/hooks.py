@@ -60,20 +60,21 @@ class StaticValidate(RunHook):
     def __init__(self, backend, loop, options):
         super().__init__(backend, loop, options)
         from repro.lint.driver import run_lints
-        from repro.lint.hb import check_backend_schedule
+        from repro.lint.hb import check_dependence_coverage
 
         # The backend resolves its own defaults (chunk, group alignment),
-        # so the check sees the schedule that is about to run.
-        model = backend.schedule_model(loop, **options)
+        # so the check sees the placement that is about to run.
+        placement = backend.schedule_model(loop, **options)
         schedule = options.get("schedule")
+        lanes = placement.lane
         self.diagnostics = run_lints(
             loop,
             plan=options.get("transform"),
             schedule=schedule if isinstance(schedule, str) else None,
-            chunk=model.get("chunk") or 1,
-            processors=model.get("processors", 16),
+            chunk=options.get("chunk") or placement.chunk,
+            processors=16 if lanes is None else int(lanes.max(initial=0)) + 1,
         )
-        self.report = check_backend_schedule(loop, **model)
+        self.report = check_dependence_coverage(loop, placement)
         if not self.report.passed:
             raise RaceConditionError(self.report)
 

@@ -26,12 +26,13 @@ simulated backends are scheduling and synchronisation around these two,
 and the vectorized backend is one :func:`run_span` call over the level-major
 order of its wavefronts (its codes come from the inspector record: level
 order discharges the waits, so nothing there is :data:`LOCAL` and ``wait``
-is ``None``).  The static race checker (:mod:`repro.lint.hb`) reads the same
-placement and the same codes — its wait set is exactly the terms coded
-:data:`WAIT` — and the mutation harness (:mod:`repro.sanitize.mutate`)
-corrupts these codes and replays :func:`run_span` over them, so what is
-checked, and what the detector is proven against, is what the backend
-executes.
+is ``None``).  Each runner states where its iterations run as one
+:class:`Placement` (``schedule_model``); the static race checker
+(:mod:`repro.lint.hb`) applies the one coverage rule to it, its waits
+being exactly the terms :func:`classify_terms` codes :data:`WAIT`, and the
+mutation harness (:mod:`repro.sanitize.mutate`) corrupts these codes and
+replays :func:`run_span` over them, so what is checked, and what the
+detector is proven against, is what the backend executes.
 
 :func:`run_span` has two bodies behind one signature.  A span that needs
 no Python callback — no ``wait``, no ``post``, no shadow log, every
@@ -62,6 +63,7 @@ the walk is tested against, so it shares no code with it.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +74,7 @@ __all__ = [
     "LOCAL",
     "WAIT",
     "ACC",
+    "Placement",
     "default_chunk",
     "lane_of",
     "lane_positions",
@@ -147,6 +150,61 @@ def lane_positions(
     order it executes them in (the deadlock-freedom precondition)."""
     p = np.arange(lo, hi, dtype=np.int64)
     return p[lane_of(p, chunk, workers) == wid]
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where a run puts each iteration, as far as ordering goes: what a
+    runner's ``schedule_model`` hands the static race checker, read off
+    the lane map, strip size and barriers the runner executes by.
+
+    ``pos[i]`` is iteration ``i``'s execution position; ``lane[i]`` the
+    lane that walks it, positions increasing (``None``: no program order
+    is relied on); ``cut[i]`` its barrier segment, every barrier lying
+    between two consecutive segments; ``chunk`` the strip size its term
+    codes are classified with (without flags: the run's strip size, which
+    ``validate="static"`` lints); ``flags`` whether a :data:`WAIT` term
+    waits for its writer's post.  A true dependence ``w → r`` on element ``e`` is
+    ordered iff ``cut[w] < cut[r]``, or ``lane[w] == lane[r]`` and
+    ``pos[w] < pos[r]``, or ``flags`` and ``r``'s term reading ``e`` is
+    coded :data:`WAIT` by :func:`classify_terms` — the rule
+    :func:`repro.lint.hb.check_dependence_coverage` applies.
+    """
+
+    pos: np.ndarray
+    lane: np.ndarray | None
+    cut: np.ndarray
+    chunk: int
+    flags: bool
+    label: str
+
+    @classmethod
+    def barriers(cls, cut, label: str, chunk: int = 1) -> "Placement":
+        """Barrier-separated segments and nothing else: wavefront levels,
+        distance groups."""
+        cut = np.asarray(cut, dtype=np.int64)
+        pos = np.arange(len(cut), dtype=np.int64)
+        return cls(pos, None, cut, chunk, False, label)
+
+    @classmethod
+    def groups(
+        cls, n: int, group: int, backend: str, chunk: int = 1
+    ) -> "Placement":
+        """Natural-order groups of ``group`` iterations, one barrier
+        between consecutive groups, no flags: the distance-elided mode."""
+        if group < 1:
+            raise ValueError(f"group size must be >= 1, got {group}")
+        cut = np.arange(n, dtype=np.int64) // group
+        return cls.barriers(cut, f"{backend}/group({group})", chunk)
+
+    @classmethod
+    def flagged(
+        cls, pos: np.ndarray, lane: np.ndarray, chunk: int, label: str
+    ) -> "Placement":
+        """The flag protocol: lanes and no barrier, a wait per
+        :data:`WAIT` term."""
+        cut = np.zeros(len(pos), dtype=np.int64)
+        return cls(pos, np.asarray(lane, dtype=np.int64), cut, chunk, True, label)
 
 
 def term_positions(ptr: np.ndarray, its: np.ndarray):

@@ -59,11 +59,13 @@ import numpy as np
 from multiprocessing import shared_memory
 
 from repro.backends import kernel
+from repro.backends.kernel import Placement
 from repro.backends.base import (
     NON_NATURAL_GROUP,
     Runner,
     check_analyze_mode,
     check_group_sync,
+    execution_positions,
     inverse_permutation,
     note_ignored_options,
     note_kernel,
@@ -831,15 +833,17 @@ class MultiprocRunner(Runner):
 
     def schedule_model(
         self, loop, *, order=None, chunk=None, group_sync=None, **_options
-    ) -> dict:
+    ) -> Placement:
         c_size, group, _ = self._resolve(loop.n, order, chunk, group_sync)
-        return {
-            "backend": self.name,
-            "processors": self.workers,
-            "chunk": c_size,
-            "order": order,
-            "group": group,
-        }
+        if group is not None:
+            return Placement.groups(loop.n, group, self.name, c_size)
+        pos = execution_positions(loop.n, order)
+        return Placement.flagged(
+            pos,
+            kernel.lane_of(pos, c_size, self.workers),
+            c_size,
+            f"multiproc({self.workers} workers, chunk={c_size})",
+        )
 
     @staticmethod
     def _apply(payloads: list, rec, met) -> None:

@@ -27,12 +27,10 @@ variant the same with the closed-form writer in place of the inspector
 phase and the ``iter`` array; ``barriers`` is always the number of phases
 run.  The executor never compares ``iter`` with ``i`` itself: it charges
 ``dep_check`` per term and branches on the codes derived from the ``iter``
-array just filled, so what ``validate="static"`` checks
-(:func:`repro.lint.hb.waits_from_iter`) is what executes here.  A read
-whose writer sits in an earlier strip-mine block finds ``iter`` already
-reset, classifies ``OLD`` and takes the no-wait path to the *updated*
-``y`` — §2.3's "no synchronisation across blocks" is the shared rule, not
-a second one.
+array just filled.  A read whose writer sits in an earlier strip-mine
+block finds ``iter`` already reset, classifies ``OLD`` and takes the
+no-wait path to the *updated* ``y`` — §2.3's "no synchronisation across
+blocks" is the shared rule, not a second one.
 
 What depends on structure and machine alone — the codes, the schedule's
 lanes, the sweep's operands and the per-processor cycle sums — is built
@@ -77,12 +75,14 @@ from repro.backends import native
 from repro.backends.base import (
     Runner,
     check_repeated,
+    execution_positions,
     note_kernel,
     validate_execution_order,
 )
 from repro.backends.kernel import (
     ACC,
     WAIT,
+    Placement,
     classify_terms,
     run_span,
     take_tally,
@@ -250,17 +250,27 @@ class SimulatedRunner(Runner):
 
     def schedule_model(
         self, loop, *, order=None, schedule=None, chunk=None, **_options
-    ) -> dict:
-        """The schedule ``run(loop, **options)`` would execute, for
-        ``validate="static"``: the options as given (``None`` resolves to
-        this backend's cyclic chunk-1 default in the checker too)."""
-        return {
-            "backend": self.name,
-            "processors": self.machine.processors,
-            "schedule": schedule,
-            "chunk": chunk,
-            "order": order,
-        }
+    ) -> Placement:
+        """The executor's placement: the schedule ``run`` resolves, each
+        position on its processor, and every term coded at chunk 1 as
+        :meth:`_build_operands` codes it.  A dynamic schedule's processor
+        is timing-dependent, so each claim is its own lane: chunk-internal
+        order is kept, and cross-claim order must come from waits."""
+        n = loop.n
+        sched = self._resolve_schedule(schedule, n, 1 if chunk is None else chunk)
+        kind = type(sched).__name__
+        if sched.is_dynamic:
+            lanes = np.full(n, -1, dtype=np.int64)
+            sched.reset()
+            for k, (lo, hi) in enumerate(iter(sched.claim, None)):
+                lanes[lo:hi] = k
+            sched.reset()
+            label = f"simulated/{kind}(dynamic)"
+        else:
+            lanes = sched.lanes()
+            label = f"simulated/{kind}({self.machine.processors}p)"
+        pos = execution_positions(n, order)
+        return Placement.flagged(pos, lanes[pos], 1, label)
 
     # ------------------------------------------------------------------
     # Helpers

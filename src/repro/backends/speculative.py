@@ -195,11 +195,6 @@ class SpeculativeRunner(Runner):
                 met.count("fallback_chunks", stats["fallback_chunks"])
         return result
 
-    def schedule_model(self, loop, **_options) -> dict:
-        # No flag protocol to model: commits follow chunk order, which
-        # refines the wavefront-level order.
-        return {"backend": "vectorized", "processors": self.workers}
-
     # ------------------------------------------------------------------
     def _conflicts(
         self,

@@ -32,11 +32,13 @@ import time
 import numpy as np
 
 from repro.backends import kernel
+from repro.backends.kernel import Placement
 from repro.backends.base import (
     NON_NATURAL_GROUP,
     Runner,
     check_analyze_mode,
     check_group_sync,
+    execution_positions,
     note_ignored_options,
     note_kernel,
     note_verdict,
@@ -174,13 +176,16 @@ class ThreadedRunner(Runner):
 
     def schedule_model(
         self, loop, *, order=None, group_sync=None, **_options
-    ) -> dict:
-        return {
-            "backend": self.name,
-            "processors": self.threads,
-            "order": order,
-            "group": self._group(order, group_sync)[0],
-        }
+    ) -> Placement:
+        group = self._group(order, group_sync)[0]
+        if group is not None:
+            return Placement.groups(loop.n, group, self.name)
+        # Strips of one position dealt to the threads that run (_execute).
+        t = min(self.threads, max(loop.n, 1))
+        pos = execution_positions(loop.n, order)
+        return Placement.flagged(
+            pos, kernel.lane_of(pos, 1, t), 1, f"threaded({t} threads)"
+        )
 
     def run_preprocessed(
         self, loop: IrregularLoop, order: np.ndarray | None = None

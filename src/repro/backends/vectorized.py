@@ -47,6 +47,7 @@ from repro.backends.base import (
     check_analyze_mode,
     check_group_sync,
     check_repeated,
+    level_placement,
     note_ignored_options,
     note_kernel,
     note_verdict,
@@ -54,7 +55,7 @@ from repro.backends.base import (
     validate_execution_order,
 )
 from repro.backends.cache import InspectorCache, InspectorRecord, loop_fingerprint
-from repro.backends.kernel import ACC, WAIT, term_positions
+from repro.backends.kernel import ACC, WAIT, Placement, term_positions
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
@@ -165,6 +166,10 @@ class VectorizedRunner(Runner):
         served as is while the record's fingerprint is the loop's, so
         the cache is not consulted a second time.
         """
+        if self.analyze is not None:
+            # A closed-form record never reads ``write``: hashing checks it
+            # is injective (memoized once the loop is frozen).
+            loop_fingerprint(loop)
         verdict = resolve_verdict(loop, self.analyze)
         if group is not None and group >= 2:
             from repro.analysis import (
@@ -295,11 +300,12 @@ class VectorizedRunner(Runner):
         note_ignored_options(result, self.name, **ignored)
         return result
 
-    def schedule_model(self, loop, *, group_sync=None, **_options) -> dict:
+    def schedule_model(self, loop, *, group_sync=None, **_options) -> Placement:
         # Wavefront order whatever ``order`` says; a group size >= 2
         # replaces the DAG levels by the distance groups (_preprocess).
-        grouped = group_sync is not None and group_sync >= 2
-        return {"backend": self.name, "group": group_sync if grouped else None}
+        if group_sync is not None and group_sync >= 2:
+            return Placement.groups(loop.n, group_sync, self.name)
+        return level_placement(loop)
 
     # ------------------------------------------------------------------
     def run_repeated(

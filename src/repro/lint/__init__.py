@@ -6,10 +6,10 @@ Two halves:
   the paper (doall-able loops, affine writes, dead waits, serializing
   chunk choices, …), producing structured
   :class:`~repro.lint.diagnostics.Diagnostic` findings;
-- **happens-before race checker** (:mod:`repro.lint.hb`) — builds the
-  partial order a backend's schedule implies and verifies every true
-  dependence edge from :func:`repro.ir.analysis.dependence_pairs` is
-  covered.
+- **happens-before race checker** (:mod:`repro.lint.hb`) — one coverage
+  rule over the placement a backend's ``schedule_model`` returns (lanes,
+  strip size, barrier cuts): every true dependence edge from
+  :func:`repro.ir.analysis.dependence_pairs` must be covered.
 
 Entry points: :func:`run_lints` (the driver), ``python -m repro lint``
 (the CLI), and ``validate="static"`` on :func:`repro.parallelize` /
@@ -31,10 +31,6 @@ from repro.lint.hb import (
     RaceReport,
     check_backend_schedule,
     check_dependence_coverage,
-    level_happens_before,
-    simulated_happens_before,
-    threaded_happens_before,
-    waits_from_iter,
 )
 from repro.lint.rules import LintRule, all_rules, get_rule, register, rule_ids
 
@@ -56,10 +52,6 @@ __all__ = [
     "run_lints",
     "Race",
     "RaceReport",
-    "waits_from_iter",
-    "level_happens_before",
-    "threaded_happens_before",
-    "simulated_happens_before",
     "check_dependence_coverage",
     "check_backend_schedule",
 ]

@@ -56,19 +56,21 @@ class Shape:
 
 class Flags(Shape):
     """The flag protocol: lane ``k`` of the runner's ``schedule_model()``
-    runs ``its[k]`` in order; ``codes`` is the kernel's per-term read
-    contract given ``iter_arr``; ``capture`` is what ``run_span`` logs."""
+    placement runs ``its[k]`` in order; ``codes`` is the kernel's per-term
+    read contract given ``iter_arr``; ``capture`` is what ``run_span``
+    logs."""
 
     def __init__(self, loop, runner, phases: bool):
         super().__init__(loop, runner)
-        model = runner.schedule_model(loop)
-        self.chunk, self.workers = model.get("chunk", 1), model["processors"]
+        placement = runner.schedule_model(loop)
+        self.chunk, self.lane = placement.chunk, placement.lane
+        workers = int(self.lane.max(initial=0)) + 1
         # Threads bracket the executor with the phase barrier.
         self.pre, self.post = ([("b", 0)], [("b", 1)]) if phases else ([], [])
         self.iter_arr = writer_map(loop)
         self.its = [
-            kernel.lane_positions(0, loop.n, self.chunk, self.workers, k)
-            for k in range(self.workers)
+            kernel.lane_positions(0, loop.n, self.chunk, workers, k)
+            for k in range(workers)
         ]
 
     @cached_property
@@ -99,8 +101,7 @@ class Flags(Shape):
         (``whole_flags``: a skipped shm scrub left flags set for all their
         readers).  Only waits on another lane's writer are sites: program
         order covers the rest, and ``WAIT`` -> ``LOCAL`` there is no bug."""
-        r = self.loop.reads
-        lane = kernel.lane_of(np.arange(self.loop.n), self.chunk, self.workers)
+        r, lane = self.loop.reads, self.lane
         cross = lane[self.iter_arr[r.index]] != lane[r.iteration_of_term()]
         sites = np.flatnonzero((self.codes == kernel.WAIT) & cross)
         if whole_flags:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import BACKENDS, make_runner, parallelize
+from repro import BACKENDS, PlanSpec, make_runner, parallelize
 from repro.backends import native
 from repro.errors import InvalidLoopError, OutputDependenceError
 from repro.graph.depgraph import DependenceGraph
@@ -343,6 +343,24 @@ class TestMutatedSubscripts:
             with pytest.raises(OutputDependenceError, match="iterations 4 and 5"):
                 make_runner(backend, processors=2).run(loop)
             assert np.array_equal(loop.y0.view(np.uint64), y.view(np.uint64))
+
+    @pytest.mark.parametrize("route", ["runner", "parallelize"])
+    @pytest.mark.parametrize("analyze", [None, "symbolic", "symbolic+check"])
+    def test_a_symbolic_vectorized_run_refuses_a_duplicated_write(
+        self, analyze, route
+    ):
+        # The symbolic record is a closed form of the affine subscript; the
+        # write array it never reads is checked all the same.
+        loop = make_test_loop(60, 5, 8)
+        loop.write[5] = loop.write[4]
+        y = loop.y0.copy()
+        spec = PlanSpec(backend="vectorized", analyze=analyze)
+        with pytest.raises(OutputDependenceError, match="iterations 4 and 5"):
+            if route == "runner":
+                make_runner(spec=spec).run(loop)
+            else:
+                parallelize(loop, spec=spec)
+        assert np.array_equal(loop.y0.view(np.uint64), y.view(np.uint64))
 
     @pytest.mark.parametrize("backend", ["threaded", "speculative"])
     def test_a_warm_direct_run_checks_nothing(self, backend, monkeypatch):

@@ -1,21 +1,21 @@
-"""Happens-before race checker: clean on real schedules, loud on
-corrupted ones."""
+"""Happens-before race checker: one coverage rule over each runner's
+placement — clean on real schedules, loud on corrupted ones, and the
+placement it checks is the lane map the executor walks."""
 
 import numpy as np
 import pytest
 
 import repro
+from repro.backends import kernel
+from repro.backends.base import level_placement
+from repro.backends.hooks import HookedRunner, StaticValidate
+from repro.backends.kernel import Placement
+from repro.backends.simulated import SimulatedRunner
 from repro.graph.levels import compute_levels
+from repro.ir.accesses import ReadTable
 from repro.ir.analysis import dependence_pairs, writer_map
-from repro.lint.hb import (
-    LevelHappensBefore,
-    check_backend_schedule,
-    check_dependence_coverage,
-    level_happens_before,
-    simulated_happens_before,
-    threaded_happens_before,
-    waits_from_iter,
-)
+from repro.ir.loop import IrregularLoop
+from repro.lint.hb import check_backend_schedule, check_dependence_coverage
 
 
 @pytest.fixture
@@ -26,6 +26,12 @@ def fig4():
 @pytest.fixture
 def irregular():
     return repro.random_irregular_loop(150, seed=3)
+
+
+def placement_of(backend, loop, processors=8, **options):
+    return repro.make_runner(backend, processors=processors).schedule_model(
+        loop, **options
+    )
 
 
 # ----------------------------------------------------------------------
@@ -55,8 +61,8 @@ def test_simulated_clean_under_every_schedule_kind(fig4, kind):
 
 def test_doconsider_order_is_clean_too(irregular):
     order, _ = repro.level_order(irregular)
-    hb = threaded_happens_before(irregular, threads=8, order=order)
-    assert check_dependence_coverage(irregular, hb).passed
+    placement = placement_of("threaded", irregular, order=order)
+    assert check_dependence_coverage(irregular, placement).passed
 
 
 def test_independent_loop_has_nothing_to_check():
@@ -82,7 +88,7 @@ def test_swapped_level_pair_is_a_race(irregular):
     assert levels[writer] < levels[reader]
     levels[writer], levels[reader] = levels[reader], levels[writer]
     report = check_dependence_coverage(
-        irregular, LevelHappensBefore(levels, label="corrupted")
+        irregular, Placement.barriers(levels, "corrupted")
     )
     assert not report.passed
     flagged = {(r.writer, r.reader) for r in report.races}
@@ -105,8 +111,8 @@ def test_corrupted_iter_entry_is_a_race_on_threaded(irregular):
     writer, reader = int(pairs[k, 0]), int(pairs[k, 1])
     bad_iter = writer_map(irregular).copy()
     bad_iter[irregular.write[writer]] = -1  # "never written"
-    hb = threaded_happens_before(irregular, threads, iter_array=bad_iter)
-    report = check_dependence_coverage(irregular, hb)
+    placement = placement_of("threaded", irregular, processors=threads)
+    report = check_dependence_coverage(irregular, placement, iter_array=bad_iter)
     assert not report.passed
     assert any(r.writer == writer and r.reader == reader for r in report.races)
 
@@ -116,17 +122,17 @@ def test_corrupted_iter_entry_is_a_race_on_simulated(irregular):
     writer = int(pairs[0, 0])
     bad_iter = writer_map(irregular).copy()
     bad_iter[irregular.write[writer]] = -1
-    hb = simulated_happens_before(
-        irregular, processors=8, schedule="dynamic", iter_array=bad_iter
-    )
-    assert not check_dependence_coverage(irregular, hb).passed
+    placement = placement_of("simulated", irregular, schedule="dynamic")
+    assert not check_dependence_coverage(
+        irregular, placement, iter_array=bad_iter
+    ).passed
 
 
 def test_race_count_survives_truncation(irregular):
     # Destroy *every* level: far more races than max_races.
     levels = np.zeros(irregular.n, dtype=np.int64)
     report = check_dependence_coverage(
-        irregular, LevelHappensBefore(levels, label="flat"), max_races=5
+        irregular, Placement.barriers(levels, "flat"), max_races=5
     )
     assert not report.passed
     assert len(report.races) == 5
@@ -134,10 +140,21 @@ def test_race_count_survives_truncation(irregular):
 
 
 # ----------------------------------------------------------------------
-# Model internals
+# The rule's inputs
 # ----------------------------------------------------------------------
-def test_waits_from_iter_matches_true_dependences(fig4):
-    keys = waits_from_iter(fig4)
+def test_wait_codes_match_true_dependences(fig4):
+    """At chunk 1 (a lane per strip of one) the kernel codes ``WAIT``
+    exactly the terms that read a true dependence — the wait set the
+    flag rule covers edges with."""
+    reads = fig4.reads
+    codes = kernel.classify_terms(
+        reads.ptr, reads.index, writer_map(fig4), np.arange(fig4.n), 1
+    )
+    waited = codes == kernel.WAIT
+    keys = np.unique(
+        reads.iteration_of_term()[waited] * np.int64(fig4.y_size)
+        + reads.index[waited]
+    )
     pairs = dependence_pairs(fig4)
     expected = np.unique(
         pairs[:, 1] * np.int64(fig4.y_size) + fig4.write[pairs[:, 0]]
@@ -146,59 +163,72 @@ def test_waits_from_iter_matches_true_dependences(fig4):
 
 
 def test_level_happens_before_reads_executed_slices(fig4):
-    hb = level_happens_before(fig4)
-    assert np.array_equal(hb.levels, compute_levels(fig4).levels)
-    # Also accepts a prebuilt LevelSchedule.
-    hb2 = level_happens_before(compute_levels(fig4))
-    assert np.array_equal(hb.levels, hb2.levels)
+    placement = level_placement(fig4)
+    schedule = compute_levels(fig4)
+    assert np.array_equal(placement.cut, schedule.levels)
+    assert placement.label == f"vectorized/levels({schedule.n_levels})"
+    assert placement.lane is None and not placement.flags
+    # The vectorized runner and the Runner default hand over the same.
+    for backend in ("vectorized", "speculative"):
+        other = placement_of(backend, fig4)
+        assert np.array_equal(other.cut, placement.cut)
+        assert other.label == placement.label
+
+
+def _edges_loop(n: int, reads: dict) -> IrregularLoop:
+    """``y[i]`` written by iteration ``i``; iteration ``r`` reads the
+    elements ``reads[r]`` — so the true dependences are exactly
+    ``w → r`` for ``w in reads[r]``."""
+    table = ReadTable.from_lists(
+        [[(w, 1.0) for w in reads.get(i, ())] for i in range(n)]
+    )
+    return IrregularLoop.from_arrays(np.arange(n), table, name="edges")
+
+
+@pytest.mark.parametrize(
+    "cut,uncovered",
+    [
+        # Distance groups of 4: covered iff the writer's group is earlier.
+        (np.arange(8) // 4, {(4, 7), (5, 6)}),
+        # Every iteration its own segment: everything is covered.
+        (np.arange(8), set()),
+        # One segment: nothing is.
+        (np.zeros(8, dtype=np.int64), {(0, 4), (3, 4), (4, 7), (5, 6)}),
+    ],
+    ids=["group-elementwise", "sequential", "flat"],
+)
+def test_cut_rule(cut, uncovered):
+    loop = _edges_loop(8, {4: (0, 3), 7: (4,), 6: (5,)})
+    report = check_dependence_coverage(loop, Placement.barriers(cut, "cuts"))
+    assert report.checked_edges == 4
+    assert {(r.writer, r.reader) for r in report.races} == uncovered
 
 
 # ----------------------------------------------------------------------
 # Group-synchronous happens-before (the DistancePass's elided mode)
 # ----------------------------------------------------------------------
 def test_group_happens_before_covers_proven_distances():
-    from repro.lint.hb import GroupHappensBefore, group_happens_before
-
     chain = repro.chain_loop(240, 8)
-    hb = group_happens_before(8, backend="threaded")
-    assert isinstance(hb, GroupHappensBefore)
-    assert hb.label == "threaded/group(8)"
-    report = check_dependence_coverage(chain, hb)
+    placement = Placement.groups(chain.n, 8, "threaded")
+    assert placement.label == "threaded/group(8)"
+    assert np.array_equal(placement.cut, np.arange(240) // 8)
+    report = check_dependence_coverage(chain, placement)
     assert report.passed
     assert report.checked_edges == len(dependence_pairs(chain))
 
 
 def test_group_happens_before_races_when_the_group_is_oversized():
-    from repro.lint.hb import group_happens_before
-
     # Distance 3 but groups of 8: same-group pairs share no barrier.
     report = check_dependence_coverage(
-        repro.chain_loop(240, 3), group_happens_before(8)
+        repro.chain_loop(240, 3), Placement.groups(240, 8, "threaded")
     )
     assert not report.passed
     assert report.races
 
 
 def test_group_happens_before_rejects_degenerate_groups():
-    from repro.lint.hb import GroupHappensBefore
-
     with pytest.raises(ValueError, match="group"):
-        GroupHappensBefore(0)
-
-
-def test_group_covers_is_elementwise():
-    from repro.lint.hb import GroupHappensBefore
-
-    hb = GroupHappensBefore(4)
-    writers = np.array([0, 3, 4, 5])
-    readers = np.array([4, 4, 7, 6])
-    # Edge covered iff the writer's group is strictly earlier.
-    assert hb.covers(writers, readers, np.zeros(4, dtype=np.int64)).tolist() == [
-        True,
-        True,
-        False,
-        False,
-    ]
+        Placement.groups(10, 0, "threaded")
 
 
 @pytest.mark.parametrize("backend", ["threaded", "multiproc", "vectorized"])
@@ -206,6 +236,7 @@ def test_check_backend_schedule_group_mode(backend):
     chain = repro.chain_loop(240, 8)
     report = check_backend_schedule(chain, backend, group=8)
     assert report.passed
+    assert report.schedule_label == f"{backend}/group(8)"
     # Undersized bound: the same entry point must report the races.
     bad = check_backend_schedule(repro.chain_loop(240, 3), backend, group=8)
     assert not bad.passed
@@ -219,3 +250,180 @@ def test_check_backend_schedule_group_mode_rejections():
         )
     with pytest.raises(ValueError, match="simulated"):
         check_backend_schedule(chain, "simulated", group=4)
+    with pytest.raises(ValueError, match="group size must be >= 1"):
+        check_backend_schedule(chain, "vectorized", group=0)
+
+
+def test_schedule_model_leaves_the_cache_alone():
+    """A validated cold run still reports its one cache miss: the
+    placement is computed beside the runner's cache, never through it."""
+    loop = repro.random_irregular_loop(150, seed=3)
+    cache = repro.InspectorCache()
+    runner = repro.make_runner(
+        spec=repro.PlanSpec(backend="vectorized", validate="static"), cache=cache
+    )
+    result = runner.run(loop)
+    assert result.extras["cache_hit"] is False
+    assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
+
+
+# ----------------------------------------------------------------------
+# What is checked is what runs
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def multiproc_runner():
+    runner = repro.MultiprocRunner(workers=2)
+    yield runner
+    runner.close()
+
+
+def _iterations(positions, order):
+    return positions if order is None else np.asarray(order)[positions]
+
+
+def _lanes_walked(backend, runner, monkeypatch, loop, options):
+    """Run ``runner`` under ``validate="static"`` and return the result
+    with ``{lane: iterations}`` as its executor walked them."""
+    walked: dict = {}
+    order = options.get("order")
+    if backend == "threaded":
+        lane_positions = kernel.lane_positions
+
+        def spy(lo, hi, chunk, workers, wid):
+            positions = lane_positions(lo, hi, chunk, workers, wid)
+            walked[wid] = _iterations(positions, order)
+            return positions
+
+        monkeypatch.setattr(kernel, "lane_positions", spy)
+    elif backend == "multiproc":
+        broadcast = runner._broadcast
+
+        def spy(message):
+            phase, _key, opts = message
+            if phase == "executor":
+                for wid in range(opts["workers"]):
+                    positions = kernel.lane_positions(
+                        *opts["window"], opts["chunk"], opts["workers"], wid
+                    )
+                    walked.setdefault(wid, []).append(
+                        _iterations(positions, order)
+                    )
+            return broadcast(message)
+
+        monkeypatch.setattr(runner, "_broadcast", spy)
+    elif backend == "simulated":
+        operands = SimulatedRunner._executor_operands
+        body = SimulatedRunner._executor_body
+
+        def spy_operands(self, loop, its, codes, counts, first, lanes):
+            for lane in np.unique(lanes):
+                walked[int(lane)] = its[lanes == lane]
+            return operands(self, loop, its, codes, counts, first, lanes)
+
+        def spy_body(self, loop, its, codes, first):
+            run = body(self, loop, its, codes, first)
+
+            def walk(st, lo, hi):
+                # One claim per call on a dynamic schedule: its own lane.
+                walked[len(walked)] = its[lo:hi]
+                yield from run(st, lo, hi)
+
+            return walk
+
+        monkeypatch.setattr(SimulatedRunner, "_executor_operands", spy_operands)
+        monkeypatch.setattr(SimulatedRunner, "_executor_body", spy_body)
+    result = HookedRunner(runner, [StaticValidate]).run(loop, **options)
+    if backend == "multiproc":
+        walked = {w: np.concatenate(parts) for w, parts in walked.items()}
+    return result, walked
+
+
+CHAIN = repro.chain_loop(96, 4)
+IRREGULAR = repro.random_irregular_loop(120, seed=3)
+DOCONSIDER = repro.level_order(IRREGULAR)[0]
+
+RUNS = (
+    [
+        ("threaded", IRREGULAR, {}),
+        ("threaded", IRREGULAR, {"order": DOCONSIDER}),
+        ("threaded", CHAIN, {"group_sync": 4}),
+        ("threaded", CHAIN, {"group_sync": 4, "order": np.arange(96)}),
+    ]
+    + [
+        ("multiproc", IRREGULAR, {"chunk": c, "order": o})
+        for c in (None, 1, 5)
+        for o in (None, DOCONSIDER)
+    ]
+    + [
+        # Aligned with the strips; not a multiple; under the default 12.
+        ("multiproc", CHAIN, {"group_sync": 4, "chunk": 2}),
+        ("multiproc", CHAIN, {"group_sync": 4, "chunk": 3}),
+        ("multiproc", CHAIN, {"group_sync": 4}),
+    ]
+    + [
+        ("simulated", IRREGULAR, {"schedule": k, "chunk": c, "order": o})
+        for k in (None, "block", "cyclic", "dynamic", "guided")
+        for c in (None, 3)
+        for o in (None, DOCONSIDER)
+    ]
+    + [
+        ("vectorized", IRREGULAR, {"order": DOCONSIDER}),
+        ("vectorized", CHAIN, {"group_sync": 4}),
+    ]
+)
+
+
+def _run_id(run):
+    backend, loop, options = run
+    shown = {
+        k: "doconsider" if v is DOCONSIDER else "natural" if k == "order" else v
+        for k, v in options.items()
+    }
+    return f"{backend}-{loop.name}-" + ",".join(f"{k}={v}" for k, v in shown.items())
+
+
+@pytest.mark.parametrize("run", RUNS, ids=[_run_id(r) for r in RUNS])
+def test_what_is_checked_is_what_runs(run, monkeypatch, multiproc_runner):
+    backend, loop, options = run
+    runner = (
+        multiproc_runner
+        if backend == "multiproc"
+        else repro.make_runner(backend, processors=3)
+    )
+    processors = 2 if backend == "multiproc" else 3
+    placement = runner.schedule_model(loop, **options)
+    result, walked = _lanes_walked(backend, runner, monkeypatch, loop, options)
+    assert np.array_equal(result.y, loop.run_sequential())
+
+    # validate="static" reports exactly what lint --backend reports.
+    check = dict(options, group=options.get("group_sync"))
+    check.pop("group_sync", None)
+    if check["group"] is not None and check.get("order") is not None:
+        check["group"] = None  # refused in doconsider order: flags run
+    assert result.extras["race_check"] == check_backend_schedule(
+        loop, backend, processors=processors, **check
+    ).as_dict()
+    assert result.extras["race_check"]["passed"]
+
+    grouped = result.extras.get("distance_group")
+    if placement.lane is None:
+        # Barriers only: the levels, or the distance groups that ran.
+        assert not placement.flags
+        expected = (
+            level_placement(loop)
+            if grouped is None
+            else Placement.groups(loop.n, grouped, backend)
+        )
+        assert placement.label == expected.label
+        assert np.array_equal(placement.cut, expected.cut)
+        return
+    assert grouped is None and placement.flags
+    assert np.array_equal(placement.cut, np.zeros(loop.n))
+    # Every iteration walked once, each on the lane the placement says,
+    # in increasing position order.
+    assert sorted(np.concatenate(list(walked.values())).tolist()) == list(
+        range(loop.n)
+    )
+    for lane, its in walked.items():
+        assert (placement.lane[its] == lane).all(), (lane, its)
+        assert (np.diff(placement.pos[its]) > 0).all()
