@@ -43,11 +43,11 @@ A loop's first fingerprint is taken by its first plan or its first run
 on any backend but one: a simulated run hashes (and freezes) only when
 its runner was given an :class:`InspectorCache`, whatever the machine,
 and without one — the classic ``PreprocessedDoacross`` API — leaves the
-arrays writeable.  Hashing is also where ``write`` is checked to be
-injective (:meth:`~repro.ir.loop.IrregularLoop.check_write_injective`),
-so a loop mutated before first use into one with an output dependence
-is refused with :class:`~repro.errors.OutputDependenceError` before
-anything runs, and a frozen loop is never checked again.
+arrays writeable.  Hashing is also where the subscripts are checked to
+lie inside ``y`` and ``write`` to be injective, so a loop mutated before
+first use is refused (:class:`~repro.errors.InvalidLoopError`,
+:class:`~repro.errors.OutputDependenceError`) before anything runs, and
+a frozen loop is never checked again.
 
 A cache entry (:class:`InspectorRecord`) holds everything the vectorized
 backend's preprocessing produces: the paper's ``iter`` array, the
@@ -134,8 +134,9 @@ def fingerprint_with_body(loop: IrregularLoop) -> tuple[str, str]:
             and not any(a.flags.writeable for a in chain)
         ):
             return digest, "memo"
-    # The last moment ``write`` can change: checked here, a frozen loop's
-    # is never checked again.
+    # The last moment the index arrays can change: checked here, a frozen
+    # loop's are never checked again.
+    loop.check_subscripts()
     loop.check_write_injective()
     chain = _frozen_chain(arrays)
     if chain is not None:

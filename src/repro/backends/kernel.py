@@ -29,10 +29,10 @@ order discharges the waits, so nothing there is :data:`LOCAL` and ``wait``
 is ``None``).  Each runner states where its iterations run as one
 :class:`Placement` (``schedule_model``); the static race checker
 (:mod:`repro.lint.hb`) applies the one coverage rule to it, its waits
-being exactly the terms :func:`classify_terms` codes :data:`WAIT`, and the
+being exactly the terms :func:`classify_terms` codes :data:`WAIT`; the
 mutation harness (:mod:`repro.sanitize.mutate`) corrupts these codes and
-replays :func:`run_span` over them, so what is checked, and what the
-detector is proven against, is what the backend executes.
+walks them (:func:`run_span`'s log, or its NumPy twin :func:`span_events`),
+so what is checked, and what the detector is proven against, is run.
 
 :func:`run_span` has two bodies behind one signature.  A span that needs
 no Python callback — no ``wait``, no ``post``, no shadow log, every
@@ -81,6 +81,7 @@ __all__ = [
     "term_positions",
     "classify_terms",
     "run_span",
+    "span_events",
     "take_tally",
 ]
 
@@ -371,3 +372,37 @@ def run_span(
             if events is not None:
                 events.append(("p", w))
     return cur
+
+
+def span_events(
+    its: np.ndarray,
+    codes: np.ndarray,
+    write: np.ndarray,
+    ptr: np.ndarray,
+    index: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shadow log :func:`run_span` writes for a span with no ``wait``
+    and no ``post``, as columns ``(iteration, element, src)`` — row ``t``
+    is the lane's event at time ``t``.  Per position, in term order: a
+    read (``src`` 0 for :data:`OLD`, 1 for a renamed value) per term not
+    coded :data:`ACC`, then the write (``src`` -1).  ``codes`` are the
+    span's own, as :func:`classify_terms` orders them."""
+    its = np.asarray(its, dtype=np.int64)
+    terms, counts = term_positions(ptr, its)
+    read = codes != ACC
+    seen = np.zeros(len(read) + 1, dtype=np.int64)
+    np.cumsum(read, out=seen[1:])
+    ends = np.zeros(len(its) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ends[1:])
+    rows = np.diff(seen[ends]) + 1  # a position's reads, then its write
+    iteration = np.repeat(its, rows)
+    last = np.cumsum(rows) - 1
+    is_read = np.ones(len(iteration), dtype=bool)
+    is_read[last] = False
+    element = np.empty(len(iteration), dtype=np.int64)
+    src = np.empty(len(iteration), dtype=np.int8)
+    element[is_read] = index[terms][read]
+    src[is_read] = codes[read] != OLD
+    element[last] = write[its]
+    src[last] = -1
+    return iteration, element, src

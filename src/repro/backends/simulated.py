@@ -800,9 +800,11 @@ class SimulatedRunner(Runner):
         why_engine = self._why_engine(described, tracer)
         ws = self._checkout_workspace(loop)
         # Given a cache, every run hashes the loop, whatever the machine;
-        # hashing checks that ``write`` is injective.  Without one nothing
-        # is hashed or frozen, and the check runs here.
+        # hashing checks the subscripts are in range and ``write`` is
+        # injective.  Without one nothing is hashed or frozen, and the
+        # checks run here.
         if self.cache is None:
+            loop.check_subscripts()
             loop.check_write_injective()
             fingerprint = None
         else:

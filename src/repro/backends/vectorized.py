@@ -55,52 +55,14 @@ from repro.backends.base import (
     validate_execution_order,
 )
 from repro.backends.cache import InspectorCache, InspectorRecord, loop_fingerprint
-from repro.backends.kernel import ACC, WAIT, Placement, term_positions
+from repro.backends.kernel import Placement
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 from repro.machine.costs import CostModel
 from repro.obs.spans import CAT_LEVEL, CAT_PHASE
 
-__all__ = ["VectorizedRunner", "log_levels"]
-
-
-def log_levels(capture, record: InspectorRecord, loop: IrregularLoop, cuts) -> None:
-    """Shadow-log the walk of ``record`` onto ``capture``, one lane per
-    level: level ``k`` — positions ``cuts[k]:cuts[k+1]`` of
-    ``record.schedule.order`` — is the handoff acquire, one bulk ``R``
-    (accumulator terms are not memory reads), one bulk ``W``, the handoff
-    post.  The synthetic token ``-(k+1)``, posted by level ``k`` and
-    acquired by level ``k+1``, is the log's rendering of "levels execute
-    strictly in order"; the walk is level-major and a level's iterations
-    share no true dependence, so "level ``k``'s reads, then its writes,
-    levels in order" is what ran.  The runner logs the record's own level
-    cuts; the mutation harness logs the same record over mutated cuts."""
-    order, reads = record.schedule.order, loop.reads
-    terms, counts = term_positions(reads.ptr, order)
-    term_ptr = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(counts, out=term_ptr[1:])
-    readers = np.repeat(order, counts)
-    index = reads.index[terms]
-    read = record.codes != ACC
-    renamed = (record.codes == WAIT).astype(np.int64)
-    n_levels = len(cuts) - 1
-    capture.meta["levels"] = n_levels
-    for k in range(n_levels):
-        lane = capture.lane(k)
-        p0, p1 = int(cuts[k]), int(cuts[k + 1])
-        t0, t1 = int(term_ptr[p0]), int(term_ptr[p1])
-        if k > 0:
-            lane.append(("a", -k))
-        keep = read[t0:t1]
-        if keep.any():
-            lane.append((
-                "R", readers[t0:t1][keep], index[t0:t1][keep],
-                renamed[t0:t1][keep],
-            ))
-        lane.append(("W", order[p0:p1].copy(), loop.write[order[p0:p1]]))
-        if k + 1 < n_levels:
-            lane.append(("p", -(k + 1)))
+__all__ = ["VectorizedRunner"]
 
 
 class VectorizedRunner(Runner):
@@ -371,7 +333,8 @@ class VectorizedRunner(Runner):
         rec, san = self._obs_recorder, self._san_capture
         n_levels = schedule.n_levels
         if san is not None:
-            log_levels(san, record, loop, schedule.level_ptr)
+            # The walk below, as one span event of its one lane.
+            san.lane(0).append(("s", schedule.order, record.codes))
         if rec is not None:
             t_exec = rec.now()
         kernel.run_span(

@@ -171,8 +171,8 @@ class IrregularLoop:
     # ------------------------------------------------------------------
     def check_subscripts(self) -> None:
         """Raise :class:`~repro.errors.InvalidLoopError` if a write or read
-        index lies outside ``y`` — checked at construction (the level sweep
-        checks again, since an index array may have been mutated)."""
+        index lies outside ``y`` — checked at construction, and again where
+        the loop is hashed, since an index array may have been mutated)."""
         if self.n > 0:
             lo, hi = int(self.write.min()), int(self.write.max())
             if lo < 0 or hi >= self.y_size:

@@ -8,7 +8,7 @@ dual of the happens-before race checker:
 - :mod:`repro.sanitize.shadow` — shadow logs: backends append the memory
   accesses and synchronization events they actually perform, one
   append-only event list per lane (thread / worker / simulated processor
-  / wavefront level).
+  / the vectorized walk).
 - :mod:`repro.sanitize.vclock` — per-lane vector clocks, advanced at
   wait/post/barrier/chunk-handoff events during replay.
 - :mod:`repro.sanitize.detector` — replays the logs, assigns each access

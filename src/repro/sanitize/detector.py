@@ -5,25 +5,25 @@ every cross-iteration true dependence with synchronization it actually
 performed?*  The static checkers answer the planned-order version of the
 question; this module answers it for the run the backend really did.
 
-Two replay strategies share one report format:
+One replay, in two steps:
 
-- The **general path** (:class:`_Replay`) performs a worklist replay of
-  the per-lane event lists.  Each lane owns a sparse
-  :class:`~repro.sanitize.vclock.VectorClock` holding the cross-lane
-  knowledge it has acquired; its own component is implicit (the index of
-  the current event).  Lanes advance until they block on an acquire
-  whose token is unposted or a barrier whose participants are
-  incomplete; a global stall means the run's log cannot be linearized —
-  every blocked lane yields a violation and is force-advanced so the
-  remainder of the log is still examined.  Clock snapshots are taken
-  only at joins (acquire/barrier), so memory is O(joins x lanes), not
-  O(events).
-- The **level fast path** (:func:`_detect_levels`) handles the
-  vectorized backend, whose lanes are wavefront levels chained by
-  synthetic tokens.  A chain of L levels would give the general path
-  O(L^2) clock components (L can be ~n for a distance-1 chain), so the
-  fast path checks ``write_level < read_level`` with numpy and a
-  prefix-sum over broken chain links instead.
+- A **worklist replay** (:class:`_Replay`) walks each lane's
+  synchronization events only — posts, acquires, barriers.  Each lane
+  owns a sparse :class:`~repro.sanitize.vclock.VectorClock` holding the
+  cross-lane knowledge it has acquired; its own component is implicit
+  (its lane-local time, the index of its current event).  Lanes advance
+  until they block on an acquire whose token is unposted or a barrier
+  whose participants are incomplete; a global stall means the run's log
+  cannot be linearized — every blocked lane yields a violation and is
+  force-advanced so the remainder of the log is still examined.  Clock
+  snapshots are taken only at joins (acquire/barrier), so memory is
+  O(joins x lanes), not O(events).
+- **One NumPy pass** (:func:`_check`) over every lane's accesses, as
+  columns, checks each required triple's read occurrences: stale and
+  missing reads and writes, program order on one lane, and — by a clock
+  lookup, for cross-lane occurrences only — a witnessed edge.  A span
+  event (the vectorized backend's one-lane walk) enters it through
+  :func:`~repro.backends.kernel.span_events`, never as tuples.
 
 Required read-after-write pairs come from
 :func:`repro.ir.analysis.classify_reads` — *not* from
@@ -39,14 +39,14 @@ from typing import Any, Dict, Hashable, List, Tuple
 
 import numpy as np
 
-from repro.ir.analysis import CAT_TRUE, classify_reads, writer_map
+from repro.backends import kernel
+from repro.ir.analysis import CAT_TRUE, classify_reads
 from repro.sanitize.events import (
     EV_ACQUIRE,
     EV_BARRIER,
-    EV_BULK_READ,
-    EV_BULK_WRITE,
     EV_POST,
     EV_READ,
+    EV_SPAN,
     EV_WRITE,
     SRC_NEW,
     SRC_OLD,
@@ -81,7 +81,8 @@ class Violation:
 
     ``writer``/``reader`` are *iterations*; ``writer_lane``/
     ``reader_lane`` are the shadow-log lanes (thread id, ``(pid, wid)``
-    pair, simulated processor, or wavefront level) that performed them.
+    pair, simulated processor, speculative chunk, or the vectorized walk's
+    lane 0) that performed them.
     """
 
     kind: str
@@ -201,169 +202,184 @@ class SanitizeReport:
         }
 
 
+def _required(loop) -> np.ndarray:
+    """:func:`required_pairs` as a sorted ``(k, 3)`` array."""
+    readers, writers, categories = classify_reads(loop)
+    mask = categories == CAT_TRUE
+    trip = np.stack([writers[mask], readers[mask], loop.reads.index[mask]], 1)
+    return np.unique(trip.astype(np.int64), axis=0)
+
+
 def required_pairs(loop) -> List[Tuple[int, int, int]]:
     """The sanitizer's contract: the unique ``(writer_iteration,
     reader_iteration, element)`` triples the §2.2 protocol must order —
     every cross-iteration true-dependence read term, each to be covered
     by a witnessed happens-before edge."""
-    readers, writers, categories = classify_reads(loop)
-    mask = categories == CAT_TRUE
-    if not mask.any():
-        return []
-    elems = np.asarray(loop.reads.index)[mask]
-    trip = np.stack(
-        [writers[mask], readers[mask], elems.astype(np.int64)], axis=1
-    )
-    trip = np.unique(trip, axis=0)
-    return [(int(w), int(r), int(e)) for w, r, e in trip]
+    return [(int(w), int(r), int(e)) for w, r, e in _required(loop)]
+
+
+def _split(events: List[tuple], loop):
+    """One lane's log as ``(accesses, sync, length)``: the access columns
+    ``(time, iteration, element, src)`` (``src`` -1 for a write), the
+    synchronization events as ``(time, kind, arg)``, and the number of
+    scalar events.  ``time`` is the lane-local index of a scalar event; a
+    span event stands for the events
+    :func:`~repro.backends.kernel.span_events` lists."""
+    rows: List[tuple] = []
+    parts: List[tuple] = []
+    sync: List[tuple] = []
+    t = 0
+    for ev in events:
+        kind = ev[0]
+        if kind == EV_READ:
+            rows.append((t, ev[1], ev[2], ev[3]))
+        elif kind == EV_WRITE:
+            rows.append((t, ev[1], ev[2], -1))
+        elif kind == EV_SPAN:
+            r = loop.reads
+            cols = kernel.span_events(ev[1], ev[2], loop.write, r.ptr, r.index)
+            width = len(cols[0])
+            parts.append((np.arange(t, t + width), *cols))
+            t += width
+            continue
+        else:
+            sync.append((t, kind, ev[1]))
+        t += 1
+    if rows or not parts:
+        parts.append(tuple(np.array(rows, dtype=np.int64).reshape(-1, 4).T))
+    if len(parts) == 1:
+        return parts[0], sync, t
+    cols = tuple(map(np.concatenate, zip(*parts)))
+    by_time = np.argsort(cols[0])
+    return tuple(c[by_time] for c in cols), sync, t
 
 
 class _Replay:
-    """Worklist replay of per-lane event lists (general path)."""
+    """Worklist replay of the lanes' synchronization events.
 
-    def __init__(self, capture: ShadowCapture, report: SanitizeReport):
+    A lane's time is the index of its current scalar event; ``now`` is the
+    time a lane has run to and ``pos`` its next synchronization event.
+    Every access between two synchronization events runs with the lane,
+    so only the synchronization events are walked.  Each run of a lane
+    (one :meth:`_advance` that moved) is numbered: run number, then time,
+    is the order the accesses were met in."""
+
+    def __init__(
+        self,
+        sync: Dict[Hashable, List[tuple]],
+        length: Dict[Hashable, int],
+        report: SanitizeReport,
+    ):
         self.report = report
         self.lanes: List[Hashable] = sorted(
-            capture.lanes, key=lambda lid: (str(type(lid)), str(lid))
+            sync, key=lambda lid: (str(type(lid)), str(lid))
         )
-        self.events: Dict[Hashable, List[tuple]] = {
-            lid: self._expand(capture.lanes[lid]) for lid in self.lanes
-        }
+        self.sync, self.length = sync, length
         self.pos: Dict[Hashable, int] = {lid: 0 for lid in self.lanes}
+        self.now: Dict[Hashable, int] = {lid: 0 for lid in self.lanes}
         self.vc: Dict[Hashable, VectorClock] = {
             lid: VectorClock() for lid in self.lanes
         }
-        # Clock checkpoints: (event indices, snapshots) per lane, taken
-        # only when a join changes the clock.
+        # Clock checkpoints: (times, snapshots) per lane, taken at joins.
         self.checkpoints: Dict[Hashable, Tuple[List[int], List[VectorClock]]]
         self.checkpoints = {lid: ([], []) for lid in self.lanes}
         # First post wins: flags stay set, and re-posting must not grant
         # later acquirers more knowledge than the flag's value implies.
         self.posted: Dict[Hashable, Tuple[Hashable, int, VectorClock]] = {}
+        # Unreleased barrier generations: lane -> index of its arrival.
         self.barrier_arrivals: Dict[Hashable, Dict[Hashable, int]] = {}
         self.blocked: Dict[Hashable, tuple] = {}
-        # Access records for the checking pass.
-        self.writes: Dict[Tuple[int, int], Tuple[Hashable, int]] = {}
-        self.reads: Dict[Tuple[int, int], List[Tuple[Hashable, int, int]]]
-        self.reads = {}
+        # Per lane: (end time, run number) of each run.
+        self.runs: Dict[Hashable, Tuple[List[int], List[int]]]
+        self.runs = {lid: ([], []) for lid in self.lanes}
+        self.n_runs = 0
 
-    @staticmethod
-    def _expand(events: List[tuple]) -> List[tuple]:
-        """Expand bulk read/write events into scalar ones."""
-        if not any(ev[0] in (EV_BULK_READ, EV_BULK_WRITE) for ev in events):
-            return events
-        out: List[tuple] = []
-        for ev in events:
-            kind = ev[0]
-            if kind == EV_BULK_READ:
-                _, iters, elems, srcs = ev
-                for i, e, s in zip(iters, elems, srcs):
-                    out.append((EV_READ, int(i), int(e), int(s)))
-            elif kind == EV_BULK_WRITE:
-                _, iters, elems = ev
-                for i, e in zip(iters, elems):
-                    out.append((EV_WRITE, int(i), int(e)))
-            else:
-                out.append(ev)
-        return out
-
-    def _checkpoint(self, lane: Hashable, idx: int) -> None:
-        indices, snaps = self.checkpoints[lane]
+    def _checkpoint(self, lane: Hashable, t: int) -> None:
+        times, snaps = self.checkpoints[lane]
         snapshot = self.vc[lane].copy()
-        if indices and indices[-1] == idx:
+        if times and times[-1] == t:
             snaps[-1] = snapshot
         else:
-            indices.append(idx)
+            times.append(t)
             snaps.append(snapshot)
 
-    def clock_at(self, lane: Hashable, idx: int) -> VectorClock | None:
-        """The lane's cross-lane clock in effect at event index ``idx``
-        (the last checkpoint at or before it)."""
-        indices, snaps = self.checkpoints[lane]
-        k = bisect_right(indices, idx)
+    def clock_at(self, lane: Hashable, t: int) -> VectorClock | None:
+        """The lane's cross-lane clock in effect at time ``t`` (the last
+        checkpoint at or before it)."""
+        times, snaps = self.checkpoints[lane]
+        k = bisect_right(times, t)
         return snaps[k - 1] if k else None
 
     def run(self) -> None:
         while True:
-            progress = self._sweep()
-            if all(
-                self.pos[lid] >= len(self.events[lid]) for lid in self.lanes
-            ):
+            progress = False
+            for lane in self.lanes:
+                progress = self._advance(lane) or progress
+            if all(self.now[lid] >= self.length[lid] for lid in self.lanes):
                 return
             if not progress:
                 self._break_stall()
 
-    def _sweep(self) -> bool:
-        progress = False
-        for lane in self.lanes:
-            if self._advance(lane):
-                progress = True
-        return progress
-
     def _advance(self, lane: Hashable) -> bool:
-        """Run one lane until it blocks or exhausts its log; True if it
-        processed at least one event."""
-        events = self.events[lane]
-        idx = self.pos[lane]
-        moved = False
+        """Run one lane until it blocks or exhausts its log; True if its
+        time moved."""
+        sync, k, start = self.sync[lane], self.pos[lane], self.now[lane]
         vc = self.vc[lane]
-        while idx < len(events):
-            ev = events[idx]
-            kind = ev[0]
-            if kind == EV_READ:
-                _, it, elem, src = ev
-                self.reads.setdefault((it, elem), []).append(
-                    (lane, idx, src)
-                )
-            elif kind == EV_WRITE:
-                _, it, elem = ev
-                self.writes.setdefault((it, elem), (lane, idx + 1))
-            elif kind == EV_POST:
-                token = ev[1]
-                if token not in self.posted:
+        end = self.length[lane]
+        while k < len(sync):
+            t, kind, arg = sync[k]
+            if kind == EV_POST:
+                if arg not in self.posted:
                     snapshot = vc.copy()
-                    snapshot.advance(lane, idx + 1)
-                    self.posted[token] = (lane, idx + 1, snapshot)
+                    snapshot.advance(lane, t + 1)
+                    self.posted[arg] = (lane, t + 1, snapshot)
             elif kind == EV_ACQUIRE:
-                token = ev[1]
-                post = self.posted.get(token)
+                post = self.posted.get(arg)
                 if post is None:
-                    self.blocked[lane] = ("a", token, idx)
-                    self.pos[lane] = idx
-                    return moved
+                    self.blocked[lane] = ("a", arg)
+                    end = t
+                    break
                 vc.join(post[2])
-                self._checkpoint(lane, idx)
+                self._checkpoint(lane, t)
                 self.blocked.pop(lane, None)
             elif kind == EV_BARRIER:
-                gen = ev[1]
-                arrivals = self.barrier_arrivals.setdefault(gen, {})
-                arrivals.setdefault(lane, idx)
+                arrivals = self.barrier_arrivals.setdefault(arg, {})
+                arrivals.setdefault(lane, k)
                 if len(arrivals) < len(self.lanes):
-                    self.blocked[lane] = ("b", gen, idx)
-                    self.pos[lane] = idx
-                    return moved
-                self._release_barrier(gen)
-                # _release_barrier advanced this lane past the barrier.
-                idx = self.pos[lane]
-                vc = self.vc[lane]
-                moved = True
+                    self.blocked[lane] = ("b", arg)
+                    end = t
+                    break
+                # Moves this lane past the barrier, with everyone else.
+                self._release_barrier(arg)
+                k = self.pos[lane]
                 continue
-            idx += 1
-            moved = True
-        self.pos[lane] = idx
-        return moved
+            k += 1
+        self.pos[lane], self.now[lane] = k, end
+        if end <= start:
+            return False
+        ends, runs = self.runs[lane]
+        ends.append(end)
+        runs.append(self.n_runs)
+        self.n_runs += 1
+        return True
+
+    def _merge(self, arrivals: Dict[Hashable, int]) -> None:
+        """Join the clocks of the lanes that arrived at one barrier."""
+        times = {lane: self.sync[lane][k][0] for lane, k in arrivals.items()}
+        merged = VectorClock()
+        for lane, t in times.items():
+            merged.join(self.vc[lane])
+            merged.advance(lane, t + 1)
+        for lane, t in times.items():
+            self.vc[lane].join(merged)
+            self._checkpoint(lane, t)
 
     def _release_barrier(self, gen: Hashable) -> None:
         """All lanes arrived at ``gen``: join everyone into everyone."""
-        arrivals = self.barrier_arrivals[gen]
-        merged = VectorClock()
-        for lane, idx in arrivals.items():
-            merged.join(self.vc[lane])
-            merged.advance(lane, idx + 1)
-        for lane, idx in arrivals.items():
-            self.vc[lane].join(merged)
-            self._checkpoint(lane, idx)
-            self.pos[lane] = idx + 1
+        arrivals = self.barrier_arrivals.pop(gen)
+        self._merge(arrivals)
+        for lane, k in arrivals.items():
+            self.pos[lane], self.now[lane] = k + 1, self.sync[lane][k][0] + 1
             if self.blocked.get(lane, (None,))[0] == "b":
                 del self.blocked[lane]
 
@@ -372,14 +388,11 @@ class _Replay:
         each blocked lane and force it past its blocking event so the
         rest of the log is still checked."""
         report = self.report
-        stalled = [
-            lid
-            for lid in self.lanes
-            if self.pos[lid] < len(self.events[lid])
-        ]
-        for lane in stalled:
+        for lane in self.lanes:
+            k = self.pos[lane]
+            if k >= len(self.sync[lane]):
+                continue
             why = self.blocked.pop(lane, None)
-            idx = self.pos[lane]
             if why is not None and why[0] == "a":
                 report.add(
                     Violation(
@@ -406,330 +419,150 @@ class _Replay:
                     )
                 )
             # Force past the blocking event without granting knowledge.
-            self.pos[lane] = idx + 1
+            self.pos[lane], self.now[lane] = k + 1, self.sync[lane][k][0] + 1
         # Partially-arrived barriers still merge what they can, so
         # later accesses on the arrived lanes keep their genuine edges.
-        for gen, arrivals in list(self.barrier_arrivals.items()):
-            if 0 < len(arrivals) < len(self.lanes):
-                merged = VectorClock()
-                for lane, idx in arrivals.items():
-                    merged.join(self.vc[lane])
-                    merged.advance(lane, idx + 1)
-                for lane, idx in arrivals.items():
-                    self.vc[lane].join(merged)
-                    self._checkpoint(lane, idx)
-                del self.barrier_arrivals[gen]
+        for gen in list(self.barrier_arrivals):
+            self._merge(self.barrier_arrivals.pop(gen))
+
+    def met(self, lane: Hashable, times: np.ndarray) -> np.ndarray:
+        """The run number each access of ``lane`` at ``times`` was met in."""
+        ends, runs = self.runs[lane]
+        return np.asarray(runs, dtype=np.int64)[
+            np.searchsorted(ends, times, side="right")
+        ]
 
 
-def _check_pairs(
+def _check(
     replay: _Replay,
-    triples: List[Tuple[int, int, int]],
+    accesses: Dict[Hashable, tuple],
+    triples: np.ndarray,
     report: SanitizeReport,
     partial: bool,
+    y_size: int,
 ) -> None:
-    allowed_new = {(r, e) for _, r, e in triples}
-    for w_it, r_it, elem in triples:
-        report.pairs_checked += 1
-        write = replay.writes.get((w_it, elem))
-        occurrences = replay.reads.get((r_it, elem))
-        if occurrences is None:
-            if not partial:
-                report.add(
-                    Violation(
-                        V_MISSING_READ,
-                        element=elem,
-                        writer=w_it,
-                        reader=r_it,
-                        detail="required read never logged",
-                    )
-                )
+    """Check every required triple against its read occurrences, and
+    every renamed read against the triples, in one pass over all lanes'
+    accesses in the order the replay met them: the first write met of an
+    element is its write, and violations are reported in that order."""
+    lanes = replay.lanes
+    cols = [accesses[lid] for lid in lanes]
+    time, it, elem, src = (
+        cols[0] if len(cols) == 1 else map(np.concatenate, zip(*cols))
+    )
+    lane = np.repeat(np.arange(len(lanes)), [len(c[0]) for c in cols])
+    if len(lanes) > 1:
+        met = np.concatenate(
+            [replay.met(lid, c[0]) for lid, c in zip(lanes, cols)]
+        )
+        seq = met * (int(time.max(initial=0)) + 1) + time
+        if not (seq[1:] > seq[:-1]).all():
+            order = np.argsort(seq)
+            time, it, elem, src, lane = (
+                a[order] for a in (time, it, elem, src, lane)
+            )
+    base = max(y_size, int(elem.max(initial=-1)) + 1)
+    key = it * base + elem
+
+    # The first write of each (iteration, element), and the time a
+    # reader's clock must reach; a sentinel past the end: never written.
+    w = src == -1
+    w_key, first = np.unique(key[w], return_index=True)
+    first = np.flatnonzero(w)[first]
+    w_key = np.append(w_key, -1)
+    w_lane = np.append(lane[first], -1)
+    w_time = np.append(time[first] + 1, 0)
+
+    # The triple (if any) each read occurrence is for; each triple's
+    # occurrences grouped in the order met.
+    t_key = triples[:, 1] * base + triples[:, 2]
+    by_reader = np.argsort(t_key)
+    at = np.searchsorted(t_key[by_reader], key)
+    hit = (np.append(t_key[by_reader], -1)[at] == key) & ~w
+    occ = np.flatnonzero(hit)
+    tri = by_reader[at[occ]]
+    grouped = np.argsort(tri, kind="stable")
+    occ, tri = occ[grouped], tri[grouped]
+    wanted = triples[tri, 0] * base + triples[tri, 2]
+    at = np.searchsorted(w_key[:-1], wanted)
+    written = w_key[at] == wanted
+    wl, wt = w_lane[at], w_time[at]
+    o_lane, o_time = lane[occ], time[occ]
+
+    stale = src[occ] == SRC_OLD
+    linked = ~stale & written
+    reversed_ = linked & (wl == o_lane) & (wt > o_time)
+    unordered = np.zeros(len(occ), dtype=bool)
+    for k in np.flatnonzero(linked & (wl != o_lane)):
+        vc = replay.clock_at(lanes[o_lane[k]], int(o_time[k]))
+        unordered[k] = vc is None or not vc.covers(lanes[wl[k]], int(wt[k]))
+    bad = stale | reversed_ | unordered
+    missing = np.zeros(0, dtype=np.int64)
+    if not partial:
+        bad |= ~stale & ~written
+        missing = np.flatnonzero(np.bincount(tri, minlength=len(triples)) == 0)
+
+    report.pairs_checked += len(triples)
+    found = np.flatnonzero(bad)
+    # Triples in order, each one's occurrences in the order met.
+    which = np.concatenate([found, -1 - missing])
+    for j in which[np.argsort(
+        np.concatenate([tri[found], missing]), kind="stable"
+    )]:
+        if j < 0:
+            w_it, r_it, e = map(int, triples[-1 - j])
+            report.add(Violation(
+                V_MISSING_READ, element=e, writer=w_it, reader=r_it,
+                detail="required read never logged",
+            ))
             continue
-        for r_lane, r_idx, src in occurrences:
-            if src == SRC_OLD:
-                report.add(
-                    Violation(
-                        V_STALE_READ,
-                        element=elem,
-                        writer=w_it,
-                        reader=r_it,
-                        writer_lane=None if write is None else write[0],
-                        reader_lane=r_lane,
-                        detail=(
-                            "reader took the untouched input value where "
-                            "the renamed value was required"
-                        ),
-                    )
-                )
-                continue
-            if write is None:
-                if not partial:
-                    report.add(
-                        Violation(
-                            V_MISSING_WRITE,
-                            element=elem,
-                            writer=w_it,
-                            reader=r_it,
-                            reader_lane=r_lane,
-                            detail="required write never logged",
-                        )
-                    )
-                continue
-            w_lane, w_time = write
-            if w_lane == r_lane:
-                if w_time <= r_idx:
-                    continue
-                edge = "program order reversed on one lane"
-            else:
-                vc = replay.clock_at(r_lane, r_idx)
-                if vc is not None and vc.covers(w_lane, w_time):
-                    continue
-                edge = (
+        w_it, r_it, e = map(int, triples[tri[j]])
+        reader_lane = lanes[o_lane[j]]
+        if stale[j]:
+            report.add(Violation(
+                V_STALE_READ, element=e, writer=w_it, reader=r_it,
+                writer_lane=lanes[wl[j]] if written[j] else None,
+                reader_lane=reader_lane,
+                detail=(
+                    "reader took the untouched input value where the "
+                    "renamed value was required"
+                ),
+            ))
+        elif not written[j]:
+            report.add(Violation(
+                V_MISSING_WRITE, element=e, writer=w_it, reader=r_it,
+                reader_lane=reader_lane, detail="required write never logged",
+            ))
+        else:
+            report.add(Violation(
+                V_NO_HB_EDGE, element=e, writer=w_it, reader=r_it,
+                writer_lane=lanes[wl[j]], reader_lane=reader_lane,
+                detail="program order reversed on one lane" if reversed_[j]
+                else (
                     "no witnessed post/wait or barrier edge orders the "
                     "write before the read"
-                )
-            report.add(
-                Violation(
-                    V_NO_HB_EDGE,
-                    element=elem,
-                    writer=w_it,
-                    reader=r_it,
-                    writer_lane=w_lane,
-                    reader_lane=r_lane,
-                    detail=edge,
-                )
-            )
+                ),
+            ))
     if partial:
         return
-    for (r_it, elem), occurrences in replay.reads.items():
-        if (r_it, elem) in allowed_new:
-            continue
-        for r_lane, _, src in occurrences:
-            if src == SRC_NEW:
-                report.add(
-                    Violation(
-                        V_UNEXPECTED_NEW_READ,
-                        element=elem,
-                        reader=r_it,
-                        reader_lane=r_lane,
-                        detail=(
-                            "read of the renamed vector where no true "
-                            "dependence exists (corrupt iter array?)"
-                        ),
-                    )
-                )
-                break
-
-
-def _lookup(
-    sorted_keys: np.ndarray,
-    sorted_values: np.ndarray,
-    queries: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Binary-search ``queries`` in ``sorted_keys``; return a found mask
-    and the matched values (``-1`` where unmatched)."""
-    found = np.zeros(len(queries), dtype=bool)
-    values = np.full(len(queries), -1, dtype=np.int64)
-    if len(sorted_keys) == 0 or len(queries) == 0:
-        return found, values
-    ix = np.searchsorted(sorted_keys, queries)
-    clamped = np.minimum(ix, len(sorted_keys) - 1)
-    found = sorted_keys[clamped] == queries
-    values[found] = sorted_values[clamped[found]]
-    return found, values
-
-
-def _detect_levels(
-    capture: ShadowCapture,
-    loop,
-    report: SanitizeReport,
-    partial: bool,
-) -> None:
-    """Numpy fast path for level-structured (vectorized) logs.
-
-    Lane k is wavefront level k; the synthetic chain token ``-(k+1)``
-    posted by level k and acquired by level k+1 makes the inter-level
-    ordering transitive, so happens-before degenerates to
-    ``write_level < read_level`` with every chain link between them
-    intact.  Within a level all gathers precede all scatters, so a
-    same-level pair is unordered.
-    """
-    n_levels = int(capture.meta["levels"])
-    y_size = int(loop.y_size)
-
-    acquired = np.zeros(n_levels + 1, dtype=bool)
-    posted = np.zeros(n_levels + 1, dtype=bool)
-    write_level = np.full(y_size, -1, dtype=np.int64)
-    r_iters: List[np.ndarray] = []
-    r_elems: List[np.ndarray] = []
-    r_srcs: List[np.ndarray] = []
-    r_levels: List[np.ndarray] = []
-    for k in range(n_levels):
-        for ev in capture.lanes.get(k, ()):
-            kind = ev[0]
-            if kind == EV_ACQUIRE:
-                acquired[-int(ev[1])] = True
-            elif kind == EV_POST:
-                posted[-int(ev[1])] = True
-            elif kind == EV_BULK_WRITE:
-                write_level[np.asarray(ev[2], dtype=np.int64)] = k
-            elif kind == EV_BULK_READ:
-                elems = np.asarray(ev[2], dtype=np.int64)
-                r_iters.append(np.asarray(ev[1], dtype=np.int64))
-                r_elems.append(elems)
-                r_srcs.append(np.asarray(ev[3], dtype=np.int64))
-                r_levels.append(np.full(len(elems), k, dtype=np.int64))
-            elif kind == EV_WRITE:
-                write_level[int(ev[2])] = k
-            elif kind == EV_READ:
-                r_iters.append(np.asarray([ev[1]], dtype=np.int64))
-                r_elems.append(np.asarray([ev[2]], dtype=np.int64))
-                r_srcs.append(np.asarray([ev[3]], dtype=np.int64))
-                r_levels.append(np.asarray([k], dtype=np.int64))
-
-    # Chain link k (level k-1 -> level k) is intact iff level k-1 posted
-    # token -k and level k acquired it.  cum[k] counts broken links at
-    # or below k, so levels w < r are ordered iff cum[r] == cum[w].
-    intact = posted[1:n_levels] & acquired[1:n_levels]
-    broken = np.zeros(n_levels, dtype=np.int64)
-    if n_levels > 1:
-        broken[1:] = ~intact
-        for k in np.nonzero(~intact)[0]:
-            report.add(
-                Violation(
-                    V_UNSATISFIED_ACQUIRE,
-                    reader_lane=int(k) + 1,
-                    token=-(int(k) + 1),
-                    detail=(
-                        "level chain broken: level handoff token never "
-                        "posted/acquired"
-                    ),
-                )
-            )
-    cum = np.cumsum(broken)
-
-    if r_iters:
-        li = np.concatenate(r_iters)
-        le = np.concatenate(r_elems)
-        ls = np.concatenate(r_srcs)
-        ll = np.concatenate(r_levels)
-    else:
-        li = le = ls = ll = np.empty(0, dtype=np.int64)
-
-    readers, writers, categories = classify_reads(loop)
-    mask = categories == CAT_TRUE
-    report.pairs_checked += int(mask.sum())
-    if not mask.any() and len(li) == 0:
+    # Renamed reads no triple allows: one report per (reader, element),
+    # in the order the pair was first met, naming its first such lane.
+    stray = np.flatnonzero((src == SRC_NEW) & ~hit)
+    if not len(stray):
         return
-    q_r = readers[mask].astype(np.int64)
-    q_e = np.asarray(loop.reads.index, dtype=np.int64)[mask]
-    q_w = writers[mask].astype(np.int64)
-
-    key_all = li * y_size + le
-    new_mask = ls == SRC_NEW
-    key_new = key_all[new_mask]
-    lvl_new = ll[new_mask]
-    order = np.argsort(key_new, kind="stable")
-    key_new_s, lvl_new_s = key_new[order], lvl_new[order]
-    key_old_s = np.sort(key_all[~new_mask])
-
-    key_q = q_r * y_size + q_e
-    # Locate each required read among the logged new-value reads.
-    found_new, r_lv = _lookup(key_new_s, lvl_new_s, key_q)
-    found_old, _ = _lookup(key_old_s, key_old_s, key_q)
-
-    w_lv = write_level[q_e]
-
-    safe_w = np.maximum(w_lv, 0)
-    safe_r = np.maximum(r_lv, 0)
-    ordered = (
-        found_new
-        & (w_lv >= 0)
-        & (w_lv < r_lv)
-        & (cum[safe_r] == cum[safe_w])
-    )
-    bad = ~ordered
-    for k in np.nonzero(bad)[0]:
-        w_it, r_it, elem = int(q_w[k]), int(q_r[k]), int(q_e[k])
-        if found_old[k] and not found_new[k]:
-            report.add(
-                Violation(
-                    V_STALE_READ,
-                    element=elem,
-                    writer=w_it,
-                    reader=r_it,
-                    writer_lane=None if w_lv[k] < 0 else int(w_lv[k]),
-                    detail=(
-                        "reader took the untouched input value where "
-                        "the renamed value was required"
-                    ),
-                )
-            )
-        elif not found_new[k]:
-            if not partial:
-                report.add(
-                    Violation(
-                        V_MISSING_READ,
-                        element=elem,
-                        writer=w_it,
-                        reader=r_it,
-                        detail="required read never logged",
-                    )
-                )
-        elif w_lv[k] < 0:
-            if not partial:
-                report.add(
-                    Violation(
-                        V_MISSING_WRITE,
-                        element=elem,
-                        writer=w_it,
-                        reader=r_it,
-                        reader_lane=int(r_lv[k]),
-                        detail="required write never logged",
-                    )
-                )
-        else:
-            same = "same wavefront level" if w_lv[k] == r_lv[k] else None
-            late = "write scheduled after the read" \
-                if w_lv[k] > r_lv[k] else None
-            report.add(
-                Violation(
-                    V_NO_HB_EDGE,
-                    element=elem,
-                    writer=w_it,
-                    reader=r_it,
-                    writer_lane=int(w_lv[k]),
-                    reader_lane=int(r_lv[k]),
-                    detail=same or late or (
-                        "level chain between writer and reader is broken"
-                    ),
-                )
-            )
-
-    if partial:
-        return
-    # New-value reads outside the required set.
-    if len(key_new):
-        key_req_s = np.sort(key_q)
-        known, _ = _lookup(key_req_s, key_req_s, key_new)
-        stray = np.nonzero(~known)[0]
-        seen: set = set()
-        for k in stray:
-            pair = (int(key_new[k]) // y_size, int(key_new[k]) % y_size)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            report.add(
-                Violation(
-                    V_UNEXPECTED_NEW_READ,
-                    element=pair[1],
-                    reader=pair[0],
-                    reader_lane=int(lvl_new[k]),
-                    detail=(
-                        "read of the renamed vector where no true "
-                        "dependence exists (corrupt iter array?)"
-                    ),
-                )
-            )
+    keys, first_new = np.unique(key[stray], return_index=True)
+    all_keys, first_met = np.unique(key[~w], return_index=True)
+    for k in np.argsort(first_met[np.searchsorted(all_keys, keys)]):
+        report.add(Violation(
+            V_UNEXPECTED_NEW_READ,
+            element=int(keys[k] % base),
+            reader=int(keys[k] // base),
+            reader_lane=lanes[lane[stray[first_new[k]]]],
+            detail=(
+                "read of the renamed vector where no true dependence "
+                "exists (corrupt iter array?)"
+            ),
+        ))
 
 
 def detect(
@@ -749,9 +582,9 @@ def detect(
         lanes=len(capture.lanes),
         backend=capture.meta.get("backend"),
     )
-    triples = required_pairs(loop)
+    triples = _required(loop)
     has_access_events = any(
-        ev[0] in (EV_READ, EV_WRITE, EV_BULK_READ, EV_BULK_WRITE)
+        ev[0] in (EV_READ, EV_WRITE, EV_SPAN)
         for events in capture.lanes.values()
         for ev in events
     )
@@ -761,19 +594,20 @@ def detect(
         # classic strategies).  Under partial=True the same shape means the
         # run stalled before its first access — replay what *was*
         # logged, so blocked acquires still get named.
-        report.pairs_checked = 0
-        if triples:
+        if len(triples):
             report.notes.append(
                 "no shadow accesses logged: execution strategy is "
                 "uninstrumented; nothing checked"
             )
         return report
 
-    if capture.meta.get("levels"):
-        _detect_levels(capture, loop, report, partial)
-        return report
-
-    replay = _Replay(capture, report)
+    split = {lid: _split(evs, loop) for lid, evs in capture.lanes.items()}
+    replay = _Replay(
+        {lid: s[1] for lid, s in split.items()},
+        {lid: s[2] for lid, s in split.items()},
+        report,
+    )
     replay.run()
-    _check_pairs(replay, triples, report, partial)
+    accesses = {lid: s[0] for lid, s in split.items()}
+    _check(replay, accesses, triples, report, partial, int(loop.y_size))
     return report

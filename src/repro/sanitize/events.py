@@ -5,7 +5,7 @@ detector replays them.  Events are plain tuples (not dataclasses) because
 the hot executor loops append millions of them — tuple construction is
 the cheapest structured record CPython has.
 
-Scalar events (first field is the kind tag):
+Events (the first field is the kind tag):
 
 ``("r", iteration, element, src)``
     A read of ``y``/``ynew`` element ``element`` performed by
@@ -16,25 +16,20 @@ Scalar events (first field is the kind tag):
     The iteration's single renamed write ``ynew[element] = acc``.
 ``("p", token)``
     A post: the lane published token ``token`` (for real backends the
-    token is the written element whose ``ready`` flag was set; the
-    vectorized backend posts one synthetic token per wavefront level).
+    token is the written element whose ``ready`` flag was set).
 ``("a", token)``
     An acquire: the lane observed token ``token`` as posted before
-    proceeding (a completed busy-wait, a chunk handoff, a level boundary).
+    proceeding (a completed busy-wait, a chunk handoff).
 ``("b", generation)``
     The lane arrived at global barrier generation ``generation`` — a
     rendezvous of *all* lanes (the threaded backend's inspector/executor
     phase barrier).
-
-Bulk events (vectorized backend — one event per wavefront level instead
-of one per access):
-
-``("R", iterations, elements, srcs)``
-    Parallel arrays (numpy ``ndarray`` or sequences) of reads.
-``("W", iterations, elements)``
-    Parallel arrays of writes.
-
-The detector expands bulk events during replay; backends never need to.
+``("s", its, codes)``
+    A span: the lane walked :func:`~repro.backends.kernel.run_span` over
+    iterations ``its`` with term codes ``codes`` and no wait or post — the
+    vectorized backend's one event.  It stands for the reads and writes
+    :func:`~repro.backends.kernel.span_events` lists, which the detector
+    expands it into.
 """
 
 from __future__ import annotations
@@ -45,8 +40,7 @@ __all__ = [
     "EV_POST",
     "EV_ACQUIRE",
     "EV_BARRIER",
-    "EV_BULK_READ",
-    "EV_BULK_WRITE",
+    "EV_SPAN",
     "SRC_OLD",
     "SRC_NEW",
 ]
@@ -56,8 +50,7 @@ EV_WRITE = "w"
 EV_POST = "p"
 EV_ACQUIRE = "a"
 EV_BARRIER = "b"
-EV_BULK_READ = "R"
-EV_BULK_WRITE = "W"
+EV_SPAN = "s"
 
 #: The read came from the untouched input vector ``y`` (old value).
 SRC_OLD = 0

@@ -3,7 +3,7 @@
 A race detector that never fires is indistinguishable from one that
 cannot fire.  The evidence is mutations of the *real* protocol: a backend
 shape is a small value made of what that backend executes (:class:`Flags`,
-:class:`Levels`, :class:`Commits`); a mutant is one method over it that
+:class:`Walk`, :class:`Commits`); a mutant is one method over it that
 corrupts the kernel's codes, the placement or the event stream and returns
 how many sites it found (none: *not applicable* to that workload).  Stages
 are lazy (``iter_arr`` -> ``codes`` -> ``capture``): the real kernel derives
@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.backends import kernel, MultiprocRunner, SpeculativeRunner
 from repro.backends import ThreadedRunner, VectorizedRunner
-from repro.backends.vectorized import log_levels
 from repro.ir.analysis import CAT_TRUE, classify_reads, writer_map
 from repro.sanitize.detector import detect
 from repro.sanitize.events import SRC_OLD
@@ -38,9 +37,9 @@ class Shape:
         self.loop, self.runner = loop, runner
 
     def lose_posts(self, early: bool = False) -> int:
-        """Two writers (levels, for handoff tokens) never post — or,
-        ``early``, every flag is set before its value lands in ``ynew``.
-        Only posts some lane acquires are sites."""
+        """Two writers never post — or, ``early``, every flag is set before
+        its value lands in ``ynew``.  Only posts some lane acquires are
+        sites."""
         lanes = list(self.capture.lanes.values())
         awaited = {ev[1] for evs in lanes for ev in evs if ev[0] == "a"}
         sites = [
@@ -135,25 +134,42 @@ class Flags(Shape):
         return 2
 
 
-class Levels(Shape):
-    """The wavefront protocol: ``cuts`` are the level boundaries over the
-    inspector record; ``capture`` is what the runner's ``log_levels`` logs."""
+class Walk(Shape):
+    """The wavefront walk: one lane runs ``run_span`` over the inspector
+    record's level-major ``order`` with its ``codes``; ``capture`` is the
+    one span event the runner logs for it."""
 
     def __init__(self, loop, runner):
         super().__init__(loop, runner)
-        self.record = runner._preprocess(loop)[0]
-        self.cuts = self.record.schedule.level_ptr
+        record = runner._preprocess(loop)[0]
+        self.order = record.schedule.order.copy()
+        self.codes = record.codes.copy()
+        self.level_ptr = record.schedule.level_ptr
 
     @cached_property
     def capture(self) -> ShadowCapture:
         capture = ShadowCapture()
-        log_levels(capture, self.record, self.loop, self.cuts)
+        capture.lane(0).append(("s", self.order, self.codes))
         return capture
 
-    def merge(self) -> int:
-        """Two adjacent levels fused: their cross dependences unordered."""
-        self.cuts = np.delete(self.cuts, 1)
-        return len(self.cuts) > 1
+    def swap_levels(self) -> int:
+        """The first two levels run in the other order, their codes moved
+        along: every second-level iteration reads ahead of its writer."""
+        if len(self.level_ptr) < 3:
+            return 0
+        p1, p2 = self.level_ptr[1:3]
+        _, counts = kernel.term_positions(self.loop.reads.ptr, self.order)
+        t1, t2 = counts[:p1].sum(), counts[:p2].sum()
+        self.order[:p2] = np.roll(self.order[:p2], p2 - p1)
+        self.codes[:t2] = np.roll(self.codes[:t2], t2 - t1)
+        return 1
+
+    def stale_record(self) -> int:
+        """The record was built from a stale ``iter``: two renamed reads
+        take the untouched input instead."""
+        sites = np.flatnonzero(self.codes == kernel.WAIT)[:2]
+        self.codes[sites] = kernel.OLD
+        return len(sites)
 
 
 class Commits(Shape):
@@ -215,8 +231,8 @@ def chunked(loop) -> Flags:
     return Flags(loop, MultiprocRunner(workers=3, chunk=4), phases=False)
 
 
-def levels(loop) -> Levels:
-    return Levels(loop, VectorizedRunner())
+def walk(loop) -> Walk:
+    return Walk(loop, VectorizedRunner())
 
 
 def speculative(loop) -> Commits:
@@ -250,8 +266,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("skip-scrub", chunked, _RACE,
            partial(Flags.unwait, n=2, whole_flags=True)),
     Mutant("stale-iter-chunked", chunked, _STALE, Flags.stale_iter),
-    Mutant("merge-levels", levels, _RACE, Levels.merge),
-    Mutant("break-level-chain", levels, _STALL, Levels.lose_posts),
+    Mutant("swap-levels", walk, _RACE, Walk.swap_levels),
+    Mutant("stale-record", walk, _STALE, Walk.stale_record),
     Mutant("skip-restore", speculative, _STALE, Commits.miss_raw),
     Mutant("drop-conflict-edge", speculative, _RACE,
            partial(Commits.miss_raw, deferred_only=True)),

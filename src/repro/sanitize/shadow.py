@@ -3,7 +3,7 @@
 A :class:`ShadowCapture` is attached to the backend
 (``runner._san_capture``) by the :class:`~repro.backends.hooks.Sanitize`
 run hook for the duration of one ``run()`` call.  Each executing
-lane (thread, worker process, simulated processor, wavefront level)
+lane (thread, worker process, simulated processor, the vectorized walk)
 obtains its own append-only event list via :meth:`lane` and appends
 tuples from the :mod:`~repro.sanitize.events` vocabulary; nothing is
 shared between lanes mid-run, so logging needs no locking beyond the
@@ -19,19 +19,21 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List
 
+import numpy as np
+
+from repro.backends.kernel import ACC
+
 __all__ = ["ShadowCapture"]
 
 
 class ShadowCapture:
     """Per-run shadow log: lane id -> ordered event list, plus metadata
-    the detector uses to pick its replay strategy."""
+    about the run."""
 
     def __init__(self) -> None:
         self.lanes: Dict[Hashable, List[tuple]] = {}
-        #: Backend-reported facts about the log's structure.  Recognised
-        #: keys: ``backend`` (name), ``levels`` (vectorized: lanes are
-        #: wavefront levels chained by synthetic tokens), ``pids``
-        #: (multiproc: lanes are ``(pid, wid)`` tuples).
+        #: Backend-reported facts about the log: ``backend`` (name),
+        #: ``pids`` (multiproc: lanes are ``(pid, wid)`` tuples).
         self.meta: Dict[str, Any] = {}
 
     def lane(self, lane_id: Hashable) -> List[tuple]:
@@ -56,13 +58,14 @@ class ShadowCapture:
             self.meta.setdefault("pids", []).append(pid)
 
     def total_events(self) -> int:
-        """Number of logged events, counting bulk events by their width."""
+        """Number of logged events, a span event counted as the reads and
+        writes it stands for: one write per iteration, one read per term
+        not served by the accumulator."""
         total = 0
         for events in self.lanes.values():
             for ev in events:
-                kind = ev[0]
-                if kind == "R" or kind == "W":
-                    total += len(ev[2])
+                if ev[0] == "s":
+                    total += len(ev[1]) + int(np.count_nonzero(ev[2] != ACC))
                 else:
                     total += 1
         return total

@@ -24,6 +24,7 @@ from repro.backends.vectorized import VectorizedRunner
 from repro.errors import InvalidLoopError
 from repro.graph.levels import compute_levels
 from repro.ir.accesses import ReadTable
+from repro.ir.analysis import writer_map
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 from repro.obs.spans import CAT_LEVEL
 from repro.sparse.ilu import ilu0
@@ -277,7 +278,7 @@ class TestOneWalk:
 
 
 # ---------------------------------------------------------------------------
-# The sanitizer still sees the level protocol
+# The sanitizer sees the one walk
 # ---------------------------------------------------------------------------
 
 
@@ -291,11 +292,18 @@ class TestObservedAndSanitized:
         ],
         ids=["chain", "layered", "trisolve"],
     )
-    def test_sanitize_keeps_one_lane_per_level(self, loop):
+    def test_sanitize_logs_the_walk_on_one_lane(self, loop):
         spec = PlanSpec(backend="vectorized", validate="sanitize")
         result = make_runner(spec=spec).run(loop)
         assert np.array_equal(result.y, loop.run_sequential())
         report = result.extras["sanitize"]
         assert report["ok"] is True
-        assert report["lanes"] == result.extras["levels"]
+        assert report["lanes"] == 1
+        # A write per iteration, a read per term the accumulator does not
+        # serve.
+        r = loop.reads
+        codes = kernel.classify_terms(
+            r.ptr, r.index, writer_map(loop), np.arange(loop.n), 1
+        )
+        assert report["events"] == loop.n + np.count_nonzero(codes != kernel.ACC)
         assert report["pairs_checked"] > 0

@@ -32,6 +32,7 @@ from repro.ir.analysis import writer_map
 from repro.ir.loop import INIT_EXTERNAL
 from repro.sanitize.shadow import ShadowCapture
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
+from repro.workloads.testloop import make_test_loop
 from tests.conftest import assert_same_bits
 from tests.strategies import loop_params
 
@@ -789,3 +790,91 @@ class TestOneRuleOnePlace:
             if re.search(r"// \(4 \* \w*\.?(workers|processors)\)", line)
         ]
         assert hits == ["backends/kernel.py"]
+
+
+def _duplicate_and_accumulator_loop(n: int = 12):
+    """Iteration ``i`` writes ``i`` and reads ``i`` (its accumulator)
+    twice and ``i - 1`` twice (element ``n``, never written, for 0)."""
+    from repro.ir.accesses import ReadTable
+    from repro.ir.loop import IrregularLoop
+    from repro.ir.subscript import IndirectSubscript
+
+    prev = [n] + list(range(n - 1))
+    return IrregularLoop(
+        n=n,
+        y_size=n + 1,
+        write_subscript=IndirectSubscript(np.arange(n)),
+        reads=ReadTable.from_lists(
+            [[(i, 0.5), (p, 0.25), (i, 1.0), (p, 0.25)]
+             for i, p in zip(range(n), prev)]
+        ),
+        name="duplicates-and-accumulators",
+    )
+
+
+class TestSpanEvents:
+    """``span_events`` is the NumPy twin of the shadow log ``run_span``
+    writes without ``wait`` and ``post``: row for row the same events, and
+    the same sanitizer report."""
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            random_irregular_loop(150, seed=3),
+            random_irregular_loop(90, seed=8, external_init=True),
+            random_irregular_loop(0, seed=1),
+            chain_loop(60, 1),
+            chain_loop(72, 3),
+            make_test_loop(80, 5, 7),
+            make_test_loop(80, 5, 8),
+            _duplicate_and_accumulator_loop(),
+        ],
+        ids=lambda loop: loop.name,
+    )
+    def test_the_twin_is_the_walk(self, loop):
+        from repro.backends.cache import build_inspector_record
+        from repro.sanitize import detect
+
+        reads, iter_arr = loop.reads, writer_map(loop)
+        record = build_inspector_record(loop)
+        levels = np.split(record.schedule.order, record.schedule.level_ptr[1:-1])
+        orders = {
+            "natural": np.arange(loop.n),
+            "level-major": record.schedule.order,
+            "reversed-levels": np.concatenate(levels[::-1]),
+        }
+        spans = [("record", record.schedule.order, record.codes)]
+        for name, order in orders.items():
+            pos = inverse_permutation(order)
+            for chunk in (1, 4):
+                codes = kernel.classify_terms(
+                    reads.ptr, reads.index, iter_arr, order, chunk, pos
+                )
+                spans.append((f"{name}/chunk={chunk}", order, codes))
+        seen = set()
+        for label, its, codes in spans:
+            seen.update(np.unique(codes).tolist())
+            logged: list = []
+            y = loop.y0.copy()
+            kernel.run_span(
+                its, codes, *span_args(loop), y, np.zeros_like(y),
+                np.zeros_like(y), events=logged,
+            )
+            cols = kernel.span_events(
+                its, codes, loop.write, reads.ptr, reads.index
+            )
+            twin = [
+                ("w", i, e) if s == -1 else ("r", i, e, s)
+                for i, e, s in zip(*(c.tolist() for c in cols))
+            ]
+            assert twin == logged, label
+            as_span, as_tuples = ShadowCapture(), ShadowCapture()
+            as_span.lane(0).append(("s", its, codes))
+            as_tuples.lane(0).extend(logged)
+            for partial in (False, True):
+                assert (
+                    detect(as_span, loop, partial=partial).as_dict()
+                    == detect(as_tuples, loop, partial=partial).as_dict()
+                ), label
+        if loop.name == "duplicates-and-accumulators":
+            assert seen == {OLD, LOCAL, WAIT, ACC}

@@ -344,6 +344,20 @@ class TestMutatedSubscripts:
                 make_runner(backend, processors=2).run(loop)
             assert np.array_equal(loop.y0.view(np.uint64), y.view(np.uint64))
 
+    @pytest.mark.parametrize(
+        "where",
+        ["read-negative", "read-too-large", "write-negative", "write-too-large"],
+    )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_direct_run_refuses_an_out_of_range_subscript(self, backend, where):
+        # No plan: hashing the loop checks its subscripts (a simulated
+        # runner without a cache checks them without hashing).
+        loop, _ = self.mutated(where)
+        y = loop.y0.copy()
+        with pytest.raises(InvalidLoopError, match="out of range"):
+            make_runner(backend, processors=2).run(loop)
+        assert np.array_equal(loop.y0.view(np.uint64), y.view(np.uint64))
+
     @pytest.mark.parametrize("route", ["runner", "parallelize"])
     @pytest.mark.parametrize("analyze", [None, "symbolic", "symbolic+check"])
     def test_a_symbolic_vectorized_run_refuses_a_duplicated_write(

@@ -218,7 +218,7 @@ CELLS = [
     ("multiproc", lambda: chain_loop(512, 128), {"analyze": "symbolic"},
      ("native", None)),
     ("vectorized", lambda: chain_loop(400, 1), {"validate": "sanitize"},
-     ("native", None)),  # the vectorized log is per level, not per term
+     ("native", None)),  # logged as one span event; the walk stays compiled
     ("threaded", lambda: chain_loop(400, 1), {"validate": "sanitize"},
      ("python", "sanitize")),
 ]

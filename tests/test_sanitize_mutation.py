@@ -41,7 +41,7 @@ def suite_report():
 
 
 def _lanes(capture):
-    """Lanes keyed by worker (multiproc's ``(pid, wid)`` -> ``wid``), bulk
+    """Lanes keyed by worker (multiproc's ``(pid, wid)`` -> ``wid``), span
     events compared as arrays."""
     return {
         (lane[1] if isinstance(lane, tuple) else lane): [
@@ -59,7 +59,7 @@ class TestInterpreterConformance:
     capture, to the backend it claims to be."""
 
     @pytest.mark.parametrize(
-        "mode", ["chunked", "threaded", "levels", "speculative"]
+        "mode", ["chunked", "threaded", "walk", "speculative"]
     )
     def test_unmutated_logs_are_clean(self, mode):
         for loop in _suite_loops():
@@ -81,9 +81,14 @@ class TestInterpreterConformance:
                 f"backend's on {loop.name}"
             )
 
-    def test_levels_mode_marks_the_capture_for_the_fast_path(self):
-        capture = mutate.levels(chain_loop(24, 1)).capture
-        assert capture.meta["levels"] == 24  # distance-1 chain: n levels
+    def test_the_walk_capture_is_one_lane_with_one_span_event(self):
+        loop = chain_loop(24, 1)
+        capture = mutate.walk(loop).capture
+        ((kind, order, codes),) = capture.lanes[0]
+        assert (kind, list(capture.lanes)) == ("s", [0])
+        assert np.array_equal(order, np.arange(24))  # n levels of one
+        assert np.array_equal(codes, np.full(23, kernel.WAIT))
+        assert detect(capture, loop).events == 24 + 23
 
     def test_module_rederives_nothing_the_kernel_owns(self):
         """The structural claim of the harness, as a check: no Figure-5
@@ -105,7 +110,7 @@ class TestInterpreterConformance:
 class TestMutantRegistry:
     def test_registry_covers_all_four_shapes(self):
         modes = {m.shape.__name__ for m in MUTANTS}
-        assert modes == {"chunked", "threaded", "levels", "speculative"}
+        assert modes == {"chunked", "threaded", "walk", "speculative"}
         assert len(MUTANTS) == 14
         assert len({m.name for m in MUTANTS}) == 14
 
