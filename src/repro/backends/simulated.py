@@ -41,28 +41,28 @@ only ``run_span`` and one sweep per block.  A runner without a cache
 builds them every call.  ``result.extras["sim_executor"]["operands"]``
 says ``"cached"`` or ``"built"``.
 
-The cycles of an executor phase have two bodies, chosen from the machine
-and the schedule class (:meth:`SimulatedRunner._why_engine`; never an
-option) and named in ``result.extras["sim_executor"]``:
+A phase's cycles are one per-position :class:`_Timing` record — the flags
+a position waits on, the cycles before each wait and from the last one
+through its flag set, the flag it sets — built for Figure 5's executor
+(:meth:`SimulatedRunner._executor_timing`), the §1 classic doacross and
+doall (:meth:`SimulatedRunner._baseline`) and a ``parallel do`` on a bus.
+Two evaluators read it, chosen from the machine and the schedule class
+(:meth:`SimulatedRunner._why_engine`; never an option) and named in
+``result.extras["sim_executor"]``:
 
 - On the machine of both paper experiments — a built-in static schedule,
-  no bus, no coherence, nothing recording a timeline — processors share
-  nothing but the flag set-times, each walks its positions in increasing
-  order and every true dependence points backwards in execution order, so
-  the finish times obey a max-plus recurrence that one sweep in position
-  order evaluates (:meth:`SimulatedRunner._executor_recurrence`): no
-  generators, no ready queue.  Figure 3's inspector and postprocessor
-  ``parallel do`` loops are closed forms on any bus-free machine
-  (:meth:`SimulatedRunner._parallel_do`).
+  no bus, no coherence, no timeline to record — processors share nothing
+  but the flag set-times and each walks its positions in increasing
+  order, so one max-plus sweep in position order gives the finish times
+  (:meth:`SimulatedRunner._recurrence`); a bus-free ``parallel do`` is
+  its closed form, ``count × cost`` per processor.  A sanitized run logs
+  each processor's accesses in position order, its program order.
 - Every other configuration — bus, coherence, dynamic / guided
-  self-scheduling, ``trace=True`` (hence ``observe=True``),
-  ``validate="sanitize"``, a caller's own ``IterationSchedule`` subclass —
-  has a serial resource, order-dependent state or a log to fill, and runs
-  :meth:`SimulatedRunner._executor_body` as generator tasks on the
-  discrete-event engine (:mod:`repro.machine.engine`), which is also what
+  self-scheduling, ``trace=True`` (hence ``observe=True``), a caller's own
+  ``IterationSchedule`` subclass — walks the record as generator tasks on
+  the discrete-event engine (:meth:`SimulatedRunner._phase`), which also
   detects a schedule that deadlocks; its operands are built every call.
-  ``tests/test_simulated_executor.py`` holds the recurrence and the closed
-  forms to the engine field by field.
+  ``tests/test_simulated_executor.py`` holds the two equal field by field.
 """
 
 from __future__ import annotations
@@ -130,28 +130,79 @@ _RECURRENCE_SCHEDULES = (StaticBlockSchedule, StaticCyclicSchedule)
 
 
 @dataclass
+class _Timing:
+    """One phase's cycles, per position ``p``: the one description both
+    evaluators read.
+
+    Position ``p`` waits on the flags ``sources[wait_ptr[p]:wait_ptr[p +
+    1]]``, each after its ``ahead`` cycles (the previous wait's flag check
+    included), then spends ``tail[p]`` cycles from its last wait (or its
+    start) through setting flag ``write[p]`` (``write`` ``None``: the
+    phase sets no flag; there are ``size`` flags).  Its own cycles are
+    ``tail[p]`` plus the ``ahead`` of each of its waits.  Optional:
+    ``weight`` (iterations per position, else one), ``hold`` (bus cycles
+    per position) and ``lane`` (each position's processor, set by
+    :meth:`deal` for the recurrence)."""
+
+    wait_ptr: np.ndarray
+    sources: np.ndarray
+    ahead: np.ndarray
+    tail: np.ndarray
+    write: np.ndarray | None
+    size: int
+    weight: np.ndarray | None = None
+    hold: np.ndarray | None = None
+    lane: np.ndarray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+
+    def deal(self, lanes: np.ndarray, processors: int) -> tuple:
+        """Place position ``p`` on processor ``lanes[p]`` and return each
+        processor's own cycles, flag checks, flag sets and iterations —
+        everything of its :class:`PhaseStats` but the ``max``."""
+        self.lane = np.ascontiguousarray(lanes, dtype=np.int64)
+        before = np.zeros(len(self.ahead) + 1, dtype=np.int64)
+        np.cumsum(self.ahead, out=before[1:])
+        own = self.tail + before[self.wait_ptr[1:]] - before[self.wait_ptr[:-1]]
+
+        def per_lane(weights) -> list[int]:
+            # Exact: cycle sums stay far below 2**53.
+            return (
+                np.bincount(self.lane, weights=weights, minlength=processors)
+                .astype(np.int64)
+                .tolist()
+            )
+
+        return (
+            per_lane(own),
+            per_lane(np.diff(self.wait_ptr)),
+            [0] * processors if self.write is None else per_lane(None),
+            per_lane(self.weight),
+        )
+
+
+@dataclass
 class _Block:
     """One strip-mine block's executor operands: its positions ``its`` in
-    execution order and their term ``codes``, plus — for the engine — each
-    position's first term (``first``), or — for the recurrence — the
-    sweep's operands (``None`` when no term waits) and the per-processor
-    ``(own cycles, flag checks, iterations)`` sums."""
+    execution order, their term ``codes``, the ``schedule`` dealing them
+    and their :class:`_Timing` — for the recurrence dealt to the
+    processors, with each one's ``sums`` (:meth:`_Timing.deal`), and kept
+    only where a position waits: nothing else needs a sweep."""
 
     lo: int
     hi: int
     its: np.ndarray
     codes: np.ndarray
-    first: np.ndarray | None = None
-    sweep: tuple | None = None
+    schedule: IterationSchedule
+    timing: _Timing | None = None
     sums: tuple | None = None
 
     @property
     def nbytes(self) -> int:
-        arrays = [self.its, self.codes, self.first]
-        if self.sweep is not None:
-            wait_ptr, sources, operands = self.sweep
-            arrays += [wait_ptr, sources, *operands.values()]
-        return sum(a.nbytes for a in arrays if a is not None)
+        timing = 0 if self.timing is None else self.timing.nbytes
+        return self.its.nbytes + self.codes.nbytes + timing
 
 
 @dataclass
@@ -326,18 +377,69 @@ class SimulatedRunner(Runner):
         self,
         name: str,
         schedule: IterationSchedule,
-        body,
-        flags: FlagStore | None = None,
+        timing: _Timing,
+        coherence: bool = False,
+        log=None,
         tracer=None,
     ) -> PhaseStats:
-        """Run one parallel phase on the event engine: deal ``schedule``'s
+        """Run one phase on the event engine: deal ``schedule``'s
         positions to the processors — a static schedule's chunk lists, or
         claims on the shared dispatch counter (``cost_model.dispatch`` per
-        grab, serialised) — and run the generator ``body(st, lo, hi)`` over
-        each piece."""
+        grab, serialised) — and walk each piece through ``timing``: per
+        position its bus hold; per wait the cycles ahead of it, less the
+        flag check the engine charged for the previous one, and the wait;
+        the rest of the tail, less the flag set the engine charges, and
+        the set.  Zero cycles are not yielded (the engine would queue a
+        processor with nothing to run).  ``coherence`` is the executor's
+        write-invalidate model, ownership empty every phase; ``log(proc,
+        lo, hi)`` shadow-logs each piece as it is dealt."""
         machine = self.machine
-        dispatch_cost = machine.cost_model.dispatch
+        cm = machine.cost_model
+        dispatch_cost = cm.dispatch
+        flag_check, coherence_miss = cm.flag_check, cm.coherence_miss
+        wait_ptr, sources, ahead, tail = (
+            memoryview(a)
+            for a in (timing.wait_ptr, timing.sources, timing.ahead, timing.tail)
+        )
+        write, weight, hold = (
+            None if a is None else memoryview(a)
+            for a in (timing.write, timing.weight, timing.hold)
+        )
+        flag_set = 0 if write is None else cm.flag_set
+        # Write-invalidate ownership: which processor's cache holds each
+        # element (-1 = none yet).
+        owner = [-1] * timing.size if coherence else None
         schedule.reset()  # a reused dynamic schedule deals from the start
+
+        def body(st, lo: int, hi: int):
+            """Walk positions ``lo..hi`` (generator; yields engine ops)."""
+            if log is not None:
+                log(st.proc, lo, hi)
+            for p in range(lo, hi):
+                if hold is not None and hold[p]:
+                    yield UseResource(RES_BUS, hold[p])
+                checked = miss = 0
+                for j in range(wait_ptr[p], wait_ptr[p + 1]):
+                    cycles = ahead[j] - checked + miss
+                    if cycles:
+                        yield Compute(cycles)
+                    source = sources[j]
+                    yield WaitFlag(source)
+                    checked, miss = flag_check, 0
+                    if owner is not None and owner[source] != st.proc:
+                        # Invalidation miss: the line is dirty in the
+                        # writer's cache; pay the transfer.
+                        miss = coherence_miss
+                        st.coherence_misses += 1
+                        owner[source] = st.proc
+                if owner is not None:
+                    owner[write[p]] = st.proc
+                cycles = tail[p] - checked + miss - flag_set
+                if cycles:
+                    yield Compute(cycles)
+                if write is not None:
+                    yield SetFlag(write[p])
+                st.iterations += 1 if weight is None else weight[p]
 
         def factory_for(proc: int):
             if schedule.is_dynamic:
@@ -360,6 +462,7 @@ class SimulatedRunner(Runner):
 
             return task
 
+        flags = None if write is None else FlagStore(timing.size)
         engine = machine.new_engine(flags=flags, tracer=tracer)
         return engine.run(
             name, [factory_for(p) for p in range(machine.processors)]
@@ -370,48 +473,28 @@ class SimulatedRunner(Runner):
     ) -> PhaseStats:
         """Simulate a regular ``parallel do`` (Figure 3's pre/post loops)
         of ``n`` iterations, each ``cost`` cycles and ``accesses`` shared
-        accesses: static block partition, charged per chunk.  Without a
-        bus the processors share nothing, and processor ``p``'s block of
-        ``count`` iterations takes ``count × cost`` cycles in closed form;
-        the bus is a serial resource, and the engine queues for it
-        (:meth:`_parallel_do_on_engine`)."""
-        processors = self.machine.processors
-        if self.machine.bus:
-            return self._parallel_do_on_engine(name, n, cost, accesses)
-        base, extra = divmod(n, processors)
-        return PhaseStats(
-            name=name,
-            processors=[
-                ProcessorStats(
-                    proc=proc,
-                    compute_cycles=count * cost,
-                    iterations=count,
-                    finish_time=count * cost,
-                )
-                for proc, count in enumerate(
-                    [base + 1] * extra + [base] * (processors - extra)
-                )
-            ],
-        )
-
-    def _parallel_do_on_engine(
-        self, name: str, n: int, cost: int, accesses: int
-    ) -> PhaseStats:
-        """:meth:`_parallel_do` as generator tasks on the event engine."""
+        accesses: a static block partition, one position per processor
+        weighing its block's ``count`` iterations.  Without a bus the
+        processors share nothing, and the recurrence is ``count × cost``
+        in closed form; the bus is a serial resource the engine queues
+        for."""
         machine = self.machine
-        bus = machine.bus
-        bus_per_access = machine.cost_model.bus_per_access
-
-        def body(st, lo: int, hi: int):
-            count = hi - lo
-            st.iterations += count
-            if bus:
-                yield UseResource(RES_BUS, count * accesses * bus_per_access)
-            yield Compute(count * cost)
-
-        return self._phase(
-            name, StaticBlockSchedule(n, machine.processors), body
+        processors = machine.processors
+        base, extra = divmod(n, processors)
+        counts = [base + 1] * extra + [base] * (processors - extra)
+        if not machine.bus and StaticBlockSchedule in _RECURRENCE_SCHEDULES:
+            none = [0] * processors
+            return self._recurrence(
+                name, ([count * cost for count in counts], none, none, counts)
+            )
+        counts = np.array(counts, dtype=np.int64)
+        hold = counts * accesses * machine.cost_model.bus_per_access
+        timing = _Timing(
+            np.zeros(processors + 1, dtype=np.int64), counts[:0], counts[:0],
+            counts * cost, None, 0, weight=counts,
+            hold=hold if machine.bus else None,
         )
+        return self._phase(name, StaticBlockSchedule(processors, processors), timing)
 
     def _result(
         self,
@@ -420,12 +503,16 @@ class SimulatedRunner(Runner):
         y: np.ndarray,
         ran: list[PhaseStats],
         schedule: IterationSchedule,
+        why_engine: str | None,
         instances: int = 1,
         order_label: str = "natural",
+        cached: bool = False,
     ) -> RunResult:
         """The :class:`RunResult` of a run whose phases were ``ran``, in
         that order: a barrier follows each, and same-named phases (strip-
-        mine blocks, instances) are reported merged."""
+        mine blocks, instances) are reported merged.  ``extras`` says which
+        evaluator timed the executor, why, and whether its operands were
+        ``cached``."""
         cm = self.machine.cost_model
         phases: dict[str, PhaseStats] = {}
         for phase in ran:
@@ -440,7 +527,7 @@ class SimulatedRunner(Runner):
             postprocessor=span("postprocessor"),
             barriers=len(ran) * cm.barrier(self.machine.processors),
         )
-        return RunResult(
+        result = RunResult(
             loop_name=loop.name,
             strategy=strategy,
             processors=self.machine.processors,
@@ -454,21 +541,29 @@ class SimulatedRunner(Runner):
             schedule=_describe_schedule(schedule),
             order_label=order_label,
         )
+        result.extras["sim_executor"] = {
+            "body": "recurrence" if why_engine is None else "engine",
+            "reason": why_engine,
+            "operands": "cached" if cached else "built",
+        }
+        return result
 
     # ------------------------------------------------------------------
     # Executor timing (Figure 5's cycles; its values are run_span's)
     # ------------------------------------------------------------------
     def _why_engine(self, schedule: IterationSchedule, tracer) -> str | None:
-        """Why an executor phase dealt by ``schedule`` needs the event
-        engine, or ``None`` when :meth:`_executor_recurrence` times it.
+        """Why a phase dealt by ``schedule`` needs the event engine
+        (:meth:`_phase`), or ``None`` when :meth:`_recurrence` times it.
 
         The recurrence holds when processors share nothing but the flag
         set-times and each walks its positions in increasing order.  The
         disqualifiers, in the order they are named: a serial resource
         (``bus``), state that depends on the interleaving (``coherence``
         ownership, the ``dynamic-schedule`` dispatch counter), a timeline
-        or shadow log to record (``trace``, ``sanitize``), a placement
-        only the schedule's ``chunks_for`` knows (``custom-schedule``).
+        to record (``trace``), a placement only the schedule's
+        ``chunks_for`` knows (``custom-schedule``).  A shadow log is no
+        reason: on a static schedule it is a function of the positions and
+        their codes (:meth:`_shadow_log`).
         """
         machine = self.machine
         if machine.bus:
@@ -479,137 +574,28 @@ class SimulatedRunner(Runner):
             return "dynamic-schedule"
         if tracer is not None:
             return "trace"
-        if self._san_capture is not None:
-            return "sanitize"
         if type(schedule) not in _RECURRENCE_SCHEDULES:
             return "custom-schedule"
         return None
 
-    def _executor_body(
-        self,
-        loop: IrregularLoop,
-        its: np.ndarray,
-        codes: np.ndarray,
-        first: np.ndarray,
-    ):
-        """The cycles of Figure 5's loop body for one executor phase, as a
-        :meth:`_phase` body over execution positions: position ``p`` runs
-        iteration ``its[p]``, whose terms are coded ``codes[first[p]:]``
-        (:mod:`~repro.backends.kernel` codes).  It charges and
-        synchronises; the values are :func:`~repro.backends.kernel.run_span`'s.
-        Ownership for the coherence model starts empty every phase.
-        """
+    def _executor_timing(
+        self, loop: IrregularLoop, its: np.ndarray, codes: np.ndarray
+    ) -> _Timing:
+        """Figure 5's loop body as a :class:`_Timing` record: position
+        ``p`` runs iteration ``its[p]``, its terms coded by ``codes`` in
+        execution order.  Per term a dependence check (offset, ``iter``
+        load, compare) and the term; a ``WAIT`` term busy-waits for its
+        writer between the two."""
         machine = self.machine
         cm = machine.cost_model
-        its, code, first = memoryview(its), memoryview(codes), memoryview(first)
-        write, ptr, r_idx = (
-            memoryview(a) for a in (loop.write, loop.reads.ptr, loop.reads.index)
-        )
-
-        work = cm.effective_work(loop.work)
-        iter_overhead = cm.exec_iter_overhead + work.overhead
-        dep_check_setup = cm.dep_check + work.term_setup
-        term_consume = work.term_consume
-        bus = machine.bus
-        bus_per_access = cm.bus_per_access
-        coherence = machine.coherence
-        coherence_miss = cm.coherence_miss
-        # Write-invalidate ownership: which processor's cache holds each
-        # renamed element (-1 = none yet).
-        owner = [-1] * loop.y_size if coherence else None
-        san = self._san_capture
-
-        def run_body(st, lo: int, hi: int):
-            """Execute positions ``lo..hi`` (generator; yields engine ops)."""
-            events = None if san is None else san.lane(st.proc)
-            pending = 0
-            for p in range(lo, hi):
-                i = its[p]
-                w = write[i]
-                pending += iter_overhead
-                if bus:
-                    n_terms = ptr[i + 1] - ptr[i]
-                    yield UseResource(RES_BUS, (2 + n_terms) * bus_per_access)
-                c = first[p]
-                for k in range(ptr[i], ptr[i + 1]):
-                    # Offset computation, iter load, compare — all done
-                    # before (or while) any wait.
-                    pending += dep_check_setup
-                    if code[c] == WAIT:
-                        # True dependence: busy-wait for the writer, then
-                        # read the renamed (new) value.
-                        idx = r_idx[k]
-                        if pending:
-                            yield Compute(pending)
-                            pending = 0
-                        yield WaitFlag(idx)
-                        if events is not None:
-                            events.append(("a", idx))
-                            events.append(("r", i, idx, 1))
-                        if coherence and owner[idx] != st.proc:
-                            # Invalidation miss: the line is dirty in the
-                            # writer's cache; pay the transfer.
-                            pending += coherence_miss
-                            st.coherence_misses += 1
-                            owner[idx] = st.proc
-                    elif events is not None and code[c] != ACC:
-                        # Antidependence or never written: old value, no
-                        # wait (the live accumulator is not logged).
-                        events.append(("r", i, r_idx[k], 0))
-                    c += 1
-                    pending += term_consume
-                if coherence:
-                    owner[w] = st.proc
-                if pending:
-                    yield Compute(pending)
-                    pending = 0
-                if events is not None:
-                    events.append(("w", i, w))
-                    events.append(("p", w))
-                yield SetFlag(w)
-                st.iterations += 1
-
-        return run_body
-
-    def _executor_operands(
-        self,
-        loop: IrregularLoop,
-        its: np.ndarray,
-        codes: np.ndarray,
-        counts: np.ndarray,
-        first: np.ndarray,
-        lanes: np.ndarray,
-    ) -> tuple[tuple | None, tuple]:
-        """The structure-only half of :meth:`_executor_recurrence`:
-        ``(sweep, sums)`` for positions ``its`` dealt to ``lanes``.
-
-        Position ``p`` runs on processor ``lanes[p]`` after that
-        processor's previous position; a ``WAIT`` term resumes no earlier
-        than its flag's set-time, and every writer sits at an earlier
-        position, so one sweep of the max-plus recurrence
-        (:func:`repro.backends.native.max_plus`) in position order meets
-        every set-time after it is known::
-
-            t = free[lane]
-            per WAIT term:  t += ahead;  t = max(t, set_time[idx])
-            set_time[w] = free[lane] = t + tail
-
-        ``ahead`` is the cycles from the previous wait of the iteration
-        (its flag check included), or from the iteration's start, to this
-        one; ``tail`` from the last wait to the flag set.  ``sweep`` is
-        ``(wait_ptr, sources, keyword operands)`` — ``None`` for a phase
-        with no ``WAIT`` term, which needs no sweep — and ``sums`` each
-        processor's own cycles, flag checks and iterations, taken here in
-        NumPy; everything but the ``max`` is such a sum.
-        """
-        machine = self.machine
-        cm = machine.cost_model
-        processors = machine.processors
         work = cm.effective_work(loop.work)
         iter_overhead = cm.exec_iter_overhead + work.overhead
         dep_check_setup = cm.dep_check + work.term_setup
         term_consume = work.term_consume
         flag_check = cm.flag_check
+        ptr = loop.reads.ptr
+        counts = ptr[its + 1] - ptr[its]
+        first = np.cumsum(counts) - counts
 
         # Per WAIT term, in execution order: its position, the cycles
         # pending when the wait is issued.
@@ -617,27 +603,10 @@ class SimulatedRunner(Runner):
         at = np.searchsorted(first, wait, side="right") - 1
         local = wait - first[at]
         pending = iter_overhead + (local + 1) * dep_check_setup + local * term_consume
-        n_waits = np.bincount(at, minlength=len(its))
-        # An iteration's own cycles: what it computes, and its flag set.
+        # An iteration's cycles from its start through its flag set.
         whole = (
             iter_overhead + counts * (dep_check_setup + term_consume) + cm.flag_set
         )
-
-        def per_lane(weights) -> list[int]:
-            # Exact: cycle sums stay far below 2**53.
-            return (
-                np.bincount(lanes, weights=weights, minlength=processors)
-                .astype(np.int64)
-                .tolist()
-            )
-
-        sums = (
-            per_lane(whole + flag_check * n_waits),
-            per_lane(n_waits),
-            per_lane(None),
-        )
-        if not len(wait):
-            return None, sums
         again = at[1:] == at[:-1]
         ahead = pending.copy()
         ahead[1:][again] -= pending[:-1][again] - flag_check
@@ -646,49 +615,91 @@ class SimulatedRunner(Runner):
         tail = whole.copy()
         tail[at[last]] -= pending[last] - flag_check
         wait_ptr = np.zeros(len(its) + 1, dtype=np.int64)
-        np.cumsum(n_waits, out=wait_ptr[1:])
-        sources = loop.reads.index[loop.reads.ptr[its[at]] + local]
-        operands = {
-            "write": loop.write[its],
-            "ahead": ahead,
-            "tail": tail,
-            "lane": np.ascontiguousarray(lanes, dtype=np.int64),
-        }
-        return (wait_ptr, sources, operands), sums
+        np.cumsum(np.bincount(at, minlength=len(its)), out=wait_ptr[1:])
+        return _Timing(
+            wait_ptr=wait_ptr,
+            sources=loop.reads.index[ptr[its[at]] + local],
+            ahead=ahead,
+            tail=tail,
+            write=loop.write[its],
+            size=loop.y_size,
+            hold=(2 + counts) * cm.bus_per_access if machine.bus else None,
+        )
 
-    def _executor_recurrence(self, loop: IrregularLoop, block: _Block) -> PhaseStats:
-        """The :class:`PhaseStats` the engine gives :meth:`_executor_body`
-        when :meth:`_why_engine` finds no reason for it, without the
-        engine: one sweep over ``block``'s operands
-        (:meth:`_executor_operands`), none where nothing waits.  A
-        processor's ``wait_cycles`` are what its finish time exceeds its
+    def _recurrence(
+        self, name: str, sums: tuple, sweep: _Timing | None = None
+    ) -> PhaseStats:
+        """The :class:`PhaseStats` :meth:`_phase` gives a record when
+        :meth:`_why_engine` finds no reason for the engine, without the
+        engine: each processor's ``sums`` (:meth:`_Timing.deal`) and, where
+        a position waits, one sweep of the max-plus recurrence over
+        ``sweep`` (:func:`repro.backends.native.max_plus`) in position
+        order.  Every writer sits at an earlier position, so the sweep
+        meets every set-time after it is known::
+
+            t = free[lane]
+            per wait:  t += ahead;  t = max(t, set_time[source])
+            set_time[write] = free[lane] = t + tail
+
+        A processor's ``wait_cycles`` are what its finish time exceeds its
         own cycles by; a flag set twice is refused by the sweep
         (:class:`~repro.errors.OutputDependenceError`)."""
-        compute, checks, done = block.sums
-        free = compute
-        if block.sweep is not None:
-            wait_ptr, sources, operands = block.sweep
+        free = sums[0]
+        if sweep is not None and len(sweep.sources):
             _, free, _ = native.max_plus(
-                wait_ptr, sources, loop.y_size,
-                lanes=self.machine.processors, **operands,
+                sweep.wait_ptr, sweep.sources, sweep.size,
+                write=sweep.write, ahead=sweep.ahead, tail=sweep.tail,
+                lane=sweep.lane, lanes=self.machine.processors,
             )
             free = free.tolist()
+        # Positional, in field order (proc, compute, wait, resource wait,
+        # flag checks, flag sets, dispatches, coherence misses, iterations,
+        # finish): the warm path builds these every call.  A processor
+        # only computes or spins until it is done.
         return PhaseStats(
-            name="executor",
+            name=name,
             processors=[
-                ProcessorStats(
-                    proc=proc,
-                    compute_cycles=compute[proc],
-                    # A processor only computes or spins until it is done.
-                    wait_cycles=free[proc] - compute[proc],
-                    flag_checks=checks[proc],
-                    flag_sets=done[proc],
-                    iterations=done[proc],
-                    finish_time=free[proc],
+                ProcessorStats(proc, own, end - own, 0, checks, sets, 0, 0, done, end)
+                for proc, (own, checks, sets, done, end) in enumerate(
+                    zip(*sums, free)
                 )
-                for proc in range(self.machine.processors)
             ],
         )
+
+    def _shadow_log(self, loop: IrregularLoop, block: _Block):
+        """``log(proc, lo, hi)``: append the accesses of ``block``'s
+        positions ``lo..hi`` to processor ``proc``'s shadow log, in
+        program order.  Per term, ``("a", idx)`` then ``("r", i, idx, 1)``
+        for a wait, ``("r", i, idx, 0)`` for an old value (the live
+        accumulator is not logged); then the write ``("w", i, w)`` and its
+        post ``("p", w)``.  The codes fix every read and wait a position
+        makes, so the log is a function of positions and codes, not of
+        engine timing."""
+        capture = self._san_capture
+        ptr = loop.reads.ptr
+        counts = ptr[block.its + 1] - ptr[block.its]
+        its, codes, first = (
+            memoryview(a) for a in (block.its, block.codes, np.cumsum(counts) - counts)
+        )
+        write, ptr, r_idx = (
+            memoryview(a) for a in (loop.write, ptr, loop.reads.index)
+        )
+
+        def log(proc: int, lo: int, hi: int) -> None:
+            events = capture.lane(proc)
+            for p in range(lo, hi):
+                i, c = its[p], first[p]
+                for k in range(ptr[i], ptr[i + 1]):
+                    code, idx = codes[c], r_idx[k]
+                    c += 1
+                    if code == WAIT:
+                        events += (("a", idx), ("r", i, idx, 1))
+                    elif code != ACC:
+                        events.append(("r", i, idx, 0))
+                w = write[i]
+                events += (("w", i, w), ("p", w))
+
+        return log
 
     # ------------------------------------------------------------------
     # The pipeline (paper §2.1–§2.3)
@@ -706,8 +717,8 @@ class SimulatedRunner(Runner):
     ) -> _Operands:
         """Inspect and classify every block (the loop nest's first two
         lines, ``iter`` restored after each block also when one raised),
-        and — when the ``recurrence`` times the executor — derive its
-        operands; the engine gets each position's first term instead."""
+        and describe its executor's cycles — dealt to the processors when
+        the ``recurrence`` times it."""
         if order is not None:
             order = order.copy()  # kept by the cache; the caller's may change
             validate_execution_order(loop, order)
@@ -733,20 +744,19 @@ class SimulatedRunner(Runner):
                 codes = classify_terms(ptr, r_idx, writer_of, its, 1)
             finally:
                 iter_arr[write[lo:hi]] = MAXINT
-            counts = ptr[its + 1] - ptr[its]
-            first = np.cumsum(counts) - counts
-            if not recurrence:
-                parts.append(_Block(lo, hi, its, codes, first=first))
-                continue
             exec_schedule = (
                 described
                 if hi - lo == n
                 else self._resolve_schedule(schedule, hi - lo, chunk)
             )
-            sweep, sums = self._executor_operands(
-                loop, its, codes, counts, first, exec_schedule.lanes()
-            )
-            parts.append(_Block(lo, hi, its, codes, sweep=sweep, sums=sums))
+            timing = self._executor_timing(loop, its, codes)
+            if not recurrence:
+                parts.append(_Block(lo, hi, its, codes, exec_schedule, timing))
+                continue
+            sums = timing.deal(exec_schedule.lanes(), self.machine.processors)
+            if not len(timing.sources):
+                timing = None  # nothing to sweep: the sums are the phase
+            parts.append(_Block(lo, hi, its, codes, exec_schedule, timing, sums))
         return _Operands(parts)
 
     def _doacross(
@@ -849,16 +859,11 @@ class SimulatedRunner(Runner):
             if not linear:
                 # --- inspector: parallel do i: iter(a(i)) = i (Figure 3) ---
                 ran.append(self._parallel_do("inspector", count, cm.pre_iter, 1))
+            log = None if self._san_capture is None else self._shadow_log(loop, block)
             # The cycles of a phase the recurrence times do not depend on
             # the values: one sweep serves every instance.
             if why_engine is None:
-                cycles = self._executor_recurrence(loop, block)
-            else:
-                exec_schedule = (
-                    described
-                    if count == n
-                    else self._resolve_schedule(schedule, count, chunk)
-                )
+                cycles = self._recurrence("executor", block.sums, block.timing)
             for k in range(instances):
                 # --- executor (Figure 5): the values, then the cycles ---
                 run_span(
@@ -873,19 +878,22 @@ class SimulatedRunner(Runner):
                     ynew,
                     ynew,
                 )
-                ran.append(
-                    cycles
-                    if why_engine is None
-                    else self._phase(
+                if why_engine is not None:
+                    cycles = self._phase(
                         "executor",
-                        exec_schedule,
-                        self._executor_body(
-                            loop, block.its, block.codes, block.first
-                        ),
-                        flags=FlagStore(loop.y_size),
+                        block.schedule,
+                        block.timing,
+                        coherence=machine.coherence,
+                        log=log,
                         tracer=tracer,
                     )
-                )
+                elif log is not None:
+                    # Each processor's positions in increasing order: its
+                    # program order.
+                    for proc in range(machine.processors):
+                        for lo, hi in block.schedule.chunks_for(proc):
+                            log(proc, lo, hi)
+                ran.append(cycles)
                 # --- postprocessor: reset ready, copy ynew back and,
                 # after the last instance, reset iter (Figure 3; one
                 # shared store fewer while iter stays valid) ---
@@ -901,13 +909,9 @@ class SimulatedRunner(Runner):
                 y[block_write] = ynew[block_write]
 
         result = self._result(
-            loop, strategy, y, ran, described, instances, order_label
+            loop, strategy, y, ran, described, why_engine, instances,
+            order_label, cached,
         )
-        result.extras["sim_executor"] = {
-            "body": "recurrence" if why_engine is None else "engine",
-            "reason": why_engine,
-            "operands": "cached" if cached else "built",
-        }
         metrics = self._obs_metrics
         if metrics is not None:
             executors = sum(phase.name == "executor" for phase in ran)
@@ -1047,8 +1051,65 @@ class SimulatedRunner(Runner):
         return result
 
     # ------------------------------------------------------------------
-    # Classic doacross baseline (a-priori uniform distance)
+    # The §1 baselines: classic doacross and doall
     # ------------------------------------------------------------------
+    def _baseline(
+        self, loop: IrregularLoop, strategy: str, schedule, chunk: int,
+        distance: int = 0,
+    ) -> RunResult:
+        """A §1 baseline, which writes in place with no inspector, no
+        ``iter`` check and no renaming: a classic doacross (``distance``
+        ``d`` ≥ 1), whose iteration ``i ≥ d`` waits on iteration
+        ``i − d``'s flag and sets its own, or a doall (``distance`` 0),
+        which neither waits nor sets.  The subscripts and the write's
+        injectivity are checked first, then the distance or the
+        independence, so in-place execution is sequentially equivalent and
+        the oracle's values are exact."""
+        loop.check_subscripts()
+        loop.check_write_injective()
+        if distance and (actual := uniform_distance(loop)) != distance:
+            raise InvalidLoopError(
+                f"classic doacross with distance {distance} is unsound: the "
+                f"loop's actual uniform distance is {actual}"
+            )
+        _, _, categories = classify_reads(loop)
+        if distance and np.any(categories == CAT_ANTI):
+            raise InvalidLoopError(
+                "classic doacross cannot run a loop with antidependencies "
+                "(no write renaming); use the preprocessed doacross"
+            )
+        if not distance and np.any((categories == CAT_TRUE) | (categories == CAT_ANTI)):
+            raise InvalidLoopError(
+                "doall on a loop with cross-iteration dependencies: "
+                "asserted independence does not hold"
+            )
+        n = loop.n
+        cm = self.machine.cost_model
+        work = cm.effective_work(loop.work)
+        its, ptr = np.arange(n, dtype=np.int64), loop.reads.ptr
+        # An iteration computes its overhead and its terms.
+        cost = cm.exec_iter_overhead + work.overhead + work.term * np.diff(ptr)
+        sets = distance > 0  # a doall neither waits nor sets
+        waits = sets & (its >= distance)
+        timing = _Timing(
+            wait_ptr=np.concatenate(([0], np.cumsum(waits))),
+            sources=its[: np.count_nonzero(waits)],  # i − d for each i ≥ d
+            ahead=np.zeros(np.count_nonzero(waits), dtype=np.int64),
+            tail=cost + sets * cm.flag_set + cm.flag_check * waits,
+            write=its if sets else None,
+            size=n,
+        )
+        sched = self._resolve_schedule(schedule, n, chunk)
+        why_engine = self._why_engine(sched, None)
+        if why_engine is None:
+            sums = timing.deal(sched.lanes(), self.machine.processors)
+            phase = self._recurrence("executor", sums, timing)
+        else:
+            phase = self._phase("executor", sched, timing)
+        return self._result(
+            loop, strategy, loop.run_sequential(), [phase], sched, why_engine
+        )
+
     def run_classic(
         self,
         loop: IrregularLoop,
@@ -1070,57 +1131,15 @@ class SimulatedRunner(Runner):
         """
         if distance < 1:
             raise InvalidLoopError(f"distance must be >= 1, got {distance}")
-        actual = uniform_distance(loop)
-        if actual != distance:
-            raise InvalidLoopError(
-                f"classic doacross with distance {distance} is unsound: the "
-                f"loop's actual uniform distance is {actual}"
-            )
-        _, _, categories = classify_reads(loop)
-        if np.any(categories == CAT_ANTI):
-            raise InvalidLoopError(
-                "classic doacross cannot run a loop with antidependencies "
-                "(no write renaming); use the preprocessed doacross"
-            )
-
-        cm = self.machine.cost_model
-        work = cm.effective_work(loop.work)
-        term_counts = loop.reads.term_counts()
-        sched = self._resolve_schedule(schedule, loop.n, chunk=chunk)
-        iter_cost_base = cm.exec_iter_overhead + work.overhead
-        term_cost = work.term
-
-        def run_body(st, lo: int, hi: int):
-            for i in range(lo, hi):
-                if i >= distance:
-                    yield WaitFlag(i - distance)
-                yield Compute(
-                    iter_cost_base + int(term_counts[i]) * term_cost
-                )
-                yield SetFlag(i)
-                st.iterations += 1
-
-        # One flag per *iteration* here.
-        phase = self._phase(
-            "executor", sched, run_body, flags=FlagStore(loop.n)
-        )
-        # In-place execution with a verified uniform distance is
-        # sequentially equivalent, so the oracle's values are exact.
-        result = self._result(
-            loop, "classic-doacross", loop.run_sequential(), [phase], sched
-        )
+        result = self._baseline(loop, "classic-doacross", schedule, chunk, distance)
         result.extras["distance"] = distance
         return result
 
-    # ------------------------------------------------------------------
-    # Doall baseline (asserted independence)
-    # ------------------------------------------------------------------
     def run_doall(
         self,
         loop: IrregularLoop,
         schedule=None,
         chunk: int = 1,
-        validate: bool = True,
     ) -> RunResult:
         """Doall: no synchronization, writes in place.
 
@@ -1128,46 +1147,12 @@ class SimulatedRunner(Runner):
         compiler can never prove independence, so this models a *user
         assertion* (a directive); on dependence-free inputs the gap to the
         preprocessed doacross is the whole inspector/executor/postprocessor
-        overhead — the odd-``L`` points of Figure 6.
-
-        ``validate=True`` re-checks at run time that the loop really has no
-        cross-iteration true or anti dependencies — the check the paper's
-        compiler *cannot* do statically, offered here as a debug net.
+        overhead — the odd-``L`` points of Figure 6.  The assertion is
+        re-checked at run time — the check the paper's compiler *cannot*
+        do statically — and a loop with cross-iteration true or anti
+        dependencies is refused.
         """
-        if validate:
-            _, _, categories = classify_reads(loop)
-            if np.any(categories == CAT_TRUE) or np.any(categories == CAT_ANTI):
-                raise InvalidLoopError(
-                    "doall on a loop with cross-iteration dependencies: "
-                    "asserted independence does not hold"
-                )
-
-        cm = self.machine.cost_model
-        write = loop.write
-        ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
-        init = loop.init_values
-        y = loop.y0.copy()
-        work = cm.effective_work(loop.work)
-        sched = self._resolve_schedule(schedule, loop.n, chunk=chunk)
-        iter_cost_base = cm.exec_iter_overhead + work.overhead
-        term_cost = work.term
-
-        def run_body(st, lo: int, hi: int):
-            for i in range(lo, hi):
-                w = write[i]
-                acc = y[w] if init is None else init[i]
-                cost = iter_cost_base
-                for k in range(ptr[i], ptr[i + 1]):
-                    idx = r_idx[k]
-                    value = acc if idx == w else y[idx]
-                    acc += r_coeff[k] * value
-                    cost += term_cost
-                y[w] = acc
-                yield Compute(cost)
-                st.iterations += 1
-
-        phase = self._phase("executor", sched, run_body)
-        return self._result(loop, "doall", y, [phase], sched)
+        return self._baseline(loop, "doall", schedule, chunk)
 
 
 # ----------------------------------------------------------------------

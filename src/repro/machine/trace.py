@@ -24,9 +24,6 @@ SEG_COMPUTE = "compute"
 SEG_WAIT = "wait"
 SEG_QUEUE = "queue"
 
-_GANTT_GLYPH = {SEG_COMPUTE: "#", SEG_WAIT: ".", SEG_QUEUE: "~"}
-
-
 @dataclass(frozen=True)
 class Segment:
     """One contiguous state interval on one processor."""
@@ -122,28 +119,14 @@ class Tracer:
     # ------------------------------------------------------------------
     def gantt(self, width: int = 72) -> str:
         """ASCII Gantt chart: one row per processor, ``#`` compute,
-        ``.`` busy-wait, ``~`` resource queueing, space idle."""
-        span = self.span()
-        if span == 0:
+        ``.`` busy-wait, ``~`` resource queueing, space idle — the spans
+        of :meth:`to_spans` drawn by :func:`repro.obs.export.gantt`."""
+        if not self.segments:
             return "(empty trace)"
-        by_proc = self.by_processor()
-        lines = [
-            f"t = 0 .. {span} cycles   ('#' compute, '.' busy-wait, "
-            f"'~' queued, ' ' idle)"
-        ]
-        for proc in sorted(by_proc):
-            row = [" "] * width
-            for seg in by_proc[proc]:
-                c0 = int(seg.start / span * width)
-                c1 = max(c0 + 1, int(seg.end / span * width))
-                glyph = _GANTT_GLYPH.get(seg.kind, "?")
-                for c in range(c0, min(c1, width)):
-                    # Compute wins over wait wins over queue when segments
-                    # share a column at this resolution.
-                    current = row[c]
-                    if current == " " or glyph == "#" or (
-                        glyph == "." and current == "~"
-                    ):
-                        row[c] = glyph
-            lines.append(f"p{proc:<3d}|{''.join(row)}|")
-        return "\n".join(lines)
+        from repro.obs.export import gantt
+        from repro.obs.telemetry import CLOCK_CYCLES, Telemetry
+
+        return gantt(
+            Telemetry(backend="simulated", clock=CLOCK_CYCLES, spans=self.to_spans()),
+            width,
+        )

@@ -191,7 +191,7 @@ def read_spans_jsonl(source: str | Path) -> Telemetry:
 _GANTT_GLYPH = {CAT_COMPUTE: "#", CAT_WAIT: ".", CAT_QUEUE: "~", CAT_LEVEL: "#"}
 
 #: Overwrite precedence when spans share a column at chart resolution:
-#: compute wins over wait wins over queue (mirrors ``Tracer.gantt``).
+#: compute wins over wait wins over queue.
 _GANTT_RANK = {" ": 0, "~": 1, ".": 2, "#": 3}
 
 
@@ -206,11 +206,10 @@ def gantt(telemetry: Telemetry, width: int = 72) -> str:
 
     Renders compute/wait/queue (and vectorized per-level) spans; phase and
     run spans are accounting envelopes, not activity, and are skipped.
-    The glyph vocabulary is identical to the simulated
-    :meth:`~repro.machine.trace.Tracer.gantt`, so side-by-side comparison
-    of a threaded wall-clock run and a simulated cycle run reads the same
-    way: staircases of ``.`` are serialized busy-waits, dense ``#`` is a
-    pipelined schedule.
+    The simulated :meth:`~repro.machine.trace.Tracer.gantt` draws through
+    this function too, so a threaded wall-clock run and a simulated cycle
+    run read the same way: staircases of ``.`` are serialized busy-waits,
+    dense ``#`` is a pipelined schedule.
     """
     drawable: list[Span] = [
         s

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.doacross import PreprocessedDoacross
-from repro.errors import InvalidLoopError
+from repro.errors import InvalidLoopError, OutputDependenceError
 from repro.ir.accesses import ReadTable
 from repro.ir.loop import IrregularLoop
 from repro.ir.subscript import AffineSubscript
@@ -52,6 +52,22 @@ class TestEligibility:
     def test_distance_must_be_positive(self):
         with pytest.raises(InvalidLoopError, match=">= 1"):
             classic(chain_loop(10, 1), 0, processors=4)
+
+    @pytest.mark.parametrize("value", [-1, 10**6], ids=["negative", "too-large"])
+    @pytest.mark.parametrize("array", ["write", "read"])
+    def test_out_of_range_subscript_rejected(self, array, value):
+        # Checked before anything runs: NumPy would wrap a negative index
+        # to the last element, and an oversized one would die bare.
+        loop = chain_loop(50, 1)
+        (loop.write if array == "write" else loop.reads.index)[5] = value
+        with pytest.raises(InvalidLoopError, match="out of range"):
+            classic(loop, 1, processors=4)
+
+    def test_duplicated_write_rejected(self):
+        loop = chain_loop(50, 1)
+        loop.write[5] = loop.write[4]
+        with pytest.raises(OutputDependenceError):
+            classic(loop, 1, processors=4)
 
 
 class TestExecution:

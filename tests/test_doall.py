@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.doacross import PreprocessedDoacross
-from repro.errors import InvalidLoopError
+from repro.errors import InvalidLoopError, OutputDependenceError
 from repro.ir.accesses import ReadTable
 from repro.ir.loop import IrregularLoop
 from repro.ir.subscript import AffineSubscript
@@ -12,12 +12,10 @@ from repro.workloads.testloop import make_test_loop
 from tests.conftest import assert_matches_oracle
 
 
-def doall(loop, processors, validate=True):
+def doall(loop, processors):
     """The doall baseline on its own machine: the backend entry point
     behind :meth:`PreprocessedDoacross.runner`."""
-    return PreprocessedDoacross(processors=processors).runner().run_doall(
-        loop, validate=validate
-    )
+    return PreprocessedDoacross(processors=processors).runner().run_doall(loop)
 
 
 def independent_loop(n=100, seed=0):
@@ -43,12 +41,21 @@ class TestValidation:
         with pytest.raises(InvalidLoopError):
             doall(loop, processors=4)
 
-    def test_validation_can_be_disabled(self):
-        # validate=False models a trusted user directive; intra-only loops
-        # execute correctly regardless.
-        loop = independent_loop()
-        result = doall(loop, processors=4, validate=False)
-        assert_matches_oracle(result.y, loop)
+    @pytest.mark.parametrize("value", [-1, 10**6], ids=["negative", "too-large"])
+    @pytest.mark.parametrize("array", ["write", "read"])
+    def test_out_of_range_subscript_rejected(self, array, value):
+        # Checked before anything runs: NumPy would wrap a negative index
+        # to the last element, and an oversized one would die bare.
+        loop = make_test_loop(40, 2, 7)
+        (loop.write if array == "write" else loop.reads.index)[5] = value
+        with pytest.raises(InvalidLoopError, match="out of range"):
+            doall(loop, processors=4)
+
+    def test_duplicated_write_rejected(self):
+        loop = make_test_loop(40, 2, 7)
+        loop.write[5] = loop.write[4]
+        with pytest.raises(OutputDependenceError):
+            doall(loop, processors=4)
 
 
 class TestExecution:

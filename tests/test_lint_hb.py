@@ -10,7 +10,7 @@ from repro.backends import kernel
 from repro.backends.base import level_placement
 from repro.backends.hooks import HookedRunner, StaticValidate
 from repro.backends.kernel import Placement
-from repro.backends.simulated import SimulatedRunner
+from repro.backends.simulated import SimulatedRunner, _Timing
 from repro.graph.levels import compute_levels
 from repro.ir.accesses import ReadTable
 from repro.ir.analysis import dependence_pairs, writer_map
@@ -312,26 +312,30 @@ def _lanes_walked(backend, runner, monkeypatch, loop, options):
 
         monkeypatch.setattr(runner, "_broadcast", spy)
     elif backend == "simulated":
-        operands = SimulatedRunner._executor_operands
-        body = SimulatedRunner._executor_body
+        deal, phase = _Timing.deal, SimulatedRunner._phase
 
-        def spy_operands(self, loop, its, codes, counts, first, lanes):
+        def spy_deal(self, lanes, processors):
+            # A static schedule: the recurrence's record, dealt to lanes.
             for lane in np.unique(lanes):
-                walked[int(lane)] = its[lanes == lane]
-            return operands(self, loop, its, codes, counts, first, lanes)
+                walked[int(lane)] = _iterations(np.flatnonzero(lanes == lane), order)
+            return deal(self, lanes, processors)
 
-        def spy_body(self, loop, its, codes, first):
-            run = body(self, loop, its, codes, first)
+        def spy_phase(self, name, schedule, timing, **kwargs):
+            # A dynamic schedule: the engine's claims, each its own lane.
+            if name == "executor" and schedule.is_dynamic:
+                claim = schedule.claim
 
-            def walk(st, lo, hi):
-                # One claim per call on a dynamic schedule: its own lane.
-                walked[len(walked)] = its[lo:hi]
-                yield from run(st, lo, hi)
+                def spy_claim():
+                    got = claim()
+                    if got is not None:
+                        walked[len(walked)] = _iterations(np.arange(*got), order)
+                    return got
 
-            return walk
+                monkeypatch.setattr(schedule, "claim", spy_claim)
+            return phase(self, name, schedule, timing, **kwargs)
 
-        monkeypatch.setattr(SimulatedRunner, "_executor_operands", spy_operands)
-        monkeypatch.setattr(SimulatedRunner, "_executor_body", spy_body)
+        monkeypatch.setattr(_Timing, "deal", spy_deal)
+        monkeypatch.setattr(SimulatedRunner, "_phase", spy_phase)
     result = HookedRunner(runner, [StaticValidate]).run(loop, **options)
     if backend == "multiproc":
         walked = {w: np.concatenate(parts) for w, parts in walked.items()}

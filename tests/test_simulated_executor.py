@@ -1,21 +1,26 @@
-"""The simulated executor's two timing bodies agree, and each runs where
-it should.
+"""The simulated executor's two evaluators agree, and each runs where it
+should.
 
-An executor phase is timed either by the max-plus recurrence
-(``SimulatedRunner._executor_recurrence``) or by the event engine; the
-engine is the only body that can run a bus, coherence, a dynamic schedule,
-a trace, a shadow log or a caller's own schedule, and it is what the
-recurrence is held against here, on both bodies of the recurrence's sweep
-(:func:`repro.backends.native.max_plus`).  ``on_engine`` and
+Every phase's cycles are one per-position record
+(``simulated._Timing``), read either by the max-plus recurrence
+(``SimulatedRunner._recurrence``) or by the one engine body
+(``SimulatedRunner._phase``); the engine is the only one that can run a
+bus, coherence, a dynamic schedule, a trace or a caller's own schedule,
+and it is what the recurrence is held against here, on both bodies of the
+recurrence's sweep (:func:`repro.backends.native.max_plus`): for the
+preprocessed doacross in all its variants, the classic doacross, the
+doall and Figure 3's ``parallel do`` loops.  ``on_engine`` and
 ``no_compiler`` (``tests/conftest.py``) are the test-only seams that send
-eligible phases to the engine too, and the sweep to its Python body.
-Figure 3's ``parallel do`` loops have a closed form held to the engine the
-same way, and the recurrence's operands a cache whose key is tested part
-by part.
+eligible phases to the engine too, and the sweep to its Python body.  A
+sanitized run's shadow log is written without the engine on a static
+schedule, and held to the engine's the same way; the recurrence's
+operands live in a cache whose key is tested part by part.
 """
 
+import ast
 import contextlib
 import copy
+import inspect
 import json
 
 import numpy as np
@@ -24,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PlanSpec, make_runner
+from repro.backends import simulated
 from repro.backends.simulated import SimulatedRunner
 from repro.core.doconsider import level_order
 from repro.core.serialize import result_to_dict
@@ -33,6 +39,8 @@ from repro.machine.costs import CostModel
 from repro.machine.engine import Machine
 from repro.machine.scheduler import StaticCyclicSchedule
 from repro.obs import validate_telemetry
+from repro.sanitize.detector import detect
+from repro.sanitize.shadow import ShadowCapture
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
 from tests.conftest import assert_same_bits, no_compiler, on_engine
@@ -116,6 +124,41 @@ class TestRecurrenceEqualsEngine:
         if variant != "amortized":
             assert_same_bits(recurrence.y, loop.run_sequential())
 
+    @given(
+        n=st.integers(0, 90),
+        distance=st.integers(1, 6),
+        m=st.integers(1, 4),
+        half_l=st.integers(0, 4),
+        kind=st.sampled_from(["block", "cyclic"]),
+        chunk=st.integers(1, 5),
+        processors=st.sampled_from([1, 2, 3, 16]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_classic_and_doall(
+        self, n, distance, m, half_l, kind, chunk, processors
+    ):
+        # Where each applies: a uniform-distance chain, an odd-L Figure-4
+        # loop (it reads only never-written elements).
+        chain = chain_loop(n + distance + 1, distance)
+        independent = make_test_loop(n + 1, m, 2 * half_l + 1)
+        runner = SimulatedRunner(Machine(processors))
+        for loop, run in (
+            (chain, lambda: runner.run_classic(
+                chain, distance, schedule=kind, chunk=chunk
+            )),
+            (independent, lambda: runner.run_doall(
+                independent, schedule=kind, chunk=chunk
+            )),
+        ):
+            recurrence = run()
+            with no_compiler():
+                python = run()
+            with on_engine():
+                engine = run()
+            assert_same_run(recurrence, engine)
+            assert_same_run(python, engine)
+            assert_same_bits(recurrence.y, loop.run_sequential())
+
     @pytest.mark.parametrize("processors", [1, 4, 16])
     def test_costs_other_than_the_defaults(self, processors):
         # Zero-cost flag traffic and a heavy work profile move every term
@@ -181,17 +224,18 @@ class TestRouting:
         assert_same_bits(result.y, self.LOOP.run_sequential())
 
     @pytest.mark.parametrize(
-        "reason,spec",
-        [
-            ("trace", PlanSpec(backend="simulated", observe=True)),
-            ("sanitize", PlanSpec(backend="simulated", validate="sanitize")),
-        ],
+        "reason,spec", [("trace", PlanSpec(backend="simulated", observe=True))]
     )
     def test_hooks_that_need_a_timeline_take_the_engine(self, reason, spec):
         result = make_runner(spec=spec).run(self.LOOP)
         assert result.extras["sim_executor"]["reason"] == reason
-        if reason == "sanitize":
-            assert result.extras["sanitize"]["ok"]
+
+    def test_a_sanitized_run_takes_the_recurrence(self):
+        # The shadow log of a static schedule needs no timeline.
+        spec = PlanSpec(backend="simulated", validate="sanitize")
+        result = make_runner(spec=spec).run(self.LOOP)
+        assert timed_by(result) == RECURRENCE
+        assert result.extras["sanitize"]["ok"]
 
     def test_first_disqualifier_is_the_one_named(self):
         machine = Machine(4, cost_model=_CONTENDED, bus=True, coherence=True)
@@ -314,7 +358,8 @@ class TestParallelDo:
             ("postprocessor", 0, 2),
         ):
             closed = runner._parallel_do(name, n, cost, accesses)
-            engine = runner._parallel_do_on_engine(name, n, cost, accesses)
+            with on_engine():
+                engine = runner._parallel_do(name, n, cost, accesses)
             assert closed == engine
 
     def test_a_bus_queues_on_the_engine(self):
@@ -322,6 +367,105 @@ class TestParallelDo:
         phase = runner._parallel_do("postprocessor", 40, 4, 3)
         assert phase.total_resource_wait > 0
         assert phase.span > 10 * 4
+
+
+def _shadow(runner, loop, run):
+    """``run(runner)`` with a shadow log attached: the result, the log's
+    lanes and its report."""
+    runner._san_capture = capture = ShadowCapture()
+    try:
+        result = run(runner)
+    finally:
+        runner._san_capture = None
+    return result, capture.lanes, detect(capture, loop).as_dict()
+
+
+class TestShadowLog:
+    """On a static schedule a processor's shadow log is its positions'
+    accesses in position order, written without the engine: the same
+    events per lane, and the same report, as the engine body logs."""
+
+    LOOPS = {
+        "chain-d1": chain_loop(90, 1),
+        "chain-d3": chain_loop(90, 3),
+        "fig4-l7": make_test_loop(120, 3, 7),
+        "fig4-l8": make_test_loop(120, 3, 8),
+        **{f"random-{s}": random_irregular_loop(110, seed=s) for s in range(3)},
+    }
+    VARIANTS = {
+        "plain": lambda r, loop, **kw: r.run_preprocessed(loop, **kw),
+        "doconsider": lambda r, loop, **kw: r.run_preprocessed(
+            loop, order=level_order(loop)[0], **kw
+        ),
+        "amortized": lambda r, loop, **kw: r.run_amortized(loop, 2, **kw),
+        "stripmined": lambda r, loop, schedule, chunk: r.run_stripmined(
+            loop, 25, schedule_kind=schedule, chunk=chunk
+        ),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("kind,chunk", [("cyclic", 1), ("block", 1), ("cyclic", 4)])
+    @pytest.mark.parametrize("processors", [1, 3, 16])
+    def test_static_log_is_the_engine_log(self, processors, kind, chunk, variant):
+        runner = SimulatedRunner(Machine(processors))
+        for name, loop in self.LOOPS.items():
+
+            def run(r):
+                return self.VARIANTS[variant](r, loop, schedule=kind, chunk=chunk)
+
+            result, lanes, report = _shadow(runner, loop, run)
+            with on_engine():
+                engine, engine_lanes, engine_report = _shadow(runner, loop, run)
+            assert timed_by(result) == RECURRENCE, name
+            assert engine.extras["sim_executor"]["body"] == "engine", name
+            assert lanes and lanes == engine_lanes, name
+            assert report == engine_report, name
+            if variant != "stripmined":  # the log has no barrier between blocks
+                assert report["ok"], name
+
+    def test_a_dynamic_schedule_logs_from_the_engine(self):
+        loop = make_test_loop(120, 3, 8)
+        result, lanes, report = _shadow(
+            SimulatedRunner(Machine(4)), loop,
+            lambda r: r.run_preprocessed(loop, schedule="dynamic", chunk=4),
+        )
+        assert timed_by(result) == {"body": "engine", "reason": "dynamic-schedule"}
+        assert report["ok"] and lanes
+
+
+def test_one_engine_body():
+    """Every phase walks one record: besides ``_phase``'s dealer, the
+    module has one generator that yields engine operations."""
+    generators = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = path + (child.name,)
+                if isinstance(child, ast.FunctionDef) and _yields(child):
+                    generators.append(".".join(inner))
+                visit(child, inner)
+            else:
+                visit(child, path)
+
+    visit(ast.parse(inspect.getsource(simulated)), ())
+    assert sorted(generators) == [
+        "SimulatedRunner._phase.body",
+        "SimulatedRunner._phase.factory_for.task",
+        "SimulatedRunner._phase.factory_for.task",
+    ]
+
+
+def _yields(function: ast.FunctionDef) -> bool:
+    """Whether ``function`` itself (not a function nested in it) yields."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
 
 
 def _counting(monkeypatch, module, name: str) -> list:
