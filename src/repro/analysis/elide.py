@@ -24,7 +24,9 @@ import numpy as np
 
 from repro.analysis.engine import analyze_loop, slot_term_map
 from repro.analysis.verdicts import (
+    SLOT_ANTI,
     SLOT_INTRA,
+    SLOT_NO_TRUE,
     SLOT_TRUE,
     DependenceVerdict,
 )
@@ -114,6 +116,7 @@ def build_symbolic_record(
     true_flat = np.zeros(total, dtype=bool)
     intra_flat = np.zeros(total, dtype=bool)
     true_slots = []
+    renames = False
     if loop.read_slots is not None and len(loop.read_slots):
         iters, sids = slot_term_map(loop)
         for dep in verdict.slots:
@@ -124,6 +127,13 @@ def build_symbolic_record(
                 a, b = dep.dep_range
                 true_flat[mask & (iters >= a) & (iters < b)] = True
                 true_slots.append(dep)
+            elif dep.kind in (SLOT_ANTI, SLOT_NO_TRUE) and not renames:
+                # Only these slots may read an element a later iteration
+                # writes; whether one does is the iter array's answer at
+                # their terms (the one look at memory the record takes,
+                # and only for loops with such a slot).
+                read = loop.reads.index[mask]
+                renames = bool((iter_array[read] != MAXINT).any())
     elif total:
         raise ProofError(
             f"{loop.name}: read terms exist but no slots are declared"
@@ -165,6 +175,7 @@ def build_symbolic_record(
         schedule=schedule,
         true_flat=true_flat,
         intra_flat=intra_flat,
+        renames=renames,
         plan=plan_transform(loop, verdict=verdict),
         fingerprint=symbolic_fingerprint(loop),
     )
@@ -205,7 +216,7 @@ def build_distance_record(
     statically, or when the inspector's observed distances contradict it
     (the runtime rendering of the lint rule ``DISTANCE-MISMATCH``).
     """
-    from repro.ir.analysis import CAT_INTRA, CAT_TRUE, classify_reads
+    from repro.ir.analysis import CAT_ANTI, CAT_INTRA, CAT_TRUE, classify_reads
 
     if group < 1:
         raise ProofError(f"{loop.name}: group size must be >= 1, got {group}")
@@ -240,6 +251,7 @@ def build_distance_record(
         schedule=LevelSchedule.from_levels(levels),
         true_flat=true_flat,
         intra_flat=intra_flat,
+        renames=bool((categories == CAT_ANTI).any()),
         plan=plan_transform(loop, verdict=verdict),
         fingerprint=distance_fingerprint(loop, group),
     )
@@ -252,7 +264,9 @@ def record_mismatches(
     symbolic: InspectorRecord, runtime: InspectorRecord
 ) -> list[str]:
     """Field-by-field comparison of two records (ignoring fingerprints
-    and plans, which legitimately differ between the paths)."""
+    and plans, which legitimately differ between the paths): what the
+    walk runs — codes, order, gathered layout, whether it renames —
+    included."""
     problems = []
     for name in _RECORD_ARRAYS:
         a, b = getattr(symbolic, name), getattr(runtime, name)
@@ -263,6 +277,15 @@ def record_mismatches(
         b = getattr(runtime.schedule, name)
         if not np.array_equal(a, b):
             problems.append(f"schedule field {name!r} differs")
+    a, b = symbolic.layout, runtime.layout
+    if (a is None) != (b is None):
+        problems.append("record field 'layout' differs")
+    elif a is not None:
+        for name in ("write", "ptr", "index", "start"):
+            if not np.array_equal(getattr(a, name), getattr(b, name)):
+                problems.append(f"layout field {name!r} differs")
+    if symbolic.renames != runtime.renames:
+        problems.append("record field 'renames' differs")
     return problems
 
 

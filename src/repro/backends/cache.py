@@ -55,9 +55,15 @@ wavefront :class:`~repro.graph.levels.LevelSchedule`, the
 :class:`~repro.ir.transform.TransformPlan`, and the Figure-5 compare done
 once: one term code per read (old ``y``, renamed ``ynew``, or the
 iteration's own accumulator) in the schedule's level-major order, which
-is what the executor's one walk reads.  Everything in the record is
+is what the executor's one walk reads.  Two more things make that walk
+stream and skip work: the loop's ``write`` / ``ptr`` / ``index``
+gathered into the same order (:class:`WalkLayout`; nothing is copied
+when the order is the identity), and whether any term reads an element
+a later iteration writes (``renames``: without such an antidependence
+the walk needs no ``ynew``).  Everything in the record is
 structure-only; per-run values (coefficients, initial values) are read
-at execution time.
+from the loop at execution time, so one record serves every loop of its
+structure.
 
 The wavefront schedule alone is what every *other* backend's plan needs,
 so the cache also serves it by itself (:meth:`InspectorCache.levels_for`)
@@ -94,6 +100,7 @@ __all__ = [
     "loop_fingerprint",
     "fingerprint_with_body",
     "InspectorRecord",
+    "WalkLayout",
     "InspectorCache",
     "build_inspector_record",
     "assemble_record",
@@ -169,6 +176,38 @@ def loop_fingerprint(loop: IrregularLoop) -> str:
     return fingerprint_with_body(loop)[0]
 
 
+@dataclass(frozen=True)
+class WalkLayout:
+    """A loop's structure gathered into a schedule's ``order`` once, so
+    the walk reads it by position, front to back
+    (:func:`~repro.backends.kernel.run_span`'s ``start`` layout).
+
+    Attributes
+    ----------
+    write:
+        ``write[order[t]]``: position ``t``'s written element.
+    ptr:
+        Local term boundaries: position ``t``'s terms are
+        ``index[ptr[t]:ptr[t + 1]]`` (and ``codes``' same range).
+    index:
+        The loop's ``reads.index``, every term of ``order[0]``, then of
+        ``order[1]``, ...
+    start:
+        ``reads.ptr[order[t]]``: where position ``t``'s coefficients begin
+        in the loop's own ``reads.coeff``.  Coefficients and initial values
+        are per-call values, so they are never gathered.
+    """
+
+    write: np.ndarray
+    ptr: np.ndarray
+    index: np.ndarray
+    start: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return int(sum(a.nbytes for a in vars(self).values()))
+
+
 @dataclass
 class InspectorRecord:
     """One cached preprocessing result (structure-only; see module doc).
@@ -191,6 +230,14 @@ class InspectorRecord:
         of the iteration's own element, ``WAIT`` for a renamed (true
         dependence) read, ``OLD`` otherwise.  Nothing is ``LOCAL``: level
         order, not strip order, is what discharges the waits.
+    layout:
+        The structure in ``order`` (:class:`WalkLayout`), or ``None`` when
+        ``order`` is the identity and the loop's own arrays already are.
+    renames:
+        Whether some ``OLD`` term reads an element an iteration writes —
+        an antidependence, which level order may run after its writer.
+        Only then does the walk need the renamed buffer (``ynew``) and the
+        copy-back; otherwise it writes ``y`` in place.
     """
 
     fingerprint: str
@@ -198,6 +245,8 @@ class InspectorRecord:
     schedule: LevelSchedule
     plan: TransformPlan
     codes: np.ndarray
+    layout: WalkLayout | None
+    renames: bool
 
     @property
     def nbytes(self) -> int:
@@ -209,7 +258,8 @@ class InspectorRecord:
             self.schedule.level_ptr,
             self.codes,
         )
-        return int(sum(a.nbytes for a in arrays))
+        layout = 0 if self.layout is None else self.layout.nbytes
+        return int(sum(a.nbytes for a in arrays)) + layout
 
 
 def build_inspector_record(
@@ -242,6 +292,11 @@ def build_inspector_record(
     writers = iter_array[loop.reads.index]  # MAXINT where unwritten
     intra_flat = writers == readers
     true_flat = writers < readers  # MAXINT compares greater: never true dep
+    # A read of a written element is true, intra or anti: counting beats
+    # a third mask.
+    anti = np.count_nonzero(writers != MAXINT) - np.count_nonzero(
+        true_flat
+    ) - np.count_nonzero(intra_flat)
 
     return assemble_record(
         loop,
@@ -249,6 +304,7 @@ def build_inspector_record(
         schedule=schedule,
         true_flat=true_flat,
         intra_flat=intra_flat,
+        renames=anti > 0,
         plan=plan_transform(loop),
         fingerprint=fingerprint or loop_fingerprint(loop),
     )
@@ -261,12 +317,16 @@ def assemble_record(
     schedule: LevelSchedule,
     true_flat: np.ndarray,
     intra_flat: np.ndarray,
+    renames: bool,
     plan: TransformPlan,
     fingerprint: str,
 ) -> InspectorRecord:
     """Package classified terms as an :class:`InspectorRecord`: the
     ``true_flat`` / ``intra_flat`` masks (flat term order) become term
-    codes in the schedule's order.
+    codes in the schedule's order, and the structure is gathered into
+    that order beside them (:class:`WalkLayout`, from the same term
+    positions; none when the order is the identity).  ``renames`` is the
+    caller's: whether an ``OLD`` term reads a written element.
 
     Shared by the runtime inspector (:func:`build_inspector_record`) and
     the symbolic and distance-group paths (:mod:`repro.analysis.elide`)
@@ -276,12 +336,26 @@ def assemble_record(
     codes = np.full(len(true_flat), OLD, dtype=np.int8)
     codes[true_flat] = WAIT
     codes[intra_flat] = ACC
+    order, reads = schedule.order, loop.reads
+    terms, counts = term_positions(reads.ptr, order)
+    layout = None
+    if len(order) and not isinstance(terms, slice):
+        ptr = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        layout = WalkLayout(
+            write=loop.write[order],
+            ptr=ptr,
+            index=reads.index[terms],
+            start=reads.ptr[order],
+        )
     return InspectorRecord(
         fingerprint=fingerprint,
         iter_array=iter_array,
         schedule=schedule,
         plan=plan,
-        codes=codes[term_positions(loop.reads.ptr, schedule.order)[0]],
+        codes=codes[terms],
+        layout=layout,
+        renames=bool(renames),
     )
 
 

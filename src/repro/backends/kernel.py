@@ -26,7 +26,11 @@ simulated backends are scheduling and synchronisation around these two,
 and the vectorized backend is one :func:`run_span` call over the level-major
 order of its wavefronts (its codes come from the inspector record: level
 order discharges the waits, so nothing there is :data:`LOCAL` and ``wait``
-is ``None``).  Each runner states where its iterations run as one
+is ``None``).  That call reads the record's structure gathered into level
+order, by position (``start``), and, when no :data:`OLD` term reads an
+element some iteration writes, one buffer as ``old``, ``new`` and ``out``:
+the renaming exists for antidependences only, so without one there is no
+``ynew`` and no copy-back.  Each runner states where its iterations run as one
 :class:`Placement` (``schedule_model``); the static race checker
 (:mod:`repro.lint.hb`) applies the one coverage rule to it, its waits
 being exactly the terms :func:`classify_terms` codes :data:`WAIT`; the
@@ -276,6 +280,7 @@ def run_span(
     out,
     *,
     cur: int = 0,
+    start: np.ndarray | None = None,
     wait=None,
     post=None,
     events: list | None = None,
@@ -287,6 +292,18 @@ def run_span(
     barrier-separated group — by feeding the returned cursor back in.
     Per iteration, terms accumulate in original order as float64 scalar
     operations: bitwise the sequential oracle's arithmetic.
+
+    ``start`` selects the layout of the structure.  ``None``: ``write``,
+    ``ptr`` and ``index`` are the loop's own, read by iteration
+    (``write[i]``, terms ``ptr[i]:ptr[i + 1]``, ``coeff[k]``).  An array:
+    they are gathered into the order of ``its`` and read by position —
+    ``write[t]``, terms ``ptr[t]:ptr[t + 1]`` of ``index`` — and
+    ``start[t]`` is position ``t``'s first term in the loop's ``coeff``,
+    which is never gathered (nor ``init``, read at ``its[t]``): per-call
+    values stay the loop's, so one layout serves every loop of its
+    structure.  A gathered layout is a record's copy rather than the
+    loop's checked and frozen arrays, so both bodies check it as they go
+    and refuse a bad entry with :class:`~repro.errors.InvalidLoopError`.
 
     ``old`` serves ``OLD`` terms, ``out`` receives every write and serves
     ``LOCAL`` terms, ``new`` serves ``WAIT`` terms after ``wait(idx)``
@@ -326,7 +343,8 @@ def run_span(
             reason = "short-span"
         else:
             done = native.run_span(
-                its, codes, write, ptr, index, coeff, init, old, new, out, cur
+                its, codes, write, ptr, index, coeff, init, old, new, out,
+                cur, start,
             )
             if type(done) is int:
                 _tally.native += 1
@@ -334,14 +352,36 @@ def run_span(
             reason = done
     _tally.python += 1
     _tally.reason = reason
-    code, write, ptr, index, coeff, init, old, new, out = (
+    gathered = start is not None
+    if gathered:
+        n, size, n_codes = len(write), len(out), len(codes)
+        n_terms, n_coeff = len(index), len(coeff)
+    code, write, ptr, index, coeff, init, old, new, out, start = (
         memoryview(a) if isinstance(a, np.ndarray) else a
-        for a in (codes, write, ptr, index, coeff, init, old, new, out)
+        for a in (codes, write, ptr, index, coeff, init, old, new, out, start)
     )
+    shift = 0  # coeff[k + shift]: the loop's own offset of term k
+    t = -1  # the position, counted only where it is read
     for i in its.tolist():
-        w = write[i]
+        if gathered:
+            t += 1
+            # Checked as the C body checks it, before anything of t is
+            # written (module doc of :mod:`~repro.backends.native`).
+            if not (0 <= i < n and t < n):
+                raise native.span_error(t, i)
+            w, k, hi = write[t], ptr[t], ptr[t + 1]
+            shift = start[t] - k
+            if not (
+                0 <= w < size and 0 <= k <= hi <= n_terms
+                and hi - k <= n_codes - cur
+                and 0 <= k + shift <= n_coeff - (hi - k)
+                and (k == hi or 0 <= min(index[k:hi]) <= max(index[k:hi]) < size)
+            ):
+                raise native.span_error(t, i)
+        else:
+            w, k, hi = write[i], ptr[i], ptr[i + 1]
         acc = old[w] if init is None else init[i]
-        for k in range(ptr[i], ptr[i + 1]):
+        for k in range(k, hi):
             c = code[cur]
             cur += 1
             idx = index[k]
@@ -363,7 +403,7 @@ def run_span(
                 if events is not None:
                     events.append(("r", i, idx, 1))
                 value = new[idx]
-            acc += coeff[k] * value
+            acc += coeff[k + shift] * value
         out[w] = acc
         if events is not None:
             events.append(("w", i, w))

@@ -1,19 +1,32 @@
-"""The compiled bodies of :func:`repro.backends.kernel.run_span` and of the
-one max-plus recurrence, :func:`max_plus`.
+"""The compiled bodies of :func:`repro.backends.kernel.run_span`, of the
+sequential loop (:func:`sequential`) and of the one max-plus recurrence,
+:func:`max_plus`.
 
 The paper's §1 flow *compiles* the executor out of the source loop.  This
 module is that step for the one scalar evaluator every wall-clock backend
 shares, and for the sweep behind the §3.2 wavefronts and every cycle
 bound: one C text (:func:`c_source`, the walk's term codes generated from
 :mod:`~repro.backends.kernel`'s constants), a ``gcc`` build into one shared
-object cached on disk, and two :mod:`ctypes` entries (GIL released):
+object cached on disk, and three :mod:`ctypes` entries (GIL released):
 :func:`run_span`, which ``kernel.run_span`` hands every span that needs no
-Python callback, and :func:`max_plus`.  Every value an iteration reads was
+Python callback; :func:`sequential`, the oracle's loop compiled — the
+denominator a compiled walk is measured against, not a backend; and
+:func:`max_plus`.  Every value an iteration reads was
 written by an earlier one (the per-iteration read contract), so position
 order is topological, and one forward sweep with times indexed by element
 (no ``iter`` array, no dependence graph) gives the wavefront levels, the
 critical path and the simulated executor's cycles; :func:`max_plus` is
 its one dispatch site, between the C function and its Python body.
+
+The walk reads two layouts of one structure (``start`` selects).  By
+iteration: the loop's own ``write[i]``, ``ptr[i]:ptr[i + 1]``, ``index``
+and ``coeff`` — every backend's spans.  By position: ``write``, ``ptr``
+and ``index`` gathered into the span's order once per inspector record,
+read front to back, with ``start[t]`` the offset of position ``t``'s
+first coefficient in the loop's own ``coeff`` — the vectorized walk.
+Either way ``coeff`` and ``init`` are the call's, read at the term's
+original offset and at ``its[t]``: they are per-call values, and a
+record shared by every loop of one structure never holds them.
 
 Contract.  The same operands, the same term codes, one ``double`` multiply
 then one add per term, left to right — ``-ffp-contract=off``, no
@@ -24,13 +37,16 @@ but its payload bits may differ (IEEE 754 leaves the result of an
 operation on two NaNs to the implementation; compilers commute them).
 
 Memory safety is inside the loop, not in NumPy passes before it: the walk
-checks every iteration number, write index, ``ptr`` pair, code cursor and
-read index as it goes (perfectly predicted branches) and stops at the
-first violation, which :func:`run_span` raises as
-:class:`~repro.errors.InvalidLoopError`.  (``min`` / ``max`` /
+checks every iteration number, write index, ``ptr`` pair, coefficient
+offset, code cursor and read index as it goes (perfectly predicted
+branches) and stops at the first violation, which :func:`run_span` raises
+as :class:`~repro.errors.InvalidLoopError`.  (``min`` / ``max`` /
 monotonicity passes before each call cost 144 us and made ``krylov_churn``
-warm 17-24 % slower.)  Writes go to the renamed buffer, so a span that
-stops early has not touched the caller's ``y``.  The sweep checks every
+warm 17-24 % slower.)  Writes go to ``out`` — the renamed buffer, or,
+in the vectorized walk without an antidependence, a copy of the caller's
+values — so a span that stops early has not touched the caller's ``y``.
+The Python walk checks a by-position layout the same way (a record's
+copy, not the loop's checked and frozen arrays).  The sweep checks every
 ``ptr`` pair, term, write and lane index the same way, and refuses a
 second write of one element, on both bodies, so an index array mutated
 after construction — out of range, or into a non-injective write — is
@@ -71,6 +87,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import InvalidLoopError, OutputDependenceError
+from repro.ir.loop import INIT_EXTERNAL
 
 __all__ = [
     "FLAGS",
@@ -81,6 +98,8 @@ __all__ = [
     "object_name",
     "unavailable",
     "run_span",
+    "span_error",
+    "sequential",
     "max_plus",
     "describe",
 ]
@@ -95,25 +114,34 @@ _C_TEMPLATE = """\
 {defines}
 
 /* Executes iterations its[0..n_its) in order over codes[cur..); returns
-   the code cursor, or -(t + 1) when its[t] would read or write outside an
-   operand (nothing of iteration t is written). */
+   the code cursor, or -(t + 1) when position t would read or write
+   outside an operand (nothing of its[t] is written).  Two layouts of the
+   same walk.  start == NULL: the loop's own arrays, read by iteration
+   i = its[t] -- write[i], terms ptr[i]..ptr[i+1], coeff[k].  start !=
+   NULL: the structure gathered into walk order, read by position t --
+   write[t], terms ptr[t]..ptr[t+1], the coefficients from start[t] on
+   (coeff stays the loop's own).  init is read by iteration either way. */
 int64_t run_span(
     const int64_t *its, int64_t n_its, const int8_t *codes, int64_t n_codes,
     const int64_t *write, int64_t n, const int64_t *ptr,
-    const int64_t *index, int64_t n_index, const double *coeff,
-    const double *init, const double *old, const double *new_, double *out,
-    int64_t y_size, int64_t cur)
+    const int64_t *index, int64_t n_index, const int64_t *start,
+    const double *coeff, int64_t n_coeff, const double *init,
+    const double *old, const double *new_, double *out, int64_t y_size,
+    int64_t cur)
 {{
     for (int64_t t = 0; t < n_its; t++) {{
-        int64_t i = its[t];
-        if (i < 0 || i >= n)
+        int64_t i = its[t], p = start ? t : i;
+        if (i < 0 || i >= n || p >= n)
             return -(t + 1);
-        int64_t w = write[i], k = ptr[i], hi = ptr[i + 1];
+        int64_t w = write[p], k = ptr[p], hi = ptr[p + 1];
         if (w < 0 || w >= y_size || k < 0 || k > hi || hi > n_index
             || hi - k > n_codes - cur)
             return -(t + 1);
+        int64_t c = start ? start[p] : k;
+        if (c < 0 || c > n_coeff - (hi - k))
+            return -(t + 1);
         double acc = init ? init[i] : old[w];
-        for (; k < hi; k++) {{
+        for (; k < hi; k++, c++) {{
             int64_t idx = index[k];
             if (idx < 0 || idx >= y_size)
                 return -(t + 1);
@@ -124,11 +152,37 @@ int64_t run_span(
             case LOCAL: value = out[idx]; break;
             case WAIT: default: value = new_[idx]; break;
             }}
-            acc += coeff[k] * value;
+            acc += coeff[c] * value;
         }}
         out[w] = acc;
     }}
     return cur;
+}}
+
+/* The sequential loop itself (Figure 1), for the oracle's values at
+   compiled speed: per iteration, acc = init ? init[i] : y[w], then per
+   term acc += coeff[k] * (index[k] == w ? acc : y[index[k]]), then
+   y[w] = acc.  Returns 0, or -(i + 1) when iteration i would read or
+   write outside an operand (nothing of i is written). */
+int64_t sequential(
+    const int64_t *write, int64_t n, const int64_t *ptr,
+    const int64_t *index, int64_t n_index, const double *coeff,
+    const double *init, double *y, int64_t y_size)
+{{
+    for (int64_t i = 0; i < n; i++) {{
+        int64_t w = write[i], k = ptr[i], hi = ptr[i + 1];
+        if (w < 0 || w >= y_size || k < 0 || k > hi || hi > n_index)
+            return -(i + 1);
+        double acc = init ? init[i] : y[w];
+        for (; k < hi; k++) {{
+            int64_t idx = index[k];
+            if (idx < 0 || idx >= y_size)
+                return -(i + 1);
+            acc += coeff[k] * (idx == w ? acc : y[idx]);
+        }}
+        y[w] = acc;
+    }}
+    return 0;
 }}
 
 /* The max-plus recurrence in position order, times indexed by element.
@@ -286,7 +340,10 @@ def object_name(version: str) -> str:
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 #: ``argtypes`` of each C function, in the order of its parameters.
 _ARGTYPES = {
-    "run_span": [_P, _N, _P, _N, _P, _N, _P, _P, _N, _P, _P, _P, _P, _P, _N, _N],
+    "run_span": [
+        _P, _N, _P, _N, _P, _N, _P, _P, _N, _P, _P, _N, _P, _P, _P, _P, _N, _N,
+    ],
+    "sequential": [_P, _N, _P, _P, _N, _P, _P, _P, _N],
     "max_plus": [_N, _P, _P, _N, _P, _P, _P, _N, _P, _P, _N, _P, _P, _N],
 }
 
@@ -379,18 +436,37 @@ def _flat(a, dtype: np.dtype) -> bool:
     )
 
 
-def run_span(its, codes, write, ptr, index, coeff, init, old, new, out, cur):
+def span_error(t: int, i: int) -> InvalidLoopError:
+    """The refusal of span position ``t`` (iteration ``i``), on either
+    body of the walk."""
+    return InvalidLoopError(
+        f"run_span: span position {t} (iteration {i}) reaches outside its "
+        f"operands — an iteration number, write, read or coefficient index "
+        f"out of range, a decreasing ptr, or fewer codes than terms; the "
+        f"span stopped there"
+    )
+
+
+def run_span(
+    its, codes, write, ptr, index, coeff, init, old, new, out, cur,
+    start=None,
+):
     """Run the span compiled.  Returns the code cursor (``int``), or the
     reason (``str``) the caller must run its Python body instead.
 
-    O(1) checks only on this side — dtype, contiguity, lengths; the
-    per-element bounds are the C loop's (module doc).  Operands stay
-    referenced by the caller's frame for the duration of the call.
+    ``start`` selects the layout (the C comment): ``None`` reads
+    ``write`` / ``ptr`` / ``index`` by iteration, an array reads them by
+    position, gathered into walk order, with ``start[t]`` position ``t``'s
+    first coefficient.  O(1) checks only on this side — dtype,
+    contiguity, lengths; the per-element bounds are the C loop's (module
+    doc).  Operands stay referenced by the caller's frame for the
+    duration of the call.
     """
     if not (
         _flat(its, _I64) and _flat(codes, _I8) and _flat(write, _I64)
         and _flat(ptr, _I64) and _flat(index, _I64) and _flat(coeff, _F64)
-        and (init is None or _flat(init, _F64)) and _flat(old, _F64)
+        and (init is None or _flat(init, _F64))
+        and (start is None or _flat(start, _I64)) and _flat(old, _F64)
         and _flat(new, _F64) and _flat(out, _F64) and out.flags.writeable
     ):
         return "non-array-operand"
@@ -402,7 +478,8 @@ def run_span(its, codes, write, ptr, index, coeff, init, old, new, out, cur):
     if (
         cur < 0
         or len(ptr) != n + 1
-        or len(coeff) != n_index
+        or (start is None and len(coeff) != n_index)
+        or (start is not None and len(start) != n)
         or len(old) != y_size
         or len(new) != y_size
         or (init is not None and len(init) < n)
@@ -415,18 +492,62 @@ def run_span(its, codes, write, ptr, index, coeff, init, old, new, out, cur):
     got = lib.run_span(
         its.ctypes.data, len(its), codes.ctypes.data, len(codes),
         write.ctypes.data, n, ptr.ctypes.data, index.ctypes.data, n_index,
-        coeff.ctypes.data, None if init is None else init.ctypes.data,
+        None if start is None else start.ctypes.data,
+        coeff.ctypes.data, len(coeff), None if init is None else init.ctypes.data,
         old.ctypes.data, new.ctypes.data, out.ctypes.data, y_size, cur,
     )
     if got < 0:
         t = -got - 1
-        raise InvalidLoopError(
-            f"run_span: span position {t} (iteration {int(its[t])}) reaches "
-            f"outside its operands — an iteration number, write or read "
-            f"index out of range, a decreasing ptr, or fewer codes than "
-            f"terms; the span stopped there"
-        )
+        raise span_error(t, int(its[t]))
     return got
+
+
+def sequential(loop) -> np.ndarray:
+    """The sequential loop's final ``y``, computed by the C text's
+    ``sequential`` — the oracle
+    (:meth:`~repro.ir.loop.IrregularLoop.run_sequential`) compiled, and
+    bitwise equal to it (module doc).  Without the compiled object it is
+    the oracle itself (:func:`unavailable` says why).  A library function,
+    not a backend: the denominator a compiled walk is measured against.
+
+    The loop's ``y0`` is untouched; a subscript outside ``y`` (an index
+    array mutated after construction) raises
+    :class:`~repro.errors.InvalidLoopError`.
+    """
+    lib = _state().entry()
+    if lib is None:
+        return loop.run_sequential()
+    reads = loop.reads
+    write, ptr, index = (
+        np.ascontiguousarray(a, dtype=np.int64)
+        for a in (loop.write, reads.ptr, reads.index)
+    )
+    coeff = np.ascontiguousarray(reads.coeff, dtype=np.float64)
+    init = None
+    if loop.init_kind == INIT_EXTERNAL and loop.init_values is not None:
+        init = np.ascontiguousarray(loop.init_values, dtype=np.float64)
+    y = np.array(loop.y0, dtype=np.float64)
+    n = len(write)
+    if (
+        len(ptr) != n + 1
+        or len(coeff) != len(index)
+        or (init is not None and len(init) < n)
+    ):
+        raise InvalidLoopError(
+            f"sequential: inconsistent operands ({n} writes, {len(ptr)} ptr "
+            f"entries, {len(index)} indices, {len(coeff)} coefficients)"
+        )
+    got = lib.sequential(
+        write.ctypes.data, n, ptr.ctypes.data, index.ctypes.data, len(index),
+        coeff.ctypes.data, None if init is None else init.ctypes.data,
+        y.ctypes.data, len(y),
+    )
+    if got < 0:
+        raise InvalidLoopError(
+            f"sequential: iteration {-got - 1} reaches outside its operands "
+            f"— a write or read index out of range, or a decreasing ptr"
+        )
+    return y
 
 
 _UNSET = -(2**63)  # C INT64_MIN: no earlier position wrote the element

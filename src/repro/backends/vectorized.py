@@ -6,7 +6,8 @@ level-major order of the wavefront schedule is such an order, so this
 backend executes a loop as *one* call of the scalar kernel
 (:func:`~repro.backends.kernel.run_span`) over the schedule's ``order``
 with ``wait=None`` — level order has already discharged every wait —
-followed by the copy-back of the renamed values.  With a compiler that
+followed, when antidependences made it rename, by the copy-back of the
+renamed values.  With a compiler that
 call is the compiled walk (:mod:`~repro.backends.native`, GIL released);
 without one it is the Python walk, several times slower on wide loops (a
 stated cost, not a second path; EXPERIMENTS.md).  The name is historical:
@@ -20,12 +21,23 @@ they run in changes nothing — and is therefore **bitwise equal** to
 :meth:`~repro.ir.loop.IrregularLoop.run_sequential` (a tested property,
 not a tolerance).
 
-Mechanics.  ``OLD`` terms read a copy of the caller's ``y`` (never
-written during the walk), ``WAIT`` terms the renamed buffer (the paper's
-``ynew``), ``ACC`` terms the iteration's live accumulator; the record's
-term codes are the ``iter``-array compare of Figure 5, done once by the
-inspector.  After the walk every written element is copied from the
-renamed buffer into the copy, which is the result.
+Mechanics.  The walk streams: the record holds the loop's ``write`` /
+``ptr`` / ``index`` gathered into level order once (none when that order
+is the identity), and reads them by position; the coefficients and
+initial values are this call's, read from the loop (``coeff`` at each
+position's stored offset, ``init`` at its iteration).  ``ACC`` terms read
+the iteration's live accumulator; the record's term codes are the
+``iter``-array compare of Figure 5, done once by the inspector.  The
+result is a copy of the caller's ``y``, which the walk renames only when
+it must: the paper's ``ynew`` exists to remove antidependences (§2.2),
+and level order can run an antidependence's writer before its reader.
+When the inspector found one, ``OLD`` terms read the copy (never written
+during the walk), ``WAIT`` terms the renamed buffer, and every written
+element is copied back from it after the walk (Figure 3's postprocessor).
+When it found none, every ``OLD`` term reads an element no iteration
+writes, so the walk reads and writes the copy in place — no ``ynew``, no
+copy-back.  ``result.extras["walk"]`` says which layout ran and whether
+it renamed.
 
 All structure-dependent preprocessing — the inspector's ``iter`` array,
 the wavefront schedule, the term codes — lives in an
@@ -319,16 +331,25 @@ class VectorizedRunner(Runner):
         init_values: np.ndarray | None = None,
     ) -> np.ndarray:
         """One execution against current values ``y`` (defaults to
-        ``loop.y0``): one walk of the record's level-major order, then the
-        copy-back.  Returns the final ``y`` (a fresh array)."""
-        reads, schedule = loop.reads, record.schedule
+        ``loop.y0``): one walk of the record's level-major order, renamed
+        and copied back only when the record says so.  Returns the final
+        ``y`` (a fresh array)."""
+        reads, schedule, layout = loop.reads, record.schedule, record.layout
         init = None
         if loop.init_kind == INIT_EXTERNAL:
             init = init_values if init_values is not None else loop.init_values
-        # ``out`` serves the old values during the walk, which writes only
-        # the renamed buffer ``new``, and receives the new ones after it.
+        if layout is None:  # the identity order: the loop's own arrays
+            write, ptr, index, start = loop.write, reads.ptr, reads.index, None
+        else:
+            write, ptr, index, start = (
+                layout.write, layout.ptr, layout.index, layout.start
+            )
+        # ``out`` is a copy of the caller's values.  With an antidependence
+        # it serves the old values during the walk, which writes only the
+        # renamed buffer ``new``, and receives the new ones after it;
+        # without one the walk reads and writes it in place.
         out = np.array(loop.y0 if y is None else y, dtype=np.float64)
-        new = np.empty_like(out)
+        new = np.empty_like(out) if record.renames else out
 
         rec, san = self._obs_recorder, self._san_capture
         n_levels = schedule.n_levels
@@ -338,8 +359,8 @@ class VectorizedRunner(Runner):
         if rec is not None:
             t_exec = rec.now()
         kernel.run_span(
-            schedule.order, record.codes, loop.write, reads.ptr, reads.index,
-            reads.coeff, init, out, new, new,
+            schedule.order, record.codes, write, ptr, index, reads.coeff,
+            init, out, new, new, start=start,
         )
         if rec is not None:
             t_post = rec.now()
@@ -350,10 +371,11 @@ class VectorizedRunner(Runner):
                 ),
                 ("executor", CAT_PHASE, t_exec, t_post, 0, {"levels": n_levels}),
             ])
-        out[loop.write] = new[loop.write]
+        if record.renames:
+            out[loop.write] = new[loop.write]
         if rec is not None:
             # The copy-back of renamed values into y is this backend's
-            # (tiny) postprocessor phase.
+            # (tiny, or with nothing renamed, empty) postprocessor phase.
             rec.record("postprocessor", CAT_PHASE, t_post, rec.now(), lane=0)
         return out
 
@@ -385,6 +407,10 @@ class VectorizedRunner(Runner):
         result.extras.update(
             {
                 "levels": schedule.n_levels,
+                "walk": {
+                    "layout": "identity" if record.layout is None else "gathered",
+                    "renamed": record.renames,
+                },
                 "max_width": schedule.max_width(),
                 "average_width": schedule.average_width(),
                 "cache_hit": hit,

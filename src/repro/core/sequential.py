@@ -26,8 +26,7 @@ def sequential_time(loop: IrregularLoop, cost_model: CostModel) -> int:
     :class:`~repro.machine.costs.WorkProfile` (or the model's default).
     """
     work = cost_model.effective_work(loop.work)
-    term_counts = loop.reads.term_counts()
-    return int(loop.n * work.overhead + int(term_counts.sum()) * work.term)
+    return int(loop.n * work.overhead + loop.reads.total_terms * work.term)
 
 
 def run_reference(

@@ -20,7 +20,7 @@ every dependence point backward in execution order (the property
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,9 @@ class LevelSchedule:
     order: np.ndarray
     level_ptr: np.ndarray
     body: str | None = None
+    _max_width: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_levels(
@@ -87,9 +90,12 @@ class LevelSchedule:
 
     def max_width(self) -> int:
         """Widest wavefront — an upper bound on exploitable parallelism at
-        any instant."""
-        sizes = self.level_sizes()
-        return int(sizes.max()) if len(sizes) else 0
+        any instant.  Computed once per schedule: a warm call reports it
+        twice (the run's extras and its plan's audit)."""
+        if self._max_width is None:
+            sizes = self.level_sizes()
+            self._max_width = int(sizes.max()) if len(sizes) else 0
+        return self._max_width
 
     def average_width(self) -> float:
         """Mean iterations per wavefront — the classic level-scheduling

@@ -116,15 +116,20 @@ class TestCompiledExecutorText:
             "            case LOCAL: value = out[idx]; break;\n"
             "            case WAIT: default: value = new_[idx]; break;\n"
         ) in text
-        # ... one multiply, one add, left to right, like the oracle ...
-        assert "            acc += coeff[k] * value;\n" in text
+        # ... one multiply, one add, left to right, like the oracle, the
+        # coefficient at the term's own offset in either layout ...
+        assert "            acc += coeff[c] * value;\n" in text
+        assert "int64_t c = start ? start[p] : k;" in text
         # ... and every subscript checked before it is used.
         assert "if (idx < 0 || idx >= y_size)\n                return -(t + 1);" in text
+        assert "if (c < 0 || c > n_coeff - (hi - k))\n            return -(t + 1);" in text
         assert "double acc = init ? init[i] : old[w];" in text
-        # The one max-plus recurrence is the object's second function —
+        # The sequential loop is the second function, the oracle's
+        # arithmetic compiled; the one max-plus recurrence is the third —
         # levels, critical path and simulated cycles — its subscripts
         # checked the same way and a second write of an element refused.
-        assert text.count("\nint64_t ") == 2  # run_span, max_plus
+        assert text.count("\nint64_t ") == 3  # run_span, sequential, max_plus
+        assert "            acc += coeff[k] * (idx == w ? acc : y[idx]);\n" in text
         assert "int64_t max_plus(" in text
         assert (
             "            if (ahead)\n                t += ahead[k];\n"

@@ -1,6 +1,7 @@
-"""The compiled ``run_span`` and ``max_plus`` bodies around the C itself:
-build, cache, load, fall back — and how a run or a plan says which body it
-used.
+"""The compiled ``run_span``, ``sequential`` and ``max_plus`` bodies
+around the C itself: build, cache, load, fall back — and how a run or a
+plan says which body it used; ``native.sequential`` against the oracle,
+and the gathered walk layout on both bodies.
 
 The walk's arithmetic and bounds checks are ``tests/test_kernel.py``'s,
 the sweep's ``tests/test_levels.py``'s, ``tests/test_critical_path.py``'s
@@ -20,13 +21,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro import InspectorCache, PlanSpec, make_runner, parallelize
 from repro.backends import kernel, native
+from repro.errors import InvalidLoopError
 from repro.ir.analysis import writer_map
 from repro.passes import execute_plan, plan_loop
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
+from tests.conftest import assert_same_bits
+from tests.strategies import affine_loops, loop_params
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -325,3 +330,114 @@ def test_without_a_compiler_every_span_is_python_and_says_no_compiler(
         }
         assert _counters(result)["native"] == 0
     assert not cache_home.exists()
+
+
+# ----------------------------------------------------------------------
+# The oracle's loop compiled: native.sequential
+# ----------------------------------------------------------------------
+def benchmark_loops():
+    """The four gated workloads' distinct loops at their sizes, default
+    seed (``benchmarks/e2e/workloads.py``)."""
+    from benchmarks.e2e.workloads import DEFAULT_SEED, WORKLOADS
+
+    return {
+        name: workload.generate(DEFAULT_SEED).unique
+        for name, workload in WORKLOADS.items()
+    }
+
+
+@given(loop_params)
+@settings(max_examples=80, deadline=None)
+def test_sequential_is_the_oracle_bitwise_on_irregular_loops(params):
+    loop = random_irregular_loop(**params)
+    y0 = loop.y0.copy()
+    assert_same_bits(native.sequential(loop), loop.run_sequential())
+    assert np.array_equal(loop.y0, y0)
+
+
+@given(affine_loops())
+@settings(max_examples=40, deadline=None)
+def test_sequential_is_the_oracle_bitwise_on_affine_loops(loop):
+    assert_same_bits(native.sequential(loop), loop.run_sequential())
+
+
+def test_sequential_is_the_oracle_bitwise_on_the_benchmark_loops():
+    # The same loops say which walk the vectorized backend takes on each:
+    # the four combinations of layout and renaming, one per workload.
+    walks = {}
+    for name, loops in benchmark_loops().items():
+        for loop in loops:
+            assert_same_bits(native.sequential(loop), loop.run_sequential())
+        walks[name] = make_runner("vectorized").run(loops[0]).extras["walk"]
+    assert walks == {
+        "trisolve_5pt": {"layout": "gathered", "renamed": False},
+        "fig4_doall": {"layout": "identity", "renamed": False},
+        "fig4_chain": {"layout": "identity", "renamed": True},
+        "krylov_churn": {"layout": "gathered", "renamed": True},
+    }
+
+
+def test_sequential_refuses_a_subscript_outside_y_and_leaves_y0(cache_home):
+    loop = random_irregular_loop(64, seed=4)
+    loop.reads.index[5] = loop.y_size  # before first use: not frozen yet
+    y0 = loop.y0.copy()
+    if native.find_compiler() is None:
+        pytest.skip("no gcc on PATH")
+    with pytest.raises(InvalidLoopError, match="sequential: iteration"):
+        native.sequential(loop)
+    assert np.array_equal(loop.y0, y0)
+
+
+def test_without_a_compiler_sequential_is_the_oracle_and_builds_nothing(
+    monkeypatch, cache_home
+):
+    monkeypatch.setattr(native, "find_compiler", lambda: None)
+    loop = random_irregular_loop(300, seed=5, external_init=True)
+    assert_same_bits(native.sequential(loop), loop.run_sequential())
+    assert native.unavailable() == "no-compiler"
+    assert not cache_home.exists()
+
+
+# ----------------------------------------------------------------------
+# The gathered layout on both bodies
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("renamed", [False, True], ids=["in-place", "renamed"])
+def test_the_python_walk_runs_the_gathered_layout_bitwise_like_the_compiled(
+    monkeypatch, renamed
+):
+    from repro.backends.cache import build_inspector_record
+    from repro.sparse.ilu import ilu0
+    from repro.sparse.stencils import five_point
+    from repro.sparse.trisolve import lower_solve_loop
+
+    if renamed:
+        loop = random_irregular_loop(400, seed=9, external_init=True)
+    else:
+        L, _ = ilu0(five_point(16, 16))
+        loop = lower_solve_loop(L, np.random.default_rng(2).normal(size=L.n_rows))
+    record = build_inspector_record(loop)
+    lay = record.layout
+    assert lay is not None and record.renames is renamed
+    runs = {}
+    for cutoff, body in ((0, "native"), (1 << 62, "python")):
+        if body == "native" and native.unavailable() is not None:
+            continue
+        monkeypatch.setattr(kernel, "_NATIVE_FROM", cutoff)
+        out = loop.y0.copy()
+        new = np.empty_like(out) if renamed else out
+        kernel.take_tally()
+        cur = kernel.run_span(
+            record.schedule.order, record.codes, lay.write, lay.ptr,
+            lay.index, loop.reads.coeff, loop.init_values, out, new, new,
+            start=lay.start,
+        )
+        assert kernel.take_tally()[:2] == ((1, 0) if body == "native" else (0, 1))
+        assert cur == len(record.codes)
+        if renamed:
+            out[loop.write] = new[loop.write]
+        runs[body] = out
+        assert_same_bits(out, loop.run_sequential())
+    if "native" in runs:
+        assert np.array_equal(
+            runs["native"].view(np.uint64), runs["python"].view(np.uint64)
+        )
