@@ -44,13 +44,17 @@ class CSRMatrix:
         if len(self.indices):
             if self.indices.min() < 0 or self.indices.max() >= self.n_cols:
                 raise MatrixFormatError("column index out of range")
-        # Sorted, duplicate-free rows.
-        for i in range(self.n_rows):
-            row = self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if len(row) > 1 and np.any(np.diff(row) <= 0):
-                raise MatrixFormatError(
-                    f"row {i} has unsorted or duplicate column indices"
-                )
+        # Sorted, duplicate-free rows: the column step is positive
+        # everywhere except where a row starts.
+        step_ok = np.diff(self.indices) > 0
+        starts = self.indptr[1:-1]
+        step_ok[starts[(starts > 0) & (starts < len(self.indices))] - 1] = True
+        if not step_ok.all():
+            first = int(np.argmin(step_ok)) + 1  # first offending position
+            i = int(np.searchsorted(self.indptr, first, side="right")) - 1
+            raise MatrixFormatError(
+                f"row {i} has unsorted or duplicate column indices"
+            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -82,6 +86,12 @@ class CSRMatrix:
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def row_of(self) -> np.ndarray:
+        """The row of every stored entry (length ``nnz``)."""
+        return np.repeat(
+            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
+        )
+
     def get(self, i: int, j: int) -> float:
         """Entry ``(i, j)`` (0.0 when outside the pattern)."""
         cols, vals = self.row(i)
@@ -92,9 +102,7 @@ class CSRMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)
-        for i in range(self.n_rows):
-            cols, vals = self.row(i)
-            out[i, cols] = vals
+        out[self.row_of(), self.indices] = self.data
         return out
 
     def matvec(self, x) -> np.ndarray:
@@ -107,30 +115,24 @@ class CSRMatrix:
         products = self.data * x[self.indices]
         out = np.zeros(self.n_rows, dtype=np.float64)
         if len(products):
-            row_of = np.repeat(
-                np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
-            )
-            np.add.at(out, row_of, products)
+            np.add.at(out, self.row_of(), products)
         return out
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal (zeros where outside the pattern)."""
         out = np.zeros(min(self.n_rows, self.n_cols), dtype=np.float64)
-        for i in range(len(out)):
-            out[i] = self.get(i, i)
+        on = self.indices == self.row_of()
+        out[self.indices[on]] = self.data[on]
         return out
 
     # ------------------------------------------------------------------
     def _filtered(self, keep_mask: np.ndarray) -> "CSRMatrix":
         """New matrix keeping only the flagged entries."""
-        new_counts = np.zeros(self.n_rows, dtype=np.int64)
-        if len(keep_mask):
-            row_of = np.repeat(
-                np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
-            )
-            np.add.at(new_counts, row_of[keep_mask], 1)
         indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(new_counts)
+        np.cumsum(
+            np.bincount(self.row_of()[keep_mask], minlength=self.n_rows),
+            out=indptr[1:],
+        )
         return CSRMatrix(
             self.n_rows,
             self.n_cols,
@@ -145,35 +147,25 @@ class CSRMatrix:
         ``unit=True`` replaces the diagonal values with exact ones — the
         form the Figure-7 unit-lower solve consumes.
         """
-        row_of = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
-        )
-        keep = self.indices <= row_of
-        out = self._filtered(keep)
+        out = self._filtered(self.indices <= self.row_of())
         if unit:
-            for i in range(out.n_rows):
-                cols, _ = out.row(i)
-                lo = out.indptr[i]
-                k = np.searchsorted(cols, i)
-                if k < len(cols) and cols[k] == i:
-                    out.data[lo + k] = 1.0
-                else:
-                    raise MatrixFormatError(
-                        f"row {i} has no diagonal entry; cannot unit-scale"
-                    )
+            # A kept row's diagonal, if present, is its last entry.
+            last = out.indptr[1:] - 1
+            has = out.indptr[1:] > out.indptr[:-1]
+            has[has] = out.indices[last[has]] == np.flatnonzero(has)
+            if not has.all():
+                i = int(np.argmin(has))
+                raise MatrixFormatError(
+                    f"row {i} has no diagonal entry; cannot unit-scale"
+                )
+            out.data[last] = 1.0
         return out
 
     def strict_lower_triangle(self) -> "CSRMatrix":
-        row_of = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
-        )
-        return self._filtered(self.indices < row_of)
+        return self._filtered(self.indices < self.row_of())
 
     def upper_triangle(self) -> "CSRMatrix":
-        row_of = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
-        )
-        return self._filtered(self.indices >= row_of)
+        return self._filtered(self.indices >= self.row_of())
 
     def transpose(self) -> "CSRMatrix":
         """CSR transpose (CSC reinterpretation + re-bucketing)."""
@@ -185,9 +177,7 @@ class CSRMatrix:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
             )
-        row_of = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
-        )
+        row_of = self.row_of()
         order = np.lexsort((row_of, self.indices))
         new_rows = self.indices[order]
         indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
@@ -210,9 +200,7 @@ class CSRMatrix:
         from repro.sparse.coo import COOBuilder
 
         builder = COOBuilder(self.n_rows, self.n_cols)
-        row_of = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
-        )
+        row_of = self.row_of()
         builder.add_batch(inv[row_of], inv[self.indices], self.data)
         return builder.to_csr()
 

@@ -53,17 +53,22 @@ TRISOLVE_WORK = WorkProfile(overhead=8, term_setup=10, term_consume=5)
 def _require_unit_lower(L: CSRMatrix) -> None:
     if L.n_rows != L.n_cols:
         raise MatrixFormatError("triangular solve needs a square matrix")
-    for i in range(L.n_rows):
-        cols, vals = L.row(i)
-        if len(cols) == 0 or cols[-1] != i or vals[-1] != 1.0:
-            raise MatrixFormatError(
-                f"row {i} is not unit-lower-triangular (needs trailing "
-                f"diagonal entry 1.0)"
-            )
+    last = L.indptr[1:] - 1
+    ok = L.indptr[1:] > L.indptr[:-1]
+    rows = np.flatnonzero(ok)
+    ok[rows] = (L.indices[last[rows]] == rows) & (L.data[last[rows]] == 1.0)
+    if not ok.all():
+        raise MatrixFormatError(
+            f"row {int(np.argmin(ok))} is not unit-lower-triangular (needs "
+            f"trailing diagonal entry 1.0)"
+        )
 
 
 def solve_lower_unit(L: CSRMatrix, rhs) -> np.ndarray:
-    """Sequential forward substitution with unit diagonal (Figure 7)."""
+    """Sequential forward substitution with unit diagonal (Figure 7).
+
+    The sequential reference solver: a scalar row loop on purpose, the
+    order every parallel result is checked against."""
     _require_unit_lower(L)
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (L.n_rows,):
@@ -82,7 +87,10 @@ def solve_lower_unit(L: CSRMatrix, rhs) -> np.ndarray:
 
 
 def solve_upper(U: CSRMatrix, rhs) -> np.ndarray:
-    """Sequential backward substitution (general diagonal)."""
+    """Sequential backward substitution (general diagonal).
+
+    The sequential reference solver: a scalar row loop on purpose, like
+    :func:`solve_lower_unit`."""
     if U.n_rows != U.n_cols:
         raise MatrixFormatError("triangular solve needs a square matrix")
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -161,21 +169,31 @@ def upper_solve_loop(
             f"rhs must have shape ({U.n_rows},), got {rhs.shape}"
         )
     n = U.n_rows
-    per_iteration = []
-    init_values = np.zeros(n, dtype=np.float64)
-    for p in range(n):
-        r = n - 1 - p
-        cols, vals = U.row(r)
-        if len(cols) == 0 or cols[0] != r:
-            raise MatrixFormatError(f"row {r} has no leading diagonal entry")
-        pivot = vals[0]
-        if pivot == 0.0:
-            raise MatrixFormatError(f"zero diagonal in row {r}")
-        init_values[p] = rhs[r] / pivot
-        per_iteration.append(
-            [(int(cols[k]), -vals[k] / pivot) for k in range(1, len(cols))]
-        )
-    reads = ReadTable.from_lists(per_iteration)
+    # Iteration p is row r = n-1-p; its leading entry must be the pivot.
+    rows = np.arange(n - 1, -1, -1, dtype=np.int64)
+    lo, hi = U.indptr[rows], U.indptr[rows + 1]
+    lead = hi > lo
+    lead[lead] = U.indices[lo[lead]] == rows[lead]
+    pivot = np.zeros(n, dtype=np.float64)
+    pivot[lead] = U.data[lo[lead]]
+    bad = np.flatnonzero(~lead | (pivot == 0.0))
+    if len(bad):
+        p = int(bad[0])
+        if not lead[p]:
+            raise MatrixFormatError(
+                f"row {n - 1 - p} has no leading diagonal entry"
+            )
+        raise MatrixFormatError(f"zero diagonal in row {n - 1 - p}")
+    init_values = rhs[rows] / pivot
+    # Each iteration's terms: its row past the pivot, columns ascending.
+    counts = hi - lo - 1
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    at = np.arange(ptr[-1], dtype=np.int64)
+    at += np.repeat(lo + 1 - ptr[:-1], counts)
+    reads = ReadTable(
+        ptr, U.indices[at], -U.data[at] / np.repeat(pivot, counts)
+    )
     return IrregularLoop(
         n=n,
         y_size=n,

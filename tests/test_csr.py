@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MatrixFormatError
 from repro.sparse.csr import CSRMatrix
@@ -156,3 +158,77 @@ class TestAgainstScipy:
         theirs = sp.csr_matrix(dense)
         np.testing.assert_array_equal(ours.indptr, theirs.indptr)
         np.testing.assert_array_equal(ours.indices, theirs.indices)
+
+
+# -- the one-pass checks against per-row references ----------------------
+def reference_unsorted_row(indptr, indices):
+    """The first row whose columns are unsorted or repeated, else None."""
+    for i in range(len(indptr) - 1):
+        row = indices[indptr[i] : indptr[i + 1]]
+        if len(row) > 1 and np.any(np.diff(row) <= 0):
+            return i
+    return None
+
+
+@st.composite
+def raw_rows(draw):
+    """``(n_cols, rows)``: rows of column lists, some empty, some sorted
+    and unique, some with repeats or out of order."""
+    n_cols = draw(st.integers(1, 6))
+    cols = st.lists(st.integers(0, n_cols - 1), max_size=5)
+    rows = draw(
+        st.lists(
+            st.one_of(cols, cols.map(lambda c: sorted(set(c)))), max_size=8
+        )
+    )
+    return n_cols, rows
+
+
+class TestOnePassValidation:
+    @given(raw=raw_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_accepts_and_rejects_like_the_row_loop(self, raw):
+        n_cols, rows = raw
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([len(r) for r in rows])
+        indices = np.array([c for r in rows for c in r], dtype=np.int64)
+        bad = reference_unsorted_row(indptr, indices)
+        data = np.ones(len(indices))
+        if bad is None:
+            A = CSRMatrix(len(rows), n_cols, indptr, indices, data)
+            dense = np.zeros((len(rows), n_cols))
+            for i, r in enumerate(rows):
+                dense[i, r] = 1.0
+            np.testing.assert_array_equal(A.to_dense(), dense)
+            np.testing.assert_array_equal(
+                A.diagonal(), np.diag(dense)[: min(dense.shape)]
+            )
+        else:
+            with pytest.raises(MatrixFormatError) as exc:
+                CSRMatrix(len(rows), n_cols, indptr, indices, data)
+            assert str(exc.value) == (
+                f"row {bad} has unsorted or duplicate column indices"
+            )
+
+    def test_a_repeat_across_a_row_start_is_fine(self):
+        """Row 0 ends at column 2 and row 2 (after an empty row) starts
+        at column 0: no row is unsorted."""
+        A = CSRMatrix(3, 3, [0, 2, 2, 4], [1, 2, 0, 2], np.ones(4))
+        assert A.nnz == 4
+
+    @pytest.mark.parametrize("missing", [0, 3, 5])
+    def test_unit_lower_names_the_first_row_without_a_diagonal(self, missing):
+        dense = np.tril(np.ones((6, 6)))
+        dense[missing, missing] = 0.0
+        dense[5, 5] = 0.0
+        A = CSRMatrix.from_dense(dense)
+        with pytest.raises(
+            MatrixFormatError,
+            match=f"^row {missing} has no diagonal entry; cannot unit-scale$",
+        ):
+            A.lower_triangle(unit=True)
+
+    def test_unit_lower_on_an_empty_row(self):
+        A = CSRMatrix(2, 2, [0, 1, 1], [0], [5.0])
+        with pytest.raises(MatrixFormatError, match="^row 1 has no diagonal"):
+            A.lower_triangle(unit=True)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from repro.errors import MatrixFormatError
+from repro.ir.accesses import ReadTable
 from repro.machine.costs import WorkProfile
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ilu import ilu0
@@ -107,3 +108,77 @@ class TestLoopEncodings:
     def test_custom_name(self, factors):
         L, _, rhs = factors
         assert lower_solve_loop(L, rhs, name="X").name == "X"
+
+
+class TestBulkChecksAndTables:
+    """The bulk checks name the row the per-row loops named, and the
+    backward-substitution table holds the per-row loop's bits."""
+
+    @pytest.mark.parametrize(
+        "dense, row",
+        [
+            (np.array([[1.0, 0.0], [2.0, 1.0]]), None),
+            (np.array([[2.0, 0.0], [2.0, 1.0]]), 0),  # diagonal not 1.0
+            (np.array([[1.0, 0.0], [2.0, 0.0]]), 1),  # no diagonal
+            (np.array([[1.0, 3.0], [0.0, 1.0]]), 0),  # trailing entry off-diagonal
+            (np.array([[0.0, 0.0], [0.0, 1.0]]), 0),  # empty row
+        ],
+    )
+    def test_unit_lower_check(self, dense, row):
+        L = CSRMatrix.from_dense(dense)
+        if row is None:
+            lower_solve_loop(L, np.ones(2))
+            return
+        with pytest.raises(
+            MatrixFormatError, match=f"^row {row} is not unit-lower-triangular"
+        ):
+            lower_solve_loop(L, np.ones(2))
+
+    @pytest.mark.parametrize(
+        "dense, message",
+        [
+            (np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 3.0]]),
+             "row 1 has no leading diagonal entry"),
+            (np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 3.0]]),
+             "row 0 has no leading diagonal entry"),
+            (np.array([[1.0, 0.0], [0.0, 0.0]]),
+             "row 1 has no leading diagonal entry"),
+        ],
+    )
+    def test_upper_check_names_the_last_bad_row(self, dense, message):
+        """Iteration order is bottom row first, so the highest bad row is
+        the one reported."""
+        with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+            upper_solve_loop(CSRMatrix.from_dense(dense), np.ones(len(dense)))
+
+    def test_upper_zero_pivot_stored(self):
+        U = CSRMatrix(3, 3, [0, 2, 3, 4], [0, 2, 1, 2], [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(MatrixFormatError, match="^zero diagonal in row 0$"):
+            upper_solve_loop(U, np.ones(3))
+
+    @pytest.mark.parametrize("k", [1, 2, 9])
+    def test_upper_table_bits(self, k):
+        _, U = ilu0(five_point(k, k + 1))
+        rhs = np.random.default_rng(k).normal(size=U.n_rows)
+        loop = upper_solve_loop(U, rhs)
+        n = U.n_rows
+        per_row, init = [], np.zeros(n)
+        for p in range(n):
+            cols, vals = U.row(n - 1 - p)
+            init[p] = rhs[n - 1 - p] / vals[0]
+            per_row.append(
+                [(int(cols[j]), -vals[j] / vals[0]) for j in range(1, len(cols))]
+            )
+        want = ReadTable.from_lists(per_row)
+        np.testing.assert_array_equal(loop.reads.ptr, want.ptr)
+        np.testing.assert_array_equal(loop.reads.index, want.index)
+        np.testing.assert_array_equal(
+            loop.reads.coeff.view(np.int64), want.coeff.view(np.int64)
+        )
+        np.testing.assert_array_equal(
+            loop.init_values.view(np.int64), init.view(np.int64)
+        )
+
+    def test_upper_empty(self):
+        loop = upper_solve_loop(CSRMatrix(0, 0, [0], [], []), np.ones(0))
+        assert loop.n == 0
