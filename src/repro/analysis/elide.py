@@ -31,7 +31,11 @@ from repro.analysis.verdicts import (
     DependenceVerdict,
 )
 from repro.backends import native
-from repro.backends.cache import InspectorRecord, assemble_record
+from repro.backends.cache import (
+    InspectorRecord,
+    assemble_record,
+    build_inspector_record,
+)
 from repro.core.workspace import MAXINT
 from repro.errors import ProofError
 from repro.graph.levels import LevelSchedule
@@ -209,15 +213,15 @@ def build_distance_record(
     earlier group, so the groups are legal wavefront levels — usually far
     wider (and far fewer) than the exact DAG levels.  Unlike
     :func:`build_symbolic_record` this does **not** elide the inspector:
-    per-term flags still come from the materialized subscripts (the
-    verdict need not be fully classified — a ``min-distance-k`` bound on
-    an unclassifiable read side is enough).  Raises
+    it is the runtime inspector's record
+    (:func:`~repro.backends.cache.build_inspector_record`) over the group
+    schedule (the verdict need not be fully classified — a
+    ``min-distance-k`` bound on an unclassifiable read side is enough),
+    planned with the verdict.  Raises
     :class:`~repro.errors.ProofError` when the bound does not hold
     statically, or when the inspector's observed distances contradict it
     (the runtime rendering of the lint rule ``DISTANCE-MISMATCH``).
     """
-    from repro.ir.analysis import CAT_ANTI, CAT_INTRA, CAT_TRUE, classify_reads
-
     if group < 1:
         raise ProofError(f"{loop.name}: group size must be >= 1, got {group}")
     if verdict is None:
@@ -228,33 +232,23 @@ def build_distance_record(
             f"{loop.name}: no proven dependence-distance bound >= {group} "
             f"(battery bound: {m})"
         )
-    n, y_size = loop.n, loop.y_size
-
-    iter_array = np.full(y_size, MAXINT, dtype=np.int64)
-    iter_array[loop.write] = np.arange(n, dtype=np.int64)
-
-    readers, writers, categories = classify_reads(loop)
-    true_flat = categories == CAT_TRUE
-    intra_flat = categories == CAT_INTRA
-    observed = (readers - writers)[true_flat]
+    groups = np.arange(loop.n, dtype=np.int64) // int(group)
+    record = build_inspector_record(
+        loop,
+        LevelSchedule.from_levels(groups),
+        distance_fingerprint(loop, group),
+    )
+    readers = loop.reads.iteration_of_term()
+    writers = record.iter_array[loop.reads.index]  # MAXINT where unwritten
+    observed = (readers - writers)[writers < readers]
     if len(observed) and int(observed.min()) < group:
         raise ProofError(
             f"{loop.name}: inspector observes a true dependence of "
             f"distance {int(observed.min())}, contradicting the proven "
             f"bound >= {group} (distance mismatch)"
         )
-
-    levels = np.arange(n, dtype=np.int64) // int(group)
-    return assemble_record(
-        loop,
-        iter_array=iter_array,
-        schedule=LevelSchedule.from_levels(levels),
-        true_flat=true_flat,
-        intra_flat=intra_flat,
-        renames=bool((categories == CAT_ANTI).any()),
-        plan=plan_transform(loop, verdict=verdict),
-        fingerprint=distance_fingerprint(loop, group),
-    )
+    record.plan = plan_transform(loop, verdict=verdict)
+    return record
 
 
 _RECORD_ARRAYS = ("iter_array", "codes")

@@ -12,10 +12,10 @@ benchmarks select them interchangeably (``PlanSpec(backend=...)``).
   forms on the paper's machine, the discrete-event engine where a bus,
   coherence, a dynamic schedule or a timeline needs it.  All paper
   experiments use this backend.
-- :mod:`repro.backends.threaded` — real ``threading`` execution with
-  per-element events; demonstrates the protocol is functionally correct on
-  actual concurrent hardware (no timing claims — the GIL forbids them; see
-  DESIGN.md §3).
+- :mod:`repro.backends.threaded` — real ``threading`` execution of the
+  lane protocol over plain arrays; demonstrates the protocol is
+  functionally correct on actual concurrent hardware (no timing claims —
+  the GIL forbids them; see DESIGN.md §3).
 - :mod:`repro.backends.vectorized` — wavefront-ordered execution: one
   compiled walk (``run_span``) over the schedule's level-major order, which
   discharges every wait; preprocessing is served by a content-addressed
@@ -25,6 +25,10 @@ benchmarks select them interchangeably (``PlanSpec(backend=...)``).
   ``multiprocessing.shared_memory`` arrays (``iter``/``ready``/``ynew``)
   with §2.3 strip-mined chunking, every wait bounded by a
   :class:`~repro.backends.waitladder.WaitLadder`.
+- :mod:`repro.backends.lanes` — the lane protocol both of those run:
+  the inspector / executor / postprocess phase tasks over flat
+  ``iter``/``ready``/``ynew``/``y`` arrays, and the merge of their
+  payloads into telemetry and shadow logs.
 - :mod:`repro.backends.speculative` — the optimistic dual of the
   inspector: chunks execute in parallel with no inspection at all,
   conflicts are detected from per-chunk access logs after the fact, and

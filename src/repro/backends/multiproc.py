@@ -1,31 +1,19 @@
 """Shared-memory multiprocessing backend: the doacross protocol across
 real OS processes.
 
-The threaded backend proves the paper's protocol correct under the GIL;
-this backend removes the GIL from the picture.  A persistent pool of
-worker *processes* executes the three phases of the preprocessed doacross
-(§2.2–2.3) against ``multiprocessing.shared_memory`` segments that play
-the paper's shared arrays directly:
+The threaded backend runs the paper's protocol under the GIL; this
+backend removes the GIL from the picture.  A persistent pool of worker
+*processes* runs the phase tasks of :mod:`repro.backends.lanes` (§2.2–2.3)
+against ``multiprocessing.shared_memory`` segments that play the paper's
+shared arrays — ``iter``, ``ready``, ``ynew``, ``y`` — directly, with
+strips of ``chunk`` positions dealt round-robin to the workers (§2.3).
+The structure is shipped once per loop structure (a *session*), so a
+worker's natural-order term codes are memoised across loop instances.
+This module is the transport: the pool, the shared arenas, the
+broadcast of one phase task and the collect of its payloads, which is
+the phase barrier.
 
-- ``iter``  — writer iteration per ``y`` element (``MAXINT`` = unwritten),
-- ``ready`` — one byte per element, the Figure-5 busy-wait flags,
-- ``ynew``  — the renamed write targets (antidependence removal),
-- ``y``     — the live values, updated by the postprocessor.
-
-Iterations are strip-mined into contiguous *chunks* of ``chunk``
-positions (§2.3), dealt round-robin to workers; each worker executes its
-chunks in increasing order, so every cross-chunk true dependence points
-to a strictly earlier chunk and the busy-wait protocol is deadlock-free
-by the same induction as the cyclic threaded schedule (DESIGN.md §6).
-Each worker classifies its terms once from the shared ``iter`` array
-(:func:`~repro.backends.kernel.classify_terms`: old-``y`` read /
-same-chunk ``ynew`` read / cross-chunk wait / accumulator) — the Figure-5
-compare hoisted out of the inner loop and, for natural-order runs, cached
-across loop instances per dependence structure — and walks them with the
-shared scalar evaluator (:func:`~repro.backends.kernel.run_span`); this
-module is the pool, the shared arenas and the ladder-bounded wait.
-
-Every blocking cross-chunk wait is bounded by a
+Every blocking cross-strip wait is bounded by a
 :class:`~repro.backends.waitladder.WaitLadder` (spin, then escalating
 sleep, then :class:`~repro.errors.WaitTimeout`), so a corrupted schedule
 diagnoses itself instead of hanging the pool; after a timeout the scratch
@@ -40,10 +28,10 @@ conformance matrix).
 
 Observability: span times are ``time.perf_counter`` readings, which on
 Linux is ``CLOCK_MONOTONIC`` — one clock domain across all processes —
-so per-worker inspector/executor/postprocessor phase spans and the
-compute/wait alternation inside the executor merge directly into the
-session's :class:`~repro.obs.spans.SpanRecorder`, lane = worker id,
-``pid`` tagged in the attrs.
+so per-worker inspector/executor/postprocessor phase spans (``pid``
+tagged in the attrs) and the compute/wait tiling inside the executor
+merge directly into the session's :class:`~repro.obs.spans.SpanRecorder`,
+lane = worker id.
 """
 
 from __future__ import annotations
@@ -58,7 +46,7 @@ from collections import OrderedDict
 import numpy as np
 from multiprocessing import shared_memory
 
-from repro.backends import kernel
+from repro.backends import kernel, lanes
 from repro.backends.kernel import Placement
 from repro.backends.base import (
     NON_NATURAL_GROUP,
@@ -66,7 +54,6 @@ from repro.backends.base import (
     check_analyze_mode,
     check_group_sync,
     execution_positions,
-    inverse_permutation,
     note_ignored_options,
     note_kernel,
     note_verdict,
@@ -78,10 +65,9 @@ from repro.backends.waitladder import DEFAULT_LADDER, WaitLadder
 from repro.core.results import RunResult
 from repro.core.sequential import sequential_time
 from repro.core.workspace import MAXINT
-from repro.errors import ReproError, WaitTimeout
+from repro.errors import ReproError
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 from repro.machine.costs import CostModel
-from repro.obs.spans import CAT_COMPUTE, CAT_PHASE, CAT_WAIT
 
 __all__ = ["MultiprocRunner"]
 
@@ -149,208 +135,6 @@ def _worker_attach(meta: dict) -> dict:
     }
 
 
-def _lane(sess: dict, opts: dict, wid: int) -> np.ndarray:
-    """This worker's positions: its strips, in increasing order."""
-    return kernel.lane_positions(
-        0, sess["n"], opts["chunk"], opts["workers"], wid
-    )
-
-
-def _task_inspector(sess: dict, opts: dict, wid: int) -> dict:
-    """Phase 1: fill this worker's slice of ``iter`` (Figure 3, left).
-    ``iter[write[i]] = i`` is order-independent, so the slice fills in one
-    vectorized store regardless of any doconsider order."""
-    v = sess["views"]
-    observe = opts["observe"]
-    if observe:
-        t0 = time.perf_counter()
-    mine = _lane(sess, opts, wid)
-    v["iter"][v["write"][mine]] = mine
-    payload: dict = {
-        "wid": wid,
-        "metrics": {"inspector_iterations": len(mine)},
-    }
-    if observe:
-        payload["spans"] = [
-            (
-                "inspector",
-                CAT_PHASE,
-                t0,
-                time.perf_counter(),
-                {"pid": os.getpid(), "elided": False},
-            )
-        ]
-    return payload
-
-
-def _lane_codes(
-    sess: dict, opts: dict, wid: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """This worker's iterations inside position window ``[lo, hi)`` and
-    their term codes.  In natural order both depend only on the loop's
-    structure, so they are cached across runs per (chunking, window)."""
-    v = sess["views"]
-    chunk, workers, ordered = opts["chunk"], opts["workers"], opts["has_order"]
-    key = (chunk, workers, lo, hi)
-    if not ordered and key in sess["codes"]:
-        return sess["codes"][key]
-    its = kernel.lane_positions(lo, hi, chunk, workers, wid)
-    pos = None
-    if ordered:
-        its = v["order"][its]
-        pos = inverse_permutation(v["order"])
-    entry = its, kernel.classify_terms(
-        v["ptr"], v["index"], v["iter"], its, chunk, pos
-    )
-    if not ordered:
-        sess["codes"][key] = entry
-    return entry
-
-
-def _task_executor(sess: dict, opts: dict, wid: int) -> dict:
-    """Phase 2: the Figure-5 executor over this worker's strips inside
-    ``opts["window"]``, every blocking wait bounded by the ladder.
-
-    In flag mode the window is the whole loop.  In group-synchronous mode
-    (``opts["round"]`` set) it is one distance group: planning
-    (``plan_distance_elision``) proved every cross-iteration true
-    dependence reaches into a strictly
-    earlier group, and the coordinator collects every worker between
-    rounds, so every wait is already discharged — no flag is checked or
-    set.  The coordinator's collect *is* the barrier; the shadow log
-    records it as one ``("g", round)`` barrier generation per worker so
-    the sanitizer can witness the same ordering.
-    """
-    v = sess["views"]
-    ready = v["ready"]
-    observe, ladder = opts["observe"], opts["ladder"]
-    group_round = opts.get("round")
-    events: list | None = [] if opts["sanitize"] else None
-    timed_out: WaitTimeout | None = None
-    pid = os.getpid()
-    clock = time.perf_counter
-
-    busy_waits = wait_escalations = 0
-    wait_seconds = 0.0
-    spans: list = []
-    t_phase = seg_start = clock()
-
-    def wait(idx) -> None:
-        nonlocal busy_waits, wait_escalations, wait_seconds, seg_start
-        if ready[idx]:
-            return
-        busy_waits += 1
-        element = int(idx)
-        w0 = clock()
-        slept = ladder.wait(lambda: ready[idx], element=element)
-        if observe:
-            # Blocking wait: close the running compute span, record the
-            # wait (threaded-backend tiling invariant, same vocabulary).
-            w1 = clock()
-            spans.append(("compute", CAT_COMPUTE, seg_start, w0, {"pid": pid}))
-            spans.append(
-                ("wait", CAT_WAIT, w0, w1, {"pid": pid, "element": element})
-            )
-            wait_seconds += w1 - w0
-            seg_start = w1
-        else:
-            wait_seconds += slept
-        if slept > 0:
-            # Past the spin rung: this stall was long enough to sleep on
-            # (the doctor's wait-escalation evidence).
-            wait_escalations += 1
-
-    def post(w) -> None:
-        ready[w] = 1
-
-    its, codes = _lane_codes(sess, opts, wid, *opts["window"])
-    n_waits = int(np.count_nonzero(codes == kernel.WAIT))
-    flagged = group_round is None
-    kernel.take_tally()  # a span that timed out left its count behind
-    try:
-        kernel.run_span(
-            its, codes, v["write"], v["ptr"], v["index"], v["coeff"],
-            v["init"] if opts["external"] else None,
-            v["y"], v["ynew"], v["ynew"],
-            wait=wait if flagged else None,
-            post=post if flagged else None,
-            events=events,
-        )
-    except WaitTimeout as exc:
-        if events is None:
-            raise
-        # Sanitizing: ship the partial shadow log home with the timeout
-        # riding in the payload — the "err" path would discard the log,
-        # and the log usually explains the hang better than the timeout.
-        timed_out = exc
-
-    metrics = {
-        "flag_checks": n_waits if flagged else 0,
-        "flag_sets": len(its) if flagged else 0,
-        "busy_waits": busy_waits,
-        "wait_seconds": wait_seconds,
-        "iterations": len(its),
-    }
-    attrs = {"pid": pid}
-    if flagged:
-        metrics["wait_escalations"] = wait_escalations
-    else:
-        # Posts never set (one per iteration) + waits never performed.
-        metrics["sync_elisions"] = len(its) + n_waits
-        attrs["group_round"] = group_round
-    payload: dict = {
-        "wid": wid, "metrics": metrics, "kernel": kernel.take_tally(),
-    }
-    if observe:
-        t_end = clock()
-        if flagged:
-            spans.append(("compute", CAT_COMPUTE, seg_start, t_end, attrs))
-        spans.append(("executor", CAT_PHASE, t_phase, t_end, attrs))
-        payload["spans"] = spans
-    if events is not None:
-        if not flagged:
-            # Every worker logs the round barrier, share or no share —
-            # the sanitizer's replay releases a generation only when
-            # *all* lanes arrive.
-            events.append(("b", ("g", group_round)))
-        payload["sanitize"] = {"pid": pid, "events": events}
-        if timed_out is not None:
-            payload["wait_timeout"] = timed_out
-    return payload
-
-
-def _task_post(sess: dict, opts: dict, wid: int) -> dict:
-    """Phase 3: reset scratch for the written elements and publish
-    ``ynew`` into ``y`` — the arrays are reusable immediately after."""
-    v = sess["views"]
-    observe = opts["observe"]
-    if observe:
-        t0 = time.perf_counter()
-    w = v["write"][_lane(sess, opts, wid)]
-    v["iter"][w] = MAXINT
-    v["y"][w] = v["ynew"][w]
-    v["ready"][w] = 0
-    payload: dict = {"wid": wid, "metrics": {}}
-    if observe:
-        payload["spans"] = [
-            (
-                "postprocessor",
-                CAT_PHASE,
-                t0,
-                time.perf_counter(),
-                {"pid": os.getpid()},
-            )
-        ]
-    return payload
-
-
-_TASKS = {
-    "inspector": _task_inspector,
-    "executor": _task_executor,
-    "post": _task_post,
-}
-
-
 def _worker_detach(sess: dict) -> None:
     """Release one attached session: numpy views first (they export the
     mmap's buffer; closing underneath them raises ``BufferError``)."""
@@ -386,7 +170,8 @@ def _worker_main(wid: int, task_q, result_q) -> None:
                 result_q.put(("ok", wid, None))
             else:
                 _, key, opts = msg
-                payload = _TASKS[kind](sessions[key], opts, wid)
+                payload = lanes.TASKS[kind](sessions[key], opts, wid)
+                payload["pid"] = os.getpid()
                 result_q.put(("ok", wid, payload))
         except BaseException as exc:
             result_q.put(("err", wid, exc))
@@ -570,6 +355,11 @@ class MultiprocRunner(Runner):
         for q in self._task_qs:
             q.put(msg)
 
+    def _exchange(self, phase: str, key: str, opts: dict) -> list:
+        """One phase task on every worker; their payloads."""
+        self._broadcast((phase, key, opts))
+        return self._collect(phase)
+
     def _collect(self, phase: str) -> list:
         payloads: list = [None] * self.workers
         first_err: BaseException | None = None
@@ -682,64 +472,23 @@ class MultiprocRunner(Runner):
 
         # Phase 1: inspector — prefilled from the cache or the symbolic
         # proof (both yield the canonical iter contents), else parallel.
-        prefilled = record is not None or elide
-        if prefilled:
-            t_ins = time.perf_counter()
-            if record is not None:
-                sess.views["iter"][:] = record.iter_array
-            else:
-                sess.views["iter"][loop.write] = np.arange(
-                    n, dtype=np.int64
-                )
-            if rec is not None:
-                rec.record(
-                    "inspector", CAT_PHASE, t_ins, rec.now(), lane=0,
-                    cache_hit=bool(hit), elided=elide,
-                )
-        else:
-            self._broadcast(("inspector", sess.key, opts))
-            self._apply(self._collect("inspector"), rec, met)
-
         # Phase 2: executor — one broadcast in flag mode; in group mode
         # one round per distance group, the collect between rounds being
         # the group barrier (no flags).  On WaitTimeout the session stays
         # dirty and is scrubbed on the next run; the pool itself survives.
-        if group is None:
-            rounds = [opts]
-        else:
-            rounds = [
-                dict(opts, window=(lo, min(n, lo + group)), round=gk)
-                for gk, lo in enumerate(range(0, n, group))
-            ]
-        tallies: list[tuple] = []
-        for ropts in rounds:
-            self._broadcast(("executor", sess.key, ropts))
-            payloads = self._collect("executor")
-            self._apply(payloads, rec, met)
-            tallies.extend(p["kernel"] for p in payloads if p is not None)
-            if san is not None:
-                timeout_exc: WaitTimeout | None = None
-                for payload in payloads:
-                    if payload is None:
-                        continue
-                    blob = payload.get("sanitize")
-                    if blob is not None:
-                        san.ingest(
-                            payload["wid"], blob["events"], pid=blob["pid"]
-                        )
-                    if timeout_exc is None:
-                        timeout_exc = payload.get("wait_timeout")
-                if timeout_exc is not None:
-                    # Same contract as the unsanitized "err" path: the
-                    # post phase never runs, the session stays dirty and
-                    # is scrubbed wholesale by the next run.
-                    raise timeout_exc
-        if met is not None and group is not None:
-            met.count("group_barriers", len(rounds))
-
         # Phase 3: postprocess/reset — scratch reusable afterwards.
-        self._broadcast(("post", sess.key, opts))
-        self._apply(self._collect("post"), rec, met)
+        prefilled = record is not None or elide
+        if prefilled:
+            lanes.prefill(
+                sess.views["iter"], loop, record, rec,
+                cache_hit=bool(hit), elided=elide,
+            )
+        plan = lanes.steps(n, group, prefilled, opts)
+        tallies = lanes.merge(
+            plan,
+            (self._exchange(kind, sess.key, o) for kind, o in plan),
+            rec, met, san,
+        )
         sess.dirty = False
 
         y = sess.views["y"].copy()
@@ -772,8 +521,6 @@ class MultiprocRunner(Runner):
         if met is not None:
             met.gauge("workers", self.workers)
             met.gauge("chunk", c_size)
-            if prefilled:
-                met.count("inspector_iterations", 0)
             if self.cache is not None:
                 met.count("inspector_cache_hits", 1 if hit else 0)
                 met.count("inspector_cache_misses", 0 if hit else 1)
@@ -844,18 +591,3 @@ class MultiprocRunner(Runner):
             c_size,
             f"multiproc({self.workers} workers, chunk={c_size})",
         )
-
-    @staticmethod
-    def _apply(payloads: list, rec, met) -> None:
-        """Merge worker phase payloads into the session telemetry."""
-        for payload in payloads:
-            if payload is None:
-                continue
-            if met is not None:
-                for name, value in payload["metrics"].items():
-                    met.count(name, value)
-            if rec is not None:
-                for name, cat, s0, s1, attrs in payload.get("spans", ()):
-                    rec.record(
-                        name, cat, s0, s1, lane=payload["wid"], **attrs
-                    )

@@ -9,9 +9,9 @@ all ``NOTDONE``), so one allocation amortizes over many loop instances.
 clean-after-postprocess invariant.
 
 (The ``ready`` flags live on the backend side — a
-:class:`~repro.machine.flags.FlagStore` in simulation, ``threading.Event``
-objects in the threaded backend — but their reset cost is charged by the
-postprocessor just the same.)
+:class:`~repro.machine.flags.FlagStore` in simulation, a ``uint8`` array
+in the threaded and multiproc lanes (:mod:`repro.backends.lanes`) — but
+their reset cost is charged by the postprocessor just the same.)
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ backend, not just the simulated one:
 - category ``"phase"`` spans named ``inspector`` / ``executor`` /
   ``postprocessor`` mirror Figure 3's pipeline stages;
 - category ``"wait"`` spans are the busy-waits of Figure 2/5 (simulated:
-  :data:`~repro.machine.trace.SEG_WAIT` segments; threaded: blocked
-  ``threading.Event.wait`` calls);
+  :data:`~repro.machine.trace.SEG_WAIT` segments; threaded and multiproc:
+  blocking :class:`~repro.backends.waitladder.WaitLadder` waits);
 - category ``"compute"`` / ``"queue"`` spans match the simulated
   :class:`~repro.machine.trace.Tracer` segment kinds;
 - category ``"level"`` spans are the vectorized backend's walk over the
@@ -22,13 +22,14 @@ Span times are floats in the clock of the enclosing
 threaded/vectorized backends, simulated cycles for the simulated backend.
 
 :class:`SpanRecorder` is the collection point backends write into.  It is
-thread-safe (the threaded backend records from worker threads) and
-deliberately tiny: recording a span is one lock acquire and one list
-append, cheap enough to leave enabled for whole benchmark runs.  Hot
-loops that would otherwise record tens of thousands of spans (the
-threaded executor's per-blocking-wait compute/wait splits) buffer raw
-rows locally and hand them over in one :meth:`record_batch` call;
-``Span`` objects are materialized lazily, outside the timed region.
+thread-safe and deliberately tiny: recording a span is one lock acquire
+and one list append, cheap enough to leave enabled for whole benchmark
+runs.  Hot loops that would otherwise record tens of thousands of spans
+hand over raw rows instead: :meth:`record_batch` rows, and — the one
+compute/wait tiling of the threaded and multiproc executors — one
+``(w0, w1, element)`` triple per blocking wait to
+:meth:`record_wait_segments`; ``Span`` objects are materialized lazily,
+outside the timed region.
 """
 
 from __future__ import annotations

@@ -213,8 +213,9 @@ class PlanSpec:
         records the findings' backend recommendations as auto-tuner
         hints.
     wait_timeout:
-        Ceiling in seconds on any single blocking busy-wait (threaded
-        events / multiproc :class:`~repro.backends.waitladder.WaitLadder`).
+        Ceiling in seconds on any single blocking busy-wait: the timeout
+        rung of the :class:`~repro.backends.waitladder.WaitLadder` the
+        threaded and multiproc lanes wait with.
 
     Malformed values raise :class:`~repro.errors.ScheduleError` at
     construction; *well-formed but unsupported-for-the-backend* values

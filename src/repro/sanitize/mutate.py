@@ -57,15 +57,13 @@ class Flags(Shape):
     """The flag protocol: lane ``k`` of the runner's ``schedule_model()``
     placement runs ``its[k]`` in order; ``codes`` is the kernel's per-term
     read contract given ``iter_arr``; ``capture`` is what ``run_span``
-    logs."""
+    logs, bracketed by the phase barriers every lane logs."""
 
-    def __init__(self, loop, runner, phases: bool):
+    def __init__(self, loop, runner):
         super().__init__(loop, runner)
         placement = runner.schedule_model(loop)
         self.chunk, self.lane = placement.chunk, placement.lane
         workers = int(self.lane.max(initial=0)) + 1
-        # Threads bracket the executor with the phase barrier.
-        self.pre, self.post = ([("b", 0)], [("b", 1)]) if phases else ([], [])
         self.iter_arr = writer_map(loop)
         self.its = [
             kernel.lane_positions(0, loop.n, self.chunk, workers, k)
@@ -86,13 +84,13 @@ class Flags(Shape):
         for k, its in enumerate(self.its):
             lane = capture.lane(k)
             terms = [np.arange(r.ptr[i], r.ptr[i + 1]) for i in its]
-            lane += self.pre
+            lane.append(("b", 0))
             kernel.run_span(  # wait/post are recorded, never blocked on
                 its, self.codes[np.concatenate([np.arange(0)] + terms)],
                 loop.write, r.ptr, r.index, r.coeff, None, y, y, y,
                 wait=lambda _e: None, post=lambda _e: None, events=lane,
             )
-            lane += self.post
+            lane.append(("b", 1))
         return capture
 
     def unwait(self, n: int = 3, whole_flags: bool = False) -> int:
@@ -128,7 +126,7 @@ class Flags(Shape):
         return sum(map(len, gaps)) and np.count_nonzero(waits)
 
     def skip_barrier(self) -> int:
-        """One thread skips the inspector/executor phase barrier."""
+        """One lane skips the inspector/executor phase barrier."""
         evs = self.capture.lanes[1]
         evs[:] = [ev for ev in evs if ev[0] != "b"]
         return 2
@@ -224,11 +222,11 @@ class Commits(Shape):
 
 
 def threaded(loop) -> Flags:
-    return Flags(loop, ThreadedRunner(threads=4), phases=True)
+    return Flags(loop, ThreadedRunner(threads=4))
 
 
 def chunked(loop) -> Flags:
-    return Flags(loop, MultiprocRunner(workers=3, chunk=4), phases=False)
+    return Flags(loop, MultiprocRunner(workers=3, chunk=4))
 
 
 def walk(loop) -> Walk:
