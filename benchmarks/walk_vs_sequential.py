@@ -41,7 +41,7 @@ def measure(k: int, calls: int) -> dict:
         "native.sequential": lambda: native.sequential(loop),
         "warm call": lambda: parallelize(loop, spec=spec, cache=cache)[0].y,
         # The executor alone: the copy of y, the one walk, any copy-back.
-        "executor": lambda: runner._execute(loop, record),
+        "executor": lambda: runner._walk(loop, record),
     }
     for step in steps.values():
         assert np.array_equal(step().view(np.uint64), oracle.view(np.uint64))

@@ -1,9 +1,15 @@
 """Execution backends for the transformed loops.
 
 All backends implement the :class:`repro.backends.base.Runner` protocol —
-``run(loop, *, order=None, schedule=None, chunk=None, trace=False)``
+``run(loop, *, order=None, schedule=None, chunk=None, trace=False, ...)``
 returning a :class:`~repro.core.results.RunResult` — so strategy code and
-benchmarks select them interchangeably (``PlanSpec(backend=...)``).
+benchmarks select them interchangeably (``PlanSpec(backend=...)``).  The
+four wall-clock backends share one ``run``
+(:class:`~repro.backends.base.WallClockRunner`) and differ only in their
+execution.  One table (:data:`~repro.passes.spec.OPTION_REASONS`) says
+why a backend does not honor an option: planning rejects a
+:class:`~repro.passes.spec.PlanSpec` option with it, and a direct
+``run`` notes an option as ignored with it.
 
 - :mod:`repro.backends.simulated` — the paper-experiment backend: the
   inspector/executor/postprocessor phases of the simulated machine
@@ -25,10 +31,12 @@ benchmarks select them interchangeably (``PlanSpec(backend=...)``).
   ``multiprocessing.shared_memory`` arrays (``iter``/``ready``/``ynew``)
   with §2.3 strip-mined chunking, every wait bounded by a
   :class:`~repro.backends.waitladder.WaitLadder`.
-- :mod:`repro.backends.lanes` — the lane protocol both of those run:
+- :mod:`repro.backends.lanes` — the lane protocol both of those are:
   the inspector / executor / postprocess phase tasks over flat
-  ``iter``/``ready``/``ynew``/``y`` arrays, and the merge of their
-  payloads into telemetry and shadow logs.
+  ``iter``/``ready``/``ynew``/``y`` arrays, the merge of their payloads
+  into telemetry and shadow logs, and the one
+  :class:`~repro.backends.lanes.LaneRunner` (strip and group rules,
+  schedule model, run sequence) whose two transports they are.
 - :mod:`repro.backends.speculative` — the optimistic dual of the
   inspector: chunks execute in parallel with no inspection at all,
   conflicts are detected from per-chunk access logs after the fact, and
@@ -47,7 +55,10 @@ benchmarks select them interchangeably (``PlanSpec(backend=...)``).
   behind a single :class:`HookedRunner` wrapper.
 - :mod:`repro.backends.base` — the :class:`Runner` protocol (``run``,
   plus ``schedule_model``: the schedule a run is about to execute, for
-  ``validate="static"``) and shared helpers (order validation).
+  ``validate="static"``), the wall-clock run envelope
+  (:class:`~repro.backends.base.WallClockRunner`: checks, verdict, one
+  timed window, one result and its notes) and shared helpers (order
+  validation).
 """
 
 from repro.backends.base import Runner, validate_execution_order

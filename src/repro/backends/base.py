@@ -1,45 +1,53 @@
-"""Shared backend infrastructure: the :class:`Runner` protocol and order
-validation helpers.
+"""Shared backend infrastructure: the :class:`Runner` protocol, the run
+envelope of the wall-clock backends, and order validation helpers.
 
 Every execution backend (:data:`~repro.passes.spec.BACKENDS`) implements
 the same small surface::
 
-    runner.run(loop, *, order=None, schedule=None, chunk=None, trace=False)
-        -> RunResult
+    runner.run(loop, *, order=None, schedule=None, chunk=None, trace=False,
+               **backend_options) -> RunResult
 
 so strategy-level code (:func:`~repro.passes.execute.execute_plan`, the
 benchmarks) can swap backends without caring whether time is simulated
-cycles or measured wall clock.  Planned runs never hand a backend an option
-it cannot honor (:data:`~repro.passes.spec.OPTION_SUPPORT` rejects it at
-plan time); handed one directly (e.g. ``schedule`` on the vectorized
-backend, which has no per-processor schedules), a backend notes it as
-ignored rather than rejecting it, so callers can sweep hand-built runners
-with one option set.
+cycles or measured wall clock.  The four wall-clock backends (threaded,
+multiproc, vectorized, speculative) share one ``run``:
+:class:`WallClockRunner`, the envelope around Figure 3's three phases —
+argument checks, verdict, one timed window around the backend's
+``_execute``, one :class:`~repro.core.results.RunResult` and its notes —
+so a backend is only its execution.  Planned runs never hand a backend
+an option it cannot honor (:data:`~repro.passes.spec.OPTION_SUPPORT`
+rejects it at plan time); handed one directly (e.g. ``schedule`` on the
+vectorized backend, which has no per-processor schedules), a backend
+notes it as ignored, with the reason the plan-time rejection gives
+(:data:`~repro.passes.spec.OPTION_REASONS`), rather than rejecting it,
+so callers can sweep hand-built runners with one option set.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING
+import time
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.backends.kernel import Placement
+from repro.backends.kernel import Placement, default_chunk
 from repro.errors import InvalidLoopError, ProofError, ScheduleError
 from repro.ir.analysis import CAT_TRUE, classify_reads
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.analysis.verdicts import DependenceVerdict
-    from repro.core.results import RunResult
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.spans import SpanRecorder
     from repro.sanitize.shadow import ShadowCapture
 
 __all__ = [
     "NON_NATURAL_GROUP",
+    "Execution",
     "Runner",
-    "check_analyze_mode",
+    "WallClockRunner",
     "check_group_sync",
     "check_repeated",
     "execution_positions",
@@ -67,13 +75,15 @@ class Runner(abc.ABC):
       backend has one (``None`` means the backend default).
     - ``trace`` — request an execution timeline where supported.
 
-    Two backend-specific options carry plan decisions from
+    Backend-specific options carry plan decisions from
     :func:`~repro.passes.execute.execute_plan`: the simulated backend
     takes ``transform`` (the :class:`~repro.ir.transform.TransformPlan`
-    whose strategy it dispatches on), and the threaded, multiproc and
-    vectorized backends take ``group_sync`` (the synchronization group
-    size :func:`~repro.passes.distance.plan_distance_elision` proved
-    sound).
+    whose strategy it dispatches on); the wall-clock backends
+    (:class:`WallClockRunner`) take ``group_sync`` (the synchronization
+    group size :func:`~repro.passes.distance.plan_distance_elision`
+    proved sound; checked by all four, honored by threaded, multiproc
+    and vectorized), and the vectorized backend ``planned`` (the plan's
+    inspector record).
     """
 
     #: Short identifier used by the ``backend=`` selector and in reports.
@@ -115,6 +125,163 @@ class Runner(abc.ABC):
         return level_placement(loop)
 
 
+@dataclass
+class Execution:
+    """What a wall-clock backend's ``_execute`` hands back to the run
+    envelope (:class:`WallClockRunner`): the final values, and what only
+    the backend knows about how it computed them."""
+
+    y: np.ndarray
+    schedule: str
+    #: Each lane's :func:`~repro.backends.kernel.take_tally` triple.
+    tallies: list = field(default_factory=list)
+    #: Whether the inspector was skipped; ``None`` where there is no
+    #: inspector to skip, or no verdict to skip it by.
+    elided: bool | None = None
+    #: Backend extras, merged into ``RunResult.extras``.
+    extras: dict = field(default_factory=dict)
+    order_label: str = "natural"
+    #: Called with the built result after the timed window: extras and
+    #: counters the backend gathers outside it.
+    finish: Callable[[RunResult], None] | None = None
+
+
+class WallClockRunner(Runner):
+    """The run envelope of the wall-clock backends: one :meth:`run`
+    around the backend's :meth:`_execute`.
+
+    A backend supplies :meth:`_execute` (and, when it has run arguments of
+    its own, :meth:`_resolve`); the envelope does the rest, in one order
+    on every backend — the checks, the verdict, one timed window, one
+    :class:`~repro.core.results.RunResult` and its notes and counters.
+    """
+
+    #: ``RunResult.strategy``.
+    strategy: str
+    #: Prices ``RunResult.sequential_cycles`` (default :class:`CostModel`).
+    cost_model: CostModel | None = None
+
+    def __init__(
+        self,
+        workers: int = 1,
+        chunk: int | None = None,
+        analyze: str | None = None,
+    ):
+        """``workers``: lanes (``RunResult.processors``); ``chunk``: the
+        default strip size; ``analyze``: an ``ANALYZE_MODES`` entry."""
+        if workers < 1:
+            raise ValueError(f"need at least one worker, got {workers}")
+        if chunk is not None and chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        if analyze not in ANALYZE_MODES:
+            raise ValueError(
+                f"unknown analyze mode {analyze!r}; expected one of "
+                f"{ANALYZE_MODES}"
+            )
+        self.workers, self.chunk, self.analyze = workers, chunk, analyze
+
+    def run(
+        self,
+        loop: IrregularLoop,
+        *,
+        order: np.ndarray | None = None,
+        schedule=None,
+        chunk: int | None = None,
+        trace: bool = False,
+        group_sync: int | None = None,
+        **options,
+    ) -> RunResult:
+        """Execute ``loop``; measured wall clock, no cycle model
+        (``total_cycles`` 0, DESIGN.md §3).  Checked first, in this order:
+        the loop's subscripts and write injectivity (``loop_fingerprint``,
+        free once the loop is frozen), ``group_sync``, ``order``, the
+        backend's own arguments (:meth:`_resolve`).  ``wall_seconds``
+        times the verdict, the preprocessing and the execution.  An option
+        the backend does not honor (its ``OPTION_REASONS`` row), or a
+        ``group_sync`` it refuses (counted as ``sync_elision_fallbacks``),
+        is noted in ``extras["ignored_options"]``."""
+        key = loop_fingerprint(loop)
+        check_group_sync(loop, group_sync)
+        if order is not None:
+            order = np.asarray(order, dtype=np.int64)
+            validate_execution_order(loop, order)
+        strip, group, refused = self._resolve(loop.n, order, chunk, group_sync)
+        t0 = time.perf_counter()
+        verdict = resolve_verdict(loop, self.analyze)
+        done = self._execute(loop, key, order, verdict, strip, group, **options)
+        result = self._result(loop, done, verdict, time.perf_counter() - t0)
+        if group is not None:
+            result.extras["distance_group"] = int(group)
+        if refused and self._obs_metrics is not None:
+            self._obs_metrics.count("sync_elision_fallbacks", 1)
+        note_ignored_options(
+            result,
+            self.name,
+            {
+                "order": None if order is None else "<array>",
+                "schedule": schedule,
+                "chunk": chunk,
+                "trace": True if trace else None,
+                "group_sync": group_sync,
+            },
+            group_sync=refused,
+        )
+        return result
+
+    def _strip(self, n: int, chunk: int | None) -> int:
+        """A run's strip (chunk) size: the per-run ``chunk``, else the
+        runner's, else four strips per worker
+        (:func:`~repro.backends.kernel.default_chunk`)."""
+        if chunk is not None and chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        size = chunk if chunk is not None else self.chunk
+        return int(size if size is not None else default_chunk(n, self.workers))
+
+    def _resolve(
+        self, n: int, order, chunk: int | None, group_sync: int | None
+    ) -> tuple[int, int | None, str]:
+        """``(strip, group, refused)``: the strip size, the group that runs
+        (``None``: none) and why a requested one does not (``""``).
+        Default: no strips, and the group as given."""
+        return 1, group_sync, ""
+
+    @abc.abstractmethod
+    def _execute(
+        self, loop: IrregularLoop, key: str, order, verdict, strip: int,
+        group: int | None, **options,
+    ) -> Execution:
+        """Preprocess and execute the loop (``key``: its fingerprint),
+        inside the timed window."""
+        raise NotImplementedError
+
+    def _result(
+        self, loop: IrregularLoop, done: Execution, verdict, wall: float
+    ) -> RunResult:
+        """The run's :class:`RunResult`, its notes and counters."""
+        cm = self.cost_model if self.cost_model is not None else CostModel()
+        result = RunResult(
+            loop_name=loop.name,
+            strategy=self.strategy,
+            processors=self.workers,
+            y=done.y,
+            total_cycles=0,
+            sequential_cycles=sequential_time(loop, cm),
+            cost_model=cm,
+            schedule=done.schedule,
+            order_label=done.order_label,
+            wall_seconds=wall,
+        )
+        result.extras.update(done.extras)
+        met = self._obs_metrics
+        note_verdict(result, self.analyze, verdict, done.elided)
+        note_kernel(result, met, done.tallies)
+        if met is not None and done.elided is not None:
+            met.count("inspector_elisions", 1 if done.elided else 0)
+        if done.finish is not None:
+            done.finish(result)
+        return result
+
+
 def level_placement(loop: IrregularLoop) -> Placement:
     """The wavefront levels as barrier cuts, read off the level-major
     ``order`` and ``level_ptr`` the level walk executes."""
@@ -145,8 +312,9 @@ NON_NATURAL_GROUP = (
 
 def check_group_sync(loop: IrregularLoop, group_sync: int | None) -> None:
     """Refuse a ``group_sync`` the loop's verdict does not prove sound —
-    called first thing in ``run``, before a thread, worker or
-    shared-memory session is touched.  A group below 1 is no schedule at
+    called by :meth:`WallClockRunner.run` right after the loop check,
+    before the order is validated or a thread, worker or shared-memory
+    session is touched.  A group below 1 is no schedule at
     all (:class:`~repro.errors.ScheduleError`); one larger than the
     proven ``min_distance`` (or with no bound proven) would leave true
     dependences inside a group unordered
@@ -195,18 +363,6 @@ def check_repeated(
                 f"rhs_sequence[{k}] has shape {r.shape}, expected ({loop.n},)"
             )
     return rhs_sequence
-
-
-def check_analyze_mode(analyze: str | None) -> str | None:
-    """``analyze`` if it is a known mode (a runner-constructor check)."""
-    from repro.passes.spec import ANALYZE_MODES
-
-    if analyze not in ANALYZE_MODES:
-        raise ValueError(
-            f"unknown analyze mode {analyze!r}; expected one of "
-            f"{ANALYZE_MODES}"
-        )
-    return analyze
 
 
 def resolve_verdict(
@@ -266,31 +422,33 @@ def note_kernel(result: RunResult, metrics, tallies: list[tuple]) -> None:
 
 
 def note_ignored_options(
-    result: RunResult, backend: str, **ignored: tuple
+    result: RunResult, backend: str, given: dict, **refused: str
 ) -> None:
-    """Record run options a backend received but cannot honor.
+    """Record run options a backend received but did not honor.
 
     The module contract (see the module docstring) is that unsupported
     options are *documented as ignored* rather than rejected, so callers
     can sweep one option set across backends.  That must not mean the drop
-    is invisible: each ``option=(value, reason)`` pair lands as a
-    structured note in ``result.extras["ignored_options"]``, which
-    :func:`~repro.core.serialize.result_to_dict` surfaces in ``--json``
-    output — the caller can always find out what was silently discarded.
-
-    Callers pass only options that were actually set to a non-default
-    value; this helper never second-guesses defaults.
+    is invisible: each option in ``given`` that is set (not ``None``) and
+    that this run refused (``refused``: option -> why) or ``backend``
+    never honors (its :data:`~repro.passes.spec.OPTION_REASONS` row)
+    lands as a structured note in ``result.extras["ignored_options"]``,
+    which :func:`~repro.core.serialize.result_to_dict` surfaces in
+    ``--json`` output — the caller can always find out what was silently
+    discarded.
     """
-    if not ignored:
-        return
-    notes = result.extras.setdefault("ignored_options", [])
-    for option, (value, reason) in ignored.items():
+    for option, value in given.items():
+        if value is None:
+            continue
+        reason = refused.get(option) or OPTION_REASONS.get((backend, option))
+        if reason is None:
+            continue
         safe = (
             value
-            if value is None or isinstance(value, (bool, int, float, str))
+            if isinstance(value, (bool, int, float, str))
             else repr(value)
         )
-        notes.append(
+        result.extras.setdefault("ignored_options", []).append(
             {
                 "backend": backend,
                 "option": option,
@@ -345,3 +503,14 @@ def validate_execution_order(
             f"{int(pos[r])}; the busy-wait executor would deadlock"
         )
     return pos
+
+
+# Bound last, once this module's names exist: importing ``cache``,
+# ``core`` or ``passes`` reaches the backends that subclass
+# WallClockRunner.  Imported inside the methods instead, they would cost
+# microseconds on every run.
+from repro.backends.cache import loop_fingerprint  # noqa: E402
+from repro.core.results import RunResult  # noqa: E402
+from repro.core.sequential import sequential_time  # noqa: E402
+from repro.machine.costs import CostModel  # noqa: E402
+from repro.passes.spec import ANALYZE_MODES, OPTION_REASONS  # noqa: E402

@@ -33,7 +33,11 @@ transports run them:
   ``multiprocessing.shared_memory`` segments, the coordinator's collect
   being the barrier.
 
-A payload from another process carries its ``pid``: the phase spans are
+Both are one :class:`LaneRunner`: the strip and group rules, the schedule
+model and the run's sequence (options, prefill, steps, merge) are written
+here once, and a transport supplies only its arrays (``_open`` /
+``_close``) and how it runs a phase on every lane (``_phases``).  A
+payload from another process carries its ``pid``: the phase spans are
 tagged with it and the shadow-log lane is keyed ``(pid, wid)``.
 """
 
@@ -44,12 +48,20 @@ import time
 import numpy as np
 
 from repro.backends import kernel
-from repro.backends.base import inverse_permutation
+from repro.backends.base import (
+    NON_NATURAL_GROUP,
+    Execution,
+    WallClockRunner,
+    execution_positions,
+    inverse_permutation,
+)
+from repro.backends.kernel import Placement
 from repro.core.workspace import MAXINT
 from repro.errors import WaitTimeout
+from repro.ir.loop import INIT_EXTERNAL
 from repro.obs.spans import CAT_PHASE
 
-__all__ = ["TASKS", "merge", "prefill", "steps"]
+__all__ = ["LaneRunner", "TASKS", "merge"]
 
 
 def _lane(sess: dict, opts: dict, wid: int) -> np.ndarray:
@@ -232,61 +244,7 @@ TASKS = {
 }
 
 
-def prefill(iter_view: np.ndarray, loop, record, rec, **attrs) -> None:
-    """Fill ``iter`` on the coordinator instead of the inspector phase:
-    from a cached inspector record, else in closed form (the write is
-    proven injective, so no fill order matters).  Both yield the
-    canonical contents.  Observed, one ``inspector`` span on lane 0
-    carries ``attrs``."""
-    t0 = time.perf_counter()
-    if record is not None:
-        iter_view[:] = record.iter_array
-    else:
-        iter_view[loop.write] = np.arange(loop.n, dtype=np.int64)
-    if rec is not None:
-        rec.record("inspector", CAT_PHASE, t0, rec.now(), lane=0, **attrs)
-
-
-def steps(
-    n: int, group: int | None, prefilled: bool, opts: dict
-) -> list[tuple[str, dict]]:
-    """The phases a run executes, in order, each ``(task, opts)``: the
-    inspector unless ``iter`` is prefilled, the executor — once in flag
-    mode, once per distance group of ``group`` iterations otherwise —
-    and the postprocessor."""
-    if group is None:
-        rounds = [opts]
-    else:
-        rounds = [
-            dict(opts, window=(lo, min(n, lo + group)), round=gk)
-            for gk, lo in enumerate(range(0, n, group))
-        ]
-    return (
-        ([] if prefilled else [("inspector", opts)])
-        + [("executor", r) for r in rounds]
-        + [("post", opts)]
-    )
-
-
-def merge(plan: list, phases, rec, met, san) -> list[tuple]:
-    """Merge each step's lane payloads into the run's telemetry and shadow
-    log as the transport delivers them (``phases`` yields one list per
-    step of ``plan``), then count what the plan skipped: the inspector
-    (prefilled ``iter``) and, in group mode, the barrier rounds.  Returns
-    every lane's kernel tally."""
-    tallies: list[tuple] = []
-    for payloads in phases:
-        tallies += _apply(payloads, rec, met, san)
-    if met is not None:
-        if plan[0][0] != "inspector":
-            met.count("inspector_iterations", 0)
-        rounds = sum("round" in opts for _, opts in plan)
-        if rounds:
-            met.count("group_barriers", rounds)
-    return tallies
-
-
-def _apply(payloads: list, rec, met, san) -> list[tuple]:
+def merge(payloads: list, rec, met, san) -> list[tuple]:
     """Merge one phase's lane payloads into the run's telemetry and shadow
     log; returns their kernel tallies.  A lane that shipped a
     :class:`~repro.errors.WaitTimeout` home (a sanitized run) raises it
@@ -315,3 +273,127 @@ def _apply(payloads: list, rec, met, san) -> list[tuple]:
     if timed_out is not None:
         raise timed_out
     return tallies
+
+
+class LaneRunner(WallClockRunner):
+    """The lane protocol as a runner: ``workers`` lanes over strips of
+    positions.  A transport supplies ``ladder`` (the
+    :class:`~repro.backends.waitladder.WaitLadder` every blocking wait
+    climbs), ``schedule_format`` / ``label_format`` (formatted with
+    ``workers`` and ``strip``), ``_open(loop, key, order)`` (the run's
+    arrays by name: its values, clean scratch), ``_phases(plan, views,
+    n)`` (each step run on every lane, a barrier after it; yields the
+    payloads) and ``_close(views)`` (the final ``y``).  ``cache``, when
+    set, prefills ``iter`` from an inspector record (Figure-3
+    amortization)."""
+
+    cache = None
+    schedule_format: str
+    label_format: str
+
+    def _resolve(self, n, order, chunk, group_sync):
+        """Group-synchronous elision (the distance stage) runs only in
+        natural order — the bound is on iteration numbers — and only for
+        a strip-aligned group, so the strip -> lane deal restricts
+        cleanly to each group window."""
+        strip = self._strip(n, chunk)
+        if group_sync is None:
+            return strip, None, ""
+        if order is not None:
+            return strip, None, NON_NATURAL_GROUP
+        if group_sync < strip:
+            why = f"smaller than the strip size (chunk={strip})"
+        elif group_sync % strip:
+            why = f"not a multiple of the strip size (chunk={strip})"
+        else:
+            return strip, group_sync, ""
+        return strip, None, (
+            f"the group is {why}, so strips would straddle group "
+            f"barriers; ran the flag protocol"
+        )
+
+    def schedule_model(
+        self, loop, *, order=None, chunk=None, group_sync=None, **_options
+    ) -> Placement:
+        strip, group, _ = self._resolve(loop.n, order, chunk, group_sync)
+        if group is not None:
+            return Placement.groups(loop.n, group, self.name, strip)
+        pos = execution_positions(loop.n, order)
+        return Placement.flagged(
+            pos,
+            kernel.lane_of(pos, strip, self.workers),
+            strip,
+            self.label_format.format(workers=self.workers, strip=strip),
+        )
+
+    def _execute(self, loop, key, order, verdict, strip, group) -> Execution:
+        """Figure 3's phases, each a step on every lane: the inspector —
+        unless ``iter`` is prefilled on the coordinator, from the cache's
+        record or in closed form (the write proven injective, so no fill
+        order matters; both yield the canonical contents) — the executor,
+        once in flag mode or once per distance group, and the
+        postprocessor.  Each step's payloads are merged into the run's
+        telemetry and shadow log as the transport delivers them."""
+        elide = verdict is not None and verdict.write_injective
+        record, hit = None, False
+        if self.cache is not None:
+            record, hit = self.cache.get_or_build(loop, fingerprint=key)
+        views = self._open(loop, key, order)
+        rec, met, san = self._obs_recorder, self._obs_metrics, self._san_capture
+        n = loop.n
+        opts = {
+            "chunk": strip,
+            "workers": self.workers,
+            "has_order": order is not None,
+            "external": loop.init_kind == INIT_EXTERNAL,
+            "observe": rec is not None,
+            "ladder": self.ladder,
+            "sanitize": san is not None,
+            "window": (0, n),
+        }
+        prefilled = record is not None or elide
+        if prefilled:
+            t0 = time.perf_counter()
+            if record is not None:
+                views["iter"][:] = record.iter_array
+            else:
+                views["iter"][loop.write] = np.arange(n, dtype=np.int64)
+            if rec is not None:
+                rec.record(
+                    "inspector", CAT_PHASE, t0, rec.now(), lane=0,
+                    cache_hit=bool(hit), elided=elide,
+                )
+        rounds = [opts] if group is None else [
+            dict(opts, window=(lo, min(n, lo + group)), round=gk)
+            for gk, lo in enumerate(range(0, n, group))
+        ]
+        plan = (
+            ([] if prefilled else [("inspector", opts)])
+            + [("executor", r) for r in rounds]
+            + [("post", opts)]
+        )
+        tallies: list[tuple] = []
+        for payloads in self._phases(plan, views, n):
+            tallies += merge(payloads, rec, met, san)
+        if met is not None:
+            if prefilled:
+                met.count("inspector_iterations", 0)
+            if group is not None:
+                met.count("group_barriers", len(rounds))
+        extras: dict = {}
+        if self.cache is not None:
+            extras.update(
+                cache_hit=hit,
+                cache_hits_total=self.cache.hits,
+                cache_misses_total=self.cache.misses,
+            )
+            if met is not None:
+                met.count("inspector_cache_hits", 1 if hit else 0)
+                met.count("inspector_cache_misses", 0 if hit else 1)
+        return Execution(
+            self._close(views),
+            self.schedule_format.format(workers=self.workers, strip=strip),
+            tallies,
+            None if verdict is None else elide,
+            extras,
+        )

@@ -39,35 +39,19 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_mod
-import time
 import weakref
 from collections import OrderedDict
 
 import numpy as np
 from multiprocessing import shared_memory
 
-from repro.backends import kernel, lanes
-from repro.backends.kernel import Placement
-from repro.backends.base import (
-    NON_NATURAL_GROUP,
-    Runner,
-    check_analyze_mode,
-    check_group_sync,
-    execution_positions,
-    note_ignored_options,
-    note_kernel,
-    note_verdict,
-    resolve_verdict,
-    validate_execution_order,
-)
-from repro.backends.cache import InspectorCache, loop_fingerprint
+from repro.backends import lanes
+from repro.backends.base import Execution
+from repro.backends.cache import InspectorCache
 from repro.backends.waitladder import DEFAULT_LADDER, WaitLadder
-from repro.core.results import RunResult
-from repro.core.sequential import sequential_time
 from repro.core.workspace import MAXINT
 from repro.errors import ReproError
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
-from repro.machine.costs import CostModel
 
 __all__ = ["MultiprocRunner"]
 
@@ -86,8 +70,19 @@ _BLOCKS = (
 )
 
 
-def _block_len(dim: str, n: int, y_size: int, terms: int) -> int:
-    return {"n": n, "n1": n + 1, "terms": terms, "y": y_size}[dim]
+def _map(meta: dict, segment) -> tuple[dict, dict]:
+    """Each block's shared segment (``segment(field, nbytes)``) and its
+    numpy view, for a session of ``meta``'s sizes."""
+    n = meta["n"]
+    sizes = {"n": n, "n1": n + 1, "terms": meta["terms"], "y": meta["y_size"]}
+    shms, views = {}, {}
+    for field, dtype, dim in _BLOCKS:
+        count = sizes[dim]
+        shms[field] = shm = segment(
+            field, max(1, count) * np.dtype(dtype).itemsize
+        )
+        views[field] = np.ndarray((count,), dtype=dtype, buffer=shm.buf)
+    return shms, views
 
 
 # ----------------------------------------------------------------------
@@ -119,20 +114,10 @@ def _mute_shm_tracking() -> None:
 
 def _worker_attach(meta: dict) -> dict:
     """Attach one session's shared blocks and build the numpy views."""
-    n, y_size, terms = meta["n"], meta["y_size"], meta["terms"]
-    shms, views = [], {}
-    for field, dtype, dim in _BLOCKS:
-        shm = shared_memory.SharedMemory(name=meta["names"][field])
-        shms.append(shm)
-        count = _block_len(dim, n, y_size, terms)
-        views[field] = np.ndarray((count,), dtype=dtype, buffer=shm.buf)
-    return {
-        "shms": shms,
-        "views": views,
-        "n": n,
-        "y_size": y_size,
-        "codes": {},
-    }
+    shms, views = _map(
+        meta, lambda field, _: shared_memory.SharedMemory(name=meta["names"][field])
+    )
+    return {"shms": shms, "views": views, "n": meta["n"], "codes": {}}
 
 
 def _worker_detach(sess: dict) -> None:
@@ -140,7 +125,7 @@ def _worker_detach(sess: dict) -> None:
     mmap's buffer; closing underneath them raises ``BufferError``)."""
     sess["views"].clear()
     sess["codes"].clear()
-    for shm in sess["shms"]:
+    for shm in sess["shms"].values():
         shm.close()
 
 
@@ -188,20 +173,13 @@ class _Session:
 
     def __init__(self, key: str, loop: IrregularLoop):
         self.key = key
-        self.n = loop.n
-        self.y_size = loop.y_size
         self.terms = int(loop.reads.total_terms)
         self.dirty = False
-        self.shms: dict[str, shared_memory.SharedMemory] = {}
-        self.views: dict[str, np.ndarray] = {}
-        for field, dtype, dim in _BLOCKS:
-            count = _block_len(dim, self.n, self.y_size, self.terms)
-            nbytes = max(1, count) * np.dtype(dtype).itemsize
-            shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            self.shms[field] = shm
-            self.views[field] = np.ndarray(
-                (count,), dtype=dtype, buffer=shm.buf
-            )
+        self._meta = {"n": loop.n, "y_size": loop.y_size, "terms": self.terms}
+        self.shms, self.views = _map(
+            self._meta,
+            lambda _, size: shared_memory.SharedMemory(create=True, size=size),
+        )
         # Structure (shipped once per session) + clean scratch.
         self.views["write"][:] = loop.write
         self.views["ptr"][:] = loop.reads.ptr
@@ -211,12 +189,8 @@ class _Session:
         self.views["ynew"][:] = 0.0
 
     def meta(self) -> dict:
-        return {
-            "n": self.n,
-            "y_size": self.y_size,
-            "terms": self.terms,
-            "names": {f: shm.name for f, shm in self.shms.items()},
-        }
+        names = {f: shm.name for f, shm in self.shms.items()}
+        return dict(self._meta, names=names)
 
     def destroy(self) -> None:
         # Views hold exported buffers; drop them before closing the maps.
@@ -247,7 +221,7 @@ def _shutdown_pool(procs, task_qs, sessions) -> None:
     sessions.clear()
 
 
-class MultiprocRunner(Runner):
+class MultiprocRunner(lanes.LaneRunner):
     """Runs the preprocessed doacross on a persistent process pool over
     shared memory (see the module docstring for the protocol).
 
@@ -278,10 +252,16 @@ class MultiprocRunner(Runner):
 
     The pool and its shared segments are released by :meth:`close` (also
     hooked to garbage collection), after which the runner may be used
-    again — a fresh pool starts on demand.
+    again — a fresh pool starts on demand.  The ``schedule`` run option
+    is ignored (strips are always dealt round-robin, the deadlock-freedom
+    precondition) and so is ``trace``; each is noted in
+    ``extras["ignored_options"]``.
     """
 
     name = "multiproc"
+    strategy = "multiproc-doacross"
+    schedule_format = "chunked({strip} x {workers} workers)"
+    label_format = "multiproc({workers} workers, chunk={strip})"
 
     def __init__(
         self,
@@ -293,18 +273,12 @@ class MultiprocRunner(Runner):
         ladder: WaitLadder | None = None,
         max_sessions: int = 8,
     ):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        super().__init__(workers, chunk, analyze)
         if max_sessions < 1:
             raise ValueError(
                 f"max_sessions must be >= 1, got {max_sessions}"
             )
-        self.workers = workers
-        self.chunk = chunk
         self.cache = cache
-        self.analyze = check_analyze_mode(analyze)
         self.ladder = ladder if ladder is not None else DEFAULT_LADDER
         self.max_sessions = max_sessions
         methods = mp.get_all_start_methods()
@@ -313,6 +287,7 @@ class MultiprocRunner(Runner):
         self._task_qs: list = []
         self._result_q = None
         self._sessions: "OrderedDict[str, _Session]" = OrderedDict()
+        self._live: _Session | None = None
         self._finalizer = None
 
     # -- pool lifecycle ------------------------------------------------
@@ -355,11 +330,6 @@ class MultiprocRunner(Runner):
         for q in self._task_qs:
             q.put(msg)
 
-    def _exchange(self, phase: str, key: str, opts: dict) -> list:
-        """One phase task on every worker; their payloads."""
-        self._broadcast((phase, key, opts))
-        return self._collect(phase)
-
     def _collect(self, phase: str) -> list:
         payloads: list = [None] * self.workers
         first_err: BaseException | None = None
@@ -383,8 +353,7 @@ class MultiprocRunner(Runner):
         return payloads
 
     # -- sessions ------------------------------------------------------
-    def _session_for(self, loop: IrregularLoop) -> _Session:
-        key = loop_fingerprint(loop)
+    def _session_for(self, loop: IrregularLoop, key: str) -> _Session:
         sess = self._sessions.get(key)
         if sess is not None:
             self._sessions.move_to_end(key)
@@ -400,194 +369,45 @@ class MultiprocRunner(Runner):
         self._sessions[key] = sess
         return sess
 
-    # -- the run -------------------------------------------------------
-    def run(
-        self,
-        loop: IrregularLoop,
-        *,
-        order: np.ndarray | None = None,
-        schedule=None,
-        chunk: int | None = None,
-        trace: bool = False,
-        group_sync: int | None = None,
-    ) -> RunResult:
-        """Execute ``loop`` on the process pool; see the module docstring.
-
-        ``chunk`` sets the strip-mine chunk size.  ``schedule`` is ignored
-        (iteration assignment is always chunked round-robin — the
-        deadlock-freedom precondition); ``trace`` is ignored (no simulated
-        timeline; use ``observe=True`` for wall-clock spans).  Both are
-        recorded in ``result.extras["ignored_options"]`` when passed.
-        """
-        check_group_sync(loop, group_sync)
-        c_size, group, group_refused = self._resolve(
-            loop.n, order, chunk, group_sync
-        )
-        if order is not None:
-            order = np.asarray(order, dtype=np.int64)
-            validate_execution_order(loop, order)
-
-        t0 = time.perf_counter()
-        verdict = resolve_verdict(loop, self.analyze)
-        elide = verdict is not None and verdict.write_injective
-        record, hit = None, False
-        if self.cache is not None:
-            record, hit = self.cache.get_or_build(loop)
-
+    # -- the transport -------------------------------------------------
+    def _open(self, loop: IrregularLoop, key: str, order) -> dict:
+        """The loop structure's session, with this run's values copied in
+        (the structure is already there)."""
         self._ensure_pool()
-        sess = self._session_for(loop)
-        rec = self._obs_recorder
-        met = self._obs_metrics
-        observe = rec is not None
-
-        n = loop.n
+        sess = self._live = self._session_for(loop, key)
         if sess.dirty:
             # A previous run died mid-protocol (WaitTimeout): the normal
             # postprocess reset never ran, so scrub the scratch wholesale.
             sess.views["iter"][:] = MAXINT
             sess.views["ready"][:] = 0
         sess.dirty = True
-
-        # Per-run values into shared memory (structure is already there).
         sess.views["y"][:] = loop.y0
         if sess.terms:
             sess.views["coeff"][:] = loop.reads.coeff
-        external = loop.init_kind == INIT_EXTERNAL
-        if external:
+        if loop.init_kind == INIT_EXTERNAL:
             sess.views["init"][:] = loop.init_values
         if order is not None:
             sess.views["order"][:] = order
+        return sess.views
 
-        san = self._san_capture
-        opts = {
-            "chunk": c_size,
-            "workers": self.workers,
-            "has_order": order is not None,
-            "external": external,
-            "observe": observe,
-            "ladder": self.ladder,
-            "sanitize": san is not None,
-            "window": (0, n),
-        }
+    def _phases(self, plan: list, views: dict, n: int):
+        """One broadcast per step; the collect of its payloads is the
+        barrier (between group rounds too).  On WaitTimeout the session
+        stays dirty and is scrubbed on the next run; the pool survives."""
+        for kind, opts in plan:
+            self._broadcast((kind, self._live.key, opts))
+            yield self._collect(kind)
 
-        # Phase 1: inspector — prefilled from the cache or the symbolic
-        # proof (both yield the canonical iter contents), else parallel.
-        # Phase 2: executor — one broadcast in flag mode; in group mode
-        # one round per distance group, the collect between rounds being
-        # the group barrier (no flags).  On WaitTimeout the session stays
-        # dirty and is scrubbed on the next run; the pool itself survives.
-        # Phase 3: postprocess/reset — scratch reusable afterwards.
-        prefilled = record is not None or elide
-        if prefilled:
-            lanes.prefill(
-                sess.views["iter"], loop, record, rec,
-                cache_hit=bool(hit), elided=elide,
-            )
-        plan = lanes.steps(n, group, prefilled, opts)
-        tallies = lanes.merge(
-            plan,
-            (self._exchange(kind, sess.key, o) for kind, o in plan),
-            rec, met, san,
+    def _close(self, views: dict) -> np.ndarray:
+        self._live.dirty = False
+        return views["y"].copy()
+
+    def _execute(self, loop, key, order, verdict, strip, group) -> Execution:
+        done = super()._execute(loop, key, order, verdict, strip, group)
+        done.extras.update(
+            chunk=strip, workers=self.workers, start_method=self.start_method
         )
-        sess.dirty = False
-
-        y = sess.views["y"].copy()
-        wall = time.perf_counter() - t0
-
-        cm = CostModel()
-        result = RunResult(
-            loop_name=loop.name,
-            strategy="multiproc-doacross",
-            processors=self.workers,
-            y=y,
-            total_cycles=0,
-            sequential_cycles=sequential_time(loop, cm),
-            cost_model=cm,
-            schedule=f"chunked({c_size} x {self.workers} workers)",
-            wall_seconds=wall,
-        )
-        result.extras["chunk"] = c_size
-        result.extras["workers"] = self.workers
-        result.extras["start_method"] = self.start_method
-        if group is not None:
-            result.extras["distance_group"] = int(group)
-        if self.cache is not None:
-            stats = self.cache.stats()
-            result.extras["cache_hit"] = hit
-            result.extras["cache_hits_total"] = stats["hits"]
-            result.extras["cache_misses_total"] = stats["misses"]
-        note_verdict(result, self.analyze, verdict, elide)
-        note_kernel(result, met, tallies)
-        if met is not None:
-            met.gauge("workers", self.workers)
-            met.gauge("chunk", c_size)
-            if self.cache is not None:
-                met.count("inspector_cache_hits", 1 if hit else 0)
-                met.count("inspector_cache_misses", 0 if hit else 1)
-            if self.analyze is not None:
-                met.count("inspector_elisions", 1 if elide else 0)
-
-        ignored = {}
-        if schedule is not None:
-            ignored["schedule"] = (
-                schedule,
-                "the multiproc backend always assigns contiguous chunks "
-                "round-robin (deadlock-freedom precondition, DESIGN.md "
-                "§6); use chunk= to size the strips",
-            )
-        if trace:
-            ignored["trace"] = (
-                True,
-                "no simulated timeline exists on real processes; use "
-                "observe=True for wall-clock spans",
-            )
-        if group_refused:
-            ignored["group_sync"] = (group_sync, group_refused)
-            if met is not None:
-                met.count("sync_elision_fallbacks", 1)
-        note_ignored_options(result, self.name, **ignored)
-        return result
-
-    def _resolve(
-        self, n: int, order, chunk: int | None, group_sync: int | None
-    ) -> tuple[int, int | None, str]:
-        """The strip size and group size a run uses, and why a requested
-        group is refused: the per-run ``chunk``, else the constructor's,
-        else four strips per worker; group-synchronous elision
-        (the distance stage) only in natural order and only for a chunk-aligned
-        group, so the strip -> worker deal restricts cleanly to each group
-        window."""
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        c_size = chunk if chunk is not None else self.chunk
-        if c_size is None:
-            c_size = kernel.default_chunk(n, self.workers)
-        c_size = int(c_size)
-        if group_sync is None:
-            return c_size, None, ""
-        if order is not None:
-            return c_size, None, NON_NATURAL_GROUP
-        if group_sync < c_size:
-            why = f"smaller than the strip size (chunk={c_size})"
-        elif group_sync % c_size:
-            why = f"not a multiple of the strip size (chunk={c_size})"
-        else:
-            return c_size, group_sync, ""
-        return c_size, None, (
-            f"the group is {why}, so strips would straddle group "
-            f"barriers; ran the flag protocol"
-        )
-
-    def schedule_model(
-        self, loop, *, order=None, chunk=None, group_sync=None, **_options
-    ) -> Placement:
-        c_size, group, _ = self._resolve(loop.n, order, chunk, group_sync)
-        if group is not None:
-            return Placement.groups(loop.n, group, self.name, c_size)
-        pos = execution_positions(loop.n, order)
-        return Placement.flagged(
-            pos,
-            kernel.lane_of(pos, c_size, self.workers),
-            c_size,
-            f"multiproc({self.workers} workers, chunk={c_size})",
-        )
+        if self._obs_metrics is not None:
+            self._obs_metrics.gauge("workers", self.workers)
+            self._obs_metrics.gauge("chunk", strip)
+        return done

@@ -54,21 +54,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.backends import kernel
-from repro.backends.base import (
-    Runner,
-    check_analyze_mode,
-    note_ignored_options,
-    note_kernel,
-    note_verdict,
-    resolve_verdict,
-    validate_execution_order,
-)
-from repro.backends.cache import loop_fingerprint
-from repro.core.results import RunResult
-from repro.core.sequential import sequential_time
+from repro.backends.base import Execution, WallClockRunner
 from repro.ir.analysis import writer_map
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
-from repro.machine.costs import CostModel
 from repro.obs.spans import CAT_PHASE
 
 __all__ = ["SpeculativeRunner"]
@@ -80,9 +68,16 @@ __all__ = ["SpeculativeRunner"]
 DEFAULT_MAX_ROUNDS = 8
 
 
-class SpeculativeRunner(Runner):
+class SpeculativeRunner(WallClockRunner):
     """Optimistic chunk-parallel execution with post-hoc conflict
-    detection, rollback, and a sequential-fallback retry budget.
+    detection, rollback, and a sequential-fallback retry budget; the
+    result is bitwise-equal to the sequential oracle.
+
+    The ``chunk`` run option overrides the constructor's chunk size.
+    ``order`` and ``group_sync`` are checked when given but not used:
+    commits happen in natural chunk order, and any *valid* execution
+    order produces the same values.  They are noted in
+    ``extras["ignored_options"]``, as are ``schedule`` and ``trace``.
 
     ``analyze="symbolic"`` attaches the symbolic verdict to the result
     for diagnosis; unlike the inspector backends there is no inspector
@@ -90,6 +85,7 @@ class SpeculativeRunner(Runner):
     """
 
     name = "speculative"
+    strategy = "speculative-doacross"
 
     def __init__(
         self,
@@ -98,102 +94,20 @@ class SpeculativeRunner(Runner):
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         analyze: str | None = None,
     ):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        super().__init__(workers, chunk, analyze)
         if max_rounds < 1:
             raise ValueError(
                 f"retry budget must allow at least one round, got {max_rounds}"
             )
-        self.workers = workers
-        self.chunk = chunk
         #: Speculation rounds before giving up on convergence and
         #: executing the remaining chunks sequentially (bounded-livelock
         #: contract, same spirit as the multiproc WaitLadder).
         self.max_rounds = max_rounds
-        self.analyze = check_analyze_mode(analyze)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        loop: IrregularLoop,
-        *,
-        order: np.ndarray | None = None,
-        schedule=None,
-        chunk: int | None = None,
-        trace: bool = False,
-    ) -> RunResult:
-        """Execute ``loop`` speculatively; returns a :class:`RunResult`
-        bitwise-equal to the sequential oracle.
-
-        ``chunk`` overrides the constructor's chunk size for this run.
-        ``order`` is validated when given but not used: commits happen in
-        natural chunk order, and any *valid* execution order produces the
-        same values, so reordering buys nothing here.  ``schedule`` and
-        ``trace`` are ignored and recorded in
-        ``result.extras["ignored_options"]``.
-        """
-        # Hashing checks ``write`` is injective; free once the loop is.
-        loop_fingerprint(loop)
-        verdict = resolve_verdict(loop, self.analyze)
-        if order is not None:
-            order = np.asarray(order, dtype=np.int64)
-            validate_execution_order(loop, order)
-        if chunk is not None and chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
-        cs = chunk if chunk is not None else self.chunk
-        if cs is None:
-            cs = kernel.default_chunk(loop.n, self.workers)
-
-        t0 = time.perf_counter()
-        y, stats, tallies = self._execute(loop, cs)
-        wall = time.perf_counter() - t0
-
-        cm = CostModel()
-        result = RunResult(
-            loop_name=loop.name,
-            strategy="speculative-doacross",
-            processors=self.workers,
-            y=y,
-            total_cycles=0,
-            sequential_cycles=sequential_time(loop, cm),
-            cost_model=cm,
-            schedule=f"speculative({stats['chunks']} chunks of {cs})",
-            wall_seconds=wall,
-        )
-        result.extras["speculation"] = stats
-        note_verdict(result, self.analyze, verdict)
-        note_kernel(result, self._obs_metrics, tallies)
-        ignored = {}
-        if order is not None:
-            ignored["order"] = (
-                "<array>",
-                "speculative commits happen in natural chunk order; any "
-                "valid execution order yields the identical result",
-            )
-        if schedule is not None:
-            ignored["schedule"] = (
-                schedule,
-                "the speculative backend always executes contiguous "
-                "chunks; only the chunk size is tunable",
-            )
-        if trace:
-            ignored["trace"] = (
-                True,
-                "no simulated timeline exists on real threads; use "
-                "observe=True for wall-clock spans",
-            )
-        note_ignored_options(result, self.name, **ignored)
-        met = self._obs_metrics
-        if met is not None:
-            met.count("speculation_rounds", stats["rounds"])
-            met.count("chunks_conflicted", stats["chunks_conflicted"])
-            met.count("chunks_rolled_back", stats["chunks_rolled_back"])
-            met.count("iterations", loop.n)
-            if stats["sequential_fallback"]:
-                met.count("fallback_chunks", stats["fallback_chunks"])
-        return result
+    def _resolve(self, n, order, chunk, group_sync):
+        # Chunks of the run's strip size; no group runs.
+        return self._strip(n, chunk), None, ""
 
     # ------------------------------------------------------------------
     def _conflicts(
@@ -218,8 +132,8 @@ class SpeculativeRunner(Runner):
 
     # ------------------------------------------------------------------
     def _execute(
-        self, loop: IrregularLoop, cs: int
-    ) -> tuple[np.ndarray, dict, list]:
+        self, loop: IrregularLoop, key, order, verdict, cs, group
+    ) -> Execution:
         n = loop.n
         write = loop.write
         ptr, r_idx, r_coeff = (
@@ -381,4 +295,17 @@ class SpeculativeRunner(Runner):
             "sequential_fallback": fallback,
             "fallback_chunks": fallback_chunks,
         }
-        return y, stats, tallies
+        met = self._obs_metrics
+        if met is not None:
+            met.count("speculation_rounds", rounds)
+            met.count("chunks_conflicted", len(conflicted))
+            met.count("chunks_rolled_back", rolled_back)
+            met.count("iterations", n)
+            if fallback:
+                met.count("fallback_chunks", fallback_chunks)
+        return Execution(
+            y,
+            f"speculative({n_chunks} chunks of {cs})",
+            tallies,
+            extras={"speculation": stats},
+        )

@@ -55,21 +55,15 @@ import numpy as np
 
 from repro.backends import kernel
 from repro.backends.base import (
-    Runner,
-    check_analyze_mode,
-    check_group_sync,
+    Execution,
+    WallClockRunner,
     check_repeated,
     level_placement,
-    note_ignored_options,
-    note_kernel,
-    note_verdict,
     resolve_verdict,
-    validate_execution_order,
 )
 from repro.backends.cache import InspectorCache, InspectorRecord, loop_fingerprint
 from repro.backends.kernel import Placement
 from repro.core.results import RunResult
-from repro.core.sequential import sequential_time
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 from repro.machine.costs import CostModel
 from repro.obs.spans import CAT_LEVEL, CAT_PHASE
@@ -77,9 +71,19 @@ from repro.obs.spans import CAT_LEVEL, CAT_PHASE
 __all__ = ["VectorizedRunner"]
 
 
-class VectorizedRunner(Runner):
+class VectorizedRunner(WallClockRunner):
     """Wavefront-ordered execution, one walk, with cached inspector
     results.
+
+    A run's ``order`` is validated for legality (identically to the other
+    backends) but does not change the result: the backend always executes
+    in wavefront order, and any legal order produces the same values.
+    ``schedule``/``chunk``/``trace`` have no meaning without
+    per-processor scheduling and are ignored (each noted in
+    ``extras["ignored_options"]``).  ``planned`` is how
+    :func:`~repro.passes.execute.execute_plan` hands over the record
+    :func:`~repro.passes.plan.plan_loop` already fetched or built, with
+    whether that lookup hit; it is reported as this run's lookup.
 
     Parameters
     ----------
@@ -106,6 +110,7 @@ class VectorizedRunner(Runner):
     """
 
     name = "vectorized"
+    strategy = "vectorized-wavefront"
 
     def __init__(
         self,
@@ -113,21 +118,26 @@ class VectorizedRunner(Runner):
         cost_model: CostModel | None = None,
         analyze: str | None = None,
     ):
+        super().__init__(analyze=analyze)
         self.cache = cache if cache is not None else InspectorCache()
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.analyze = check_analyze_mode(analyze)
 
     # ------------------------------------------------------------------
     def _preprocess(
-        self, loop: IrregularLoop, group: int | None = None, planned=None
+        self,
+        loop: IrregularLoop,
+        key: str | None = None,
+        verdict=None,
+        group: int | None = None,
+        planned=None,
     ):
         """Serve the inspector record for ``loop``.
 
-        Returns ``(record, hit, elided, verdict)``.  With ``analyze`` set
-        and an elidable verdict, the record is built symbolically (no
-        read term is classified against memory) and cached under the
-        structure-only fingerprint; otherwise the runtime inspector path
-        of :class:`InspectorCache` is used unchanged.
+        Returns ``(record, hit, elided)``.  With an elidable ``verdict``
+        (``analyze`` set), the record is built symbolically (no read term
+        is classified against memory) and cached under the structure-only
+        fingerprint; otherwise the runtime inspector path of
+        :class:`InspectorCache` is used unchanged.
 
         With a ``group`` size (``run(group_sync=...)``, planned by the
         distance stage), the record's wavefronts are the distance groups
@@ -136,15 +146,11 @@ class VectorizedRunner(Runner):
         works even for verdicts that are *not* fully classified: a
         ``min-distance-k`` bound is enough.
 
-        ``planned`` is ``(record, hit)`` from the plan (see :meth:`run`):
-        served as is while the record's fingerprint is the loop's, so
-        the cache is not consulted a second time.
+        ``key`` is the loop's :func:`loop_fingerprint` when the caller
+        has it.  ``planned`` is ``(record, hit)`` from the plan: served as
+        is while the record's fingerprint is ``key``, so the cache is not
+        consulted a second time.
         """
-        if self.analyze is not None:
-            # A closed-form record never reads ``write``: hashing checks it
-            # is injective (memoized once the loop is frozen).
-            loop_fingerprint(loop)
-        verdict = resolve_verdict(loop, self.analyze)
         if group is not None and group >= 2:
             from repro.analysis import (
                 build_distance_record,
@@ -158,7 +164,7 @@ class VectorizedRunner(Runner):
                 ),
                 fingerprint=distance_fingerprint(loop, group),
             )
-            return record, hit, False, verdict
+            return record, hit, False
         if verdict is not None and verdict.elidable:
             from repro.analysis import (
                 build_symbolic_record,
@@ -172,13 +178,11 @@ class VectorizedRunner(Runner):
             )
             if self.analyze == "symbolic+check":
                 self._debug_check(loop, record)
-            return record, hit, True, verdict
-        if planned is not None:
-            record, hit = planned
-            if record.fingerprint == loop_fingerprint(loop):
-                return record, hit, False, verdict
-        record, hit = self.cache.get_or_build(loop)
-        return record, hit, False, verdict
+            return record, hit, True
+        if planned is not None and planned[0].fingerprint == key:
+            return planned[0], planned[1], False
+        record, hit = self.cache.get_or_build(loop, fingerprint=key)
+        return record, hit, False
 
     def _debug_check(self, loop: IrregularLoop, record) -> None:
         """``analyze="symbolic+check"``: the elided record must equal the
@@ -196,41 +200,15 @@ class VectorizedRunner(Runner):
             )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        loop: IrregularLoop,
-        *,
-        order: np.ndarray | None = None,
-        schedule=None,
-        chunk: int | None = None,
-        trace: bool = False,
-        group_sync: int | None = None,
+    def _execute(
+        self, loop, key, order, verdict, strip, group,
         planned: tuple[InspectorRecord, bool] | None = None,
-    ) -> RunResult:
-        """Execute ``loop`` as one walk of its wavefronts; see the module
-        doc.
-
-        ``order`` is validated for legality (identically to the other
-        backends) but does not change the result: the backend always
-        executes in wavefront order, and any legal order produces the same
-        values.  ``schedule``/``chunk``/``trace`` have no meaning without
-        per-processor scheduling and are ignored (each ignored option is
-        recorded in ``result.extras["ignored_options"]``).
-
-        ``planned`` is how :func:`~repro.passes.execute.execute_plan`
-        hands over the record :func:`~repro.passes.plan.plan_loop` already
-        fetched or built, with whether that lookup hit; it is reported as
-        this run's lookup.
-        """
-        check_group_sync(loop, group_sync)
-        if order is not None:
-            validate_execution_order(loop, np.asarray(order, dtype=np.int64))
+    ) -> Execution:
         rec = self._obs_recorder
-        kernel.take_tally()  # _result reports this run's spans only
-
+        kernel.take_tally()  # report this run's spans only
         t0 = time.perf_counter()
-        record, hit, elided, verdict = self._preprocess(
-            loop, group_sync, planned
+        record, hit, elided = self._preprocess(
+            loop, key, verdict, group, planned
         )
         t1 = time.perf_counter()
         if rec is not None:
@@ -241,38 +219,10 @@ class VectorizedRunner(Runner):
                 "inspector", CAT_PHASE, t0, t1, lane=0,
                 cache_hit=bool(hit), elided=elided,
             )
-        y = self._execute(loop, record)
-        t2 = time.perf_counter()
-
-        result = self._result(
-            loop,
-            record,
-            y,
-            hit=hit,
-            preprocess_seconds=t1 - t0,
-            execute_seconds=t2 - t1,
-            elided=elided,
-            verdict=verdict,
+        y = self._walk(loop, record)
+        return self._done(
+            loop, record, y, hit, elided, t1 - t0, time.perf_counter() - t1
         )
-        if group_sync is not None:
-            result.extras["distance_group"] = int(group_sync)
-        wavefront_reason = (
-            "the vectorized backend has no per-processor schedules; its "
-            "execution order is the wavefront decomposition itself"
-        )
-        ignored = {}
-        if schedule is not None:
-            ignored["schedule"] = (schedule, wavefront_reason)
-        if chunk is not None:
-            ignored["chunk"] = (chunk, wavefront_reason)
-        if trace:
-            ignored["trace"] = (
-                True,
-                "no simulated timeline exists for the level walk; use "
-                "observe=True for wall-clock spans",
-            )
-        note_ignored_options(result, self.name, **ignored)
-        return result
 
     def schedule_model(self, loop, *, group_sync=None, **_options) -> Placement:
         # Wavefront order whatever ``order`` says; a group size >= 2
@@ -296,26 +246,20 @@ class VectorizedRunner(Runner):
         the inspector/wavefront work is fetched from the cache once.
         """
         rhs_sequence = check_repeated(loop, instances, rhs_sequence)
-        kernel.take_tally()
+        key = loop_fingerprint(loop)
         t0 = time.perf_counter()
-        record, hit, elided, verdict = self._preprocess(loop)
+        verdict = resolve_verdict(loop, self.analyze)
+        kernel.take_tally()
+        record, hit, elided = self._preprocess(loop, key, verdict)
         t1 = time.perf_counter()
         y = loop.y0
         for k in range(instances):
             init = rhs_sequence[k] if rhs_sequence is not None else None
-            y = self._execute(loop, record, y=y, init_values=init)
+            y = self._walk(loop, record, y=y, init_values=init)
         t2 = time.perf_counter()
 
-        result = self._result(
-            loop,
-            record,
-            y,
-            hit=hit,
-            preprocess_seconds=t1 - t0,
-            execute_seconds=t2 - t1,
-            elided=elided,
-            verdict=verdict,
-        )
+        done = self._done(loop, record, y, hit, elided, t1 - t0, t2 - t1)
+        result = self._result(loop, done, verdict, t2 - t0)
         result.strategy = "vectorized-wavefront-amortized"
         result.sequential_cycles = instances * result.sequential_cycles
         result.extras["instances"] = instances
@@ -323,7 +267,7 @@ class VectorizedRunner(Runner):
         return result
 
     # ------------------------------------------------------------------
-    def _execute(
+    def _walk(
         self,
         loop: IrregularLoop,
         record: InspectorRecord,
@@ -380,79 +324,75 @@ class VectorizedRunner(Runner):
         return out
 
     # ------------------------------------------------------------------
-    def _result(
+    def _done(
         self,
         loop: IrregularLoop,
         record: InspectorRecord,
         y: np.ndarray,
         hit: bool,
+        elided: bool,
         preprocess_seconds: float,
         execute_seconds: float,
-        elided: bool = False,
-        verdict=None,
-    ) -> RunResult:
+    ) -> Execution:
         schedule = record.schedule
-        result = RunResult(
-            loop_name=loop.name,
-            strategy="vectorized-wavefront",
-            processors=1,
-            y=y,
-            total_cycles=0,
-            sequential_cycles=sequential_time(loop, self.cost_model),
-            cost_model=self.cost_model,
-            schedule=f"wavefront({schedule.n_levels} levels)",
+
+        def finish(result: RunResult) -> None:
+            """The level and cache extras and counters, after the timed
+            window."""
+            result.extras.update(
+                {
+                    "levels": schedule.n_levels,
+                    "walk": {
+                        "layout": "identity" if record.layout is None else "gathered",
+                        "renamed": record.renames,
+                    },
+                    "max_width": schedule.max_width(),
+                    "average_width": schedule.average_width(),
+                    "cache_hit": hit,
+                    "cache_hits_total": self.cache.hits,
+                    "cache_misses_total": self.cache.misses,
+                    "preprocess_seconds": preprocess_seconds,
+                    "execute_seconds": execute_seconds,
+                    "plan": record.plan.describe(),
+                }
+            )
+            met = self._obs_metrics
+            if met is not None:
+                met.count("inspector_cache_hits", 1 if hit else 0)
+                met.count("inspector_cache_misses", 0 if hit else 1)
+                # Inspection work actually performed this run: zero on a cache
+                # hit or when the symbolic proof elided the inspector, the
+                # full loop otherwise (the acceptance metric for elision).
+                ran_inspector = not (hit or elided)
+                met.count(
+                    "inspector_iterations", loop.n if ran_inspector else 0
+                )
+                met.count(
+                    "inspector_terms_classified",
+                    loop.reads.total_terms if ran_inspector else 0,
+                )
+                # stats() sums every cached record's bytes: observed runs only.
+                cache_stats = self.cache.stats()
+                met.gauge("inspector_cache_hits_total", cache_stats["hits"])
+                met.gauge("inspector_cache_misses_total", cache_stats["misses"])
+                met.gauge("inspector_cache_entries", cache_stats["entries"])
+                met.gauge("inspector_cache_bytes", cache_stats["bytes"])
+                met.gauge("inspector_cache_evictions_total", cache_stats["evictions"])
+                met.gauge("levels_cache_hits_total", cache_stats["levels_hits"])
+                met.gauge("levels_cache_misses_total", cache_stats["levels_misses"])
+                met.gauge("levels", schedule.n_levels)
+                # One sample per level: the width profile is a property of the
+                # loop, not of how it was executed — so it is summarized here,
+                # outside the timed window (8,000 samples cost 40 us).
+                met.observe_many("level_width", schedule.level_sizes())
+                met.gauge("max_width", schedule.max_width())
+                met.count("iterations", loop.n)
+
+        return Execution(
+            y,
+            f"wavefront({schedule.n_levels} levels)",
+            [kernel.take_tally()],
+            elided,
             order_label=f"wavefront(levels={schedule.n_levels})",
-            wall_seconds=preprocess_seconds + execute_seconds,
+            finish=finish,
         )
-        result.extras.update(
-            {
-                "levels": schedule.n_levels,
-                "walk": {
-                    "layout": "identity" if record.layout is None else "gathered",
-                    "renamed": record.renames,
-                },
-                "max_width": schedule.max_width(),
-                "average_width": schedule.average_width(),
-                "cache_hit": hit,
-                "cache_hits_total": self.cache.hits,
-                "cache_misses_total": self.cache.misses,
-                "preprocess_seconds": preprocess_seconds,
-                "execute_seconds": execute_seconds,
-                "plan": record.plan.describe(),
-            }
-        )
-        note_verdict(result, self.analyze, verdict, elided)
-        met = self._obs_metrics
-        note_kernel(result, met, [kernel.take_tally()])
-        if met is not None:
-            met.count("inspector_cache_hits", 1 if hit else 0)
-            met.count("inspector_cache_misses", 0 if hit else 1)
-            # Inspection work actually performed this run: zero on a cache
-            # hit or when the symbolic proof elided the inspector, the
-            # full loop otherwise (the acceptance metric for elision).
-            ran_inspector = not (hit or elided)
-            met.count(
-                "inspector_iterations", loop.n if ran_inspector else 0
-            )
-            met.count(
-                "inspector_terms_classified",
-                loop.reads.total_terms if ran_inspector else 0,
-            )
-            met.count("inspector_elisions", 1 if elided else 0)
-            # stats() sums every cached record's bytes: observed runs only.
-            cache_stats = self.cache.stats()
-            met.gauge("inspector_cache_hits_total", cache_stats["hits"])
-            met.gauge("inspector_cache_misses_total", cache_stats["misses"])
-            met.gauge("inspector_cache_entries", cache_stats["entries"])
-            met.gauge("inspector_cache_bytes", cache_stats["bytes"])
-            met.gauge("inspector_cache_evictions_total", cache_stats["evictions"])
-            met.gauge("levels_cache_hits_total", cache_stats["levels_hits"])
-            met.gauge("levels_cache_misses_total", cache_stats["levels_misses"])
-            met.gauge("levels", schedule.n_levels)
-            # One sample per level: the width profile is a property of the
-            # loop, not of how it was executed — so it is summarized here,
-            # outside the timed window (8,000 samples cost 40 us).
-            met.observe_many("level_width", schedule.level_sizes())
-            met.gauge("max_width", schedule.max_width())
-            met.count("iterations", loop.n)
-        return result

@@ -72,9 +72,11 @@ class RunResult:
     order_label:
         ``"natural"`` or a description of the doconsider reordering.
     wall_seconds:
-        Measured wall-clock duration for backends that execute for real
-        (threaded, vectorized); ``None`` for simulated/sequential runs,
-        whose time axis is cycles.
+        Measured wall-clock duration on the backends that execute for real
+        (threaded, multiproc, vectorized, speculative): the verdict, the
+        preprocessing and the execution, not the argument checks before
+        them; ``None`` for simulated/sequential runs, whose time axis is
+        cycles.
     telemetry:
         The run's :class:`~repro.obs.telemetry.Telemetry` blob (phase
         spans + unified metrics, same schema on every backend) when the

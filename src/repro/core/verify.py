@@ -161,7 +161,7 @@ def verify_loop(
     if include_threaded:
         check(
             f"threaded({threads})",
-            ThreadedRunner(threads=threads).run_preprocessed(loop).y,
+            ThreadedRunner(threads=threads).run(loop).y,
         )
 
     return report

@@ -15,12 +15,12 @@ The ``distance-elision`` stage of :func:`~repro.passes.plan.plan_loop`
 records the decision — with the verdict's machine-checkable certificate —
 in the plan (``Plan.distance_elision``):
 
-- ``threaded`` / ``vectorized``: ``g = min_distance`` (the threaded
-  backend swaps flags for barriers; the vectorized backend widens its
-  wavefront levels to the groups).
-- ``multiproc``: strips must not straddle group boundaries, so
-  ``g = chunk * (min_distance // chunk)`` — requires ``chunk <=
-  min_distance``.
+strips must not straddle group boundaries, so ``g = c * (min_distance
+// c)`` for a strip of ``c`` positions — requires ``c <= min_distance``.
+A backend with no ``chunk`` knob has no strips, which is strip 1:
+``threaded`` (strips of one position; it swaps flags for barriers) and
+``vectorized`` (it widens its wavefront levels to the groups) get
+``g = min_distance``; ``multiproc`` gets its chunk aligned down.
 
 :func:`~repro.passes.execute.execute_plan` hands the group size to the
 backend as its ``group_sync`` run option; the elision only applies in
@@ -29,6 +29,8 @@ proven injective (concurrent renamed writes to one element would race).
 """
 
 from __future__ import annotations
+
+from repro.passes.spec import OPTION_SUPPORT
 
 __all__ = ["plan_distance_elision"]
 
@@ -60,12 +62,10 @@ def plan_distance_elision(
     m = verdict.min_distance
     if m is None or m < 2 or not verdict.write_injective:
         return None
-    if backend == "multiproc":
-        if chunk is None or chunk > m:
-            return None
-        group = int(chunk) * (int(m) // int(chunk))
-    else:
-        group = int(m)
+    strip = chunk if "chunk" in OPTION_SUPPORT[backend] else 1
+    if strip is None or strip > m:
+        return None
+    group = int(strip) * (int(m) // int(strip))
     if group < 2:
         return None
     return {

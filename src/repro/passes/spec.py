@@ -12,9 +12,11 @@ An option a backend cannot honor is **rejected at plan time** with a
 structured :class:`UnsupportedPlanOption` (a
 :class:`~repro.errors.ScheduleError`).  The support matrix lives here
 (:data:`OPTION_SUPPORT`) so "which backend honors what" is one table,
-not five code paths.  (Options handed straight to ``Runner.run`` on a
-hand-built runner bypass planning; there a backend notes what it
-ignores in ``extras["ignored_options"]``.)
+not five code paths, and so does the reason for every gap
+(:data:`OPTION_REASONS`).  Options handed straight to ``Runner.run`` on
+a hand-built runner bypass planning; there a wall-clock backend notes
+what it ignores in ``extras["ignored_options"]`` with the same reason
+the plan-time rejection gives.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "PlanSpec",
     "UnsupportedPlanOption",
     "OPTION_SUPPORT",
+    "OPTION_REASONS",
     "BACKENDS",
     "SPEC_BACKENDS",
     "AUTO_BACKEND",
@@ -69,39 +72,55 @@ OPTION_SUPPORT: dict[str, frozenset[str]] = {
     "auto": frozenset({"chunk", "wait_timeout"}),
 }
 
-_REASONS = {
+_CYCLIC = (
+    "the threaded backend always distributes iterations cyclically "
+    "(deadlock-freedom precondition, DESIGN.md §6)"
+)
+_WAVEFRONT = (
+    "the vectorized backend has no per-processor schedules; its "
+    "execution order is the wavefront decomposition itself"
+)
+_NO_TIMELINE = (
+    "a wall-clock backend records no simulated timeline; use observe=True "
+    "for wall-clock spans"
+)
+
+
+#: Why a backend does not honor an option, for both failure modes:
+#: :func:`check_options` rejects a :class:`PlanSpec` option with it, and
+#: a wall-clock backend notes a run option it ignores with it
+#: (``order``, ``trace`` and ``group_sync`` are run options only).
+OPTION_REASONS: dict[tuple[str, str], str] = {
     ("simulated", "wait_timeout"): (
         "simulated busy-waits are bounded by the event engine's deadlock "
         "detector, not a wall-clock timeout"
     ),
-    ("threaded", "schedule"): (
-        "the threaded backend always distributes iterations cyclically "
-        "(deadlock-freedom precondition, DESIGN.md §6)"
-    ),
-    ("threaded", "chunk"): (
-        "the threaded backend always distributes iterations cyclically "
-        "(deadlock-freedom precondition, DESIGN.md §6)"
-    ),
-    ("vectorized", "schedule"): (
-        "the vectorized backend has no per-processor schedules; its "
-        "execution order is the wavefront decomposition itself"
-    ),
-    ("vectorized", "chunk"): (
-        "the vectorized backend has no per-processor schedules; its "
-        "execution order is the wavefront decomposition itself"
-    ),
-    ("vectorized", "wait_timeout"): (
-        "the level walk never busy-waits"
-    ),
+    ("threaded", "schedule"): _CYCLIC,
+    ("threaded", "chunk"): _CYCLIC,
+    ("threaded", "trace"): _NO_TIMELINE,
+    ("vectorized", "schedule"): _WAVEFRONT,
+    ("vectorized", "chunk"): _WAVEFRONT,
+    ("vectorized", "trace"): _NO_TIMELINE,
+    ("vectorized", "wait_timeout"): "the level walk never busy-waits",
     ("multiproc", "schedule"): (
         "the multiproc backend always assigns contiguous chunks "
         "round-robin (deadlock-freedom precondition); use chunk= to size "
         "the strips"
     ),
+    ("multiproc", "trace"): _NO_TIMELINE,
     ("speculative", "schedule"): (
         "the speculative backend always executes contiguous chunks and "
         "commits them in natural chunk order; use chunk= to size them"
     ),
+    ("speculative", "order"): (
+        "speculative commits happen in natural chunk order; any valid "
+        "execution order yields the identical result"
+    ),
+    ("speculative", "group_sync"): (
+        "speculative chunks are ordered by their commits, not by group "
+        "barriers; the group size was checked and not used"
+    ),
+    ("speculative", "trace"): _NO_TIMELINE,
     ("speculative", "wait_timeout"): (
         "speculative execution never busy-waits: conflicts are detected "
         "after the fact and bounded by the retry budget, not a timeout"
@@ -326,9 +345,9 @@ def check_options(spec: PlanSpec, backend: str | None = None) -> None:
 
     The plan-time counterpart of
     :func:`repro.backends.base.note_ignored_options` (what a hand-built
-    runner does with an option handed straight to ``run``): same support
-    knowledge, opposite failure mode — loud and early instead of noted
-    and late.
+    runner does with an option handed straight to ``run``): the same
+    :data:`OPTION_REASONS` row, opposite failure mode — loud and early
+    instead of noted and late.
     """
     target = spec.backend if backend is None else backend
     supported = OPTION_SUPPORT.get(target)
@@ -339,7 +358,7 @@ def check_options(spec: PlanSpec, backend: str | None = None) -> None:
         )
     for option, value in spec.tunable_options().items():
         if option not in supported:
-            reason = _REASONS.get(
+            reason = OPTION_REASONS.get(
                 (target, option),
                 f"the {target} backend has no {option} knob",
             )

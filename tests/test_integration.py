@@ -82,7 +82,7 @@ class TestStrategiesAgreeOnTrisolve:
         L, _ = ilu0(A)
         rhs = np.ones(A.n_rows)
         loop = lower_solve_loop(L, rhs)
-        y = ThreadedRunner(threads=4).run_preprocessed(loop).y
+        y = ThreadedRunner(threads=4).run(loop).y
         np.testing.assert_array_equal(y, loop.run_sequential())
 
 

@@ -78,7 +78,7 @@ def test_figure4_standard_and_linear_match_oracle(n, m, l, processors, linear):
 @settings(max_examples=25, deadline=None)
 def test_threaded_backend_matches_oracle(params, threads):
     loop = random_irregular_loop(**params)
-    y = ThreadedRunner(threads=threads).run_preprocessed(loop).y
+    y = ThreadedRunner(threads=threads).run(loop).y
     close(y, loop.run_sequential())
 
 

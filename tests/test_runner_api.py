@@ -68,8 +68,8 @@ class TestProtocolConformance:
 
 
 class TestThreadedRunResult:
-    def test_run_preprocessed_returns_runresult(self, loop):
-        result = ThreadedRunner(threads=2).run_preprocessed(loop)
+    def test_run_returns_runresult(self, loop):
+        result = ThreadedRunner(threads=2).run(loop)
         assert isinstance(result, RunResult)
         assert result.strategy == "threaded-doacross"
         assert result.wall_seconds is not None and result.wall_seconds > 0

@@ -20,46 +20,46 @@ class TestThreadedEquivalence:
     @pytest.mark.parametrize("threads", [1, 2, 4, 8])
     def test_figure4_loop(self, threads):
         loop = make_test_loop(n=120, m=2, l=6)
-        y = ThreadedRunner(threads=threads).run_preprocessed(loop).y
+        y = ThreadedRunner(threads=threads).run(loop).y
         assert_matches_oracle(y, loop)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_loops(self, seed):
         loop = random_irregular_loop(100, seed=seed)
-        y = ThreadedRunner(threads=4).run_preprocessed(loop).y
+        y = ThreadedRunner(threads=4).run(loop).y
         assert_matches_oracle(y, loop)
 
     def test_external_init(self):
         loop = random_irregular_loop(80, seed=1, external_init=True)
-        y = ThreadedRunner(threads=3).run_preprocessed(loop).y
+        y = ThreadedRunner(threads=3).run(loop).y
         assert_matches_oracle(y, loop)
 
     def test_tight_chain_does_not_deadlock(self):
         loop = chain_loop(200, 1)
-        y = ThreadedRunner(threads=4).run_preprocessed(loop).y
+        y = ThreadedRunner(threads=4).run(loop).y
         assert_matches_oracle(y, loop)
 
     def test_triangular_solve(self):
         L, _ = ilu0(five_point(10, 10))
         rhs = np.linspace(0.5, 2.0, 100)
         loop = lower_solve_loop(L, rhs)
-        y = ThreadedRunner(threads=4).run_preprocessed(loop).y
+        y = ThreadedRunner(threads=4).run(loop).y
         np.testing.assert_allclose(y, solve_lower_unit(L, rhs))
 
     def test_with_doconsider_order(self):
         loop = random_irregular_loop(80, seed=9)
         order, _ = level_order(loop)
-        y = ThreadedRunner(threads=4).run_preprocessed(loop, order=order).y
+        y = ThreadedRunner(threads=4).run(loop, order=order).y
         assert_matches_oracle(y, loop)
 
     def test_more_threads_than_iterations(self):
         loop = random_irregular_loop(3, seed=0)
-        y = ThreadedRunner(threads=16).run_preprocessed(loop).y
+        y = ThreadedRunner(threads=16).run(loop).y
         assert_matches_oracle(y, loop)
 
     def test_empty_loop(self):
         loop = random_irregular_loop(0, seed=0)
-        y = ThreadedRunner(threads=2).run_preprocessed(loop).y
+        y = ThreadedRunner(threads=2).run(loop).y
         np.testing.assert_allclose(y, loop.y0)
 
 
@@ -67,7 +67,7 @@ class TestValidation:
     def test_illegal_order_rejected_before_starting_threads(self):
         loop = chain_loop(30, 1)
         with pytest.raises(ScheduleError):
-            ThreadedRunner(threads=2).run_preprocessed(
+            ThreadedRunner(threads=2).run(
                 loop, order=np.arange(30)[::-1]
             )
 

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.backends import MultiprocRunner, ThreadedRunner, WaitLadder
+from repro.backends import base as base_mod
 from repro.backends.waitladder import DEFAULT_LADDER
 from repro.errors import ReproError, WaitTimeout
 from repro.workloads.synthetic import chain_loop
@@ -143,10 +144,8 @@ class TestCorruptedScheduleLiveness:
     def test_threaded_raises_wait_timeout_not_hang(
         self, chain, monkeypatch
     ):
-        import repro.backends.threaded as threaded_mod
-
         monkeypatch.setattr(
-            threaded_mod, "validate_execution_order", lambda loop, order: None
+            base_mod, "validate_execution_order", lambda loop, order: None
         )
         runner = ThreadedRunner(threads=2, wait_timeout=0.3)
         start = time.perf_counter()
@@ -155,10 +154,8 @@ class TestCorruptedScheduleLiveness:
         assert time.perf_counter() - start < CEILING_SECONDS
 
     def test_multiproc_raises_wait_timeout_not_hang(self, chain, monkeypatch):
-        import repro.backends.multiproc as multiproc_mod
-
         monkeypatch.setattr(
-            multiproc_mod, "validate_execution_order", lambda loop, order: None
+            base_mod, "validate_execution_order", lambda loop, order: None
         )
         ladder = WaitLadder(
             spin=10, sleep_initial=1e-4, sleep_max=1e-3, timeout=0.3
@@ -242,11 +239,10 @@ class TestCorruptedScheduleSanitize:
     def test_threaded_sanitizer_names_the_missing_edge(
         self, chain, monkeypatch
     ):
-        import repro.backends.threaded as threaded_mod
         from repro.backends.hooks import HookedRunner, Sanitize
 
         monkeypatch.setattr(
-            threaded_mod, "validate_execution_order", lambda loop, order: None
+            base_mod, "validate_execution_order", lambda loop, order: None
         )
         runner = HookedRunner(
             ThreadedRunner(threads=2, wait_timeout=0.3), [Sanitize]
@@ -256,11 +252,10 @@ class TestCorruptedScheduleSanitize:
     def test_multiproc_sanitizer_names_the_missing_edge(
         self, chain, monkeypatch
     ):
-        import repro.backends.multiproc as multiproc_mod
         from repro.backends.hooks import HookedRunner, Sanitize
 
         monkeypatch.setattr(
-            multiproc_mod, "validate_execution_order", lambda loop, order: None
+            base_mod, "validate_execution_order", lambda loop, order: None
         )
         ladder = WaitLadder(
             spin=10, sleep_initial=1e-4, sleep_max=1e-3, timeout=0.3

@@ -290,18 +290,18 @@ def test_a_corrupt_layout_is_refused_with_y_untouched(body, what):
     match = rf"span position {t} \(iteration {int(record.schedule.order[t])}\)"
     if body == "python":
         with no_compiler(), pytest.raises(InvalidLoopError, match=match):
-            runner._execute(loop, bad, y=y)
+            runner._walk(loop, bad, y=y)
     else:
         if native.unavailable() is not None:
             pytest.skip(f"no compiled body: {native.unavailable()}")
         with pytest.raises(InvalidLoopError, match=match):
-            runner._execute(loop, bad, y=y)
+            runner._walk(loop, bad, y=y)
     # A refused compiled span is not tallied; the Python walk never ran.
     assert kernel.take_tally()[:2] == ((0, 0) if body == "native" else (0, 1))
     assert np.array_equal(y.view(np.uint64), y_before.view(np.uint64))
     assert np.array_equal(loop.y0.view(np.uint64), y0_before.view(np.uint64))
     # The intact record still runs: nothing was cached from the refusal.
-    assert_same_bits(runner._execute(loop, record, y=y), _from(loop, y))
+    assert_same_bits(runner._walk(loop, record, y=y), _from(loop, y))
 
 
 @pytest.mark.parametrize("body", ["native", "python"])
