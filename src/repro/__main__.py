@@ -19,7 +19,7 @@ from typing import Callable, NoReturn
 
 from repro._version import __version__
 
-#: What ``profile`` and ``doctor`` run when no builtin spec is given.
+#: What ``explain`` runs when no builtin spec is given.
 DEFAULT_LOOP = "figure4:n=2000,m=2,l=8"
 
 
@@ -296,30 +296,34 @@ def build_parser() -> _Parser:
     sub.add_argument("--backend", choices=BACKENDS, default="simulated")
 
     sub = command(
-        "profile", "repro.obs.cli:main",
-        "run one builtin workload with telemetry on: phase/metric "
-        "breakdown, schedule plan, trace export",
+        "explain", "repro.obs.cli:main",
+        "one planned, observed, diagnosed run: plan and tuner reason, "
+        "phase budget, kernel body, verdict, doctor findings, fallbacks",
     )
-    sub.add_argument("--backend", choices=SPEC_BACKENDS, default="simulated")
     sub.add_argument(
-        "--loop", type=builtin, default=DEFAULT_LOOP, metavar="SPEC",
-        help=f"builtin loop spec (default {DEFAULT_LOOP})",
+        "spec", nargs="?", type=builtin, default=DEFAULT_LOOP, metavar="SPEC",
+        help=f"builtin loop spec to run (default {DEFAULT_LOOP})",
     )
+    sub.add_argument("--backend", choices=SPEC_BACKENDS, default="threaded")
     sub.add_argument("--processors", type=positive, default=8, metavar="P")
     sub.add_argument("--schedule", choices=SCHEDULE_KINDS)
     sub.add_argument("--chunk", type=positive, metavar="K")
     sub.add_argument(
-        "--export", choices=("chrome", "jsonl"),
-        help="write the trace to OUT: Chrome trace-event JSON or JSONL spans",
+        "--telemetry", metavar="FILE",
+        help="report saved telemetry instead of running SPEC",
     )
-    sub.add_argument("out", nargs="?", metavar="OUT", help="--export's file")
+    sub.add_argument(
+        "--export", metavar="FILE",
+        help="write the trace: FILE.json Chrome trace events, FILE.jsonl spans",
+    )
     flag(sub, "--gantt", "append the ASCII Gantt chart")
-    flag(sub, "--json", "print the result, telemetry and plan as JSON")
+    flag(sub, "--json", "print the whole report as one JSON document")
 
     sub = command(
         "lint", "repro.lint.cli:main",
-        "static analysis: the paper-grounded lint rules and, with "
-        "--backend, the happens-before race checker",
+        "static analysis: each loop's symbolic verdict, the lint rules "
+        "the paper grounds and, with --backend, the happens-before race "
+        "checker",
     )
     targets(sub, "+")
     flag(sub, "--json", "machine-readable output instead of text")
@@ -363,17 +367,6 @@ def build_parser() -> _Parser:
     )
 
     sub = command(
-        "analyze", "repro.analysis.cli:main",
-        "symbolic dependence analysis: each loop's proof-carrying verdict",
-    )
-    targets(sub, "+")
-    flag(sub, "--json", "machine-readable verdicts, proof objects included")
-    flag(
-        sub, "--cross-check",
-        "also validate every verdict against the runtime inspector",
-    )
-
-    sub = command(
         "sanitize", "repro.sanitize.cli:main",
         "dynamic execution sanitizer: vector-clock replay of a run, or "
         "the schedule-mutation kill-rate gate",
@@ -391,23 +384,6 @@ def build_parser() -> _Parser:
         "--min-kill", type=float, default=0.9, metavar="F",
         help="kill-rate floor for --mutants (default 0.9)",
     )
-
-    sub = command(
-        "doctor", "repro.perf.cli:doctor_main",
-        "the telemetry-driven perf doctor: structured findings, each with "
-        "a machine-readable recommendation",
-    )
-    sub.add_argument(
-        "spec", nargs="?", type=builtin, default=DEFAULT_LOOP, metavar="SPEC",
-        help=f"builtin loop spec to run observed (default {DEFAULT_LOOP})",
-    )
-    sub.add_argument("--backend", choices=SPEC_BACKENDS, default="threaded")
-    sub.add_argument("--processors", type=positive, default=8, metavar="P")
-    sub.add_argument(
-        "--telemetry", metavar="FILE",
-        help="diagnose saved telemetry instead of running SPEC",
-    )
-    flag(sub, "--json", "print the findings as JSON")
 
     command("version", _version, "print the package version")
     return parser

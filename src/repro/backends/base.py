@@ -258,7 +258,7 @@ class WallClockRunner(Runner):
         self, loop: IrregularLoop, done: Execution, verdict, wall: float
     ) -> RunResult:
         """The run's :class:`RunResult`, its notes and counters."""
-        cm = self.cost_model if self.cost_model is not None else CostModel()
+        cm = self.cost_model if self.cost_model is not None else DEFAULT_COST_MODEL
         result = RunResult(
             loop_name=loop.name,
             strategy=self.strategy,
@@ -512,5 +512,5 @@ def validate_execution_order(
 from repro.backends.cache import loop_fingerprint  # noqa: E402
 from repro.core.results import RunResult  # noqa: E402
 from repro.core.sequential import sequential_time  # noqa: E402
-from repro.machine.costs import CostModel  # noqa: E402
+from repro.machine.costs import DEFAULT_COST_MODEL, CostModel  # noqa: E402
 from repro.passes.spec import ANALYZE_MODES, OPTION_REASONS  # noqa: E402

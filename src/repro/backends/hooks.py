@@ -61,6 +61,7 @@ class StaticValidate(RunHook):
         super().__init__(backend, loop, options)
         from repro.lint.driver import run_lints
         from repro.lint.hb import check_dependence_coverage
+        from repro.lint.rules import rule_ids
 
         # The backend resolves its own defaults (chunk, group alignment),
         # so the check sees the placement that is about to run.
@@ -73,6 +74,9 @@ class StaticValidate(RunHook):
             schedule=schedule if isinstance(schedule, str) else None,
             chunk=options.get("chunk") or placement.chunk,
             processors=16 if lanes is None else int(lanes.max(initial=0)) + 1,
+            # Cross-checking the verdict is analyze="symbolic+check"'s
+            # job on a run, and the lint gate's on a loop.
+            only=[r for r in rule_ids() if r != "VERDICT-CHECK"],
         )
         self.report = check_dependence_coverage(loop, placement)
         if not self.report.passed:

@@ -65,7 +65,7 @@ from repro.backends.cache import InspectorCache, InspectorRecord, loop_fingerpri
 from repro.backends.kernel import Placement
 from repro.core.results import RunResult
 from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
-from repro.machine.costs import CostModel
+from repro.machine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.obs.spans import CAT_LEVEL, CAT_PHASE
 
 __all__ = ["VectorizedRunner"]
@@ -120,7 +120,7 @@ class VectorizedRunner(WallClockRunner):
     ):
         super().__init__(analyze=analyze)
         self.cache = cache if cache is not None else InspectorCache()
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
 
     # ------------------------------------------------------------------
     def _preprocess(

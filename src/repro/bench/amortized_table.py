@@ -34,7 +34,7 @@ from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
 from repro.core.doconsider import Doconsider, modeled_reorder_cycles
 from repro.graph.levels import compute_levels
-from repro.machine.costs import CostModel
+from repro.machine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sparse.ilu import ilu0
 from repro.sparse.spe import paper_problems
 from repro.sparse.trisolve import lower_solve_loop, solve_lower_unit
@@ -139,7 +139,7 @@ def run_amortized_table(
     cost_model: CostModel | None = None,
 ) -> AmortizedTableResult:
     """Run the amortization experiment over the Table-1 problems."""
-    cm = cost_model if cost_model is not None else CostModel()
+    cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     runner = PreprocessedDoacross(processors=processors, cost_model=cm)
     amortized_runner = AmortizedDoacross(doacross=runner)
     doconsider = Doconsider(doacross=runner)

@@ -31,7 +31,7 @@ from repro.bench.harness import ExperimentRow, require
 from repro.bench.reporting import format_table
 from repro.core.doacross import PreprocessedDoacross
 from repro.core.results import RunResult
-from repro.machine.costs import CostModel, WorkProfile
+from repro.machine.costs import DEFAULT_COST_MODEL, CostModel, WorkProfile
 from repro.workloads.synthetic import chain_loop
 from repro.workloads.testloop import dependence_distances, make_test_loop
 
@@ -124,7 +124,7 @@ def predict_dependence_free(
 ) -> ModelPrediction:
     """Prediction for a loop with no cross-iteration true dependencies
     (the Figure-6 odd-``L`` plateau)."""
-    cm = cost_model if cost_model is not None else CostModel()
+    cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     return _base_prediction(
         n, terms, processors, cm, cm.effective_work(work), chain_span=0
     )
@@ -139,7 +139,7 @@ def predict_chain_loop(
 ) -> ModelPrediction:
     """Prediction for ``y[i] += c·y[i−d]`` (one term per iteration,
     iterations ``< d`` term-free) under a cyclic chunk-1 schedule."""
-    cm = cost_model if cost_model is not None else CostModel()
+    cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     w = cm.effective_work(work)
     step = cm.flag_check + w.term_consume + cm.flag_set
     # d independent chains of ~n/d links each, pipelined across processors
@@ -178,7 +178,7 @@ def predict_figure4(
     flag.  The binding rate is the maximum of ``tail_j / d_j`` over the
     dependent terms; the chain span is ``n`` times that rate.
     """
-    cm = cost_model if cost_model is not None else CostModel()
+    cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     w = cm.work
     distances = dependence_distances(m, l)
     if not distances:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.results import RunResult
 from repro.ir.loop import IrregularLoop
-from repro.machine.costs import CostModel
+from repro.machine.costs import DEFAULT_COST_MODEL, CostModel
 
 __all__ = ["sequential_time", "run_reference"]
 
@@ -33,7 +33,7 @@ def run_reference(
     loop: IrregularLoop, cost_model: CostModel | None = None
 ) -> RunResult:
     """Execute the loop sequentially; the semantic and timing reference."""
-    cm = cost_model if cost_model is not None else CostModel()
+    cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     y = loop.run_sequential()
     cycles = sequential_time(loop, cm)
     return RunResult(

@@ -1,5 +1,9 @@
 """``python -m repro lint`` — run the static analyzer from the shell.
 
+Each loop's report is its symbolic verdict (proof included in ``--json``)
+and the rules' findings; ``--rules=VERDICT-CHECK`` alone gates every
+verdict on its proof audit and its runtime cross-check.
+
 Targets
 -------
 A target is any mix of:
@@ -36,6 +40,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+from repro.analysis.engine import analyze_loop
 from repro.ir.loop import IrregularLoop
 from repro.lint.diagnostics import (
     SEVERITY_ERROR,
@@ -236,10 +241,12 @@ def main(args: argparse.Namespace) -> int:
                 d for d in diagnostics if baseline_key(d) not in baseline
             ]
             total_suppressed += len(suppressed)
+        verdict = analyze_loop(loop)  # memoised: the rules computed it
         records.append(
             {
                 "source": source,
                 "loop": name,
+                "verdict": verdict.as_dict(),
                 "diagnostics": [d.as_dict() for d in diagnostics],
                 "suppressed": [baseline_key(d) for d in suppressed],
             }
@@ -247,6 +254,7 @@ def main(args: argparse.Namespace) -> int:
         worst = _worse(worst, diagnostics)
         if not (args.json or args.write_baseline or args.prune_baseline):
             print(f"== {name} ({source}) ==")
+            print(verdict.describe())
             print(format_diagnostics(diagnostics))
             if suppressed:
                 print(f"({len(suppressed)} baselined finding(s) suppressed)")

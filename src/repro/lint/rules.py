@@ -40,6 +40,8 @@ Every built-in rule is grounded in the paper:
 ``DISTANCE-MISMATCH`` the battery's proven distance lower bound exceeds
                    a distance the inspector actually observes — the
                    static model is unsound for this loop (error).
+``VERDICT-CHECK``  the symbolic verdict fails its proof audit or the
+                   cross-check against the runtime inspector (error).
 =================  ====================================================
 
 ``DOALL-ABLE`` and ``AFFINE-WRITE`` are *proof-backed*: when the
@@ -82,6 +84,7 @@ __all__ = [
     "SyncElidableRule",
     "CoupledSubscriptRule",
     "DistanceMismatchRule",
+    "VerdictCheckRule",
 ]
 
 
@@ -615,4 +618,27 @@ class SymbolicMismatchRule(LintRule):
                     "unsound until the declaration matches"
                 ),
                 location=f"slot {j}, iteration {i}",
+            )
+
+
+@register
+class VerdictCheckRule(LintRule):
+    rule_id = "VERDICT-CHECK"
+    default_severity = SEVERITY_ERROR
+    paper_ref = "§2 (runtime inspection)"
+    description = (
+        "the symbolic verdict fails its proof audit (check_proof) or its "
+        "cross-check against the runtime inspector (cross_check)"
+    )
+
+    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
+        from repro.analysis import cross_check
+
+        # cross_check's problems begin with check_proof's.
+        for problem in cross_check(ctx.loop, ctx.verdict).problems:
+            yield self.finding(
+                ctx,
+                problem,
+                suggestion="keep the loop off analyze=\"symbolic\" until "
+                "its ReadSlot declarations (or the engine rule) are fixed",
             )

@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields, replace
 
 from repro.errors import CalibrationError
 
-__all__ = ["CostModel", "WorkProfile"]
+__all__ = ["CostModel", "DEFAULT_COST_MODEL", "WorkProfile"]
 
 
 @dataclass(frozen=True)
@@ -195,3 +195,9 @@ class CostModel:
     def scaled(self, **overrides) -> "CostModel":
         """Return a copy with some fields replaced (ablation helper)."""
         return replace(self, **overrides)
+
+
+#: The default machine, built once: :class:`CostModel` is frozen, and two
+#: default instances are equal and hash-equal, so every ``cost_model=None``
+#: shares this one (and a simulated operand-cache key is unchanged).
+DEFAULT_COST_MODEL = CostModel()

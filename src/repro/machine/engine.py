@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Iterable
 
 from repro.errors import SimulationDeadlockError
-from repro.machine.costs import CostModel
+from repro.machine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.machine.event_queue import ReadyQueue
 from repro.machine.flags import UNSET, FlagStore
 from repro.machine.ops import (
@@ -229,7 +229,7 @@ class Machine:
         if processors < 1:
             raise ValueError(f"need at least one processor, got {processors}")
         self.processors = processors
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.bus = bus
         self.coherence = coherence
         if bus and self.cost_model.bus_per_access <= 0:

@@ -24,8 +24,12 @@ backends that run on real hardware, under one schema:
   cycle-clock telemetry of a simulated run.  Observation is selected
   with ``PlanSpec(observe=True)`` (the
   :class:`~repro.backends.hooks.Observe` run hook).
-- :mod:`repro.obs.cli` — ``python -m repro profile``: run any builtin
-  workload on any backend and print/export its phase breakdown.
+- :mod:`repro.obs.doctor` / :mod:`repro.obs.findings` — the perf
+  doctor: structured findings from one run's telemetry, each with a
+  machine-readable recommendation the auto-tuner consumes as a prior.
+- :mod:`repro.obs.cli` — ``python -m repro explain``: one planned,
+  observed, diagnosed run of any builtin workload on any backend,
+  reported (or exported).
 """
 
 from repro.obs.export import (

@@ -27,7 +27,7 @@ against one run's :class:`~repro.obs.telemetry.Telemetry` blob:
 - **wait_escalation** — blocking waits that outlived the WaitLadder's
   spin rung: stalls are long, not momentary flag races.
 
-Each rule emits a :class:`~repro.perf.findings.Finding` with the numbers
+Each rule emits a :class:`~repro.obs.findings.Finding` with the numbers
 it judged and a machine-readable recommendation;
 :func:`repro.passes.autotune.record_doctor_hints` turns those
 recommendations into auto-tuner priors.
@@ -36,7 +36,7 @@ recommendations into auto-tuner priors.
 from __future__ import annotations
 
 from repro.obs.telemetry import Telemetry
-from repro.perf.findings import (
+from repro.obs.findings import (
     KIND_CACHE_COLD,
     KIND_INSPECTOR_DOMINANT,
     KIND_LOAD_IMBALANCE,

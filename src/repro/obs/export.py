@@ -11,8 +11,8 @@ Three consumers of the one span model:
 - :func:`spans_jsonl` / :func:`write_spans_jsonl` emit one JSON object per
   span — the grep/jq-friendly sink for ad-hoc analysis; and
   :func:`read_spans_jsonl` loads one back into a
-  :class:`~repro.obs.telemetry.Telemetry` (the ``repro doctor`` input
-  path), so the JSONL format round-trips.
+  :class:`~repro.obs.telemetry.Telemetry` (the ``repro explain
+  --telemetry`` input path), so the JSONL format round-trips.
 - :func:`gantt` renders the wall-clock analogue of the simulated
   :meth:`~repro.machine.trace.Tracer.gantt` chart: one row per lane,
   ``#`` compute, ``.`` busy-wait, ``~`` queued — so a threaded run and a
@@ -145,7 +145,7 @@ def write_spans_jsonl(telemetry: Telemetry, path: str | Path) -> Path:
 def read_spans_jsonl(source: str | Path) -> Telemetry:
     """Load a :func:`spans_jsonl` export back into a validated
     :class:`Telemetry` — the write format's inverse, and the path by which
-    ``repro doctor`` diagnoses a previously saved run.
+    ``repro explain --telemetry`` diagnoses a previously saved run.
 
     ``source`` is a path or raw JSONL text.  Raises ``ValueError`` on a
     missing/duplicate header record or unknown record kinds, and

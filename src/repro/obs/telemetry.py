@@ -5,7 +5,7 @@ with the clock they are expressed in.  The schema is deliberately
 backend-agnostic — the simulated backend fills it from
 :class:`~repro.machine.stats.PhaseStats` cycles, the threaded and
 vectorized backends from measured wall clock — so a single consumer (the
-exporters, the ``profile`` CLI, the benchmark artifacts) reads all three.
+exporters, the ``explain`` CLI, the benchmark artifacts) reads all three.
 The shared-schema contract is pinned by ``tests/test_obs_schema.py`` and
 enforced at runtime by :func:`validate_telemetry`.
 
@@ -142,7 +142,7 @@ class Telemetry:
 def telemetry_from_dict(blob: dict) -> Telemetry:
     """Rebuild a :class:`Telemetry` from its :meth:`Telemetry.as_dict`
     form (validated first) — the read side of the benchmark-artifact and
-    JSONL serialization, used by ``repro doctor`` to diagnose saved runs."""
+    JSONL serialization, used by ``repro explain --telemetry`` to diagnose saved runs."""
     validate_telemetry(blob)
     return Telemetry(
         backend=blob["backend"],

@@ -84,7 +84,7 @@ class TunerDecision:
         ``"explore"`` — measuring a not-yet-measured candidate;
         ``"telemetry"`` — exploiting the best measured median.
     reason:
-        Human-readable justification (surfaced by ``profile --json``).
+        Human-readable justification (surfaced by ``explain --json``).
     fingerprint:
         The structural fingerprint the decision is keyed under.
     """

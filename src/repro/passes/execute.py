@@ -136,7 +136,7 @@ def execute_plan(
 
     if spec.diagnose and result.telemetry is not None:
         from repro.passes.autotune import record_doctor_hints
-        from repro.perf.doctor import diagnose_result
+        from repro.obs.doctor import diagnose_result
 
         findings = diagnose_result(result)
         result.extras["doctor"] = [f.as_dict() for f in findings]

@@ -6,7 +6,7 @@ A :class:`Plan` is the single hand-off object between planning
 backend (``"auto"`` is resolved by the tuner before a plan exists), the
 schedule decisions as typed fields, and the audit trail — which stages
 ran, and if the auto-tuner chose the backend, why — in a JSON-safe form
-the CLI surfaces verbatim (``python -m repro profile --json``).
+the CLI surfaces verbatim (``python -m repro explain --json``).
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class Plan:
     def describe(self) -> dict:
         """JSON-safe audit form: the stage list, the resolved backend, the
         schedule shape, and the tuner's reasoning.  This is what
-        ``profile --json`` embeds under ``"plan"``."""
+        ``explain --json`` embeds under ``"plan"``."""
         out: dict = {
             "backend": self.backend,
             "requested_backend": self.spec.backend,

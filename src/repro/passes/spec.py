@@ -225,7 +225,7 @@ class PlanSpec:
         result.  Forced on under ``backend="auto"``: telemetry is the
         tuner's training data.
     diagnose:
-        Run the perf doctor (:mod:`repro.perf.doctor`) over the run's
+        Run the perf doctor (:mod:`repro.obs.doctor`) over the run's
         telemetry and attach its findings under ``extras["doctor"]``.
         Implies ``observe`` (the doctor reads telemetry), and — when a
         shared :class:`~repro.backends.cache.InspectorCache` is passed —

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.sequential import sequential_time
 from repro.errors import MatrixFormatError
-from repro.machine.costs import CostModel
+from repro.machine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ilu import ilu0
 from repro.sparse.trisolve import (
@@ -93,7 +93,7 @@ class JacobiPreconditioner:
         if np.any(diag == 0):
             raise MatrixFormatError("Jacobi needs a zero-free diagonal")
         self.inv_diag = 1.0 / diag
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
 
     def apply(self, r: np.ndarray) -> tuple[np.ndarray, int]:
         """Returns ``(M⁻¹ r, cycles)``."""
@@ -124,7 +124,7 @@ class IluPreconditioner:
         runner=None,
     ):
         self.L, self.U = ilu0(A)
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.runner = runner
         # Sequential substitution costs are rhs-independent; cache them.
         probe = np.zeros(A.n_rows)
@@ -175,7 +175,7 @@ def cg(
         raise MatrixFormatError(
             f"b must have shape ({A.n_rows},), got {b.shape}"
         )
-    cm = cost_model if cost_model is not None else CostModel()
+    cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     n = A.n_rows
     if maxiter is None:
         maxiter = 10 * n
@@ -264,7 +264,7 @@ def gmres(
         )
     if restart < 1:
         raise MatrixFormatError(f"restart must be >= 1, got {restart}")
-    cm = cost_model if cost_model is not None else CostModel()
+    cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     n = A.n_rows
     if maxiter is None:
         maxiter = 10 * n

@@ -243,7 +243,7 @@ class TestAutoEndToEnd:
 
 class TestDoctorHints:
     def _hint(self, cache, fp, backend="vectorized"):
-        from repro.perf.findings import Finding
+        from repro.obs.findings import Finding
 
         record_doctor_hints(
             cache,
@@ -266,7 +266,7 @@ class TestDoctorHints:
         assert hints["kind"] == "wait_bound"
 
     def test_finding_without_backend_records_nothing(self, cache):
-        from repro.perf.findings import Finding
+        from repro.obs.findings import Finding
 
         record_doctor_hints(
             cache,

@@ -17,8 +17,8 @@ OPTIONS = {
     "verify": [],
     "codegen": ["--c"],
     "demo": ["--backend"],
-    "profile": [
-        "--backend", "--loop", "--processors", "--schedule", "--chunk",
+    "explain": [
+        "--backend", "--processors", "--schedule", "--chunk", "--telemetry",
         "--export", "--gantt", "--json",
     ],
     "lint": [
@@ -26,16 +26,14 @@ OPTIONS = {
         "--backend", "--rules", "--strict", "--baseline", "--write-baseline",
         "--prune-baseline",
     ],
-    "analyze": ["--json", "--cross-check"],
     "sanitize": [
         "--backend", "--processors", "--json", "--strict", "--mutants",
         "--min-kill",
     ],
-    "doctor": ["--backend", "--processors", "--telemetry", "--json"],
     "version": [],
 }
 #: Commands that need a target before anything else is looked at.
-TARGET = {"lint": ["chain"], "analyze": ["chain"], "sanitize": ["chain"]}
+TARGET = {"lint": ["chain"], "sanitize": ["chain"]}
 
 
 def one_error_line(captured, command):
@@ -69,12 +67,14 @@ class TestCli:
         assert main([]) == 0
         out = " ".join(capsys.readouterr().out.split())
         commands = build_parser().commands
-        assert len(commands) == 14
+        assert len(commands) == 12
         for name, sub in commands.items():
             assert f" {name} " in out
             assert sub.description in out
 
-    @pytest.mark.parametrize("name", ["bench-vectorized", "perf"])
+    @pytest.mark.parametrize(
+        "name", ["bench-vectorized", "perf", "profile", "doctor", "analyze"]
+    )
     def test_removed_commands_are_unknown(self, capsys, name):
         assert main([name]) == 2
         assert f"invalid choice: {name!r}" in capsys.readouterr().err
@@ -101,10 +101,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["doctor", "--processors=x"],
-            ["doctor", "--backend=cuda"],
-            ["doctor", "bogus:n=3"],
-            ["doctor", "--frob"],
+            ["explain", "--processors=x"],
+            ["explain", "--backend=cuda"],
+            ["explain", "bogus:n=3"],
+            ["explain", "--frob"],
             ["verify", "abc"],
             ["figure6", "--bogus"],
             ["demo", "--backend=cuda"],
@@ -113,7 +113,7 @@ class TestCli:
             ["krylov", "--smal"],
             ["table1", "--small", "--bogus"],
             ["ablations", "--bogus"],
-            ["doctor", "chain:n=100,d=1", "chain:n=200,d=2"],
+            ["explain", "chain:n=100,d=1", "chain:n=200,d=2"],
             ["verify", "10", "2", "3", "4"],
             ["verify", "-5"],
             ["figure6", "0"],
@@ -126,7 +126,7 @@ class TestCli:
             ["lint", "chain", "--schedule=bogus"],
             ["lint", "chain", "--chunk=0"],
             ["lint", "chain", "--processors=0"],
-            ["profile", "--backend=nope"],
+            ["explain", "--backend=nope"],
         ],
     )
     def test_malformed_argument_exits_2_with_one_line(self, capsys, argv):

@@ -89,6 +89,7 @@ def test_registry_knows_the_built_in_rules():
         "SYNC-ELIDABLE",
         "COUPLED-SUBSCRIPT",
         "DISTANCE-MISMATCH",
+        "VERDICT-CHECK",
     }
     assert all(isinstance(r, LintRule) for r in all_rules())
 

@@ -22,8 +22,8 @@ from repro.obs import MetricsRegistry, Span, Telemetry
 from repro.obs.spans import CAT_COMPUTE, CAT_PHASE, CAT_WAIT
 from repro.obs.telemetry import CLOCK_WALL
 from repro.passes import PlanSpec
-from repro.perf.doctor import diagnose, diagnose_result
-from repro.perf.findings import (
+from repro.obs.doctor import diagnose, diagnose_result
+from repro.obs.findings import (
     FINDING_KINDS,
     SEV_CRITICAL,
     SEV_INFO,
@@ -269,9 +269,10 @@ class TestDiagnoseContract:
 
 
 def doctor_main(argv):
+    """The doctor's report on the shell: ``explain``'s findings."""
     from repro.__main__ import main
 
-    return main(["doctor", *argv])
+    return main(["explain", *argv])
 
 
 class TestDoctorCli:
@@ -298,8 +299,11 @@ class TestDoctorCli:
             spec=PlanSpec(backend="threaded", processors=8, observe=True)
         ).run(loop)
         blob = result.telemetry.as_dict()
-        # Bare, and nested the way ``profile --json`` prints it.
-        for payload in (blob, {"telemetry": blob}):
+        # Bare, nested under "telemetry", and nested the way
+        # ``explain --json`` prints it.
+        for payload in (
+            blob, {"telemetry": blob}, {"result": {"telemetry": blob}}
+        ):
             artifact = tmp_path / "telemetry.json"
             artifact.write_text(json.dumps(payload), encoding="utf-8")
             assert doctor_main([f"--telemetry={artifact}"]) == 0
