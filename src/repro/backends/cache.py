@@ -70,6 +70,11 @@ so the cache also serves it by itself (:meth:`InspectorCache.levels_for`)
 under the same content key: planning, not only the inspector record, is
 paid once per dependence structure.
 
+A warm planned call also finds its runner here
+(:meth:`InspectorCache.runner_for`): the hook-free runner of a resolved
+spec and cost model, built once and kept, so the call pays its walk and
+not a runner build.
+
 The simulated backend keeps its executor operands here too
 (:meth:`InspectorCache.sim_operands`): per strip-mine block, the term
 codes in execution order, the schedule's lanes, the operands of the
@@ -84,8 +89,9 @@ cache builds them on every call.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,6 +105,7 @@ from repro.ir.transform import TransformPlan, plan_transform, structural_signatu
 __all__ = [
     "loop_fingerprint",
     "fingerprint_with_body",
+    "memo_digest",
     "InspectorRecord",
     "WalkLayout",
     "InspectorCache",
@@ -127,20 +134,34 @@ def _frozen_chain(arrays) -> list[np.ndarray] | None:
     return chain
 
 
+def memo_digest(loop: IrregularLoop) -> str | None:
+    """The loop's memoized fingerprint while it still holds — the same
+    three array objects bound, every array of their chains read-only —
+    else ``None``.  Checks nothing else and hashes nothing: the memo
+    half of :func:`fingerprint_with_body`, and how a run envelope
+    confirms a fingerprint handed over by the plan."""
+    memo = loop._fingerprint_memo
+    if memo is None:
+        return None
+    (write, ptr, index), chain, digest = memo
+    reads = loop.reads
+    if loop.write is not write or reads.ptr is not ptr or reads.index is not index:
+        return None
+    for arr in chain:
+        if arr.flags.writeable:
+            return None
+    return digest
+
+
 def fingerprint_with_body(loop: IrregularLoop) -> tuple[str, str]:
     """Return ``(digest, body)``: the loop's :func:`loop_fingerprint` and
     how it was obtained — ``"memo"``, ``"hashed"`` (and frozen) or
     ``"hashed (foreign-buffer)"`` (see the module doc for the
     freeze-and-memoize contract)."""
+    digest = memo_digest(loop)
+    if digest is not None:
+        return digest, "memo"
     arrays = (loop.write, loop.reads.ptr, loop.reads.index)
-    memo = loop._fingerprint_memo
-    if memo is not None:
-        bound, chain, digest = memo
-        if (
-            all(a is b for a, b in zip(arrays, bound))
-            and not any(a.flags.writeable for a in chain)
-        ):
-            return digest, "memo"
     # The last moment the index arrays can change: checked here, a frozen
     # loop's are never checked again.
     loop.check_subscripts()
@@ -236,8 +257,13 @@ class InspectorRecord:
     renames:
         Whether some ``OLD`` term reads an element an iteration writes —
         an antidependence, which level order may run after its writer.
-        Only then does the walk need the renamed buffer (``ynew``) and the
-        copy-back; otherwise it writes ``y`` in place.
+        Only then does the walk read the caller's values apart from the
+        ones it writes (``ynew``); otherwise it writes ``y`` in place.
+    arg_block:
+        The compiled walk's argument block of this record's fixed
+        operands (:class:`~repro.backends.native.ArgBlock`), built by its
+        first compiled walk and rebuilt if one of them is rebound; not
+        part of the record's value.
     """
 
     fingerprint: str
@@ -247,6 +273,14 @@ class InspectorRecord:
     codes: np.ndarray
     layout: WalkLayout | None
     renames: bool
+    arg_block: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        # A copy or an unpickled record converts its own arrays: the
+        # block's addresses are this record's arrays', in this process.
+        state = self.__dict__.copy()
+        state.pop("arg_block", None)
+        return state
 
     @property
     def nbytes(self) -> int:
@@ -409,6 +443,7 @@ class InspectorCache:
         self._levels: OrderedDict[str, LevelSchedule] = OrderedDict()
         self._sim: OrderedDict[tuple, object] = OrderedDict()
         self._tuner: dict[str, dict] = {}
+        self._runners: OrderedDict[tuple, object] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -439,18 +474,19 @@ class InspectorCache:
         """
         fp = fingerprint if fingerprint is not None else loop_fingerprint(loop)
         schedule = self._levels.get(fp)
-        if schedule is None:
-            record = self._entries.get(fp)
-            if record is not None:
-                schedule = record.schedule
-        hit = schedule is not None
-        if hit:
+        if schedule is not None:
+            self.levels_hits += 1
+            self._levels.move_to_end(fp)
+            return schedule, True
+        record = self._entries.get(fp)
+        if record is not None:
+            schedule = record.schedule
             self.levels_hits += 1
         else:
             self.levels_misses += 1
             schedule = compute_levels(loop)
         self._store(self._levels, fp, schedule)
-        return schedule, hit
+        return schedule, record is not None
 
     def get_or_build(
         self,
@@ -502,6 +538,25 @@ class InspectorCache:
         self._store(self._sim, key, operands)
         return operands, False
 
+    def runner_for(self, key, build):
+        """The hook-free runner memoized under ``key`` (a resolved spec
+        and cost model), else ``build(cache)``: a runner that may serve
+        concurrent runs (``shareable``) is kept, at most ``capacity`` of
+        them, the oldest dropped first.  ``build`` is handed a weak proxy
+        of this cache, so a kept runner holds no reference back to it:
+        dropping the cache frees its records at once, cycle collector or
+        not.  A runner built here is never given a hook
+        (:func:`~repro.passes.execute.execute_plan` wraps a fresh one for
+        observed, sanitized or validated runs)."""
+        runner = self._runners.get(key)
+        if runner is None:
+            runner = build(weakref.proxy(self))
+            if runner.shareable:
+                self._runners[key] = runner
+                if len(self._runners) > self.capacity:
+                    self._runners.popitem(last=False)
+        return runner
+
     def tuner_state(self, fingerprint: str) -> dict:
         """The auto-tuner's mutable slot for one dependence structure.
 
@@ -518,8 +573,10 @@ class InspectorCache:
 
     def clear(self) -> None:
         """Drop all records, the level-schedule memo, the simulated
-        operands and the tuner state (counters are kept)."""
+        operands, the tuner state and the memoized runners (counters are
+        kept)."""
         self._entries.clear()
+        self._runners.clear()
         self._levels.clear()
         self._sim.clear()
         self._tuner.clear()

@@ -27,10 +27,12 @@ and the vectorized backend is one :func:`run_span` call over the level-major
 order of its wavefronts (its codes come from the inspector record: level
 order discharges the waits, so nothing there is :data:`LOCAL` and ``wait``
 is ``None``).  That call reads the record's structure gathered into level
-order, by position (``start``), and, when no :data:`OLD` term reads an
-element some iteration writes, one buffer as ``old``, ``new`` and ``out``:
-the renaming exists for antidependences only, so without one there is no
-``ynew`` and no copy-back.  Each runner states where its iterations run as one
+order, by position (``start``), and one copy of ``y`` as ``new`` and
+``out`` — and as ``old`` too when no :data:`OLD` term reads an element
+some iteration writes, since the renaming exists for antidependences
+only.  With one, ``old`` is the caller's ``y``, which the walk never
+writes, so the copy ends as the result and nothing is copied back.  Each
+runner states where its iterations run as one
 :class:`Placement` (``schedule_model``); the static race checker
 (:mod:`repro.lint.hb`) applies the one coverage rule to it, its waits
 being exactly the terms :func:`classify_terms` codes :data:`WAIT`; the
@@ -284,6 +286,7 @@ def run_span(
     wait=None,
     post=None,
     events: list | None = None,
+    memo=None,
 ) -> int:
     """Execute iterations ``its`` in order; returns the code cursor.
 
@@ -331,7 +334,9 @@ def run_span(
     least :data:`_NATIVE_FROM` iterations long, is handed to the compiled
     body instead (:func:`repro.backends.native.run_span`), which either
     returns the cursor or says why it cannot run; its bounds violations
-    raise :class:`~repro.errors.InvalidLoopError`.
+    raise :class:`~repro.errors.InvalidLoopError`.  ``memo`` (an
+    inspector record) keeps the compiled body's argument block of the
+    fixed operands between calls (:class:`~repro.backends.native.ArgBlock`).
     """
     reason = native.unavailable()
     if reason is None:
@@ -344,7 +349,7 @@ def run_span(
         else:
             done = native.run_span(
                 its, codes, write, ptr, index, coeff, init, old, new, out,
-                cur, start,
+                cur, start, memo,
             )
             if type(done) is int:
                 _tally.native += 1

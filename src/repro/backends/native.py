@@ -98,6 +98,7 @@ __all__ = [
     "object_name",
     "unavailable",
     "run_span",
+    "ArgBlock",
     "span_error",
     "sequential",
     "max_plus",
@@ -436,6 +437,71 @@ def _flat(a, dtype: np.dtype) -> bool:
     )
 
 
+def _pointers(*operands) -> list | None:
+    """The C arguments of ``(array, dtype)`` operands — the one pointer
+    helper of :func:`run_span`, :func:`sequential` and :func:`max_plus`:
+    each array's address (``None`` stays ``None``), or ``None`` when one
+    is not a flat array of its dtype.  A non-empty writeable array's
+    address is read through a ``ctypes`` view of its buffer (0.6 us),
+    any other's through ``ndarray.ctypes`` (1.6 us)."""
+    out = []
+    for a, dtype in operands:
+        if a is None:
+            out.append(None)
+        elif not _flat(a, dtype):
+            return None
+        elif a.flags.writeable and len(a):
+            out.append(ctypes.addressof(ctypes.c_char.from_buffer(a)))
+        else:
+            out.append(a.ctypes.data)
+    return out
+
+
+class ArgBlock:
+    """The argument block of a span's fixed operands — ``its``,
+    ``codes``, ``write``, ``ptr``, ``index`` and ``start`` — as the C
+    ``run_span`` takes them: addresses and lengths, dtypes and contiguity
+    checked once (``args`` is ``None`` when one is not a flat array of
+    its dtype) and the lengths' consistency with them (``consistent``).
+
+    :func:`run_span` keeps one on its ``memo`` (the vectorized walk's
+    inspector record), so a warm call converts only its per-call values.
+    The block holds its arrays, so its addresses stay valid while it
+    lives, and serves a call only while that call hands over the very
+    same array objects (:meth:`holds`, the identity check of the
+    fingerprint memo); a rebound one builds a new block.
+    """
+
+    __slots__ = ("arrays", "args", "n", "n_index", "n_ptr", "consistent")
+
+    def __init__(self, its, codes, write, ptr, index, start):
+        self.arrays = (its, codes, write, ptr, index, start)
+        at = _pointers(
+            (its, _I64), (codes, _I8), (write, _I64), (ptr, _I64),
+            (index, _I64), (start, _I64),
+        )
+        self.args = None
+        if at is None:
+            return
+        n, n_index = len(write), len(index)
+        self.n, self.n_index, self.n_ptr = n, n_index, len(ptr)
+        self.consistent = len(ptr) == n + 1 and (
+            start is None or len(start) == n
+        )
+        self.args = (
+            at[0], len(its), at[1], len(codes), at[2], n, at[3], at[4],
+            n_index, at[5],
+        )
+
+    def holds(self, its, codes, write, ptr, index, start) -> bool:
+        """Whether these are the block's own array objects."""
+        mine = self.arrays
+        return (
+            its is mine[0] and codes is mine[1] and write is mine[2]
+            and ptr is mine[3] and index is mine[4] and start is mine[5]
+        )
+
+
 def span_error(t: int, i: int) -> InvalidLoopError:
     """The refusal of span position ``t`` (iteration ``i``), on either
     body of the walk."""
@@ -449,7 +515,7 @@ def span_error(t: int, i: int) -> InvalidLoopError:
 
 def run_span(
     its, codes, write, ptr, index, coeff, init, old, new, out, cur,
-    start=None,
+    start=None, memo=None,
 ):
     """Run the span compiled.  Returns the code cursor (``int``), or the
     reason (``str``) the caller must run its Python body instead.
@@ -459,42 +525,48 @@ def run_span(
     position, gathered into walk order, with ``start[t]`` position ``t``'s
     first coefficient.  O(1) checks only on this side — dtype,
     contiguity, lengths; the per-element bounds are the C loop's (module
-    doc).  Operands stay referenced by the caller's frame for the
-    duration of the call.
+    doc).  ``memo`` is an object whose ``arg_block`` attribute keeps the
+    fixed operands' :class:`ArgBlock` between calls (an inspector
+    record), so only ``coeff``, ``init``, ``old``, ``new`` and ``out``
+    are checked and converted per call; without one the block is built
+    for this call.  Operands stay referenced by the caller's frame for
+    the duration of the call.
     """
-    if not (
-        _flat(its, _I64) and _flat(codes, _I8) and _flat(write, _I64)
-        and _flat(ptr, _I64) and _flat(index, _I64) and _flat(coeff, _F64)
-        and (init is None or _flat(init, _F64))
-        and (start is None or _flat(start, _I64)) and _flat(old, _F64)
-        and _flat(new, _F64) and _flat(out, _F64) and out.flags.writeable
-    ):
+    block = None if memo is None else memo.arg_block
+    if block is None or not block.holds(its, codes, write, ptr, index, start):
+        block = ArgBlock(its, codes, write, ptr, index, start)
+        if memo is not None:
+            memo.arg_block = block
+    at = None if block.args is None else _pointers(
+        (coeff, _F64), (init, _F64), (out, _F64),
+        (None if new is out else new, _F64),
+        (None if old is out else old, _F64),
+    )
+    if at is None or not out.flags.writeable:
         return "non-array-operand"
     body = _state()
     lib = body.entry()  # the first eligible span builds or loads
     if lib is None:
         return body.why
-    n, n_index, y_size = len(write), len(index), len(out)
+    n, n_index, y_size = block.n, block.n_index, len(out)
     if (
         cur < 0
-        or len(ptr) != n + 1
+        or not block.consistent
         or (start is None and len(coeff) != n_index)
-        or (start is not None and len(start) != n)
         or len(old) != y_size
         or len(new) != y_size
         or (init is not None and len(init) < n)
     ):
         raise InvalidLoopError(
             f"run_span: inconsistent operands (cur={cur}, {n} writes, "
-            f"{len(ptr)} ptr entries, {n_index} indices, {len(coeff)} "
+            f"{block.n_ptr} ptr entries, {n_index} indices, {len(coeff)} "
             f"coefficients, value arrays of {len(old)}/{len(new)}/{y_size})"
         )
+    a_coeff, a_init, a_out, a_new, a_old = at
     got = lib.run_span(
-        its.ctypes.data, len(its), codes.ctypes.data, len(codes),
-        write.ctypes.data, n, ptr.ctypes.data, index.ctypes.data, n_index,
-        None if start is None else start.ctypes.data,
-        coeff.ctypes.data, len(coeff), None if init is None else init.ctypes.data,
-        old.ctypes.data, new.ctypes.data, out.ctypes.data, y_size, cur,
+        *block.args, a_coeff, len(coeff), a_init,
+        a_out if old is out else a_old, a_out if new is out else a_new,
+        a_out, y_size, cur,
     )
     if got < 0:
         t = -got - 1
@@ -537,10 +609,12 @@ def sequential(loop) -> np.ndarray:
             f"sequential: inconsistent operands ({n} writes, {len(ptr)} ptr "
             f"entries, {len(index)} indices, {len(coeff)} coefficients)"
         )
+    a_write, a_ptr, a_index, a_coeff, a_init, a_y = _pointers(
+        (write, _I64), (ptr, _I64), (index, _I64), (coeff, _F64),
+        (init, _F64), (y, _F64),
+    )
     got = lib.sequential(
-        write.ctypes.data, n, ptr.ctypes.data, index.ctypes.data, len(index),
-        coeff.ctypes.data, None if init is None else init.ctypes.data,
-        y.ctypes.data, len(y),
+        a_write, n, a_ptr, a_index, len(index), a_coeff, a_init, a_y, len(y),
     )
     if got < 0:
         raise InvalidLoopError(
@@ -616,23 +690,19 @@ def max_plus(
             f"{len(src)} terms, {size} elements)"
         )
     body = _state()
-    if all(
-        a is None or _flat(a, _I64)
-        for a in (ptr, src, ahead, start, tail, write, lane)
-    ):
+    at = _pointers(*((a, _I64) for a in (ptr, src, ahead, start, tail, write, lane)))
+    if at is not None:
         lib, why = body.entry(), body.why  # the first sweep may build or load
     else:
         lib, why = None, "non-array-operand"
     if lib is not None:
         times = np.empty(size, dtype=np.int64)
         free = np.empty(lanes, dtype=np.int64)
-
-        def at(a):
-            return None if a is None else a.ctypes.data
-
+        a_ptr, a_src, a_ahead, a_start, a_tail, a_write, a_lane = at
+        a_times, a_free = _pointers((times, _I64), (free, _I64))
         got = lib.max_plus(
-            n, at(ptr), at(src), len(src), at(ahead), at(start), at(tail),
-            step, at(write), at(times), size, at(lane), at(free), lanes,
+            n, a_ptr, a_src, len(src), a_ahead, a_start, a_tail, step,
+            a_write, a_times, size, a_lane, a_free, lanes,
         )
         ran = "native"
     else:

@@ -85,6 +85,7 @@ class SpeculativeRunner(WallClockRunner):
     """
 
     name = "speculative"
+    shareable = True
     strategy = "speculative-doacross"
 
     def __init__(

@@ -40,17 +40,6 @@ from repro.ir.loop import INIT_EXTERNAL, IrregularLoop
 
 __all__ = ["ThreadedRunner"]
 
-#: The thread ladder's first two rungs.  A polling thread holds the GIL
-#: its writer needs, so a long spin only delays the post it waits for:
-#: ten polls catch a flag set at the last GIL hand-off.  Its sleep exists
-#: to hand the GIL over, not to free a core, so it starts as short as the
-#: timer allows (any sleep took about 60 us where this was measured, so
-#: 1 us means "the shortest").  On two vCPUs, against the process
-#: ladder's 100 polls and 50 us, this took the wait-bound ``fig4_chain``
-#: and ``trisolve_5pt`` call sequences from 585 to 297 and from 1,344 to
-#: 724 ms; 0 to 30 polls were within noise of each other.
-_SPIN, _SLEEP = 10, 1e-6
-
 
 class ThreadedRunner(lanes.LaneRunner):
     """Runs the preprocessed doacross on real Python threads.
@@ -72,6 +61,7 @@ class ThreadedRunner(lanes.LaneRunner):
     """
 
     name = "threaded"
+    shareable = True
     strategy = "threaded-doacross"
     schedule_format = "cyclic({workers} threads)"
     label_format = "threaded({workers} threads)"
@@ -94,9 +84,7 @@ class ThreadedRunner(lanes.LaneRunner):
         #: corrupted and :class:`WaitTimeout` is raised instead of
         #: hanging the run.
         self.wait_timeout = wait_timeout
-        self.ladder = WaitLadder(
-            spin=_SPIN, sleep_initial=_SLEEP, timeout=wait_timeout
-        )
+        self.ladder = WaitLadder(timeout=wait_timeout)
 
     def _strip(self, n: int, chunk: int | None) -> int:
         return 1

@@ -5,14 +5,13 @@ any order in which every writer comes before its readers.  The §3.2
 level-major order of the wavefront schedule is such an order, so this
 backend executes a loop as *one* call of the scalar kernel
 (:func:`~repro.backends.kernel.run_span`) over the schedule's ``order``
-with ``wait=None`` — level order has already discharged every wait —
-followed, when antidependences made it rename, by the copy-back of the
-renamed values.  With a compiler that
-call is the compiled walk (:mod:`~repro.backends.native`, GIL released);
-without one it is the Python walk, several times slower on wide loops (a
-stated cost, not a second path; EXPERIMENTS.md).  The name is historical:
-wide wavefronts were once NumPy batches, and a compiled walk beat them on
-every benchmark workload.
+with ``wait=None`` — level order has already discharged every wait.
+With a compiler that call is the compiled walk
+(:mod:`~repro.backends.native`, GIL released); without one it is the
+Python walk, several times slower on wide loops (a stated cost, not a
+second path; EXPERIMENTS.md).  The name is historical: wide wavefronts
+were once NumPy batches, and a compiled walk beat them on every
+benchmark workload.
 
 Exactness, not approximation: the walk performs the *same* arithmetic as
 the sequential oracle, in the same per-term order, as float64 operations
@@ -31,13 +30,15 @@ the iteration's live accumulator; the record's term codes are the
 result is a copy of the caller's ``y``, which the walk renames only when
 it must: the paper's ``ynew`` exists to remove antidependences (§2.2),
 and level order can run an antidependence's writer before its reader.
-When the inspector found one, ``OLD`` terms read the copy (never written
-during the walk), ``WAIT`` terms the renamed buffer, and every written
-element is copied back from it after the walk (Figure 3's postprocessor).
-When it found none, every ``OLD`` term reads an element no iteration
-writes, so the walk reads and writes the copy in place — no ``ynew``, no
-copy-back.  ``result.extras["walk"]`` says which layout ran and whether
-it renamed.
+When the inspector found one, ``OLD`` terms read the caller's ``y``
+itself (never written during the walk) and the walk writes the copy,
+which ``WAIT`` terms read: the copy is the renamed buffer, and since it
+starts as the old values it ends as the result — every new value where
+one was written, the old one elsewhere — so Figure 3's postprocessor has
+nothing to copy back.  When it found none, every ``OLD`` term reads an
+element no iteration writes, so the walk reads and writes the copy in
+place.  ``result.extras["walk"]`` says which layout ran and whether it
+renamed.
 
 All structure-dependent preprocessing — the inspector's ``iter`` array,
 the wavefront schedule, the term codes — lives in an
@@ -110,6 +111,7 @@ class VectorizedRunner(WallClockRunner):
     """
 
     name = "vectorized"
+    shareable = True
     strategy = "vectorized-wavefront"
 
     def __init__(
@@ -276,8 +278,8 @@ class VectorizedRunner(WallClockRunner):
     ) -> np.ndarray:
         """One execution against current values ``y`` (defaults to
         ``loop.y0``): one walk of the record's level-major order, renamed
-        and copied back only when the record says so.  Returns the final
-        ``y`` (a fresh array)."""
+        only when the record says so.  Returns the final ``y`` (a fresh
+        array)."""
         reads, schedule, layout = loop.reads, record.schedule, record.layout
         init = None
         if loop.init_kind == INIT_EXTERNAL:
@@ -288,12 +290,15 @@ class VectorizedRunner(WallClockRunner):
             write, ptr, index, start = (
                 layout.write, layout.ptr, layout.index, layout.start
             )
-        # ``out`` is a copy of the caller's values.  With an antidependence
-        # it serves the old values during the walk, which writes only the
-        # renamed buffer ``new``, and receives the new ones after it;
-        # without one the walk reads and writes it in place.
-        out = np.array(loop.y0 if y is None else y, dtype=np.float64)
-        new = np.empty_like(out) if record.renames else out
+        # ``out`` is a copy of the caller's values, and the result.  With an
+        # antidependence it is the renamed buffer: the walk writes only
+        # ``out`` and reads old values from the caller's ``y``, which it
+        # never writes — so ``out`` holds every new value where one was
+        # written and the old one elsewhere, with no copy-back.  Without
+        # one the walk reads and writes ``out`` in place.
+        y = loop.y0 if y is None else y
+        out = np.array(y, dtype=np.float64)
+        old = np.ascontiguousarray(y, dtype=np.float64) if record.renames else out
 
         rec, san = self._obs_recorder, self._san_capture
         n_levels = schedule.n_levels
@@ -304,7 +309,7 @@ class VectorizedRunner(WallClockRunner):
             t_exec = rec.now()
         kernel.run_span(
             schedule.order, record.codes, write, ptr, index, reads.coeff,
-            init, out, new, new, start=start,
+            init, old, out, out, start=start, memo=record,
         )
         if rec is not None:
             t_post = rec.now()
@@ -315,11 +320,8 @@ class VectorizedRunner(WallClockRunner):
                 ),
                 ("executor", CAT_PHASE, t_exec, t_post, 0, {"levels": n_levels}),
             ])
-        if record.renames:
-            out[loop.write] = new[loop.write]
-        if rec is not None:
-            # The copy-back of renamed values into y is this backend's
-            # (tiny, or with nothing renamed, empty) postprocessor phase.
+            # The postprocessor phase: nothing is copied back, so it is
+            # (almost) empty.
             rec.record("postprocessor", CAT_PHASE, t_post, rec.now(), lane=0)
         return out
 

@@ -56,10 +56,22 @@ class WaitLadder:
     timeout:
         Total time budget in seconds for the sleep rung; exceeding it
         raises :class:`~repro.errors.WaitTimeout` (rung 3).
+
+    The defaults serve both lane transports.  A polling thread holds the
+    GIL its writer needs, so a long spin only delays the post it waits
+    for: ten polls catch a flag set at the last GIL hand-off.  The sleep
+    exists to hand the GIL (or, for a worker process, the core) over, and
+    any ``time.sleep`` took about 60 us where this was measured, so 1 us
+    means "the shortest the timer allows".  On two vCPUs, against 100
+    polls and 50 us, these took the threaded ``fig4_chain`` and
+    ``trisolve_5pt`` call sequences from 585 to 297 and from 1,344 to
+    724 ms; on two worker processes the two ladders were within noise of
+    each other on both (medians 38.5 / 39.3 and 53.7 / 53.5 ms, 40
+    alternating pairs; EXPERIMENTS.md).
     """
 
-    spin: int = 100
-    sleep_initial: float = 5e-5
+    spin: int = 10
+    sleep_initial: float = 1e-6
     sleep_max: float = 1e-3
     timeout: float = 30.0
 

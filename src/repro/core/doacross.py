@@ -19,6 +19,7 @@ Both entry points take their options keyword-only.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -154,6 +155,17 @@ class PreprocessedDoacross:
         return self._runner
 
 
+@functools.cache
+def _passes():
+    """:mod:`repro.passes`, which builds on :mod:`repro.core`: imported by
+    the first :func:`parallelize`, not with this module, and looked up
+    once rather than by an import statement per call (a microsecond or
+    two each)."""
+    import repro.passes.spec
+
+    return repro.passes
+
+
 def parallelize(
     loop: IrregularLoop,
     *,
@@ -209,24 +221,31 @@ def parallelize(
     *without any caller assertion* — and on the wall-clock backends an
     elidable verdict skips the runtime inspector entirely.
     """
-    # Imported here: repro.passes builds on repro.core.
-    from repro.passes import execute_plan, plan_loop
-    from repro.passes.spec import resolve_shorthand
-
-    spec = resolve_shorthand("parallelize", spec, backend, processors)
-    plan = plan_loop(loop, spec, cache=cache)
-    transform = plan_transform(
-        loop,
-        assert_independent=assert_independent,
-        known_distance=known_distance,
-        verdict=plan.verdict,
-    )
-    result = execute_plan(
+    passes = _passes()
+    spec = passes.spec.resolve_shorthand("parallelize", spec, backend, processors)
+    plan = passes.plan_loop(loop, spec, cache=cache)
+    if (
+        plan.record is not None
+        and not assert_independent
+        and known_distance is None
+        and plan.verdict is None
+    ):
+        # The record's plan is plan_transform(loop) of this structure.
+        transform = plan.record.plan
+    else:
+        transform = plan_transform(
+            loop,
+            assert_independent=assert_independent,
+            known_distance=known_distance,
+            verdict=plan.verdict,
+        )
+    result = passes.execute_plan(
         loop,
         plan,
         cache=cache,
         transform=transform,
         cost_model=cost_model,
     )
-    result.extras.setdefault("plan", transform.describe())
+    if "plan" not in result.extras:
+        result.extras["plan"] = transform.describe()
     return result, transform

@@ -12,6 +12,7 @@ notes).  :func:`repro.core.doacross.parallelize` is
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import replace
 
@@ -25,6 +26,16 @@ from repro.passes.plan import Plan
 from repro.passes.spec import AUTO_BACKEND, OPTION_SUPPORT
 
 __all__ = ["execute_plan"]
+
+
+@functools.cache
+def _backends():
+    """:mod:`repro.backends`, whose runners' imports reach this module:
+    imported by the first :func:`execute_plan`, and looked up once rather
+    than by an import statement per call."""
+    import repro.backends
+
+    return repro.backends
 
 
 def execute_plan(
@@ -41,39 +52,51 @@ def execute_plan(
     rebases a chunked spec onto a chunk-less backend, ``plan.chunk`` is
     already ``None`` — an adaptation the plan records, not an ignored
     option.  Auto-planned runs are always observed, and their wall time +
-    telemetry are fed back into the tuner store afterwards.
+    telemetry are fed back into the tuner store afterwards.  An
+    unobserved, unvalidated run with a ``cache`` runs on the hook-free
+    runner memoized there (``InspectorCache.runner_for``); every other
+    run builds its own.
 
     The simulated backend runs the strategy ``transform`` names (default:
     what :func:`~repro.ir.transform.plan_transform` selects from the
     loop's structure and ``plan.verdict``); the wall-clock backends
     execute every strategy through the same generalized protocol.
     """
-    from repro.backends import make_runner
-
     spec = plan.spec
     backend = plan.backend
     auto = spec.backend == AUTO_BACKEND
     supported = OPTION_SUPPORT[backend]
     verdict = plan.verdict
-    runner = make_runner(
-        spec=replace(
-            spec,
-            backend=backend,
-            # Telemetry is the tuner's training data: auto runs always
-            # observe; diagnosis reads telemetry, so diagnose implies observe.
-            observe=spec.observe or auto or spec.diagnose,
-            # The simulated backend models the inspector as a costed phase;
-            # its analyze handling is planning-level (verdict below).
-            analyze=spec.analyze if backend != "simulated" else None,
-            **{
-                option: None
-                for option in ("schedule", "chunk", "wait_timeout")
-                if option not in supported
-            },
-        ),
-        cost_model=cost_model,
-        cache=cache,
-    )
+    # Telemetry is the tuner's training data: auto runs always observe;
+    # diagnosis reads telemetry, so diagnose implies observe.
+    observe = spec.observe or auto or spec.diagnose
+
+    def build(cache):
+        return _backends().make_runner(
+            spec=replace(
+                spec,
+                backend=backend,
+                observe=observe,
+                # The simulated backend models the inspector as a costed
+                # phase; its analyze handling is planning-level (verdict
+                # below).
+                analyze=spec.analyze if backend != "simulated" else None,
+                **{
+                    option: None
+                    for option in ("schedule", "chunk", "wait_timeout")
+                    if option not in supported
+                },
+            ),
+            cost_model=cost_model,
+            cache=cache,
+        )
+
+    if cache is not None and not observe and spec.validate is None:
+        # A hook-free runner is kept on the cache for the next call with
+        # this spec; every hooked run gets a fresh one.
+        runner = cache.runner_for((spec, backend, cost_model), build)
+    else:
+        runner = build(cache)
 
     run_kwargs: dict = {}
     order_label = None
@@ -97,6 +120,10 @@ def execute_plan(
             # The runner applies it where it executes the order (its doall
             # and classic strategies run in natural order).
             run_kwargs["order_label"] = order_label
+    else:
+        # The plan fingerprinted the loop: the run envelope only confirms
+        # that the loop's memo still holds the digest.
+        run_kwargs["fingerprint"] = plan.fingerprint
 
     if plan.record is not None:
         # The plan-time record and its lookup outcome: the runner neither

@@ -13,7 +13,11 @@ fingerprint as the inspector record:
     make the memo stale (a rebound array, a copy, a re-enabled write
     flag, a writeable foreign buffer) hashes again;
 (d) the memo is bounded by the cache's capacity, and evictions are counted;
-(e) the memo and the records serve each other across backends.
+(e) the memo and the records serve each other across backends;
+(f) a warm unobserved call pays its walk: one fingerprint, no runner
+    built (the hook-free runner is memoized on the cache), one native
+    argument block per record — and hooked runs, threads, rebound record
+    arrays and odd operands still get what they got before.
 """
 
 from __future__ import annotations
@@ -22,30 +26,40 @@ import copy
 import hashlib
 import pickle
 import sys
+import threading
 import types
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import InspectorCache, PlanSpec, parallelize
+from repro import InspectorCache, PlanSpec, VectorizedRunner, parallelize
+import repro.backends as backends_module
 from repro.analysis import record_mismatches
-from repro.backends import BACKENDS
+from repro.backends import BACKENDS, native
 from repro.backends import cache as cache_module
 from repro.backends.cache import build_inspector_record, fingerprint_with_body
 from repro.core.doconsider import Doconsider
+from repro.errors import InvalidLoopError
 from repro.graph import levels as levels_module
 from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import compute_levels
 from repro.ir.accesses import ReadTable
 from repro.passes import execute_plan, plan_loop
+from repro.passes import plan as plan_module
 from repro.sparse.ilu import ilu0
 from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
-from tests.conftest import assert_write_refused, no_compiler, record_arrays
+from tests.conftest import (
+    assert_same_bits,
+    assert_write_refused,
+    no_compiler,
+    record_arrays,
+)
 
 
 def _trisolve_loop(nx: int = 9, ny: int = 8):
@@ -427,3 +441,241 @@ def test_record_schedule_serves_a_simulated_plan(analysis_calls):
     assert np.array_equal(
         execute_plan(loop, simulated, cache).y, loop.run_sequential()
     )
+
+
+# ---------------------------------------------------------------------------
+# (f) a warm call pays its walk
+# ---------------------------------------------------------------------------
+
+needs_compiler = pytest.mark.skipif(
+    native.find_compiler() is None, reason="no gcc on PATH"
+)
+
+VECTORIZED = PlanSpec(backend="vectorized")
+
+
+@pytest.fixture
+def warm_path(monkeypatch):
+    """Call counts of ``fingerprint_with_body`` (the plan's and
+    ``loop_fingerprint``'s), ``make_runner`` and the construction of a
+    native argument block; ``reset()`` zeroes them."""
+    calls = {"fingerprint": 0, "make_runner": 0, "arg_block": 0}
+    real_fingerprint = cache_module.fingerprint_with_body
+    real_make_runner = backends_module.make_runner
+
+    def counted_fingerprint(loop):
+        calls["fingerprint"] += 1
+        return real_fingerprint(loop)
+
+    def counted_make_runner(*args, **kwargs):
+        calls["make_runner"] += 1
+        return real_make_runner(*args, **kwargs)
+
+    class CountedBlock(native.ArgBlock):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            calls["arg_block"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(cache_module, "fingerprint_with_body", counted_fingerprint)
+    monkeypatch.setattr(plan_module, "fingerprint_with_body", counted_fingerprint)
+    monkeypatch.setattr(backends_module, "make_runner", counted_make_runner)
+    monkeypatch.setattr(native, "ArgBlock", CountedBlock)
+    calls_view = types.SimpleNamespace(
+        counts=calls, reset=lambda: calls.update(dict.fromkeys(calls, 0))
+    )
+    return calls_view
+
+
+@needs_compiler
+def test_a_warm_call_fingerprints_once_and_builds_no_runner(warm_path):
+    # Two structures, as krylov_churn alternates them: one block each.
+    loops = [random_irregular_loop(2000, max_terms=4, seed=s) for s in (1991, 1992)]
+    oracles = [loop.run_sequential() for loop in loops]
+    cache = InspectorCache()
+    for loop in loops:
+        parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert warm_path.counts["make_runner"] == 1
+    blocks = warm_path.counts["arg_block"]
+    assert blocks == 2
+    for _ in range(9):
+        for loop, oracle in zip(loops, oracles):
+            warm_path.counts["fingerprint"] = warm_path.counts["make_runner"] = 0
+            result, _ = parallelize(loop, spec=VECTORIZED, cache=cache)
+            assert warm_path.counts["fingerprint"] == 1
+            assert warm_path.counts["make_runner"] == 0
+            assert result.extras["kernel"]["body"] == "native"
+            assert np.array_equal(result.y.view(np.uint64), oracle.view(np.uint64))
+    assert warm_path.counts["arg_block"] == blocks
+
+
+def test_without_a_cache_every_call_builds_its_runner(warm_path):
+    loop = random_irregular_loop(200, seed=1)
+    for call in (1, 2):
+        result, _ = parallelize(loop, spec=VECTORIZED)
+        assert warm_path.counts["make_runner"] == call
+        assert np.array_equal(result.y, loop.run_sequential())
+
+
+@pytest.mark.parametrize(
+    "hooked",
+    (
+        PlanSpec(backend="vectorized", observe=True),
+        PlanSpec(backend="vectorized", validate="sanitize"),
+        PlanSpec(backend="vectorized", validate="static"),
+        PlanSpec(backend="auto", processors=2),
+    ),
+    ids=("observe", "sanitize", "static", "auto"),
+)
+def test_a_hooked_run_gets_a_fresh_runner_and_leaves_the_memo_bare(
+    warm_path, hooked
+):
+    loop = random_irregular_loop(300, max_terms=3, seed=5)
+    cache = InspectorCache()
+    for _ in range(2):
+        parallelize(loop, spec=VECTORIZED, cache=cache)
+    (memoized,) = cache._runners.values()
+    warm_path.reset()
+    result, _ = parallelize(loop, spec=hooked, cache=cache)
+    assert warm_path.counts["make_runner"] == 1
+    assert np.array_equal(result.y, loop.run_sequential())
+    if hooked.validate is None:
+        assert {s.name for s in result.telemetry.spans} >= {"run", "executor"}
+    assert (
+        memoized._obs_recorder, memoized._obs_metrics, memoized._san_capture
+    ) == (None, None, None)
+    bare, _ = parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert bare.telemetry is None
+    assert warm_path.counts["make_runner"] == 1
+    assert list(cache._runners.values()) == [memoized]
+
+
+def test_the_memo_keeps_no_reference_to_its_cache():
+    loop = random_irregular_loop(300, max_terms=3, seed=5)
+    cache = InspectorCache()
+    parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert len(cache._runners) == 1
+    freed = []
+    weakref.finalize(cache, freed.append, True)
+    del cache
+    assert freed == [True]  # by its reference count alone
+
+
+def test_threads_on_one_cache_stay_bitwise_correct():
+    # More threads than cores, switching often: they share the memoized
+    # runner and each record's argument block (the compiled walk releases
+    # the GIL), and every output must still be the oracle's.
+    loops = [
+        random_irregular_loop(600, max_terms=4, seed=7),  # gathered, renamed
+        make_test_loop(n=400, m=5, l=8),  # identity order
+        _trisolve_loop(),  # gathered, in place
+    ]
+    oracles = [loop.run_sequential() for loop in loops]
+    cache = InspectorCache()
+    failures: list[BaseException] = []
+
+    def calls() -> None:
+        try:
+            for _ in range(40):
+                for loop, oracle in zip(loops, oracles):
+                    y = parallelize(loop, spec=VECTORIZED, cache=cache)[0].y
+                    assert_same_bits(y, oracle)
+        except BaseException as exc:  # re-raised on the main thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=calls) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(cache._runners) == 1
+
+
+def _rebind_codes(record):
+    record.codes = record.codes.copy()
+
+
+def _rebind_order(record):
+    record.schedule.order = record.schedule.order.copy()
+
+
+def _rebind_layout(record):
+    layout = record.layout
+    record.layout = type(layout)(
+        *(getattr(layout, f).copy() for f in ("write", "ptr", "index", "start"))
+    )
+
+
+@needs_compiler
+@pytest.mark.parametrize("rebind", (_rebind_codes, _rebind_order, _rebind_layout))
+def test_a_rebound_record_array_rebuilds_the_block(warm_path, rebind):
+    loop = random_irregular_loop(300, max_terms=3, seed=5)
+    cache = InspectorCache()
+    parallelize(loop, spec=VECTORIZED, cache=cache)
+    record = plan_loop(loop, VECTORIZED, cache).record
+    first = record.arg_block
+    assert warm_path.counts["arg_block"] == 1 and first is not None
+    rebind(record)
+    result, _ = parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert warm_path.counts["arg_block"] == 2
+    assert record.arg_block is not first
+    assert np.array_equal(result.y, loop.run_sequential())
+    parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert warm_path.counts["arg_block"] == 2
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "clone",
+    (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))),
+    ids=("copy", "deepcopy", "pickle"),
+)
+def test_a_copied_record_converts_its_own_arrays(clone):
+    loop = random_irregular_loop(300, max_terms=3, seed=5)
+    cache = InspectorCache()
+    parallelize(loop, spec=VECTORIZED, cache=cache)
+    record = plan_loop(loop, VECTORIZED, cache).record
+    assert record.arg_block is not None
+    copied = clone(record)
+    assert copied.arg_block is None
+    y = VectorizedRunner(cache=InspectorCache())._walk(loop, copied)
+    assert copied.arg_block.holds(
+        copied.schedule.order, copied.codes, copied.layout.write,
+        copied.layout.ptr, copied.layout.index, copied.layout.start,
+    )
+    assert np.array_equal(y, loop.run_sequential())
+
+
+@needs_compiler
+def test_a_strided_coeff_takes_the_python_body():
+    loop = random_irregular_loop(300, max_terms=3, seed=5)
+    cache = InspectorCache()
+    parallelize(loop, spec=VECTORIZED, cache=cache)  # the block exists
+    coeff = loop.reads.coeff
+    strided = np.repeat(coeff, 2)[::2]
+    assert not strided.flags.c_contiguous
+    loop.reads.coeff = strided
+    result, _ = parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert result.extras["kernel"] == {
+        "body": "python", "reason": "non-array-operand",
+    }
+    loop.reads.coeff = coeff
+    assert np.array_equal(result.y, loop.run_sequential())
+
+
+@needs_compiler
+def test_a_short_init_is_refused():
+    loop = _trisolve_loop()
+    cache = InspectorCache()
+    parallelize(loop, spec=VECTORIZED, cache=cache)  # the block exists
+    loop.init_values = loop.init_values[:-1]
+    with pytest.raises(InvalidLoopError, match="inconsistent operands"):
+        parallelize(loop, spec=VECTORIZED, cache=cache)
