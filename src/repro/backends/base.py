@@ -89,12 +89,6 @@ class Runner(abc.ABC):
     #: Short identifier used by the ``backend=`` selector and in reports.
     name: str = "runner"
 
-    #: Whether one instance may serve any number of runs, concurrent ones
-    #: included: it keeps no per-run state on itself.  Only such a runner
-    #: is memoized on an :class:`~repro.backends.cache.InspectorCache`
-    #: for warm planned calls (:meth:`InspectorCache.runner_for`).
-    shareable: bool = False
-
     #: Hook slots.  A :class:`~repro.backends.hooks.HookedRunner` fills
     #: them for the duration of one ``run`` and clears them afterwards;
     #: ``None`` means unobserved / unsanitized, and the hot paths stay
@@ -195,27 +189,18 @@ class WallClockRunner(Runner):
         chunk: int | None = None,
         trace: bool = False,
         group_sync: int | None = None,
-        fingerprint: str | None = None,
         **options,
     ) -> RunResult:
         """Execute ``loop``; measured wall clock, no cycle model
         (``total_cycles`` 0, DESIGN.md §3).  Checked first, in this order:
         the loop's subscripts and write injectivity (``loop_fingerprint``,
         free once the loop is frozen), ``group_sync``, ``order``, the
-        backend's own arguments (:meth:`_resolve`).  ``fingerprint`` is
-        the plan's digest of ``loop``
-        (:func:`~repro.passes.execute.execute_plan` hands it over): while
-        the loop's memo still holds it
-        (:func:`~repro.backends.cache.memo_digest`), the loop is not
-        fingerprinted again — the plan did, and checked it.
-        ``wall_seconds`` times the verdict, the preprocessing and the
-        execution.  An option the backend does not honor (its
-        ``OPTION_REASONS`` row), or a ``group_sync`` it refuses (counted as
-        ``sync_elision_fallbacks``), is noted in
-        ``extras["ignored_options"]``."""
-        key = fingerprint
-        if key is None or memo_digest(loop) != key:
-            key = loop_fingerprint(loop)
+        backend's own arguments (:meth:`_resolve`).  ``wall_seconds``
+        times the verdict, the preprocessing and the execution.  An option
+        the backend does not honor (its ``OPTION_REASONS`` row), or a
+        ``group_sync`` it refuses (counted as ``sync_elision_fallbacks``),
+        is noted in ``extras["ignored_options"]``."""
+        key = loop_fingerprint(loop)
         check_group_sync(loop, group_sync)
         if order is not None:
             order = np.asarray(order, dtype=np.int64)
@@ -229,22 +214,18 @@ class WallClockRunner(Runner):
             result.extras["distance_group"] = int(group)
         if refused and self._obs_metrics is not None:
             self._obs_metrics.count("sync_elision_fallbacks", 1)
-        if (
-            order is not None or schedule is not None or chunk is not None
-            or trace or group_sync is not None
-        ):
-            note_ignored_options(
-                result,
-                self.name,
-                {
-                    "order": None if order is None else "<array>",
-                    "schedule": schedule,
-                    "chunk": chunk,
-                    "trace": True if trace else None,
-                    "group_sync": group_sync,
-                },
-                group_sync=refused,
-            )
+        note_ignored_options(
+            result,
+            self.name,
+            {
+                "order": None if order is None else "<array>",
+                "schedule": schedule,
+                "chunk": chunk,
+                "trace": True if trace else None,
+                "group_sync": group_sync,
+            },
+            group_sync=refused,
+        )
         return result
 
     def _strip(self, n: int, chunk: int | None) -> int:
@@ -532,7 +513,7 @@ def validate_execution_order(
 # ``core`` or ``passes`` reaches the backends that subclass
 # WallClockRunner.  Imported inside the methods instead, they would cost
 # microseconds on every run.
-from repro.backends.cache import loop_fingerprint, memo_digest  # noqa: E402
+from repro.backends.cache import loop_fingerprint  # noqa: E402
 from repro.core.results import RunResult  # noqa: E402
 from repro.core.sequential import sequential_time  # noqa: E402
 from repro.machine.costs import DEFAULT_COST_MODEL, CostModel  # noqa: E402

@@ -105,7 +105,6 @@ from repro.ir.transform import TransformPlan, plan_transform, structural_signatu
 __all__ = [
     "loop_fingerprint",
     "fingerprint_with_body",
-    "memo_digest",
     "InspectorRecord",
     "WalkLayout",
     "InspectorCache",
@@ -134,12 +133,12 @@ def _frozen_chain(arrays) -> list[np.ndarray] | None:
     return chain
 
 
-def memo_digest(loop: IrregularLoop) -> str | None:
+def _memo_digest(loop: IrregularLoop) -> str | None:
     """The loop's memoized fingerprint while it still holds — the same
     three array objects bound, every array of their chains read-only —
-    else ``None``.  Checks nothing else and hashes nothing: the memo
-    half of :func:`fingerprint_with_body`, and how a run envelope
-    confirms a fingerprint handed over by the plan."""
+    else ``None``: the memo half of :func:`fingerprint_with_body`, which
+    every warm planned call runs twice (plan and run envelope), written
+    without generators to keep it under a microsecond."""
     memo = loop._fingerprint_memo
     if memo is None:
         return None
@@ -158,7 +157,7 @@ def fingerprint_with_body(loop: IrregularLoop) -> tuple[str, str]:
     how it was obtained — ``"memo"``, ``"hashed"`` (and frozen) or
     ``"hashed (foreign-buffer)"`` (see the module doc for the
     freeze-and-memoize contract)."""
-    digest = memo_digest(loop)
+    digest = _memo_digest(loop)
     if digest is not None:
         return digest, "memo"
     arrays = (loop.write, loop.reads.ptr, loop.reads.index)
@@ -263,7 +262,11 @@ class InspectorRecord:
         The compiled walk's argument block of this record's fixed
         operands (:class:`~repro.backends.native.ArgBlock`), built by its
         first compiled walk and rebuilt if one of them is rebound; not
-        part of the record's value.
+        part of the record's value.  Kept only with a ``layout``: the
+        identity order walks the loop's own arrays, which the record does
+        not own (every loop of its structure shares it), so a block there
+        would keep one caller's arrays alive and be rebuilt whenever two
+        loops take turns.
     """
 
     fingerprint: str
@@ -415,8 +418,8 @@ class InspectorCache:
     sim_hits, sim_misses:
         The same for :meth:`sim_operands`, the simulated backend's lookups.
     evictions:
-        Records, level schedules and simulated operands dropped by the
-        capacity bound.
+        Records, level schedules, simulated operands and memoized runners
+        dropped by the capacity bound.
 
     Beyond inspector records, the cache carries the auto-tuner's state
     (:meth:`tuner_state`): per-fingerprint wall-time measurements,
@@ -540,21 +543,19 @@ class InspectorCache:
 
     def runner_for(self, key, build):
         """The hook-free runner memoized under ``key`` (a resolved spec
-        and cost model), else ``build(cache)``: a runner that may serve
-        concurrent runs (``shareable``) is kept, at most ``capacity`` of
-        them, the oldest dropped first.  ``build`` is handed a weak proxy
-        of this cache, so a kept runner holds no reference back to it:
-        dropping the cache frees its records at once, cycle collector or
-        not.  A runner built here is never given a hook
-        (:func:`~repro.passes.execute.execute_plan` wraps a fresh one for
-        observed, sanitized or validated runs)."""
+        and cost model), else ``build(cache)``, kept under the capacity
+        bound like a record.  ``build`` is handed a weak proxy of this
+        cache, so a kept runner holds no reference back to it: dropping
+        the cache frees its records at once, cycle collector or not.  A
+        runner kept here is never given a hook
+        (:func:`~repro.passes.execute.execute_plan` builds a fresh one
+        for observed, sanitized or validated runs)."""
         runner = self._runners.get(key)
         if runner is None:
             runner = build(weakref.proxy(self))
-            if runner.shareable:
-                self._runners[key] = runner
-                if len(self._runners) > self.capacity:
-                    self._runners.popitem(last=False)
+            self._store(self._runners, key, runner)
+        else:
+            self._runners.move_to_end(key)
         return runner
 
     def tuner_state(self, fingerprint: str) -> dict:

@@ -85,7 +85,6 @@ class SpeculativeRunner(WallClockRunner):
     """
 
     name = "speculative"
-    shareable = True
     strategy = "speculative-doacross"
 
     def __init__(

@@ -61,7 +61,6 @@ class ThreadedRunner(lanes.LaneRunner):
     """
 
     name = "threaded"
-    shareable = True
     strategy = "threaded-doacross"
     schedule_format = "cyclic({workers} threads)"
     label_format = "threaded({workers} threads)"

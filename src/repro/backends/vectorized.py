@@ -111,7 +111,6 @@ class VectorizedRunner(WallClockRunner):
     """
 
     name = "vectorized"
-    shareable = True
     strategy = "vectorized-wavefront"
 
     def __init__(
@@ -286,10 +285,14 @@ class VectorizedRunner(WallClockRunner):
             init = init_values if init_values is not None else loop.init_values
         if layout is None:  # the identity order: the loop's own arrays
             write, ptr, index, start = loop.write, reads.ptr, reads.index, None
+            # The record is shared by every loop of its structure, and
+            # these arrays are this loop's: no argument block is kept.
+            memo = None
         else:
             write, ptr, index, start = (
                 layout.write, layout.ptr, layout.index, layout.start
             )
+            memo = record
         # ``out`` is a copy of the caller's values, and the result.  With an
         # antidependence it is the renamed buffer: the walk writes only
         # ``out`` and reads old values from the caller's ``y``, which it
@@ -309,7 +312,7 @@ class VectorizedRunner(WallClockRunner):
             t_exec = rec.now()
         kernel.run_span(
             schedule.order, record.codes, write, ptr, index, reads.coeff,
-            init, old, out, out, start=start, memo=record,
+            init, old, out, out, start=start, memo=memo,
         )
         if rec is not None:
             t_post = rec.now()

@@ -70,20 +70,13 @@ class TransformPlan:
     reason: str = ""
 
     def describe(self) -> str:
-        """One line: the strategy, its phases and the reason.  Built once
-        per plan (the plan is immutable; a cached record's plan is
-        described on every warm call)."""
-        text = self.__dict__.get("_described")
-        if text is None:
-            phases = []
-            if self.needs_inspector:
-                phases.append("inspector")
-            phases.append("executor")
-            if self.needs_postprocess:
-                phases.append("postprocessor")
-            text = f"{self.strategy} ({' + '.join(phases)}): {self.reason}"
-            object.__setattr__(self, "_described", text)
-        return text
+        phases = []
+        if self.needs_inspector:
+            phases.append("inspector")
+        phases.append("executor")
+        if self.needs_postprocess:
+            phases.append("postprocessor")
+        return f"{self.strategy} ({' + '.join(phases)}): {self.reason}"
 
 
 def structural_signature(loop: IrregularLoop) -> tuple:

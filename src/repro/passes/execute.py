@@ -27,6 +27,11 @@ from repro.passes.spec import AUTO_BACKEND, OPTION_SUPPORT
 
 __all__ = ["execute_plan"]
 
+#: The backends whose runner keeps no per-run state on itself, so one
+#: instance may serve every unobserved run of a spec, concurrent ones
+#: included: only theirs are memoized on a cache.
+_SHARED_RUNNERS = ("vectorized", "threaded", "speculative")
+
 
 @functools.cache
 def _backends():
@@ -53,9 +58,9 @@ def execute_plan(
     already ``None`` — an adaptation the plan records, not an ignored
     option.  Auto-planned runs are always observed, and their wall time +
     telemetry are fed back into the tuner store afterwards.  An
-    unobserved, unvalidated run with a ``cache`` runs on the hook-free
-    runner memoized there (``InspectorCache.runner_for``); every other
-    run builds its own.
+    unobserved, unvalidated run with a ``cache`` on a backend of
+    :data:`_SHARED_RUNNERS` runs on the hook-free runner memoized there
+    (``InspectorCache.runner_for``); every other run builds its own.
 
     The simulated backend runs the strategy ``transform`` names (default:
     what :func:`~repro.ir.transform.plan_transform` selects from the
@@ -91,7 +96,12 @@ def execute_plan(
             cache=cache,
         )
 
-    if cache is not None and not observe and spec.validate is None:
+    if (
+        cache is not None
+        and not observe
+        and spec.validate is None
+        and backend in _SHARED_RUNNERS
+    ):
         # A hook-free runner is kept on the cache for the next call with
         # this spec; every hooked run gets a fresh one.
         runner = cache.runner_for((spec, backend, cost_model), build)
@@ -120,10 +130,6 @@ def execute_plan(
             # The runner applies it where it executes the order (its doall
             # and classic strategies run in natural order).
             run_kwargs["order_label"] = order_label
-    else:
-        # The plan fingerprinted the loop: the run envelope only confirms
-        # that the loop's memo still holds the digest.
-        run_kwargs["fingerprint"] = plan.fingerprint
 
     if plan.record is not None:
         # The plan-time record and its lookup outcome: the runner neither

@@ -313,14 +313,8 @@ class PlanSpec:
         return out
 
     def as_dict(self) -> dict:
-        """JSON-safe flat form (attached to results): a fresh dict, read
-        off the fields once per spec (the spec is immutable; every
-        planned call describes it)."""
-        flat = self.__dict__.get("_flat")
-        if flat is None:
-            flat = {f.name: getattr(self, f.name) for f in fields(self)}
-            object.__setattr__(self, "_flat", flat)
-        return dict(flat)
+        """JSON-safe flat form (attached to results)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def resolve_shorthand(

@@ -14,10 +14,11 @@ fingerprint as the inspector record:
     flag, a writeable foreign buffer) hashes again;
 (d) the memo is bounded by the cache's capacity, and evictions are counted;
 (e) the memo and the records serve each other across backends;
-(f) a warm unobserved call pays its walk: one fingerprint, no runner
-    built (the hook-free runner is memoized on the cache), one native
-    argument block per record — and hooked runs, threads, rebound record
-    arrays and odd operands still get what they got before.
+(f) a warm unobserved call pays its walk: no fingerprint hashed, no
+    runner built (the hook-free runner is memoized on the cache), one
+    native argument block per gathered record — and hooked runs, threads,
+    rebound record arrays, shared identity records and odd operands still
+    get what they got before.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from hypothesis import strategies as st
 
 from repro import InspectorCache, PlanSpec, VectorizedRunner, parallelize
 import repro.backends as backends_module
-from repro.analysis import record_mismatches
+from repro.analysis import record_mismatches, symbolic_fingerprint
 from repro.backends import BACKENDS, native
 from repro.backends import cache as cache_module
 from repro.backends.cache import build_inspector_record, fingerprint_with_body
@@ -456,16 +457,18 @@ VECTORIZED = PlanSpec(backend="vectorized")
 
 @pytest.fixture
 def warm_path(monkeypatch):
-    """Call counts of ``fingerprint_with_body`` (the plan's and
-    ``loop_fingerprint``'s), ``make_runner`` and the construction of a
-    native argument block; ``reset()`` zeroes them."""
-    calls = {"fingerprint": 0, "make_runner": 0, "arg_block": 0}
+    """Call counts of ``make_runner`` and of the construction of a native
+    argument block, and the loop fingerprints hashed rather than served
+    by the memo (the plan's and ``loop_fingerprint``'s); ``reset()``
+    zeroes them."""
+    calls = {"hashed": 0, "make_runner": 0, "arg_block": 0}
     real_fingerprint = cache_module.fingerprint_with_body
     real_make_runner = backends_module.make_runner
 
     def counted_fingerprint(loop):
-        calls["fingerprint"] += 1
-        return real_fingerprint(loop)
+        digest, body = real_fingerprint(loop)
+        calls["hashed"] += body != "memo"
+        return digest, body
 
     def counted_make_runner(*args, **kwargs):
         calls["make_runner"] += 1
@@ -489,7 +492,7 @@ def warm_path(monkeypatch):
 
 
 @needs_compiler
-def test_a_warm_call_fingerprints_once_and_builds_no_runner(warm_path):
+def test_a_warm_call_hashes_nothing_and_builds_no_runner(warm_path):
     # Two structures, as krylov_churn alternates them: one block each.
     loops = [random_irregular_loop(2000, max_terms=4, seed=s) for s in (1991, 1992)]
     oracles = [loop.run_sequential() for loop in loops]
@@ -501,9 +504,9 @@ def test_a_warm_call_fingerprints_once_and_builds_no_runner(warm_path):
     assert blocks == 2
     for _ in range(9):
         for loop, oracle in zip(loops, oracles):
-            warm_path.counts["fingerprint"] = warm_path.counts["make_runner"] = 0
+            warm_path.counts["hashed"] = warm_path.counts["make_runner"] = 0
             result, _ = parallelize(loop, spec=VECTORIZED, cache=cache)
-            assert warm_path.counts["fingerprint"] == 1
+            assert warm_path.counts["hashed"] == 0
             assert warm_path.counts["make_runner"] == 0
             assert result.extras["kernel"]["body"] == "native"
             assert np.array_equal(result.y.view(np.uint64), oracle.view(np.uint64))
@@ -516,6 +519,26 @@ def test_without_a_cache_every_call_builds_its_runner(warm_path):
         result, _ = parallelize(loop, spec=VECTORIZED)
         assert warm_path.counts["make_runner"] == call
         assert np.array_equal(result.y, loop.run_sequential())
+
+
+def test_a_runner_with_per_run_state_is_never_kept(warm_path):
+    # The simulated runner keeps per-run state (and the multiproc one its
+    # pool): each call builds one, and the cache keeps none of them.
+    loop = random_irregular_loop(200, seed=1)
+    cache = InspectorCache()
+    for call in (1, 2):
+        parallelize(loop, spec=PlanSpec(backend="simulated"), cache=cache)
+        assert warm_path.counts["make_runner"] == call
+    assert len(cache._runners) == 0
+
+
+def test_kept_runners_are_bounded_and_their_evictions_counted():
+    cache = InspectorCache(capacity=2)
+    built = [cache.runner_for(key, lambda c: object()) for key in "ab"]
+    assert cache.runner_for("a", lambda c: object()) is built[0]  # now newest
+    cache.runner_for("c", lambda c: object())
+    assert list(cache._runners) == ["a", "c"]
+    assert cache.evictions == 1
 
 
 @pytest.mark.parametrize(
@@ -630,6 +653,35 @@ def test_a_rebound_record_array_rebuilds_the_block(warm_path, rebind):
     assert np.array_equal(result.y, loop.run_sequential())
     parallelize(loop, spec=VECTORIZED, cache=cache)
     assert warm_path.counts["arg_block"] == 2
+
+
+@needs_compiler
+def test_loops_sharing_an_identity_record_keep_no_block():
+    # Two Figure-4 loops of one proven structure share one symbolic
+    # record, whose identity-order walk reads each loop's own arrays: the
+    # record keeps no block of them, and the loops taking turns (one
+    # dropped halfway) each get their own oracle's bits.
+    spec = PlanSpec(backend="vectorized", analyze="symbolic")
+    loops = [
+        make_test_loop(n=400, m=5, l=8, val=np.linspace(0.02, 0.1 * k, 5))
+        for k in (1, 2)
+    ]
+    oracles = [loop.run_sequential() for loop in loops]
+    assert not np.array_equal(oracles[0], oracles[1])
+    cache = InspectorCache()
+    for _ in range(3):
+        for loop, oracle in zip(loops, oracles):
+            result, _ = parallelize(loop, spec=spec, cache=cache)
+            assert result.extras["walk"]["layout"] == "identity"
+            assert result.extras["kernel"]["body"] == "native"
+            assert_same_bits(result.y, oracle)
+    (record,) = cache._entries.values()
+    assert record.fingerprint == symbolic_fingerprint(loops[1])
+    assert record.arg_block is None
+    del loops[0], oracles[0]
+    result, _ = parallelize(loops[0], spec=spec, cache=cache)
+    assert_same_bits(result.y, oracles[0])
+    assert record.arg_block is None
 
 
 @needs_compiler
