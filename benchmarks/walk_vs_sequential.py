@@ -1,13 +1,18 @@
-"""Warm vectorized calls against the compiled sequential loop.
+"""Warm vectorized calls, and the cold inspector, against the compiled
+sequential loop.
 
 The denominator is :func:`repro.backends.native.sequential` — the oracle's
 own loop compiled from the same C text as the walk — not the interpreted
 oracle, so the ratio says what the inspector/executor machinery costs on
 one core.  The loops are ILU(0) lower solves of ``five_point(k, k)``
 (``trisolve_5pt`` is ``k = 141``).  Every call's output is checked
-bitwise against ``run_sequential()`` first.  Calls are interleaved
-(sequential, warm call, executor, ...) and each column is the minimum /
-median over ``--calls`` rounds, in ms.  Ungated; run by hand:
+bitwise against ``run_sequential()`` first, and the inspector's record
+against the cold call's.  Calls are interleaved (sequential, warm call,
+executor, inspector, ...) and each column is the minimum / median over
+``--calls`` rounds, in ms.  The ``inspector`` column is a cold record
+built fresh each round — levels, ``iter``, term codes, gathered layout
+(:func:`~repro.backends.cache.build_inspector_record`, no cache) — the
+cost a cold call pays on top of its walk.  Ungated; run by hand:
 
     PYTHONPATH=src python benchmarks/walk_vs_sequential.py            # k = 141, 250, 400
     PYTHONPATH=src python benchmarks/walk_vs_sequential.py --k 60 --calls 20
@@ -21,7 +26,9 @@ import time
 import numpy as np
 
 from repro import InspectorCache, PlanSpec, VectorizedRunner, parallelize
+from repro.analysis import record_mismatches
 from repro.backends import native
+from repro.backends.cache import build_inspector_record
 from repro.sparse.ilu import ilu0
 from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
@@ -42,9 +49,14 @@ def measure(k: int, calls: int) -> dict:
         "warm call": lambda: parallelize(loop, spec=spec, cache=cache)[0].y,
         # The executor alone: the copy of y, the one walk, any copy-back.
         "executor": lambda: runner._walk(loop, record),
+        # A cold record: the levels with it, built fresh.
+        "inspector": lambda: build_inspector_record(loop, fingerprint=record.fingerprint),
     }
-    for step in steps.values():
-        assert np.array_equal(step().view(np.uint64), oracle.view(np.uint64))
+    for name, step in steps.items():
+        if name == "inspector":
+            assert record_mismatches(step(), record) == []
+        else:
+            assert np.array_equal(step().view(np.uint64), oracle.view(np.uint64))
     times: dict[str, list[float]] = {name: [] for name in steps}
     for _ in range(calls):
         for name, step in steps.items():
@@ -64,7 +76,7 @@ def main(argv=None) -> None:
     parser.add_argument("--calls", type=int, default=200)
     args = parser.parse_args(argv)
     print(f"kernel body: {native.describe()}")
-    steps_order = ("native.sequential", "warm call", "executor")
+    steps_order = ("native.sequential", "warm call", "executor", "inspector")
     for k in args.k:
         row = measure(k, args.calls)
         seq = row["native.sequential"]

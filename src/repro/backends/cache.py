@@ -63,12 +63,17 @@ a later iteration writes (``renames``: without such an antidependence
 the walk needs no ``ynew``).  Everything in the record is
 structure-only; per-run values (coefficients, initial values) are read
 from the loop at execution time, so one record serves every loop of its
-structure.
+structure.  The runtime record is one compiled inspector call
+(:func:`repro.backends.native.inspect`), which also yields the levels; its
+NumPy array operations are only the body that runs without the compiled
+object, and build the same record bit for bit.
 
 The wavefront schedule alone is what every *other* backend's plan needs,
 so the cache also serves it by itself (:meth:`InspectorCache.levels_for`)
 under the same content key: planning, not only the inspector record, is
-paid once per dependence structure.
+paid once per dependence structure.  A vectorized plan asks for both
+(:meth:`InspectorCache.levels_and_record`): a structure neither has seen
+is inspected once, and its record's schedule becomes the memo's.
 
 A warm planned call also finds its runner here
 (:meth:`InspectorCache.runner_for`): the hook-free runner of a resolved
@@ -95,10 +100,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backends import native
 from repro.backends.kernel import ACC, OLD, WAIT, term_positions
 from repro.core.workspace import MAXINT
 from repro.errors import InvalidLoopError
-from repro.graph.levels import LevelSchedule, compute_levels
+from repro.graph.levels import LevelSchedule, compute_levels, sweep_levels
 from repro.ir.loop import IrregularLoop
 from repro.ir.transform import TransformPlan, plan_transform, structural_signature
 
@@ -177,6 +183,7 @@ def fingerprint_with_body(loop: IrregularLoop) -> tuple[str, str]:
         h.update(b"|")
         h.update(np.ascontiguousarray(arr))  # the buffer itself, no copy
     digest = h.hexdigest()
+    loop.arg_block = None  # it may hold the arrays this memo replaces
     if chain is None:
         loop._fingerprint_memo = None
         return digest, "hashed (foreign-buffer)"
@@ -264,9 +271,8 @@ class InspectorRecord:
         first compiled walk and rebuilt if one of them is rebound; not
         part of the record's value.  Kept only with a ``layout``: the
         identity order walks the loop's own arrays, which the record does
-        not own (every loop of its structure shares it), so a block there
-        would keep one caller's arrays alive and be rebuilt whenever two
-        loops take turns.
+        not own (every loop of its structure shares it), so that block is
+        kept by the loop (``IrregularLoop.arg_block``) instead.
     """
 
     fingerprint: str
@@ -304,20 +310,47 @@ def build_inspector_record(
     schedule: LevelSchedule | None = None,
     fingerprint: str | None = None,
 ) -> InspectorRecord:
-    """Run the (vectorized) inspector and wavefront preprocessing for
-    ``loop`` and package the result for caching.
+    """Run the inspector and wavefront preprocessing for ``loop`` and
+    package the result for caching.
 
     This is the whole run-time preprocessing pipeline of the paper —
     Figure 3's ``iter`` construction plus the §3.2 wavefront computation —
-    executed as NumPy array operations rather than simulated phases.
-    ``schedule`` is the loop's wavefront decomposition and ``fingerprint``
-    its :func:`loop_fingerprint` when the caller already holds them
-    (``plan_loop``, the cache); they are computed here otherwise — the
-    levels first, so an out-of-range subscript is refused before any
-    array is indexed with it.
+    as one compiled call (:func:`repro.backends.native.inspect`: ``iter``,
+    the levels, their order, the term codes and the gathered layout,
+    written straight into the record's arrays).  Without the compiled
+    object it runs as NumPy array operations on
+    :func:`~repro.graph.levels.sweep_levels`' schedule; both bodies build
+    the same record, bit for bit.  ``schedule`` is the loop's wavefront
+    decomposition and ``fingerprint`` its :func:`loop_fingerprint` when
+    the caller already holds them (the cache's level memo, a distance
+    group schedule); they are computed here otherwise — the levels
+    first, so an out-of-range subscript is refused before any array is
+    indexed with it.
     """
+    got = native.inspect(loop, order=None if schedule is None else schedule.order)
+    if isinstance(got, str):
+        return _numpy_record(loop, schedule, fingerprint)
     if schedule is None:
-        schedule = compute_levels(loop)
+        schedule = LevelSchedule(got.levels, got.order, got.level_ptr, "native")
+    return InspectorRecord(
+        fingerprint=fingerprint or loop_fingerprint(loop),
+        iter_array=got.iter_array,
+        schedule=schedule,
+        plan=plan_transform(loop),
+        codes=got.codes,
+        layout=None if got.layout is None else WalkLayout(*got.layout),
+        renames=got.renames,
+    )
+
+
+def _numpy_record(
+    loop: IrregularLoop,
+    schedule: LevelSchedule | None,
+    fingerprint: str | None,
+) -> InspectorRecord:
+    """:func:`build_inspector_record`'s body without the compiled object."""
+    if schedule is None:
+        schedule = sweep_levels(loop)
     n, y_size = loop.n, loop.y_size
 
     # Inspector: iter(a(i)) = i, everything else MAXINT (Figure 3, left).
@@ -490,6 +523,23 @@ class InspectorCache:
             schedule = compute_levels(loop)
         self._store(self._levels, fp, schedule)
         return schedule, record is not None
+
+    def levels_and_record(
+        self, loop: IrregularLoop, fingerprint: str
+    ) -> tuple[LevelSchedule, bool, InspectorRecord, bool]:
+        """:meth:`levels_for` then :meth:`get_or_build`, counted as those
+        two lookups — ``(schedule, levels hit, record, record hit)`` — but
+        a structure neither has seen is inspected once: its record is
+        built with its levels (:func:`build_inspector_record`), and its
+        schedule is the memo's.  The vectorized plan's lookup."""
+        if fingerprint in self._levels or fingerprint in self._entries:
+            schedule, levels_hit = self.levels_for(loop, fingerprint)
+            record, hit = self.get_or_build(loop, fingerprint=fingerprint)
+            return schedule, levels_hit, record, hit
+        self.levels_misses += 1
+        record, hit = self.get_or_build(loop, fingerprint=fingerprint)
+        self._store(self._levels, fingerprint, record.schedule)
+        return record.schedule, False, record, hit
 
     def get_or_build(
         self,

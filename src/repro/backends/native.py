@@ -1,22 +1,30 @@
 """The compiled bodies of :func:`repro.backends.kernel.run_span`, of the
-sequential loop (:func:`sequential`) and of the one max-plus recurrence,
-:func:`max_plus`.
+sequential loop (:func:`sequential`), of the one max-plus recurrence,
+:func:`max_plus`, and of the inspector, :func:`inspect`.
 
 The paper's §1 flow *compiles* the executor out of the source loop.  This
 module is that step for the one scalar evaluator every wall-clock backend
-shares, and for the sweep behind the §3.2 wavefronts and every cycle
-bound: one C text (:func:`c_source`, the walk's term codes generated from
+shares, for the sweep behind every cycle bound and for the inspector:
+one C text (:func:`c_source`, the term codes generated from
 :mod:`~repro.backends.kernel`'s constants), a ``gcc`` build into one shared
-object cached on disk, and three :mod:`ctypes` entries (GIL released):
+object cached on disk, and four :mod:`ctypes` entries (GIL released):
 :func:`run_span`, which ``kernel.run_span`` hands every span that needs no
 Python callback; :func:`sequential`, the oracle's loop compiled — the
-denominator a compiled walk is measured against, not a backend; and
-:func:`max_plus`.  Every value an iteration reads was
+denominator a compiled walk is measured against, not a backend;
+:func:`max_plus`; and :func:`inspect`.  Every value an iteration reads was
 written by an earlier one (the per-iteration read contract), so position
 order is topological, and one forward sweep with times indexed by element
-(no ``iter`` array, no dependence graph) gives the wavefront levels, the
-critical path and the simulated executor's cycles; :func:`max_plus` is
-its one dispatch site, between the C function and its Python body.
+(no ``iter`` array, no dependence graph) gives the critical path and the
+simulated executor's cycles; :func:`max_plus` is its one dispatch site,
+between the C function and its Python body.  The inspector is Figure 3's
+preprocessing in one call: ``iter(a(i)) = i``, then one natural-order
+walk giving each iteration its wavefront level from ``iter`` (the same
+levels the unit-step sweep gives), a stable counting sort into the
+level-major ``order`` and ``level_ptr``, and, for a record, each term's
+Figure-5 code in that order and the structure gathered into it — written
+straight into the arrays the record keeps.  Its NumPy body (no compiled
+object) is :func:`repro.graph.levels.sweep_levels` plus the array
+operations of :func:`repro.backends.cache.build_inspector_record`.
 
 The walk reads two layouts of one structure (``start`` selects).  By
 iteration: the loop's own ``write[i]``, ``ptr[i]:ptr[i + 1]``, ``index``
@@ -48,14 +56,19 @@ values — so a span that stops early has not touched the caller's ``y``.
 The Python walk checks a by-position layout the same way (a record's
 copy, not the loop's checked and frozen arrays).  The sweep checks every
 ``ptr`` pair, term, write and lane index the same way, and refuses a
-second write of one element, on both bodies, so an index array mutated
-after construction — out of range, or into a non-injective write — is
-refused by the level pass before any executor starts.
+second write of one element, on both bodies.  The inspector makes the
+sweep's checks, refusing at the position the sweep would (the first
+failing one in natural order; at one position a range violation before
+a second write): the ``ptr`` pairs and writes while it fills ``iter``,
+every read index in its level walk, and, with a given order, every
+position of that order.  So an index array mutated after construction —
+out of range, or into a non-injective write — is refused by the level
+pass before any executor starts, with the same exception on every body.
 
 Soft dependency.  No compiler, a cache directory somebody else could write
 to, or a failed build (one :mod:`warnings` line per process) leave the
-Python walk and the Python sweep in charge; :func:`unavailable` says
-which.
+Python walk, the Python sweep and the NumPy inspector in charge;
+:func:`unavailable` says which.
 
 Cache.  One ``.so`` in a per-user directory (``$XDG_CACHE_HOME`` or
 ``~/.cache``, else a ``0700`` directory under the temp dir), named by a
@@ -64,7 +77,7 @@ that finds it must start no child at all: the benchmark's ``peak_rss_mb``
 is own + largest waited-for child, and a ``vfork``-ed compiler is
 accounted at the *parent's* peak RSS (Linux ``exec_mmap``) — +16 % on
 ``fig4_chain`` for the one process that compiles.  Hence the build is lazy
-(first eligible span or sweep), the cache persistent, and the
+(first eligible span, sweep or inspection), the cache persistent, and the
 compiler's version string cached beside the object, keyed by the binary's
 path, size, mtime.
 """
@@ -83,6 +96,7 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +116,8 @@ __all__ = [
     "span_error",
     "sequential",
     "max_plus",
+    "Inspection",
+    "inspect",
     "describe",
 ]
 
@@ -235,6 +251,131 @@ int64_t max_plus(
     }}
     return 0;
 }}
+
+/* The inspector in one call.  Pass 1 fills iter (the writer of each of
+   the y_size elements, INT64_MAX where none writes): iter[write[p]] = p.
+   Unless `given`, pass 2 gives each iteration its wavefront level from
+   iter in natural order (0, or one more than the highest level of an
+   earlier writer it reads) and a stable counting sort lays out order
+   and level_ptr; with `given`, order holds a schedule's order and
+   levels / level_ptr are unused.  With codes, each term's code (ACC: its
+   own element; WAIT: an earlier writer's; OLD otherwise) in order: pass
+   2 writes them in natural order, and pass 3 (after pass 2 only if order
+   is not the identity) walks order for them and, unless it is the
+   identity, for the structure gathered into it (l_write, l_ptr, l_index,
+   l_start).  info gets the level count, whether an OLD term reads a
+   written element, and whether order is the identity.  Returns 0, or
+   max_plus's statuses at its precedence (the first failing position in
+   natural order; a range violation before a second write at one
+   position): -(p + 1) when p's ptr pair, write or a read reaches outside
+   its operand (with `given`, p may be a walk position of pass 3), p + 1
+   when p writes an element an earlier position wrote.  Nothing but the
+   output arrays is written. */
+int64_t inspect(
+    int64_t n, const int64_t *write, const int64_t *ptr,
+    const int64_t *index, int64_t n_index, int64_t y_size, int64_t *iter,
+    int64_t given, int64_t *levels, int64_t *order, int64_t *level_ptr,
+    int8_t *codes, int64_t *l_write, int64_t *l_ptr, int64_t *l_index,
+    int64_t *l_start, int64_t *info)
+{{
+    int64_t bad = n, dup = 0, n_levels = 0, identity = 1, anti = 0;
+    for (int64_t e = 0; e < y_size; e++)
+        iter[e] = INT64_MAX;
+    for (int64_t p = 0; p < n; p++) {{
+        int64_t k = ptr[p], hi = ptr[p + 1], w = write[p];
+        if (k < 0 || k > hi || hi > n_index || w < 0 || w >= y_size) {{
+            bad = p;
+            break;
+        }}
+        if (iter[w] != INT64_MAX) {{
+            bad = p;
+            dup = 1;
+            break;
+        }}
+        iter[w] = p;
+    }}
+    if (bad < n) {{
+        /* An earlier read out of range (or one of the second writer's
+           own) comes first, as in the sweep. */
+        for (int64_t p = 0; p < bad + dup; p++)
+            for (int64_t k = ptr[p]; k < ptr[p + 1]; k++)
+                if (index[k] < 0 || index[k] >= y_size)
+                    return -(p + 1);
+        return dup ? bad + 1 : -(bad + 1);
+    }}
+    if (given) {{
+        for (int64_t t = 0; t < n && identity; t++)
+            identity = order[t] == t;
+    }} else {{
+        for (int64_t p = 0; p < n; p++) {{
+            int64_t lv = 0;
+            for (int64_t k = ptr[p]; k < ptr[p + 1]; k++) {{
+                int64_t idx = index[k];
+                if (idx < 0 || idx >= y_size)
+                    return -(p + 1);
+                int64_t j = iter[idx];
+                if (j < p && levels[j] >= lv)
+                    lv = levels[j] + 1;
+                if (codes) {{  /* in natural order: final if it is the order */
+                    codes[k] = j == p ? ACC : j < p ? WAIT : OLD;
+                    if (j > p && j != INT64_MAX)
+                        anti = 1;
+                }}
+            }}
+            levels[p] = lv;
+            if (lv >= n_levels)
+                n_levels = lv + 1;
+            if (p && lv < levels[p - 1])
+                identity = 0;
+        }}
+        /* Counting sort: level_ptr[l] starts level l, and advances as
+           its iterations are placed, in index order; then shift back. */
+        for (int64_t l = 0; l <= n_levels; l++)
+            level_ptr[l] = 0;
+        for (int64_t p = 0; p < n; p++)
+            level_ptr[levels[p] + 1]++;
+        for (int64_t l = 1; l <= n_levels; l++)
+            level_ptr[l] += level_ptr[l - 1];
+        for (int64_t p = 0; p < n; p++)
+            order[level_ptr[levels[p]]++] = p;
+        for (int64_t l = n_levels; l > 0; l--)
+            level_ptr[l] = level_ptr[l - 1];
+        level_ptr[0] = 0;
+    }}
+    if (codes && (given || !identity)) {{
+        int64_t cur = 0;
+        for (int64_t t = 0; t < n; t++) {{
+            int64_t i = order[t];
+            if (i < 0 || i >= n)
+                return -(t + 1);
+            int64_t k = ptr[i], hi = ptr[i + 1];
+            if (hi - k > n_index - cur)
+                return -(t + 1);
+            if (!identity) {{
+                l_write[t] = write[i];
+                l_ptr[t] = cur;
+                l_start[t] = k;
+            }}
+            for (; k < hi; k++, cur++) {{
+                int64_t idx = index[k];
+                if (idx < 0 || idx >= y_size)
+                    return -(t + 1);
+                int64_t j = iter[idx];
+                codes[cur] = j == i ? ACC : j < i ? WAIT : OLD;
+                if (j > i && j != INT64_MAX)
+                    anti = 1;
+                if (!identity)
+                    l_index[cur] = idx;
+            }}
+        }}
+        if (!identity)
+            l_ptr[n] = cur;
+    }}
+    info[0] = n_levels;
+    info[1] = anti;
+    info[2] = identity;
+    return 0;
+}}
 """
 
 
@@ -346,6 +487,7 @@ _ARGTYPES = {
     ],
     "sequential": [_P, _N, _P, _P, _N, _P, _P, _P, _N],
     "max_plus": [_N, _P, _P, _N, _P, _P, _P, _N, _P, _P, _N, _P, _P, _N],
+    "inspect": [_N, _P, _P, _P, _N, _N, _P, _N, _P, _P, _P, _P, _P, _P, _P, _P, _P],
 }
 
 
@@ -393,7 +535,8 @@ class _Body:
             self.why = f"build-failed: {exc}"
             warnings.warn(
                 f"repro: the compiled bodies are unavailable ({exc}); spans "
-                f"run on the Python walk, the max-plus sweep in Python",
+                f"run on the Python walk, the max-plus sweep in Python, the "
+                f"inspector in NumPy",
                 RuntimeWarning, stacklevel=2,
             )
             return
@@ -729,3 +872,97 @@ def max_plus(
         first = int(np.flatnonzero(write[: got - 1] == w)[0])
         raise OutputDependenceError(w, first, got - 1)
     return times, free, ran
+
+
+class Inspection(NamedTuple):
+    """What one :func:`inspect` call built, in fresh arrays: ``iter``
+    (``INT64_MAX`` where unwritten), the levels with their order and
+    ``level_ptr`` (with a given order: ``None``, the order given,
+    ``None``), and with ``codes`` the term codes in that order, the
+    structure gathered into it — ``(write, ptr, index, start)``, or
+    ``None`` for the identity order — and ``renames``."""
+
+    iter_array: np.ndarray
+    levels: np.ndarray | None
+    order: np.ndarray
+    level_ptr: np.ndarray | None
+    codes: np.ndarray | None
+    layout: tuple | None
+    renames: bool
+
+
+def inspect(loop, *, order=None, codes=True) -> Inspection | str:
+    """The inspector of ``loop``, compiled: the C text's ``inspect`` (its
+    comment has the passes) in one call, or the reason (``str``) the
+    caller must run its NumPy body instead.
+
+    ``order`` is a schedule's order to classify and gather in (the levels
+    are then not computed); ``codes=False`` stops after the levels.  A
+    position reaching outside its operands raises
+    :class:`~repro.errors.InvalidLoopError`, one writing an element an
+    earlier one wrote :class:`~repro.errors.OutputDependenceError`, at the
+    position the level sweep (:func:`max_plus`) would refuse; the loop is
+    never written.  O(1) checks here, the per-element ones in the C."""
+    reads = loop.reads
+    write, ptr, index, y_size = loop.write, reads.ptr, reads.index, loop.y_size
+    n, n_index = len(write), len(index)
+    if (
+        len(ptr) != n + 1
+        or ptr[0] != 0
+        or ptr[n] != n_index
+        or (order is not None and len(order) != n)
+    ):
+        raise InvalidLoopError(
+            f"inspect: inconsistent operands ({n} writes, {len(ptr)} ptr "
+            f"entries, {n_index} indices, "
+            f"{n if order is None else len(order)} positions)"
+        )
+    at = _pointers((write, _I64), (ptr, _I64), (index, _I64), (order, _I64))
+    if at is None:
+        return "non-array-operand"
+    body = _state()
+    lib = body.entry()
+    if lib is None:
+        return body.why
+    given = order is not None
+    iter_array = np.empty(y_size, dtype=np.int64)
+    levels = level_ptr = None
+    if not given:
+        levels, order, level_ptr = (
+            np.empty(m, dtype=np.int64) for m in (n, n, n + 1)
+        )
+    term_codes = layout = None
+    if codes:
+        term_codes = np.empty(n_index, dtype=np.int8)
+        # Untouched (and dropped) when the order is the identity.
+        layout = tuple(
+            np.empty(m, dtype=np.int64) for m in (n, n + 1, n_index, n)
+        )
+    info = np.empty(3, dtype=np.int64)
+    a_iter, a_levels, a_order, a_level_ptr, *a_out, a_info = _pointers(
+        (iter_array, _I64), (levels, _I64), (order, _I64), (level_ptr, _I64),
+        (term_codes, _I8), *((a, _I64) for a in layout or (None,) * 4),
+        (info, _I64),
+    )
+    got = lib.inspect(
+        n, *at[:3], n_index, y_size, a_iter, given, a_levels, a_order,
+        a_level_ptr, *a_out, a_info,
+    )
+    if got < 0:
+        raise InvalidLoopError(
+            f"inspect: position {-got - 1} reaches outside its operands — "
+            f"a write or read index out of range, or a decreasing ptr; the "
+            f"inspector stopped there"
+        )
+    if got > 0:
+        w = int(write[got - 1])
+        raise OutputDependenceError(w, int(iter_array[w]), got - 1)
+    n_levels, renames, identity = (int(v) for v in info)
+    if level_ptr is not None:
+        level_ptr = level_ptr[: n_levels + 1].copy()
+    if identity:
+        layout = None
+    return Inspection(
+        iter_array, levels, order, level_ptr, term_codes, layout,
+        bool(renames),
+    )

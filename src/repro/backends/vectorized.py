@@ -286,8 +286,8 @@ class VectorizedRunner(WallClockRunner):
         if layout is None:  # the identity order: the loop's own arrays
             write, ptr, index, start = loop.write, reads.ptr, reads.index, None
             # The record is shared by every loop of its structure, and
-            # these arrays are this loop's: no argument block is kept.
-            memo = None
+            # these arrays are this loop's: the loop keeps the block.
+            memo = loop
         else:
             write, ptr, index, start = (
                 layout.write, layout.ptr, layout.index, layout.start

@@ -7,15 +7,21 @@ satisfied by previous levels — are contiguous.  Level of an iteration:
 
 Every true dependence points backwards in iteration order (the
 per-iteration read contract), so natural order is already topological and
-the levels are one forward sweep of the max-plus recurrence
-(:func:`repro.backends.native.max_plus`) with a time per *element*: its
-writer's level plus one.  No dependence graph is built; one is still
-accepted, swept through its predecessor lists, because the benchmark's
-structure layer (``benchmarks/e2e/layers.py``) times
-``compute_levels(graph)``.  Sorting by ``(level, original index)`` then
-yields the reordered execution sequence, which by construction makes
-every dependence point backward in execution order (the property
-:func:`repro.backends.base.validate_execution_order` demands).
+the levels are one forward pass: the compiled inspector
+(:func:`repro.backends.native.inspect`) reads each term's writer from
+Figure 3's ``iter`` array and takes one more than the highest level of an
+earlier writer.  That is the max-plus definition — the unit-step sweep of
+:func:`repro.backends.native.max_plus` with a time per *element*, its
+writer's level plus one — which is what runs without the compiled object
+(:func:`sweep_levels`), and both give equal levels.  No dependence graph
+is built; one is still accepted, swept through its predecessor lists,
+because the benchmark's structure layer (``benchmarks/e2e/layers.py``)
+times ``compute_levels(graph)``.  Ordering by ``(level, original
+index)`` — a stable counting sort in the inspector, O(n), an argsort
+otherwise — then yields the reordered execution sequence, which by
+construction makes every dependence point backward in execution order
+(the property :func:`repro.backends.base.validate_execution_order`
+demands).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 from repro.graph.depgraph import DependenceGraph
 from repro.ir.loop import IrregularLoop
 
-__all__ = ["compute_levels", "LevelSchedule"]
+__all__ = ["compute_levels", "sweep_levels", "LevelSchedule"]
 
 
 @dataclass
@@ -44,8 +50,10 @@ class LevelSchedule:
         CSR boundaries into ``order``: level ``k`` is
         ``order[level_ptr[k]:level_ptr[k+1]]``.
     body:
-        Which body of the sweep :func:`compute_levels` ran: ``"native"``,
-        or ``"python (<reason>)"``; ``None`` for levels derived otherwise.
+        Which body computed the levels: ``"native"`` (the compiled
+        inspector, or the compiled sweep of a graph), or ``"python
+        (<reason>)"`` (the sweep's Python body); ``None`` for levels
+        derived otherwise.
     """
 
     levels: np.ndarray
@@ -117,8 +125,11 @@ class LevelSchedule:
 
 
 def compute_levels(source: IrregularLoop | DependenceGraph) -> LevelSchedule:
-    """Compute the wavefront decomposition of a loop (or its DAG): one
-    sweep with unit step (module doc); ``body`` says which body ran.
+    """Compute the wavefront decomposition of a loop (or its DAG): for a
+    loop, the compiled inspector's level pass
+    (:func:`repro.backends.native.inspect`), else :func:`sweep_levels`;
+    for a DAG, one sweep over its predecessor lists (module doc).
+    ``body`` says which body ran.
 
     A loop whose write or read subscripts leave ``y`` raises
     :class:`~repro.errors.InvalidLoopError`, one whose write is not
@@ -131,11 +142,24 @@ def compute_levels(source: IrregularLoop | DependenceGraph) -> LevelSchedule:
         times, _, body = native.max_plus(
             source.pred_ptr, source.pred, source.n, step=1
         )
-    else:
-        reads = source.reads
-        times, _, body = native.max_plus(
-            reads.ptr, reads.index, source.y_size, write=source.write, step=1
-        )
-        times = times[source.write]
+        times -= 1
+        return LevelSchedule.from_levels(times, body)
+    got = native.inspect(source, codes=False)
+    if isinstance(got, str):
+        return sweep_levels(source)
+    return LevelSchedule(got.levels, got.order, got.level_ptr, "native")
+
+
+def sweep_levels(loop: IrregularLoop) -> LevelSchedule:
+    """The levels without the compiled inspector: one max-plus sweep with
+    unit step (:func:`repro.backends.native.max_plus`, compiled or not),
+    then :meth:`LevelSchedule.from_levels`."""
+    from repro.backends import native
+
+    reads = loop.reads
+    times, _, body = native.max_plus(
+        reads.ptr, reads.index, loop.y_size, write=loop.write, step=1
+    )
+    times = times[loop.write]
     times -= 1
     return LevelSchedule.from_levels(times, body)

@@ -94,6 +94,11 @@ class IrregularLoop:
     #: arrays; shared by :meth:`with_name` clones, dropped by copies and
     #: pickles.
     _fingerprint_memo: tuple | None = None
+    #: The compiled walk's argument block of an identity-order record
+    #: over this loop's own ``write`` / ``ptr`` / ``index``
+    #: (:class:`~repro.backends.native.ArgBlock`); kept and dropped with
+    #: the fingerprint memo.
+    arg_block: object = None
 
     def __init__(
         self,
@@ -316,6 +321,7 @@ class IrregularLoop:
         # memo would also drag the frozen base arrays along.
         state = self.__dict__.copy()
         state.pop("_fingerprint_memo", None)
+        state.pop("arg_block", None)
         return state
 
     def __repr__(self) -> str:

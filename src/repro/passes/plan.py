@@ -200,13 +200,27 @@ def plan_loop(
         The number of true-dependence pairs the sanitizer must cover.
     ``inspector`` (iff ``backend="vectorized"`` and no ``analyze``)
         Prebuild (or fetch) the vectorized inspector record; the runner
-        executes it and reports this lookup's outcome.
+        executes it and reports this lookup's outcome.  Through the
+        shared cache when there is one, so planning warms the same cache
+        execution reads; on a structure not yet seen it runs before the
+        level stage, as one inspection that also yields the levels.
     """
     check_options(spec)
     passes = ["validate-options", "fingerprint", "level-schedule", "doconsider"]
     fingerprint, fingerprint_body = fingerprint_with_body(loop)
-    if cache is not None:
+    # The vectorized inspector builds the levels with its record: one
+    # inspection, whose schedule serves the level stage.
+    inspects = spec.backend == "vectorized" and spec.analyze is None
+    record, record_cached = None, False
+    if cache is not None and inspects:
+        levels, levels_cached, record, record_cached = cache.levels_and_record(
+            loop, fingerprint
+        )
+    elif cache is not None:
         levels, levels_cached = cache.levels_for(loop, fingerprint)
+    elif inspects:
+        record = build_inspector_record(loop, fingerprint=fingerprint)
+        levels, levels_cached = record.schedule, False
     else:
         levels, levels_cached = compute_levels(loop), False
     order = levels.order if spec.reorder == "doconsider" else None
@@ -258,17 +272,8 @@ def plan_loop(
         terms = np.stack([readers[true], loop.reads.index[true]], axis=1)
         sanitize_pairs = np.unique(terms, axis=0).shape[0]
 
-    record, record_cached = None, False
-    if spec.backend == "vectorized" and spec.analyze is None:
+    if inspects:
         passes.append("inspector")
-        # Through the shared cache when there is one, so planning warms
-        # the same cache execution reads.
-        if cache is not None:
-            record, record_cached = cache.get_or_build(
-                loop, fingerprint=fingerprint
-            )
-        else:
-            record = build_inspector_record(loop, levels, fingerprint)
 
     return Plan(
         spec=spec,

@@ -126,9 +126,13 @@ class TestCompiledExecutorText:
         assert "double acc = init ? init[i] : old[w];" in text
         # The sequential loop is the second function, the oracle's
         # arithmetic compiled; the one max-plus recurrence is the third —
-        # levels, critical path and simulated cycles — its subscripts
-        # checked the same way and a second write of an element refused.
-        assert text.count("\nint64_t ") == 3  # run_span, sequential, max_plus
+        # critical path and simulated cycles — its subscripts checked the
+        # same way and a second write of an element refused; the
+        # inspector is the fourth: Figure 3's iter array, the levels, the
+        # Figure-5 compare once per term.
+        assert text.count("\nint64_t ") == 4  # ..., max_plus, inspect
+        assert "int64_t inspect(" in text
+        assert "                codes[cur] = j == i ? ACC : j < i ? WAIT : OLD;\n" in text
         assert "            acc += coeff[k] * (idx == w ? acc : y[idx]);\n" in text
         assert "int64_t max_plus(" in text
         assert (

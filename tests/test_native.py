@@ -281,10 +281,12 @@ def test_every_caller_of_the_sweep_reaches_the_compiled_body(
     monkeypatch, cache_home
 ):
     # Only compute_levels names its body; an operand of the wrong dtype in
-    # the other callers would fall to the Python sweep unsaid.
+    # the other callers would fall to the Python sweep unsaid.  A loop's
+    # levels come from the compiled inspector, which sweeps nothing; the
+    # sweep is its no-compiler body.
     from repro.backends.simulated import SimulatedRunner
     from repro.graph.critical_path import critical_path_cycles
-    from repro.graph.levels import compute_levels
+    from repro.graph.levels import compute_levels, sweep_levels
     from repro.machine.costs import CostModel
     from repro.machine.engine import Machine
 
@@ -297,7 +299,8 @@ def test_every_caller_of_the_sweep_reaches_the_compiled_body(
 
     monkeypatch.setattr(native, "max_plus", spy)
     loop = make_test_loop(n=120, m=2, l=8)
-    compute_levels(loop)
+    assert compute_levels(loop).body == "native" and bodies == []
+    sweep_levels(loop)
     critical_path_cycles(loop, CostModel())
     SimulatedRunner(Machine(4)).run_preprocessed(loop)
     assert bodies == ["native"] * 3

@@ -16,7 +16,8 @@ fingerprint as the inspector record:
 (e) the memo and the records serve each other across backends;
 (f) a warm unobserved call pays its walk: no fingerprint hashed, no
     runner built (the hook-free runner is memoized on the cache), one
-    native argument block per gathered record — and hooked runs, threads,
+    native argument block per gathered record and one per loop walked in
+    identity order — and hooked runs, threads,
     rebound record arrays, shared identity records and odd operands still
     get what they got before.
 """
@@ -44,7 +45,6 @@ from repro.backends import cache as cache_module
 from repro.backends.cache import build_inspector_record, fingerprint_with_body
 from repro.core.doconsider import Doconsider
 from repro.errors import InvalidLoopError
-from repro.graph import levels as levels_module
 from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import compute_levels
 from repro.ir.accesses import ReadTable
@@ -71,27 +71,23 @@ def _trisolve_loop(nx: int = 9, ny: int = 8):
 
 @pytest.fixture
 def analysis_calls(monkeypatch):
-    """Call counts of the two dependence-analysis entry points:
-    ``compute_levels`` (wrapped in every module that imported it by name)
-    and ``DependenceGraph.from_loop``."""
-    calls = {"compute_levels": 0, "from_loop": 0}
-    real_levels = levels_module.compute_levels
+    """Call counts of the two dependence-analysis entry points: the
+    inspector's level pass (``native.inspect`` without a given order,
+    which ``compute_levels`` and ``build_inspector_record`` each call
+    once, whichever body then runs) and ``DependenceGraph.from_loop``."""
+    calls = {"levels": 0, "from_loop": 0}
+    real_inspect = native.inspect
     real_from_loop = DependenceGraph.from_loop.__func__
 
-    def counted_levels(*args, **kwargs):
-        calls["compute_levels"] += 1
-        return real_levels(*args, **kwargs)
+    def counted_inspect(loop, *, order=None, codes=True):
+        calls["levels"] += order is None
+        return real_inspect(loop, order=order, codes=codes)
 
     def counted_from_loop(cls, loop):
         calls["from_loop"] += 1
         return real_from_loop(cls, loop)
 
-    for module in list(sys.modules.values()):
-        if (
-            getattr(module, "__name__", "").startswith("repro")
-            and getattr(module, "compute_levels", None) is real_levels
-        ):
-            monkeypatch.setattr(module, "compute_levels", counted_levels)
+    monkeypatch.setattr(native, "inspect", counted_inspect)
     monkeypatch.setattr(
         DependenceGraph, "from_loop", classmethod(counted_from_loop)
     )
@@ -99,9 +95,9 @@ def analysis_calls(monkeypatch):
 
 
 def analyses(levels: int) -> dict:
-    """The counts ``levels`` level computations leave: the sweep builds no
-    dependence graph."""
-    return {"compute_levels": levels, "from_loop": 0}
+    """The counts ``levels`` level computations leave: the inspector
+    builds no dependence graph."""
+    return {"levels": levels, "from_loop": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +649,41 @@ def test_a_rebound_record_array_rebuilds_the_block(warm_path, rebind):
     assert np.array_equal(result.y, loop.run_sequential())
     parallelize(loop, spec=VECTORIZED, cache=cache)
     assert warm_path.counts["arg_block"] == 2
+
+
+@needs_compiler
+@pytest.mark.parametrize("loop_of", ("doall", "chain"))
+def test_an_identity_walk_keeps_its_block_on_the_loop(warm_path, loop_of):
+    # An identity-order record walks the loop's own arrays: the loop
+    # keeps the block, so ten warm calls build one.
+    l = 7 if loop_of == "doall" else 8
+    loop = make_test_loop(n=800, m=5, l=l)
+    oracle = loop.run_sequential()
+    cache = InspectorCache()
+    for _ in range(10):
+        result, _ = parallelize(loop, spec=VECTORIZED, cache=cache)
+        assert result.extras["walk"]["layout"] == "identity"
+        assert result.extras["kernel"]["body"] == "native"
+        assert_same_bits(result.y, oracle)
+    assert warm_path.counts["arg_block"] == 1
+    assert warm_path.counts["make_runner"] == 1
+    (record,) = cache._entries.values()
+    assert record.arg_block is None
+    assert loop.arg_block.holds(
+        record.schedule.order, record.codes, loop.write, loop.reads.ptr,
+        loop.reads.index, None,
+    )
+    # Dropped with the fingerprint memo: by copies, and by a rehash.
+    for clone in (copy.deepcopy(loop), pickle.loads(pickle.dumps(loop))):
+        assert clone.arg_block is None
+    loop.reads = ReadTable(loop.reads.ptr.copy(), loop.reads.index.copy(),
+                           loop.reads.coeff)
+    parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert warm_path.counts["arg_block"] == 2
+    assert loop.arg_block.holds(
+        record.schedule.order, record.codes, loop.write, loop.reads.ptr,
+        loop.reads.index, None,
+    )
 
 
 @needs_compiler
