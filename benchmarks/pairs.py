@@ -6,15 +6,17 @@ a claimed gain clears the parent's own spread.
 
 The parent is ``git archive`` of ``--parent`` unpacked into a temporary
 directory (nothing is fetched; the repository is not touched); the change
-is this checkout.  Each run is ``benchmarks/e2e/run.py`` of its own tree
-in a fresh process; pair ``k`` runs the parent first when ``k`` is odd and
+is this checkout.  Each run is ``benchmarks/e2e/run.py --trace 0`` of its
+own tree in a fresh process (a traced run reports per-layer metrics, not
+the gated ones); pair ``k`` runs the parent first when ``k`` is odd and
 the change first when it is even, so drift of the machine falls on both
 sides alike.  Per workload and gated metric (``BENCHMARK.json``'s
 ``end_to_end``) it prints the median and ``[p25, p75]`` of parent ->
 change and the pairs the change won in the metric's direction.  For each
 ``--claim`` it prints ``claim met`` only when the medians differ by more
 than the parent's quartile spread (``p75 - p25``) in the better
-direction, else ``claim not met``.  Every run appends one JSON line (sha,
+direction and the change won at least nine tenths of the pairs (a tie
+counts for neither side), else ``claim not met``.  Every run appends one JSON line (sha,
 machine, workload, side, every gated metric, correctness) to
 ``--out`` (default ``benchmarks/results/pairs.jsonl``).
 
@@ -71,13 +73,13 @@ def change_sha() -> str:
     return sha + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run of ``tree`` in a fresh process: its result line."""
     proc = subprocess.run(
         [
             sys.executable, str(tree / "benchmarks" / "e2e" / "run.py"),
             "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace),
+            "--seconds", str(seconds), "--trace", "0",
         ],
         cwd=tree, capture_output=True, text=True, timeout=seconds * 10 + 300,
     )
@@ -103,9 +105,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return p25, median, p75
 
 
+def pairs_won(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs whose change run is strictly better; a tie wins none."""
+    return sum(
+        (c < p) if better == "lower" else (c > p) for p, c in zip(parent, change)
+    )
+
+
 def verdict(parent: list[float], change: list[float], better: str) -> bool:
-    """Whether the change's median beats the parent's by more than the
-    parent's quartile spread, in the ``better`` direction."""
+    """Whether the change won at least nine tenths of the pairs and its
+    median beats the parent's by more than the parent's quartile spread,
+    in the ``better`` direction."""
+    if 10 * pairs_won(parent, change, better) < 9 * len(parent):
+        return False
     p25, p_med, p75 = quartiles(parent)
     gain = p_med - quartiles(change)[1]
     return (gain if better == "lower" else -gain) > p75 - p25
@@ -119,7 +131,7 @@ def report(workload: str, rows: list[tuple[dict, dict]], claims: list[str]) -> l
     for name, better in directions.items():
         parent = [p["metrics"][name]["value"] for p, _ in rows]
         change = [c["metrics"][name]["value"] for _, c in rows]
-        won = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+        won = pairs_won(parent, change, better)
         (a25, a, a75), (b25, b, b75) = quartiles(parent), quartiles(change)
         delta = (b - a) / a * 100 if a else float("nan")
         print(
@@ -146,7 +158,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--seed", type=int, default=1991)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--claim", action="append", default=[],
                     help="a gated metric claimed to improve (repeatable)")
     ap.add_argument("--out", type=Path, default=RESULTS)
@@ -173,12 +184,11 @@ def main(argv=None) -> int:
                 got = {}
                 for side in first:
                     tree, sha = sides[side]
-                    result = run_once(tree, workload, args.seed, args.seconds, args.trace)
+                    result = run_once(tree, workload, args.seed, args.seconds)
                     got[side] = result
                     row = {
                         "sha": sha, "side": side, "pair": k, "workload": workload,
-                        "seed": args.seed, "seconds": args.seconds,
-                        "trace": args.trace, **machine,
+                        "seed": args.seed, "seconds": args.seconds, **machine,
                         "correct": result["correct"], "failed": result["failed"],
                         "metrics": {
                             name: result["metrics"][name]["value"]

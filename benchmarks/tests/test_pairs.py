@@ -52,3 +52,17 @@ def test_the_verdict_needs_more_than_the_parent_spread():
     assert not verdict(parent, [1.0, 1.0, 1.05, 1.1], "lower")  # gain 0.125
     assert not verdict(parent, [0.9, 0.95, 0.99, 1.0], "higher")
     assert verdict(parent, [1.4, 1.4, 1.4, 1.4], "higher")
+
+
+def test_the_verdict_needs_nine_tenths_of_the_pairs_won():
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        from pairs import verdict
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
+    parent = [1.0] * 10  # spread 0
+    # The median gain (0.25) clears the spread, but five pairs tie.
+    assert not verdict(parent, [0.5] * 5 + [1.0] * 5, "lower")
+    assert not verdict(parent, [0.5] * 8 + [1.0] * 2, "lower")
+    assert verdict(parent, [0.5] * 9 + [1.0], "lower")
+    assert not verdict(parent, [0.5] * 9 + [1.0], "higher")

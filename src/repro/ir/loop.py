@@ -97,7 +97,12 @@ class IrregularLoop:
     #: The compiled walk's argument block of an identity-order record
     #: over this loop's own ``write`` / ``ptr`` / ``index``
     #: (:class:`~repro.backends.native.ArgBlock`); kept and dropped with
-    #: the fingerprint memo.
+    #: the fingerprint memo, and replaced when a walk of another record
+    #: finds it does not hold that record's arrays.  It references the
+    #: last such record's ``order`` and ``codes``, so it keeps them alive
+    #: after an :class:`~repro.backends.cache.InspectorCache` has evicted
+    #: or dropped that record: for identity-order structures the cache's
+    #: capacity does not bound the inspector memory a live loop holds.
     arg_block: object = None
 
     def __init__(
