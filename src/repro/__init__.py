@@ -40,8 +40,8 @@ Subpackages
 - :mod:`repro.passes` — planning: the consolidated :class:`PlanSpec` run
   configuration, :func:`plan_loop` making the Figure-3 preprocessing
   decisions into one typed :class:`Plan` for every backend,
-  :func:`execute_plan` running it, and the telemetry-driven auto-tuner
-  behind ``PlanSpec(backend="auto")``.
+  :func:`execute_plan` running it, and the wall-time auto-tuner behind
+  ``PlanSpec(backend="auto")``.
 """
 
 from repro._version import __version__

@@ -437,8 +437,9 @@ class InspectorCache:
     capacity:
         Maximum number of dependence structures retained; least recently
         used entries are evicted first.  The bound applies to the records
-        and, separately, to the level-schedule memo and to the simulated
-        backend's operands.
+        and, separately, to the level-schedule memo, to the simulated
+        backend's operands, to the memoized runners and to the tuner
+        slots.
 
     Attributes
     ----------
@@ -451,12 +452,12 @@ class InspectorCache:
     sim_hits, sim_misses:
         The same for :meth:`sim_operands`, the simulated backend's lookups.
     evictions:
-        Records, level schedules, simulated operands and memoized runners
-        dropped by the capacity bound.
+        Records, level schedules, simulated operands, memoized runners and
+        tuner slots dropped by the capacity bound.
 
     Beyond inspector records, the cache carries the auto-tuner's state
-    (:meth:`tuner_state`): per-fingerprint wall-time measurements,
-    telemetry features, and the current backend decision.  Keying both
+    (:meth:`tuner_state`): per-fingerprint wall-time measurements and
+    the current backend decision.  Keying both
     under the same content address is deliberate — "same dependence
     structure" is one notion shared by preprocessing amortization and by
     tuning (:mod:`repro.passes.autotune`).
@@ -478,7 +479,7 @@ class InspectorCache:
         self._entries: OrderedDict[str, InspectorRecord] = OrderedDict()
         self._levels: OrderedDict[str, LevelSchedule] = OrderedDict()
         self._sim: OrderedDict[tuple, object] = OrderedDict()
-        self._tuner: dict[str, dict] = {}
+        self._tuner: OrderedDict[str, dict] = OrderedDict()
         self._runners: OrderedDict[tuple, object] = OrderedDict()
 
     def __len__(self) -> int:
@@ -612,15 +613,20 @@ class InspectorCache:
         """The auto-tuner's mutable slot for one dependence structure.
 
         Layout: ``{"measurements": {backend: [wall_seconds, ...]},
-        "features": {backend: {...}}, "decision": dict | None}``.  Slots
-        are created on demand, are not subject to the LRU bound (tuning
-        history is cheap; inspector records are the memory hogs), and are
-        dropped only by :meth:`clear`.
+        "decision": dict | None}``.  Slots are created on demand and kept
+        under the capacity bound like a record: the least recently used
+        is evicted (and counted in ``evictions``), so a long-lived store
+        such as the process-wide
+        :func:`~repro.passes.autotune.default_tuner_store` holds at most
+        ``capacity`` of them.
         """
-        return self._tuner.setdefault(
-            fingerprint,
-            {"measurements": {}, "features": {}, "decision": None},
-        )
+        state = self._tuner.get(fingerprint)
+        if state is None:
+            state = {"measurements": {}, "decision": None}
+            self._store(self._tuner, fingerprint, state)
+        else:
+            self._tuner.move_to_end(fingerprint)
+        return state
 
     def clear(self) -> None:
         """Drop all records, the level-schedule memo, the simulated

@@ -193,7 +193,7 @@ def parallelize(
     spec:
         A :class:`~repro.passes.spec.PlanSpec` — every per-run option
         (backend, processors, schedule, chunk, reorder, analyze, validate,
-        observe, diagnose, wait_timeout).  An option the backend cannot
+        observe, wait_timeout).  An option the backend cannot
         honor raises a structured
         :class:`~repro.passes.spec.UnsupportedPlanOption` at plan time.
     backend, processors:
@@ -202,8 +202,9 @@ def parallelize(
         selected strategy in simulated cycles; the wall-clock backends
         execute every strategy through the same generalized protocol (the
         plan still records what a specializing compiler would have done);
-        ``"auto"`` lets the telemetry-driven tuner pick a measured backend
-        per dependence structure (:mod:`repro.passes.autotune`).
+        ``"auto"`` lets the tuner pick the backend with the lowest median
+        wall time per dependence structure (:mod:`repro.passes.autotune`);
+        its runs are observed only when ``spec.observe`` asks.
     cost_model:
         Cycle costs for the simulated machine (and the vectorized
         backend's sequential-cycle estimate).

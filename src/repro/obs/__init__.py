@@ -26,7 +26,9 @@ backends that run on real hardware, under one schema:
   :class:`~repro.backends.hooks.Observe` run hook).
 - :mod:`repro.obs.doctor` / :mod:`repro.obs.findings` — the perf
   doctor: structured findings from one run's telemetry, each with a
-  machine-readable recommendation the auto-tuner consumes as a prior.
+  machine-readable recommendation (a plan option to try next).  The
+  auto-tuner reads none of it: it trains on wall time
+  (:mod:`repro.passes.autotune`).
 - :mod:`repro.obs.cli` — ``python -m repro explain``: one planned,
   observed, diagnosed run of any builtin workload on any backend,
   reported (or exported).

@@ -28,9 +28,8 @@ against one run's :class:`~repro.obs.telemetry.Telemetry` blob:
   spin rung: stalls are long, not momentary flag races.
 
 Each rule emits a :class:`~repro.obs.findings.Finding` with the numbers
-it judged and a machine-readable recommendation;
-:func:`repro.passes.autotune.record_doctor_hints` turns those
-recommendations into auto-tuner priors.
+it judged and a machine-readable recommendation — a plan option to try
+next, for the reader or the tool reading ``explain --json``.
 """
 
 from __future__ import annotations
@@ -274,8 +273,7 @@ def diagnose_result(result) -> list[Finding]:
     telemetry (``observe=True`` runs)."""
     if result.telemetry is None:
         raise ValueError(
-            "result has no telemetry; run with observe=True (or "
-            "PlanSpec(diagnose=True)) to collect it"
+            "result has no telemetry; run with observe=True to collect it"
         )
     return diagnose(
         result.telemetry,

@@ -81,8 +81,7 @@ class Finding:
     recommendation:
         Machine-readable remedy: a partial plan-option dict
         (``{"backend": "vectorized"}``, ``{"analyze": "symbolic"}``)
-        the auto-tuner consumes as a prior hint; empty when the finding
-        is purely informational.
+        to try next; empty when the finding is purely informational.
     """
 
     kind: str

@@ -6,7 +6,7 @@ mining — are made by one straight-line function, :func:`plan_loop`, and
 recorded as the typed fields of one :class:`Plan` that every backend
 consumes.  :class:`PlanSpec` is the frozen value object describing a
 run's configuration, and :mod:`repro.passes.autotune` closes the loop
-from the telemetry layer back into planning (``PlanSpec(backend="auto")``).
+from measured wall time back into planning (``PlanSpec(backend="auto")``).
 
 Quick tour::
 
@@ -21,7 +21,6 @@ Quick tour::
 from repro.passes.autotune import (
     AUTO_CANDIDATES,
     TunerDecision,
-    features_from_telemetry,
     record_run_outcome,
 )
 from repro.passes.execute import execute_plan
@@ -46,7 +45,6 @@ __all__ = [
     "UnsupportedPlanOption",
     "check_options",
     "execute_plan",
-    "features_from_telemetry",
     "plan_loop",
     "record_run_outcome",
 ]

@@ -13,7 +13,6 @@ notes).  :func:`repro.core.doacross.parallelize` is
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import replace
 
 from repro.backends.base import note_verdict
@@ -56,8 +55,8 @@ def execute_plan(
     :data:`~repro.passes.spec.OPTION_SUPPORT`): when the auto-tuner
     rebases a chunked spec onto a chunk-less backend, ``plan.chunk`` is
     already ``None`` — an adaptation the plan records, not an ignored
-    option.  Auto-planned runs are always observed, and their wall time +
-    telemetry are fed back into the tuner store afterwards.  An
+    option.  An auto-planned run's wall time is fed back into the tuner
+    store afterwards; it is observed only when ``spec.observe`` asks.  An
     unobserved, unvalidated run with a ``cache`` on a backend of
     :data:`_SHARED_RUNNERS` runs on the hook-free runner memoized there
     (``InspectorCache.runner_for``); every other run builds its own.
@@ -69,19 +68,14 @@ def execute_plan(
     """
     spec = plan.spec
     backend = plan.backend
-    auto = spec.backend == AUTO_BACKEND
     supported = OPTION_SUPPORT[backend]
     verdict = plan.verdict
-    # Telemetry is the tuner's training data: auto runs always observe;
-    # diagnosis reads telemetry, so diagnose implies observe.
-    observe = spec.observe or auto or spec.diagnose
 
     def build(cache):
         return _backends().make_runner(
             spec=replace(
                 spec,
                 backend=backend,
-                observe=observe,
                 # The simulated backend models the inspector as a costed
                 # phase; its analyze handling is planning-level (verdict
                 # below).
@@ -98,7 +92,7 @@ def execute_plan(
 
     if (
         cache is not None
-        and not observe
+        and not spec.observe
         and spec.validate is None
         and backend in _SHARED_RUNNERS
     ):
@@ -141,9 +135,7 @@ def execute_plan(
         # The plan certified group-synchronous execution.
         run_kwargs["group_sync"] = elision["group"]
 
-    started = time.perf_counter()
     result = runner.run(loop, **run_kwargs)
-    elapsed = time.perf_counter() - started
 
     if order_label is not None and backend in ("threaded", "multiproc"):
         # These execute whatever order they are handed, unlabelled (the
@@ -159,23 +151,9 @@ def execute_plan(
         # Every other backend was handed ``analyze`` and noted it itself.
         note_verdict(result, spec.analyze, verdict)
 
-    if auto:
+    if spec.backend == AUTO_BACKEND:
+        # Every tuner candidate is a wall-clock runner: wall_seconds is set.
         result.extras["tuner"] = plan.tuner.as_dict()
         store = cache if cache is not None else default_tuner_store()
-        wall = result.wall_seconds if result.wall_seconds is not None else elapsed
-        record_run_outcome(
-            store, plan.fingerprint, backend, wall, telemetry=result.telemetry
-        )
-
-    if spec.diagnose and result.telemetry is not None:
-        from repro.passes.autotune import record_doctor_hints
-        from repro.obs.doctor import diagnose_result
-
-        findings = diagnose_result(result)
-        result.extras["doctor"] = [f.as_dict() for f in findings]
-        if cache is not None:
-            # A shared cache is the tuner's memory: the doctor's backend
-            # recommendation becomes a prior for later auto runs of this
-            # structure (a private store would discard it immediately).
-            record_doctor_hints(cache, plan.fingerprint, findings)
+        record_run_outcome(store, plan.fingerprint, backend, result.wall_seconds)
     return result

@@ -231,8 +231,6 @@ def plan_loop(
         tuner = choose_backend(
             levels,
             fingerprint,
-            loop.n,
-            spec.chunk,
             cache if cache is not None else default_tuner_store(),
         )
         backend = tuner.backend

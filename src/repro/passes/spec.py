@@ -130,7 +130,7 @@ OPTION_REASONS: dict[tuple[str, str], str] = {
         "iteration schedules"
     ),
     ("auto", "sanitize"): (
-        "the sanitizer's shadow logging inflates the telemetry the tuner "
+        "the sanitizer's shadow logging inflates the wall time the tuner "
         "trains on; sanitize against a concrete backend instead"
     ),
 }
@@ -195,7 +195,7 @@ class PlanSpec:
     ----------
     backend:
         One of :data:`SPEC_BACKENDS` — a concrete executor or ``"auto"``
-        (the telemetry-driven tuner picks one per structural fingerprint).
+        (the wall-time tuner picks one per structural fingerprint).
     processors:
         Simulated processors / thread count / worker count (backend
         dependent; the vectorized backend's parallelism is the wavefront
@@ -222,15 +222,9 @@ class PlanSpec:
         a witnessed happens-before edge.
     observe:
         Attach a :class:`~repro.obs.telemetry.Telemetry` blob to the
-        result.  Forced on under ``backend="auto"``: telemetry is the
-        tuner's training data.
-    diagnose:
-        Run the perf doctor (:mod:`repro.obs.doctor`) over the run's
-        telemetry and attach its findings under ``extras["doctor"]``.
-        Implies ``observe`` (the doctor reads telemetry), and — when a
-        shared :class:`~repro.backends.cache.InspectorCache` is passed —
-        records the findings' backend recommendations as auto-tuner
-        hints.
+        result (the perf doctor, :func:`repro.obs.doctor.diagnose_result`,
+        reads it).  An ``"auto"`` run is observed only when asked: the
+        tuner trains on wall time alone.
     wait_timeout:
         Ceiling in seconds on any single blocking busy-wait: the timeout
         rung of the :class:`~repro.backends.waitladder.WaitLadder` the
@@ -251,7 +245,6 @@ class PlanSpec:
     analyze: str | None = None
     validate: str | None = None
     observe: bool = False
-    diagnose: bool = False
     wait_timeout: float | None = None
 
     def __post_init__(self) -> None:

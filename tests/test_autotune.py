@@ -1,12 +1,13 @@
-"""Tests for the telemetry-driven auto-tuner (ISSUE 6 tentpole):
-``backend="auto"`` through ``plan_loop`` / ``execute_plan``.
+"""Tests for the wall-time auto-tuner: ``backend="auto"`` through
+``plan_loop`` / ``execute_plan``.
 
-Covers the feature extraction, the explore-then-exploit policy, the
+Covers the explore-then-exploit policy over measured wall times, the
 persistence of decisions/measurements on a shared
 :class:`~repro.backends.cache.InspectorCache` (keyed by the same
-structural fingerprint the inspector cache amortizes under), and the
-end-to-end correctness contract: whatever the tuner picks, ``y`` is
-bitwise equal to the sequential oracle.
+structural fingerprint the inspector cache amortizes under, and bounded
+by its capacity), observation only on request, and the end-to-end
+correctness contract: whatever the tuner picks, ``y`` is bitwise equal
+to the sequential oracle.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import pytest
 
 from repro.backends.cache import InspectorCache, loop_fingerprint
 from repro.core.doacross import parallelize
-from repro.passes import (
-    PlanSpec,
-    features_from_telemetry,
-    plan_loop,
-    record_run_outcome,
-)
-from repro.passes.autotune import record_doctor_hints
+from repro.passes import PlanSpec, plan_loop, record_run_outcome
 from repro.passes.autotune import AUTO_CANDIDATES, _MAX_SAMPLES, TunerDecision
 from repro.workloads.testloop import make_test_loop
 
@@ -38,42 +33,6 @@ def cache():
 
 
 # ---------------------------------------------------------------------------
-# Feature extraction
-# ---------------------------------------------------------------------------
-
-
-class TestFeatures:
-    def test_threaded_run_yields_wait_fractions(self, loop):
-        result, _ = parallelize(
-            loop, spec=PlanSpec(backend="threaded", processors=2, observe=True)
-        )
-        features = features_from_telemetry(result.telemetry)
-        assert set(features) >= {"wait_fraction", "mean_wait_fraction"}
-        assert all(isinstance(k, str) for k in features["wait_fraction"])
-        assert all(v >= 0.0 for v in features["wait_fraction"].values())
-        assert features["mean_wait_fraction"] >= 0.0
-
-    def test_vectorized_run_yields_level_width_histogram(self, loop):
-        result, _ = parallelize(
-            loop,
-            spec=PlanSpec(backend="vectorized", processors=2, observe=True),
-        )
-        features = features_from_telemetry(result.telemetry)
-        hist = features["level_width"]
-        assert hist["count"] > 0
-        assert hist["sum"] == loop.n  # widths over all levels sum to n
-
-    def test_features_are_json_safe(self, loop):
-        import json
-
-        result, _ = parallelize(
-            loop, spec=PlanSpec(backend="threaded", processors=2, observe=True)
-        )
-        features = features_from_telemetry(result.telemetry)
-        assert json.loads(json.dumps(features)) == features
-
-
-# ---------------------------------------------------------------------------
 # The tuner store on InspectorCache
 # ---------------------------------------------------------------------------
 
@@ -81,7 +40,7 @@ class TestFeatures:
 class TestTunerStore:
     def test_state_shape_and_identity(self, cache):
         state = cache.tuner_state("fp-1")
-        assert state == {"measurements": {}, "features": {}, "decision": None}
+        assert state == {"measurements": {}, "decision": None}
         assert cache.tuner_state("fp-1") is state  # persistent, not a copy
         assert cache.stats()["tuner_entries"] == 1
 
@@ -92,21 +51,21 @@ class TestTunerStore:
         assert len(samples) == _MAX_SAMPLES
         assert samples == [float(i) for i in range(4, _MAX_SAMPLES + 4)]
 
-    def test_record_run_outcome_stores_features(self, cache, loop):
-        result, _ = parallelize(
-            loop, spec=PlanSpec(backend="threaded", processors=2, observe=True)
-        )
-        record_run_outcome(
-            cache, "fp-1", "threaded", 0.01, telemetry=result.telemetry
-        )
-        stored = cache.tuner_state("fp-1")["features"]["threaded"]
-        assert "mean_wait_fraction" in stored
-
     def test_clear_drops_tuner_state(self, cache):
         cache.tuner_state("fp-1")["measurements"]["threaded"] = [1.0]
         cache.clear()
         assert cache.stats()["tuner_entries"] == 0
         assert cache.tuner_state("fp-1")["measurements"] == {}
+
+    def test_slots_are_bounded_and_their_evictions_counted(self):
+        cache = InspectorCache(capacity=2)
+        first = cache.tuner_state("fp-1")
+        cache.tuner_state("fp-2")
+        evictions = cache.evictions
+        cache.tuner_state("fp-3")
+        assert cache.evictions == evictions + 1
+        assert cache.stats()["tuner_entries"] == 2
+        assert cache.tuner_state("fp-1") is not first  # oldest slot gone
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +138,6 @@ class TestPolicy:
 
         decision = TunerDecision(
             backend="vectorized",
-            chunk=None,
             source="telemetry",
             reason="test",
             fingerprint="fp",
@@ -206,10 +164,18 @@ class TestAutoEndToEnd:
         )
         assert plan.describe()  # the transform plan still rides along
 
-    def test_auto_runs_are_always_observed(self, loop, cache):
-        # Telemetry is the tuner's training data, so observe is forced on.
+    def test_auto_observes_only_when_asked(self, loop, cache):
+        # The tuner trains on wall time: telemetry is the caller's choice.
         result, _ = parallelize(loop, backend="auto", cache=cache)
-        assert result.telemetry is not None
+        assert result.telemetry is None
+        assert result.wall_seconds is not None
+        observed, _ = parallelize(
+            loop,
+            spec=PlanSpec(backend="auto", processors=2, observe=True),
+            cache=cache,
+        )
+        assert observed.telemetry is not None
+        assert observed.extras["tuner"]["backend"] in AUTO_CANDIDATES
 
     def test_auto_feeds_measurements_back(self, loop, cache):
         parallelize(loop, backend="auto", cache=cache)
@@ -234,95 +200,3 @@ class TestAutoEndToEnd:
         )
         assert np.array_equal(result.y, loop.run_sequential())
         assert result.extras["schedule_plan"]["backend"] in AUTO_CANDIDATES
-
-
-# ---------------------------------------------------------------------------
-# Perf-doctor hints as tuner priors
-# ---------------------------------------------------------------------------
-
-
-class TestDoctorHints:
-    def _hint(self, cache, fp, backend="vectorized"):
-        from repro.obs.findings import Finding
-
-        record_doctor_hints(
-            cache,
-            fp,
-            [
-                Finding(
-                    kind="wait_bound",
-                    severity="critical",
-                    summary="lanes mostly busy-wait",
-                    evidence={"mean_wait_fraction": 0.9},
-                    recommendation={"backend": backend},
-                )
-            ],
-        )
-
-    def test_hint_recorded_from_first_backend_recommendation(self, cache):
-        self._hint(cache, "fp-1")
-        hints = cache.tuner_state("fp-1")["hints"]
-        assert hints["backend"] == "vectorized"
-        assert hints["kind"] == "wait_bound"
-
-    def test_finding_without_backend_records_nothing(self, cache):
-        from repro.obs.findings import Finding
-
-        record_doctor_hints(
-            cache,
-            "fp-1",
-            [
-                Finding(
-                    kind="cache_cold",
-                    severity="info",
-                    summary="cold cache",
-                    evidence={},
-                    recommendation={"cache": "share"},
-                )
-            ],
-        )
-        assert "hints" not in cache.tuner_state("fp-1")
-
-    def test_hinted_backend_is_measured_first(self, loop, cache):
-        # The width heuristic would rank vectorized first on this wide
-        # loop; a threaded hint overrides it.
-        self._hint(cache, loop_fingerprint(loop), backend="threaded")
-        plan = plan_loop(loop, PlanSpec(backend="auto"), cache=cache)
-        assert plan.backend == "threaded"
-        assert plan.tuner.source == "hint"
-        assert "doctor" in plan.tuner.reason
-
-    def test_hint_shortcuts_remaining_exploration(self, loop, cache):
-        # With a hint, explore stops after the hinted backend is timed —
-        # the tuner exploits without measuring the other two candidates.
-        fp = loop_fingerprint(loop)
-        self._hint(cache, fp, backend="threaded")
-        first = plan_loop(loop, PlanSpec(backend="auto"), cache=cache)
-        record_run_outcome(cache, fp, first.backend, 0.01)
-        second = plan_loop(loop, PlanSpec(backend="auto"), cache=cache)
-        assert second.backend == "threaded"
-        assert second.tuner.source == "hint"
-        assert "without timing" in second.tuner.reason
-        # Unhinted, the same state would still be exploring.
-        del cache.tuner_state(fp)["hints"]
-        unhinted = plan_loop(loop, PlanSpec(backend="auto"), cache=cache)
-        assert unhinted.tuner.source == "explore"
-
-    def test_diagnose_run_with_cache_plants_hint(self, cache):
-        # End to end: a PlanSpec(diagnose=True) run on a wait-bound loop
-        # leaves a hint the next auto plan consumes.
-        from repro import chain_loop
-
-        chain = chain_loop(300, 1)
-        result, _ = parallelize(
-            chain,
-            spec=PlanSpec(backend="threaded", processors=8, diagnose=True),
-            cache=cache,
-        )
-        kinds = [f["kind"] for f in result.extras["doctor"]]
-        assert "wait_bound" in kinds
-        hints = cache.tuner_state(loop_fingerprint(chain)).get("hints")
-        assert hints is not None
-        plan = plan_loop(chain, PlanSpec(backend="auto"), cache=cache)
-        assert plan.tuner.source == "hint"
-        assert plan.backend == hints["backend"]

@@ -1,9 +1,11 @@
 """Tests for level scheduling, with networkx as an independent oracle.
 
-``compute_levels`` is one sweep of the max-plus recurrence with two bodies
-— compiled and, where no compiled object exists, Python — and every
-comparison below runs both (``tests/conftest.py::no_compiler`` takes the
-compiler away).
+For a loop, ``compute_levels`` is the compiled inspector's level pass
+(``native.inspect(codes=False)``); where no compiled object exists it is
+``sweep_levels``, the no-compiler body: one max-plus sweep in Python.  For
+a dependence graph it is one max-plus sweep over the predecessor lists.
+Every comparison below runs with and without the compiler
+(``tests/conftest.py::no_compiler`` takes it away).
 """
 
 import contextlib

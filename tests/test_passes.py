@@ -40,6 +40,7 @@ from repro.passes import (
     execute_plan,
     plan_loop,
 )
+from repro.passes.spec import OPTION_REASONS
 from repro.sparse.ilu import ilu0
 from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
@@ -115,14 +116,32 @@ def _as_parent_spelled(elision):
     )
 
 
+#: The auto/sanitize rejection as the commit ``PINNED`` was captured at
+#: worded it (the tuner trained on telemetry then; now on wall time).
+_PARENT_AUTO_SANITIZE = (
+    "the sanitizer's shadow logging inflates the telemetry the tuner "
+    "trains on; sanitize against a concrete backend instead"
+)
+
+
 def _pin_cell(loop, spec_kwargs, cache):
     """Everything one ``plan_loop`` call decided (fingerprints dropped), or
-    the error it raised."""
+    the error it raised.  Fields removed after the capture are put back
+    with the value they always held — ``PlanSpec.diagnose`` (``False``)
+    and ``TunerDecision.chunk`` (the spec's) — and the auto/sanitize
+    rejection is worded as it was, so the digests still pin the
+    decisions."""
     try:
         plan = plan_loop(loop, PlanSpec(**spec_kwargs), cache)
     except ScheduleError as exc:
-        return [type(exc).__name__, str(exc)]
+        message = str(exc).replace(
+            OPTION_REASONS[("auto", "sanitize")], _PARENT_AUTO_SANITIZE
+        )
+        return [type(exc).__name__, message]
     described = plan.describe()
+    described["spec"]["diagnose"] = False
+    if "tuner" in described:
+        described["tuner"]["chunk"] = spec_kwargs["chunk"]
     del described["fingerprint"]
     # Added after the capture; which body computed the levels depends on
     # the machine (a compiler or not), not on the planning decisions.

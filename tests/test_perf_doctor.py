@@ -258,11 +258,12 @@ class TestDiagnoseContract:
         loop = chain_loop(120, 1)
         result, _ = parallelize(
             loop,
-            spec=PlanSpec(backend="threaded", processors=4, diagnose=True),
+            spec=PlanSpec(backend="threaded", processors=4, observe=True),
         )
-        assert result.telemetry is not None  # diagnose implies observe
-        assert isinstance(result.extras["doctor"], list)
-        for f in result.extras["doctor"]:
+        assert result.telemetry is not None  # the doctor reads telemetry
+        findings = [f.as_dict() for f in diagnose_result(result)]
+        assert isinstance(findings, list)
+        for f in findings:
             assert set(f) == {
                 "kind", "severity", "summary", "evidence", "recommendation",
             }
@@ -334,9 +335,9 @@ class TestEndToEnd:
         loop = chain_loop(400, 1)
         result, _ = parallelize(
             loop,
-            spec=PlanSpec(backend="threaded", processors=8, diagnose=True),
+            spec=PlanSpec(backend="threaded", processors=8, observe=True),
         )
-        findings = {f["kind"]: f for f in result.extras["doctor"]}
+        findings = {f.kind: f.as_dict() for f in diagnose_result(result)}
         assert "wait_bound" in findings
         assert findings["wait_bound"]["severity"] in ("warning", "critical")
         recommended = findings["wait_bound"]["recommendation"]["backend"]

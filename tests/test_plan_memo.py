@@ -17,7 +17,8 @@ fingerprint as the inspector record:
 (f) a warm unobserved call pays its walk: no fingerprint hashed, no
     runner built (the hook-free runner is memoized on the cache), one
     native argument block per gathered record and one per loop walked in
-    identity order — and hooked runs, threads,
+    identity order; a steady unobserved ``auto`` call likewise — and
+    hooked runs, threads,
     rebound record arrays, shared identity records and odd operands still
     get what they got before.
 """
@@ -50,6 +51,7 @@ from repro.graph.levels import compute_levels
 from repro.ir.accesses import ReadTable
 from repro.passes import execute_plan, plan_loop
 from repro.passes import plan as plan_module
+from repro.passes.autotune import AUTO_CANDIDATES
 from repro.sparse.ilu import ilu0
 from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop
@@ -543,7 +545,7 @@ def test_kept_runners_are_bounded_and_their_evictions_counted():
         PlanSpec(backend="vectorized", observe=True),
         PlanSpec(backend="vectorized", validate="sanitize"),
         PlanSpec(backend="vectorized", validate="static"),
-        PlanSpec(backend="auto", processors=2),
+        PlanSpec(backend="auto", processors=2, observe=True),
     ),
     ids=("observe", "sanitize", "static", "auto"),
 )
@@ -568,6 +570,24 @@ def test_a_hooked_run_gets_a_fresh_runner_and_leaves_the_memo_bare(
     assert bare.telemetry is None
     assert warm_path.counts["make_runner"] == 1
     assert list(cache._runners.values()) == [memoized]
+
+
+def test_a_steady_unobserved_auto_call_builds_no_runner(warm_path):
+    # Once the tuner exploits, an auto call is served by the hook-free
+    # runner kept on the cache, like a fixed-backend call.
+    loop = random_irregular_loop(2000, max_terms=4, seed=1991)
+    oracle = loop.run_sequential()
+    cache, spec = InspectorCache(), PlanSpec(backend="auto", processors=2)
+    for _ in range(len(AUTO_CANDIDATES) + 1):
+        result, _ = parallelize(loop, spec=spec, cache=cache)
+        if result.extras["tuner"]["source"] == "telemetry":
+            break
+    assert result.extras["tuner"]["source"] == "telemetry"
+    warm_path.reset()
+    result, _ = parallelize(loop, spec=spec, cache=cache)
+    assert warm_path.counts["make_runner"] == 0
+    assert result.telemetry is None
+    assert np.array_equal(result.y.view(np.uint64), oracle.view(np.uint64))
 
 
 def test_the_memo_keeps_no_reference_to_its_cache():

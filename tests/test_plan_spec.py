@@ -62,7 +62,6 @@ class TestValueObject:
             "analyze",
             "validate",
             "observe",
-            "diagnose",
             "wait_timeout",
         }
 

@@ -117,7 +117,7 @@ class TestOneSpelling:
             params = list(inspect.signature(fn).parameters)[skip:]
             assert len(params) <= 7
             assert not self.REMOVED & set(params)
-        assert len(dataclass_fields(PlanSpec)) == 10
+        assert len(dataclass_fields(PlanSpec)) == 9
 
     def test_positional_options_are_gone(self, loop):
         with pytest.raises(TypeError):

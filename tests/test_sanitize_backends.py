@@ -94,7 +94,7 @@ class TestSpecWiring:
         with pytest.raises(UnsupportedPlanOption) as info:
             plan_loop(chain_loop(60, 1), spec)
         assert info.value.option == "sanitize"
-        assert "telemetry" in str(info.value)
+        assert "wall time the tuner trains on" in str(info.value)
 
     def test_sanitize_pass_records_the_contract(self):
         loop = chain_loop(60, 1)
