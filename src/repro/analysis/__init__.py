@@ -32,7 +32,7 @@ from repro.analysis.elide import (
     records_equal,
     symbolic_fingerprint,
 )
-from repro.analysis.engine import analyze_loop, slot_term_map
+from repro.analysis.engine import analyze_loop, slot_terms
 from repro.analysis.eval import abstract_eval, facts_for_subscript
 from repro.analysis.proofs import Check, Proof, ProofStep, evaluate_check
 from repro.analysis.verdicts import (
@@ -56,7 +56,7 @@ from repro.analysis.verdicts import (
 
 __all__ = [
     "analyze_loop",
-    "slot_term_map",
+    "slot_terms",
     "abstract_eval",
     "facts_for_subscript",
     "check_proof",

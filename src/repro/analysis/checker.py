@@ -8,11 +8,16 @@ Two independent layers of defense for shipped verdicts:
   verdict.
 - :func:`cross_check` compares the verdict against the *runtime
   inspector's* value-level answer (:mod:`repro.ir.analysis`) on this loop
-  instance: a DOALL-proven loop must show no true dependence, a
-  constant-distance verdict must match every observed distance, and each
-  slot's claimed classification must match the observed category of every
-  one of its terms.  This is the debug mode behind
-  ``make_runner(..., analyze="symbolic+check")``.
+  instance: the declared slots must tile the read table and their
+  subscripts give its indices, a DOALL-proven loop must show no true
+  dependence, a constant-distance verdict must match every observed
+  distance and a proven lower bound the smallest one, a write proven
+  injective must be, and each slot's claimed classification must match
+  the observed category of every one of its terms.  It is the only code
+  that compares a verdict with its loop: the debug mode behind
+  ``make_runner(..., analyze="symbolic+check")`` and the ``VERDICT-CHECK``
+  lint rule, which ``python -m repro lint`` and ``validate="static"``
+  both run.
 """
 
 from __future__ import annotations
@@ -21,9 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.engine import analyze_loop, slot_term_map
+from repro.analysis.engine import analyze_loop, slot_terms
 from repro.analysis.verdicts import (
-    SLOT_ANTI,
     SLOT_INTRA,
     SLOT_NO_TRUE,
     SLOT_NONE,
@@ -34,7 +38,7 @@ from repro.analysis.verdicts import (
     DependenceVerdict,
     SlotDependence,
 )
-from repro.errors import ProofError
+from repro.errors import OutputDependenceError, ProofError
 from repro.ir.loop import IrregularLoop
 from repro.ir.analysis import (
     CAT_ANTI,
@@ -42,10 +46,13 @@ from repro.ir.analysis import (
     CAT_NONE,
     CAT_TRUE,
     classify_reads,
-    observed_distances,
+    sorted_unique,
 )
 
 __all__ = ["check_proof", "cross_check", "CrossCheckReport"]
+
+#: Verdict kinds that claim something about the observed distances.
+_DISTANCE_KINDS = (VERDICT_DOALL, VERDICT_CONSTANT_DISTANCE)
 
 
 def check_proof(
@@ -90,6 +97,45 @@ class CrossCheckReport:
             f"({self.checked_terms} terms)"
         )
         return "\n".join([head] + ["  " + p for p in self.problems])
+
+
+def _check_slots(
+    loop: IrregularLoop,
+    verdict: DependenceVerdict,
+    writers: np.ndarray,
+    categories: np.ndarray,
+    problems: list[str],
+) -> None:
+    """The declared slots against the read table: their layout, each
+    slot's subscript against the indices its terms read, and the
+    verdict's claimed classification of the slot against the observed
+    categories of its terms."""
+    try:
+        positions = slot_terms(loop)
+    except ProofError as exc:
+        problems.append(str(exc))
+        return
+    deps = {dep.slot: dep for dep in verdict.slots}
+    for j, (slot, terms) in enumerate(zip(loop.read_slots, positions)):
+        if not len(terms):
+            continue
+        lo, hi = slot.active_range(loop.n)
+        expected = slot.subscript.materialize(hi)[lo:]
+        actual = loop.reads.index[terms]
+        if not np.array_equal(expected, actual):
+            k = int(np.nonzero(expected != actual)[0][0])
+            problems.append(
+                f"slot {j}: declared subscript gives {int(expected[k])} "
+                f"at iteration {lo + k}, read table has {int(actual[k])}"
+            )
+        elif j in deps:
+            _check_slot_terms(
+                deps[j],
+                categories[terms],
+                np.arange(lo, hi),
+                writers[terms],
+                problems,
+            )
 
 
 def _check_slot_terms(
@@ -164,8 +210,17 @@ def cross_check(
     loop: IrregularLoop,
     verdict: DependenceVerdict | None = None,
     strict: bool = False,
+    classified: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> CrossCheckReport:
     """Validate ``verdict`` against the runtime inspector on ``loop``.
+
+    The one comparison of a verdict with its loop: the proof audit
+    (:func:`check_proof`), the declared slots against the read table
+    (their layout, subscripts and claimed classifications), the verdict's
+    distances against the observed ones, and its write injectivity
+    against the materialized write.  ``classified`` is the loop's
+    :func:`~repro.ir.analysis.classify_reads` when the caller already
+    holds it (the lint context), else it is computed here.
 
     With ``strict=True`` a mismatch raises :class:`ProofError` instead of
     being reported — the behavior of the debug elision mode.
@@ -175,70 +230,48 @@ def cross_check(
     report = CrossCheckReport(
         loop_name=loop.name, verdict_kind=verdict.kind
     )
-    report.problems.extend(check_proof(loop, verdict))
+    problems = report.problems
+    problems.extend(check_proof(loop, verdict))
 
-    readers, writers, categories = classify_reads(loop)
+    readers, writers, categories = (
+        classify_reads(loop) if classified is None else classified
+    )
     report.checked_terms = len(categories)
 
-    if verdict.slots and loop.read_slots is not None:
-        try:
-            _, sids = slot_term_map(loop)
-        except ProofError as exc:
-            report.problems.append(str(exc))
-            sids = None
-        if sids is not None:
-            # Declared subscripts must produce the materialized indices.
-            for dep, slot in zip(verdict.slots, loop.read_slots):
-                mask = sids == dep.slot
-                if not mask.any():
-                    continue
-                lo, hi = slot.active_range(loop.n)
-                expected = slot.subscript.materialize(hi)[readers[mask]]
-                actual = loop.reads.index[np.nonzero(mask)[0]]
-                if not np.array_equal(expected, actual):
-                    k = int(np.nonzero(expected != actual)[0][0])
-                    i = int(readers[mask][k])
-                    report.problems.append(
-                        f"slot {dep.slot}: declared subscript gives "
-                        f"{int(expected[k])} at iteration {i}, read "
-                        f"table has {int(actual[k])}"
-                    )
-                    continue
-                _check_slot_terms(
-                    dep,
-                    categories[mask],
-                    readers[mask],
-                    writers[mask],
-                    report.problems,
-                )
+    if loop.read_slots is not None:
+        _check_slots(loop, verdict, writers, categories, problems)
 
-    if verdict.kind == VERDICT_DOALL:
-        if np.any(categories == CAT_TRUE):
-            k = int(np.nonzero(categories == CAT_TRUE)[0][0])
-            report.problems.append(
+    if verdict.kind in _DISTANCE_KINDS or verdict.min_distance is not None:
+        # The observed distances, one per true-dependent term.
+        true = np.flatnonzero(categories == CAT_TRUE)
+        distances = readers[true] - writers[true]
+        if verdict.kind == VERDICT_DOALL and len(true):
+            problems.append(
                 f"DOALL-proven, but the inspector observes a true "
-                f"dependence at iteration {int(readers[k])} "
-                f"(writer {int(writers[k])})"
+                f"dependence at iteration {int(readers[true[0]])} "
+                f"(writer {int(writers[true[0]])})"
             )
-    elif verdict.kind == VERDICT_CONSTANT_DISTANCE:
-        observed = observed_distances(loop)
-        if len(observed) != 1 or int(observed[0]) != verdict.distance:
-            report.problems.append(
+        elif verdict.kind == VERDICT_CONSTANT_DISTANCE and (
+            not len(distances) or np.any(distances != verdict.distance)
+        ):
+            problems.append(
                 f"constant-distance d={verdict.distance} claimed, "
                 f"inspector observes distances "
-                f"{observed.tolist() or 'none'}"
+                f"{sorted_unique(distances).tolist() or 'none'}"
             )
-    if verdict.min_distance is not None:
-        observed = observed_distances(loop)
-        if len(observed) and int(observed[0]) < verdict.min_distance:
-            report.problems.append(
-                f"verdict claims every true dependence has distance "
-                f">= {verdict.min_distance}, inspector observes "
-                f"distance {int(observed[0])}"
-            )
+        if verdict.min_distance is not None and len(distances):
+            low = int(distances.min())
+            if low < verdict.min_distance:
+                problems.append(
+                    f"verdict claims every true dependence has distance "
+                    f">= {verdict.min_distance}, inspector observes "
+                    f"distance {low}"
+                )
     if verdict.write_injective:
-        if len(np.unique(loop.write)) != loop.n:
-            report.problems.append(
+        try:
+            loop.check_write_injective()
+        except OutputDependenceError:
+            problems.append(
                 "write claimed injective but materialized values collide"
             )
 

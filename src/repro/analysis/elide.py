@@ -22,7 +22,7 @@ import hashlib
 
 import numpy as np
 
-from repro.analysis.engine import analyze_loop, slot_term_map
+from repro.analysis.engine import analyze_loop, slot_terms
 from repro.analysis.verdicts import (
     SLOT_ANTI,
     SLOT_INTRA,
@@ -122,21 +122,23 @@ def build_symbolic_record(
     true_slots = []
     renames = False
     if loop.read_slots is not None and len(loop.read_slots):
-        iters, sids = slot_term_map(loop)
+        positions = slot_terms(loop)
         for dep in verdict.slots:
-            mask = sids == dep.slot
+            terms = positions[dep.slot]
             if dep.kind == SLOT_INTRA:
-                intra_flat[mask] = True
+                intra_flat[terms] = True
             elif dep.kind == SLOT_TRUE:
-                a, b = dep.dep_range
-                true_flat[mask & (iters >= a) & (iters < b)] = True
+                # The slot's terms are its iterations lo..hi-1, in order.
+                lo = loop.read_slots[dep.slot].active_range(n)[0]
+                a, b = (max(x - lo, 0) for x in dep.dep_range)
+                true_flat[terms[a:b]] = True
                 true_slots.append(dep)
             elif dep.kind in (SLOT_ANTI, SLOT_NO_TRUE) and not renames:
                 # Only these slots may read an element a later iteration
                 # writes; whether one does is the iter array's answer at
                 # their terms (the one look at memory the record takes,
                 # and only for loops with such a slot).
-                read = loop.reads.index[mask]
+                read = loop.reads.index[terms]
                 renames = bool((iter_array[read] != MAXINT).any())
     elif total:
         raise ProofError(
@@ -220,7 +222,8 @@ def build_distance_record(
     planned with the verdict.  Raises
     :class:`~repro.errors.ProofError` when the bound does not hold
     statically, or when the inspector's observed distances contradict it
-    (the runtime rendering of the lint rule ``DISTANCE-MISMATCH``).
+    (what :func:`~repro.analysis.cross_check`, the ``VERDICT-CHECK`` lint
+    rule, reports as an observed distance below the proven bound).
     """
     if group < 1:
         raise ProofError(f"{loop.name}: group size must be >= 1, got {group}")

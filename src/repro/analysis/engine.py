@@ -42,7 +42,7 @@ from repro.analysis.verdicts import (
 from repro.errors import ProofError
 from repro.ir.loop import IrregularLoop
 
-__all__ = ["analyze_loop", "slot_term_map"]
+__all__ = ["analyze_loop", "slot_terms"]
 
 
 def _write_injectivity(
@@ -216,14 +216,15 @@ def analyze_loop(
     return verdict
 
 
-def slot_term_map(loop: IrregularLoop) -> tuple[np.ndarray, np.ndarray]:
-    """Per-flat-term ``(iteration, slot)`` under the slot contract.
+def slot_terms(loop: IrregularLoop) -> list[np.ndarray]:
+    """Each declared read slot's flat term positions in ``loop.reads``,
+    one per iteration of its active range, in iteration order.
 
     Iteration ``i``'s terms are its active slots in increasing slot
-    order; this returns, for each flat term of ``loop.reads``, the
-    iteration it belongs to and the slot it corresponds to.  Raises
-    :class:`ProofError` when the declared slots do not tile the read
-    table (wrong per-iteration counts).
+    order, so slot ``j``'s term at ``i`` is ``ptr[i]`` plus the number of
+    slots before ``j`` active at ``i``.  Raises :class:`ProofError` when
+    the declared slots do not tile the read table (wrong per-iteration
+    counts).
     """
     if loop.read_slots is None:
         raise ProofError(f"{loop.name}: loop declares no read slots")
@@ -232,24 +233,19 @@ def slot_term_map(loop: IrregularLoop) -> tuple[np.ndarray, np.ndarray]:
     counts = np.zeros(n, dtype=np.int64)
     for lo, hi in ranges:
         counts[lo:hi] += 1
-    if not np.array_equal(counts, loop.reads.term_counts()):
-        bad = int(np.nonzero(counts != loop.reads.term_counts())[0][0])
+    have = loop.reads.term_counts()
+    if not np.array_equal(counts, have):
+        bad = int(np.nonzero(counts != have)[0][0])
         raise ProofError(
             f"{loop.name}: declared slots give {int(counts[bad])} term(s) "
-            f"at iteration {bad}, read table has "
-            f"{int(loop.reads.term_count(bad))}"
+            f"at iteration {bad}, read table has {int(have[bad])}"
         )
-    if not ranges:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    iters = np.concatenate(
-        [np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges]
-    )
-    sids = np.concatenate(
-        [
-            np.full(hi - lo, j, dtype=np.int64)
-            for j, (lo, hi) in enumerate(ranges)
-        ]
-    )
-    order = np.lexsort((sids, iters))
-    return iters[order], sids[order]
+    positions = []
+    for j, (lo, hi) in enumerate(ranges):
+        pos = loop.reads.ptr[lo:hi].copy()
+        for a, b in ranges[:j]:
+            a, b = max(a, lo), min(b, hi)
+            if a < b:
+                pos[a - lo:b - lo] += 1
+        positions.append(pos)
+    return positions

@@ -272,7 +272,9 @@ class InspectorRecord:
         part of the record's value.  Kept only with a ``layout``: the
         identity order walks the loop's own arrays, which the record does
         not own (every loop of its structure shares it), so that block is
-        kept by the loop (``IrregularLoop.arg_block``) instead.
+        kept by the loop (``IrregularLoop.arg_block``) instead.  A block
+        refers to its arrays weakly, so neither keeps this record's
+        arrays alive past the record.
     """
 
     fingerprint: str

@@ -51,7 +51,8 @@ class RunHook:
 
 
 class StaticValidate(RunHook):
-    """``validate="static"``: lint the loop and race-check the backend's
+    """``validate="static"``: lint the loop with every registered rule,
+    as ``python -m repro lint`` does, and race-check the backend's
     schedule *before* it runs.  A true dependence the schedule does not
     order aborts with :class:`~repro.errors.RaceConditionError`; otherwise
     the findings ride along in ``extras["lint"]`` / ``extras["race_check"]``.
@@ -61,7 +62,6 @@ class StaticValidate(RunHook):
         super().__init__(backend, loop, options)
         from repro.lint.driver import run_lints
         from repro.lint.hb import check_dependence_coverage
-        from repro.lint.rules import rule_ids
 
         # The backend resolves its own defaults (chunk, group alignment),
         # so the check sees the placement that is about to run.
@@ -74,9 +74,6 @@ class StaticValidate(RunHook):
             schedule=schedule if isinstance(schedule, str) else None,
             chunk=options.get("chunk") or placement.chunk,
             processors=16 if lanes is None else int(lanes.max(initial=0)) + 1,
-            # Cross-checking the verdict is analyze="symbolic+check"'s
-            # job on a run, and the lint gate's on a loop.
-            only=[r for r in rule_ids() if r != "VERDICT-CHECK"],
         )
         self.report = check_dependence_coverage(loop, placement)
         if not self.report.passed:

@@ -95,6 +95,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from typing import NamedTuple
 
@@ -609,24 +610,30 @@ class ArgBlock:
     its dtype) and the lengths' consistency with them (``consistent``).
 
     :func:`run_span` keeps one on its ``memo`` (the vectorized walk's
-    inspector record), so a warm call converts only its per-call values.
-    The block holds its arrays, so its addresses stay valid while it
-    lives, and serves a call only while that call hands over the very
-    same array objects (:meth:`holds`, the identity check of the
-    fingerprint memo); a rebound one builds a new block.
+    inspector record, or the loop for the identity order), so a warm call
+    converts only its per-call values.  The block refers to its arrays
+    weakly, so a block kept on a loop keeps no dropped record's ``order``
+    and ``codes`` alive, and serves a call only while that call hands
+    over the very same live array objects (:meth:`holds`, the identity
+    check of the fingerprint memo): its addresses are then the operands'
+    own, which the caller's frame keeps alive through the call.  A
+    rebound or dead operand builds a new block.
     """
 
-    __slots__ = ("arrays", "args", "n", "n_index", "n_ptr", "consistent")
+    __slots__ = ("refs", "args", "n", "n_index", "n_ptr", "consistent")
 
     def __init__(self, its, codes, write, ptr, index, start):
-        self.arrays = (its, codes, write, ptr, index, start)
         at = _pointers(
             (its, _I64), (codes, _I8), (write, _I64), (ptr, _I64),
             (index, _I64), (start, _I64),
         )
-        self.args = None
+        self.args = self.refs = None
         if at is None:
             return
+        self.refs = tuple(
+            None if a is None else weakref.ref(a)
+            for a in (its, codes, write, ptr, index, start)
+        )
         n, n_index = len(write), len(index)
         self.n, self.n_index, self.n_ptr = n, n_index, len(ptr)
         self.consistent = len(ptr) == n + 1 and (
@@ -638,11 +645,14 @@ class ArgBlock:
         )
 
     def holds(self, its, codes, write, ptr, index, start) -> bool:
-        """Whether these are the block's own array objects."""
-        mine = self.arrays
-        return (
-            its is mine[0] and codes is mine[1] and write is mine[2]
-            and ptr is mine[3] and index is mine[4] and start is mine[5]
+        """Whether these are the block's own array objects, still alive
+        (a dead referent is ``None``, never a live operand)."""
+        r = self.refs
+        return r is not None and (
+            r[0]() is its and r[1]() is codes and r[2]() is write
+            and r[3]() is ptr and r[4]() is index
+            and (start is None if r[5] is None else r[5]() is start
+                 and start is not None)
         )
 
 

@@ -30,9 +30,9 @@ class ReadSlot:
     A loop may declare a list of slots alongside its materialized
     :class:`ReadTable`; the contract is that iteration ``i``'s terms are
     exactly its active slots in increasing slot order.  The symbolic
-    analysis (``repro.analysis``) consumes the declarations; the
-    SYMBOLIC-MISMATCH lint rule checks them against the materialized
-    arrays.
+    analysis (``repro.analysis``) consumes the declarations;
+    :func:`~repro.analysis.cross_check` (the ``VERDICT-CHECK`` lint rule)
+    checks them against the materialized arrays.
     """
 
     subscript: "object"  # repro.ir.subscript.Subscript (avoid import cycle)

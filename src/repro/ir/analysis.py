@@ -193,9 +193,15 @@ class DependenceSummary:
         return self.dependent_iterations / self.n
 
 
-def summarize_dependences(loop: IrregularLoop) -> DependenceSummary:
-    """Compute a :class:`DependenceSummary` for ``loop``."""
-    readers, writers, categories = classify_reads(loop)
+def summarize_dependences(
+    loop: IrregularLoop,
+    classified: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> DependenceSummary:
+    """Compute a :class:`DependenceSummary` for ``loop``; ``classified``
+    is its :func:`classify_reads` when the caller already holds it."""
+    readers, writers, categories = (
+        classify_reads(loop) if classified is None else classified
+    )
     true_mask = categories == CAT_TRUE
     pairs = _unique_pairs(writers[true_mask], readers[true_mask], loop.n)
     min_d: int | None = None
@@ -204,7 +210,9 @@ def summarize_dependences(loop: IrregularLoop) -> DependenceSummary:
     if len(pairs):
         distances = pairs[:, 1] - pairs[:, 0]
         min_d, max_d = int(distances.min()), int(distances.max())
-        dependent = len(np.unique(pairs[:, 1]))
+        targets = np.zeros(loop.n, dtype=bool)
+        targets[pairs[:, 1]] = True
+        dependent = int(np.count_nonzero(targets))
     return DependenceSummary(
         n=loop.n,
         total_terms=len(categories),

@@ -74,7 +74,8 @@ class IrregularLoop:
         the read terms symbolically: iteration ``i``'s terms must be its
         active slots in increasing slot order.  Consumed by the symbolic
         dependence analysis (``repro.analysis``); checked against the
-        materialized table by the SYMBOLIC-MISMATCH lint rule.
+        materialized table by :func:`~repro.analysis.cross_check` (the
+        ``VERDICT-CHECK`` lint rule).
 
     The index arrays ``write``, ``reads.ptr`` and ``reads.index`` (and
     every array they are views of) become **read-only at the loop's first
@@ -98,11 +99,11 @@ class IrregularLoop:
     #: over this loop's own ``write`` / ``ptr`` / ``index``
     #: (:class:`~repro.backends.native.ArgBlock`); kept and dropped with
     #: the fingerprint memo, and replaced when a walk of another record
-    #: finds it does not hold that record's arrays.  It references the
-    #: last such record's ``order`` and ``codes``, so it keeps them alive
-    #: after an :class:`~repro.backends.cache.InspectorCache` has evicted
-    #: or dropped that record: for identity-order structures the cache's
-    #: capacity does not bound the inspector memory a live loop holds.
+    #: finds it does not hold that record's arrays.  It refers to the
+    #: record's ``order`` and ``codes`` weakly: once an
+    #: :class:`~repro.backends.cache.InspectorCache` has evicted or
+    #: dropped the record they are freed, and the next walk builds a new
+    #: block.
     arg_block: object = None
 
     def __init__(
@@ -250,12 +251,6 @@ class IrregularLoop:
         )
 
     # ------------------------------------------------------------------
-    def initial_accumulator(self, i: int, y: np.ndarray) -> float:
-        """The value the accumulator of iteration ``i`` starts from."""
-        if self.init_kind == INIT_OLD_VALUE or self.init_values is None:
-            return float(y[self.write[i]])
-        return float(self.init_values[i])
-
     def run_sequential(self) -> np.ndarray:
         """Execute the loop sequentially; the semantic oracle.
 
@@ -285,11 +280,6 @@ class IrregularLoop:
                 acc += coeff[k] * value
             y[w] = acc
         return out
-
-    def statically_analyzable_write(self) -> bool:
-        """Whether the "compiler" knows the write subscript in closed form
-        (enables the §2.3 linear-subscript transformation)."""
-        return self.write_subscript.statically_known
 
     def describe(self) -> str:
         """Human-readable profile of the loop: shape, init kind, write

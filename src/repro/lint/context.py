@@ -96,7 +96,7 @@ class LintContext:
     @property
     def summary(self) -> DependenceSummary:
         if self._summary is None:
-            self._summary = summarize_dependences(self.loop)
+            self._summary = summarize_dependences(self.loop, self.classified)
         return self._summary
 
     @property

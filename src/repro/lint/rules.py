@@ -4,6 +4,8 @@ A :class:`LintRule` inspects a :class:`~repro.lint.context.LintContext`
 and yields :class:`~repro.lint.diagnostics.Diagnostic` findings.  Rules
 register themselves in a module-level registry (:func:`register`), so
 downstream code — and tests — can add rules without touching the driver.
+``python -m repro lint`` and the ``validate="static"`` run hook both run
+every registered rule (:func:`~repro.lint.driver.run_lints`).
 
 Every built-in rule is grounded in the paper:
 
@@ -27,9 +29,6 @@ Every built-in rule is grounded in the paper:
                    than the widest wavefront cap its parallelism (§2.3).
 ``UNREACHED-ELEMENT`` reads of never-written elements always take the
                    ``iter == MAXINT`` old-value path.
-``SYMBOLIC-MISMATCH`` a declared closed-form subscript disagrees with
-                   the materialized read table — every symbolic verdict
-                   for the loop would be unsound (error).
 ``SYNC-ELIDABLE``  the dependence-test battery proves every true
                    dependence has distance >= the synchronization
                    granularity: the per-element post/wait protocol can be
@@ -37,11 +36,11 @@ Every built-in rule is grounded in the paper:
 ``COUPLED-SUBSCRIPT`` a declared read slot's subscript defeats the whole
                    test battery (non-affine / runtime-coupled): only the
                    runtime inspector can schedule the loop.
-``DISTANCE-MISMATCH`` the battery's proven distance lower bound exceeds
-                   a distance the inspector actually observes — the
-                   static model is unsound for this loop (error).
 ``VERDICT-CHECK``  the symbolic verdict fails its proof audit or the
-                   cross-check against the runtime inspector (error).
+                   cross-check against the runtime inspector — a slot
+                   layout or subscript that disagrees with the read
+                   table, a distance or bound the inspector contradicts
+                   (error).
 =================  ====================================================
 
 ``DOALL-ABLE`` and ``AFFINE-WRITE`` are *proof-backed*: when the
@@ -57,7 +56,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.ir.analysis import CAT_TRUE
+from repro.ir.analysis import CAT_TRUE, sorted_unique
 from repro.ir.subscript import AffineSubscript
 from repro.ir.transform import STRATEGY_DOALL, STRATEGY_LINEAR
 from repro.lint.context import LintContext
@@ -80,10 +79,8 @@ __all__ = [
     "DeadWaitRule",
     "ChunkCycleRule",
     "UnreachedElementRule",
-    "SymbolicMismatchRule",
     "SyncElidableRule",
     "CoupledSubscriptRule",
-    "DistanceMismatchRule",
     "VerdictCheckRule",
 ]
 
@@ -410,7 +407,7 @@ class UnreachedElementRule(LintRule):
         if s.unwritten_terms == 0:
             return
         _readers, writers, _categories = ctx.classified
-        unwritten = np.unique(ctx.loop.reads.index[writers < 0])
+        unwritten = sorted_unique(ctx.loop.reads.index[writers < 0])
         listed = ", ".join(str(int(e)) for e in unwritten[: self.max_listed])
         if len(unwritten) > self.max_listed:
             listed += ", …"
@@ -530,98 +527,6 @@ class CoupledSubscriptRule(LintRule):
 
 
 @register
-class DistanceMismatchRule(LintRule):
-    rule_id = "DISTANCE-MISMATCH"
-    default_severity = SEVERITY_ERROR
-    paper_ref = "§2.2 (synchronization distance)"
-    description = (
-        "the battery's proven distance lower bound exceeds a distance "
-        "the inspector actually observes: the static model is unsound"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        # Proven for every input, against the distance observed on this one.
-        static_min = ctx.verdict.min_distance
-        if static_min is None:
-            return
-        observed = ctx.summary.min_distance
-        if observed is None or observed >= static_min:
-            return
-        yield self.finding(
-            ctx,
-            f"the battery proves every cross-iteration true dependence "
-            f"has distance >= {static_min}, but the inspector observes a "
-            f"dependence at distance {observed}: the declared subscripts "
-            f"do not describe the materialized read table, and any "
-            f"schedule elided from the static bound would race",
-            suggestion=(
-                "fix the ReadSlot declarations (SYMBOLIC-MISMATCH "
-                "pinpoints the first diverging term) and do not run "
-                "analyze=\"symbolic\" until the bound matches; "
-                "cross_check(loop, verdict) reproduces this finding as a "
-                "hard failure"
-            ),
-            location=f"static>={static_min}, observed={observed}",
-        )
-
-
-@register
-class SymbolicMismatchRule(LintRule):
-    rule_id = "SYMBOLIC-MISMATCH"
-    default_severity = SEVERITY_ERROR
-    paper_ref = "§2.3 (linear subscripts)"
-    description = (
-        "a declared closed-form subscript disagrees with the materialized "
-        "read table: every symbolic verdict for the loop would be unsound"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        loop = ctx.loop
-        if loop.read_slots is None:
-            return
-        from repro.analysis import slot_term_map
-        from repro.errors import ProofError
-
-        try:
-            readers, sids = slot_term_map(loop)
-        except ProofError as exc:
-            yield self.finding(
-                ctx,
-                str(exc),
-                suggestion=(
-                    "fix the ReadSlot declarations (or rebuild the read "
-                    "table from them with read_table_from_slots); until "
-                    "then the loop must stay on the runtime inspector"
-                ),
-                location="slot layout",
-            )
-            return
-        for j, slot in enumerate(loop.read_slots):
-            mask = sids == j
-            if not mask.any():
-                continue
-            lo, hi = slot.active_range(loop.n)
-            expected = slot.subscript.materialize(hi)[readers[mask]]
-            actual = loop.reads.index[np.nonzero(mask)[0]]
-            if np.array_equal(expected, actual):
-                continue
-            k = int(np.nonzero(expected != actual)[0][0])
-            i = int(readers[mask][k])
-            yield self.finding(
-                ctx,
-                f"declared subscript for slot {j} gives "
-                f"{int(expected[k])} at iteration {i}, but the read table "
-                f"has {int(actual[k])}",
-                suggestion=(
-                    "fix the ReadSlot declaration or rebuild the read "
-                    "table from it; symbolic verdicts for this loop are "
-                    "unsound until the declaration matches"
-                ),
-                location=f"slot {j}, iteration {i}",
-            )
-
-
-@register
 class VerdictCheckRule(LintRule):
     rule_id = "VERDICT-CHECK"
     default_severity = SEVERITY_ERROR
@@ -635,7 +540,8 @@ class VerdictCheckRule(LintRule):
         from repro.analysis import cross_check
 
         # cross_check's problems begin with check_proof's.
-        for problem in cross_check(ctx.loop, ctx.verdict).problems:
+        report = cross_check(ctx.loop, ctx.verdict, classified=ctx.classified)
+        for problem in report.problems:
             yield self.finding(
                 ctx,
                 problem,

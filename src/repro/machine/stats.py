@@ -119,11 +119,3 @@ class PhaseStats:
         if span == 0 or not self.processors:
             return 0.0
         return self.total_compute / (span * len(self.processors))
-
-    def summary_line(self) -> str:
-        """One-line human-readable summary for traces and reports."""
-        return (
-            f"{self.name}: span={self.span} compute={self.total_compute} "
-            f"wait={self.total_wait} queue={self.total_resource_wait} "
-            f"iters={self.total_iterations} util={self.utilization():.3f}"
-        )

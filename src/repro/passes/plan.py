@@ -198,12 +198,15 @@ def plan_loop(
         where it proves a minimum dependence distance.
     ``sanitize`` (iff ``validate="sanitize"``)
         The number of true-dependence pairs the sanitizer must cover.
-    ``inspector`` (iff ``backend="vectorized"`` and no ``analyze``)
+    ``inspector`` (iff the resolved backend is ``vectorized`` and no
+    ``analyze``)
         Prebuild (or fetch) the vectorized inspector record; the runner
         executes it and reports this lookup's outcome.  Through the
         shared cache when there is one, so planning warms the same cache
-        execution reads; on a structure not yet seen it runs before the
-        level stage, as one inspection that also yields the levels.
+        execution reads; for a ``vectorized`` spec on a structure not yet
+        seen it runs before the level stage, as one inspection that also
+        yields the levels; for ``auto`` it runs once the tuner has chosen
+        ``vectorized``, from the levels the tuner ranked.
     """
     check_options(spec)
     passes = ["validate-options", "fingerprint", "level-schedule", "doconsider"]
@@ -237,6 +240,15 @@ def plan_loop(
     else:
         passes.append("fixed-backend")
         backend = spec.backend
+    if record is None and backend == "vectorized" and spec.analyze is None:
+        # The tuner chose the vectorized backend: its record, from the
+        # levels the tuner ranked (one record lookup, as the runner's).
+        if cache is not None:
+            record, record_cached = cache.get_or_build(
+                loop, fingerprint=fingerprint
+            )
+        else:
+            record = build_inspector_record(loop, levels, fingerprint)
 
     passes.append("stripmine")
     if spec.chunk is not None and "chunk" in OPTION_SUPPORT[backend]:
@@ -270,7 +282,7 @@ def plan_loop(
         terms = np.stack([readers[true], loop.reads.index[true]], axis=1)
         sanitize_pairs = np.unique(terms, axis=0).shape[0]
 
-    if inspects:
+    if record is not None:
         passes.append("inspector")
 
     return Plan(

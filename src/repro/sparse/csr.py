@@ -186,24 +186,6 @@ class CSRMatrix:
             self.n_cols, self.n_rows, indptr, row_of[order], self.data[order]
         )
 
-    def permuted(self, perm) -> "CSRMatrix":
-        """Symmetric permutation ``P A Pᵀ``: new row/col ``k`` is old
-        ``perm[k]``.  Requires a square matrix."""
-        if self.n_rows != self.n_cols:
-            raise MatrixFormatError("symmetric permutation needs square A")
-        perm = np.asarray(perm, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(self.n_rows)):
-            raise MatrixFormatError("perm is not a permutation of 0..n-1")
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.n_rows, dtype=np.int64)
-
-        from repro.sparse.coo import COOBuilder
-
-        builder = COOBuilder(self.n_rows, self.n_cols)
-        row_of = self.row_of()
-        builder.add_batch(inv[row_of], inv[self.indices], self.data)
-        return builder.to_csr()
-
     def copy(self) -> "CSRMatrix":
         return CSRMatrix(
             self.n_rows,

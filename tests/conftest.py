@@ -9,9 +9,12 @@ import pytest
 
 from repro.backends import native, simulated
 from repro.core.doacross import PreprocessedDoacross
+from repro.ir.accesses import ReadSlot
+from repro.ir.loop import IrregularLoop
+from repro.ir.subscript import AffineSubscript
 from repro.machine.costs import CostModel
 from repro.machine.engine import Machine
-from repro.workloads.synthetic import random_irregular_loop
+from repro.workloads.synthetic import chain_loop, random_irregular_loop
 from repro.workloads.testloop import make_test_loop
 
 
@@ -145,4 +148,28 @@ def record_arrays(record) -> tuple[np.ndarray, ...]:
     return (
         record.iter_array, record.codes,
         schedule.levels, schedule.order, schedule.level_ptr,
+    )
+
+
+def redeclared(base, slots, name: str) -> IrregularLoop:
+    """``base``'s arrays under other (possibly lying) read-slot
+    declarations."""
+    return IrregularLoop(
+        n=base.n,
+        y_size=base.y_size,
+        write_subscript=base.write_subscript,
+        reads=base.reads,
+        y0=base.y0,
+        name=name,
+        read_slots=slots,
+    )
+
+
+def lying_slot_chain() -> IrregularLoop:
+    """``chain_loop(48, 2)``'s arrays declared as a distance-1 chain: the
+    slot's subscript gives 1 at iteration 2, where the read table has 0."""
+    return redeclared(
+        chain_loop(48, 2),
+        [ReadSlot(AffineSubscript(1, -1), start=2)],
+        "lying-chain",
     )

@@ -124,25 +124,6 @@ class TestTriangles:
             A.lower_triangle(unit=True)
 
 
-class TestPermutation:
-    def test_symmetric_permutation_matches_dense(self):
-        dense = random_dense(6, 6, density=0.5, seed=7)
-        A = CSRMatrix.from_dense(dense)
-        perm = np.array([3, 1, 5, 0, 2, 4])
-        P = A.permuted(perm)
-        np.testing.assert_allclose(P.to_dense(), dense[np.ix_(perm, perm)])
-
-    def test_permutation_requires_square(self):
-        A = CSRMatrix.from_dense(np.ones((2, 3)))
-        with pytest.raises(MatrixFormatError, match="square"):
-            A.permuted([0, 1])
-
-    def test_bad_permutation_rejected(self):
-        A = CSRMatrix.from_dense(np.eye(3))
-        with pytest.raises(MatrixFormatError):
-            A.permuted([0, 0, 1])
-
-
 class TestAgainstScipy:
     @pytest.mark.parametrize("seed", range(3))
     def test_matvec_against_scipy(self, seed):

@@ -11,8 +11,10 @@ from repro.__main__ import main as repro_main
 from repro import PlanSpec
 from repro.backends import HookedRunner, ThreadedRunner, make_runner
 from repro.backends.hooks import StaticValidate
+from repro.passes.spec import BACKENDS
 from repro.errors import ScheduleError
 from repro.lint.cli import builtin_loops, collect_loops
+from tests.conftest import lying_slot_chain
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +165,21 @@ def test_parallelize_validate_static(backend):
     assert np.array_equal(result.y, loop.run_sequential())
     assert result.extras["race_check"]["passed"] is True
     assert isinstance(result.extras["lint"], list)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_validate_static_cross_checks_the_verdict(backend):
+    """A static-validated run lints with every rule ``lint`` runs, so a
+    slot declaration that lies about the read table is a VERDICT-CHECK
+    error on the run; the run itself uses the inspector and is exact."""
+    loop = lying_slot_chain()
+    result, _ = repro.parallelize(
+        loop, spec=PlanSpec(backend=backend, processors=2, validate="static")
+    )
+    assert np.array_equal(result.y, loop.run_sequential())
+    checks = [d for d in result.extras["lint"] if d["rule"] == "VERDICT-CHECK"]
+    assert checks and all(d["severity"] == "error" for d in checks)
+    assert any("declared subscript" in d["message"] for d in checks)
 
 
 def test_parallelize_rejects_unknown_validate_mode():

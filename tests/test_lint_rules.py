@@ -14,6 +14,7 @@ from repro.lint import (
     run_lints,
 )
 from repro.lint.rules import LintRule, all_rules, get_rule, register, rule_ids
+from tests.conftest import lying_slot_chain, redeclared
 
 
 def rules_fired(loop, **kwargs):
@@ -85,12 +86,11 @@ def test_registry_knows_the_built_in_rules():
         "DEAD-WAIT",
         "CHUNK-CYCLE",
         "UNREACHED-ELEMENT",
-        "SYMBOLIC-MISMATCH",
         "SYNC-ELIDABLE",
         "COUPLED-SUBSCRIPT",
-        "DISTANCE-MISMATCH",
         "VERDICT-CHECK",
     }
+    assert len(rule_ids()) == 9
     assert all(isinstance(r, LintRule) for r in all_rules())
 
 
@@ -264,18 +264,75 @@ def test_coupled_subscript_lists_the_opaque_slots():
 
 
 def test_distance_mismatch_fires_only_on_a_doctored_bound():
-    import dataclasses
-
     chain = repro.chain_loop(64, 3)
     # Sound verdict: quiet.
-    assert "DISTANCE-MISMATCH" not in rules_fired(chain)
+    assert "VERDICT-CHECK" not in rules_fired(chain)
     # Inflate the proven bound past the observed distance-3 dependence:
-    # the rule must flag the static model as unsound.
-    ctx = LintContext(chain)
+    # the cross-check must flag the static model as unsound.
+    findings = list(get_rule("VERDICT-CHECK").check(_doctored_bound_context()))
+    assert all(d.severity == "error" for d in findings)
+    bound = [d for d in findings if ">= 5" in d.message]
+    assert len(bound) == 1
+    assert "distance 3" in bound[0].message
+
+
+def _doctored_bound_context():
+    """``chain_loop(64, 3)`` under a verdict whose proven distance bound
+    (5) exceeds the distance (3) its inspector observes."""
+    import dataclasses
+
+    ctx = LintContext(repro.chain_loop(64, 3))
     ctx._verdict = dataclasses.replace(ctx.verdict, min_distance=5)
     ctx._verdict_computed = True
-    findings = list(get_rule("DISTANCE-MISMATCH").check(ctx))
-    assert len(findings) == 1
-    assert findings[0].severity == "error"
-    assert findings[0].location == "static>=5, observed=3"
-    assert "cross_check" in findings[0].suggestion
+    return ctx
+
+
+# What the slot-subscript and distance-bound rules VERDICT-CHECK replaced
+# reported on three loops (their messages, verbatim), and the slot,
+# iteration and values (or bound and distance) VERDICT-CHECK must repeat.
+@pytest.mark.parametrize(
+    "context,replaced_finding,same",
+    [
+        (
+            lambda: LintContext(lying_slot_chain()),
+            "declared subscript for slot 0 gives 1 at iteration 2, but "
+            "the read table has 0",
+            ("slot 0", "gives 1 at iteration 2", "table has 0"),
+        ),
+        (
+            _doctored_bound_context,
+            "the battery proves every cross-iteration true dependence has "
+            "distance >= 5, but the inspector observes a dependence at "
+            "distance 3",
+            (">= 5", "distance 3"),
+        ),
+        (
+            lambda: LintContext(
+                redeclared(repro.chain_loop(64, 3), [], "no-slots")
+            ),
+            "no-slots: declared slots give 0 term(s) at iteration 3, read "
+            "table has 1",
+            ("give 0 term(s) at iteration 3", "read table has 1"),
+        ),
+    ],
+    ids=["wrong-slot", "doctored-bound", "empty-slots"],
+)
+def test_verdict_check_reports_what_the_replaced_rules_found(
+    context, replaced_finding, same
+):
+    findings = list(get_rule("VERDICT-CHECK").check(context()))
+    assert all(d.severity == "error" for d in findings)
+    assert any(
+        all(part in d.message for part in same) for d in findings
+    ), (replaced_finding, [d.message for d in findings])
+
+
+def test_a_lying_slot_is_reported_once():
+    found = [
+        d.message
+        for d in run_lints(lying_slot_chain())
+        if "declared subscript" in d.message
+    ]
+    assert found == [
+        "slot 0: declared subscript gives 1 at iteration 2, read table has 0"
+    ]

@@ -172,18 +172,6 @@ class TestConveniences:
         loop = simple_loop([0], reads, work=profile)
         assert loop.work is profile
 
-    def test_statically_analyzable_write(self):
-        reads = ReadTable.from_lists([[]])
-        affine = IrregularLoop(
-            n=1,
-            y_size=1,
-            write_subscript=AffineSubscript(1, 0),
-            reads=reads,
-        )
-        indirect = simple_loop([0], reads)
-        assert affine.statically_analyzable_write()
-        assert not indirect.statically_analyzable_write()
-
     def test_repr_mentions_name(self):
         reads = ReadTable.from_lists([[]])
         assert "myloop" in repr(simple_loop([0], reads, name="myloop"))

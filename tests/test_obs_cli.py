@@ -163,7 +163,7 @@ class TestExplain:
         plan = json.loads(capsys.readouterr().out)["plan"]
         assert plan["passes"] == [
             "validate-options", "fingerprint", "level-schedule", "doconsider",
-            "auto-tune", "stripmine",
+            "auto-tune", "stripmine", "inspector",
         ]
         assert plan["tuner"]["source"] == "heuristic"
         assert plan["backend"] == "vectorized" and "chunk" not in plan

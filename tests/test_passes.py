@@ -40,6 +40,7 @@ from repro.passes import (
     execute_plan,
     plan_loop,
 )
+from repro.ir.transform import plan_transform
 from repro.passes.spec import OPTION_REASONS
 from repro.sparse.ilu import ilu0
 from repro.sparse.stencils import five_point
@@ -128,8 +129,9 @@ def _pin_cell(loop, spec_kwargs, cache):
     """Everything one ``plan_loop`` call decided (fingerprints dropped), or
     the error it raised.  Fields removed after the capture are put back
     with the value they always held — ``PlanSpec.diagnose`` (``False``)
-    and ``TunerDecision.chunk`` (the spec's) — and the auto/sanitize
-    rejection is worded as it was, so the digests still pin the
+    and ``TunerDecision.chunk`` (the spec's) — the auto/sanitize
+    rejection is worded as it was, and an auto plan's prebuilt record
+    and ``inspector`` stage are left out, so the digests still pin the
     decisions."""
     try:
         plan = plan_loop(loop, PlanSpec(**spec_kwargs), cache)
@@ -151,15 +153,23 @@ def _pin_cell(loop, spec_kwargs, cache):
     described.pop("fingerprint_body", None)
     if "tuner" in described:
         del described["tuner"]["fingerprint"]
+    passes, prebuilt = list(plan.passes), plan.record is not None
+    if spec_kwargs["backend"] == "auto":
+        # Since the capture, an auto plan that resolves to vectorized
+        # prebuilds the record after the tuner chose (TestAutoRecord);
+        # spelled as the parent planned it, the digest pins the rest.
+        passes = [p for p in passes if p != "inspector"]
+        described["passes"] = passes
+        prebuilt = False
     return [
         described,
-        list(plan.passes),
+        passes,
         _sha(plan.order),
         _sha(plan.levels.levels),
         plan.chunk,
         _as_parent_spelled(plan.distance_elision),
         plan.sanitize_pairs,
-        plan.record is not None,
+        prebuilt,
     ]
 
 
@@ -416,6 +426,73 @@ class TestAutoChunk:
         )
         assert planned["spec"]["chunk"] == 4  # the request stays visible
         assert "ignored_options" not in result.extras
+
+
+class TestAutoRecord:
+    """An auto plan that resolves to vectorized prebuilds its record after
+    the tuner chose, as a vectorized plan does before: one record lookup
+    per call, made by the plan, and none by the runner."""
+
+    @staticmethod
+    def _steady(loop, cache):
+        """Measurements that make the tuner exploit ``vectorized``."""
+        fingerprint = plan_loop(loop, PlanSpec(), cache).fingerprint
+        for backend in autotune.AUTO_CANDIDATES:
+            wall = 1e-3 if backend == "vectorized" else 1.0
+            autotune.record_run_outcome(cache, fingerprint, backend, wall)
+
+    def test_a_steady_auto_plan_carries_its_record(self):
+        loop, cache = random_irregular_loop(500, max_terms=4, seed=7), InspectorCache()
+        self._steady(loop, cache)
+        spec = PlanSpec(backend="auto", processors=2)
+        built, served = (plan_loop(loop, spec, cache) for _ in range(2))
+        for plan in (built, served):
+            assert plan.backend == "vectorized"
+            assert plan.tuner.source == "telemetry"
+            assert plan.passes[-1] == "inspector"
+        assert built.record is not None and not built.record_cached
+        assert served.record is built.record and served.record_cached
+
+    def test_a_steady_auto_call_runs_no_plan_transform(self, monkeypatch):
+        import repro.core.doacross as doacross
+
+        loop, cache = random_irregular_loop(500, max_terms=4, seed=7), InspectorCache()
+        spec = PlanSpec(backend="auto", processors=2)
+        parallelize(loop, spec=spec, cache=cache)
+        self._steady(loop, cache)
+        calls = []
+        real = doacross.plan_transform
+        monkeypatch.setattr(
+            doacross,
+            "plan_transform",
+            lambda *a, **k: calls.append(1) or real(*a, **k),
+        )
+        before = cache.stats()
+        result, transform = parallelize(loop, spec=spec, cache=cache)
+        after = cache.stats()
+        assert calls == []
+        assert transform == plan_transform(loop)
+        assert result.extras["schedule_plan"]["backend"] == "vectorized"
+        assert np.array_equal(result.y, loop.run_sequential())
+        # One record lookup and one levels lookup, both hits.
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+        assert after["levels_hits"] - before["levels_hits"] == 1
+
+    def test_exploring_keeps_the_cache_counters(self):
+        """(hits, misses, levels hits, levels misses) after each of the
+        four exploring calls, as captured before the record moved into
+        the plan."""
+        loop, cache = random_irregular_loop(500, max_terms=4, seed=7), InspectorCache()
+        spec = PlanSpec(backend="auto", processors=2)
+        seen = []
+        for _ in autotune.AUTO_CANDIDATES:
+            parallelize(loop, spec=spec, cache=cache)
+            st = cache.stats()
+            seen.append(
+                (st["hits"], st["misses"], st["levels_hits"], st["levels_misses"])
+            )
+        assert seen == [(0, 1, 0, 1), (0, 1, 1, 1), (1, 1, 2, 1), (1, 1, 3, 1)]
 
 
 # ---------------------------------------------------------------------------

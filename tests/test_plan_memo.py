@@ -26,6 +26,7 @@ fingerprint as the inspector record:
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import pickle
 import sys
@@ -733,6 +734,33 @@ def test_loops_sharing_an_identity_record_keep_no_block():
     result, _ = parallelize(loops[0], spec=spec, cache=cache)
     assert_same_bits(result.y, oracles[0])
     assert record.arg_block is None
+
+
+@needs_compiler
+def test_an_identity_block_lets_an_evicted_record_go(warm_path):
+    # The loop's block refers to the record's order and codes weakly:
+    # once a capacity-1 cache has evicted the record they are freed, and
+    # the loop's next walk builds a block over the new record.
+    loop = make_test_loop(n=800, m=5, l=7)
+    oracle = loop.run_sequential()
+    cache = InspectorCache(capacity=1)
+    result, _ = parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert result.extras["walk"]["layout"] == "identity"
+    (record,) = cache._entries.values()
+    codes = weakref.ref(record.codes)
+    assert loop.arg_block.holds(
+        record.schedule.order, record.codes, loop.write, loop.reads.ptr,
+        loop.reads.index, None,
+    )
+    del record
+    parallelize(make_test_loop(n=600, m=5, l=7), spec=VECTORIZED, cache=cache)
+    gc.collect()
+    assert codes() is None
+    blocks = warm_path.counts["arg_block"]
+    result, _ = parallelize(loop, spec=VECTORIZED, cache=cache)
+    assert warm_path.counts["arg_block"] == blocks + 1
+    assert result.extras["kernel"]["body"] == "native"
+    assert_same_bits(result.y, oracle)
 
 
 @needs_compiler

@@ -71,8 +71,3 @@ class TestPhaseStats:
         p = PhaseStats(name="x")
         assert p.span == 0
         assert p.utilization() == 0.0
-
-    def test_summary_line_mentions_name_and_span(self):
-        line = self._phase().summary_line()
-        assert "executor" in line
-        assert "span=100" in line

@@ -27,6 +27,7 @@ from repro.analysis.proofs import Check
 from repro.errors import ProofError
 from repro.ir.subscript import AffineSubscript, ExprSubscript, Index
 from repro.workloads.synthetic import affine_loop
+from tests.conftest import lying_slot_chain, redeclared
 
 
 # ----------------------------------------------------------------------
@@ -236,30 +237,9 @@ def test_cross_check_rejects_tampered_verdict():
         cross_check(loop, lie, strict=True)
 
 
-def _redeclared(base, slots, name):
-    """The same loop arrays under different (possibly lying) slot
-    declarations."""
-    from repro.ir.loop import IrregularLoop
-
-    return IrregularLoop(
-        n=base.n,
-        y_size=base.y_size,
-        write_subscript=base.write_subscript,
-        reads=base.reads,
-        y0=base.y0,
-        name=name,
-        read_slots=slots,
-    )
-
-
 def test_cross_check_catches_wrong_slot_declaration():
-    from repro.ir.accesses import ReadSlot
-
-    base = repro.chain_loop(48, 2)
-    # Same arrays, but the declared slot claims distance 1 instead of 2.
-    wrong = _redeclared(
-        base, [ReadSlot(AffineSubscript(1, -1), start=2)], "lying-chain"
-    )
+    # chain_loop(48, 2)'s arrays, but the declared slot claims distance 1.
+    wrong = lying_slot_chain()
     verdict = analyze_loop(wrong)
     report = cross_check(wrong, verdict)
     assert not report.ok
@@ -267,17 +247,50 @@ def test_cross_check_catches_wrong_slot_declaration():
 
 
 def test_slot_term_map_rejects_untiled_slots():
-    from repro.analysis import slot_term_map
+    from repro.analysis import slot_terms
     from repro.ir.accesses import ReadSlot
 
     base = repro.chain_loop(24, 1)
-    wrong = _redeclared(
+    wrong = redeclared(
         base,
         [ReadSlot(AffineSubscript(1, -1), start=1, stop=5)],
         "short-slot",
     )
     with pytest.raises(ProofError, match="term"):
-        slot_term_map(wrong)
+        slot_terms(wrong)
+
+
+def test_slot_terms_follow_the_slot_contract():
+    """Iteration i's terms are its active slots in increasing slot
+    order: slot j's term at i is ptr[i] plus the slots before j active
+    at i, whatever the ranges' overlap."""
+    from repro.analysis import slot_terms
+    from repro.ir.accesses import ReadSlot, read_table_from_slots
+    from repro.ir.loop import IrregularLoop
+
+    n = 20
+    slots = [
+        ReadSlot(AffineSubscript(1, -1), start=1),
+        ReadSlot(AffineSubscript(1, -3), start=3, stop=12),
+        ReadSlot(AffineSubscript(0, 0), start=0, stop=7),
+    ]
+    reads = read_table_from_slots(slots, [1.0] * len(slots), n)
+    loop = IrregularLoop(
+        n=n,
+        y_size=n,
+        write_subscript=AffineSubscript(1, 0),
+        reads=reads,
+        read_slots=slots,
+    )
+    positions = slot_terms(loop)
+    for j, slot in enumerate(slots):
+        lo, hi = slot.active_range(n)
+        for i in range(lo, hi):
+            before = sum(s.is_active(i, n) for s in slots[:j])
+            assert positions[j][i - lo] == reads.ptr[i] + before
+        assert np.array_equal(
+            reads.index[positions[j]], slot.subscript.materialize(hi)[lo:]
+        )
 
 
 def test_proof_steps_name_their_rules():
