@@ -6,9 +6,14 @@ a claimed gain clears the parent's own spread.
 
 The parent is ``git archive`` of ``--parent`` unpacked into a temporary
 directory (nothing is fetched; the repository is not touched); the change
-is this checkout.  Each run is ``benchmarks/e2e/run.py --trace 0`` of its
-own tree in a fresh process (a traced run reports per-layer metrics, not
-the gated ones); pair ``k`` runs the parent first when ``k`` is odd and
+is a copy of this checkout's working tree — tracked files as they are on
+disk, uncommitted edits included, and untracked files git does not
+ignore — in a sibling temporary directory whose path has the same length
+(``pairs-parent-*``, ``pairs-change-*``), so both sides run from the same
+kind of path: the allocator's layout, and with it ``peak_rss_mb``, can
+follow the length of the command line.  Each run is
+``benchmarks/e2e/run.py --trace 0`` of its own tree in a fresh process
+(a traced run reports per-layer metrics, not the gated ones); pair ``k`` runs the parent first when ``k`` is odd and
 the change first when it is even, so drift of the machine falls on both
 sides alike.  Per workload and gated metric (``BENCHMARK.json``'s
 ``end_to_end``) it prints the median and ``[p25, p75]`` of parent ->
@@ -33,9 +38,11 @@ import os
 import platform
 import statistics
 import subprocess
+import shutil
 import sys
 import tarfile
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,28 +56,55 @@ def gated_metrics() -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
-def git(*args: str) -> str:
+def git(*args: str, root: Path = ROOT) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=root, check=True, capture_output=True, text=True
     ).stdout.strip()
 
 
-def export(ref: str, into: Path) -> str:
+def export(ref: str, into: Path, root: Path = ROOT) -> str:
     """Unpack the committed tree of ``ref`` into ``into``; its sha."""
-    sha = git("rev-parse", "--verify", f"{ref}^{{commit}}")
+    sha = git("rev-parse", "--verify", f"{ref}^{{commit}}", root=root)
     tar = subprocess.run(
         ["git", "archive", "--format=tar", sha],
-        cwd=ROOT, check=True, capture_output=True,
+        cwd=root, check=True, capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
     return sha
 
 
-def change_sha() -> str:
+def change_sha(root: Path = ROOT) -> str:
     """``HEAD``'s sha, with ``-dirty`` when the checkout differs from it."""
-    sha = git("rev-parse", "HEAD")
-    return sha + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
+    sha = git("rev-parse", "HEAD", root=root)
+    dirty = git("status", "--porcelain", "--untracked-files=no", root=root)
+    return sha + ("-dirty" if dirty else "")
+
+
+def copy_worktree(into: Path, root: Path = ROOT) -> None:
+    """Copy the working tree of ``root`` into ``into``: every tracked file
+    as it is on disk (a deleted one is skipped) and every untracked file
+    that is not ignored."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root)
+    for name in filter(None, listed.split("\0")):
+        source = root / name
+        if source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
+
+
+@contextmanager
+def side_trees(parent_ref: str, root: Path = ROOT):
+    """``{"parent": (tree, sha), "change": (tree, sha)}`` in two sibling
+    temporary directories whose paths have the same length: ``parent_ref``
+    exported, and the working tree of ``root`` copied."""
+    with tempfile.TemporaryDirectory(prefix="pairs-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="pairs-change-") as change:
+        parent_tree, change_tree = Path(parent), Path(change)
+        sha = change_sha(root)
+        copy_worktree(change_tree, root)
+        yield {"parent": (parent_tree, export(parent_ref, parent_tree, root)),
+               "change": (change_tree, sha)}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -171,10 +205,7 @@ def main(argv=None) -> int:
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
     claims = []
-    with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
-        parent_tree = Path(tmp)
-        sides = {"parent": (parent_tree, export(args.parent, parent_tree)),
-                 "change": (ROOT, change_sha())}
+    with side_trees(args.parent) as sides:
         for tree, _sha in sides.values():
             build_object(tree)
         for workload in args.workload:

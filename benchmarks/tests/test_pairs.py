@@ -66,3 +66,38 @@ def test_the_verdict_needs_nine_tenths_of_the_pairs_won():
     assert not verdict(parent, [0.5] * 8 + [1.0] * 2, "lower")
     assert verdict(parent, [0.5] * 9 + [1.0], "lower")
     assert not verdict(parent, [0.5] * 9 + [1.0], "higher")
+
+
+def test_both_sides_run_from_sibling_copies_of_equal_path_length(tmp_path):
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    try:
+        from pairs import side_trees
+    finally:
+        sys.path.remove(str(ROOT / "benchmarks"))
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("built/\n")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (tmp_path / "src" / "a.py").write_text("edited\n")  # uncommitted
+    (tmp_path / "new.py").write_text("untracked\n")
+    (tmp_path / "built").mkdir()
+    (tmp_path / "built" / "x.o").write_text("ignored\n")
+    with side_trees("HEAD", root=tmp_path) as sides:
+        (parent, parent_sha), (change, change_sha) = sides["parent"], sides["change"]
+        assert len(str(parent)) == len(str(change))
+        assert parent.parent == change.parent
+        assert (parent / "src" / "a.py").read_text() == "committed\n"
+        assert (change / "src" / "a.py").read_text() == "edited\n"
+        assert (change / "new.py").read_text() == "untracked\n"
+        assert not (change / "built").exists()
+        assert change_sha == parent_sha + "-dirty"
+    assert not parent.exists() and not change.exists()

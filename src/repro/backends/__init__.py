@@ -122,11 +122,13 @@ def make_runner(
     processor knob (its parallelism is the wavefront width).  ``cache``
     serves the vectorized backend's inspector records, the simulated
     backend's executor operands (term codes, lanes, the max-plus sweep's
-    inputs and per-processor sums, keyed by structure and machine) and,
-    on the multiproc backend, prefills the shared ``iter`` array so
+    inputs and per-processor sums, keyed by structure and machine) with
+    the cycle account they give, so a warm simulated call runs no sweep,
+    and, on the multiproc backend, prefills the shared ``iter`` array so
     workers skip their inspector phase.  Without one, the vectorized
     runner keeps a private cache and the simulated runner builds its
-    operands on every call (and leaves the loop's index arrays writeable).
+    operands and cycles on every call (and leaves the loop's index arrays
+    writeable).
 
     ``analyze="symbolic"`` enables the symbolic dependence engine on the
     wall-clock backends: when a loop's verdict is proven, the runtime

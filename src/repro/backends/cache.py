@@ -86,9 +86,12 @@ codes in execution order, the schedule's lanes, the operands of the
 max-plus sweep and the per-processor cycle sums.  They depend on the
 machine as well as the structure, so their key extends the fingerprint
 with the strategy, order, blocks, processors, schedule kind, chunk,
-cost model and effective work profile; the cycles themselves are not
-cached — the sweep runs on every call.  A simulated runner without a
-cache builds them on every call.
+cost model and effective work profile.  The entry also holds the run's
+cycle account (the merged phases, breakdown, wait and sequential cycles)
+per instance count, built by the first call: none of it depends on the
+values, so a warm simulated call runs no sweep and no ``parallel do`` —
+only its walk.  The entry's ``nbytes`` counts the account.  A simulated
+runner without a cache builds everything on every call.
 """
 
 from __future__ import annotations

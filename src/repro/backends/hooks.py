@@ -60,7 +60,8 @@ class StaticValidate(RunHook):
 
     def __init__(self, backend, loop, options):
         super().__init__(backend, loop, options)
-        from repro.lint.driver import run_lints
+        from repro.lint.context import LintContext
+        from repro.lint.driver import run_rules
         from repro.lint.hb import check_dependence_coverage
 
         # The backend resolves its own defaults (chunk, group alignment),
@@ -68,14 +69,18 @@ class StaticValidate(RunHook):
         placement = backend.schedule_model(loop, **options)
         schedule = options.get("schedule")
         lanes = placement.lane
-        self.diagnostics = run_lints(
+        ctx = LintContext(
             loop,
             plan=options.get("transform"),
-            schedule=schedule if isinstance(schedule, str) else None,
+            schedule_kind=schedule if isinstance(schedule, str) else None,
             chunk=options.get("chunk") or placement.chunk,
             processors=16 if lanes is None else int(lanes.max(initial=0)) + 1,
         )
-        self.report = check_dependence_coverage(loop, placement)
+        self.diagnostics = run_rules(ctx)
+        # One read classification serves the rules and the race check.
+        self.report = check_dependence_coverage(
+            loop, placement, classified=ctx.classified
+        )
         if not self.report.passed:
             raise RaceConditionError(self.report)
 

@@ -36,10 +36,15 @@ What depends on structure and machine alone — the codes, the schedule's
 lanes, the sweep's operands and the per-processor cycle sums — is built
 once per key and kept in the :class:`~repro.backends.cache.InspectorCache`
 the runner was given (the paper's Figure-3 amortization, for the
-simulator's own preprocessing): a warm call classifies nothing and runs
-only ``run_span`` and one sweep per block.  A runner without a cache
-builds them every call.  ``result.extras["sim_executor"]["operands"]``
-says ``"cached"`` or ``"built"``.
+simulator's own preprocessing).  So is the run's cycle account
+(:class:`_Account`: the merged phases, the breakdown, the wait and
+sequential cycles, the schedule's description), once per instance count,
+since no cycle of a recurrence-timed run depends on the values: a warm
+call classifies nothing, sweeps nothing and sizes no ``iter`` array — it
+runs ``run_span`` per block, copies back and labels the result.  A runner
+without a cache builds everything every call.
+``result.extras["sim_executor"]["operands"]`` says ``"cached"`` or
+``"built"``.
 
 A phase's cycles are one per-position :class:`_Timing` record — the flags
 a position waits on, the cycles before each wait and from the last one
@@ -67,7 +72,8 @@ Two evaluators read it, chosen from the machine and the schedule class
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -198,6 +204,10 @@ class _Block:
     schedule: IterationSchedule
     timing: _Timing | None = None
     sums: tuple | None = None
+    #: The compiled walk's argument block of ``its``, ``codes`` and the
+    #: loop's structure (:class:`~repro.backends.native.ArgBlock`), kept
+    #: between calls as a vectorized record keeps its own.
+    arg_block: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def nbytes(self) -> int:
@@ -205,18 +215,44 @@ class _Block:
         return self.its.nbytes + self.codes.nbytes + timing
 
 
+@dataclass(frozen=True, slots=True)
+class _Account:
+    """The cycles of a recurrence-timed run, which depend on its operand
+    key and instance count alone: every field of its :class:`RunResult`
+    but the values and the per-call labels.  Shared by every warm result
+    of its key, so everything in it is frozen."""
+
+    phases: tuple[PhaseStats, ...]
+    breakdown: PhaseBreakdown
+    wait_cycles: int
+    sequential_cycles: int
+    schedule: str
+
+    @property
+    def nbytes(self) -> int:
+        return sum(
+            sys.getsizeof(part)
+            for phase in self.phases
+            for part in (phase, phase.processors, *phase.processors)
+        )
+
+
 @dataclass
 class _Operands:
     """What :meth:`SimulatedRunner._doacross` derives from structure and
-    machine alone, one :class:`_Block` per strip-mine block; what the
+    machine alone, one :class:`_Block` per strip-mine block, and the
+    recurrence-timed cycle ``accounts`` by instance count; what the
     :class:`~repro.backends.cache.InspectorCache` holds for the simulated
     backend."""
 
     blocks: list[_Block]
+    accounts: dict[int, _Account] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:
-        return sum(block.nbytes for block in self.blocks)
+        return sum(block.nbytes for block in self.blocks) + sum(
+            account.nbytes for account in self.accounts.values()
+        )
 
 
 class SimulatedRunner(Runner):
@@ -327,9 +363,10 @@ class SimulatedRunner(Runner):
     # Helpers
     # ------------------------------------------------------------------
     def _checkout_workspace(self, loop: IrregularLoop) -> DoacrossWorkspace:
-        """Size the shared workspace for ``loop`` and verify it is clean.
+        """Size the shared workspace for ``loop`` and verify it is clean,
+        before the inspector fills its ``iter`` array.
 
-        The executor trusts ``iter[off] == MAXINT`` to mean "never
+        The classification trusts ``iter[off] == MAXINT`` to mean "never
         written"; a stale entry from a run whose postprocessing was skipped
         would silently misclassify reads.  Failing loudly here turns that
         corruption into a diagnosable error.
@@ -344,7 +381,6 @@ class SimulatedRunner(Runner):
                 f"postprocessed — scratch reuse requires the Figure-3 "
                 f"reset discipline"
             )
-        ws.invocations += 1
         return ws
 
     def _resolve_schedule(
@@ -496,23 +532,16 @@ class SimulatedRunner(Runner):
         )
         return self._phase(name, StaticBlockSchedule(processors, processors), timing)
 
-    def _result(
+    def _account(
         self,
         loop: IrregularLoop,
-        strategy: str,
-        y: np.ndarray,
         ran: list[PhaseStats],
         schedule: IterationSchedule,
-        why_engine: str | None,
         instances: int = 1,
-        order_label: str = "natural",
-        cached: bool = False,
-    ) -> RunResult:
-        """The :class:`RunResult` of a run whose phases were ``ran``, in
-        that order: a barrier follows each, and same-named phases (strip-
-        mine blocks, instances) are reported merged.  ``extras`` says which
-        evaluator timed the executor, why, and whether its operands were
-        ``cached``."""
+    ) -> _Account:
+        """The cycle account of a run whose phases were ``ran``, in that
+        order: a barrier follows each, and same-named phases (strip-mine
+        blocks, instances) are reported merged."""
         cm = self.machine.cost_model
         phases: dict[str, PhaseStats] = {}
         for phase in ran:
@@ -521,24 +550,45 @@ class SimulatedRunner(Runner):
         def span(name: str) -> int:
             return sum(phase.span for phase in ran if phase.name == name)
 
-        breakdown = PhaseBreakdown(
-            inspector=span("inspector"),
-            executor=span("executor"),
-            postprocessor=span("postprocessor"),
-            barriers=len(ran) * cm.barrier(self.machine.processors),
+        return _Account(
+            phases=tuple(phases.values()),
+            breakdown=PhaseBreakdown(
+                inspector=span("inspector"),
+                executor=span("executor"),
+                postprocessor=span("postprocessor"),
+                barriers=len(ran) * cm.barrier(self.machine.processors),
+            ),
+            wait_cycles=sum(phase.total_wait for phase in ran),
+            sequential_cycles=instances * sequential_time(loop, cm),
+            schedule=_describe_schedule(schedule),
         )
+
+    def _result(
+        self,
+        loop: IrregularLoop,
+        strategy: str,
+        y: np.ndarray,
+        account: _Account,
+        why_engine: str | None,
+        order_label: str = "natural",
+        cached: bool = False,
+    ) -> RunResult:
+        """The :class:`RunResult` of values ``y`` and cycles ``account``.
+        ``extras`` says which evaluator timed the executor, why, and
+        whether its operands were ``cached``."""
+        breakdown = account.breakdown
         result = RunResult(
             loop_name=loop.name,
             strategy=strategy,
             processors=self.machine.processors,
             y=y,
             total_cycles=breakdown.total,
-            sequential_cycles=instances * sequential_time(loop, cm),
-            cost_model=cm,
-            phases=list(phases.values()),
+            sequential_cycles=account.sequential_cycles,
+            cost_model=self.machine.cost_model,
+            phases=list(account.phases),
             breakdown=breakdown,
-            wait_cycles=sum(phase.total_wait for phase in ran),
-            schedule=_describe_schedule(schedule),
+            wait_cycles=account.wait_cycles,
+            schedule=account.schedule,
             order_label=order_label,
         )
         result.extras["sim_executor"] = {
@@ -654,16 +704,15 @@ class SimulatedRunner(Runner):
             free = free.tolist()
         # Positional, in field order (proc, compute, wait, resource wait,
         # flag checks, flag sets, dispatches, coherence misses, iterations,
-        # finish): the warm path builds these every call.  A processor
-        # only computes or spins until it is done.
+        # finish).  A processor only computes or spins until it is done.
         return PhaseStats(
-            name=name,
-            processors=[
+            name,
+            tuple(
                 ProcessorStats(proc, own, end - own, 0, checks, sets, 0, 0, done, end)
                 for proc, (own, checks, sets, done, end) in enumerate(
                     zip(*sums, free)
                 )
-            ],
+            ),
         )
 
     def _shadow_log(self, loop: IrregularLoop, block: _Block):
@@ -718,32 +767,34 @@ class SimulatedRunner(Runner):
         """Inspect and classify every block (the loop nest's first two
         lines, ``iter`` restored after each block also when one raised),
         and describe its executor's cycles — dealt to the processors when
-        the ``recurrence`` times it."""
+        the ``recurrence`` times it.  Only here is the workspace's ``iter``
+        array sized, checked clean and filled."""
         if order is not None:
             order = order.copy()  # kept by the cache; the caller's may change
             validate_execution_order(loop, order)
         n = loop.n
         write, ptr, r_idx = loop.write, loop.reads.ptr, loop.reads.index
-        iter_arr = self.workspace.iter_arr
         # §2.3's inlined ``(off − d) mod c`` test: the writer of every
         # element in closed form (-1: never written), so neither the
         # inspector phase nor the ``iter`` array is needed.
         writer_of = (
             loop.write_subscript.writer_of_many(np.arange(loop.y_size), n)
             if linear
-            else iter_arr
+            else self._checkout_workspace(loop).iter_arr
         )
         parts = []
         for lo, hi in blocks:
             block_its = np.arange(lo, hi, dtype=np.int64)
             its = block_its if order is None else order
-            try:
-                if not linear:
-                    # The inspector: iter(a(i)) = i (Figure 3).
-                    iter_arr[write[lo:hi]] = block_its
+            if linear:
                 codes = classify_terms(ptr, r_idx, writer_of, its, 1)
-            finally:
-                iter_arr[write[lo:hi]] = MAXINT
+            else:
+                # The inspector: iter(a(i)) = i (Figure 3).
+                writer_of[write[lo:hi]] = block_its
+                try:
+                    codes = classify_terms(ptr, r_idx, writer_of, its, 1)
+                finally:
+                    writer_of[write[lo:hi]] = MAXINT
             exec_schedule = (
                 described
                 if hi - lo == n
@@ -789,8 +840,11 @@ class SimulatedRunner(Runner):
         ``self.cache`` under everything they depend on: the loop's
         fingerprint, ``linear``, ``order``, ``blocks``, the processors, the
         kind and chunk, the cost model and the effective work profile
-        (``loop.work`` is not in the fingerprint).  Engine runs, schedule
-        instances and a runner without a cache build them every call.
+        (``loop.work`` is not in the fingerprint).  The entry also keeps
+        the run's cycle account per ``instances``, built by the first call
+        (:meth:`_account`), so a later one times nothing.  Engine runs,
+        schedule instances and a runner without a cache build everything
+        every call.
         """
         machine = self.machine
         cm = machine.cost_model
@@ -808,7 +862,6 @@ class SimulatedRunner(Runner):
         described = self._resolve_schedule(schedule, n, chunk)
         tracer = Tracer() if trace else None
         why_engine = self._why_engine(described, tracer)
-        ws = self._checkout_workspace(loop)
         # Given a cache, every run hashes the loop, whatever the machine;
         # hashing checks the subscripts are in range and ``write`` is
         # injective.  Without one nothing is hashed or frozen, and the
@@ -847,22 +900,27 @@ class SimulatedRunner(Runner):
         else:
             operands = build()
 
+        ws = self.workspace
+        ws.invocations += 1
         y = loop.y0.copy()
-        ynew = ws.ynew[: loop.y_size]
+        ynew = ws.ynew_for(loop.y_size)
         write = loop.write
         ptr, r_idx, r_coeff = loop.reads.ptr, loop.reads.index, loop.reads.coeff
         take_tally()
-        ran: list[PhaseStats] = []
+        # No cycle of a run the recurrence times depends on the values:
+        # its account is built by the first call per key and instance
+        # count, and read by every later one.  ``ran`` is ``None`` then.
+        account = None if why_engine else operands.accounts.get(instances)
+        ran: list[PhaseStats] | None = [] if account is None else None
         for block in operands.blocks:
             count = block.hi - block.lo
             block_write = write[block.lo : block.hi]
-            if not linear:
+            if ran is not None and not linear:
                 # --- inspector: parallel do i: iter(a(i)) = i (Figure 3) ---
                 ran.append(self._parallel_do("inspector", count, cm.pre_iter, 1))
             log = None if self._san_capture is None else self._shadow_log(loop, block)
-            # The cycles of a phase the recurrence times do not depend on
-            # the values: one sweep serves every instance.
-            if why_engine is None:
+            if ran is not None and why_engine is None:
+                # One sweep serves every instance.
                 cycles = self._recurrence("executor", block.sums, block.timing)
             for k in range(instances):
                 # --- executor (Figure 5): the values, then the cycles ---
@@ -877,6 +935,7 @@ class SimulatedRunner(Runner):
                     y,
                     ynew,
                     ynew,
+                    memo=block,
                 )
                 if why_engine is not None:
                     cycles = self._phase(
@@ -893,28 +952,32 @@ class SimulatedRunner(Runner):
                     for proc in range(machine.processors):
                         for lo, hi in block.schedule.chunks_for(proc):
                             log(proc, lo, hi)
-                ran.append(cycles)
-                # --- postprocessor: reset ready, copy ynew back and,
-                # after the last instance, reset iter (Figure 3; one
-                # shared store fewer while iter stays valid) ---
-                last = k == instances - 1
-                ran.append(
-                    self._parallel_do(
-                        "postprocessor",
-                        count,
-                        cm.post_iter if last else cm.post_iter_amortized,
-                        3 if last else 2,
+                if ran is not None:
+                    ran.append(cycles)
+                    # --- postprocessor: reset ready, copy ynew back and,
+                    # after the last instance, reset iter (Figure 3; one
+                    # shared store fewer while iter stays valid) ---
+                    last = k == instances - 1
+                    ran.append(
+                        self._parallel_do(
+                            "postprocessor",
+                            count,
+                            cm.post_iter if last else cm.post_iter_amortized,
+                            3 if last else 2,
+                        )
                     )
-                )
                 y[block_write] = ynew[block_write]
 
+        if account is None:
+            account = self._account(loop, ran, described, instances)
+            if why_engine is None:
+                operands.accounts[instances] = account
         result = self._result(
-            loop, strategy, y, ran, described, why_engine, instances,
-            order_label, cached,
+            loop, strategy, y, account, why_engine, order_label, cached
         )
         metrics = self._obs_metrics
         if metrics is not None:
-            executors = sum(phase.name == "executor" for phase in ran)
+            executors = len(operands.blocks) * instances
             engine = executors if why_engine else 0
             metrics.count("sim_phases_engine", engine)
             metrics.count("sim_phases_recurrence", executors - engine)
@@ -1107,7 +1170,8 @@ class SimulatedRunner(Runner):
         else:
             phase = self._phase("executor", sched, timing)
         return self._result(
-            loop, strategy, loop.run_sequential(), [phase], sched, why_engine
+            loop, strategy, loop.run_sequential(),
+            self._account(loop, [phase], sched), why_engine,
         )
 
     def run_classic(
@@ -1168,7 +1232,7 @@ def _merge_phase(acc: dict[str, PhaseStats], phase: PhaseStats) -> None:
         acc[phase.name] = phase
         return
     existing = acc[phase.name]
-    merged = [
+    merged = tuple(
         a.merge(b) for a, b in zip(existing.processors, phase.processors)
-    ]
-    acc[phase.name] = PhaseStats(name=phase.name, processors=merged)
+    )
+    acc[phase.name] = PhaseStats(phase.name, merged)

@@ -22,9 +22,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 __all__ = ["PhaseBreakdown", "RunResult"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PhaseBreakdown:
-    """Cycle totals for the three pipeline phases plus barriers."""
+    """Cycle totals for the three pipeline phases plus barriers (frozen:
+    the simulated backend's warm results share one)."""
 
     inspector: int = 0
     executor: int = 0
@@ -94,7 +95,7 @@ class RunResult:
     sequential_cycles: int
     cost_model: CostModel
     phases: list[PhaseStats] = field(default_factory=list)
-    breakdown: PhaseBreakdown = field(default_factory=PhaseBreakdown)
+    breakdown: PhaseBreakdown = PhaseBreakdown()
     wait_cycles: int = 0
     schedule: str = ""
     order_label: str = "natural"

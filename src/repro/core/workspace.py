@@ -61,9 +61,17 @@ class DoacrossWorkspace:
             grown_iter = np.full(y_size, MAXINT, dtype=np.int64)
             grown_iter[: len(self.iter_arr)] = self.iter_arr
             self.iter_arr = grown_iter
+        self.ynew_for(y_size)
+
+    def ynew_for(self, y_size: int) -> np.ndarray:
+        """``ynew``'s first ``y_size`` elements, growing it if it is
+        shorter; ``iter`` is left as it is (a run whose term codes are
+        already known never reads it)."""
+        if y_size > len(self.ynew):
             grown_new = np.zeros(y_size, dtype=np.float64)
             grown_new[: len(self.ynew)] = self.ynew
             self.ynew = grown_new
+        return self.ynew[:y_size]
 
     def is_clean(self) -> bool:
         """Whether ``iter`` is pristine (all :data:`MAXINT`) — the state the

@@ -119,10 +119,17 @@ def _unique_pairs(writers: np.ndarray, readers: np.ndarray, n: int) -> np.ndarra
     return np.stack(np.divmod(keys, n), axis=1)
 
 
-def dependence_pairs(loop: IrregularLoop) -> np.ndarray:
+def dependence_pairs(
+    loop: IrregularLoop,
+    classified: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Unique true-dependence edges as an ``(m, 2)`` array of
-    ``(writer, reader)`` iteration pairs, lexicographically sorted."""
-    readers, writers, categories = classify_reads(loop)
+    ``(writer, reader)`` iteration pairs, lexicographically sorted.
+    ``classified`` is the loop's :func:`classify_reads`, when the caller
+    already holds it."""
+    readers, writers, categories = (
+        classify_reads(loop) if classified is None else classified
+    )
     mask = categories == CAT_TRUE
     return _unique_pairs(writers[mask], readers[mask], loop.n)
 

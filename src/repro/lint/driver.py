@@ -1,9 +1,12 @@
 """The lint driver: run every registered rule (and, optionally, the
 happens-before race checker) over one loop and collect diagnostics.
 
-:func:`run_lints` is the single entry point used by the CLI and by the
+:func:`run_lints` is the entry point of the CLI.  The
 ``validate="static"`` run hook
-(:class:`~repro.backends.hooks.StaticValidate`).
+(:class:`~repro.backends.hooks.StaticValidate`) builds the
+:class:`~repro.lint.context.LintContext` itself and runs the same rules
+over it (:func:`run_rules`), so its race check reuses the context's read
+classification.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from repro.lint.diagnostics import SEVERITY_ERROR, Diagnostic
 from repro.lint.hb import RaceReport, check_backend_schedule
 from repro.lint.rules import all_rules
 
-__all__ = ["RACE_RULE_ID", "race_diagnostics", "run_lints"]
+__all__ = ["RACE_RULE_ID", "race_diagnostics", "run_lints", "run_rules"]
 
 #: Rule ID stamped on happens-before violations.  Not a registered
 #: :class:`~repro.lint.rules.LintRule` — races come from the schedule
@@ -45,6 +48,12 @@ def race_diagnostics(report: RaceReport) -> list[Diagnostic]:
         )
         for race in report.races
     ]
+
+
+def run_rules(ctx: LintContext, only: list[str] | None = None) -> list[Diagnostic]:
+    """The findings of the registered rules (``only``: these rule IDs)
+    over one context, in registry order."""
+    return [d for rule in all_rules(only) for d in rule.check(ctx)]
 
 
 def run_lints(
@@ -92,9 +101,7 @@ def run_lints(
         processors=processors,
         strip_block=strip_block,
     )
-    diagnostics: list[Diagnostic] = []
-    for rule in all_rules(only):
-        diagnostics.extend(rule.check(ctx))
+    diagnostics = run_rules(ctx, only)
     if backend is not None:
         report = check_backend_schedule(
             loop,

@@ -120,17 +120,20 @@ def check_dependence_coverage(
     max_races: int = 20,
     *,
     iter_array: np.ndarray | None = None,
+    classified: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> RaceReport:
     """Verify every true-dependence edge is covered by ``placement``.
 
     ``iter_array`` is the inspector output the flag waits are classified
     from (default: the correct :func:`~repro.ir.analysis.writer_map`); pass
-    a corrupted one to model a broken inspector.  Returns a
+    a corrupted one to model a broken inspector.  ``classified`` is the
+    loop's :func:`~repro.ir.analysis.classify_reads`, when the caller
+    already holds it (a lint context's).  Returns a
     :class:`RaceReport`; at most ``max_races`` uncovered edges are
     materialized as :class:`Race` records (the count in the label is
     always exact).
     """
-    pairs = dependence_pairs(loop)
+    pairs = dependence_pairs(loop, classified)
     if len(pairs) == 0:
         return RaceReport(loop.name, placement.label, 0, ())
     writers, readers = pairs[:, 0], pairs[:, 1]

@@ -2,8 +2,10 @@
 
 A *phase* (inspector, executor, or postprocessor) is run by handing the
 engine one task factory per processor.  Each factory receives its
-:class:`~repro.machine.stats.ProcessorStats` record and returns a generator
-that yields :mod:`~repro.machine.ops` operations.  The engine advances
+processor's counters — a mutable record with the fields of
+:class:`~repro.machine.stats.ProcessorStats`, frozen into one when the
+phase ends — and returns a generator that yields
+:mod:`~repro.machine.ops` operations.  The engine advances
 processors in strict global-time order (earliest local clock first), which
 guarantees that all shared interactions — flag sets, busy-wait wake-ups,
 serial-resource grants, dynamic chunk claims — happen in causal order and
@@ -41,7 +43,25 @@ __all__ = ["Engine", "Machine", "TaskFactory", "RES_DISPATCH", "RES_BUS"]
 RES_DISPATCH = 0
 RES_BUS = 1
 
-TaskFactory = Callable[[ProcessorStats], Generator]
+
+class _Counts:
+    """One processor's counters while its phase runs: the fields of
+    :class:`ProcessorStats`, mutable, frozen into one by :meth:`freeze`."""
+
+    __slots__ = ProcessorStats.__slots__
+
+    def __init__(self, proc: int):
+        self.proc = proc
+        for name in ProcessorStats.__slots__[1:]:
+            setattr(self, name, 0)
+
+    def freeze(self) -> ProcessorStats:
+        return ProcessorStats(
+            *(getattr(self, name) for name in ProcessorStats.__slots__)
+        )
+
+
+TaskFactory = Callable[[_Counts], Generator]
 
 
 class Engine:
@@ -84,7 +104,7 @@ class Engine:
         """
         factories = list(task_factories)
         n = len(factories)
-        stats = [ProcessorStats(proc=i) for i in range(n)]
+        stats = [_Counts(i) for i in range(n)]
         gens = [factories[i](stats[i]) for i in range(n)]
         times = [0] * n
         # Simulated park time of processors blocked on flags.
@@ -196,7 +216,7 @@ class Engine:
             latest = max(times) if times else 0
             raise SimulationDeadlockError(waiters, latest)
 
-        return PhaseStats(name=name, processors=stats)
+        return PhaseStats(name, tuple(st.freeze() for st in stats))
 
 
 class Machine:

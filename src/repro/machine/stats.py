@@ -6,16 +6,20 @@ postprocessor) separated by barriers.  The engine produces one
 :class:`ProcessorStats`; :class:`repro.core.results.RunResult` aggregates
 phases into the quantities the paper reports (total time, parallel
 efficiency).
+
+Both records are frozen: the simulated backend hands one cycle account to
+every warm call of a cached structure, so no result may change another's
+(:meth:`ProcessorStats.merge` returns a new record).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["ProcessorStats", "PhaseStats"]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ProcessorStats:
     """Cycle accounting for one processor within one phase."""
 
@@ -79,12 +83,17 @@ class ProcessorStats:
         )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PhaseStats:
-    """Aggregate statistics for one phase of a parallel loop run."""
+    """Aggregate statistics for one phase of a parallel loop run;
+    ``processors`` is kept as a tuple."""
 
     name: str
-    processors: list[ProcessorStats] = field(default_factory=list)
+    processors: tuple[ProcessorStats, ...] = ()
+
+    def __post_init__(self) -> None:
+        if type(self.processors) is not tuple:
+            object.__setattr__(self, "processors", tuple(self.processors))
 
     @property
     def span(self) -> int:

@@ -376,3 +376,31 @@ class TestPruneBaseline:
         code = repro_main(["lint", "chain:n=40,d=1", "--prune-baseline"])
         capsys.readouterr()
         assert code == 2
+
+
+@pytest.mark.parametrize("shape", [(50000, 5, 7), (3000, 3, 8)])
+def test_a_static_run_classifies_the_reads_once(monkeypatch, shape):
+    """The lint context's read classification also serves the race
+    check: one ``classify_reads`` per static-validated run."""
+    import sys
+
+    from repro.ir import analysis
+    from repro.lint.hb import check_backend_schedule
+
+    loop = repro.make_test_loop(*shape)
+    expected = check_backend_schedule(loop, "vectorized").as_dict()
+    real, calls = analysis.classify_reads, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "classify_reads", None) is real:
+            monkeypatch.setattr(module, "classify_reads", counted)
+    result, _ = repro.parallelize(
+        loop, spec=PlanSpec(backend="vectorized", validate="static")
+    )
+    assert len(calls) == 1
+    assert np.array_equal(result.y.view(np.uint64), loop.run_sequential().view(np.uint64))
+    assert result.extras["race_check"] == expected

@@ -20,6 +20,7 @@ operands live in a cache whose key is tested part by part.
 import ast
 import contextlib
 import copy
+import dataclasses
 import inspect
 import json
 
@@ -29,8 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PlanSpec, make_runner
-from repro.backends import simulated
+from repro.backends import native, simulated
 from repro.backends.simulated import SimulatedRunner
+from repro.core.amortized import AmortizedDoacross
+from repro.core.doacross import PreprocessedDoacross
 from repro.core.doconsider import level_order
 from repro.core.serialize import result_to_dict
 from repro.errors import OutputDependenceError
@@ -482,9 +485,9 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 
 class TestOperandCache:
-    """The executor operands are built once per key and served from the
-    runner's :class:`InspectorCache`; the cycles are not — the sweep runs
-    on every call."""
+    """The executor operands and the cycle account are built once per key
+    and served from the runner's :class:`InspectorCache`: a warm call
+    sweeps nothing."""
 
     def test_a_warm_call_classifies_nothing(self, monkeypatch):
         from repro import InspectorCache, parallelize
@@ -500,10 +503,8 @@ class TestOperandCache:
         warm, _ = parallelize(loop, spec=spec, cache=cache)
         assert cold.extras["sim_executor"]["operands"] == "built"
         assert warm.extras["sim_executor"]["operands"] == "cached"
-        assert (classified, engines) == ([], [])
-        executors = [p for p in warm.phases if p.name == "executor"]
-        assert len(sweeps) == len(executors) == 1
-        assert warm.wait_cycles > 0  # the sweep had waits to resolve
+        assert (classified, sweeps, engines) == ([], [], [])
+        assert warm.wait_cycles > 0  # the cold sweep had waits to resolve
         # Field by field, the warm result is the cold one.
         assert warm.total_cycles == cold.total_cycles
         assert warm.wait_cycles == cold.wait_cycles
@@ -653,3 +654,132 @@ class TestOperandCache:
         runner.run(loop, **options)
         with pytest.raises(ValueError, match="read-only"):
             loop.write[0] = loop.write[1]
+
+
+def _cached_amortized(instances: int):
+    """``AmortizedDoacross.run`` on a runner given a cache."""
+
+    def run(runner, loop):
+        pd = PreprocessedDoacross(processors=runner.machine.processors)
+        pd._runner = runner
+        return AmortizedDoacross(doacross=pd).run(loop, instances)
+
+    return run
+
+
+class TestCycleAccount:
+    """A recurrence-timed run's cycle account — merged phases, breakdown,
+    wait and sequential cycles, schedule description — is built by the
+    first call per key and instance count and read by every later one:
+    a warm call sweeps nothing, runs no ``parallel do`` and merges no
+    phase, and reports exactly the cold call's cycles."""
+
+    ENTRY_POINTS = {
+        "preprocessed": lambda r, loop: r.run_preprocessed(loop),
+        "linear": lambda r, loop: r.run_preprocessed(loop, linear=True),
+        "stripmined": lambda r, loop: r.run_stripmined(loop, 70),
+        "doconsider": lambda r, loop: r.run_preprocessed(
+            loop, order=level_order(loop)[0], order_label="doconsider"
+        ),
+        "amortized-1": lambda r, loop: r.run_amortized(loop, 1),
+        "amortized-3": lambda r, loop: r.run_amortized(loop, 3),
+        "AmortizedDoacross-1": _cached_amortized(1),
+        "AmortizedDoacross-3": _cached_amortized(3),
+    }
+
+    @staticmethod
+    def assert_same_cycles(got, want):
+        assert got.total_cycles == want.total_cycles
+        assert got.wait_cycles == want.wait_cycles
+        assert got.sequential_cycles == want.sequential_cycles
+        assert got.breakdown == want.breakdown
+        assert got.schedule == want.schedule
+        assert [p.name for p in got.phases] == [p.name for p in want.phases]
+        for a, b in zip(got.phases, want.phases):
+            assert len(a.processors) == len(b.processors)
+            for x, y in zip(a.processors, b.processors):
+                assert x == y  # every ProcessorStats field
+        assert got.efficiency == want.efficiency
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_a_warm_call_times_nothing(self, monkeypatch, entry):
+        from repro import InspectorCache
+
+        run = self.ENTRY_POINTS[entry]
+        loop = make_test_loop(n=240, m=3, l=8)
+        runner = SimulatedRunner(Machine(4), cache=InspectorCache())
+        cold = run(runner, loop)
+        fresh = run(SimulatedRunner(Machine(4)), loop)
+        counted = [
+            _counting(monkeypatch, native, "max_plus"),
+            _counting(monkeypatch, SimulatedRunner, "_parallel_do"),
+            _counting(monkeypatch, SimulatedRunner, "_recurrence"),
+            _counting(monkeypatch, SimulatedRunner, "_account"),
+        ]
+        warm = run(runner, loop)
+        again = run(runner, loop)
+        assert counted == [[], [], [], []]
+        assert cold.extras["sim_executor"]["operands"] == "built"
+        assert warm.extras["sim_executor"]["operands"] == "cached"
+        assert warm.wait_cycles > 0  # there were waits to time
+        for result in (cold, warm, again):
+            self.assert_same_cycles(result, fresh)
+            assert_same_bits(result.y, fresh.y)
+            assert (result.strategy, result.order_label) == (
+                fresh.strategy, fresh.order_label,
+            )
+            assert result.extras == fresh.extras | {
+                "sim_executor": result.extras["sim_executor"]
+            }
+
+    def test_a_shared_account_cannot_be_changed_through_a_result(self):
+        from repro import InspectorCache
+
+        loop = make_test_loop(n=240, m=3, l=8)
+        runner = SimulatedRunner(Machine(4), cache=InspectorCache())
+        cold = runner.run(loop)
+        warm = runner.run(loop)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            warm.phases[0].processors[0].compute_cycles = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            warm.breakdown.executor = 0
+        with pytest.raises(TypeError):
+            warm.phases[0].processors[0] = None
+        warm.phases.clear()  # the result's own list
+        warm.extras.clear()
+        again = runner.run(loop)
+        assert again.extras["sim_executor"]["operands"] == "cached"
+        self.assert_same_cycles(again, cold)
+
+    def test_the_entry_counts_the_account(self):
+        from repro import InspectorCache
+
+        cache = InspectorCache()
+        runner = SimulatedRunner(Machine(4), cache=cache)
+        loop = make_test_loop(n=240, m=3, l=8)
+        runner.run_preprocessed(loop)
+        (operands,) = cache._sim.values()
+        (account,) = operands.accounts.values()
+        blocks = sum(block.nbytes for block in operands.blocks)
+        assert account.nbytes > 0
+        assert operands.nbytes == blocks + account.nbytes
+        runner.run_amortized(loop, 3)  # same key, another instance count
+        assert sorted(operands.accounts) == [1, 3]
+        assert cache.stats()["bytes"] == operands.nbytes
+        assert cache.stats()["sim_entries"] == 1
+
+    @pytest.mark.parametrize("entry", ["preprocessed", "amortized-3", "stripmined"])
+    def test_a_sanitized_warm_call_still_logs(self, entry):
+        from repro import InspectorCache
+
+        run = self.ENTRY_POINTS[entry]
+        loop = random_irregular_loop(150, seed=4)
+        runner = SimulatedRunner(Machine(3), cache=InspectorCache())
+        cold, cold_lanes, cold_report = _shadow(runner, loop, lambda r: run(r, loop))
+        warm, warm_lanes, warm_report = _shadow(runner, loop, lambda r: run(r, loop))
+        _, lanes, report = _shadow(
+            SimulatedRunner(Machine(3)), loop, lambda r: run(r, loop)
+        )
+        assert warm.extras["sim_executor"]["operands"] == "cached"
+        assert warm_lanes and warm_lanes == cold_lanes == lanes
+        assert warm_report == cold_report == report
