@@ -24,7 +24,6 @@ import networkx as nx
 import numpy as np
 
 import repro
-from repro.core.doconsider import Doconsider
 from repro.graph.levels import compute_levels
 from repro.ir.accesses import ReadTable
 from repro.ir.loop import IrregularLoop
@@ -87,7 +86,7 @@ def main() -> None:
         loop = sweep_loop(mesh, order)
         levels = compute_levels(loop)
         result = runner.run(loop)
-        reordered = Doconsider(doacross=runner).run(loop)
+        reordered = runner.run(loop, reorder="doconsider")
         print(f"\n--- vertex order: {label} ---")
         print(
             f"dependence wavefronts: {levels.n_levels} "

@@ -11,9 +11,9 @@ This example makes the whole chain concrete:
 2. measure what fraction of sequential solver time those solves consume
    (the paper's claim, as a number);
 3. swap in a preconditioner whose substitutions run as doconsider-reordered
-   preprocessed doacross loops on 16 simulated processors, amortizing the
-   inspector across iterations is left to `AmortizedDoacross` (see the
-   amortization ablation) — and measure the *whole-solver* speedup
+   preprocessed doacross loops on 16 simulated processors (amortizing the
+   inspector across iterations is `PreprocessedDoacross.run_amortized`,
+   ablation G) — and measure the *whole-solver* speedup
    (the Amdahl payoff the paper is after).
 
 Run:  ``python examples/preconditioned_krylov.py``
@@ -22,7 +22,6 @@ Run:  ``python examples/preconditioned_krylov.py``
 import numpy as np
 
 from repro import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.sparse import IluPreconditioner, cg, five_point
 
 
@@ -48,7 +47,7 @@ def main() -> None:
     np.testing.assert_allclose(A.matvec(x_ilu), b, atol=1e-6)
 
     # --- 2. parallelize the triangular solves ---------------------------
-    runner = Doconsider(doacross=PreprocessedDoacross(processors=16))
+    runner = PreprocessedDoacross(processors=16, reorder="doconsider")
     par_pc = IluPreconditioner(A, runner=runner)
     x_par, rep_par = cg(A, b, preconditioner=par_pc, tol=1e-8)
     print(f"\nILU(0) CG (par):   {rep_par.summary()}")

@@ -22,7 +22,6 @@ Run:  ``python examples/sparse_triangular_solve.py``
 import numpy as np
 
 import repro
-from repro.core.doconsider import Doconsider
 from repro.graph.levels import compute_levels
 from repro.sparse import (
     five_point,
@@ -56,7 +55,7 @@ def main() -> None:
     print("\n--- natural iteration order ---")
     print(natural.summary())
 
-    reordered = Doconsider(doacross=runner).run(forward)
+    reordered = runner.run(forward, reorder="doconsider")
     print("\n--- doconsider (wavefront) order ---")
     print(reordered.summary())
     print(
@@ -73,7 +72,7 @@ def main() -> None:
 
     # --- complete the preconditioner: backward solve -------------------
     backward = upper_solve_loop(U, y_ref, name="5-PT backward")
-    back_result = Doconsider(doacross=runner).run(backward)
+    back_result = runner.run(backward, reorder="doconsider")
     x_ref = solve_upper(U, y_ref)
     assert np.allclose(back_result.y, x_ref, rtol=1e-10)
     print("\n--- backward (upper) solve, wavefront order ---")

@@ -20,7 +20,8 @@ Subpackages
 -----------
 - :mod:`repro.core` — the paper's contribution: the preprocessed doacross
   (``PreprocessedDoacross.run`` / ``run(linear=True)`` / ``run_stripmined``),
-  doconsider reordering, amortized inspector reuse, and ``parallelize``,
+  doconsider reordering (``reorder="doconsider"``), amortized inspector
+  reuse (``run_amortized``), and ``parallelize``,
   which also dispatches the classic doacross / doall baselines
   (``known_distance=`` / ``assert_independent=``).
 - :mod:`repro.machine` — the simulated multiprocessor.
@@ -57,9 +58,7 @@ from repro.backends import (
     WaitLadder,
     make_runner,
 )
-from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross, parallelize
-from repro.core.doconsider import Doconsider, level_order
 from repro.core.results import RunResult
 from repro.core.sequential import run_reference, sequential_time
 from repro.core.serialize import result_to_dict, result_to_json, results_to_csv
@@ -109,9 +108,6 @@ __all__ = [
     "__version__",
     # Core runners
     "PreprocessedDoacross",
-    "AmortizedDoacross",
-    "Doconsider",
-    "level_order",
     "parallelize",
     # Backends
     "Runner",

@@ -80,7 +80,7 @@ def _demo(args: argparse.Namespace) -> int:
     result = runner.run(loop)
     print(result.summary())
     print()
-    reordered = repro.Doconsider(doacross=runner).run(loop)
+    reordered = runner.run(loop, reorder="doconsider")
     print("after doconsider reordering:")
     print(reordered.summary())
 

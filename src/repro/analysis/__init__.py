@@ -50,7 +50,6 @@ from repro.analysis.verdicts import (
     VERDICT_RUNTIME_ONLY,
     DependenceVerdict,
     SlotDependence,
-    is_min_distance_kind,
     min_distance_kind,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "VERDICT_INJECTIVE_WRITE",
     "VERDICT_RUNTIME_ONLY",
     "min_distance_kind",
-    "is_min_distance_kind",
     "DIR_ANY",
     "DIR_NONE",
     "SLOT_TRUE",

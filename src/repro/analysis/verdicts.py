@@ -51,7 +51,6 @@ __all__ = [
     "VERDICT_RUNTIME_ONLY",
     "VERDICT_MIN_DISTANCE_PREFIX",
     "min_distance_kind",
-    "is_min_distance_kind",
     "direction_string",
     "DIR_ANY",
     "DIR_NONE",
@@ -75,10 +74,6 @@ def min_distance_kind(k: int) -> str:
     """The verdict kind for a proven loop-level distance bound ``k``."""
     return f"{VERDICT_MIN_DISTANCE_PREFIX}{k}"
 
-
-def is_min_distance_kind(kind: str) -> bool:
-    """Whether ``kind`` belongs to the ``min-distance-k`` family."""
-    return kind.startswith(VERDICT_MIN_DISTANCE_PREFIX)
 
 #: No aliasing pair exists for any input.
 DIR_NONE = "-"

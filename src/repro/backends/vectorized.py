@@ -241,8 +241,8 @@ class VectorizedRunner(WallClockRunner):
     ) -> RunResult:
         """Run ``instances`` back-to-back executions with one preprocessing.
 
-        The vectorized form of :class:`~repro.core.amortized.
-        AmortizedDoacross`: instance ``k`` consumes instance ``k-1``'s
+        The vectorized form of :meth:`~repro.core.doacross.
+        PreprocessedDoacross.run_amortized`: instance ``k`` consumes instance ``k-1``'s
         output (or, for external-init loops, a per-instance ``rhs``), and
         the inspector/wavefront work is fetched from the cache once.
         """

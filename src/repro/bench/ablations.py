@@ -40,9 +40,7 @@ from repro.bench.harness import (
     require,
 )
 from repro.bench.reporting import format_table
-from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.workloads.synthetic import chain_loop
 from repro.machine.costs import CostModel
 from repro.sparse.ilu import ilu0
@@ -218,7 +216,7 @@ def ablation_processors(
     for p in processor_counts:
         runner = PreprocessedDoacross(processors=p)
         plain = runner.run(loop)
-        reordered = Doconsider(doacross=runner).run(loop)
+        reordered = runner.run(loop, reorder="doconsider")
         rows.append(
             ExperimentRow(
                 label=f"P={p}",
@@ -409,11 +407,11 @@ def ablation_amortization(
     Per-instance cost falls toward the executor + reduced-postprocessor
     floor as the single inspector pass spreads over more instances."""
     loop = make_test_loop(n=n, m=1, l=5)
-    runner = AmortizedDoacross(processors=processors)
-    full = PreprocessedDoacross(processors=processors).run(loop)
+    runner = PreprocessedDoacross(processors=processors)
+    full = runner.run(loop)
     rows = []
     for instances in instance_counts:
-        result = runner.run(loop, instances)
+        result = runner.run_amortized(loop, instances)
         per_instance = result.total_cycles / instances
         rows.append(
             ExperimentRow(

@@ -30,9 +30,8 @@ import numpy as np
 
 from repro.bench.harness import ExperimentRow, require
 from repro.bench.reporting import format_table
-from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider, modeled_reorder_cycles
+from repro.core.doconsider import modeled_reorder_cycles
 from repro.graph.levels import compute_levels
 from repro.machine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sparse.ilu import ilu0
@@ -141,8 +140,6 @@ def run_amortized_table(
     """Run the amortization experiment over the Table-1 problems."""
     cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
     runner = PreprocessedDoacross(processors=processors, cost_model=cm)
-    amortized_runner = AmortizedDoacross(doacross=runner)
-    doconsider = Doconsider(doacross=runner)
     out = AmortizedTableResult(
         processors=processors, instances=instances, small=small
     )
@@ -162,22 +159,17 @@ def run_amortized_table(
         assert np.allclose(full.y, reference)
 
         # Mode 2: full pipeline, doconsider order; reorder charged once.
-        reordered = doconsider.run(loop)
+        reordered = runner.run(loop, reorder="doconsider")
         assert np.allclose(reordered.y, reference)
         reordered_per_solve = reordered.total_cycles + reorder_once / instances
 
         # Mode 3: amortized inspector, natural order.
-        amortized = amortized_runner.run(loop, instances)
+        amortized = runner.run_amortized(loop, instances)
         assert np.allclose(amortized.y, reference)  # external init: last
         amortized_per_solve = amortized.total_cycles / instances
 
         # Mode 4: amortized inspector + doconsider order.
-        both = amortized_runner.run(
-            loop,
-            instances,
-            order=schedule.order,
-            order_label=f"doconsider(levels={schedule.n_levels})",
-        )
+        both = runner.run_amortized(loop, instances, reorder="doconsider")
         assert np.allclose(both.y, reference)
         both_per_solve = (both.total_cycles + reorder_once) / instances
 

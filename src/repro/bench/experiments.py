@@ -172,7 +172,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "G", "ours", "inspector amortization over repeated instances",
         "inspector amortization over {1,2,5,10,20} repeated instances of a "
         "Figure-4 loop (`N=4000`, `M=1`, `L=5`)",
-        "`core.amortized`",
+        "`core.doacross` (`run_amortized`)",
         ablations.ablation_amortization, ablations.check_amortization,
         reduced={"n": 1000},
     ),
@@ -193,7 +193,10 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         ident='**"Table 2"** (ours)',
         workload="Table-1 problems × {full, reordered, amortized, "
         "amort+reord}, per-solve cost over 10 solves",
-        modules="`core.amortized`, `core.doconsider`, `bench.amortized_table`",
+        modules=(
+            "`core.doacross` (`run_amortized`, `reorder=\"doconsider\"`), "
+            "`core.doconsider`, `bench.amortized_table`"
+        ),
         run=run_amortized_table,
         reduced={"small": True},
         report=AmortizedTableResult.report,

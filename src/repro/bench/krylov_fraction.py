@@ -26,7 +26,6 @@ import numpy as np
 from repro.bench.harness import ExperimentRow
 from repro.bench.reporting import format_table
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.machine.costs import DEFAULT_COST_MODEL, CostModel
 from repro.sparse.krylov import IluPreconditioner, cg, gmres
 from repro.sparse.spe import paper_problems
@@ -116,8 +115,8 @@ def run_krylov_fraction(
 ) -> KrylovFractionResult:
     """Run the experiment over the five appendix problems."""
     cm = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-    runner = Doconsider(
-        doacross=PreprocessedDoacross(processors=processors, cost_model=cm)
+    runner = PreprocessedDoacross(
+        processors=processors, cost_model=cm, reorder="doconsider"
     )
     out = KrylovFractionResult(processors=processors, small=small)
 

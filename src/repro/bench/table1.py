@@ -30,7 +30,6 @@ import numpy as np
 from repro.bench.harness import ExperimentRow, check_within, require
 from repro.bench.reporting import format_table
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.machine.costs import CostModel
 from repro.sparse.ilu import ilu0
 from repro.sparse.spe import paper_problems
@@ -159,7 +158,6 @@ def run_table1(
     runs for tests); the full version uses the paper's exact sizes.
     """
     runner = PreprocessedDoacross(processors=processors, cost_model=cost_model)
-    doconsider = Doconsider(doacross=runner)
     out = Table1Result(processors=processors, small=small)
 
     for name, A in paper_problems(small=small).items():
@@ -168,7 +166,7 @@ def run_table1(
         loop = lower_solve_loop(L, rhs, name=name)
 
         plain = runner.run(loop)
-        reordered = doconsider.run(loop)
+        reordered = runner.run(loop, reorder="doconsider")
         if verify_values:
             reference = solve_lower_unit(L, rhs)
             if not np.allclose(plain.y, reference):

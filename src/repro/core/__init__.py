@@ -4,9 +4,11 @@ Public entry points:
 
 - :class:`repro.core.doacross.PreprocessedDoacross` — the full
   inspector/executor/postprocessor pipeline (paper §2.1–§2.2), with the
-  strip-mined (§2.3) and linear-subscript (§2.3) variants.
-- :class:`repro.core.doconsider.Doconsider` — wavefront (level-schedule)
-  iteration reordering before the doacross (paper §3.2, reference [4]).
+  strip-mined (§2.3) and linear-subscript (§2.3) variants, wavefront
+  (level-schedule) iteration reordering as ``reorder="doconsider"``
+  (paper §3.2, reference [4]; the reorder cost model is
+  :mod:`repro.core.doconsider`), and one inspector shared across loop
+  instances as ``run_amortized``.
 - :func:`repro.core.doacross.parallelize` — strategy selection; with
   ``known_distance=d`` / ``assert_independent=True`` it runs the classic
   a-priori-distance doacross / the doall baseline
@@ -17,9 +19,7 @@ Public entry points:
 - :class:`repro.core.results.RunResult` — what every runner returns.
 """
 
-from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider, level_order
 from repro.core.results import PhaseBreakdown, RunResult
 from repro.core.sequential import run_reference, sequential_time
 from repro.core.serialize import result_to_dict, result_to_json, results_to_csv
@@ -28,9 +28,6 @@ from repro.core.workspace import MAXINT, DoacrossWorkspace
 
 __all__ = [
     "PreprocessedDoacross",
-    "AmortizedDoacross",
-    "Doconsider",
-    "level_order",
     "RunResult",
     "PhaseBreakdown",
     "run_reference",

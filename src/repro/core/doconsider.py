@@ -14,34 +14,27 @@ the paper: the executor still resolves every reference at run time through
 wavefronts are adjacent in the new order, processors almost never arrive at
 a ``ready`` flag before its writer has finished.
 
+The reordering is :class:`~repro.core.doacross.PreprocessedDoacross`'s
+``reorder="doconsider"`` (``PlanSpec(reorder="doconsider")`` on the
+planned path); this module holds its cost model.
+
 Cost accounting: the wavefront computation is itself runtime preprocessing.
 For triangular solves it is amortized over the many solves performed per
 factorization (the standard practice in the Saltz et al. line of work), so
-by default it is *reported* (``extras["reorder_cycles_modeled"]``) but not
-added to the makespan; pass ``include_reorder_cost=True`` to charge it.
+a doconsider run *reports* it (``extras["reorder_cycles_modeled"]``) and
+never adds it to the makespan; the amortization experiment (``table2``)
+charges it once per ``k`` solves itself.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.doacross import PreprocessedDoacross
-from repro.core.results import RunResult
 from repro.graph.levels import LevelSchedule, compute_levels
 from repro.ir.analysis import dependence_pairs
 from repro.ir.loop import IrregularLoop
 
-__all__ = ["level_order", "Doconsider"]
-
-
-def level_order(loop: IrregularLoop) -> tuple[np.ndarray, LevelSchedule]:
-    """Wavefront execution order for ``loop``.
-
-    Returns ``(order, schedule)``: ``order[p]`` is the original iteration to
-    run at position ``p``; ``schedule`` carries the level decomposition.
-    """
-    schedule = compute_levels(loop)
-    return schedule.order, schedule
+__all__ = ["modeled_reorder_cycles"]
 
 
 def modeled_reorder_cycles(
@@ -85,48 +78,3 @@ def modeled_reorder_cycles(
         + int(share(frontier_work).sum())
         + (schedule.n_levels + 1) * barrier_cycles
     )
-
-
-class Doconsider:
-    """Preprocessed doacross with doconsider (level) reordering.
-
-    Wraps a :class:`~repro.core.doacross.PreprocessedDoacross`; see module
-    docstring for the reorder-cost accounting convention.
-    """
-
-    def __init__(
-        self,
-        doacross: PreprocessedDoacross | None = None,
-        include_reorder_cost: bool = False,
-        **doacross_kwargs,
-    ):
-        self.doacross = (
-            doacross
-            if doacross is not None
-            else PreprocessedDoacross(**doacross_kwargs)
-        )
-        self.include_reorder_cost = include_reorder_cost
-
-    def run(self, loop: IrregularLoop, **run_kwargs) -> RunResult:
-        """Compute the wavefront order and run the preprocessed doacross in
-        it; level counts, widest wavefront, and the modeled reorder cost
-        land in ``result.extras``."""
-        schedule = compute_levels(loop)
-        order = schedule.order
-        result = self.doacross.run(
-            loop,
-            order=order,
-            order_label=f"doconsider(levels={schedule.n_levels})",
-            **run_kwargs,
-        )
-        result.strategy = "doconsider-doacross"
-        reorder_cycles = modeled_reorder_cycles(
-            loop, self.doacross.machine.processors, schedule=schedule
-        )
-        result.extras["reorder_cycles_modeled"] = reorder_cycles
-        result.extras["n_levels"] = schedule.n_levels
-        result.extras["max_wavefront"] = schedule.max_width()
-        if self.include_reorder_cost:
-            result.total_cycles += reorder_cycles
-            result.extras["reorder_cost_included"] = True
-        return result

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backends.threaded import ThreadedRunner
-from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.ir.analysis import (
     CAT_ANTI,
     CAT_TRUE,
@@ -97,8 +95,8 @@ def verify_loop(
     reference = loop.run_sequential()
     report = VerificationReport(loop_name=loop.name, tolerance=tolerance)
 
-    def check(name: str, y: np.ndarray) -> None:
-        diff = float(np.max(np.abs(y - reference))) if len(reference) else 0.0
+    def check(name: str, y: np.ndarray, expected=reference) -> None:
+        diff = float(np.max(np.abs(y - expected))) if len(expected) else 0.0
         report.checks.append(
             StrategyCheck(
                 strategy=name, max_abs_diff=diff, passed=diff <= tolerance
@@ -117,14 +115,17 @@ def verify_loop(
 
     runner = PreprocessedDoacross(processors=processors)
     check("preprocessed-doacross", runner.run(loop).y)
-    check("doconsider-doacross", Doconsider(doacross=runner).run(loop).y)
+    check("doconsider-doacross", runner.run(loop, reorder="doconsider").y)
     block = max(1, loop.n // 4)
     check("stripmined-doacross", runner.run_stripmined(loop, block=block).y)
+    # Two instances compose the loop with itself: the oracle applied to
+    # its own output.
+    twice = loop.with_name(loop.name)
+    twice.y0 = reference
     check(
         "amortized-doacross(x2)",
-        # Two instances would compose the loop with itself; verify the
-        # single-instance form, which must equal one plain run.
-        AmortizedDoacross(doacross=runner).run(loop, 1).y,
+        runner.run_amortized(loop, 2).y,
+        twice.run_sequential(),
     )
 
     if isinstance(loop.write_subscript, AffineSubscript):

@@ -37,6 +37,7 @@ __all__ = [
     "writer_map",
     "classify_reads",
     "dependence_pairs",
+    "dependence_triples",
     "sorted_unique",
     "is_doall",
     "uniform_distance",
@@ -132,6 +133,22 @@ def dependence_pairs(
     )
     mask = categories == CAT_TRUE
     return _unique_pairs(writers[mask], readers[mask], loop.n)
+
+
+def dependence_triples(
+    loop: IrregularLoop,
+    classified: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Unique true-dependence ``(writer, reader, element)`` triples as a
+    lexicographically sorted ``(k, 3)`` array: the sanitizer's contract
+    (:func:`repro.sanitize.detector.required_pairs`).
+
+    An iteration writes one element, so a triple is its ``(writer,
+    reader)`` edge plus ``loop.write[writer]``: one int64 key per triple,
+    deduplicated by :func:`dependence_pairs`.
+    """
+    pairs = dependence_pairs(loop, classified)
+    return np.column_stack([pairs, loop.write[pairs[:, 0]]]).astype(np.int64)
 
 
 def is_doall(loop: IrregularLoop) -> bool:

@@ -4,8 +4,12 @@ This module is the bridge between planning and the backends:
 :func:`execute_plan` hands a :func:`~repro.passes.plan.plan_loop` plan to
 the resolved backend — forwarding exactly the options that backend
 honors (the plan was validated against the support matrix, so nothing is
-ever silently dropped: planned results carry no ``ignored_options``
-notes).  :func:`repro.core.doacross.parallelize` is
+ever silently dropped).  Planned results carry no ``ignored_options``
+notes, with one exception: ``reorder="doconsider"`` on the speculative
+backend, which commits in natural chunk order, runs in natural order
+(``order_label="natural"``) and notes ``order`` as ignored; the other
+backends label the run ``doconsider(levels=N)`` (vectorized:
+``wavefront(levels=N)``).  :func:`repro.core.doacross.parallelize` is
 :func:`~repro.passes.plan.plan_loop` → ``plan_transform`` →
 :func:`execute_plan`.
 """

@@ -24,7 +24,7 @@ from repro.backends.cache import (
 )
 from repro.backends.kernel import default_chunk
 from repro.graph.levels import LevelSchedule, compute_levels
-from repro.ir.analysis import CAT_TRUE, classify_reads
+from repro.ir.analysis import dependence_triples
 from repro.ir.loop import IrregularLoop
 from repro.passes.autotune import (
     TunerDecision,
@@ -273,14 +273,8 @@ def plan_loop(
         passes.append("sanitize")
         # The sanitizer itself runs during and after execution
         # (repro.sanitize); what belongs in the plan is the contract it
-        # will enforce.  The detector's required_pairs, counted without
-        # building them: a written element has one writer, so the unique
-        # (reader, element) true-dependence terms are its (writer,
-        # reader, element) triples.
-        readers, _, categories = classify_reads(loop)
-        true = categories == CAT_TRUE
-        terms = np.stack([readers[true], loop.reads.index[true]], axis=1)
-        sanitize_pairs = np.unique(terms, axis=0).shape[0]
+        # will enforce: the detector's required_pairs.
+        sanitize_pairs = len(dependence_triples(loop))
 
     if record is not None:
         passes.append("inspector")

@@ -57,7 +57,10 @@ REORDER_KINDS = ("natural", "doconsider")
 #: Which tunable option each backend honors.  ``backend``, ``processors``,
 #: ``analyze``, ``validate``, ``observe``, and ``reorder`` are universal
 #: (every backend accepts them, though ``analyze`` is planning-level on
-#: the simulated backend); this matrix covers the executor options whose
+#: the simulated backend, and the speculative backend, which commits in
+#: natural chunk order, runs ``reorder="doconsider"`` in natural order
+#: and notes ``order`` in ``extras["ignored_options"]``); this matrix
+#: covers the executor options whose
 #: support genuinely differs.  An option set on a :class:`PlanSpec` but
 #: absent from its backend's row raises :class:`UnsupportedPlanOption` at
 #: plan time.

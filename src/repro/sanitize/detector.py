@@ -25,10 +25,10 @@ One replay, in two steps:
   event (the vectorized backend's one-lane walk) enters it through
   :func:`~repro.backends.kernel.span_events`, never as tuples.
 
-Required read-after-write pairs come from
-:func:`repro.ir.analysis.classify_reads` — *not* from
-``dependence_pairs``, which collapses per-element information the
-violation messages need.
+Required read-after-write triples come from
+:func:`repro.ir.analysis.dependence_triples`: an iteration writes one
+element, so each ``dependence_pairs`` edge carries the element the
+violation messages name.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Any, Dict, Hashable, List, Tuple
 import numpy as np
 
 from repro.backends import kernel
-from repro.ir.analysis import CAT_TRUE, classify_reads
+from repro.ir.analysis import dependence_triples
 from repro.sanitize.events import (
     EV_ACQUIRE,
     EV_BARRIER,
@@ -202,20 +202,12 @@ class SanitizeReport:
         }
 
 
-def _required(loop) -> np.ndarray:
-    """:func:`required_pairs` as a sorted ``(k, 3)`` array."""
-    readers, writers, categories = classify_reads(loop)
-    mask = categories == CAT_TRUE
-    trip = np.stack([writers[mask], readers[mask], loop.reads.index[mask]], 1)
-    return np.unique(trip.astype(np.int64), axis=0)
-
-
 def required_pairs(loop) -> List[Tuple[int, int, int]]:
     """The sanitizer's contract: the unique ``(writer_iteration,
     reader_iteration, element)`` triples the §2.2 protocol must order —
     every cross-iteration true-dependence read term, each to be covered
     by a witnessed happens-before edge."""
-    return [(int(w), int(r), int(e)) for w, r, e in _required(loop)]
+    return [(int(w), int(r), int(e)) for w, r, e in dependence_triples(loop)]
 
 
 def _split(events: List[tuple], loop):
@@ -582,7 +574,7 @@ def detect(
         lanes=len(capture.lanes),
         backend=capture.meta.get("backend"),
     )
-    triples = _required(loop)
+    triples = dependence_triples(loop)
     has_access_events = any(
         ev[0] in (EV_READ, EV_WRITE, EV_SPAN)
         for events in capture.lanes.values()

@@ -14,7 +14,6 @@ only in tests as an independent oracle):
 - :mod:`repro.sparse.ilu` — ILU(0) incomplete factorization.
 - :mod:`repro.sparse.trisolve` — sequential triangular solves and the
   Figure-7 loop encoding consumed by the doacross runtime.
-- :mod:`repro.sparse.reorder` — permutation utilities.
 """
 
 from repro.sparse.block import block_seven_point
@@ -27,11 +26,6 @@ from repro.sparse.krylov import (
     PCGReport,
     cg,
     gmres,
-)
-from repro.sparse.reorder import (
-    identity_permutation,
-    permutation_is_valid,
-    random_symmetric_permutation,
 )
 from repro.sparse.spe import paper_problems
 from repro.sparse.stencils import five_point, nine_point, seven_point
@@ -60,7 +54,4 @@ __all__ = [
     "solve_upper",
     "lower_solve_loop",
     "upper_solve_loop",
-    "identity_permutation",
-    "random_symmetric_permutation",
-    "permutation_is_valid",
 ]

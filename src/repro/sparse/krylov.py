@@ -110,11 +110,11 @@ class IluPreconditioner:
     runner:
         Optional parallel runner (anything with
         ``run(loop) -> RunResult``, e.g. a
-        :class:`~repro.core.doacross.PreprocessedDoacross` or
-        :class:`~repro.core.doconsider.Doconsider`).  When given, each
-        substitution's *charged cycles* are the runner's simulated parallel
-        makespan instead of the sequential time; values are identical
-        either way (tested).
+        :class:`~repro.core.doacross.PreprocessedDoacross`; with
+        ``reorder="doconsider"`` it runs each solve in wavefront order).
+        When given, each substitution's *charged cycles* are the runner's
+        simulated parallel makespan instead of the sequential time; values
+        are identical either way (tested).
     """
 
     def __init__(

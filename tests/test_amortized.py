@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
 from repro.core.workspace import DoacrossWorkspace
 from repro.errors import InvalidLoopError
@@ -13,6 +12,12 @@ from repro.sparse.stencils import five_point
 from repro.sparse.trisolve import lower_solve_loop, solve_lower_unit
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
+
+
+def amortized(loop, instances, processors=8, **kw):
+    return PreprocessedDoacross(processors=processors).run_amortized(
+        loop, instances, **kw
+    )
 
 
 def iterate_oracle(loop, instances, rhs_sequence=None):
@@ -31,7 +36,7 @@ class TestSemantics:
     @pytest.mark.parametrize("instances", [1, 2, 5])
     def test_matches_iterated_oracle(self, instances):
         loop = make_test_loop(n=120, m=2, l=6)
-        result = AmortizedDoacross(processors=8).run(loop, instances)
+        result = amortized(loop, instances)
         np.testing.assert_allclose(
             result.y, iterate_oracle(loop, instances), rtol=1e-12
         )
@@ -39,7 +44,7 @@ class TestSemantics:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_loops(self, seed):
         loop = random_irregular_loop(80, seed=seed)
-        result = AmortizedDoacross(processors=8).run(loop, 3)
+        result = amortized(loop, 3)
         np.testing.assert_allclose(
             result.y, iterate_oracle(loop, 3), rtol=1e-12
         )
@@ -51,9 +56,7 @@ class TestSemantics:
         rng = np.random.default_rng(0)
         rhs_sequence = [rng.normal(size=n) for _ in range(4)]
         loop = lower_solve_loop(L, np.zeros(n))
-        result = AmortizedDoacross(processors=8).run(
-            loop, 4, rhs_sequence=rhs_sequence
-        )
+        result = amortized(loop, 4, rhs_sequence=rhs_sequence)
         # The last solve determines the final y entirely (external init).
         np.testing.assert_allclose(
             result.y, solve_lower_unit(L, rhs_sequence[-1]), rtol=1e-12
@@ -62,29 +65,25 @@ class TestSemantics:
     def test_rhs_sequence_validation(self):
         loop = make_test_loop(n=10, m=1, l=3)  # old-value init
         with pytest.raises(InvalidLoopError, match="external-init"):
-            AmortizedDoacross(processors=2).run(
-                loop, 2, rhs_sequence=[np.zeros(10)] * 2
-            )
+            amortized(loop, 2, processors=2, rhs_sequence=[np.zeros(10)] * 2)
 
     def test_rhs_sequence_length_checked(self):
         L, _ = ilu0(five_point(3, 3))
         loop = lower_solve_loop(L, np.zeros(9))
         with pytest.raises(InvalidLoopError, match="entries"):
-            AmortizedDoacross(processors=2).run(
-                loop, 3, rhs_sequence=[np.zeros(9)] * 2
-            )
+            amortized(loop, 3, processors=2, rhs_sequence=[np.zeros(9)] * 2)
 
     def test_instances_validated(self):
         loop = make_test_loop(n=10, m=1, l=3)
         with pytest.raises(InvalidLoopError):
-            AmortizedDoacross(processors=2).run(loop, 0)
+            amortized(loop, 0, processors=2)
 
 
 class TestCostStructure:
     def test_single_inspector_run(self):
         cm = CostModel()
         loop = make_test_loop(n=400, m=1, l=3)
-        result = AmortizedDoacross(processors=4).run(loop, 5)
+        result = amortized(loop, 5, processors=4)
         # Inspector span equals ONE inspector pass, not five.
         assert result.breakdown.inspector == 100 * cm.pre_iter
         assert result.extras["inspector_runs"] == 1
@@ -93,29 +92,30 @@ class TestCostStructure:
     def test_reduced_postprocessor_between_instances(self):
         cm = CostModel()
         loop = make_test_loop(n=400, m=1, l=3)
-        result = AmortizedDoacross(processors=4).run(loop, 3)
+        result = amortized(loop, 3, processors=4)
         # Two reduced posts + one full post, 100 iterations each on 4 procs.
         expected = 100 * (2 * cm.post_iter_amortized + cm.post_iter)
         assert result.breakdown.postprocessor == expected
 
+    @staticmethod
+    def gain(loop, instances):
+        """Cycles of ``instances`` full pipelines over the amortized run's."""
+        runner = PreprocessedDoacross(processors=16)
+        full = runner.run(loop).total_cycles
+        return instances * full / runner.run_amortized(loop, instances).total_cycles
+
     def test_amortization_beats_repeated_full_runs(self):
         loop = make_test_loop(n=1000, m=1, l=5)
-        runner = AmortizedDoacross(processors=16)
-        amortized, full, gain = runner.amortization_gain(loop, 10)
-        assert gain > 1.0
-        assert amortized.total_cycles < 10 * full.total_cycles
+        assert self.gain(loop, 10) > 1.0
 
     def test_gain_grows_with_instances(self):
         loop = make_test_loop(n=1000, m=1, l=5)
-        runner = AmortizedDoacross(processors=16)
-        _, _, g2 = runner.amortization_gain(loop, 2)
-        _, _, g10 = runner.amortization_gain(loop, 10)
-        assert g10 > g2
+        assert self.gain(loop, 10) > self.gain(loop, 2)
 
     def test_efficiency_baseline_scales_with_instances(self):
         loop = make_test_loop(n=500, m=2, l=3)
         cm = CostModel()
-        result = AmortizedDoacross(processors=8).run(loop, 4)
+        result = amortized(loop, 4)
         from repro.core.sequential import sequential_time
 
         assert result.sequential_cycles == 4 * sequential_time(loop, cm)
@@ -126,14 +126,27 @@ class TestWorkspaceDiscipline:
         ws = DoacrossWorkspace()
         pd = PreprocessedDoacross(processors=4, workspace=ws)
         loop = random_irregular_loop(60, seed=1)
-        AmortizedDoacross(doacross=pd).run(loop, 4)
+        pd.run_amortized(loop, 4)
         assert ws.is_clean()
 
     def test_reusable_after_amortized_run(self):
         ws = DoacrossWorkspace()
         pd = PreprocessedDoacross(processors=4, workspace=ws)
         loop = random_irregular_loop(60, seed=2)
-        AmortizedDoacross(doacross=pd).run(loop, 2)
+        pd.run_amortized(loop, 2)
         other = random_irregular_loop(60, seed=3)
         result = pd.run(other)
         np.testing.assert_allclose(result.y, other.run_sequential())
+
+
+class TestOrder:
+    def test_doconsider_order_keeps_the_values(self):
+        loop = random_irregular_loop(80, seed=5)
+        pd = PreprocessedDoacross(processors=8)
+        natural = pd.run_amortized(loop, 3)
+        reordered = pd.run_amortized(loop, 3, reorder="doconsider")
+        np.testing.assert_allclose(reordered.y, natural.y, rtol=1e-12)
+        assert reordered.order_label.startswith("doconsider(levels=")
+        # The default order is the runner's own.
+        default = PreprocessedDoacross(processors=8, reorder="doconsider")
+        assert default.run_amortized(loop, 3).order_label == reordered.order_label

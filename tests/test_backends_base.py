@@ -6,7 +6,7 @@ import pytest
 from repro.backends.base import inverse_permutation, validate_execution_order
 from repro.errors import ScheduleError
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
-from repro.core.doconsider import level_order
+from repro.graph.levels import compute_levels
 
 
 class TestInversePermutation:
@@ -41,7 +41,7 @@ class TestValidateExecutionOrder:
     def test_level_order_always_legal(self):
         for seed in range(4):
             loop = random_irregular_loop(60, seed=seed)
-            order, _ = level_order(loop)
+            order = compute_levels(loop).order
             validate_execution_order(loop, order)
 
     def test_error_names_the_violated_edge(self):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.graph.critical_path import (
     critical_path_cycles,
     ideal_speedup,
@@ -110,7 +109,7 @@ class TestBoundsHoldForMeasuredRuns:
     def test_doconsider_also_bounded(self):
         cm = CostModel()
         loop = random_irregular_loop(120, seed=3)
-        result = Doconsider(processors=16).run(loop)
+        result = PreprocessedDoacross(processors=16).run(loop, reorder="doconsider")
         executor = next(p for p in result.phases if p.name == "executor")
         assert executor.span >= critical_path_cycles(loop, cm)
 

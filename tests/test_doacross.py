@@ -183,19 +183,21 @@ class TestExecutionOrder:
         order = np.concatenate(
             [np.arange(0, 100, 2), np.arange(1, 100, 2)]
         )
-        result = runner16.run(loop, order=order, order_label="evens-first")
+        result = runner16.runner().run(
+            loop, order=order, order_label="evens-first"
+        )
         assert_matches_oracle(result.y, loop)
         assert result.order_label == "evens-first"
 
     def test_illegal_order_rejected_not_deadlocked(self, runner16):
         loop = make_test_loop(n=50, m=1, l=4)  # distance-1 chain
         with pytest.raises(ScheduleError, match="violates true dependence"):
-            runner16.run(loop, order=np.arange(50)[::-1])
+            runner16.runner().run(loop, order=np.arange(50)[::-1])
 
     def test_non_permutation_rejected(self, runner16, small_test_loop):
         bad = np.zeros(small_test_loop.n, dtype=np.int64)
         with pytest.raises(ScheduleError, match="not a permutation"):
-            runner16.run(small_test_loop, order=bad)
+            runner16.runner().run(small_test_loop, order=bad)
 
 
 class TestParallelize:

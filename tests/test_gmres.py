@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.errors import MatrixFormatError
 from repro.sparse.block import block_seven_point
 from repro.sparse.csr import CSRMatrix
@@ -82,7 +81,7 @@ class TestGmres:
         self, nonsymmetric_system
     ):
         A, b, _ = nonsymmetric_system
-        runner = Doconsider(doacross=PreprocessedDoacross(processors=8))
+        runner = PreprocessedDoacross(processors=8, reorder="doconsider")
         x_seq, rep_seq = gmres(
             A, b, preconditioner=IluPreconditioner(A), tol=1e-9
         )

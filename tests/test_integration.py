@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.doconsider import Doconsider
 from repro.sparse import (
     block_seven_point,
     ilu0,
@@ -32,9 +31,8 @@ class TestFullPreconditionerPipeline:
         rhs = np.linspace(1.0, 2.0, A.n_rows)
 
         runner = repro.PreprocessedDoacross(processors=8)
-        doconsider = Doconsider(doacross=runner)
-        y = doconsider.run(lower_solve_loop(L, rhs)).y
-        x = doconsider.run(upper_solve_loop(U, y)).y
+        y = runner.run(lower_solve_loop(L, rhs), reorder="doconsider").y
+        x = runner.run(upper_solve_loop(U, y), reorder="doconsider").y
 
         dense = L.to_dense() @ U.to_dense()
         x_ref = np.linalg.solve(dense, rhs)
@@ -69,7 +67,7 @@ class TestStrategiesAgreeOnTrisolve:
             "preprocessed": runner.run(loop).y,
             "linear": runner.run(loop, linear=True).y,
             "stripmined": runner.run_stripmined(loop, block=37).y,
-            "doconsider": Doconsider(doacross=runner).run(loop).y,
+            "doconsider": runner.run(loop, reorder="doconsider").y,
         }
         reference = results.pop("sequential")
         for name, y in results.items():

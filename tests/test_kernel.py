@@ -26,7 +26,7 @@ from repro import PlanSpec, make_runner, parallelize
 from repro.backends import MultiprocRunner, ThreadedRunner, kernel, native
 from repro.backends.base import inverse_permutation
 from repro.backends.kernel import ACC, LOCAL, OLD, WAIT
-from repro.core.doconsider import level_order
+from repro.graph.levels import compute_levels
 from repro.errors import InvalidLoopError
 from repro.ir.analysis import writer_map
 from repro.ir.loop import INIT_EXTERNAL
@@ -115,7 +115,7 @@ class TestClassifyTerms:
         chunk = max(n, 1) if size == "n" else int(size)
         iter_arr = writer_map(loop)
         iter_arr[iter_arr < 0] = sentinel  # both "unwritten" spellings
-        order = level_order(loop)[0] if reorder else np.arange(n)
+        order = compute_levels(loop).order if reorder else np.arange(n)
         pos = inverse_permutation(order) if reorder else None
         reads = loop.reads
         # Every strip on its own, and one lane's strips in one call.
@@ -718,7 +718,7 @@ class TestSameBehaviourAsTheOldExecutors:
     )
     def test_doconsider_order(self, runners, backend, digest):
         loop = self.LOOPS["random"]()
-        order = level_order(loop)[0]
+        order = compute_levels(loop).order
         assert _log_digest(runners[backend], loop, order=order) == digest
 
     @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.errors import MatrixFormatError
 from repro.machine.costs import CostModel
 from repro.sparse.csr import CSRMatrix
@@ -105,7 +104,7 @@ class TestCycleAccounting:
 
     def test_parallel_preconditioner_changes_only_cycles(self, system):
         A, b, _ = system
-        runner = Doconsider(doacross=PreprocessedDoacross(processors=16))
+        runner = PreprocessedDoacross(processors=16, reorder="doconsider")
         seq_pc = IluPreconditioner(A)
         par_pc = IluPreconditioner(A, runner=runner)
         x_seq, rep_seq = cg(A, b, preconditioner=seq_pc, tol=1e-10)
@@ -117,7 +116,7 @@ class TestCycleAccounting:
     def test_parallel_preconditioner_speeds_whole_solver(self, system):
         """The Amdahl payoff the paper is after."""
         A, b, _ = system
-        runner = Doconsider(doacross=PreprocessedDoacross(processors=16))
+        runner = PreprocessedDoacross(processors=16, reorder="doconsider")
         _, rep_seq = cg(A, b, preconditioner=IluPreconditioner(A), tol=1e-10)
         _, rep_par = cg(
             A, b, preconditioner=IluPreconditioner(A, runner=runner), tol=1e-10

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import PlanSpec, parallelize
 from repro.backends import MultiprocRunner, ThreadedRunner
-from repro.core.doconsider import level_order
+from repro.graph.levels import compute_levels
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.sanitize.detector import detect
@@ -124,7 +124,7 @@ def test_natural_order(name, workers, pools):
 @pytest.mark.parametrize("name", sorted(FIXED))
 def test_doconsider_order(name, pools):
     loop = FIXED[name]()
-    assert_one_protocol(loop, pools, order=level_order(loop)[0])
+    assert_one_protocol(loop, pools, order=compute_levels(loop).order)
 
 
 @pytest.mark.parametrize("name", sorted(FIXED))

@@ -53,11 +53,23 @@ class TestLevels:
     def test_chain(self):
         schedule = compute_levels(chain_loop(12, 1))
         np.testing.assert_array_equal(schedule.levels, np.arange(12))
+        np.testing.assert_array_equal(schedule.order, np.arange(12))
         assert schedule.n_levels == 12
+
+    def test_distance_d_chain_has_d_wide_wavefronts(self):
+        schedule = compute_levels(chain_loop(20, 4))
+        assert schedule.n_levels == 5
+        assert schedule.max_width() == 4
+
+    def test_independent_loop_single_level(self):
+        schedule = compute_levels(make_test_loop(n=30, m=1, l=3))
+        assert schedule.n_levels == 1
+        assert schedule.max_width() == 30
 
     def test_level_ptr_partitions_order(self):
         loop = random_irregular_loop(50, seed=3)
         s = compute_levels(loop)
+        assert sorted(s.order.tolist()) == list(range(50))
         assert s.level_ptr[0] == 0
         assert s.level_ptr[-1] == 50
         for k in range(s.n_levels):

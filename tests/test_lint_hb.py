@@ -60,7 +60,7 @@ def test_simulated_clean_under_every_schedule_kind(fig4, kind):
 
 
 def test_doconsider_order_is_clean_too(irregular):
-    order, _ = repro.level_order(irregular)
+    order = compute_levels(irregular).order
     placement = placement_of("threaded", irregular, order=order)
     assert check_dependence_coverage(irregular, placement).passed
 
@@ -344,7 +344,7 @@ def _lanes_walked(backend, runner, monkeypatch, loop, options):
 
 CHAIN = repro.chain_loop(96, 4)
 IRREGULAR = repro.random_irregular_loop(120, seed=3)
-DOCONSIDER = repro.level_order(IRREGULAR)[0]
+DOCONSIDER = compute_levels(IRREGULAR).order
 
 RUNS = (
     [

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.errors import InvalidLoopError
 from repro.graph.coloring import greedy_coloring, validate_coloring
 from repro.graph.levels import compute_levels
@@ -151,6 +150,6 @@ class TestOrderingStructure:
         runner = PreprocessedDoacross(processors=16)
         loop = sweep_loop(mesh, mesh_orderings(mesh)["coloring"])
         plain = runner.run(loop)
-        reordered = Doconsider(doacross=runner).run(loop)
+        reordered = runner.run(loop, reorder="doconsider")
         assert reordered.total_cycles <= plain.total_cycles
         assert reordered.total_cycles > 0.7 * plain.total_cycles

@@ -329,7 +329,7 @@ class TestPlanContent:
 
 
 # ---------------------------------------------------------------------------
-# The spec path never ignores options
+# The spec path never ignores options (but speculation's doconsider order)
 # ---------------------------------------------------------------------------
 
 
@@ -341,6 +341,28 @@ class TestNoIgnoredOptions:
         result = execute_plan(loop, plan)
         assert "ignored_options" not in result.extras
         assert result.extras["schedule_plan"]["backend"] == backend
+        assert np.array_equal(result.y, loop.run_sequential())
+
+    #: How each backend labels a doconsider run; speculation commits in
+    #: natural chunk order, so it runs naturally and says so.
+    DOCONSIDER_LABELS = {
+        "simulated": ("doconsider(levels=6)", None),
+        "threaded": ("doconsider(levels=6)", None),
+        "vectorized": ("wavefront(levels=6)", None),
+        "multiproc": ("doconsider(levels=6)", None),
+        "speculative": ("natural", ["order"]),
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_doconsider_is_ignored_only_by_speculation(self, backend):
+        loop = random_irregular_loop(200, seed=5)
+        spec = PlanSpec(backend=backend, processors=2, reorder="doconsider")
+        result, _ = parallelize(loop, spec=spec)
+        notes = result.extras.get("ignored_options")
+        assert (
+            result.order_label,
+            None if notes is None else [n["option"] for n in notes],
+        ) == self.DOCONSIDER_LABELS[backend]
         assert np.array_equal(result.y, loop.run_sequential())
 
     def test_all_backends_bitwise_identical_through_pipeline(self, loop):

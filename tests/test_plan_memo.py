@@ -39,13 +39,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import InspectorCache, PlanSpec, VectorizedRunner, parallelize
+from repro import (
+    InspectorCache,
+    PlanSpec,
+    PreprocessedDoacross,
+    VectorizedRunner,
+    parallelize,
+)
 import repro.backends as backends_module
 from repro.analysis import record_mismatches, symbolic_fingerprint
 from repro.backends import BACKENDS, native
 from repro.backends import cache as cache_module
 from repro.backends.cache import build_inspector_record, fingerprint_with_body
-from repro.core.doconsider import Doconsider
 from repro.errors import InvalidLoopError
 from repro.graph.depgraph import DependenceGraph
 from repro.graph.levels import compute_levels
@@ -130,7 +135,9 @@ def test_no_body_builds_a_dependence_graph(analysis_calls):
     loop = make_test_loop(n=120, m=2, l=8)
     with no_compiler():
         planned, _ = parallelize(loop, backend="vectorized")
-        reordered = Doconsider(processors=2).run(loop)
+        reordered = PreprocessedDoacross(processors=2).run(
+            loop, reorder="doconsider"
+        )
     for result in (planned, reordered):
         assert np.array_equal(result.y, loop.run_sequential())
     assert analysis_calls == analyses(2)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.backends.threaded import ThreadedRunner
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import Doconsider
 from repro.workloads.synthetic import random_irregular_loop
 from repro.workloads.testloop import make_test_loop
 from tests.strategies import loop_params
@@ -44,7 +43,9 @@ def test_preprocessed_doacross_matches_oracle(
 @settings(max_examples=60, deadline=None)
 def test_doconsider_matches_oracle(params, processors):
     loop = random_irregular_loop(**params)
-    result = Doconsider(processors=processors).run(loop)
+    result = PreprocessedDoacross(processors=processors).run(
+        loop, reorder="doconsider"
+    )
     close(result.y, loop.run_sequential())
 
 
@@ -90,7 +91,7 @@ def test_all_simulated_strategies_agree_with_each_other(params):
     loop = random_irregular_loop(**params)
     runner = PreprocessedDoacross(processors=5)
     natural = runner.run(loop).y
-    reordered = Doconsider(doacross=runner).run(loop).y
+    reordered = runner.run(loop, reorder="doconsider").y
     stripmined = runner.run_stripmined(loop, block=max(1, loop.n // 3)).y
     np.testing.assert_array_equal(natural, reordered)
     np.testing.assert_array_equal(natural, stripmined)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import MultiprocRunner
-from repro.core.doconsider import level_order
+from repro.graph.levels import compute_levels
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
 
 
@@ -84,7 +84,7 @@ def test_doconsider_order_matches_oracle(pool, n, seed):
     """A wavefront-sorted doconsider order changes which iterations wait,
     not what they compute."""
     loop = random_irregular_loop(n, seed=seed)
-    order, _levels = level_order(loop)
+    order = compute_levels(loop).order
     result = pool.run(loop, order=order)
     assert np.array_equal(result.y, loop.run_sequential())
 

@@ -4,9 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import level_order
 from repro.workloads.mesh import mesh_orderings, random_mesh, sweep_loop
 from repro.workloads.synthetic import random_irregular_loop
 
@@ -29,7 +27,9 @@ def iterate_oracle(loop, instances):
 @settings(max_examples=50, deadline=None)
 def test_amortized_equals_iterated_oracle(n, seed, instances, processors):
     loop = random_irregular_loop(n, seed=seed)
-    result = AmortizedDoacross(processors=processors).run(loop, instances)
+    result = PreprocessedDoacross(processors=processors).run_amortized(
+        loop, instances
+    )
     np.testing.assert_allclose(
         result.y, iterate_oracle(loop, instances), rtol=1e-12, atol=1e-12
     )
@@ -43,8 +43,9 @@ def test_amortized_equals_iterated_oracle(n, seed, instances, processors):
 @settings(max_examples=30, deadline=None)
 def test_amortized_in_doconsider_order_equals_oracle(n, seed, instances):
     loop = random_irregular_loop(n, seed=seed)
-    order, _ = level_order(loop)
-    result = AmortizedDoacross(processors=4).run(loop, instances, order=order)
+    result = PreprocessedDoacross(processors=4).run_amortized(
+        loop, instances, reorder="doconsider"
+    )
     np.testing.assert_allclose(
         result.y, iterate_oracle(loop, instances), rtol=1e-12, atol=1e-12
     )

@@ -46,8 +46,6 @@ class TestExports:
     def test_key_entry_points_present(self):
         for name in (
             "PreprocessedDoacross",
-            "Doconsider",
-            "AmortizedDoacross",
             "SimulatedRunner",
             "parallelize",
             "verify_loop",
@@ -72,8 +70,6 @@ class TestDocstrings:
         "cls_name",
         [
             "PreprocessedDoacross",
-            "Doconsider",
-            "AmortizedDoacross",
             "SimulatedRunner",
         ],
     )

@@ -22,9 +22,12 @@ from repro.backends import (
 )
 from repro.backends.hooks import Sanitize
 from repro.errors import SanitizerError
+from repro.ir.analysis import CAT_TRUE, classify_reads
 from repro.passes.plan import plan_loop
 from repro.passes.spec import PlanSpec, UnsupportedPlanOption
+from repro.sanitize.detector import required_pairs
 from repro.workloads.synthetic import chain_loop, random_irregular_loop
+from tests.test_conformance_matrix import WORKLOADS
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +109,18 @@ class TestSpecWiring:
         # Without the mode the stage does not run.
         bare = plan_loop(loop, PlanSpec(backend="threaded"))
         assert bare.sanitize_pairs is None
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_the_plan_counts_the_detectors_contract(self, name):
+        loop = WORKLOADS[name]
+        plan = plan_loop(loop, PlanSpec(backend="threaded", validate="sanitize"))
+        triples = required_pairs(loop)
+        assert plan.sanitize_pairs == len(triples)
+        # Independently: the unique (reader, element) true-dependence terms.
+        readers, _, categories = classify_reads(loop)
+        true = categories == CAT_TRUE
+        terms = set(zip(readers[true].tolist(), loop.reads.index[true].tolist()))
+        assert {(r, e) for _, r, e in triples} == terms
 
     def test_make_runner_builds_the_wrapper(self):
         runner = make_runner(

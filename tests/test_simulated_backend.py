@@ -13,7 +13,7 @@ import pytest
 from repro.backends.cache import InspectorCache
 from repro.backends.simulated import SimulatedRunner
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import level_order
+from repro.graph.levels import compute_levels
 from repro.core.workspace import DoacrossWorkspace
 from repro.errors import (
     InvalidLoopError,
@@ -207,7 +207,7 @@ PIN_MACHINES = (
 PIN_VARIANTS = {
     "preprocessed": lambda r, loop, **kw: r.run_preprocessed(loop, **kw),
     "doconsider": lambda r, loop, **kw: r.run_preprocessed(
-        loop, order=level_order(loop)[0], **kw
+        loop, order=compute_levels(loop).order, **kw
     ),
     "linear": lambda r, loop, **kw: r.run_preprocessed(loop, linear=True, **kw),
     "amortized1": lambda r, loop, **kw: r.run_amortized(loop, 1, **kw),

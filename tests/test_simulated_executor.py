@@ -32,11 +32,10 @@ from hypothesis import strategies as st
 from repro import PlanSpec, make_runner
 from repro.backends import native, simulated
 from repro.backends.simulated import SimulatedRunner
-from repro.core.amortized import AmortizedDoacross
 from repro.core.doacross import PreprocessedDoacross
-from repro.core.doconsider import level_order
 from repro.core.serialize import result_to_dict
 from repro.errors import OutputDependenceError
+from repro.graph.levels import compute_levels
 from repro.ir.loop import INIT_EXTERNAL
 from repro.machine.costs import CostModel
 from repro.machine.engine import Machine
@@ -112,7 +111,7 @@ class TestRecurrenceEqualsEngine:
             loop = data.draw(affine_loops())
         # Strip-mine blocks cut the natural order.
         order = (
-            level_order(loop)[0]
+            compute_levels(loop).order
             if reorder and variant != "stripmined"
             else None
         )
@@ -398,7 +397,7 @@ class TestShadowLog:
     VARIANTS = {
         "plain": lambda r, loop, **kw: r.run_preprocessed(loop, **kw),
         "doconsider": lambda r, loop, **kw: r.run_preprocessed(
-            loop, order=level_order(loop)[0], **kw
+            loop, order=compute_levels(loop).order, **kw
         ),
         "amortized": lambda r, loop, **kw: r.run_amortized(loop, 2, **kw),
         "stripmined": lambda r, loop, schedule, chunk: r.run_stripmined(
@@ -523,7 +522,7 @@ class TestOperandCache:
         loop = make_test_loop(n=240, m=3, l=8)
         heavy = copy.copy(loop)  # the same arrays, another work profile
         heavy.work = WorkProfile(overhead=9, term_setup=1, term_consume=7)
-        order = level_order(loop)[0]
+        order = compute_levels(loop).order
         slow = CostModel(flag_check=7, dep_check=5)
         configs = [
             ("plain", loop, 4, None, {}),
@@ -586,7 +585,7 @@ class TestOperandCache:
         from repro import InspectorCache
 
         loop = random_irregular_loop(150, seed=5)
-        order = level_order(loop)[0]
+        order = compute_levels(loop).order
         assert not np.array_equal(order, np.arange(loop.n))
         runner = SimulatedRunner(Machine(4), cache=InspectorCache())
         first = runner.run(loop, order=order)
@@ -657,12 +656,14 @@ class TestOperandCache:
 
 
 def _cached_amortized(instances: int):
-    """``AmortizedDoacross.run`` on a runner given a cache."""
+    """``PreprocessedDoacross.run_amortized`` on a runner given a cache
+    (``ENTRY_POINTS`` keys it by the name of the wrapper class that once
+    held it, ``AmortizedDoacross``)."""
 
     def run(runner, loop):
         pd = PreprocessedDoacross(processors=runner.machine.processors)
         pd._runner = runner
-        return AmortizedDoacross(doacross=pd).run(loop, instances)
+        return pd.run_amortized(loop, instances)
 
     return run
 
@@ -679,7 +680,7 @@ class TestCycleAccount:
         "linear": lambda r, loop: r.run_preprocessed(loop, linear=True),
         "stripmined": lambda r, loop: r.run_stripmined(loop, 70),
         "doconsider": lambda r, loop: r.run_preprocessed(
-            loop, order=level_order(loop)[0], order_label="doconsider"
+            loop, order=compute_levels(loop).order, order_label="doconsider"
         ),
         "amortized-1": lambda r, loop: r.run_amortized(loop, 1),
         "amortized-3": lambda r, loop: r.run_amortized(loop, 3),

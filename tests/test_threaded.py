@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.backends.threaded import ThreadedRunner
-from repro.core.doconsider import level_order
+from repro.graph.levels import compute_levels
 from repro.errors import ScheduleError
 from repro.sparse.ilu import ilu0
 from repro.sparse.stencils import five_point
@@ -48,7 +48,7 @@ class TestThreadedEquivalence:
 
     def test_with_doconsider_order(self):
         loop = random_irregular_loop(80, seed=9)
-        order, _ = level_order(loop)
+        order = compute_levels(loop).order
         y = ThreadedRunner(threads=4).run(loop, order=order).y
         assert_matches_oracle(y, loop)
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.backends.cache import InspectorCache
 from repro.backends.vectorized import VectorizedRunner
-from repro.core.doacross import parallelize
+from repro.core.doacross import PreprocessedDoacross, parallelize
 from repro.core.sequential import run_reference
 from repro.errors import InvalidLoopError, ScheduleError
 from repro.graph.depgraph import DependenceGraph
@@ -187,15 +187,13 @@ class TestRunRepeated:
 class TestAmortizedIntegration:
     def test_amortized_vectorized_backend(self):
         """``run_repeated`` is the wall-clock form of the simulated
-        :class:`AmortizedDoacross` composition: same values, inspector
-        served by the cache it is given."""
-        from repro.core.amortized import AmortizedDoacross
-
+        ``PreprocessedDoacross.run_amortized`` composition: same values,
+        inspector served by the cache it is given."""
         loop = make_test_loop(n=140, m=2, l=6)
         cache = InspectorCache()
         result = VectorizedRunner(cache=cache).run_repeated(loop, 5)
         assert np.array_equal(result.y, iterate_oracle(loop, 5))
         assert result.strategy == "vectorized-wavefront-amortized"
         assert cache.stats()["misses"] == 1
-        simulated = AmortizedDoacross(processors=4).run(loop, 5)
+        simulated = PreprocessedDoacross(processors=4).run_amortized(loop, 5)
         np.testing.assert_allclose(simulated.y, result.y, rtol=1e-12)

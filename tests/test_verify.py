@@ -84,6 +84,27 @@ class TestVerifyLoop:
         assert not report.passed
         assert "MISMATCH" in report.summary()
 
+    def test_amortized_check_runs_two_instances(self, monkeypatch):
+        """The ``amortized-doacross(x2)`` check compares two composed
+        instances against the oracle applied twice: a run that stops after
+        the first instance fails it."""
+        from repro.core.doacross import PreprocessedDoacross
+
+        one_instance = PreprocessedDoacross.run_amortized
+
+        def run_amortized(self, loop, instances, **kw):
+            return one_instance(self, loop, 1, **kw)
+
+        loop = random_irregular_loop(60, seed=4)
+        assert verify_loop(loop, include_threaded=False).passed
+        monkeypatch.setattr(PreprocessedDoacross, "run_amortized", run_amortized)
+        report = verify_loop(loop, include_threaded=False)
+        (amortized,) = [
+            c for c in report.checks if c.strategy == "amortized-doacross(x2)"
+        ]
+        assert not amortized.passed
+        assert not report.passed
+
     def test_empty_loop(self):
         report = verify_loop(
             random_irregular_loop(0, seed=0), include_threaded=False

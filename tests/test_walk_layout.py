@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro import (
-    AmortizedDoacross,
     InspectorCache,
     PlanSpec,
+    PreprocessedDoacross,
     ReadTable,
     VectorizedRunner,
     parallelize,
@@ -229,7 +229,8 @@ def test_repeated_instances_chain_through_one_record(make, renamed):
         y = step.run_sequential()
     assert_same_bits(got.y, y)
     assert got.extras["walk"]["renamed"] is renamed
-    assert_same_bits(AmortizedDoacross().run(loop, 3, rhs_sequence=rhs).y, y)
+    amortized = PreprocessedDoacross().run_amortized(loop, 3, rhs_sequence=rhs)
+    assert_same_bits(amortized.y, y)
     # The same loop, its own init every instance: instance k reads k-1's y.
     again = VectorizedRunner().run_repeated(loop, 3)
     y = loop.y0

@@ -75,10 +75,9 @@ class TestDirtyWorkspaceGuard:
     def test_amortized_rejects_dirty_workspace(self):
         import pytest
 
-        from repro.core.amortized import AmortizedDoacross
         from repro.errors import InvalidLoopError
         from repro.workloads.testloop import make_test_loop
 
-        runner = AmortizedDoacross(doacross=self._dirty_runner())
+        runner = self._dirty_runner()
         with pytest.raises(InvalidLoopError, match="dirty"):
-            runner.run(make_test_loop(n=20, m=1, l=3), 2)
+            runner.run_amortized(make_test_loop(n=20, m=1, l=3), 2)
