@@ -21,6 +21,24 @@ def doconsider(loop, processors=8):
     )
 
 
+class TestLevelOrder:
+    """The doconsider order is ``compute_levels(loop).order``."""
+
+    def test_chain_levels_are_iteration_index(self):
+        schedule = compute_levels(chain_loop(20, 1))
+        np.testing.assert_array_equal(schedule.levels, np.arange(20))
+        np.testing.assert_array_equal(schedule.order, np.arange(20))
+
+    def test_order_is_permutation_grouped_by_level(self):
+        schedule = compute_levels(random_irregular_loop(120, seed=3))
+        order = schedule.order
+        assert sorted(order.tolist()) == list(range(120))
+        levels_in_order = schedule.levels[order]
+        assert all(
+            a <= b for a, b in zip(levels_in_order, levels_in_order[1:])
+        )
+
+
 class TestDoconsiderRuns:
     @pytest.mark.parametrize("seed", range(6))
     def test_semantics_preserved(self, seed):
